@@ -268,13 +268,6 @@ def run_cell(cfg: ExperimentConfig, fn_id: str, f, lam: float):
     raise ConfigError(f"experiment {exp} has no per-cell runner")
 
 
-def _cell_entry(args):
-    raw, fn_id, lam = args
-    cfg = ExperimentConfig.from_dict(json.loads(raw))
-    fns = dict(build_functions(cfg))
-    return run_cell(cfg, fn_id, fns[fn_id], lam)
-
-
 # ---------------------------------------------------------------------------
 # whole-experiment runners (no lambda fan-out)
 
@@ -380,17 +373,15 @@ def execute(cfg: ExperimentConfig, jobs: int = 1):
     if exp in ("covering_suite", "czd_suite"):
         return run_suite(cfg)
 
-    fns = build_functions(cfg)
-    cells = [(fid, lam) for fid, _ in fns for lam in cfg.lams]
-    raw = json.dumps(cfg.canonical(), sort_keys=True)
+    # the corpus is built once per run; each cell carries its function to
+    # the worker
+    cells = [(cfg, fid, f, lam) for fid, f in build_functions(cfg)
+             for lam in cfg.lams]
     if jobs > 1 and len(cells) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(_cell_entry,
-                                  [(raw, fid, lam) for fid, lam in cells],
-                                  chunksize=1))
+            results = list(ex.map(run_cell, *zip(*cells), chunksize=1))
     else:
-        by_id = dict(fns)
-        results = [run_cell(cfg, fid, by_id[fid], lam) for fid, lam in cells]
+        results = [run_cell(*cell) for cell in cells]
 
     rows, values, inv = [], {}, {}
     for cell_rows, cell_values, cell_inv in results:
@@ -463,7 +454,7 @@ def cmd_run(args) -> int:
             base_path.write_text(
                 json.dumps(payload, sort_keys=True, indent=1) + "\n",
                 encoding="utf-8")
-            baseline = {"status": "recorded", "path": str(base_path)}
+            baseline = {"status": "recorded", "path": base_path.name}
         else:
             recorded = json.loads(base_path.read_text(encoding="utf-8"))
             deltas, violations = compare_baseline(values, recorded["values"])

@@ -8,11 +8,27 @@ the complement.  E lives as a bitmap of integer unit cells at scale
 measure is an exact Fraction and quadrature weights on any power-of-two
 grid are exact dyadic numbers.
 
-Partial-sum sweeps never rebuild S_n from scratch: S_n differs from
-S_{n-1} by two modes, so a chunked running sum over the refined grid
-computes the whole curve n = 1..N_max in O(N_max * M) work.  Orders are
-capped at the stored bandwidth n/2; the reading at the cap includes the
-shared Nyquist coefficient on both sides, matching `spectral.partial_sum`.
+Quadratic (p = 2) averaged moments never evaluate S_n f.  With w the
+complement weights on the refined M-grid and w^ = fft(w)/M their DFT,
+indexed mod M, the quadrature is an exact Parseval identity
+
+    (1/M) sum_t w_t |S_n f(t)|^2 = sum_{|a|,|b|<=n} c_a conj(c_b) w^(b-a),
+
+and raising n by one adds only the border max(|a|,|b|) = n, so a curve
+n = 1..N_max costs O(N_max^2) work and O(N_max) memory.  The full-torus
+column is `spectral.plancherel_average`.
+
+Fourth moments, strong means and the rectangular factors need pointwise
+values and use a partial-sum stream instead: S_n differs from S_{n-1} by
+two modes, so a chunked running sum over the refined grid computes the
+whole curve in O(N_max * M) work.
+
+Orders are capped at the stored bandwidth n/2; the reading at the cap
+includes the shared Nyquist coefficient on both sides, matching
+`spectral.partial_sum`.  The closed form reads it the same way: at n = H
+the stored bin enters as both +H and -H, and indexing w^ mod M keeps the
+identity exact for every refinement, including refine = 0, where +H and
+-H fall on the same grid frequency.
 """
 
 from __future__ import annotations
@@ -287,6 +303,31 @@ def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
         yield ns, rows
 
 
+def _weighted_energy_curve(f: GridFunction, w: np.ndarray, n_hi: int) -> np.ndarray:
+    """(1/M) sum_t w_t |S_n f(t)|^2 for n = 1..n_hi, by the Parseval identity.
+
+    Rounding in w^ acts like a perturbation of w that does not vanish on
+    E, so the relative error grows like eps * (energy of S_n f on E) /
+    (energy off E): largest for spikes whose mass sits inside E.
+    """
+    H = f.n // 2
+    M = w.size
+    N, K = n_hi, 2 * n_hi
+    ms = np.arange(-N, N + 1)
+    c = forward(f)[(ms + H) % f.n]  # c[N + m] is mode m; +-H share the Nyquist bin
+    cc = np.conj(c)
+    wh = (np.fft.fft(w) / M)[np.arange(-K, K + 1) % M]  # wh[K + k] is w^(k)
+    n = np.arange(1, N + 1)
+    # border rows a = +n and a = -n against every |b| < n
+    r_plus = np.array([cc[N - j + 1:N + j] @ wh[K - 2 * j + 1:K] for j in n])
+    r_minus = np.array([cc[N - j + 1:N + j] @ wh[K + 1:K + 2 * j] for j in n])
+    cp, cm = c[N + n], c[N - n]
+    border = (2.0 * (cp * r_plus + cm * r_minus).real
+              + (np.abs(cp) ** 2 + np.abs(cm) ** 2) * wh[K].real
+              + 2.0 * (cp * cc[N - n] * wh[K - 2 * n]).real)
+    return abs(c[N]) ** 2 * wh[K].real + np.cumsum(border)
+
+
 def _norm_factor(N: int, p: int) -> float:
     # N for the quadratic moment; N log^(p-2) N beyond
     if p == 2:
@@ -301,7 +342,8 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
     """Curve of (1/norm(N)) sum_{n<=N} integral of |S_n f|^p off E.
 
     E is built once from the decomposition at height lambda and shared
-    by every report in the curve.
+    by every report in the curve.  p = 2 takes the closed form of the
+    module docstring; p = 4 streams the partial sums.
     """
     if f.dim != 1:
         raise ValueError("averaged_moment is the 1-d sweep")
@@ -317,25 +359,28 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
         exc = build_exceptional_set(decompose(f, lam), c)
     M = 1 << (f.J + refine)
     w = exc.complement_weights(M)
-    per_w = np.empty(N_max)
-    per_full = np.empty(N_max)
-    half = p // 2
-    for ns, rows in _partial_sum_stream(f, N_max, refine):
-        a = (rows.real**2 + rows.imag**2) ** half
-        per_w[ns - 1] = a @ w / M
-        per_full[ns - 1] = a.mean(axis=1)
-    cw = np.cumsum(per_w)
-    cf = np.cumsum(per_full)
+    if p == 2:
+        cw = np.cumsum(_weighted_energy_curve(f, w, N_max))
+        full = [plancherel_average(f, N) for N in schedule]
+    else:
+        per_w = np.empty(N_max)
+        per_full = np.empty(N_max)
+        for ns, rows in _partial_sum_stream(f, N_max, refine):
+            a = (rows.real**2 + rows.imag**2) ** 2
+            per_w[ns - 1] = a @ w / M
+            per_full[ns - 1] = a.mean(axis=1)
+        cw = np.cumsum(per_w)
+        cf = np.cumsum(per_full)
+        full = [cf[N - 1] / _norm_factor(N, p) for N in schedule]
     l1 = f.l1()
     meta = {"fn_id": fn_id, "J": f.J, "d": 1, "c": exc.dilation, "refine": refine}
     out = []
-    for N in schedule:
-        norm = _norm_factor(N, p)
-        avg = cw[N - 1] / norm
+    for N, full_avg in zip(schedule, full):
+        avg = cw[N - 1] / _norm_factor(N, p)
         out.append(MomentReport(
             lam=lam, N=N, p=p, avg_moment=avg, measure_E=exc.measure,
             ratio=avg / (lam ** (p - 1) * l1**p),
-            full_torus_avg=cf[N - 1] / norm, metadata=dict(meta),
+            full_torus_avg=full_avg, metadata=dict(meta),
             exceptional=exc,
         ))
     return out

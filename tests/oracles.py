@@ -1,11 +1,16 @@
-"""Exact arc oracles shared by the test modules.
+"""Oracles shared by the test modules.
 
 Dilated bad cells become exact Fraction endpoint pairs, and their
 coverage of grid cells is recomputed by interval arithmetic, so these
 helpers stay independent of the integer bitmaps in
-`strongmeans.estimates`.
+`strongmeans.estimates`.  `csv_differences` compares a fresh CSV with a
+committed reference cell by cell.
 """
 
+import csv
+import io
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -67,3 +72,54 @@ def off_arc_moments(g, arcs, n_hi: int, refine: int) -> np.ndarray:
         float((np.abs(spectral.partial_sum(g, n, refine).samples) ** 2) @ w / M)
         for n in range(1, n_hi + 1)
     ])
+
+
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _as_float(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _printed_unit(x: float) -> float:
+    """One unit in the 12th significant digit of x printed with %.12g."""
+    return 10.0 ** (math.floor(math.log10(abs(x))) - 11) if x else 0.0
+
+
+def csv_differences(fresh_text: str, ref_text: str, rtol: float = 1e-12) -> list:
+    """Cells where a fresh CSV departs from its reference; empty if none.
+
+    Integers, p/q fractions and strings must match exactly.  A column is
+    a float column when some reference cell in it is a non-integer
+    number; its cells may differ by rtol relative plus one unit in the
+    12th printed digit, since two values rtol apart can round to
+    neighbouring 12-digit prints.
+    """
+    fresh = list(csv.reader(io.StringIO(fresh_text)))
+    ref = list(csv.reader(io.StringIO(ref_text)))
+    if not fresh or not ref or fresh[0] != ref[0]:
+        return [f"header {fresh[:1]} != {ref[:1]}"]
+    if len(fresh) != len(ref):
+        return [f"{len(fresh) - 1} rows, reference has {len(ref) - 1}"]
+    float_col = [
+        any(not _INT.fullmatch(row[j]) and _as_float(row[j]) is not None
+            for row in ref[1:])
+        for j in range(len(ref[0]))
+    ]
+    diffs = []
+    for i, (frow, rrow) in enumerate(zip(fresh[1:], ref[1:]), start=1):
+        for j, (a, b) in enumerate(zip(frow, rrow)):
+            if a == b:
+                continue
+            fa, fb = _as_float(a), _as_float(b)
+            if float_col[j] and fa is not None and fb is not None:
+                big = max(abs(fa), abs(fb))
+                if abs(fa - fb) <= rtol * big + _printed_unit(big):
+                    continue
+            diffs.append(f"row {i} {ref[0][j]}: {a!r} != {b!r}")
+        if len(frow) != len(rrow):
+            diffs.append(f"row {i}: {len(frow)} cells, reference {len(rrow)}")
+    return diffs

@@ -2,6 +2,7 @@
 byte-level determinism across parallelism levels."""
 
 import json
+import shutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,10 @@ import pytest
 
 from strongmeans import cli
 from strongmeans.cli import ConfigError, ExperimentConfig, build_functions, fmt
+
+from oracles import csv_differences
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -129,11 +134,40 @@ def test_run_writes_schema_and_passes(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 3  # fns x lams x schedule
     hashes = {line.split(",")[-1] for line in lines[1:]}
     assert len(hashes) == 1
-    summary = json.loads(
-        (tmp_path / "out" / "small.summary.json").read_text(encoding="utf-8"))
+    text = (tmp_path / "out" / "small.summary.json").read_text(encoding="utf-8")
+    summary = json.loads(text)
     assert summary["pass"] is True
     assert summary["invariants"]["measure_bound_exact"] is True
     assert summary["schema_version"] == cli.SCHEMA_VERSION
+    # the recording run names its baseline file, not where it lives
+    assert summary["baseline"] == {"status": "recorded",
+                                   "path": "averaged_moment.json"}
+    assert str(tmp_path) not in text
+
+
+def test_averaged_moment_config_reproduces_committed_csv(tmp_path):
+    """Every cell of the committed averaged_moment output, from a fresh run."""
+    bl = tmp_path / "bl"
+    shutil.copytree(ROOT / "baselines", bl)
+    assert cli.main(["run", str(ROOT / "configs" / "averaged_moment.json"),
+                     "--out", str(tmp_path / "out"),
+                     "--baselines", str(bl)]) == 0
+    fresh = (tmp_path / "out" / "averaged_moment.csv").read_text(encoding="utf-8")
+    ref = (ROOT / "out" / "averaged_moment.csv").read_text(encoding="utf-8")
+    assert csv_differences(fresh, ref) == []
+
+
+def test_csv_differences_rules():
+    ref = "id,N,x,m\na,2,0.125000000001,1/3\n"
+    assert csv_differences(ref, ref) == []
+    # one unit in the 12th printed digit is allowed, two are not
+    assert csv_differences("id,N,x,m\na,2,0.125000000002,1/3\n", ref) == []
+    assert csv_differences("id,N,x,m\na,2,0.125000000003,1/3\n", ref) != []
+    # integers, fractions and strings must match exactly
+    for row in ("b,2,0.125000000001,1/3", "a,3,0.125000000001,1/3",
+                "a,2,0.125000000001,2/3"):
+        assert len(csv_differences(f"id,N,x,m\n{row}\n", ref)) == 1
+    assert csv_differences("id,N,x\na,2,0.125\n", ref) != []
 
 
 def test_invalid_config_file_exits_2(tmp_path):

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongmeans import corpus, spectral
+from strongmeans import corpus, estimates, spectral
+from strongmeans.cli import fmt
 from strongmeans.czd import decompose
+from strongmeans.dyadic import scale_for
 from strongmeans.estimates import (
     DEFAULT_LAM_GRID,
     ExceptionalSet,
@@ -59,10 +61,10 @@ def weighted_moment_oracle(g: GridFunction, cz, c: int, p: int) -> Fraction:
     return total
 
 
-def brute_curve(f, lam, N_max, c, p, refine):
+def brute_curve(f, lam, N_max, c, p, refine, exc=None):
     """Per-order partial sums, no streaming: the engine's ground truth."""
-    cz = decompose(f, lam)
-    exc = build_exceptional_set(cz, c)
+    if exc is None:
+        exc = build_exceptional_set(decompose(f, lam), c)
     M = 1 << (f.J + refine)
     w = exc.complement_weights(M)
     per = []
@@ -149,15 +151,54 @@ def test_dyadic_schedule():
         dyadic_schedule(100)
 
 
+def whole_or_empty_set(J: int, whole: bool) -> ExceptionalSet:
+    """E equal to the whole torus, or empty, on the bitmap of a 2**J grid."""
+    S = scale_for(J)
+    return ExceptionalSet(1, S, 1.0, 5, np.full(S, whole), Fraction(int(whole)))
+
+
 def test_engine_matches_brute_curve():
     rng = np.random.default_rng(21)
-    f = corpus.trig_poly(6, rng)
-    lam = 4.0
-    reports = averaged_moment(f, lam, 16, schedule=(2, 4, 8, 16), refine=2)
-    cw, cf = brute_curve(f, lam, 16, 5, 2, refine=2)
-    for rep in reports:
-        assert abs(rep.avg_moment - cw[rep.N - 1] / rep.N) < 1e-10
-        assert abs(rep.full_torus_avg - cf[rep.N - 1] / rep.N) < 1e-10
+    trig = corpus.trig_poly(6, rng)
+    spikes = corpus.multi_spike(5, 3, rng)
+    assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
+    cplx = GridFunction(1, 5, spikes.samples + 1j * corpus.abs_noise(5, rng).samples)
+    # (f, lam, N_max, refine, exc); N_max = 16 is the Nyquist order at J = 5
+    cases = [(trig, 4.0, 16, 2, None)]
+    cases += [(spikes, 8.0, 16, refine, None) for refine in (0, 1, 2)]
+    cases += [(cplx, 4.0, 16, 1, None),
+              (corpus.abs_noise(6, rng), 4.0, 32, 2, whole_or_empty_set(6, True)),
+              (spikes, 8.0, 16, 1, whole_or_empty_set(5, False))]
+    for f, lam, N_max, refine, exc in cases:
+        sched = dyadic_schedule(N_max, 2)
+        reports = averaged_moment(f, lam, N_max, schedule=sched, refine=refine,
+                                  exc=exc)
+        cw, cf = brute_curve(f, lam, N_max, 5, 2, refine, exc=exc)
+        for rep in reports:
+            want = cw[rep.N - 1] / rep.N
+            assert abs(rep.avg_moment - want) <= 1e-12 * max(want, 1.0)
+            # at refine = 0 the grid mean aliases the modes +-H onto one
+            # frequency; full_avg is the exact energy average there
+            if refine or rep.N < f.n // 2:
+                assert abs(rep.full_torus_avg - cf[rep.N - 1] / rep.N) < 1e-10
+        if exc is not None and exc.measure == 1:
+            assert all(r.avg_moment == 0.0 and fmt(r.avg_moment) == "0"
+                       and fmt(r.ratio) == "0" for r in reports)
+        if exc is not None and exc.measure == 0:
+            for rep in reports:
+                plan = spectral.plancherel_average(f, rep.N)
+                assert abs(rep.avg_moment - plan) <= 1e-12 * plan
+
+
+def test_p2_curve_needs_no_partial_sums(monkeypatch):
+    f = corpus.multi_spike(6, 3, np.random.default_rng(25))
+    want = averaged_moment(f, 8.0, 32, schedule=(4, 32))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("p = 2 streamed the partial sums")
+
+    monkeypatch.setattr(estimates, "_partial_sum_stream", refuse)
+    assert averaged_moment(f, 8.0, 32, schedule=(4, 32)) == want
 
 
 def test_engine_matches_brute_curve_p4():
