@@ -272,30 +272,42 @@ def run_cell(cfg: ExperimentConfig, fn_id: str, f, lam: float):
 # whole-experiment runners (no lambda fan-out)
 
 
+def _positive_numbers(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+        for x in value)
+
+
 def run_strong_means(cfg: ExperimentConfig):
+    opts = cfg.options
+    eps_factors = opts.get("eps_factors", [0.5, 0.25])
+    r = opts.get("r", 2)
+    lam_grid = opts.get("lam_grid", list(estimates.DEFAULT_LAM_GRID))
+    if not eps_factors or not _positive_numbers(eps_factors):
+        raise ConfigError("strong_means: eps_factors must be a non-empty list"
+                          " of positive numbers")
+    if isinstance(r, bool) or r not in (2, 4):
+        raise ConfigError("strong_means: r must be 2 or 4")
+    if not _positive_numbers(lam_grid):
+        raise ConfigError("strong_means: lam_grid must be a list of positive"
+                          " numbers")
     sched = tuple(cfg.schedule or cfg.default_schedule())
-    eps_factors = cfg.options.get("eps_factors", [0.5, 0.25])
-    r = int(cfg.options.get("r", 2))
-    lam_grid = tuple(cfg.options.get("lam_grid", estimates.DEFAULT_LAM_GRID))
-    if not eps_factors:
-        raise ConfigError("strong_means needs at least one eps factor")
     rows, values, inv = [], {}, {"superlevel_non_increasing": True}
     for fn_id, f in build_functions(cfg):
-        last = None
-        for factor in eps_factors:
-            eps = factor * f.linf() ** 2
-            last = estimates.strong_means_measure(f, eps, sched, r=r,
-                                                  lam_grid=lam_grid,
-                                                  fn_id=fn_id)
-            for N, m in zip(last.schedule, last.measures):
-                rows.append({"fn_id": fn_id, "eps": eps, "N": N, "measure": m,
-                             "config_hash": cfg.config_hash})
-            if any(b > a + 1e-15 for a, b in zip(last.measures,
-                                                 last.measures[1:])):
+        scale = f.linf() ** 2
+        reports = estimates.strong_means_measure(
+            f, [factor * scale for factor in eps_factors], sched, r=int(r),
+            lam_grid=tuple(lam_grid), fn_id=fn_id)
+        for rep in reports:
+            for N, m in zip(rep.schedule, rep.measures):
+                rows.append({"fn_id": fn_id, "eps": rep.eps, "N": N,
+                             "measure": m, "config_hash": cfg.config_hash})
+            if any(b > a + 1e-15 for a, b in zip(rep.measures,
+                                                 rep.measures[1:])):
                 inv["superlevel_non_increasing"] = False
         # the weak-type functional does not involve eps, so one record
         # per function suffices
-        for lam, ratio in zip(last.lam_grid, last.weak_ratios):
+        for lam, ratio in zip(reports[0].lam_grid, reports[0].weak_ratios):
             values[f"{fn_id}|{fmt(lam)}"] = ratio
     return rows, values, inv
 

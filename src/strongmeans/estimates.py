@@ -16,12 +16,16 @@ indexed mod M, the quadrature is an exact Parseval identity
 
 and raising n by one adds only the border max(|a|,|b|) = n, so a curve
 n = 1..N_max costs O(N_max^2) work and O(N_max) memory.  The full-torus
-column is `spectral.plancherel_average`.
+column is the cumulative per-order energy sum_{|m|<=n} |c_m|^2 of the
+same coefficients.
 
 Fourth moments, strong means and the rectangular factors need pointwise
 values and use a partial-sum stream instead: S_n differs from S_{n-1} by
-two modes, so a chunked running sum over the refined grid computes the
-whole curve in O(N_max * M) work.
+the real pair A_n cos n theta + B_n sin n theta (complex only for complex
+input), so a chunked running sum over the refined grid computes the
+whole curve in O(N_max * M) work, in the input's own dtype.  Each
+function is streamed once per experiment: strong means take all their
+eps thresholds from the same sweep.
 
 Orders are capped at the stored bandwidth n/2; the reading at the cap
 includes the shared Nyquist coefficient on both sides, matching
@@ -48,7 +52,6 @@ from .spectral import (
     convolve,
     forward,
     kernel_samples,
-    plancherel_average,
     plancherel_average_rect,
     saturated_sum,
     valle_poussin,
@@ -280,31 +283,59 @@ def dyadic_schedule(N_max: int, lo: int = 32) -> tuple:
 
 def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
                         chunk: int = 256):
-    """Yield (ns, rows): rows[i] is S_{ns[i]} f on the 2**refine finer grid."""
+    """Yield (ns, rows): rows[i] is S_{ns[i]} f on the 2**refine finer grid.
+
+    Rows carry the input's dtype.  With theta = 2 pi t / M,
+    S_n f = c_0 + sum_{k<=n} (A_k cos k theta + B_k sin k theta), where
+    A_k = c_k + c_{-k} and B_k = i (c_k - c_{-k}) are real for real f.
+    At k = H both read the Nyquist bin, so A_H = 2 c_H and B_H = 0.
+    rows is scratch that the next chunk overwrites.
+    """
     H = f.n // 2
     if n_hi > H:
         raise AliasingError(f"order {n_hi} exceeds stored bandwidth {H}")
     c = forward(f)
+    ks = np.arange(1, n_hi + 1)
+    cp = c[(ks + H) % f.n]  # mode +k; wraps to the Nyquist bin at k = H
+    cm = c[(H - ks) % f.n]  # mode -k
+    A, B, c0 = cp + cm, 1j * (cp - cm), c[H]
+    if f.is_real():
+        A, B, c0 = A.real, B.real, c0.real
     M = 1 << (f.J + refine)
     # keep the per-chunk scratch (a few chunk x M complex arrays) well
     # under 100 MB so parallel sweeps on fine grids stay in memory
     chunk = max(8, min(chunk, (1 << 21) // M))
     t = np.arange(M)
     table = np.exp(2j * np.pi * t / M)
-    carry = np.full(M, c[H], dtype=complex)  # S_0 is the mean
+    step = table[(np.arange(chunk)[:, None] * t) % M]  # e(j t) for j < chunk
+    ph = np.empty((chunk, M), dtype=complex)
+    buf = np.empty((chunk, M), dtype=A.dtype)
+    carry = np.full(M, c0)  # S_0 is the mean
     for n0 in range(1, n_hi + 1, chunk):
         ns = np.arange(n0, min(n0 + chunk, n_hi + 1))
-        ph = table[(ns[:, None] * t[None, :]) % M]
-        cp = c[(ns + H) % f.n]  # mode +n; wraps to the Nyquist bin at n = H
-        cm = c[(H - ns) % f.n]  # mode -n
-        incr = cp[:, None] * ph + cm[:, None] * np.conj(ph)
-        rows = carry + np.cumsum(incr, axis=0)
+        e = ph[: len(ns)]
+        np.multiply(step[: len(ns)], table[(n0 * t) % M], out=e)  # e(n0 t) e(j t)
+        rows = buf[: len(ns)]
+        np.multiply(A[ns - 1, None], e.real, out=rows)
+        rows += B[ns - 1, None] * e.imag
+        rows[0] += carry
+        for j in range(1, len(ns)):  # running sum; np.cumsum on axis 0 is slow
+            rows[j] += rows[j - 1]
         carry = rows[-1].copy()
         yield ns, rows
 
 
-def _weighted_energy_curve(f: GridFunction, w: np.ndarray, n_hi: int) -> np.ndarray:
-    """(1/M) sum_t w_t |S_n f(t)|^2 for n = 1..n_hi, by the Parseval identity.
+def _abs2(rows: np.ndarray) -> np.ndarray:
+    """|rows|^2; real rows are squared directly."""
+    if np.isrealobj(rows):
+        return rows * rows
+    return rows.real**2 + rows.imag**2
+
+
+def _weighted_energy_curve(f: GridFunction, w: np.ndarray,
+                           n_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(1/M) sum_t w_t |S_n f(t)|^2 for n = 1..n_hi, by the Parseval identity,
+    and the full-torus energy ||S_n f||_2^2 = sum_{|m|<=n} |c_m|^2 beside it.
 
     Rounding in w^ acts like a perturbation of w that does not vanish on
     E, so the relative error grows like eps * (energy of S_n f on E) /
@@ -322,10 +353,12 @@ def _weighted_energy_curve(f: GridFunction, w: np.ndarray, n_hi: int) -> np.ndar
     r_plus = np.array([cc[N - j + 1:N + j] @ wh[K - 2 * j + 1:K] for j in n])
     r_minus = np.array([cc[N - j + 1:N + j] @ wh[K + 1:K + 2 * j] for j in n])
     cp, cm = c[N + n], c[N - n]
+    diag = np.abs(cp) ** 2 + np.abs(cm) ** 2
     border = (2.0 * (cp * r_plus + cm * r_minus).real
-              + (np.abs(cp) ** 2 + np.abs(cm) ** 2) * wh[K].real
+              + diag * wh[K].real
               + 2.0 * (cp * cc[N - n] * wh[K - 2 * n]).real)
-    return abs(c[N]) ** 2 * wh[K].real + np.cumsum(border)
+    e0 = abs(c[N]) ** 2
+    return e0 * wh[K].real + np.cumsum(border), e0 + np.cumsum(diag)
 
 
 def _norm_factor(N: int, p: int) -> float:
@@ -343,7 +376,7 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
 
     E is built once from the decomposition at height lambda and shared
     by every report in the curve.  p = 2 takes the closed form of the
-    module docstring; p = 4 streams the partial sums.
+    module docstring; p = 4 streams the partial sums once.
     """
     if f.dim != 1:
         raise ValueError("averaged_moment is the 1-d sweep")
@@ -360,27 +393,24 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
     M = 1 << (f.J + refine)
     w = exc.complement_weights(M)
     if p == 2:
-        cw = np.cumsum(_weighted_energy_curve(f, w, N_max))
-        full = [plancherel_average(f, N) for N in schedule]
+        per = np.stack(_weighted_energy_curve(f, w, N_max), axis=1)
     else:
-        per_w = np.empty(N_max)
-        per_full = np.empty(N_max)
+        per = np.empty((N_max, 2))
+        wt = np.stack([w, np.ones(M)], axis=1) / M
         for ns, rows in _partial_sum_stream(f, N_max, refine):
-            a = (rows.real**2 + rows.imag**2) ** 2
-            per_w[ns - 1] = a @ w / M
-            per_full[ns - 1] = a.mean(axis=1)
-        cw = np.cumsum(per_w)
-        cf = np.cumsum(per_full)
-        full = [cf[N - 1] / _norm_factor(N, p) for N in schedule]
+            a = _abs2(rows)
+            a *= a
+            per[ns - 1] = a @ wt
+    cw, cf = np.cumsum(per, axis=0).T
     l1 = f.l1()
     meta = {"fn_id": fn_id, "J": f.J, "d": 1, "c": exc.dilation, "refine": refine}
     out = []
-    for N, full_avg in zip(schedule, full):
+    for N in schedule:
         avg = cw[N - 1] / _norm_factor(N, p)
         out.append(MomentReport(
             lam=lam, N=N, p=p, avg_moment=avg, measure_E=exc.measure,
             ratio=avg / (lam ** (p - 1) * l1**p),
-            full_torus_avg=full_avg, metadata=dict(meta),
+            full_torus_avg=cf[N - 1] / _norm_factor(N, p), metadata=dict(meta),
             exceptional=exc,
         ))
     return out
@@ -500,7 +530,7 @@ def _abs2_rows(g: GridFunction, n_hi: int, refine: int) -> np.ndarray:
     M = 1 << (g.J + refine)
     rows = np.empty((n_hi, M))
     for ns, block in _partial_sum_stream(g, n_hi, refine):
-        rows[ns - 1] = block.real**2 + block.imag**2
+        rows[ns - 1] = _abs2(block)
     return rows
 
 
@@ -558,57 +588,62 @@ def averaged_moment_rect(f: GridFunction, lam: float, N_max: int, c: int = 5,
 # strong means and the density extractor
 
 
-def strong_means_measure(f: GridFunction, eps: float, schedule: tuple,
+def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
                          r: int = 2, lam_grid: tuple = DEFAULT_LAM_GRID,
-                         refine: int = 2, fn_id: str = "") -> StrongMeansReport:
+                         refine: int = 2, fn_id: str = "") -> list[StrongMeansReport]:
     """Super-level measures of the averaged r-th deviation, plus the
-    weak-type ratio of the quadratic means functional.
+    weak-type ratio of the quadratic means functional; one report per
+    eps in eps_values, all from a single partial-sum stream.
 
     The reference value at each point is the saturated partial sum, so
     deviations vanish identically once n reaches the stored bandwidth.
-    Measures are counting quadrature on the refined grid.
+    Measures are counting quadrature on the refined grid.  Only the
+    final threshold count depends on eps.
     """
     if f.dim != 1:
         raise ValueError("strong_means_measure is one-dimensional")
     if r not in (2, 4):
         raise ValueError("r must be 2 or 4")
+    eps_values = tuple(eps_values)
+    if not eps_values:
+        raise ValueError("strong_means_measure needs at least one eps")
     H = f.n // 2
     schedule = tuple(sorted(schedule))
     if schedule[-1] > H:
         raise AliasingError("schedule exceeds stored bandwidth")
     M = 1 << (f.J + refine)
     ref = saturated_sum(f, refine).samples
+    if f.is_real():
+        ref = ref.real
     R = np.zeros(M)
     P = np.zeros(M)
     half = r // 2
     l1 = f.l1()
-    measures = []
+    measures = [[] for _ in eps_values]
     weak = np.zeros(len(lam_grid))
-    pending = list(schedule)
     for ns, rows in _partial_sum_stream(f, schedule[-1], refine):
-        lo = ns[0]
-        while pending and pending[0] <= ns[-1]:
-            N = pending.pop(0)
-            seg = rows[: N - lo + 1]
-            dev = np.abs(seg - ref) ** 2
-            R += (dev**half).sum(axis=0)
-            P += (seg.real**2 + seg.imag**2).sum(axis=0)
-            rows = rows[N - lo + 1:]
-            lo = N + 1
-            measures.append(float(np.count_nonzero(R / N > eps)) / M)
+        # split the chunk after each schedule point it contains
+        start = 0
+        for N in [n for n in schedule if ns[0] <= n <= ns[-1]] + [None]:
+            end = len(ns) if N is None else N - ns[0] + 1
+            seg = rows[start:end]
+            R += (_abs2(seg - ref) ** half).sum(axis=0)
+            P += _abs2(seg).sum(axis=0)
+            start = end
+            if N is None:
+                continue
+            RN = R / N
+            for m, eps in zip(measures, eps_values):
+                m.append(float(np.count_nonzero(RN > eps)) / M)
             A = np.sqrt(P / N)
             for i, lam in enumerate(lam_grid):
                 ratio = lam * (np.count_nonzero(A > lam) / M) / l1
                 weak[i] = max(weak[i], ratio)
-        if len(rows):
-            dev = np.abs(rows - ref) ** 2
-            R += (dev**half).sum(axis=0)
-            P += (rows.real**2 + rows.imag**2).sum(axis=0)
-    return StrongMeansReport(
-        eps=eps, r=r, schedule=schedule, measures=tuple(measures),
+    return [StrongMeansReport(
+        eps=eps, r=r, schedule=schedule, measures=tuple(m),
         lam_grid=tuple(lam_grid), weak_ratios=tuple(weak),
         metadata={"fn_id": fn_id, "J": f.J, "d": 1, "refine": refine},
-    )
+    ) for m, eps in zip(measures, eps_values)]
 
 
 def density_subsequence(values: np.ndarray, s: float,

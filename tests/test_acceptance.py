@@ -234,9 +234,8 @@ def test_criterion_09_strong_means_convergence():
     f = spectral.valle_poussin(corpus.spike(12), 512)
     fn_id = "spike-J12-vp512"
     worst = 0.0
-    for factor in (0.5, 0.25):
-        eps = factor * f.linf() ** 2
-        rep = estimates.strong_means_measure(f, eps, sched, fn_id=fn_id)
+    eps_values = [factor * f.linf() ** 2 for factor in (0.5, 0.25)]
+    for rep in estimates.strong_means_measure(f, eps_values, sched, fn_id=fn_id):
         head = rep.measures[:sched.index(1024) + 1]
         assert all(b <= a + 1e-15 for a, b in zip(head, head[1:])), head
         assert rep.measures[-1] == 0.0

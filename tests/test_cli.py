@@ -146,15 +146,18 @@ def test_run_writes_schema_and_passes(tmp_path):
 
 
 def test_averaged_moment_config_reproduces_committed_csv(tmp_path):
-    """Every cell of the committed averaged_moment output, from a fresh run."""
+    """Every cell of the committed averaged_moment and strong_means
+    outputs, from fresh runs.  strong_means measures are grid counts, so
+    this pins every threshold decision."""
     bl = tmp_path / "bl"
     shutil.copytree(ROOT / "baselines", bl)
-    assert cli.main(["run", str(ROOT / "configs" / "averaged_moment.json"),
-                     "--out", str(tmp_path / "out"),
-                     "--baselines", str(bl)]) == 0
-    fresh = (tmp_path / "out" / "averaged_moment.csv").read_text(encoding="utf-8")
-    ref = (ROOT / "out" / "averaged_moment.csv").read_text(encoding="utf-8")
-    assert csv_differences(fresh, ref) == []
+    for name in ("averaged_moment", "strong_means"):
+        assert cli.main(["run", str(ROOT / "configs" / f"{name}.json"),
+                         "--out", str(tmp_path / "out"),
+                         "--baselines", str(bl)]) == 0
+        fresh = (tmp_path / "out" / f"{name}.csv").read_text(encoding="utf-8")
+        ref = (ROOT / "out" / f"{name}.csv").read_text(encoding="utf-8")
+        assert csv_differences(fresh, ref) == [], name
 
 
 def test_csv_differences_rules():
@@ -177,6 +180,28 @@ def test_invalid_config_file_exits_2(tmp_path):
     p.write_text(json.dumps({"experiment": "averaged_moment"}),
                  encoding="utf-8")
     assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+
+
+def strong_means_exit_code(tmp_path, capsys, **options) -> int:
+    cfg = write_config(tmp_path, experiment="strong_means", options=options)
+    rc = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
+    assert "run failed: strong_means:" in capsys.readouterr().err
+    return rc
+
+
+def test_strong_means_bad_eps_factors_exit_2(tmp_path, capsys):
+    for bad in ("ab", [], 0.5, [0.5, 0.0], [0.5, "x"], [True]):
+        assert strong_means_exit_code(tmp_path, capsys, eps_factors=bad) == 2
+
+
+def test_strong_means_bad_r_exit_2(tmp_path, capsys):
+    for bad in (3, "2", [2], True):
+        assert strong_means_exit_code(tmp_path, capsys, r=bad) == 2
+
+
+def test_strong_means_bad_lam_grid_exit_2(tmp_path, capsys):
+    for bad in ([1.0, 0.0], [-2.0], [1.0, "x"], "ab"):
+        assert strong_means_exit_code(tmp_path, capsys, lam_grid=bad) == 2
 
 
 def test_determinism_across_parallelism(tmp_path):

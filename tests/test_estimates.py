@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongmeans import corpus, estimates, spectral
+from strongmeans import cli, corpus, estimates, spectral
 from strongmeans.cli import fmt
 from strongmeans.czd import decompose
 from strongmeans.dyadic import scale_for
@@ -202,12 +202,45 @@ def test_p2_curve_needs_no_partial_sums(monkeypatch):
 
 
 def test_engine_matches_brute_curve_p4():
-    f = corpus.multi_spike(6, 3, np.random.default_rng(22))
-    reports = averaged_moment(f, 8.0, 16, p=4, schedule=(4, 16), refine=2)
-    cw, _ = brute_curve(f, 8.0, 16, 5, 4, refine=2)
-    for rep in reports:
-        want = cw[rep.N - 1] / (rep.N * np.log(rep.N) ** 2)
-        assert abs(rep.avg_moment - want) < 1e-9 * max(1.0, want)
+    rng = np.random.default_rng(22)
+    f = corpus.multi_spike(6, 3, rng)
+    spikes = corpus.multi_spike(5, 3, rng)
+    assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
+    cplx = GridFunction(1, 5, spikes.samples + 1j * corpus.abs_noise(5, rng).samples)
+    # (f, refine); N_max = 16 is the Nyquist order at J = 5
+    for g, refine in [(f, 2), (cplx, 1), (spikes, 0)]:
+        reports = averaged_moment(g, 8.0, 16, p=4, schedule=(4, 16), refine=refine)
+        cw, cf = brute_curve(g, 8.0, 16, 5, 4, refine=refine)
+        for rep in reports:
+            norm = rep.N * np.log(rep.N) ** 2
+            want = cw[rep.N - 1] / norm
+            assert abs(rep.avg_moment - want) < 1e-9 * max(1.0, want)
+            full = cf[rep.N - 1] / norm
+            assert abs(rep.full_torus_avg - full) < 1e-9 * max(1.0, full)
+
+
+def test_stream_runs_once_per_function(monkeypatch):
+    calls = []
+    stream = estimates._partial_sum_stream
+
+    def counted(f, *args, **kwargs):
+        calls.append(f)
+        return stream(f, *args, **kwargs)
+
+    monkeypatch.setattr(estimates, "_partial_sum_stream", counted)
+    f = corpus.multi_spike(6, 3, np.random.default_rng(23))
+    averaged_moment(f, 8.0, 32, p=4, schedule=(4, 8, 16, 32))
+    assert calls == [f]
+    calls.clear()
+    cfg = cli.ExperimentConfig.from_dict({
+        "experiment": "strong_means", "seed": 3, "J": 7,
+        "schedule": [8, 16, 32],
+        "corpus": {"families": ["spike", "trig"], "n_random": 1},
+        "options": {"eps_factors": [0.5, 0.25, 0.125]},
+    })
+    rows, _, _ = cli.execute(cfg)
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    assert len(rows) == 2 * 3 * 3  # functions x eps factors x schedule
 
 
 def test_full_torus_average_matches_closed_form():
@@ -421,45 +454,50 @@ def test_rect_cube_grows_where_slab_plateaus():
 
 
 def test_strong_means_constant_is_zero():
-    rep = strong_means_measure(constant(1.0, 6), 0.1, (4, 8, 16, 32))
+    [rep] = strong_means_measure(constant(1.0, 6), [0.1], (4, 8, 16, 32))
     assert rep.measures == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_strong_means_matches_direct_recomputation():
     f = corpus.multi_spike(5, 3, np.random.default_rng(12))
     schedule = (4, 8, 16)
-    eps = 0.5 * f.linf() ** 2
-    rep = strong_means_measure(f, eps, schedule, refine=2)
+    eps_values = (0.5 * f.linf() ** 2, 0.25 * f.linf() ** 2)
+    reports = strong_means_measure(f, eps_values, schedule, refine=2)
     M = 1 << (f.J + 2)
     ref = spectral.saturated_sum(f, 2).samples
     R = np.zeros(M)
     P = np.zeros(M)
     weak = np.zeros(len(DEFAULT_LAM_GRID))
-    want_measures = []
+    want_measures = ([], [])
     for n in range(1, schedule[-1] + 1):
         Sn = spectral.partial_sum(f, n, 2).samples
         R += np.abs(Sn - ref) ** 2
         P += np.abs(Sn) ** 2
         if n in schedule:
-            want_measures.append(np.count_nonzero(R / n > eps) / M)
+            for want, eps in zip(want_measures, eps_values):
+                want.append(np.count_nonzero(R / n > eps) / M)
             A = np.sqrt(P / n)
             for i, lam in enumerate(DEFAULT_LAM_GRID):
                 weak[i] = max(weak[i], lam * (np.count_nonzero(A > lam) / M) / f.l1())
-    assert np.allclose(rep.measures, want_measures, atol=1e-12)
-    assert np.allclose(rep.weak_ratios, weak, atol=1e-9)
+    assert want_measures[0] != want_measures[1]
+    assert len(reports) == len(eps_values)
+    for rep, eps, want in zip(reports, eps_values, want_measures):
+        assert rep.eps == eps
+        assert np.allclose(rep.measures, want, atol=1e-12)
+        assert np.allclose(rep.weak_ratios, weak, atol=1e-9)
 
 
 def test_strong_means_band_limited_poly_hits_zero():
     f = corpus.trig_poly(8, np.random.default_rng(14), degree=8, quantized=False)
     eps = 0.25 * f.linf() ** 2
-    rep = strong_means_measure(f, eps, (8, 16, 32, 64, 128))
+    [rep] = strong_means_measure(f, [eps], (8, 16, 32, 64, 128))
     assert rep.measures[-1] == 0.0
     assert all(a >= b for a, b in zip(rep.measures, rep.measures[1:]))
 
 
 def test_strong_means_rejects_aliased_schedule():
     with pytest.raises(AliasingError):
-        strong_means_measure(corpus.spike(5), 1.0, (8, 64))
+        strong_means_measure(corpus.spike(5), [1.0], (8, 64))
 
 
 # ---------------------------------------------------------------------------
