@@ -2,81 +2,49 @@
 covering checks, and averaged Fourier partial-sum moment experiments on
 the one- and two-dimensional torus."""
 
-from .czd import CZDecomposition, HeightTooLowError, decompose
-from .dyadic import (
-    DEFAULT_J_MAX,
-    SUPPORTED_FACTORS,
-    DyadicCube,
-    DyadicInterval,
-    ScaledInterval,
-    dilate,
-    dilate_cube,
-    scale_for,
-)
+from .czd import HeightTooLowError
 from .estimates import (
     DensityRun,
-    ExceptionalSet,
     MomentReport,
+    NotBandLimitedError,
+    ScheduleInfeasibleError,
     StrongMeansReport,
     averaged_moment,
     averaged_moment_rect,
-    build_exceptional_set,
     decay_slope,
     density_subsequence,
     dyadic_schedule,
     strong_means_measure,
-    verify_decay_kernel,
     verify_first_reduction,
     verify_second_reduction,
 )
-from .grid import GridFunction, exponential, tensor
-from .spectral import (
-    AliasingError,
-    partial_sum,
-    partial_sum_rect,
-    plancherel_average,
-    valle_poussin,
-)
+from .grid import GridFunction, tensor
+from .spectral import AliasingError, valle_poussin
 from .suites import SuiteResult, chain_suite, covering_suite, czd_suite
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AliasingError",
-    "CZDecomposition",
-    "DEFAULT_J_MAX",
     "DensityRun",
-    "DyadicCube",
-    "DyadicInterval",
-    "ExceptionalSet",
     "GridFunction",
     "HeightTooLowError",
     "MomentReport",
-    "ScaledInterval",
+    "NotBandLimitedError",
+    "ScheduleInfeasibleError",
     "StrongMeansReport",
-    "SUPPORTED_FACTORS",
     "SuiteResult",
     "averaged_moment",
     "averaged_moment_rect",
-    "build_exceptional_set",
     "chain_suite",
     "covering_suite",
     "czd_suite",
     "decay_slope",
-    "decompose",
     "density_subsequence",
-    "dilate",
-    "dilate_cube",
     "dyadic_schedule",
-    "exponential",
-    "partial_sum",
-    "partial_sum_rect",
-    "plancherel_average",
-    "scale_for",
     "strong_means_measure",
     "tensor",
     "valle_poussin",
-    "verify_decay_kernel",
     "verify_first_reduction",
     "verify_second_reduction",
 ]

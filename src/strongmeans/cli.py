@@ -127,6 +127,12 @@ class ExperimentConfig:
         for lam in self.lams:
             if not lam > 0:
                 raise ConfigError("lambda values must be positive")
+        if not isinstance(self.options, dict):
+            raise ConfigError("options must be a JSON object")
+        if self.experiment == "averaged_moment":
+            p = self.options.get("p", 2)
+            if type(p) is not int or p not in (2, 4):
+                raise ConfigError("averaged_moment: p must be the integer 2 or 4")
 
     def canonical(self) -> dict:
         return {
@@ -227,7 +233,7 @@ def run_cell(cfg: ExperimentConfig, fn_id: str, f, lam: float):
         return rows, {key: best}, inv
 
     if exp in ("averaged_moment", "p4_moment"):
-        p = 4 if exp == "p4_moment" else int(cfg.options.get("p", 2))
+        p = 4 if exp == "p4_moment" else cfg.options.get("p", 2)
         reports = estimates.averaged_moment(f, lam, sched[-1], p=p,
                                             schedule=sched, fn_id=fn_id)
         rows = _moment_rows(cfg, fn_id, reports)

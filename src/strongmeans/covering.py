@@ -33,7 +33,6 @@ from .dyadic import (
     gap_units,
     intervals_disjoint,
     merged_segments,
-    torus_distance,
 )
 
 NINE_EIGHTHS = Fraction(9, 8)
@@ -43,10 +42,6 @@ class NonadjacentInputError(ValueError):
     """Family members must be pairwise disjoint and nonadjacent."""
 
 
-class NotAChainError(ValueError):
-    """Triple does not satisfy the chain preconditions."""
-
-
 def _validate_family(family, j_max):
     for i, a in enumerate(family):
         for b in family[i + 1 :]:
@@ -54,37 +49,6 @@ def _validate_family(family, j_max):
                 raise NonadjacentInputError(f"{a} and {b} overlap")
             if adjacent(a, b, j_max):
                 raise NonadjacentInputError(f"{a} and {b} are adjacent")
-
-
-def partition_nonadjacent(family, j_max: int = DEFAULT_J_MAX):
-    """Split disjoint dyadic intervals into at most 3 nonadjacent classes.
-
-    Adjacency between disjoint intervals on the circle has maximum degree
-    2 (one neighbour per endpoint), so greedy colouring in positional
-    order needs at most 3 colours.
-    """
-    ivs = sorted(family, key=lambda iv: (iv.lo, iv.level))
-    for i, a in enumerate(ivs):
-        for b in ivs[i + 1 :]:
-            if not intervals_disjoint(a, b):
-                raise NonadjacentInputError(f"{a} and {b} overlap")
-    color = {}
-    for iv in ivs:
-        taken = {
-            color[other]
-            for other in ivs
-            if other in color and adjacent(iv, other, j_max)
-        }
-        for c in range(3):
-            if c not in taken:
-                color[iv] = c
-                break
-        else:  # pragma: no cover - impossible at degree <= 2
-            raise AssertionError("greedy colouring exceeded 3 classes")
-    classes = [[], [], []]
-    for iv in ivs:
-        classes[color[iv]].append(iv)
-    return [cls for cls in classes if cls]
 
 
 @dataclass
@@ -152,35 +116,6 @@ def dilated_components(
         fam.components.append(sorted(members))
         fam.hulls.append(ScaledInterval(start, start + (hi - lo), S))
     return fam
-
-
-def chain_check(
-    i1: DyadicInterval,
-    i2: DyadicInterval,
-    i3: DyadicInterval,
-    factor=NINE_EIGHTHS,
-    j_max: int = DEFAULT_J_MAX,
-) -> bool:
-    """Bridge-length property for a chain I1* - I2* - I3*.
-
-    Preconditions: the three intervals are pairwise disjoint and
-    nonadjacent, the outer dilates I1*, I3* are separated, and I2*
-    touches or overlaps both (so the union of the three dilates is
-    connected).  Returns True iff |I2*| > min(|I1*|, |I3*|).
-    """
-    trio = (i1, i2, i3)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if not intervals_disjoint(trio[a], trio[b]):
-                raise NotAChainError(f"{trio[a]} and {trio[b]} overlap")
-            if adjacent(trio[a], trio[b], j_max):
-                raise NotAChainError(f"{trio[a]} and {trio[b]} are adjacent")
-    d1, d2, d3 = (dilate(iv, factor, j_max) for iv in trio)
-    if torus_distance(d1, d3) == 0:
-        raise NotAChainError("outer dilates intersect or touch")
-    if torus_distance(d2, d1) > 0 or torus_distance(d2, d3) > 0:
-        raise NotAChainError("middle dilate does not bridge the outers")
-    return d2.length_units > min(d1.length_units, d3.length_units)
 
 
 @dataclass

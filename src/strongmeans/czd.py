@@ -178,26 +178,3 @@ def bad_part(cz: CZDecomposition) -> GridFunction:
     s = cz.source.samples.copy()
     s[~cz.bad_mask()] = 0
     return GridFunction(cz.dim, cz.J, s)
-
-
-def split_by_scale(cz: CZDecomposition, N: int):
-    """Bad cells with side length > 1/N versus the rest."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    coarse, fine = [], []
-    for cell in cz.bad:
-        # side > 1/N, i.e. measure > N**-d, exactly when 2**level < N
-        (coarse if (1 << cell.level) < N else fine).append(cell)
-    return tuple(coarse), tuple(fine)
-
-
-def cell_average(f: GridFunction, cell) -> float:
-    """Mean of the samples inside a dyadic cell."""
-    n = 1 << f.J
-    if isinstance(cell, DyadicInterval):
-        w = n >> cell.level
-        return float(np.mean(np.abs(f.samples[cell.index * w : (cell.index + 1) * w])))
-    w = n >> cell.level
-    i0 = cell.axes[0].index * w
-    j0 = cell.axes[1].index * w
-    return float(np.mean(np.abs(f.samples[i0 : i0 + w, j0 : j0 + w])))

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 DEFAULT_J_MAX = 14
 _SCALE_BITS = 4  # 9/8 dilation needs 3 extra bits, one more for headroom
 
@@ -249,38 +247,6 @@ def merged_segments(arcs) -> list[tuple[int, int]]:
     return [(lo, hi) for lo, hi in out]
 
 
-def union_measure(arcs) -> Fraction:
-    """Exact measure of a finite union of arcs (same scale), <= 1."""
-    arcs = list(arcs)
-    if not arcs:
-        return Fraction(0)
-    scale = arcs[0].scale
-    total = sum(hi - lo for lo, hi in merged_segments(arcs))
-    return Fraction(total, scale)
-
-
-def segment_cell_coverage(segments, m_cells: int, scale: int) -> np.ndarray:
-    """Covered length (integer units) of each of m_cells uniform cells.
-
-    segments must be disjoint sorted linear pieces in [0, scale), and
-    m_cells must divide scale.
-    """
-    if scale % m_cells != 0:
-        raise ValueError("cell count must divide the scale")
-    u = scale // m_cells
-    cov = np.zeros(m_cells, dtype=np.int64)
-    for lo, hi in segments:
-        c0, c1 = lo // u, (hi - 1) // u  # cells touched
-        if c0 == c1:
-            cov[c0] += hi - lo
-            continue
-        cov[c0] += (c0 + 1) * u - lo
-        cov[c1] += hi - c1 * u
-        if c1 > c0 + 1:
-            cov[c0 + 1 : c1] += u
-    return cov
-
-
 # ---------------------------------------------------------------------------
 # cubes / boxes
 
@@ -369,72 +335,3 @@ def dilate_cube(q: DyadicCube, c, j_max: int = DEFAULT_J_MAX) -> ScaledBox:
 
 def dilate_box(box: ScaledBox, c: int) -> ScaledBox:
     return ScaledBox(tuple(dilate_scaled(arc, c) for arc in box.axes))
-
-
-def box_distance(a: ScaledBox, b: ScaledBox) -> Fraction:
-    """Euclidean-style gap: zero iff every axis projection touches."""
-    gaps = [torus_distance(x, y) for x, y in zip(a.axes, b.axes)]
-    return max(gaps)
-
-
-def _box_rects(box: ScaledBox) -> list[tuple[int, int, int, int]]:
-    """Non-wrapping rectangles (x0,x1,y0,y1) covering a 2-d box."""
-    xs = box.axes[0].segments()
-    ys = box.axes[1].segments()
-    return [(x0, x1, y0, y1) for x0, x1 in xs for y0, y1 in ys]
-
-
-def _slab_sweep(boxes):
-    """Decompose a union of 2-d boxes into x-slabs with merged y-segments.
-
-    Yields (x0, x1, [(y0, y1), ...]) with disjoint sorted y pieces.
-    """
-    rects = []
-    for box in boxes:
-        if box.dim != 2:
-            raise ValueError("slab sweep needs 2-d boxes")
-        rects.extend(_box_rects(box))
-    if not rects:
-        return
-    cuts = sorted({r[0] for r in rects} | {r[1] for r in rects})
-    for x0, x1 in zip(cuts[:-1], cuts[1:]):
-        ys = sorted((r[2], r[3]) for r in rects if r[0] <= x0 and r[1] >= x1)
-        if not ys:
-            continue
-        merged = [list(ys[0])]
-        for lo, hi in ys[1:]:
-            if lo <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        yield x0, x1, [(lo, hi) for lo, hi in merged]
-
-
-def boxes_union_measure(boxes) -> Fraction:
-    boxes = list(boxes)
-    if not boxes:
-        return Fraction(0)
-    scale = boxes[0].axes[0].scale
-    area = 0
-    for x0, x1, ys in _slab_sweep(boxes):
-        area += (x1 - x0) * sum(hi - lo for lo, hi in ys)
-    return Fraction(area, scale * scale)
-
-
-def box_cell_coverage(boxes, m_cells: int, scale: int) -> np.ndarray:
-    """Covered area units per cell of the m_cells x m_cells uniform grid."""
-    if scale % m_cells != 0:
-        raise ValueError("cell count must divide the scale")
-    u = scale // m_cells
-    cov = np.zeros((m_cells, m_cells), dtype=np.int64)
-    for x0, x1, ys in _slab_sweep(boxes):
-        cov_y = segment_cell_coverage(ys, m_cells, scale)
-        c0, c1 = x0 // u, (x1 - 1) // u
-        if c0 == c1:
-            cov[c0] += (x1 - x0) * cov_y
-            continue
-        cov[c0] += ((c0 + 1) * u - x0) * cov_y
-        cov[c1] += (x1 - c1 * u) * cov_y
-        if c1 > c0 + 1:
-            cov[c0 + 1 : c1] += u * cov_y
-    return cov

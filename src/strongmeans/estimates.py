@@ -539,12 +539,17 @@ def averaged_moment_rect(f: GridFunction, lam: float, N_max: int, c: int = 5,
                          fn_id: str = "", geometry: str = "cube") -> list[MomentReport]:
     """Square-lattice version: (1/N^2) sum over 1 <= n1, n2 <= N.
 
-    Separable inputs take a fast path through their factors; general
-    inputs fall back to per-pair rectangular sums and are only
-    reasonable for small grids.
+    f must be separable (f.factors set, as for every 2-d corpus family
+    and its delayed means).  Then S_{n1,n2} f = S_{n1} a (x) S_{n2} b, so
+    with W the complement weights on the refined M x M grid, the
+    integral off E of |S_{n1,n2} f|^2 is |S_{n1} a|^2 W |S_{n2} b|^2 / M^2,
+    and one stream per factor gives every (n1, n2) pair.
     """
     if f.dim != 2:
         raise ValueError("averaged_moment_rect needs a 2-d function")
+    if f.factors is None:
+        raise ValueError("averaged_moment_rect needs a separable function"
+                         " (f.factors)")
     H = f.n // 2
     if N_max > H:
         raise AliasingError(f"N_max {N_max} exceeds stored bandwidth {H}")
@@ -554,20 +559,9 @@ def averaged_moment_rect(f: GridFunction, lam: float, N_max: int, c: int = 5,
     exc = build_exceptional_set(decompose(f, lam), c, geometry)
     M = 1 << (f.J + refine)
     W = exc.complement_weights(M)
-    if f.factors is not None:
-        a, b = f.factors
-        T = _abs2_rows(a, N_max, refine) @ W @ _abs2_rows(b, N_max, refine).T
-        T /= M * M
-    else:
-        if f.J > 6:
-            raise ValueError("general 2-d sweep is limited to J <= 6")
-        from .spectral import partial_sum_rect
-        T = np.empty((N_max, N_max))
-        for n1 in range(1, N_max + 1):
-            for n2 in range(1, N_max + 1):
-                Sn = partial_sum_rect(f, n1, n2, refine)
-                a2 = Sn.samples.real**2 + Sn.samples.imag**2
-                T[n1 - 1, n2 - 1] = float(np.mean(a2 * W))
+    a, b = f.factors
+    T = _abs2_rows(a, N_max, refine) @ W @ _abs2_rows(b, N_max, refine).T
+    T /= M * M
     cum = T.cumsum(axis=0).cumsum(axis=1)
     l1 = f.l1()
     meta = {"fn_id": fn_id, "J": f.J, "d": 2, "c": c, "refine": refine,

@@ -17,7 +17,8 @@ class GridFunction:
     dim: int
     J: int
     samples: np.ndarray
-    # set for separable 2-d constructions; enables fast rectangular sums
+    # set for separable 2-d constructions; 2-d moments and delayed means
+    # work through the factors
     factors: tuple["GridFunction", "GridFunction"] | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -43,35 +44,6 @@ class GridFunction:
 
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.samples)
-
-    def refine_piecewise(self, extra: int) -> "GridFunction":
-        """Repeat samples onto a 2**extra times finer grid (step function view)."""
-        if extra == 0:
-            return self
-        r = 1 << extra
-        s = np.repeat(self.samples, r, axis=0)
-        if self.dim == 2:
-            s = np.repeat(s, r, axis=1)
-        return GridFunction(self.dim, self.J + extra, s)
-
-
-def constant(value, J: int, dim: int = 1) -> GridFunction:
-    n = 1 << J
-    shape = (n,) if dim == 1 else (n, n)
-    return GridFunction(dim, J, np.full(shape, value, dtype=np.result_type(value, np.float64)))
-
-
-def exponential(m, J: int, dim: int = 1) -> GridFunction:
-    """e(m . x) sampled on the grid."""
-    n = 1 << J
-    t = np.arange(n)
-    if dim == 1:
-        s = np.exp(2j * np.pi * (int(m) * t % n) / n)
-        return GridFunction(1, J, s)
-    m1, m2 = m
-    s1 = np.exp(2j * np.pi * (int(m1) * t % n) / n)
-    s2 = np.exp(2j * np.pi * (int(m2) * t % n) / n)
-    return GridFunction(2, J, np.outer(s1, s2))
 
 
 def tensor(g: GridFunction, h: GridFunction) -> GridFunction:

@@ -7,6 +7,10 @@ Nyquist bin for both modes +-n/2, which is the periodic reading of the
 discrete spectrum.  Orders beyond n/2 raise AliasingError in the public
 entry points; sweep engines instead saturate there, since a partial sum
 of a band-limited function stops changing once the band is exhausted.
+
+Partial sums, kernels and convolutions are one-dimensional.  Two-dimensional
+functions enter only as tensor products: delayed means act on each factor,
+and the rectangular energy average reads the 2-d coefficients directly.
 """
 
 from __future__ import annotations
@@ -51,40 +55,18 @@ def _check_order(N: int, H: int):
 
 
 def partial_sum(f: GridFunction, N: int, refine: int = 2) -> GridFunction:
-    """Square partial sum of order N evaluated on a 2**refine finer grid."""
+    """Partial sum of order N evaluated on a 2**refine finer grid."""
+    if f.dim != 1:
+        raise ValueError("partial sums are one-dimensional")
     H = f.n // 2
     _check_order(N, H)
     c = forward(f)
     M = 1 << (f.J + refine)
     ms = np.arange(-N, N + 1)
-    if f.dim == 1:
-        b = np.zeros(M, dtype=complex)
-        np.add.at(b, ms % M, c[(ms + H) % f.n])
-        samples = np.fft.ifft(b) * M
-        return GridFunction(1, f.J + refine, samples)
-    b = np.zeros((M, M), dtype=complex)
-    src = c[np.ix_((ms + H) % f.n, (ms + H) % f.n)]
-    np.add.at(b, ((ms % M)[:, None], (ms % M)[None, :]), src)
-    samples = np.fft.ifft2(b) * M**2
-    return GridFunction(2, f.J + refine, samples)
-
-
-def partial_sum_rect(f: GridFunction, N1: int, N2: int, refine: int = 1) -> GridFunction:
-    """Rectangular partial sum: modes |m1| <= N1, |m2| <= N2."""
-    if f.dim != 2:
-        raise ValueError("rectangular sums need a 2-d function")
-    H = f.n // 2
-    _check_order(N1, H)
-    _check_order(N2, H)
-    c = forward(f)
-    M = 1 << (f.J + refine)
-    m1 = np.arange(-N1, N1 + 1)
-    m2 = np.arange(-N2, N2 + 1)
-    b = np.zeros((M, M), dtype=complex)
-    src = c[np.ix_((m1 + H) % f.n, (m2 + H) % f.n)]
-    np.add.at(b, ((m1 % M)[:, None], (m2 % M)[None, :]), src)
-    samples = np.fft.ifft2(b) * M**2
-    return GridFunction(2, f.J + refine, samples)
+    b = np.zeros(M, dtype=complex)
+    np.add.at(b, ms % M, c[(ms + H) % f.n])
+    samples = np.fft.ifft(b) * M
+    return GridFunction(1, f.J + refine, samples)
 
 
 def saturated_sum(f: GridFunction, refine: int = 2) -> GridFunction:
@@ -103,27 +85,29 @@ def valle_poussin(f: GridFunction, N: int) -> GridFunction:
     """Delayed-mean smoothing of f; reproduces every mode up to N.
 
     The result lives on the same grid, so its band 2N-1 must fit the
-    stored bandwidth n/2.
+    stored bandwidth n/2.  The multiplier of a 2-d delayed mean is the
+    tensor product of the 1-d one, so a separable f is smoothed factor
+    by factor and stays separable.
     """
+    if f.dim == 2:
+        if f.factors is None:
+            raise ValueError("2-d delayed means need a separable function")
+        a, b = f.factors
+        return tensor(valle_poussin(a, N), valle_poussin(b, N))
     H = f.n // 2
     if N < 1:
         raise ValueError("order must be positive")
     if 2 * N - 1 > H:
         raise AliasingError(f"band {2 * N - 1} exceeds stored bandwidth {H}")
-    c = forward(f)
-    w = vp_multiplier(N, centered_modes(f.n))
-    c = c * w if f.dim == 1 else c * np.multiply.outer(w, w)
+    c = forward(f) * vp_multiplier(N, centered_modes(f.n))
     out = inverse(c, f.J)
     if f.is_real():
-        out = GridFunction(f.dim, f.J, out.samples.real)
+        out = GridFunction(1, f.J, out.samples.real)
     return out
 
 
 # ---------------------------------------------------------------------------
 # kernels
-
-KERNEL_NAMES = ("dirichlet", "inv_square", "power_decay", "box", "product")
-
 
 def _signed_points(n: int) -> np.ndarray:
     t = np.arange(n)
@@ -131,26 +115,13 @@ def _signed_points(n: int) -> np.ndarray:
 
 
 def kernel_samples(name: str, N: int, J: int, s: float | None = None) -> GridFunction:
-    """Sample a summation kernel on the grid; 'product' is the 2-d tensor."""
-    n = 1 << J
-    if name == "dirichlet":
-        _check_order(N, n // 2)
-        b = np.zeros(n, dtype=complex)
-        ms = np.arange(-N, N + 1)
-        np.add.at(b, ms % n, 1.0 + 0j)
-        return GridFunction(1, J, (np.fft.ifft(b) * n).real)
-    x = _signed_points(n)
-    if name == "inv_square":
-        near = np.abs(x) < 1.0 / N
-        vals = np.empty(n)
-        vals[near] = float(N)
-        vals[~near] = 1.0 / (N * x[~near] ** 2)
-        return GridFunction(1, J, vals)
+    """Sample the box kernel or the power-decay kernel on the 1-d grid."""
+    x = _signed_points(1 << J)
     if name == "power_decay":
         if s is None or s <= 1:
             raise ValueError("power_decay needs a decay exponent s > 1")
         near = np.abs(x) < 1.0 / N
-        vals = np.empty(n)
+        vals = np.empty(x.size)
         vals[near] = float(N)
         vals[~near] = N ** (1.0 - s) * np.abs(x[~near]) ** (-s)
         return GridFunction(1, J, vals)
@@ -159,40 +130,17 @@ def kernel_samples(name: str, N: int, J: int, s: float | None = None) -> GridFun
         half = 1.0 / (2 * N)
         vals = np.where((x >= -half) & (x < half), 1.0 / N, 0.0)
         return GridFunction(1, J, vals)
-    if name == "product":
-        k = kernel_samples("inv_square", N, J)
-        return tensor(k, k)
-    raise ValueError(f"unknown kernel {name!r}")
-
-
-def kernel_mass(name: str, N: int, s: float | None = None) -> float:
-    """Exact integral of the kernel over the torus (closed forms)."""
-    if name == "dirichlet":
-        return 1.0
-    if name == "inv_square":
-        return 4.0 - 4.0 / N
-    if name == "power_decay":
-        if s is None or s <= 1:
-            raise ValueError("power_decay needs a decay exponent s > 1")
-        return 2.0 + 2.0 / (s - 1.0) * (1.0 - (2.0 / N) ** (s - 1.0))
-    if name == "box":
-        return 1.0 / N**2
-    if name == "product":
-        return (4.0 - 4.0 / N) ** 2
     raise ValueError(f"unknown kernel {name!r}")
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """Circular convolution, reading both functions as piecewise constant."""
-    if f.dim != g.dim or f.J != g.J:
-        raise ValueError("convolution needs matching grids")
-    if f.dim == 1:
-        samples = np.fft.ifft(np.fft.fft(f.samples) * np.fft.fft(g.samples)) / f.n
-    else:
-        samples = np.fft.ifft2(np.fft.fft2(f.samples) * np.fft.fft2(g.samples)) / f.n**2
+    if f.dim != 1 or g.dim != 1 or f.J != g.J:
+        raise ValueError("convolution needs two 1-d functions on the same grid")
+    samples = np.fft.ifft(np.fft.fft(f.samples) * np.fft.fft(g.samples)) / f.n
     if f.is_real() and g.is_real():
         samples = samples.real
-    return GridFunction(f.dim, f.J, samples)
+    return GridFunction(1, f.J, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +158,6 @@ def _mode_weights(n: int, N: int) -> np.ndarray:
     w = np.maximum(N + 1 - np.maximum(np.abs(ms), 1), 0).astype(float)
     w[0] = 2.0 * max(N + 1 - H, 0)
     return w
-
-
-def plancherel_average(f: GridFunction, N: int) -> float:
-    """(1/N) sum_{n<=N} ||S_n f||_2^2 via mode counting; exact, no sweep."""
-    if f.dim != 1:
-        raise ValueError("use plancherel_average_rect for 2-d functions")
-    c = forward(f)
-    return float(np.sum((c.real**2 + c.imag**2) * _mode_weights(f.n, N)) / N)
 
 
 def plancherel_average_rect(f: GridFunction, N1: int, N2: int | None = None) -> float:

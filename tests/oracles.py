@@ -3,8 +3,11 @@
 Dilated bad cells become exact Fraction endpoint pairs, and their
 coverage of grid cells is recomputed by interval arithmetic, so these
 helpers stay independent of the integer bitmaps in
-`strongmeans.estimates`.  `csv_differences` compares a fresh CSV with a
-committed reference cell by cell.
+`strongmeans.estimates`.  Reference computations that no experiment
+runs live here too: the chain check behind the vectorized exhaustive
+scan, cell averages, mode-counting energy averages, and rectangular
+partial sums with the per-pair 2-d moment they give.  `csv_differences`
+compares a fresh CSV with a committed reference cell by cell.
 """
 
 import csv
@@ -16,6 +19,16 @@ from fractions import Fraction
 import numpy as np
 
 from strongmeans import spectral
+from strongmeans.covering import NINE_EIGHTHS
+from strongmeans.dyadic import (
+    DEFAULT_J_MAX,
+    DyadicInterval,
+    adjacent,
+    dilate,
+    intervals_disjoint,
+    torus_distance,
+)
+from strongmeans.grid import GridFunction
 
 
 def dilated_arc(iv, c: int) -> tuple[Fraction, Fraction]:
@@ -72,6 +85,101 @@ def off_arc_moments(g, arcs, n_hi: int, refine: int) -> np.ndarray:
         float((np.abs(spectral.partial_sum(g, n, refine).samples) ** 2) @ w / M)
         for n in range(1, n_hi + 1)
     ])
+
+
+# ---------------------------------------------------------------------------
+# grid inputs
+
+
+def constant(value, J: int, dim: int = 1) -> GridFunction:
+    n = 1 << J
+    shape = (n,) if dim == 1 else (n, n)
+    return GridFunction(dim, J, np.full(shape, value, dtype=np.result_type(value, np.float64)))
+
+
+def exponential(m, J: int) -> GridFunction:
+    """e(m x) sampled on the 1-d grid."""
+    n = 1 << J
+    return GridFunction(1, J, np.exp(2j * np.pi * (int(m) * np.arange(n) % n) / n))
+
+
+def cell_average(f: GridFunction, cell) -> float:
+    """Mean of |samples| inside a dyadic interval or cube."""
+    w = f.n >> cell.level
+    if isinstance(cell, DyadicInterval):
+        return float(np.mean(np.abs(f.samples[cell.index * w : (cell.index + 1) * w])))
+    i0 = cell.axes[0].index * w
+    j0 = cell.axes[1].index * w
+    return float(np.mean(np.abs(f.samples[i0 : i0 + w, j0 : j0 + w])))
+
+
+# ---------------------------------------------------------------------------
+# chains
+
+
+class NotAChainError(ValueError):
+    """Triple does not satisfy the chain preconditions."""
+
+
+def chain_check(i1, i2, i3, factor=NINE_EIGHTHS, j_max: int = DEFAULT_J_MAX) -> bool:
+    """Bridge-length property for a chain I1* - I2* - I3*.
+
+    Preconditions: the three intervals are pairwise disjoint and
+    nonadjacent, the outer dilates I1*, I3* are separated, and I2*
+    touches or overlaps both (so the union of the three dilates is
+    connected).  Returns True iff |I2*| > min(|I1*|, |I3*|).
+    """
+    trio = (i1, i2, i3)
+    for a in range(3):
+        for b in range(a + 1, 3):
+            if not intervals_disjoint(trio[a], trio[b]):
+                raise NotAChainError(f"{trio[a]} and {trio[b]} overlap")
+            if adjacent(trio[a], trio[b], j_max):
+                raise NotAChainError(f"{trio[a]} and {trio[b]} are adjacent")
+    d1, d2, d3 = (dilate(iv, factor, j_max) for iv in trio)
+    if torus_distance(d1, d3) == 0:
+        raise NotAChainError("outer dilates intersect or touch")
+    if torus_distance(d2, d1) > 0 or torus_distance(d2, d3) > 0:
+        raise NotAChainError("middle dilate does not bridge the outers")
+    return d2.length_units > min(d1.length_units, d3.length_units)
+
+
+# ---------------------------------------------------------------------------
+# energy averages and rectangular partial sums
+
+
+def plancherel_average(f: GridFunction, N: int) -> float:
+    """(1/N) sum_{n<=N} ||S_n f||_2^2 via mode counting; exact, no sweep."""
+    c = spectral.forward(f)
+    return float(np.sum((c.real**2 + c.imag**2) * spectral._mode_weights(f.n, N)) / N)
+
+
+def partial_sum_rect(f: GridFunction, N1: int, N2: int, refine: int = 1) -> GridFunction:
+    """Rectangular partial sum of a 2-d function: modes |m1| <= N1, |m2| <= N2,
+    on a 2**refine finer grid."""
+    H = f.n // 2
+    assert 0 <= N1 <= H and 0 <= N2 <= H
+    c = spectral.forward(f)
+    M = 1 << (f.J + refine)
+    m1 = np.arange(-N1, N1 + 1)
+    m2 = np.arange(-N2, N2 + 1)
+    b = np.zeros((M, M), dtype=complex)
+    src = c[np.ix_((m1 + H) % f.n, (m2 + H) % f.n)]
+    np.add.at(b, ((m1 % M)[:, None], (m2 % M)[None, :]), src)
+    return GridFunction(2, f.J + refine, np.fft.ifft2(b) * M**2)
+
+
+def rect_moment_per_pair(f: GridFunction, exc, N_max: int, refine: int = 1) -> np.ndarray:
+    """(1/N^2) sum_{n1, n2 <= N} of the integral of |S_{n1,n2} f|^2 off E
+    for N = 1..N_max, one rectangular partial sum per pair; any 2-d f,
+    small grids only."""
+    W = exc.complement_weights(1 << (f.J + refine))
+    T = np.empty((N_max, N_max))
+    for n1 in range(1, N_max + 1):
+        for n2 in range(1, N_max + 1):
+            s = partial_sum_rect(f, n1, n2, refine).samples
+            T[n1 - 1, n2 - 1] = np.mean(np.abs(s) ** 2 * W)
+    return np.diag(T.cumsum(axis=0).cumsum(axis=1)) / np.arange(1, N_max + 1) ** 2
 
 
 _INT = re.compile(r"-?[0-9]+")

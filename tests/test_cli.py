@@ -146,12 +146,14 @@ def test_run_writes_schema_and_passes(tmp_path):
 
 
 def test_averaged_moment_config_reproduces_committed_csv(tmp_path):
-    """Every cell of the committed averaged_moment and strong_means
-    outputs, from fresh runs.  strong_means measures are grid counts, so
+    """Every cell of the committed outputs of every config that runs in
+    seconds, from fresh runs.  strong_means measures are grid counts, so
     this pins every threshold decision."""
     bl = tmp_path / "bl"
     shutil.copytree(ROOT / "baselines", bl)
-    for name in ("averaged_moment", "strong_means"):
+    for name in ("averaged_moment", "strong_means", "first_reduction",
+                 "second_reduction", "decay_kernel", "rect_moment", "density",
+                 "density_2d"):
         assert cli.main(["run", str(ROOT / "configs" / f"{name}.json"),
                          "--out", str(tmp_path / "out"),
                          "--baselines", str(bl)]) == 0
@@ -202,6 +204,20 @@ def test_strong_means_bad_r_exit_2(tmp_path, capsys):
 def test_strong_means_bad_lam_grid_exit_2(tmp_path, capsys):
     for bad in ([1.0, 0.0], [-2.0], [1.0, "x"], "ab"):
         assert strong_means_exit_code(tmp_path, capsys, lam_grid=bad) == 2
+
+
+def test_averaged_moment_bad_p_exit_2(tmp_path, capsys, monkeypatch):
+    def refuse(cfg):
+        raise AssertionError("corpus built before the options were checked")
+
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    for bad in ([2], 2.7, 2.0, 3, "2", True):
+        cfg = write_config(tmp_path, options={"p": bad})
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "averaged_moment: p must be" in capsys.readouterr().err
+    cfg = write_config(tmp_path, options=[4])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "options must be" in capsys.readouterr().err
 
 
 def test_determinism_across_parallelism(tmp_path):
@@ -266,6 +282,20 @@ def test_rect_run_emits_both_geometries(tmp_path):
     assert lines[0].split(",")[1] == "geometry"
     geoms = {line.split(",")[1] for line in lines[1:]}
     assert geoms == {"cube", "slab"}
+
+
+def test_rect_run_on_delayed_means(tmp_path):
+    # a delayed mean of a tensor stays a tensor, so J = 7 takes the
+    # separable path
+    p = tmp_path / "rect.json"
+    p.write_text(json.dumps({
+        "experiment": "rect_moment", "seed": 5, "J": 7, "d": 2,
+        "corpus": {"families": ["tspike"], "vp": 8},
+    }), encoding="utf-8")
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--baselines", str(tmp_path / "bl")]) == 0
+    lines = (tmp_path / "o" / "rect_moment.csv").read_text().splitlines()
+    assert {line.split(",")[0] for line in lines[1:]} == {"tspike-J7-vp8"}
 
 
 def test_density_run_invariants(tmp_path):

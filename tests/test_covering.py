@@ -1,4 +1,4 @@
-"""Covering-lemma geometry: components, hulls, chains, partitions.
+"""Covering-lemma geometry: components, hulls, chains.
 
 Oracles here are pure-Fraction reimplementations: arcs as (lo, hi)
 rational pairs on [0,1), touch via a three-shift circular gap, components
@@ -15,12 +15,9 @@ from hypothesis import strategies as st
 
 from strongmeans.covering import (
     NonadjacentInputError,
-    NotAChainError,
-    chain_check,
     cube_components,
     dilated_components,
     exhaustive_chain_scan,
-    partition_nonadjacent,
     random_nonadjacent_cube_family,
     random_nonadjacent_family,
     verify_covering,
@@ -36,6 +33,8 @@ from strongmeans.dyadic import (
     intervals_disjoint,
     scale_for,
 )
+
+from oracles import NotAChainError, chain_check
 
 S = scale_for(14)
 
@@ -266,64 +265,6 @@ def test_exhaustive_scan_matches_brute_force(level):
 def test_chains_exist_once_scales_are_mixed():
     assert exhaustive_chain_scan(4).chains == 0
     assert exhaustive_chain_scan(5).chains > 0
-
-
-# ---------------------------------------------------------------------------
-# partition into nonadjacent classes
-
-def test_partition_three_quarters():
-    family = [DyadicInterval(2, 0), DyadicInterval(2, 1), DyadicInterval(2, 2)]
-    classes = partition_nonadjacent(family)
-    assert len(classes) == 2
-    assert sorted(len(c) for c in classes) == [1, 2]
-
-
-def test_partition_full_cycle_even():
-    family = [DyadicInterval(2, k) for k in range(4)]
-    classes = partition_nonadjacent(family)
-    assert len(classes) == 2
-
-
-def test_partition_odd_cycle_needs_three():
-    family = [
-        DyadicInterval(2, 0),
-        DyadicInterval(2, 1),
-        DyadicInterval(3, 4),
-        DyadicInterval(3, 5),
-        DyadicInterval(2, 3),
-    ]
-    classes = partition_nonadjacent(family)
-    assert len(classes) == 3
-
-
-def test_partition_rejects_overlap():
-    with pytest.raises(NonadjacentInputError):
-        partition_nonadjacent([DyadicInterval(1, 0), DyadicInterval(2, 1)])
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 10**6))
-def test_partition_classes_are_nonadjacent(seed):
-    rng = np.random.default_rng(seed)
-    # random subset of a random tiling: disjoint, adjacency allowed
-    leaves = []
-    stack = [(0, 0)]
-    while stack:
-        level, index = stack.pop()
-        if level < 8 and rng.random() < 0.6:
-            stack.append((level + 1, 2 * index))
-            stack.append((level + 1, 2 * index + 1))
-        else:
-            leaves.append(DyadicInterval(level, index))
-    family = [iv for iv in leaves if rng.random() < 0.7] or leaves[:1]
-    classes = partition_nonadjacent(family)
-    assert 1 <= len(classes) <= 3
-    flat = [iv for c in classes for iv in c]
-    assert sorted(flat, key=str) == sorted(family, key=str)
-    for cls in classes:
-        for i, a in enumerate(cls):
-            for b in cls[i + 1 :]:
-                assert not adjacent(a, b)
 
 
 # ---------------------------------------------------------------------------

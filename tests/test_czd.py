@@ -15,13 +15,13 @@ from strongmeans.czd import (
     CZDecomposition,
     HeightTooLowError,
     bad_part,
-    cell_average,
     decompose,
     good_part,
-    split_by_scale,
 )
 from strongmeans.dyadic import DyadicCube, DyadicInterval
-from strongmeans.grid import GridFunction, constant, tensor
+from strongmeans.grid import GridFunction, tensor
+
+from oracles import cell_average, constant
 
 
 # --------------------------------------------------------------- oracle
@@ -143,20 +143,6 @@ def test_signed_and_complex_inputs_use_magnitude():
     assert decompose(cplx, 16.0).bad == ref.bad
     g, b = good_part(decompose(neg, 16.0)), bad_part(decompose(neg, 16.0))
     assert np.array_equal(g.samples + b.samples, neg.samples)
-
-
-def test_split_by_scale():
-    J = 10
-    n = 1 << J
-    s = np.zeros(n)
-    s[0] = float(n)  # bad cell near the spike is small
-    s[n // 2 : n // 2 + n // 8] = 30.0  # bad cell [1/2, 5/8) is coarse
-    f = GridFunction(1, J, s)
-    cz = decompose(f, 16.0)
-    coarse, fine = split_by_scale(cz, 64)
-    assert all((1 << c.level) < 64 for c in coarse)
-    assert all((1 << c.level) >= 64 for c in fine)
-    assert set(coarse) | set(fine) == set(cz.bad)
 
 
 # --------------------------------------------------------------- invariants

@@ -2,12 +2,11 @@
 
 Oracles here are deliberately independent of the library code paths:
 rational interval arithmetic with fractions.Fraction, and brute-force
-unit-grid rasterization for coverage.
+unit-grid point sets for distances.
 """
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,12 +17,8 @@ from strongmeans.dyadic import (
     InvalidFactorError,
     OverlapError,
     ResolutionExceededError,
-    ScaledBox,
     ScaledInterval,
     adjacent,
-    box_cell_coverage,
-    boxes_union_measure,
-    box_distance,
     cube_adjacent,
     cubes_disjoint,
     dilate,
@@ -34,9 +29,7 @@ from strongmeans.dyadic import (
     intervals_disjoint,
     merged_segments,
     scale_for,
-    segment_cell_coverage,
     torus_distance,
-    union_measure,
 )
 
 
@@ -76,6 +69,14 @@ def oracle_union_measure(frac_arcs) -> Fraction:
     if cur_lo is not None:
         total += cur_hi - cur_lo
     return min(total, Fraction(1))
+
+
+def union_measure(arcs) -> Fraction:
+    """Union measure from the library's merged linear segments."""
+    arcs = list(arcs)
+    if not arcs:
+        return Fraction(0)
+    return Fraction(sum(hi - lo for lo, hi in merged_segments(arcs)), arcs[0].scale)
 
 
 def scaled_to_frac(arc: ScaledInterval) -> tuple[Fraction, Fraction]:
@@ -253,20 +254,6 @@ def test_union_measure_matches_fraction_oracle(data):
     assert union_measure(list(reversed(arcs))) == got
 
 
-def test_segment_cell_coverage_brute_force():
-    S, M = 256, 16
-    arcs = [ScaledInterval(3, 70, S), ScaledInterval(200, 280, S)]
-    segs = merged_segments(arcs)
-    cov = segment_cell_coverage(segs, M, S)
-    u = S // M
-    brute = np.zeros(M, dtype=np.int64)
-    covered = {x % S for lo, hi in segs for x in range(lo, hi)}
-    for x in covered:
-        brute[x // u] += 1
-    assert np.array_equal(cov, brute)
-    assert cov.sum() == len(covered)
-
-
 # --------------------------------------------------------------- cubes
 
 def test_cube_adjacency_includes_corners():
@@ -278,38 +265,10 @@ def test_cube_adjacency_includes_corners():
     assert cubes_disjoint(a, b)
 
 
-def test_cube_dilate_and_box_distance():
+def test_cube_dilate_measure():
     q = DyadicCube((DyadicInterval(3, 0), DyadicInterval(3, 4)))
     box = dilate_cube(q, 3)
     assert box.measure == Fraction(9, 64)
-    assert box_distance(box, box) == 0
-
-
-def test_boxes_union_measure_brute_force():
-    j_max = 4
-    S = scale_for(j_max)
-    rng = np.random.default_rng(7)
-    boxes = []
-    for _ in range(5):
-        arcs = []
-        for _ in range(2):
-            lo = int(rng.integers(0, S))
-            ln = int(rng.integers(1, S // 2))
-            arcs.append(ScaledInterval(lo, lo + ln, S))
-        boxes.append(ScaledBox(tuple(arcs)))
-    got = boxes_union_measure(boxes)
-    grid = np.zeros((S, S), dtype=bool)
-    for box in boxes:
-        for x0, x1 in box.axes[0].segments():
-            for y0, y1 in box.axes[1].segments():
-                grid[x0:x1, y0:y1] = True
-    assert got == Fraction(int(grid.sum()), S * S)
-    # cell coverage agrees with the same rasterization
-    M = 16
-    cov = box_cell_coverage(boxes, M, S)
-    u = S // M
-    brute = grid.reshape(M, u, M, u).sum(axis=(1, 3))
-    assert np.array_equal(cov, brute)
 
 
 def test_dilate_box_composition():

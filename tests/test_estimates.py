@@ -34,10 +34,18 @@ from strongmeans.estimates import (
     verify_second_reduction,
     weighted_moment,
 )
-from strongmeans.grid import GridFunction, constant, tensor
+from strongmeans.grid import GridFunction, tensor
 from strongmeans.spectral import AliasingError
 
-from oracles import arcs_of, axis_arcs, covered_length, off_arc_moments
+from oracles import (
+    arcs_of,
+    axis_arcs,
+    constant,
+    covered_length,
+    off_arc_moments,
+    plancherel_average,
+    rect_moment_per_pair,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +194,7 @@ def test_engine_matches_brute_curve():
                        and fmt(r.ratio) == "0" for r in reports)
         if exc is not None and exc.measure == 0:
             for rep in reports:
-                plan = spectral.plancherel_average(f, rep.N)
+                plan = plancherel_average(f, rep.N)
                 assert abs(rep.avg_moment - plan) <= 1e-12 * plan
 
 
@@ -248,7 +256,7 @@ def test_full_torus_average_matches_closed_form():
     reports = averaged_moment(f, 8.0, 32, schedule=(4, 8, 16, 32))
     for rep in reports:
         assert abs(rep.full_torus_avg - (rep.N + 2)) < 1e-9
-        assert abs(rep.full_torus_avg - spectral.plancherel_average(f, rep.N)) < 1e-9
+        assert abs(rep.full_torus_avg - plancherel_average(f, rep.N)) < 1e-9
 
 
 def test_constant_function_curve_is_one():
@@ -356,10 +364,13 @@ def test_rect_tensor_path_matches_general_path():
     f = corpus.tensor_multi_spike(4, 2, np.random.default_rng(8))
     fast = averaged_moment_rect(f, 4.0, 8, schedule=(2, 4, 8))
     bare = GridFunction(2, 4, f.samples.copy())
-    slow = averaged_moment_rect(bare, 4.0, 8, schedule=(2, 4, 8))
-    for a, b in zip(fast, slow):
-        assert abs(a.avg_moment - b.avg_moment) < 1e-10
-        assert a.measure_E == b.measure_E
+    exc = build_exceptional_set(decompose(bare, 4.0), 5)
+    slow = rect_moment_per_pair(bare, exc, 8)
+    for rep in fast:
+        assert abs(rep.avg_moment - slow[rep.N - 1]) < 1e-10
+        assert rep.measure_E == exc.measure
+    with pytest.raises(ValueError, match="separable"):
+        averaged_moment_rect(bare, 4.0, 8)
 
 
 def test_rect_tensor_spike_closed_form():

@@ -2,17 +2,16 @@
 
 The oracles avoid the library's FFT paths entirely: direct O(n^2) DFT
 loops, pointwise mode sums with the same periodic Nyquist reading, and
-midpoint quadrature for kernel masses.
+direct convolution sums.
 """
-
-from fractions import Fraction as F
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongmeans.grid import GridFunction, constant, exponential, tensor
+from strongmeans import corpus
+from strongmeans.grid import GridFunction, tensor
 from strongmeans.spectral import (
     AliasingError,
     band_energy,
@@ -20,16 +19,15 @@ from strongmeans.spectral import (
     convolve,
     forward,
     inverse,
-    kernel_mass,
     kernel_samples,
     partial_sum,
-    partial_sum_rect,
-    plancherel_average,
     plancherel_average_rect,
     saturated_sum,
     valle_poussin,
     vp_multiplier,
 )
+
+from oracles import constant, exponential, partial_sum_rect, plancherel_average
 
 
 def random_function(seed, J=4, dim=1, real=False):
@@ -48,22 +46,12 @@ def random_function(seed, J=4, dim=1, real=False):
 def brute_forward(f):
     n = f.n
     H = n // 2
-    if f.dim == 1:
-        return np.array(
-            [
-                sum(f.samples[t] * np.exp(-2j * np.pi * m * t / n) for t in range(n)) / n
-                for m in range(-H, H)
-            ]
-        )
-    out = np.zeros((n, n), dtype=complex)
-    for i, m1 in enumerate(range(-H, H)):
-        for j, m2 in enumerate(range(-H, H)):
-            acc = 0
-            for t1 in range(n):
-                for t2 in range(n):
-                    acc += f.samples[t1, t2] * np.exp(-2j * np.pi * (m1 * t1 + m2 * t2) / n)
-            out[i, j] = acc / n**2
-    return out
+    return np.array(
+        [
+            sum(f.samples[t] * np.exp(-2j * np.pi * m * t / n) for t in range(n)) / n
+            for m in range(-H, H)
+        ]
+    )
 
 
 def brute_partial(f, N, refine):
@@ -72,30 +60,13 @@ def brute_partial(f, N, refine):
     H = n // 2
     c = brute_forward(f)
     M = 1 << (f.J + refine)
-    if f.dim == 1:
-        out = np.zeros(M, dtype=complex)
-        for t in range(M):
-            acc = 0
-            for m in range(-N, N + 1):
-                acc += c[(m + H) % n] * np.exp(2j * np.pi * m * t / M)
-            out[t] = acc
-        return out
-    out = np.zeros((M, M), dtype=complex)
-    for t1 in range(M):
-        for t2 in range(M):
-            acc = 0
-            for m1 in range(-N, N + 1):
-                for m2 in range(-N, N + 1):
-                    acc += c[(m1 + H) % n, (m2 + H) % n] * np.exp(
-                        2j * np.pi * (m1 * t1 + m2 * t2) / M
-                    )
-            out[t1, t2] = acc
+    out = np.zeros(M, dtype=complex)
+    for t in range(M):
+        acc = 0
+        for m in range(-N, N + 1):
+            acc += c[(m + H) % n] * np.exp(2j * np.pi * m * t / M)
+        out[t] = acc
     return out
-
-
-def midpoint_mass(fn, K=1 << 21):
-    xs = -0.5 + (np.arange(K) + 0.5) / K
-    return float(np.mean(fn(xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +111,6 @@ def test_partial_sum_matches_brute(seed, N):
     got = partial_sum(f, N, refine=2)
     assert got.J == 6
     assert np.allclose(got.samples, brute_partial(f, N, 2), atol=1e-8)
-
-
-def test_partial_sum_2d_matches_brute():
-    f = random_function(11, J=3, dim=2)
-    got = partial_sum(f, 4, refine=1)
-    assert np.allclose(got.samples, brute_partial(f, 4, 1), atol=1e-8)
 
 
 def test_rect_partial_sum_separates_on_tensors():
@@ -221,57 +186,32 @@ def test_vp_keeps_real_functions_real():
     assert valle_poussin(f, 4).is_real()
 
 
+def test_vp_of_tensor_smooths_each_factor():
+    # the 2-d multiplier is the tensor product of the 1-d one
+    cases = [(corpus.spike(7, dim=2), 8),
+             (tensor(random_function(6, J=5), random_function(7, J=5)), 4)]
+    for f, N in cases:
+        out = valle_poussin(f, N)
+        assert out.factors is not None and out.is_real() == f.is_real()
+        w = vp_multiplier(N, centered_modes(f.n))
+        want = inverse(forward(f) * np.multiply.outer(w, w), f.J).samples
+        assert np.max(np.abs(out.samples - want)) <= 1e-12 * np.max(np.abs(want))
+    with pytest.raises(ValueError, match="separable"):
+        valle_poussin(GridFunction(2, 5, np.ones((32, 32))), 4)
+
+
 # ---------------------------------------------------------------------------
 # kernels
-
-def test_dirichlet_peak_and_mass():
-    k = kernel_samples("dirichlet", 5, 8)
-    assert abs(k.samples[0] - 11.0) < 1e-10
-    assert abs(float(np.mean(k.samples)) - 1.0) < 1e-12
-    # closed form away from zero
-    x = 3 / 256
-    want = np.sin(11 * np.pi * x) / np.sin(np.pi * x)
-    assert abs(k.samples[3] - want) < 1e-9
-
-
-def test_inv_square_mass_matches_quadrature():
-    for N in (4, 16, 64):
-        got = kernel_mass("inv_square", N)
-        assert got == pytest.approx(4 - F(4, N), abs=1e-12)
-        num = midpoint_mass(lambda x: np.minimum(float(N) ** 2, 1.0 / np.maximum(x**2, 1e-300)) / N)
-        assert got == pytest.approx(num, abs=1e-5)
-
-
-def test_power_decay_mass_matches_quadrature():
-    for N, s in [(8, 1.5), (16, 2.0), (16, 3.0)]:
-        got = kernel_mass("power_decay", N, s=s)
-        num = midpoint_mass(
-            lambda x: N ** (1.0 - s)
-            * np.minimum(float(N) ** s, np.abs(np.where(x == 0, 1e-300, x)) ** (-s))
-        )
-        assert got == pytest.approx(num, abs=1e-5)
-
 
 def test_box_kernel_grid_mass_is_exact():
     for N in (2, 8, 32):
         k = kernel_samples("box", N, 10)
         assert float(np.mean(k.samples)) == pytest.approx(1.0 / N**2, abs=1e-15)
-        assert kernel_mass("box", N) == 1.0 / N**2
 
 
 def test_power_decay_requires_s_above_one():
     with pytest.raises(ValueError):
         kernel_samples("power_decay", 8, 8, s=1.0)
-    with pytest.raises(ValueError):
-        kernel_mass("power_decay", 8, s=0.5)
-
-
-def test_product_kernel_is_tensor_of_inv_square():
-    k = kernel_samples("product", 8, 6)
-    one = kernel_samples("inv_square", 8, 6)
-    assert k.dim == 2
-    assert np.allclose(k.samples, np.outer(one.samples, one.samples))
-    assert kernel_mass("product", 8) == pytest.approx((4 - 0.5) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +228,6 @@ def test_convolve_matches_direct_sum(seed):
         [sum(f.samples[j] * g.samples[(t - j) % n] for j in range(n)) / n for t in range(n)]
     )
     assert np.allclose(got.samples, want, atol=1e-10)
-
-
-def test_convolving_with_dirichlet_gives_partial_sum():
-    f = random_function(2, J=6, real=True)
-    k = kernel_samples("dirichlet", 7, 6)
-    got = convolve(f, k)
-    want = partial_sum(f, 7, refine=0)
-    assert np.allclose(got.samples, want.samples, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
