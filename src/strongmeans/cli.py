@@ -66,6 +66,21 @@ CSV_COLUMNS = {
 }
 
 
+# integer options of the suites: name -> (default, least, greatest).  The
+# chain scan builds n x n matrices with n = 2**(L+1) - 2, so its level
+# stays small.
+SUITE_OPTIONS = {
+    "czd_suite": {"trials": (10000, 1, None)},
+    "covering_suite": {
+        "trials_1d": (10000, 1, None),
+        "trials_2d": (1000, 1, None),
+        "max_level_1d": (12, 1, DEFAULT_J_MAX),
+        "max_level_2d": (7, 1, DEFAULT_J_MAX),
+        "chain_level": (6, 1, 8),
+    },
+}
+
+
 class ConfigError(ValueError):
     """Config file is structurally or semantically invalid."""
 
@@ -129,6 +144,20 @@ class ExperimentConfig:
                 raise ConfigError("lambda values must be positive")
         if not isinstance(self.options, dict):
             raise ConfigError("options must be a JSON object")
+        if not isinstance(self.corpus, dict):
+            raise ConfigError("corpus must be a JSON object")
+        vp = self.corpus.get("vp")
+        if vp is not None and (type(vp) is not int or vp < 1):
+            raise ConfigError("corpus: vp must be a positive integer")
+        for name, (default, least, greatest) in SUITE_OPTIONS.get(
+                self.experiment, {}).items():
+            value = self.options.get(name, default)
+            if (type(value) is not int or value < least
+                    or (greatest is not None and value > greatest)):
+                bounds = (f"in [{least}, {greatest}]" if greatest is not None
+                          else f">= {least}")
+                raise ConfigError(
+                    f"{self.experiment}: {name} must be an integer {bounds}")
         if self.experiment == "averaged_moment":
             p = self.options.get("p", 2)
             if type(p) is not int or p not in (2, 4):
@@ -181,7 +210,7 @@ def build_functions(cfg: ExperimentConfig) -> list:
     if not fns:
         raise ConfigError("corpus selection is empty")
     vp = sel.get("vp")
-    if vp:
+    if vp is not None:
         fns = [(f"{fid}-vp{vp}", valle_poussin(f, vp)) for fid, f in fns]
     return fns
 
@@ -347,14 +376,14 @@ def run_density(cfg: ExperimentConfig):
 
 
 def run_suite(cfg: ExperimentConfig):
-    opts = cfg.options
+    opts = {name: cfg.options.get(name, default)
+            for name, (default, _, _) in SUITE_OPTIONS[cfg.experiment].items()}
     if cfg.experiment == "covering_suite":
-        res = covering_suite(int(opts.get("trials_1d", 10000)),
-                             int(opts.get("trials_2d", 1000)),
+        res = covering_suite(opts["trials_1d"], opts["trials_2d"],
                              seed=cfg.seed,
-                             max_level_1d=int(opts.get("max_level_1d", 12)),
-                             max_level_2d=int(opts.get("max_level_2d", 7)))
-        chain = chain_suite(int(opts.get("chain_level", 6)))
+                             max_level_1d=opts["max_level_1d"],
+                             max_level_2d=opts["max_level_2d"])
+        chain = chain_suite(opts["chain_level"])
         rows = [
             {"kind": "families", "trials": res.trials,
              "violations": sum(res.failures.values()),
@@ -367,8 +396,7 @@ def run_suite(cfg: ExperimentConfig):
         ]
         inv = {"containment": res.ok, "bridge_length": chain.ok}
         return rows, {}, inv
-    res = czd_suite(int(opts.get("trials", 10000)), J=cfg.J, seed=cfg.seed,
-                    dim=cfg.d)
+    res = czd_suite(opts["trials"], J=cfg.J, seed=cfg.seed, dim=cfg.d)
     rows = [{"kind": res.suite, "trials": res.trials,
              "failures": sum(res.failures.values()),
              "mean_bad_cells": res.stats["mean_bad_cells"],

@@ -1,121 +1,177 @@
-"""Dilation covering geometry for families of disjoint dyadic intervals.
+"""Dilation covering geometry for families of disjoint dyadic intervals
+and cubes.
 
 Given a family G of pairwise disjoint, pairwise nonadjacent dyadic
 intervals, the 9/8-dilates can merge into connected components, but each
 component stays inside the 4-fold dilate of its largest member (which is
 the 9/2-dilate of the largest original).  This module computes the
-components exactly, checks that containment, and checks the chain
-property: whenever the dilate of a middle interval bridges two outer
-dilates that are themselves separated, the bridge is strictly longer
-than the smaller outer dilate.
+components exactly, checks that containment for interval and cube
+families, and checks the chain property: whenever the dilate of a middle
+interval bridges two outer dilates that are themselves separated, the
+bridge is strictly longer than the smaller outer dilate.
+
+A family is an integer array with one (level, index) row per interval,
+or one (level, i, j) row per cube.  Dilates come from
+`dyadic.dilate_units` and its integer factor table, so every endpoint is
+an integer at scale S = 2**(j_max + 4).  1-d components come from one
+sort by left end and a running maximum of right ends; 2-d components
+from the pairwise gap matrix of the dilated boxes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import (
-    DEFAULT_J_MAX,
-    DyadicCube,
-    DyadicInterval,
-    ScaledBox,
-    ScaledInterval,
-    adjacent,
-    cube_adjacent,
-    cubes_disjoint,
-    dilate,
-    dilate_box,
-    dilate_cube,
-    dilate_scaled,
-    gap_units,
-    intervals_disjoint,
-    merged_segments,
-)
+from .dyadic import DEFAULT_J_MAX, DyadicInterval, dilate_units, scale_for
 
 NINE_EIGHTHS = Fraction(9, 8)
 
 
-class NonadjacentInputError(ValueError):
-    """Family members must be pairwise disjoint and nonadjacent."""
+def _circle_runs(group: np.ndarray, lo: np.ndarray, hi: np.ndarray, S: int):
+    """Connected runs of arcs, one circle of length S per group, and the
+    hull of each run.
 
-
-def _validate_family(family, j_max):
-    for i, a in enumerate(family):
-        for b in family[i + 1 :]:
-            if not intervals_disjoint(a, b):
-                raise NonadjacentInputError(f"{a} and {b} overlap")
-            if adjacent(a, b, j_max):
-                raise NonadjacentInputError(f"{a} and {b} are adjacent")
+    Entry e is the arc [lo[e], hi[e]) on circle group[e], with
+    0 <= lo < S and lo < hi <= lo + S; the groups are 0..G-1, none
+    empty.  Touching arcs connect.  Each circle is cut at a point no arc
+    covers, found from one sort by left end and a running maximum of
+    right ends, and swept from there with a second running maximum; a
+    circle the arcs cover entirely is one run with hull (0, S).
+    Returns the run of each entry, runs numbered in group order, and
+    each run's hull start and length.
+    """
+    n = len(group)
+    span = 4 * S  # unrolled arcs stay below 2 S: offset circles apart
+    order = np.lexsort((lo, group))
+    g, lo, hi = group[order], lo[order], hi[order]
+    first = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+    last = np.r_[first[1:], n] - 1
+    reach = np.maximum.accumulate(g * span + hi) - g * span
+    nxt = np.r_[lo[1:], 0]
+    nxt[last] = lo[first] + S
+    # the gap after an arc is uncovered unless the part [0, farthest - S)
+    # of the circle's farthest-reaching arc wraps over it
+    uncovered = nxt > np.maximum(reach, reach[last][g] - S)
+    full = ~np.logical_or.reduceat(uncovered, first)
+    cut = np.minimum.reduceat(np.where(uncovered, np.arange(n), n), first)
+    shift = np.where(np.arange(n) <= cut[g], S, 0)
+    lo, hi = lo + shift, hi + shift
+    turn = np.lexsort((lo, g))
+    order, lo, hi = order[turn], lo[turn], hi[turn]
+    reach = np.maximum.accumulate(g * span + hi) - g * span
+    start = np.r_[True, lo[1:] > reach[:-1]] & ~full[g]
+    start[first] = True
+    run = np.empty(n, dtype=np.int64)
+    run[order] = np.cumsum(start) - 1
+    at = np.flatnonzero(start)
+    hull_lo = lo[at] % S
+    hull_len = np.maximum.reduceat(hi, at) - lo[at]
+    whole = full[g[at]]
+    hull_lo[whole], hull_len[whole] = 0, S
+    return run, hull_lo, hull_len
 
 
 @dataclass
-class DilatedFamily:
-    """A nonadjacent family, its dilates, and their connected components."""
+class CoveringCheck:
+    """Components of the 9/8-dilates of a batch of families, and the
+    containment verdict of each family.  Hulls are at scale
+    2**(j_max+4)."""
 
-    originals: list
-    dilates: list
-    factor: Fraction
-    components: list = field(default_factory=list)  # lists of member indices
-    hulls: list = field(default_factory=list)  # ScaledInterval per component
+    holds: np.ndarray  # per family: each hull inside 4 * (a largest dilate)
+    components: np.ndarray  # per family
+    label: np.ndarray  # per member, in input order: its component
+    hulls: np.ndarray  # per component and axis: hull start and length
 
 
-def dilated_components(
-    family,
-    factor=NINE_EIGHTHS,
-    j_max: int = DEFAULT_J_MAX,
-    validate: bool = True,
-) -> DilatedFamily:
-    """Connected components of the union of dilated arcs.
+def _dilates(families: list, axes: int, j_max: int):
+    """Family index, and the 9/8-dilate's (lo, length) per axis, of every
+    member of every family, from one `dilate_units` call."""
+    rows = np.concatenate(families)
+    fam = np.repeat(np.arange(len(families)), [len(f) for f in families])
+    lo, length = dilate_units(rows[:, :1], rows[:, 1:1 + axes], NINE_EIGHTHS, j_max)
+    return fam, lo, np.broadcast_to(length, lo.shape)  # a cube's sides are equal
 
-    Touching arcs count as connected: [a,b) followed by [b,c) unions to
-    the single arc [a,c).  Pass validate=False only when the caller
-    guarantees the disjoint/nonadjacent preconditions by construction.
+
+def _check(fam, label, lo, length, hull_lo, hull_len, S) -> CoveringCheck:
+    """A component holds when its hull lies, on every axis, inside the
+    4-dilate of one of its members of largest dilate.  Components are
+    numbered family by family."""
+    m = len(hull_lo)
+    size = length[:, 0]
+    best = np.zeros(m, dtype=np.int64)
+    np.maximum.at(best, label, size)
+    new_len = np.minimum(4 * length, S)
+    lo4 = (2 * lo + length - new_len) // 2 % S
+    inside = (new_len == S) | ((hull_lo[label] - lo4) % S + hull_len[label] <= new_len)
+    ok = np.bincount(label, weights=(size == best[label]) & inside.all(axis=1),
+                     minlength=m) > 0
+    comp_fam = np.zeros(m, dtype=np.int64)
+    comp_fam[label] = fam
+    F = fam[-1] + 1
+    return CoveringCheck(
+        holds=np.bincount(comp_fam, weights=~ok, minlength=F) == 0,
+        components=np.bincount(comp_fam, minlength=F),
+        label=label, hulls=np.stack((hull_lo, hull_len), axis=-1))
+
+
+def verify_covering(families: list, j_max: int = DEFAULT_J_MAX) -> CoveringCheck:
+    """Covering check of 1-d families, each an array of (level, index)
+    rows.
+
+    The components of a family are the runs of its circle sweep.  The
+    members must be pairwise disjoint and nonadjacent, as
+    `random_nonadjacent_family` guarantees by construction.
     """
-    family = list(family)
-    if validate:
-        _validate_family(family, j_max)
-    dil = [dilate(iv, factor, j_max) for iv in family]
-    fam = DilatedFamily(originals=family, dilates=dil, factor=Fraction(factor))
-    if not family:
-        return fam
-    S = dil[0].scale
-    segs = merged_segments(dil)
-    total = sum(hi - lo for lo, hi in segs)
-    if total >= S:
-        fam.components.append(sorted(range(len(dil))))
-        fam.hulls.append(ScaledInterval(0, S, S))
-        return fam
-    # Cut the circle at an uncovered point, then a linear sweep suffices:
-    # no rotated arc can cross the cut.
-    cut = 0
-    for i, (lo, hi) in enumerate(segs):
-        nxt = segs[(i + 1) % len(segs)][0] + (S if i + 1 == len(segs) else 0)
-        if nxt - hi > 0:
-            cut = hi % S
-            break
-    order = sorted(range(len(dil)), key=lambda i: (dil[i].lo - cut) % S)
-    comps = []
-    cur_members, cur_lo, cur_hi = [], 0, -1
-    for i in order:
-        lo = (dil[i].lo - cut) % S
-        hi = lo + dil[i].length_units
-        if cur_members and lo <= cur_hi:
-            cur_members.append(i)
-            cur_hi = max(cur_hi, hi)
-        else:
-            if cur_members:
-                comps.append((cur_members, cur_lo, cur_hi))
-            cur_members, cur_lo, cur_hi = [i], lo, hi
-    comps.append((cur_members, cur_lo, cur_hi))
-    comps.sort(key=lambda c: min(c[0]))
-    for members, lo, hi in comps:
-        start = (lo + cut) % S
-        fam.components.append(sorted(members))
-        fam.hulls.append(ScaledInterval(start, start + (hi - lo), S))
-    return fam
+    S = scale_for(j_max)
+    fam, lo, length = _dilates(families, 1, j_max)
+    label, hull_lo, hull_len = _circle_runs(fam, lo[:, 0], lo[:, 0] + length[:, 0], S)
+    return _check(fam, label, lo, length, hull_lo[:, None], hull_len[:, None], S)
+
+
+def verify_covering_cubes(families: list, j_max: int = DEFAULT_J_MAX) -> CoveringCheck:
+    """Covering check of 2-d families, each an array of (level, i, j)
+    rows.
+
+    Two dilated cubes connect when their projections touch on both axes
+    (corner contact counts), read from each family's pairwise gap
+    matrix.  A component's projections on one axis then form one run of
+    a circle sweep, whose hull is the component's hull on that axis.
+    The members must be pairwise disjoint and nonadjacent, as
+    `random_nonadjacent_cube_family` guarantees by construction.
+    """
+    S = scale_for(j_max)
+    fam, lo, length = _dilates(families, 2, j_max)
+    hi = lo + length
+    label = np.empty(len(fam), dtype=np.int64)
+    at = m = 0
+    for f in families:
+        k = len(f)
+        a_lo, a_hi = lo[at:at + k, None, :], hi[at:at + k, None, :]
+        b_lo, b_hi = lo[None, at:at + k, :], hi[None, at:at + k, :]
+        # zero torus gap on every axis: some shift of b meets a's closure
+        touch = ((b_lo - S <= a_hi) & (a_lo <= b_hi - S)
+                 | (b_lo <= a_hi) & (a_lo <= b_hi)
+                 | (b_lo + S <= a_hi) & (a_lo <= b_hi + S)).all(axis=2)
+        reach = touch.astype(np.int32)
+        while True:  # transitive closure by squaring
+            wider = np.minimum(reach @ reach, 1)
+            if np.array_equal(wider, reach):
+                break
+            reach = wider
+        roots, local = np.unique(reach.argmax(axis=1), return_inverse=True)
+        label[at:at + k] = m + local
+        at += k
+        m += len(roots)
+    # one circle per component and axis
+    _, hull_lo, hull_len = _circle_runs(np.concatenate((2 * label, 2 * label + 1)),
+                                        lo.T.ravel(), hi.T.ravel(), S)
+    if len(hull_lo) != 2 * m:
+        raise RuntimeError("a connected component has a disconnected projection")
+    return _check(fam, label, lo, length, hull_lo.reshape(m, 2),
+                  hull_len.reshape(m, 2), S)
 
 
 @dataclass
@@ -136,21 +192,15 @@ def exhaustive_chain_scan(max_level: int, factor=NINE_EIGHTHS) -> ChainScan:
     triple satisfying the chain preconditions, and records violations of
     |I2*| > min(|I1*|, |I3*|).  Vectorized over the middle interval.
     """
-    ivs = [
-        DyadicInterval(j, k)
-        for j in range(1, max_level + 1)
-        for k in range(1 << j)
-    ]
-    n = len(ivs)
+    level = np.concatenate([np.full(1 << j, j) for j in range(1, max_level + 1)])
+    index = np.concatenate([np.arange(1 << j) for j in range(1, max_level + 1)])
+    n = len(level)
     j_max = max(max_level, 4)
-    dil = [dilate(iv, factor, j_max) for iv in ivs]
-    S = dil[0].scale
-    shift = [S >> iv.level for iv in ivs]
-    lo_o = np.array([iv.index * s for iv, s in zip(ivs, shift)], dtype=np.int64)
-    hi_o = lo_o + np.array(shift, dtype=np.int64)
-    lo_d = np.array([d.lo for d in dil], dtype=np.int64)
-    hi_d = np.array([d.hi for d in dil], dtype=np.int64)
-    len_d = hi_d - lo_d
+    S = scale_for(j_max)
+    lo_o = index << (j_max + 4 - level)
+    hi_o = lo_o + (S >> level)
+    lo_d, len_d = dilate_units(level, index, factor, j_max)
+    hi_d = lo_d + len_d
 
     contains = (lo_o[:, None] <= lo_o[None, :]) & (hi_o[None, :] <= hi_o[:, None])
     disjoint = ~(contains | contains.T)
@@ -178,7 +228,8 @@ def exhaustive_chain_scan(max_level: int, factor=NINE_EIGHTHS) -> ChainScan:
             chains += len(idx)
             thresh = min(len_d[a], len_d[b])
             for m in idx[len_d[idx] <= thresh]:
-                violations.append((ivs[a], ivs[int(m)], ivs[b]))
+                violations.append(tuple(DyadicInterval(int(level[i]), int(index[i]))
+                                        for i in (a, m, b)))
     return ChainScan(
         max_level=max_level,
         intervals=n,
@@ -188,152 +239,13 @@ def exhaustive_chain_scan(max_level: int, factor=NINE_EIGHTHS) -> ChainScan:
     )
 
 
-@dataclass
-class CoveringReport:
-    holds: bool  # every component hull inside 4 * (largest dilated member)
-    statement_form_holds: bool  # hull inside 4 * (largest original member)
-    components: int
-    witnesses: list  # (component index, hull) for proof-form failures
-
-
-def verify_covering(
-    family,
-    factor=NINE_EIGHTHS,
-    j_max: int = DEFAULT_J_MAX,
-    validate: bool = True,
-) -> CoveringReport:
-    fam = dilated_components(family, factor, j_max, validate=validate)
-    holds, literal = True, True
-    witnesses = []
-    for ci, members in enumerate(fam.components):
-        hull = fam.hulls[ci]
-        best = max(fam.dilates[i].length_units for i in members)
-        largest = [i for i in members if fam.dilates[i].length_units == best]
-        if not any(dilate_scaled(fam.dilates[i], 4).contains_arc(hull) for i in largest):
-            holds = False
-            witnesses.append((ci, hull))
-        if not any(
-            dilate(fam.originals[i], 4, j_max).contains_arc(hull) for i in largest
-        ):
-            literal = False
-    return CoveringReport(
-        holds=holds,
-        statement_form_holds=literal,
-        components=len(fam.components),
-        witnesses=witnesses,
-    )
-
-
-# ---------------------------------------------------------------------------
-# cubes
-
-def _validate_cube_family(family, j_max):
-    for i, a in enumerate(family):
-        for b in family[i + 1 :]:
-            if not cubes_disjoint(a, b):
-                raise NonadjacentInputError(f"{a} and {b} overlap")
-            if cube_adjacent(a, b, j_max):
-                raise NonadjacentInputError(f"{a} and {b} are adjacent")
-
-
-def _smallest_covering_arc(arcs) -> ScaledInterval:
-    """Shortest arc containing the union: complement of the largest gap."""
-    S = arcs[0].scale
-    segs = merged_segments(arcs)
-    total = sum(hi - lo for lo, hi in segs)
-    if total >= S:
-        return ScaledInterval(0, S, S)
-    best_gap, best_at = -1, 0
-    for i, (lo, hi) in enumerate(segs):
-        nxt = segs[(i + 1) % len(segs)][0] + (S if i + 1 == len(segs) else 0)
-        gap = nxt - hi
-        if gap > best_gap:
-            best_gap, best_at = gap, i
-    if best_gap <= 0:
-        return ScaledInterval(0, S, S)
-    lo = segs[(best_at + 1) % len(segs)][0]
-    hi = segs[best_at][1]
-    length = (hi - lo) % S or S
-    return ScaledInterval(lo % S, lo % S + length, S)
-
-
-def cube_components(
-    family,
-    factor=NINE_EIGHTHS,
-    j_max: int = DEFAULT_J_MAX,
-    validate: bool = True,
-):
-    """Union-find components of dilated cubes; zero box distance connects.
-
-    Corner contact counts: two dilated boxes are connected when every
-    axis projection touches.
-    """
-    family = list(family)
-    if validate:
-        _validate_cube_family(family, j_max)
-    dil = [dilate_cube(q, factor, j_max) for q in family]
-    bounds = [tuple((ax.lo, ax.hi) for ax in q.axes) for q in dil]
-    S = dil[0].axes[0].scale if dil else 0
-    parent = list(range(len(dil)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(dil)):
-        bi = bounds[i]
-        for j in range(i + 1, len(dil)):
-            bj = bounds[j]
-            if all(
-                gap_units(a[0], a[1], b[0], b[1], S) == 0
-                for a, b in zip(bi, bj)
-            ):
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(len(dil)):
-        groups.setdefault(find(i), []).append(i)
-    return family, dil, sorted(sorted(g) for g in groups.values())
-
-
-def verify_covering_cubes(
-    family,
-    factor=NINE_EIGHTHS,
-    j_max: int = DEFAULT_J_MAX,
-    validate: bool = True,
-) -> CoveringReport:
-    family, dil, comps = cube_components(family, factor, j_max, validate=validate)
-    holds, literal = True, True
-    witnesses = []
-    for ci, members in enumerate(comps):
-        hull = ScaledBox(
-            tuple(
-                _smallest_covering_arc([dil[i].axes[ax] for i in members])
-                for ax in range(dil[0].dim)
-            )
-        )
-        best = max(dil[i].axes[0].length_units for i in members)
-        largest = [i for i in members if dil[i].axes[0].length_units == best]
-        if not any(dilate_box(dil[i], 4).contains_box(hull) for i in largest):
-            holds = False
-            witnesses.append((ci, hull))
-        if not any(dilate_cube(family[i], 4, j_max).contains_box(hull) for i in largest):
-            literal = False
-    return CoveringReport(
-        holds=holds,
-        statement_form_holds=literal,
-        components=len(comps),
-        witnesses=witnesses,
-    )
-
-
 # ---------------------------------------------------------------------------
 # random nonadjacent families (for the randomized suites)
 
-def random_nonadjacent_family(rng, max_level: int = 12, max_count: int = 64,
-                              j_max: int = DEFAULT_J_MAX):
-    """Random family of pairwise disjoint, nonadjacent dyadic intervals.
+def random_nonadjacent_family(rng, max_level: int = 12,
+                              max_count: int = 64) -> np.ndarray:
+    """Random family of pairwise disjoint, nonadjacent dyadic intervals,
+    as (level, index) rows.
 
     Draws a random stopping-time tiling of the torus, keeps alternating
     tiles in circular order (never two consecutive, hence nonadjacent),
@@ -349,33 +261,29 @@ def random_nonadjacent_family(rng, max_level: int = 12, max_count: int = 64,
             stack.append((level + 1, 2 * index + 1))
         else:
             leaves.append((level, index))
-    leaves.sort(key=lambda t: Fraction(t[1], 1 << t[0]))
+    # the tiles of one tiling have distinct left ends, and this integer
+    # key orders them by left end
+    leaves.sort(key=lambda t: t[1] << (max_level - t[0]))
     if len(leaves) < 2:
-        return [DyadicInterval(1, 0)]
+        return np.array([[1, 0]], dtype=np.int64)
     phase = int(rng.integers(0, 2))
     kept = leaves[phase::2]
     if len(leaves) % 2 == 1 and phase == 0 and len(kept) > 1:
         kept = kept[:-1]  # circular order: first and last tiles are adjacent
-    out = [DyadicInterval(j, k) for j, k in kept if rng.random() < 0.8]
+    out = [t for t in kept if rng.random() < 0.8]
     if not out:
-        out = [DyadicInterval(leaves[0][0], leaves[0][1])]
-    return out[:max_count]
+        out = [leaves[0]]
+    return np.array(out[:max_count], dtype=np.int64)
 
 
-def _tile_touches(a, b, W):
-    """Closed-box contact for two tiles of a 2-d dyadic tiling, unit scale W."""
-    for (a0, a1), (b0, b1) in zip(a, b):
-        if a0 <= b1 and b0 <= a1:
-            continue
-        if (a0 == 0 and b1 == W) or (b0 == 0 and a1 == W):
-            continue
-        return False
-    return True
+def random_nonadjacent_cube_family(rng, max_level: int = 7,
+                                   max_count: int = 40) -> np.ndarray:
+    """Random nonadjacent dyadic cubes from a quadtree tiling of the
+    torus, as (level, i, j) rows.
 
-
-def random_nonadjacent_cube_family(rng, max_level: int = 7, max_count: int = 40,
-                                   j_max: int = DEFAULT_J_MAX):
-    """Random nonadjacent dyadic cubes from a quadtree tiling of the torus."""
+    Visits the tiles in a random order and keeps each one whose closure
+    touches no kept tile, read from a touch matrix of all tile pairs.
+    """
     leaves = []
     stack = [(0, 0, 0)]
     while stack:
@@ -388,16 +296,23 @@ def random_nonadjacent_cube_family(rng, max_level: int = 7, max_count: int = 40,
             leaves.append((level, i, j))
     W = 1 << max_level
     order = rng.permutation(len(leaves))
+    tiles = np.array(leaves, dtype=np.int64)
+    w = W >> tiles[:, 0]
+    touch = np.ones((len(tiles), len(tiles)), dtype=bool)
+    for ax in (1, 2):
+        a0 = tiles[:, ax] * w
+        a1 = a0 + w
+        # closed intervals meet, or meet across the seam at 0 = W
+        touch &= ((a0[:, None] <= a1[None, :]) & (a0[None, :] <= a1[:, None])
+                  | (a0[:, None] == 0) & (a1[None, :] == W)
+                  | (a0[None, :] == 0) & (a1[:, None] == W))
+    blocked = np.zeros(len(tiles), dtype=bool)
     kept = []
-    kept_bounds = []
     for idx in order:
-        level, i, j = leaves[idx]
-        w = W >> level
-        box = ((i * w, (i + 1) * w), (j * w, (j + 1) * w))
-        if any(_tile_touches(box, other, W) for other in kept_bounds):
+        if blocked[idx]:
             continue
-        kept.append(DyadicCube((DyadicInterval(level, i), DyadicInterval(level, j))))
-        kept_bounds.append(box)
+        kept.append(idx)
+        blocked |= touch[idx]
         if len(kept) >= max_count:
             break
-    return kept
+    return tiles[kept]

@@ -1,12 +1,18 @@
 """Stopping-time (Calderon-Zygmund) decomposition on dyadic grids.
 
-The decomposition descends the dyadic tree breadth first and selects the
-maximal cells whose average exceeds the stopping height.  Selection is
-exact: whenever the samples are dyadic rationals with at most FRACT_BITS
-fractional bits (the corpus guarantees this for nonnegative families),
-cell sums are integer arithmetic and every comparison against the height
-is an exact rational comparison.  Otherwise float sums are used and the
-outcome is correct up to float rounding of the cell averages.
+One routine, `stopping_cells`, selects the maximal dyadic cells whose
+average exceeds the stopping height, for a batch of functions and
+several heights per function at once: it builds one level-sum pyramid
+per batch and descends the dyadic tree breadth first, keeping a running
+mask of the cells blocked by a selected ancestor.  `decompose` calls it
+with a batch of one.
+
+Selection is exact: whenever the samples are dyadic rationals with at
+most FRACT_BITS fractional bits (the corpus guarantees this for
+nonnegative families), cell sums are integer arithmetic and every
+comparison against the height is an exact rational comparison.
+Otherwise float sums are used and the outcome is correct up to float
+rounding of the cell averages.
 """
 
 from __future__ import annotations
@@ -70,35 +76,141 @@ class CZDecomposition:
 
 
 def _exact_scaled(work: np.ndarray):
-    """Samples as int64 at 2**FRACT_BITS, or None when not representable."""
+    """Samples as int64 at 2**FRACT_BITS, and which rows are representable.
+
+    A row is representable when every sample is finite, on the grid and
+    below 2**53 once scaled; its unrepresentable entries read 0.
+    """
     scaled = work * float(1 << FRACT_BITS)
-    if not np.all(np.isfinite(scaled)):
-        return None
-    rounded = np.round(scaled)
-    if not np.array_equal(scaled, rounded):
-        return None
-    if np.any(np.abs(rounded) >= float(1 << 53)):
-        return None
-    return rounded.astype(np.int64)
+    rounded = np.rint(scaled)
+    # NaN fails the equality, an infinity the size bound
+    ok = scaled == rounded
+    ok &= np.abs(rounded, out=scaled) < float(1 << 53)
+    rows = ok.reshape(len(work), -1).all(axis=1)
+    if not rows.all():
+        rounded[~ok] = 0
+    return rounded.astype(np.int64), rows
 
 
 def _level_sums(finest: np.ndarray, J: int, dim: int) -> list[np.ndarray]:
-    """sums[j] = per-cell sums of the finest samples at level j."""
+    """sums[j][b] = per-cell sums of row b's finest samples at level j."""
     sums = [None] * (J + 1)
-    sums[J] = finest
-    cur = finest
+    sums[J] = cur = finest
+    B = len(finest)
     for j in range(J - 1, -1, -1):
         if dim == 1:
-            cur = cur.reshape(-1, 2).sum(axis=1)
+            cur = cur[:, 0::2] + cur[:, 1::2]
         else:
-            m = cur.shape[0] // 2
-            cur = cur.reshape(m, 2, m, 2).sum(axis=(1, 3))
+            m = cur.shape[1] // 2
+            cur = cur.reshape(B, m, 2, m, 2).sum(axis=(2, 4))
         sums[j] = cur
     return sums
 
 
+@dataclass(frozen=True)
+class StoppingCells:
+    """Maximal bad cells of a batch of functions, each at several heights.
+
+    One entry per selected cell, ordered by level, then row, height
+    column and index.  `index` is the cell's index within its level, in
+    C order for dim 2: cube (i, j) of level l has index i * 2**l + j.
+    """
+
+    exact: np.ndarray  # (B,) bool: every comparison of the row was exact
+    row: np.ndarray
+    col: np.ndarray  # which of the row's heights selected the cell
+    level: np.ndarray
+    index: np.ndarray
+
+
+def stopping_cells(work: np.ndarray, dim: int, heights) -> StoppingCells:
+    """Stopping-time selection for a batch of functions at once.
+
+    `work` holds magnitudes, shape (B, n) for dim 1 or (B, n, n) for
+    dim 2; `heights` holds B equal-length sequences of positive heights,
+    one per row.  A row takes the exact integer path when its samples
+    lie on the 2**-FRACT_BITS grid and its heights have denominators of
+    at most _DEN_CAP, else the float path.  Each path builds one
+    level-sum pyramid for its rows and descends it once, selecting at
+    every height together; a running mask blocks the cells below a
+    selected ancestor, so every selected cell is maximal.
+
+    Raises HeightTooLowError when a row's mean exceeds one of its
+    heights, since the root cell would then already be selected and
+    nothing is maximal, and OverflowError when the exact comparisons
+    would leave int64.
+    """
+    J = work.shape[1].bit_length() - 1
+    heights = [[Fraction(h) for h in hs] for hs in heights]
+    ints, on_grid = _exact_scaled(work)
+    exact = on_grid & np.array(
+        [max(h.denominator for h in hs) <= _DEN_CAP for hs in heights], dtype=bool)
+    parts = []
+    for path in (True, False):
+        rows = np.flatnonzero(exact == path)
+        if rows.size:
+            finest = ints[rows] if path else work[rows].astype(np.float64)
+            r, c, lv, ix = _select(finest, [heights[i] for i in rows], dim, J, path)
+            parts.append((rows[r], c, lv, ix))
+    row, col, level, index = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((index, col, row, level))
+    return StoppingCells(exact, row[order], col[order], level[order], index[order])
+
+
+def _select(finest, heights, dim: int, J: int, exact: bool):
+    """(row, col, level, index) of the maximal cells over each height."""
+    sums = _level_sums(finest, J, dim)
+    shape = (len(finest), len(heights[0])) + (1,) * dim
+    if exact:
+        num = [h.numerator for hs in heights for h in hs]
+        den = [h.denominator for hs in heights for h in hs]
+        # int64 budget: sums * den and num * 2**(FRACT_BITS + dim*(J-j))
+        # must stay below 2**62; both peak at the root
+        if (max(num).bit_length() + dim * J + FRACT_BITS >= 62
+                or int(sums[0].max(initial=0)).bit_length()
+                + max(den).bit_length() >= 62):
+            raise OverflowError("exact comparison budget exceeded")
+        num = np.array(num, dtype=np.int64).reshape(shape)
+        den = np.array(den, dtype=np.int64).reshape(shape)
+
+        def over(sums_j, j):
+            # sum * den > num * n_cell * 2**FRACT_BITS; for an integer sum
+            # that is sum > floor(num * n_cell * 2**FRACT_BITS / den)
+            return sums_j[:, None] > (num << (dim * (J - j) + FRACT_BITS)) // den
+    else:
+        h = np.array([float(h) for hs in heights for h in hs]).reshape(shape)
+
+        def over(sums_j, j):
+            return sums_j[:, None] > h * float(1 << (dim * (J - j)))
+
+    root = over(sums[0], 0)
+    if root.any():
+        r, c = np.argwhere(root.reshape(shape[:2]))[0]
+        mean = float(sums[0][r].sum()) / (1 << dim * J)
+        if exact:
+            mean /= 1 << FRACT_BITS
+        raise HeightTooLowError(
+            f"mean {mean:.6g} exceeds stopping height {float(heights[r][c]):.6g}")
+
+    empty = np.zeros(0, dtype=np.int64)
+    found = [(empty, empty, empty, empty)]
+    alive = np.ones(shape, dtype=bool)
+    for j in range(1, J + 1):
+        for axis in range(2, 2 + dim):
+            alive = alive.repeat(2, axis=axis)
+        bad = alive & over(sums[j], j)
+        # one flat scan: C order makes the flat index within a row of
+        # level j the cell's index
+        rc, index = np.divmod(np.flatnonzero(bad), 1 << (dim * j))
+        r, c = np.divmod(rc, shape[1])
+        found.append((r, c, np.full(r.size, j, dtype=np.int64), index))
+        alive &= ~bad
+    return (np.concatenate(a) for a in zip(*found))
+
+
 def decompose(f: GridFunction, lam: float, height_scale: float = 1.0) -> CZDecomposition:
-    """Decompose |f| at height lam * height_scale.
+    """Decompose |f| at height lam * height_scale: `stopping_cells` with
+    a batch of one.
 
     Raises HeightTooLowError if the mean of |f| exceeds the height, since
     the root cell would then already be selected and nothing is maximal.
@@ -106,64 +218,20 @@ def decompose(f: GridFunction, lam: float, height_scale: float = 1.0) -> CZDecom
     if lam <= 0 or height_scale <= 0:
         raise ValueError("height must be positive")
     height = Fraction(lam) * Fraction(height_scale)
-    work = np.abs(f.samples)
-    if np.iscomplexobj(work):
-        work = work.real
-    d, J = f.dim, f.J
-
-    ints = _exact_scaled(work)
-    exact = ints is not None and height.denominator <= _DEN_CAP
-    if exact:
-        sums = _level_sums(ints, J, d)
-        num, den = height.numerator, height.denominator
-        # threshold at level j: sum > height * n_cell * 2**FRACT_BITS
-        def is_bad(sums_j, j):
-            n_cell_bits = d * (J - j) + FRACT_BITS
-            if num.bit_length() + n_cell_bits >= 62 or (
-                int(sums_j.max(initial=0)).bit_length() + den.bit_length() >= 62
-            ):
-                raise OverflowError("exact comparison budget exceeded")
-            return sums_j * den > num << n_cell_bits
+    cells = stopping_cells(np.abs(f.samples)[None], f.dim, [[height]])
+    found = zip(cells.level.tolist(), cells.index.tolist())
+    if f.dim == 1:
+        bad = tuple(DyadicInterval(j, k) for j, k in found)
     else:
-        sums = _level_sums(work.astype(np.float64), J, d)
-        h = float(height)
-
-        def is_bad(sums_j, j):
-            n_cell = float(1 << (d * (J - j)))
-            return sums_j > h * n_cell
-
-    if is_bad(sums[0].reshape(1), 0)[0]:
-        raise HeightTooLowError(
-            f"mean {work.mean():.6g} exceeds stopping height {float(height):.6g}"
-        )
-
-    bad = []
-    if d == 1:
-        alive = np.ones(1, dtype=bool)
-        for j in range(1, J + 1):
-            alive = np.repeat(alive, 2)
-            bad_j = alive & is_bad(sums[j], j)
-            for k in np.nonzero(bad_j)[0]:
-                bad.append(DyadicInterval(j, int(k)))
-            alive &= ~bad_j
-    else:
-        alive = np.ones((1, 1), dtype=bool)
-        for j in range(1, J + 1):
-            alive = np.repeat(np.repeat(alive, 2, axis=0), 2, axis=1)
-            bad_j = alive & is_bad(sums[j], j)
-            for k1, k2 in zip(*np.nonzero(bad_j)):
-                bad.append(
-                    DyadicCube((DyadicInterval(j, int(k1)), DyadicInterval(j, int(k2))))
-                )
-            alive &= ~bad_j
-
+        bad = tuple(DyadicCube(tuple(DyadicInterval(j, i) for i in divmod(k, 1 << j)))
+                    for j, k in found)
     return CZDecomposition(
         source=f,
         height=height,
         lam=float(lam),
         height_scale=float(height_scale),
-        bad=tuple(bad),
-        exact=exact,
+        bad=bad,
+        exact=bool(cells.exact[0]),
     )
 
 

@@ -3,9 +3,11 @@
 Everything here is integer arithmetic.  The torus [0, 1) is modelled at a
 global power-of-two scale S = 2**(j_max + 4); the extra 4 bits guarantee
 that every supported dilation factor (9/8, 2, 3, 4, 9/2, 5) of a dyadic
-interval of level <= j_max has integer endpoints at scale S.  Arcs are
-half-open [lo, hi) with 0 <= lo < S and 0 < hi - lo <= S; an arc that
-wraps past 1 is represented with hi > S, never split in two.
+interval of level <= j_max has integer endpoints at scale S.  The
+factors live in an integer table of (p, q) pairs, so a dilation is
+integer arithmetic, on one interval or on arrays of levels and indices.
+Arcs are half-open [lo, hi) with 0 <= lo < S and 0 < hi - lo <= S; an
+arc that wraps past 1 is represented with hi > S, never split in two.
 
 Derived rational quantities (measures, distances) are returned as
 fractions.Fraction values, so callers can compare them exactly.
@@ -16,17 +18,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 DEFAULT_J_MAX = 14
 _SCALE_BITS = 4  # 9/8 dilation needs 3 extra bits, one more for headroom
 
-SUPPORTED_FACTORS = (
-    Fraction(9, 8),
-    Fraction(2),
-    Fraction(3),
-    Fraction(4),
-    Fraction(9, 2),
-    Fraction(5),
-)
+# every supported dilation factor as p / q with q dividing 8, so that
+# p * (S >> level) / q is an integer for every level <= j_max
+SUPPORTED_FACTORS = {
+    Fraction(9, 8): (9, 8),
+    Fraction(2): (2, 1),
+    Fraction(3): (3, 1),
+    Fraction(4): (4, 1),
+    Fraction(9, 2): (9, 2),
+    Fraction(5): (5, 1),
+}
 
 
 class ResolutionExceededError(ValueError):
@@ -45,11 +51,12 @@ def scale_for(j_max: int = DEFAULT_J_MAX) -> int:
     return 1 << (j_max + _SCALE_BITS)
 
 
-def _as_factor(c) -> Fraction:
-    f = Fraction(c)
-    if f not in SUPPORTED_FACTORS:
-        raise InvalidFactorError(f"unsupported dilation factor {c!r}")
-    return f
+def _factor(c) -> tuple[int, int]:
+    """(p, q) of a supported factor c = p / q, read from the table."""
+    try:
+        return SUPPORTED_FACTORS[c]
+    except (KeyError, TypeError):
+        raise InvalidFactorError(f"unsupported dilation factor {c!r}") from None
 
 
 @dataclass(frozen=True)
@@ -159,35 +166,34 @@ def interval_to_scaled(iv: DyadicInterval, j_max: int = DEFAULT_J_MAX) -> Scaled
     return ScaledInterval(lo, hi, scale_for(j_max))
 
 
+def dilate_units(level, index, c, j_max: int = DEFAULT_J_MAX):
+    """(lo, length) of the concentric c-dilates of dyadic intervals.
+
+    Works elementwise on integer arrays of levels and indices as on
+    ints.  The length is min(1, c * measure) and lo the left end mod 1,
+    both at scale 2**(j_max+4); the factor comes from the integer table,
+    so the arithmetic is exact.
+    """
+    p, q = _factor(c)
+    if np.max(level) > j_max:
+        raise ResolutionExceededError(
+            f"level {np.max(level)} exceeds resolution cap {j_max}"
+        )
+    S = scale_for(j_max)
+    w = S >> level
+    length = np.minimum(w * p // q, S)  # exact: q divides w
+    lo = ((2 * index + 1) * w - length) // 2 % S  # doubled center minus length
+    return lo, length
+
+
 def dilate(iv: DyadicInterval, c, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
     """Concentric dilation c * I, capped at full-torus length.
 
     The midpoint is preserved exactly; the result length is
     min(1, c * measure(I)) at scale 2**(j_max+4).
     """
-    f = _as_factor(c)
-    if iv.level > j_max:
-        raise ResolutionExceededError(
-            f"level {iv.level} exceeds resolution cap {j_max}"
-        )
-    S = scale_for(j_max)
-    w = S >> iv.level
-    new_len = min(int(f * w), S)  # exact: denominator of f divides w
-    center2 = (2 * iv.index + 1) * w  # doubled center
-    lo = ((center2 - new_len) // 2) % S
-    return ScaledInterval(lo, lo + new_len, S)
-
-
-def dilate_scaled(arc: ScaledInterval, c: int) -> ScaledInterval:
-    """Integer concentric dilation of an already-scaled arc."""
-    if c < 1:
-        raise InvalidFactorError(f"bad factor {c}")
-    new_len = min(c * arc.length_units, arc.scale)
-    lo2 = (arc.lo + arc.hi) - new_len  # doubled lo
-    if lo2 % 2 != 0:
-        raise InvalidFactorError("dilation would leave the integer grid")
-    lo = (lo2 // 2) % arc.scale
-    return ScaledInterval(lo, lo + new_len, arc.scale)
+    lo, length = dilate_units(iv.level, iv.index, c, j_max)
+    return ScaledInterval(int(lo), int(lo + length), scale_for(j_max))
 
 
 def gap_units(alo: int, ahi: int, blo: int, bhi: int, S: int) -> int:
@@ -225,30 +231,8 @@ def adjacent(a: DyadicInterval, b: DyadicInterval, j_max: int = DEFAULT_J_MAX) -
     return (sa.hi % sa.scale) == sb.lo or (sb.hi % sb.scale) == sa.lo
 
 
-def merged_segments(arcs) -> list[tuple[int, int]]:
-    """Union of arcs as sorted disjoint linear segments in [0, scale)."""
-    segs = []
-    scale = None
-    for arc in arcs:
-        if scale is None:
-            scale = arc.scale
-        elif arc.scale != scale:
-            raise ValueError("scale mismatch")
-        segs.extend(arc.segments())
-    if not segs:
-        return []
-    segs.sort()
-    out = [list(segs[0])]
-    for lo, hi in segs[1:]:
-        if lo <= out[-1][1]:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [(lo, hi) for lo, hi in out]
-
-
 # ---------------------------------------------------------------------------
-# cubes / boxes
+# cubes
 
 @dataclass(frozen=True)
 class DyadicCube:
@@ -291,25 +275,6 @@ def _product_indices(d: int):
         yield tuple((mask >> i) & 1 for i in range(d))
 
 
-@dataclass(frozen=True)
-class ScaledBox:
-    axes: tuple[ScaledInterval, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def measure(self) -> Fraction:
-        m = Fraction(1)
-        for arc in self.axes:
-            m *= arc.measure
-        return m
-
-    def contains_box(self, other: "ScaledBox") -> bool:
-        return all(a.contains_arc(b) for a, b in zip(self.axes, other.axes))
-
-
 def cubes_disjoint(a: DyadicCube, b: DyadicCube) -> bool:
     """Products of half-open intervals are disjoint iff some axis pair is."""
     if a.dim != b.dim:
@@ -327,11 +292,3 @@ def cube_adjacent(a: DyadicCube, b: DyadicCube, j_max: int = DEFAULT_J_MAX) -> b
         if torus_distance(sx, sy) > 0:
             return False
     return True
-
-
-def dilate_cube(q: DyadicCube, c, j_max: int = DEFAULT_J_MAX) -> ScaledBox:
-    return ScaledBox(tuple(dilate(iv, c, j_max) for iv in q.axes))
-
-
-def dilate_box(box: ScaledBox, c: int) -> ScaledBox:
-    return ScaledBox(tuple(dilate_scaled(arc, c) for arc in box.axes))

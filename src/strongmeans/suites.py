@@ -6,6 +6,13 @@ run summarizes thousands of trials.  Comparisons the theory states
 exactly (stopping heights, measures, reassembly, set containments) run
 in integer arithmetic on the 24-bit sample grid; nothing here trusts a
 float tolerance.
+
+The 1-d decomposition battery works on blocks of BLOCK trials: one
+`czd.stopping_cells` call selects the bad cells of the whole block at
+lam and 2 lam, and `czd_block_checks` checks them on the whole block.
+The covering battery draws every family of one kind, then checks them
+as one batch of integer arrays.  Neither changes the order of the
+random draws.
 """
 
 from __future__ import annotations
@@ -24,11 +31,22 @@ from .covering import (
     verify_covering,
     verify_covering_cubes,
 )
-from .czd import FRACT_BITS, bad_part, decompose, good_part
+from .czd import (
+    FRACT_BITS,
+    StoppingCells,
+    bad_part,
+    decompose,
+    good_part,
+    stopping_cells,
+)
 
 # lambda draws live on this grid so the stopping height stays a dyadic
 # rational and every decomposition takes the exact integer path
 _LAM_DEN = 64
+# 1-d czd trials per block: one pyramid per block.  Peak memory grows
+# with the block; 64 trials at J = 12 stay under what the 2-d density
+# run needs anyway.
+BLOCK = 64
 
 
 @dataclass
@@ -71,16 +89,106 @@ def _draw_function(rng, J: int, t: int):
     return corpus.abs_noise(J, rng)
 
 
-def _cell_sums(csum: np.ndarray, idx: np.ndarray, w: int) -> np.ndarray:
-    return csum[(idx + 1) * w] - csum[idx * w]
+def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells):
+    """Every exact invariant of a block of 1-d decompositions.
+
+    `samples` holds one function per row, `lams` one height per row, and
+    `cells` the selection at lam (height column 0) and 2 lam (column 1).
+    Returns (check name -> bool per row, bad cells at lam per row).  The
+    checks recompute every cell and parent sum from a per-row cumulative
+    sum and every covered sample from the cells' endpoints, so they do
+    not trust the pyramid that selected the cells.  Raises
+    OverflowError when the exact comparisons would leave int64.
+    """
+    B, n = samples.shape
+    J = n.bit_length() - 1
+    lamF = [Fraction(x) for x in lams]
+    scaled = np.real(samples) * float(1 << FRACT_BITS)
+    rounded = np.rint(scaled)
+    on_grid = np.all(rounded == scaled, axis=1)
+    absu = np.abs(rounded, out=rounded).astype(np.int64)  # |samples| in units
+    # int64 budget: 2 * lam * n * 2**FRACT_BITS and sum|units| * den
+    # must stay below 2**62
+    if (max(x.numerator for x in lamF).bit_length() + J + FRACT_BITS + 1 >= 62
+            or int(absu.sum(axis=1).max()).bit_length()
+            + max(x.denominator for x in lamF).bit_length() >= 62):
+        raise OverflowError("exact comparison budget exceeded")
+    num = np.array([x.numerator for x in lamF], dtype=np.int64)
+    den = np.array([x.denominator for x in lamF], dtype=np.int64)
+    csum = np.zeros((B, n + 1), dtype=np.int64)
+    np.cumsum(absu, axis=1, out=csum[:, 1:])
+    checks = {
+        "exact_input": on_grid,
+        "exact_path": cells.exact.copy(),
+    }
+
+    def spans(col):
+        sel = cells.col == col
+        row, level, idx = cells.row[sel], cells.level[sel], cells.index[sel]
+        w = n >> level
+        return row, idx, w, idx * w, (idx + 1) * w
+
+    def cover(row, lo, hi):
+        """Samples inside some cell, marked from the cells' endpoints."""
+        mask = np.zeros(B * n, dtype=bool)
+        size = hi - lo
+        first = np.repeat(row * n + lo - np.cumsum(size) + size, size)
+        mask[first + np.arange(size.sum())] = True
+        return mask.reshape(B, n)
+
+    def rows_where_all(row, ok):
+        out = np.ones(B, dtype=bool)
+        out[row[~ok]] = False
+        return out
+
+    row, idx, w, lo, hi = spans(0)
+    order = np.lexsort((lo, row))
+    r, a, b = row[order], lo[order], hi[order]
+    clash = (r[1:] == r[:-1]) & (b[:-1] > a[1:])
+    checks["disjoint"] = rows_where_all(r[1:], ~clash)
+
+    sums = csum[row, hi] - csum[row, lo]
+    height = num[row] * (w << FRACT_BITS)  # lam * cell volume, scaled
+    d = den[row]
+    checks["height_window"] = rows_where_all(
+        row, (sums * d > height) & (sums * d <= 2 * height))
+    # parent average must sit at or below the height, else the stopping
+    # time would have selected the parent instead
+    plo = (idx >> 1) * (2 * w)
+    psums = csum[row, plo + 2 * w] - csum[row, plo]
+    checks["parents_not_selected"] = rows_where_all(row, psums * d <= 2 * height)
+
+    covered = np.zeros(B, dtype=np.int64)
+    np.add.at(covered, row, hi - lo)
+    # |bad set| = covered / n <= ||f||_1 / lam = sum|units| / (n 2**FRACT_BITS lam)
+    checks["mass_bound"] = covered * (num << FRACT_BITS) <= absu.sum(axis=1) * den
+
+    mask = cover(row, lo, hi)
+    off_max = np.max(absu, axis=1, where=~mask, initial=0)
+    checks["bounded_off_bad"] = off_max * den <= num << FRACT_BITS
+
+    parts = np.where(mask, 0, samples)  # good part
+    np.add(parts, samples, out=parts, where=mask)  # plus bad part
+    checks["reassembly"] = np.all(parts == samples, axis=1)
+
+    row2, _, _, lo2, hi2 = spans(1)
+    checks["lam_monotone"] = np.all(mask | ~cover(row2, lo2, hi2), axis=1)
+    return checks, np.bincount(row, minlength=B)
 
 
-def czd_invariants(f, lam: float) -> tuple[dict, int]:
-    """Run the full exact-invariant battery on one (f, lam) pair.
+def czd_block_invariants(samples: np.ndarray, lams):
+    """Select the bad cells of a block of 1-d functions at lam and 2 lam
+    in one pass, then run `czd_block_checks` on them."""
+    heights = [(Fraction(x), 2 * Fraction(x)) for x in lams]
+    cells = stopping_cells(np.abs(samples), 1, heights)
+    return czd_block_checks(samples, lams, cells)
 
-    Returns (check name -> bool, number of bad cells).  Requires samples
-    on the 24-bit grid and a height with a small dyadic denominator;
-    both are guaranteed by the corpus and the suite's lambda draw.
+
+def cube_invariants(f, lam: float) -> tuple[dict, int]:
+    """The exact-invariant battery on one 2-d (f, lam) pair.
+
+    Returns (check name -> bool, number of bad cubes).  Requires samples
+    on the 24-bit grid and a height with a small dyadic denominator.
     """
     lamF = Fraction(lam)
     num, den = lamF.numerator, lamF.denominator
@@ -94,84 +202,50 @@ def czd_invariants(f, lam: float) -> tuple[dict, int]:
     cz = decompose(f, lam)
     checks["exact_path"] = cz.exact
 
-    if f.dim == 1:
-        csum = np.concatenate(([0], np.cumsum(np.abs(units))))
-        spans = sorted((iv.index << (f.J - iv.level),
-                        (iv.index + 1) << (f.J - iv.level)) for iv in cz.bad)
-        checks["disjoint"] = all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+    absu = np.abs(units)
+    csum2 = np.zeros((n + 1, n + 1), dtype=np.int64)
+    csum2[1:, 1:] = absu.cumsum(axis=0).cumsum(axis=1)
 
-        window = True
-        maximal = True
-        by_level = {}
-        for iv in cz.bad:
-            by_level.setdefault(iv.level, []).append(iv.index)
-        for j, idxs in by_level.items():
-            idx = np.asarray(idxs, dtype=np.int64)
-            w = n >> j
-            sums = _cell_sums(csum, idx, w)
-            height_units = num * (w << FRACT_BITS)  # lam * cell volume, scaled
-            window &= bool(np.all(sums * den > height_units))
-            window &= bool(np.all(sums * den <= 2 * height_units))
-            # parent average must sit at or below the height, else the
-            # stopping time would have selected the parent instead
-            psums = _cell_sums(csum, idx >> 1, 2 * w)
-            maximal &= bool(np.all(psums * den <= 2 * height_units))
-        checks["height_window"] = window
-        checks["parents_not_selected"] = maximal
+    def box_sum(i0, i1, j0, j1):
+        return int(csum2[i1, j1] - csum2[i0, j1] - csum2[i1, j0] + csum2[i0, j0])
 
-        total = Fraction(sum(hi - lo for lo, hi in spans), n)
-        l1 = Fraction(int(np.abs(units).sum()), n << FRACT_BITS)
-        checks["mass_bound"] = total <= l1 / lamF
+    disjoint = True
+    cells = []
+    for q in cz.bad:
+        w = n >> q.level
+        i0, j0 = q.axes[0].index * w, q.axes[1].index * w
+        cells.append((i0, i0 + w, j0, j0 + w))
+    for a in range(len(cells)):
+        for b in range(a + 1, len(cells)):
+            A, B = cells[a], cells[b]
+            if A[0] < B[1] and B[0] < A[1] and A[2] < B[3] and B[2] < A[3]:
+                disjoint = False
+    checks["disjoint"] = disjoint
 
-        mask = cz.bad_mask()
-        lam_units = Fraction(num << FRACT_BITS, den)
-        off = np.abs(units[~mask])
-        checks["bounded_off_bad"] = off.size == 0 or Fraction(int(off.max())) <= lam_units
-    else:
-        absu = np.abs(units)
-        csum2 = np.zeros((n + 1, n + 1), dtype=np.int64)
-        csum2[1:, 1:] = absu.cumsum(axis=0).cumsum(axis=1)
+    window = True
+    maximal = True
+    for i0, i1, j0, j1 in cells:
+        w = i1 - i0
+        s = box_sum(i0, i1, j0, j1)
+        height_units = num * ((w * w) << FRACT_BITS)
+        window &= s * den > height_units
+        window &= s * den <= 4 * height_units  # 2**d with d=2
+        pw = 2 * w
+        pi, pj = (i0 // pw) * pw, (j0 // pw) * pw
+        ps = box_sum(pi, pi + pw, pj, pj + pw)
+        maximal &= ps * den <= num * ((pw * pw) << FRACT_BITS)
+    checks["height_window"] = window
+    checks["parents_not_selected"] = maximal
 
-        def box_sum(i0, i1, j0, j1):
-            return int(csum2[i1, j1] - csum2[i0, j1] - csum2[i1, j0] + csum2[i0, j0])
+    total = Fraction(sum((i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in cells),
+                     n * n)
+    l1 = Fraction(int(absu.sum()), (n * n) << FRACT_BITS)
+    checks["mass_bound"] = total <= l1 / lamF
 
-        disjoint = True
-        cells = []
-        for q in cz.bad:
-            w = n >> q.level
-            i0, j0 = q.axes[0].index * w, q.axes[1].index * w
-            cells.append((i0, i0 + w, j0, j0 + w))
-        for a in range(len(cells)):
-            for b in range(a + 1, len(cells)):
-                A, B = cells[a], cells[b]
-                if A[0] < B[1] and B[0] < A[1] and A[2] < B[3] and B[2] < A[3]:
-                    disjoint = False
-        checks["disjoint"] = disjoint
-
-        window = True
-        maximal = True
-        for i0, i1, j0, j1 in cells:
-            w = i1 - i0
-            s = box_sum(i0, i1, j0, j1)
-            height_units = num * ((w * w) << FRACT_BITS)
-            window &= s * den > height_units
-            window &= s * den <= 4 * height_units  # 2**d with d=2
-            pw = 2 * w
-            pi, pj = (i0 // pw) * pw, (j0 // pw) * pw
-            ps = box_sum(pi, pi + pw, pj, pj + pw)
-            maximal &= ps * den <= num * ((pw * pw) << FRACT_BITS)
-        checks["height_window"] = window
-        checks["parents_not_selected"] = maximal
-
-        total = Fraction(sum((i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in cells),
-                         n * n)
-        l1 = Fraction(int(absu.sum()), (n * n) << FRACT_BITS)
-        checks["mass_bound"] = total <= l1 / lamF
-
-        mask = cz.bad_mask()
-        lam_units = Fraction(num << FRACT_BITS, den)
-        off = absu[~mask]
-        checks["bounded_off_bad"] = off.size == 0 or Fraction(int(off.max())) <= lam_units
+    mask = cz.bad_mask()
+    lam_units = Fraction(num << FRACT_BITS, den)
+    off = absu[~mask]
+    checks["bounded_off_bad"] = off.size == 0 or Fraction(int(off.max())) <= lam_units
 
     g = good_part(cz)
     b = bad_part(cz)
@@ -183,23 +257,38 @@ def czd_invariants(f, lam: float) -> tuple[dict, int]:
 
 
 def czd_suite(trials: int, J: int = 12, seed: int = 0, dim: int = 1) -> SuiteResult:
-    """Randomized decomposition battery: zero failures expected."""
+    """Randomized decomposition battery: zero failures expected.
+
+    Each trial draws a function, then a height.  In 1-d the trials run
+    in blocks of BLOCK through `czd_block_invariants`; in 2-d one at a
+    time through `cube_invariants`.
+    """
     rng = np.random.default_rng(seed)
     failures: dict = {}
     bad_counts = 0
     t0 = time.perf_counter()
-    for t in range(trials):
+    for start in range(0, trials, BLOCK):
+        block = range(start, min(start + BLOCK, trials))
         if dim == 1:
-            f = _draw_function(rng, J, t)
+            samples, lams = [], []
+            for t in block:
+                samples.append(_draw_function(rng, J, t).samples)
+                lams.append(_draw_lam(rng))
+            checks, n_bad = czd_block_invariants(np.stack(samples), lams)
+            bad_counts += int(n_bad.sum())
+            fails = {name: int(np.count_nonzero(~ok)) for name, ok in checks.items()}
         else:
-            f = (corpus.tensor_multi_spike(J, int(rng.integers(2, 17)), rng)
-                 if t % 2 == 0 else corpus.tensor_trig(J, rng))
-        lam = _draw_lam(rng)
-        checks, n_bad = czd_invariants(f, lam)
-        for name, ok in checks.items():
-            if not ok:
-                failures[name] = failures.get(name, 0) + 1
-        bad_counts += n_bad
+            fails = {}
+            for t in block:
+                f = (corpus.tensor_multi_spike(J, int(rng.integers(2, 17)), rng)
+                     if t % 2 == 0 else corpus.tensor_trig(J, rng))
+                checks, n_bad = cube_invariants(f, _draw_lam(rng))
+                bad_counts += n_bad
+                for name, ok in checks.items():
+                    fails[name] = fails.get(name, 0) + (not ok)
+        for name, count in fails.items():
+            if count:
+                failures[name] = failures.get(name, 0) + count
     elapsed = time.perf_counter() - t0
     return SuiteResult(
         suite=f"czd-{dim}d",
@@ -217,18 +306,18 @@ def covering_suite(trials_1d: int, trials_2d: int, seed: int = 0,
     failures = {"containment_1d": 0, "containment_2d": 0}
     components = 0
     t0 = time.perf_counter()
-    for _ in range(trials_1d):
-        fam = random_nonadjacent_family(rng, max_level=max_level_1d, max_count=64)
-        rep = verify_covering(fam, j_max=max_level_1d, validate=False)
-        if not rep.holds:
-            failures["containment_1d"] += 1
-        components += rep.components
-    for _ in range(trials_2d):
-        fam = random_nonadjacent_cube_family(rng, max_level=max_level_2d)
-        rep = verify_covering_cubes(fam, j_max=max_level_2d, validate=False)
-        if not rep.holds:
-            failures["containment_2d"] += 1
-        components += rep.components
+    # the checks draw nothing, so each kind's families are drawn first
+    # and checked as one batch
+    fams = [random_nonadjacent_family(rng, max_level=max_level_1d, max_count=64)
+            for _ in range(trials_1d)]
+    check = verify_covering(fams, j_max=max_level_1d)
+    failures["containment_1d"] = int(np.count_nonzero(~check.holds))
+    components += int(check.components.sum())
+    cubes = [random_nonadjacent_cube_family(rng, max_level=max_level_2d)
+             for _ in range(trials_2d)]
+    check = verify_covering_cubes(cubes, j_max=max_level_2d)
+    failures["containment_2d"] = int(np.count_nonzero(~check.holds))
+    components += int(check.components.sum())
     elapsed = time.perf_counter() - t0
     return SuiteResult(
         suite="covering",

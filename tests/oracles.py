@@ -14,18 +14,28 @@ import csv
 import io
 import math
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from strongmeans import spectral
 from strongmeans.covering import NINE_EIGHTHS
+from strongmeans.czd import FRACT_BITS, bad_part, decompose, good_part
 from strongmeans.dyadic import (
     DEFAULT_J_MAX,
+    SUPPORTED_FACTORS,
+    DyadicCube,
     DyadicInterval,
+    InvalidFactorError,
+    ScaledInterval,
     adjacent,
+    cube_adjacent,
+    cubes_disjoint,
     dilate,
+    gap_units,
     intervals_disjoint,
+    scale_for,
     torus_distance,
 )
 from strongmeans.grid import GridFunction
@@ -231,3 +241,362 @@ def csv_differences(fresh_text: str, ref_text: str, rtol: float = 1e-12) -> list
         if len(frow) != len(rrow):
             diffs.append(f"row {i}: {len(frow)} cells, reference {len(rrow)}")
     return diffs
+
+
+# ---------------------------------------------------------------------------
+# stopping-time battery
+
+
+def czd_invariants(f, lam: float) -> tuple[dict, int]:
+    """The exact-invariant battery on one 1-d (f, lam) pair, one
+    decomposition and one Fraction at a time.
+
+    Returns (check name -> bool, number of bad cells).  The batched
+    `strongmeans.suites.czd_block_checks` must agree with it check by
+    check and count by count.
+    """
+    lamF = Fraction(lam)
+    num, den = lamF.numerator, lamF.denominator
+    n = 1 << f.J
+    units = np.round(np.real(f.samples) * (1 << FRACT_BITS)).astype(np.int64)
+    checks = {}
+    checks["exact_input"] = bool(
+        np.array_equal(units / (1 << FRACT_BITS), np.real(f.samples))
+    )
+
+    cz = decompose(f, lam)
+    checks["exact_path"] = cz.exact
+
+    csum = np.concatenate(([0], np.cumsum(np.abs(units))))
+    spans = sorted((iv.index << (f.J - iv.level),
+                    (iv.index + 1) << (f.J - iv.level)) for iv in cz.bad)
+    checks["disjoint"] = all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
+
+    window = True
+    maximal = True
+    by_level = {}
+    for iv in cz.bad:
+        by_level.setdefault(iv.level, []).append(iv.index)
+    for j, idxs in by_level.items():
+        idx = np.asarray(idxs, dtype=np.int64)
+        w = n >> j
+        sums = csum[(idx + 1) * w] - csum[idx * w]
+        height_units = num * (w << FRACT_BITS)  # lam * cell volume, scaled
+        window &= bool(np.all(sums * den > height_units))
+        window &= bool(np.all(sums * den <= 2 * height_units))
+        # parent average must sit at or below the height, else the
+        # stopping time would have selected the parent instead
+        psums = csum[((idx >> 1) + 1) * 2 * w] - csum[(idx >> 1) * 2 * w]
+        maximal &= bool(np.all(psums * den <= 2 * height_units))
+    checks["height_window"] = window
+    checks["parents_not_selected"] = maximal
+
+    total = Fraction(sum(hi - lo for lo, hi in spans), n)
+    l1 = Fraction(int(np.abs(units).sum()), n << FRACT_BITS)
+    checks["mass_bound"] = total <= l1 / lamF
+
+    mask = cz.bad_mask()
+    lam_units = Fraction(num << FRACT_BITS, den)
+    off = np.abs(units[~mask])
+    checks["bounded_off_bad"] = off.size == 0 or Fraction(int(off.max())) <= lam_units
+
+    g = good_part(cz)
+    b = bad_part(cz)
+    checks["reassembly"] = bool(np.array_equal(g.samples + b.samples, f.samples))
+
+    mask2 = decompose(f, 2 * lam).bad_mask()
+    checks["lam_monotone"] = bool(np.all(mask | ~mask2))
+    return checks, len(cz.bad)
+
+
+# ---------------------------------------------------------------------------
+# arc and box helpers of the covering references
+
+
+def dilate_scaled(arc: ScaledInterval, c: int) -> ScaledInterval:
+    """Integer concentric dilation of an already-scaled arc."""
+    if c < 1:
+        raise InvalidFactorError(f"bad factor {c}")
+    new_len = min(c * arc.length_units, arc.scale)
+    lo2 = (arc.lo + arc.hi) - new_len  # doubled lo
+    if lo2 % 2 != 0:
+        raise InvalidFactorError("dilation would leave the integer grid")
+    lo = (lo2 // 2) % arc.scale
+    return ScaledInterval(lo, lo + new_len, arc.scale)
+
+
+def merged_segments(arcs) -> list[tuple[int, int]]:
+    """Union of arcs as sorted disjoint linear segments in [0, scale)."""
+    segs = []
+    scale = None
+    for arc in arcs:
+        if scale is None:
+            scale = arc.scale
+        elif arc.scale != scale:
+            raise ValueError("scale mismatch")
+        segs.extend(arc.segments())
+    if not segs:
+        return []
+    segs.sort()
+    out = [list(segs[0])]
+    for lo, hi in segs[1:]:
+        if lo <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return [(lo, hi) for lo, hi in out]
+
+
+@dataclass(frozen=True)
+class ScaledBox:
+    axes: tuple[ScaledInterval, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
+
+    @property
+    def measure(self) -> Fraction:
+        m = Fraction(1)
+        for arc in self.axes:
+            m *= arc.measure
+        return m
+
+    def contains_box(self, other: "ScaledBox") -> bool:
+        return all(a.contains_arc(b) for a, b in zip(self.axes, other.axes))
+
+
+def dilate_cube(q: DyadicCube, c, j_max: int = DEFAULT_J_MAX) -> ScaledBox:
+    return ScaledBox(tuple(dilate(iv, c, j_max) for iv in q.axes))
+
+
+def dilate_box(box: ScaledBox, c: int) -> ScaledBox:
+    return ScaledBox(tuple(dilate_scaled(arc, c) for arc in box.axes))
+
+
+# ---------------------------------------------------------------------------
+# covering references: ScaledInterval objects and Fraction factors
+
+
+def fraction_dilate(iv, c, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
+    """c * I at scale 2**(j_max+4) with the factor as a Fraction."""
+    f = Fraction(c)
+    if f not in SUPPORTED_FACTORS:
+        raise InvalidFactorError(f"unsupported dilation factor {c!r}")
+    S = scale_for(j_max)
+    w = S >> iv.level
+    new_len = min(int(f * w), S)
+    lo = (((2 * iv.index + 1) * w - new_len) // 2) % S
+    return ScaledInterval(lo, lo + new_len, S)
+
+
+def as_intervals(family) -> list:
+    """(level, index) rows as DyadicInterval objects."""
+    return [DyadicInterval(int(j), int(k)) for j, k in family]
+
+
+def as_cubes(family) -> list:
+    """(level, i, j) rows as DyadicCube objects."""
+    return [DyadicCube((DyadicInterval(int(l), int(i)), DyadicInterval(int(l), int(j))))
+            for l, i, j in family]
+
+
+class NonadjacentInputError(ValueError):
+    """Family members must be pairwise disjoint and nonadjacent."""
+
+
+def _validate_family(family, j_max):
+    for i, a in enumerate(family):
+        for b in family[i + 1 :]:
+            if not intervals_disjoint(a, b):
+                raise NonadjacentInputError(f"{a} and {b} overlap")
+            if adjacent(a, b, j_max):
+                raise NonadjacentInputError(f"{a} and {b} are adjacent")
+
+
+@dataclass
+class DilatedFamily:
+    """A nonadjacent family, its dilates, and their connected components."""
+
+    originals: list
+    dilates: list
+    factor: Fraction
+    components: list = field(default_factory=list)  # lists of member indices
+    hulls: list = field(default_factory=list)  # ScaledInterval per component
+
+
+def dilated_components(
+    family,
+    factor=NINE_EIGHTHS,
+    j_max: int = DEFAULT_J_MAX,
+    validate: bool = True,
+) -> DilatedFamily:
+    """Connected components of the union of dilated arcs.
+
+    Touching arcs count as connected: [a,b) followed by [b,c) unions to
+    the single arc [a,c).  Pass validate=False only when the caller
+    guarantees the disjoint/nonadjacent preconditions by construction.
+    """
+    family = list(family)
+    if validate:
+        _validate_family(family, j_max)
+    dil = [dilate(iv, factor, j_max) for iv in family]
+    fam = DilatedFamily(originals=family, dilates=dil, factor=Fraction(factor))
+    if not family:
+        return fam
+    S = dil[0].scale
+    segs = merged_segments(dil)
+    total = sum(hi - lo for lo, hi in segs)
+    if total >= S:
+        fam.components.append(sorted(range(len(dil))))
+        fam.hulls.append(ScaledInterval(0, S, S))
+        return fam
+    # Cut the circle at an uncovered point, then a linear sweep suffices:
+    # no rotated arc can cross the cut.
+    cut = 0
+    for i, (lo, hi) in enumerate(segs):
+        nxt = segs[(i + 1) % len(segs)][0] + (S if i + 1 == len(segs) else 0)
+        if nxt - hi > 0:
+            cut = hi % S
+            break
+    order = sorted(range(len(dil)), key=lambda i: (dil[i].lo - cut) % S)
+    comps = []
+    cur_members, cur_lo, cur_hi = [], 0, -1
+    for i in order:
+        lo = (dil[i].lo - cut) % S
+        hi = lo + dil[i].length_units
+        if cur_members and lo <= cur_hi:
+            cur_members.append(i)
+            cur_hi = max(cur_hi, hi)
+        else:
+            if cur_members:
+                comps.append((cur_members, cur_lo, cur_hi))
+            cur_members, cur_lo, cur_hi = [i], lo, hi
+    comps.append((cur_members, cur_lo, cur_hi))
+    comps.sort(key=lambda c: min(c[0]))
+    for members, lo, hi in comps:
+        start = (lo + cut) % S
+        fam.components.append(sorted(members))
+        fam.hulls.append(ScaledInterval(start, start + (hi - lo), S))
+    return fam
+
+
+def _validate_cube_family(family, j_max):
+    for i, a in enumerate(family):
+        for b in family[i + 1 :]:
+            if not cubes_disjoint(a, b):
+                raise NonadjacentInputError(f"{a} and {b} overlap")
+            if cube_adjacent(a, b, j_max):
+                raise NonadjacentInputError(f"{a} and {b} are adjacent")
+
+
+def smallest_covering_arc(arcs) -> ScaledInterval:
+    """Shortest arc containing the union: complement of the largest gap."""
+    S = arcs[0].scale
+    segs = merged_segments(arcs)
+    total = sum(hi - lo for lo, hi in segs)
+    if total >= S:
+        return ScaledInterval(0, S, S)
+    best_gap, best_at = -1, 0
+    for i, (lo, hi) in enumerate(segs):
+        nxt = segs[(i + 1) % len(segs)][0] + (S if i + 1 == len(segs) else 0)
+        gap = nxt - hi
+        if gap > best_gap:
+            best_gap, best_at = gap, i
+    if best_gap <= 0:
+        return ScaledInterval(0, S, S)
+    lo = segs[(best_at + 1) % len(segs)][0]
+    hi = segs[best_at][1]
+    length = (hi - lo) % S or S
+    return ScaledInterval(lo % S, lo % S + length, S)
+
+
+def cube_components(
+    family,
+    factor=NINE_EIGHTHS,
+    j_max: int = DEFAULT_J_MAX,
+    validate: bool = True,
+):
+    """Union-find components of dilated cubes; zero box distance connects.
+
+    Corner contact counts: two dilated boxes are connected when every
+    axis projection touches.
+    """
+    family = list(family)
+    if validate:
+        _validate_cube_family(family, j_max)
+    dil = [dilate_cube(q, factor, j_max) for q in family]
+    bounds = [tuple((ax.lo, ax.hi) for ax in q.axes) for q in dil]
+    S = dil[0].axes[0].scale if dil else 0
+    parent = list(range(len(dil)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(len(dil)):
+        bi = bounds[i]
+        for j in range(i + 1, len(dil)):
+            bj = bounds[j]
+            if all(
+                gap_units(a[0], a[1], b[0], b[1], S) == 0
+                for a, b in zip(bi, bj)
+            ):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(len(dil)):
+        groups.setdefault(find(i), []).append(i)
+    return family, dil, sorted(sorted(g) for g in groups.values())
+
+
+def covering_holds(family, j_max: int = DEFAULT_J_MAX) -> bool:
+    """Proof form, one component at a time: each hull inside 4 times a
+    largest dilated member."""
+    fam = dilated_components(family, NINE_EIGHTHS, j_max)
+    return all(
+        any(dilate_scaled(fam.dilates[i], 4).contains_arc(hull)
+            for i in members
+            if fam.dilates[i].length_units
+            == max(fam.dilates[m].length_units for m in members))
+        for members, hull in zip(fam.components, fam.hulls))
+
+
+def statement_form_holds(family, j_max: int = DEFAULT_J_MAX) -> bool:
+    """The lemma as stated: each hull inside 4 times a largest original
+    member (the 9/2-dilate of that member)."""
+    fam = dilated_components(family, NINE_EIGHTHS, j_max)
+    return all(
+        any(dilate(fam.originals[i], 4, j_max).contains_arc(hull)
+            for i in members
+            if fam.dilates[i].length_units
+            == max(fam.dilates[m].length_units for m in members))
+        for members, hull in zip(fam.components, fam.hulls))
+
+
+def cube_hulls(family, j_max: int = DEFAULT_J_MAX):
+    """Components of the dilated cubes with each one's hull box."""
+    family, dil, comps = cube_components(family, NINE_EIGHTHS, j_max)
+    hulls = [ScaledBox(tuple(smallest_covering_arc([dil[i].axes[ax] for i in members])
+                             for ax in range(2)))
+             for members in comps]
+    return family, dil, comps, hulls
+
+
+def cube_covering_holds(family, j_max: int = DEFAULT_J_MAX) -> bool:
+    family, dil, comps, hulls = cube_hulls(family, j_max)
+    return all(
+        any(dilate_box(dil[i], 4).contains_box(hull) for i in members
+            if dil[i].axes[0].length_units
+            == max(dil[m].axes[0].length_units for m in members))
+        for members, hull in zip(comps, hulls))
+
+
+def cube_statement_form_holds(family, j_max: int = DEFAULT_J_MAX) -> bool:
+    family, dil, comps, hulls = cube_hulls(family, j_max)
+    return all(
+        any(dilate_cube(family[i], 4, j_max).contains_box(hull) for i in members
+            if dil[i].axes[0].length_units
+            == max(dil[m].axes[0].length_units for m in members))
+        for members, hull in zip(comps, hulls))

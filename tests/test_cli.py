@@ -148,12 +148,13 @@ def test_run_writes_schema_and_passes(tmp_path):
 def test_averaged_moment_config_reproduces_committed_csv(tmp_path):
     """Every cell of the committed outputs of every config that runs in
     seconds, from fresh runs.  strong_means measures are grid counts, so
-    this pins every threshold decision."""
+    this pins every threshold decision; the two suites' counts pin their
+    random draws and every component and bad cell."""
     bl = tmp_path / "bl"
     shutil.copytree(ROOT / "baselines", bl)
     for name in ("averaged_moment", "strong_means", "first_reduction",
                  "second_reduction", "decay_kernel", "rect_moment", "density",
-                 "density_2d"):
+                 "density_2d", "czd_suite", "covering_suite"):
         assert cli.main(["run", str(ROOT / "configs" / f"{name}.json"),
                          "--out", str(tmp_path / "out"),
                          "--baselines", str(bl)]) == 0
@@ -206,10 +207,11 @@ def test_strong_means_bad_lam_grid_exit_2(tmp_path, capsys):
         assert strong_means_exit_code(tmp_path, capsys, lam_grid=bad) == 2
 
 
-def test_averaged_moment_bad_p_exit_2(tmp_path, capsys, monkeypatch):
-    def refuse(cfg):
-        raise AssertionError("corpus built before the options were checked")
+def refuse(*args, **kwargs):
+    raise AssertionError("work started before the config was checked")
 
+
+def test_averaged_moment_bad_p_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_functions", refuse)
     for bad in ([2], 2.7, 2.0, 3, "2", True):
         cfg = write_config(tmp_path, options={"p": bad})
@@ -218,6 +220,48 @@ def test_averaged_moment_bad_p_exit_2(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, options=[4])
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "options must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corpus,message", [
+    ([], "corpus must be a JSON object"),
+    ("spike", "corpus must be a JSON object"),
+    ({"vp": 2.5}, "corpus: vp must be a positive integer"),
+    ({"vp": 0}, "corpus: vp must be a positive integer"),
+    ({"vp": -8}, "corpus: vp must be a positive integer"),
+    ({"vp": True}, "corpus: vp must be a positive integer"),
+    ({"vp": "8"}, "corpus: vp must be a positive integer"),
+], ids=["list", "string", "vp-fraction", "vp-zero", "vp-negative", "vp-bool",
+        "vp-string"])
+def test_bad_corpus_exit_2(tmp_path, capsys, monkeypatch, corpus, message):
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    cfg = write_config(tmp_path, corpus=corpus)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment,name,least,greatest", [
+    ("czd_suite", "trials", 1, None),
+    ("covering_suite", "trials_1d", 1, None),
+    ("covering_suite", "trials_2d", 1, None),
+    ("covering_suite", "max_level_1d", 1, 14),
+    ("covering_suite", "max_level_2d", 1, 14),
+    ("covering_suite", "chain_level", 1, 8),
+], ids=["trials", "trials_1d", "trials_2d", "max_level_1d", "max_level_2d",
+        "chain_level"])
+def test_suite_bad_option_exit_2(tmp_path, capsys, monkeypatch, experiment,
+                                 name, least, greatest):
+    for runner in ("czd_suite", "covering_suite", "chain_suite"):
+        monkeypatch.setattr(cli, runner, refuse)
+    bad = [least - 1, 2.7, float(least), True, str(least), None, [least]]
+    if greatest is not None:
+        bad.append(greatest + 1)
+    for value in bad:
+        cfg = write_config(tmp_path, experiment=experiment, options={name: value})
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2, value
+        assert f"{experiment}: {name} must be an integer" in capsys.readouterr().err
+    for value in (least, greatest if greatest is not None else 10**6):
+        ExperimentConfig.from_dict({"experiment": experiment, "seed": 1,
+                                    "options": {name: value}})
 
 
 def test_determinism_across_parallelism(tmp_path):

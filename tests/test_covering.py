@@ -3,7 +3,9 @@
 Oracles here are pure-Fraction reimplementations: arcs as (lo, hi)
 rational pairs on [0,1), touch via a three-shift circular gap, components
 via transitive closure, hulls via complement-of-largest-gap on a merged
-circular union.  Library results are compared against these exactly.
+circular union.  The integer-array checks of `strongmeans.covering` are
+compared against these exactly, and against the object-per-interval
+references `dilated_components` and `cube_components` in oracles.py.
 """
 
 from fractions import Fraction as F
@@ -14,9 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongmeans.covering import (
-    NonadjacentInputError,
-    cube_components,
-    dilated_components,
     exhaustive_chain_scan,
     random_nonadjacent_cube_family,
     random_nonadjacent_family,
@@ -34,9 +33,36 @@ from strongmeans.dyadic import (
     scale_for,
 )
 
-from oracles import NotAChainError, chain_check
+from oracles import (
+    NonadjacentInputError,
+    NotAChainError,
+    as_cubes,
+    as_intervals,
+    chain_check,
+    covering_holds,
+    cube_components,
+    cube_covering_holds,
+    cube_hulls,
+    cube_statement_form_holds,
+    dilated_components,
+    statement_form_holds,
+)
 
 S = scale_for(14)
+
+
+def components_of(check, families) -> list:
+    """Per family, {sorted member tuple: hull per axis as (start, length)}
+    from a batched covering check."""
+    out, at = [], 0
+    for fam in families:
+        label = check.label[at:at + len(fam)]
+        at += len(fam)
+        out.append({
+            tuple(np.flatnonzero(label == c).tolist()):
+                tuple(tuple(int(v) for v in h) for h in check.hulls[c])
+            for c in np.unique(label)})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +154,10 @@ def test_two_separated_intervals_stay_separate():
     assert fam.hulls[0] == fam.dilates[0]
     assert fam.hulls[1] == fam.dilates[1]
     assert hull_as_fractions(fam.hulls[1]) == (F(95, 128), F(9, 64))
+    check = verify_covering([np.array([[1, 0], [3, 6]])])
+    assert components_of(check, [[0, 1]]) == [{
+        (0,): ((fam.hulls[0].lo, fam.hulls[0].length_units),),
+        (1,): ((fam.hulls[1].lo, fam.hulls[1].length_units),)}]
 
 
 def test_touching_dilates_merge():
@@ -138,6 +168,10 @@ def test_touching_dilates_merge():
     lo, length = hull_as_fractions(fam.hulls[0])
     assert lo == F(-1, 64) % 1
     assert length == F(305, 1024)  # from -16/1024 up to 289/1024
+    check = verify_covering([np.array([[2, 0], [6, 17]])])
+    assert components_of(check, [[0, 1]]) == [
+        {(0, 1): ((S - S // 64, 305 * S // 1024),)}]
+    assert check.holds.tolist() == [True]
 
 
 def test_wraparound_component_swallows_middle_arc():
@@ -157,6 +191,11 @@ def test_full_cover_collapses_to_one_component():
     fam = dilated_components([DyadicInterval(2, 0), DyadicInterval(2, 2)], factor=2)
     assert fam.components == [[0, 1]]
     assert fam.hulls[0] == ScaledInterval(0, S, S)
+    # at 9/8 only the whole torus covers the circle: one full hull
+    check = verify_covering([np.array([[0, 0]]), np.array([[1, 0]])])
+    assert check.components.tolist() == [1, 1]
+    assert check.hulls[0].tolist() == [[0, S]]
+    assert check.holds.tolist() == [True, True]
 
 
 def test_adjacent_input_rejected():
@@ -173,7 +212,8 @@ def test_adjacent_input_rejected():
 @given(st.integers(0, 10**6), st.sampled_from([F(9, 8), F(2), F(3)]))
 def test_components_match_transitive_closure(seed, factor):
     rng = np.random.default_rng(seed)
-    family = random_nonadjacent_family(rng, max_level=9, max_count=24)
+    rows = random_nonadjacent_family(rng, max_level=9, max_count=24)
+    family = as_intervals(rows)
     for i, a in enumerate(family):
         for b in family[i + 1 :]:
             assert intervals_disjoint(a, b)
@@ -184,13 +224,21 @@ def test_components_match_transitive_closure(seed, factor):
     for members, hull in zip(fam.components, fam.hulls):
         want = smallest_arc([arcs[i] for i in members])
         assert hull_as_fractions(hull) == want
+    if factor == F(9, 8):
+        check = verify_covering([rows])
+        got = components_of(check, [rows])[0]
+        assert sorted(got) == [tuple(c) for c in closure_components(arcs)]
+        for members, hull in got.items():
+            start, length = hull[0]
+            assert (F(start, S), F(length, S)) == smallest_arc(
+                [arcs[i] for i in members])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_validate_flag_does_not_change_result(seed):
     rng = np.random.default_rng(seed)
-    family = random_nonadjacent_family(rng, max_level=10, max_count=32)
+    family = as_intervals(random_nonadjacent_family(rng, max_level=10, max_count=32))
     a = dilated_components(family)
     b = dilated_components(family, validate=False)
     assert a.components == b.components and a.hulls == b.hulls
@@ -201,10 +249,47 @@ def test_validate_flag_does_not_change_result(seed):
 def test_covering_holds_on_random_families(seed):
     rng = np.random.default_rng(seed)
     family = random_nonadjacent_family(rng, max_level=12, max_count=48)
-    report = verify_covering(family)
-    assert report.holds
-    assert report.statement_form_holds
-    assert not report.witnesses
+    check = verify_covering([family])
+    assert check.holds.tolist() == [True]
+    assert statement_form_holds(as_intervals(family))
+
+
+def test_integer_components_match_reference():
+    """Batched integer components, hulls and verdicts against the
+    object-per-interval reference, family by family."""
+    rng = np.random.default_rng(41)
+    for max_level, j_max in ((12, 12), (9, 14)):
+        fams = [random_nonadjacent_family(rng, max_level=max_level)
+                for _ in range(300)]
+        check = verify_covering(fams, j_max=j_max)
+        for fam, got, holds in zip(fams, components_of(check, fams), check.holds):
+            ref = dilated_components(as_intervals(fam), j_max=j_max, validate=False)
+            assert got == {tuple(m): ((h.lo, h.length_units),)
+                           for m, h in zip(ref.components, ref.hulls)}
+            assert holds == covering_holds(as_intervals(fam), j_max)
+
+
+def test_integer_cube_components_match_reference():
+    rng = np.random.default_rng(43)
+    for max_level, j_max in ((7, 7), (6, 14)):
+        fams = [random_nonadjacent_cube_family(rng, max_level=max_level)
+                for _ in range(80)]
+        check = verify_covering_cubes(fams, j_max=j_max)
+        for fam, got, holds in zip(fams, components_of(check, fams), check.holds):
+            _, _, comps, hulls = cube_hulls(as_cubes(fam), j_max)
+            assert got == {tuple(m): tuple((a.lo, a.length_units) for a in h.axes)
+                           for m, h in zip(comps, hulls)}
+            assert holds == cube_covering_holds(as_cubes(fam), j_max)
+
+
+def test_statement_form_holds_on_generated_families():
+    """The lemma as stated, hull inside 4 times a largest original
+    member, on the generators' families at the suite's levels."""
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        assert statement_form_holds(as_intervals(random_nonadjacent_family(rng)), 12)
+    for _ in range(60):
+        assert cube_statement_form_holds(as_cubes(random_nonadjacent_cube_family(rng)), 7)
 
 
 # ---------------------------------------------------------------------------
@@ -277,18 +362,23 @@ def _cube(level, i, j):
 def test_diagonal_contact_connects_cubes():
     fam, dil, comps = cube_components([_cube(2, 0, 0), _cube(6, 17, 17)])
     assert comps == [[0, 1]]
+    check = verify_covering_cubes([np.array([[2, 0, 0], [6, 17, 17]])])
+    assert check.label.tolist() == [0, 0]
 
 
 def test_single_axis_contact_is_not_enough():
     # x-projections touch, y-projections are far apart
     fam, dil, comps = cube_components([_cube(2, 0, 0), _cube(6, 17, 40)])
     assert comps == [[0], [1]]
+    check = verify_covering_cubes([np.array([[2, 0, 0], [6, 17, 40]])])
+    assert check.label.tolist() == [0, 1]
 
 
 def test_cube_covering_frozen_pair():
-    report = verify_covering_cubes([_cube(4, 0, 0), _cube(8, 17, 17)])
-    assert report.components == 1
-    assert report.holds and report.statement_form_holds
+    check = verify_covering_cubes([np.array([[4, 0, 0], [8, 17, 17]])])
+    assert check.components.tolist() == [1]
+    assert check.holds.tolist() == [True]
+    assert cube_statement_form_holds([_cube(4, 0, 0), _cube(8, 17, 17)])
 
 
 def test_cube_components_reject_overlap():
@@ -302,7 +392,8 @@ def test_cube_components_reject_overlap():
 @given(st.integers(0, 10**6))
 def test_cube_components_match_closure(seed):
     rng = np.random.default_rng(seed)
-    family = random_nonadjacent_cube_family(rng, max_level=6, max_count=18)
+    rows = random_nonadjacent_cube_family(rng, max_level=6, max_count=18)
+    family = as_cubes(rows)
     for i, a in enumerate(family):
         for b in family[i + 1 :]:
             assert cubes_disjoint(a, b)
@@ -330,6 +421,8 @@ def test_cube_components_match_closure(seed):
         want.append(sorted(comp))
     fam, dil, comps = cube_components(family)
     assert comps == sorted(want)
+    got = components_of(verify_covering_cubes([rows]), [rows])[0]
+    assert sorted(got) == [tuple(c) for c in sorted(want)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -337,9 +430,8 @@ def test_cube_components_match_closure(seed):
 def test_cube_covering_holds_on_random_families(seed):
     rng = np.random.default_rng(seed)
     family = random_nonadjacent_cube_family(rng, max_level=7, max_count=30)
-    report = verify_covering_cubes(family)
-    assert report.holds
-    assert report.statement_form_holds
+    assert verify_covering_cubes([family]).holds.tolist() == [True]
+    assert cube_statement_form_holds(as_cubes(family))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +442,9 @@ def test_cube_covering_holds_on_random_families(seed):
 def test_interval_generator_respects_bounds(seed):
     rng = np.random.default_rng(seed)
     family = random_nonadjacent_family(rng, max_level=12, max_count=64)
+    assert family.shape[1] == 2
     assert 1 <= len(family) <= 64
-    assert all(iv.level <= 12 for iv in family)
+    assert np.all(family[:, 0] <= 12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -359,4 +452,6 @@ def test_interval_generator_respects_bounds(seed):
 def test_cube_generator_respects_bounds(seed):
     rng = np.random.default_rng(seed)
     family = random_nonadjacent_cube_family(rng, max_level=7, max_count=40)
+    assert family.shape[1] == 3
     assert 1 <= len(family) <= 40
+    assert np.all(family[:, 0] <= 7)

@@ -7,11 +7,13 @@ unit-grid point sets for distances.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from strongmeans.dyadic import (
     DEFAULT_J_MAX,
+    SUPPORTED_FACTORS,
     DyadicCube,
     DyadicInterval,
     InvalidFactorError,
@@ -22,14 +24,19 @@ from strongmeans.dyadic import (
     cube_adjacent,
     cubes_disjoint,
     dilate,
+    dilate_units,
+    interval_to_scaled,
+    intervals_disjoint,
+    scale_for,
+    torus_distance,
+)
+
+from oracles import (
     dilate_box,
     dilate_cube,
     dilate_scaled,
-    interval_to_scaled,
-    intervals_disjoint,
+    fraction_dilate,
     merged_segments,
-    scale_for,
-    torus_distance,
 )
 
 
@@ -111,8 +118,29 @@ def test_dilate_caps_at_full_torus_and_keeps_midpoint():
 
 
 def test_dilate_rejects_unsupported_factor():
-    with pytest.raises(InvalidFactorError):
-        dilate(DyadicInterval(2, 1), Fraction(7, 8))
+    for bad in (Fraction(7, 8), 1, 6, 0.1, "9/8", [2]):
+        with pytest.raises(InvalidFactorError):
+            dilate(DyadicInterval(2, 1), bad)
+        with pytest.raises(InvalidFactorError):
+            dilate_units(np.array([2]), np.array([1]), bad)
+
+
+@pytest.mark.parametrize("j_max", [4, DEFAULT_J_MAX])
+def test_dilate_integer_table_matches_fraction_reference(j_max):
+    """Every supported factor, every level up to j_max, the first, a
+    middle and the last index: the (p, q) table against Fraction
+    arithmetic, one interval at a time and as arrays."""
+    cells = [(j, k) for j in range(j_max + 1)
+             for k in sorted({0, (1 << j) // 3, (1 << j) - 1})]
+    level = np.array([j for j, _ in cells])
+    index = np.array([k for _, k in cells])
+    for factor in SUPPORTED_FACTORS:
+        for c in (factor, float(factor)):
+            lo, length = dilate_units(level, index, c, j_max)
+            for (j, k), a, n in zip(cells, lo.tolist(), length.tolist()):
+                ref = fraction_dilate(DyadicInterval(j, k), factor, j_max)
+                assert (a, a + n) == (ref.lo, ref.hi), (factor, j, k)
+                assert dilate(DyadicInterval(j, k), c, j_max) == ref
 
 
 def test_dilate_rejects_level_beyond_cap():

@@ -1,4 +1,5 @@
-"""Every script under scripts/ still imports against the package.
+"""Every script under scripts/ still imports against the package, and the
+benchmark recorder reads and summarizes perfbench's result lines.
 
 Each script is loaded by path, which runs its imports but not its
 `main`, so a script that reaches for a removed or renamed name fails
@@ -6,16 +7,80 @@ here instead of at its next manual run.
 """
 
 import importlib.util
+import json
+import statistics
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_imports(path):
-    spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    assert callable(module.main)
+    assert callable(load(path).main)
+
+
+def test_bench_record_reads_result_lines():
+    bench = load(ROOT / "scripts" / "bench_record.py")
+    out = ("passes 1\n"
+           '{"workload": "moment_p2", "absent": {"x": "gone"}}\n'
+           '{"correct": true, "attempted": 4, "failed": 0, "metrics": {}}\n')
+    info, res = bench.result_lines(out)
+    assert info["absent"] == {"x": "gone"}
+    assert res["attempted"] == 4
+    with pytest.raises(ValueError):
+        bench.result_lines("perfbench: nothing imports\n")
+
+
+def test_bench_record_summarizes_runs():
+    bench = load(ROOT / "scripts" / "bench_record.py")
+    walls = [10.0, 12.0, 11.0, 13.0, 9.0]
+    results = [{"failed": int(w == 13.0), "attempted": 8,
+                "metrics": {"wall_s": {"value": w, "unit": "s"}}} for w in walls]
+    out = bench.summarize(results)
+    assert (out["failed"], out["attempted"]) == (1, 40)
+    wall = out["metrics"]["wall_s"]
+    q1, _, q3 = statistics.quantiles(walls, n=4)
+    assert wall["median"] == 11.0 and wall["unit"] == "s" and wall["runs"] == 5
+    assert wall["spread"] == pytest.approx((q3 - q1) / 11.0)
+    assert wall["values"] == walls
+    assert bench.spread([4.0])["spread"] == 0.0
+
+
+def test_bench_seed_is_converted_seed_results():
+    bench = load(ROOT / "scripts" / "bench_record.py")
+    seed = json.loads((ROOT / "perfbench" / "seed_results.json").read_text(encoding="utf-8"))
+    want = bench.convert("seed", seed, "perfbench/seed_results.json")
+    assert json.loads((ROOT / "BENCH_seed.json").read_text(encoding="utf-8")) == want
+    assert want["converted_from"] == "perfbench/seed_results.json"
+    for w, metrics in seed["end_to_end"].items():
+        for name, m in metrics.items():
+            got = want["end_to_end"][w]["metrics"][name]
+            assert got["median"] == pytest.approx(m["median"])
+            assert got["spread"] == pytest.approx(m["spread"])
+
+
+def test_bench_files_share_one_layout():
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in bench["workloads"]}
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    files = sorted(ROOT.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        data = json.loads(path.read_text(encoding="utf-8"))
+        assert set(data["machine"]) == {"nproc", "cpu", "python", "numpy"}, path.name
+        assert data["git_revision"], path.name
+        assert set(data["end_to_end"]) == workloads, path.name
+        assert set(data["per_layer"]) == workloads, path.name
+        for w in workloads:
+            assert set(data["end_to_end"][w]["metrics"]) == metrics, (path.name, w)
+            assert isinstance(data["per_layer"][w]["absent"], dict)
