@@ -165,10 +165,12 @@ def _select(finest, heights, dim: int, J: int, exact: bool):
         num = [h.numerator for hs in heights for h in hs]
         den = [h.denominator for hs in heights for h in hs]
         # int64 budget: sums * den and num * 2**(FRACT_BITS + dim*(J-j))
-        # must stay below 2**62; both peak at the root
+        # must stay below 2**62; a sum that wrapped past 2**63 reads
+        # negative, and the root need not show it
+        top = max(int(s.max(initial=0)) for s in sums)
         if (max(num).bit_length() + dim * J + FRACT_BITS >= 62
-                or int(sums[0].max(initial=0)).bit_length()
-                + max(den).bit_length() >= 62):
+                or top.bit_length() + max(den).bit_length() >= 62
+                or min(int(s.min(initial=0)) for s in sums) < 0):
             raise OverflowError("exact comparison budget exceeded")
         num = np.array(num, dtype=np.int64).reshape(shape)
         den = np.array(den, dtype=np.int64).reshape(shape)

@@ -8,6 +8,14 @@ runs live here too: the chain check behind the vectorized exhaustive
 scan, cell averages, mode-counting energy averages, and rectangular
 partial sums with the per-pair 2-d moment they give.  `csv_differences`
 compares a fresh CSV with a committed reference cell by cell.
+
+The batched exact layer has one-at-a-time references here:
+`czd_invariants` runs the 1-d stopping-time battery on one (f, lam)
+pair; `fraction_dilate` dilates with a Fraction factor; and
+`dilated_components`, `cube_components` and the `*_holds` checks work
+on DyadicInterval and DyadicCube objects with ScaledInterval arcs,
+including the statement form of the covering lemma (each hull inside 4
+times a largest original member).
 """
 
 import csv
@@ -313,6 +321,18 @@ def czd_invariants(f, lam: float) -> tuple[dict, int]:
 # arc and box helpers of the covering references
 
 
+def fraction_dilate(iv, c, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
+    """c * I at scale 2**(j_max+4) with the factor as a Fraction."""
+    f = Fraction(c)
+    if f not in SUPPORTED_FACTORS:
+        raise InvalidFactorError(f"unsupported dilation factor {c!r}")
+    S = scale_for(j_max)
+    w = S >> iv.level
+    new_len = min(int(f * w), S)
+    lo = (((2 * iv.index + 1) * w - new_len) // 2) % S
+    return ScaledInterval(lo, lo + new_len, S)
+
+
 def dilate_scaled(arc: ScaledInterval, c: int) -> ScaledInterval:
     """Integer concentric dilation of an already-scaled arc."""
     if c < 1:
@@ -367,7 +387,7 @@ class ScaledBox:
 
 
 def dilate_cube(q: DyadicCube, c, j_max: int = DEFAULT_J_MAX) -> ScaledBox:
-    return ScaledBox(tuple(dilate(iv, c, j_max) for iv in q.axes))
+    return ScaledBox(tuple(fraction_dilate(iv, c, j_max) for iv in q.axes))
 
 
 def dilate_box(box: ScaledBox, c: int) -> ScaledBox:
@@ -375,19 +395,7 @@ def dilate_box(box: ScaledBox, c: int) -> ScaledBox:
 
 
 # ---------------------------------------------------------------------------
-# covering references: ScaledInterval objects and Fraction factors
-
-
-def fraction_dilate(iv, c, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
-    """c * I at scale 2**(j_max+4) with the factor as a Fraction."""
-    f = Fraction(c)
-    if f not in SUPPORTED_FACTORS:
-        raise InvalidFactorError(f"unsupported dilation factor {c!r}")
-    S = scale_for(j_max)
-    w = S >> iv.level
-    new_len = min(int(f * w), S)
-    lo = (((2 * iv.index + 1) * w - new_len) // 2) % S
-    return ScaledInterval(lo, lo + new_len, S)
+# covering references: DyadicInterval and DyadicCube objects
 
 
 def as_intervals(family) -> list:
@@ -440,7 +448,7 @@ def dilated_components(
     family = list(family)
     if validate:
         _validate_family(family, j_max)
-    dil = [dilate(iv, factor, j_max) for iv in family]
+    dil = [fraction_dilate(iv, factor, j_max) for iv in family]
     fam = DilatedFamily(originals=family, dilates=dil, factor=Fraction(factor))
     if not family:
         return fam
@@ -568,7 +576,7 @@ def statement_form_holds(family, j_max: int = DEFAULT_J_MAX) -> bool:
     member (the 9/2-dilate of that member)."""
     fam = dilated_components(family, NINE_EIGHTHS, j_max)
     return all(
-        any(dilate(fam.originals[i], 4, j_max).contains_arc(hull)
+        any(fraction_dilate(fam.originals[i], 4, j_max).contains_arc(hull)
             for i in members
             if fam.dilates[i].length_units
             == max(fam.dilates[m].length_units for m in members))

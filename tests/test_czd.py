@@ -251,6 +251,14 @@ def test_height_scale_shifts_stopping_height():
     assert a.height == b.height
 
 
+def test_exact_sums_past_int64_refused():
+    # 4096 samples of 2**52 units sum to 2**64, which int64 wraps to 0 at
+    # the root: the budget must read every level, not the root alone
+    f = GridFunction(1, 12, np.full(4096, 2.0**28))
+    with pytest.raises(OverflowError):
+        decompose(f, 1.0)
+
+
 def test_float_path_used_for_non_dyadic_samples():
     n = 256
     s = np.full(n, 1.0 / 3.0)
