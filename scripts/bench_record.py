@@ -1,21 +1,18 @@
 #!/usr/bin/env python3
 """Record the benchmark's figures for the current checkout in BENCH_<label>.json.
 
-    python3 scripts/bench_record.py pr6             # 5 runs per workload
-    python3 scripts/bench_record.py pr6 --runs 10
-    python3 scripts/bench_record.py seed --convert perfbench/seed_results.json
+    python3 scripts/bench_record.py pr6
 
 For every workload in BENCHMARK.json it runs
 `perfbench/run.py --workload W --seed i --seconds S --trace 0` for
-i = 1..k, so consecutive runs use different config seeds, then one
+i = 1..RUNS, so consecutive runs use different config seeds, then one
 `--trace 1` run with seed 1.  Only the two JSON lines perfbench prints
 last are read.  The file holds the git revision, the machine (nproc, CPU
 model, Python and numpy versions), for each workload the median,
 quartiles and spread (q3 - q1) / median of every end-to-end metric over
-the k runs, the failed and attempted config counts, and the per-layer
-values of the traced run with its `absent` list.  `--convert` writes the
-same layout from the seed-commit results perfbench committed, marked as
-converted: no new measurement is taken.
+the RUNS runs, the failed and attempted config counts, and the per-layer
+values of the traced run with its `absent` list.  Every BENCH file is
+measured with the same RUNS, so any two of them compare.
 """
 
 from __future__ import annotations
@@ -33,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+RUNS = 5  # --trace 0 runs per workload
 
 
 def result_lines(stdout: str) -> tuple[dict, dict]:
@@ -92,10 +90,10 @@ def perfbench(workload: str, seed: int, seconds: float, trace: int):
     return result_lines(proc.stdout)
 
 
-def record(label: str, runs: int) -> dict:
+def record(label: str) -> dict:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
-    seeds = list(range(1, runs + 1))
+    seeds = list(range(1, RUNS + 1))
     end_to_end, per_layer = {}, {}
     for w in (w["name"] for w in bench["workloads"]):
         results = []
@@ -115,49 +113,13 @@ def record(label: str, runs: int) -> dict:
             "end_to_end": end_to_end, "per_layer": per_layer}
 
 
-def convert(label: str, seed_results: dict, source: str) -> dict:
-    """The BENCH layout from perfbench's committed seed-commit results."""
-    found = re.search(r"commit (\w+)", seed_results["what"])
-    end_to_end = {}
-    for w, runs in seed_results["end_to_end_runs"].items():
-        end_to_end[w] = {"failed": None, "attempted": None, "metrics": {
-            name: {"unit": seed_results["end_to_end"][w][name]["unit"],
-                   **spread(values)}
-            for name, values in runs.items()}}
-    per_layer = {}
-    for w, layers in seed_results["per_layer"].items():
-        per_layer[w] = {"failed": None, "attempted": None,
-                        "metrics": {k: v.get("value", 0) for k, v in layers.items()},
-                        "absent": {k: v["absent"] for k, v in layers.items()
-                                   if "absent" in v}}
-    machine_facts = {k: seed_results["machine"][k]
-                     for k in ("nproc", "cpu", "python", "numpy")}
-    return {"label": label, "converted_from": source,
-            "note": seed_results["what"],
-            "git_revision": found.group(1) if found else "unknown",
-            "machine": machine_facts, "run_seconds": seed_results["run_seconds"],
-            "seeds": None, "end_to_end": end_to_end, "per_layer": per_layer}
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
-    ap.add_argument("--runs", type=int, default=5,
-                    help="--trace 0 runs per workload (default 5)")
-    ap.add_argument("--convert", metavar="SEED_RESULTS",
-                    help="convert perfbench's seed-commit results instead of"
-                         " measuring")
     args = ap.parse_args()
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
         ap.error("label may hold letters, digits, '_', '.' and '-' only")
-    if args.runs < 1:
-        ap.error("--runs must be at least 1")
-    if args.convert:
-        src = Path(args.convert)
-        data = convert(args.label, json.loads(src.read_text(encoding="utf-8")),
-                       src.resolve().relative_to(ROOT).as_posix())
-    else:
-        data = record(args.label, args.runs)
+    data = record(args.label)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(data, indent=1) + "\n", encoding="utf-8")
     print(out.name)

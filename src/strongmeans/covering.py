@@ -35,8 +35,8 @@ def _circle_runs(group: np.ndarray, lo: np.ndarray, hi: np.ndarray, S: int):
     hull of each run.
 
     Entry e is the arc [lo[e], hi[e]) on circle group[e], with
-    0 <= lo < S and lo < hi <= lo + S; the groups are 0..G-1, none
-    empty.  Touching arcs connect.  Each circle is cut at a point no arc
+    0 <= lo < S and lo < hi <= lo + S; a group id no entry carries has
+    no circle.  Touching arcs connect.  Each circle is cut at a point no arc
     covers, found from one sort by left end and a running maximum of
     right ends, and swept from there with a second running maximum; a
     circle the arcs cover entirely is one run with hull (0, S).
@@ -44,32 +44,37 @@ def _circle_runs(group: np.ndarray, lo: np.ndarray, hi: np.ndarray, S: int):
     each run's hull start and length.
     """
     n = len(group)
+    if n == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, empty
     span = 4 * S  # unrolled arcs stay below 2 S: offset circles apart
     order = np.lexsort((lo, group))
     g, lo, hi = group[order], lo[order], hi[order]
-    first = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+    new = np.r_[True, g[1:] != g[:-1]]
+    first = np.flatnonzero(new)
     last = np.r_[first[1:], n] - 1
+    r = np.cumsum(new) - 1  # position of each entry's circle among the circles
     reach = np.maximum.accumulate(g * span + hi) - g * span
     nxt = np.r_[lo[1:], 0]
     nxt[last] = lo[first] + S
     # the gap after an arc is uncovered unless the part [0, farthest - S)
     # of the circle's farthest-reaching arc wraps over it
-    uncovered = nxt > np.maximum(reach, reach[last][g] - S)
+    uncovered = nxt > np.maximum(reach, reach[last][r] - S)
     full = ~np.logical_or.reduceat(uncovered, first)
     cut = np.minimum.reduceat(np.where(uncovered, np.arange(n), n), first)
-    shift = np.where(np.arange(n) <= cut[g], S, 0)
+    shift = np.where(np.arange(n) <= cut[r], S, 0)
     lo, hi = lo + shift, hi + shift
     turn = np.lexsort((lo, g))
     order, lo, hi = order[turn], lo[turn], hi[turn]
     reach = np.maximum.accumulate(g * span + hi) - g * span
-    start = np.r_[True, lo[1:] > reach[:-1]] & ~full[g]
+    start = np.r_[True, lo[1:] > reach[:-1]] & ~full[r]
     start[first] = True
     run = np.empty(n, dtype=np.int64)
     run[order] = np.cumsum(start) - 1
     at = np.flatnonzero(start)
     hull_lo = lo[at] % S
     hull_len = np.maximum.reduceat(hi, at) - lo[at]
-    whole = full[g[at]]
+    whole = full[r[at]]
     hull_lo[whole], hull_len[whole] = 0, S
     return run, hull_lo, hull_len
 
@@ -89,16 +94,17 @@ class CoveringCheck:
 def _dilates(families: list, axes: int, j_max: int):
     """Family index, and the 9/8-dilate's (lo, length) per axis, of every
     member of every family, from one `dilate_units` call."""
-    rows = np.concatenate(families)
+    rows = np.concatenate([np.empty((0, 1 + axes), dtype=np.int64), *families])
     fam = np.repeat(np.arange(len(families)), [len(f) for f in families])
     lo, length = dilate_units(rows[:, :1], rows[:, 1:1 + axes], NINE_EIGHTHS, j_max)
     return fam, lo, np.broadcast_to(length, lo.shape)  # a cube's sides are equal
 
 
-def _check(fam, label, lo, length, hull_lo, hull_len, S) -> CoveringCheck:
+def _check(F, fam, label, lo, length, hull_lo, hull_len, S) -> CoveringCheck:
     """A component holds when its hull lies, on every axis, inside the
     4-dilate of one of its members of largest dilate.  Components are
-    numbered family by family."""
+    numbered family by family; a family of F with no member has none
+    and holds."""
     m = len(hull_lo)
     size = length[:, 0]
     best = np.zeros(m, dtype=np.int64)
@@ -110,7 +116,6 @@ def _check(fam, label, lo, length, hull_lo, hull_len, S) -> CoveringCheck:
                      minlength=m) > 0
     comp_fam = np.zeros(m, dtype=np.int64)
     comp_fam[label] = fam
-    F = fam[-1] + 1
     return CoveringCheck(
         holds=np.bincount(comp_fam, weights=~ok, minlength=F) == 0,
         components=np.bincount(comp_fam, minlength=F),
@@ -128,7 +133,8 @@ def verify_covering(families: list, j_max: int = DEFAULT_J_MAX) -> CoveringCheck
     S = scale_for(j_max)
     fam, lo, length = _dilates(families, 1, j_max)
     label, hull_lo, hull_len = _circle_runs(fam, lo[:, 0], lo[:, 0] + length[:, 0], S)
-    return _check(fam, label, lo, length, hull_lo[:, None], hull_len[:, None], S)
+    return _check(len(families), fam, label, lo, length,
+                  hull_lo[:, None], hull_len[:, None], S)
 
 
 def verify_covering_cubes(families: list, j_max: int = DEFAULT_J_MAX) -> CoveringCheck:
@@ -149,6 +155,8 @@ def verify_covering_cubes(families: list, j_max: int = DEFAULT_J_MAX) -> Coverin
     at = m = 0
     for f in families:
         k = len(f)
+        if k == 0:
+            continue
         a_lo, a_hi = lo[at:at + k, None, :], hi[at:at + k, None, :]
         b_lo, b_hi = lo[None, at:at + k, :], hi[None, at:at + k, :]
         # zero torus gap on every axis: some shift of b meets a's closure
@@ -170,8 +178,8 @@ def verify_covering_cubes(families: list, j_max: int = DEFAULT_J_MAX) -> Coverin
                                         lo.T.ravel(), hi.T.ravel(), S)
     if len(hull_lo) != 2 * m:
         raise RuntimeError("a connected component has a disconnected projection")
-    return _check(fam, label, lo, length, hull_lo.reshape(m, 2),
-                  hull_len.reshape(m, 2), S)
+    return _check(len(families), fam, label, lo, length,
+                  hull_lo.reshape(m, 2), hull_len.reshape(m, 2), S)
 
 
 @dataclass

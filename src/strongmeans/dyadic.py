@@ -175,10 +175,9 @@ def dilate_units(level, index, c, j_max: int = DEFAULT_J_MAX):
     so the arithmetic is exact.
     """
     p, q = _factor(c)
-    if np.max(level) > j_max:
-        raise ResolutionExceededError(
-            f"level {np.max(level)} exceeds resolution cap {j_max}"
-        )
+    top = np.max(level, initial=0)
+    if top > j_max:
+        raise ResolutionExceededError(f"level {top} exceeds resolution cap {j_max}")
     S = scale_for(j_max)
     w = S >> level
     length = np.minimum(w * p // q, S)  # exact: q divides w

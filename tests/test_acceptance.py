@@ -55,8 +55,9 @@ def load_baseline(name: str) -> dict:
     )["values"]
 
 
-def test_criterion_01_covering_battery():
-    res = covering_suite(10_000, 1_000, seed=1)
+def test_criterion_01_covering_battery(once_per_session):
+    # the same run as configs/covering_suite.json in the committed-output gate
+    res = once_per_session(covering_suite)(10_000, 1_000, seed=1)
     ok = res.ok and res.elapsed < 60
     verdict(1, ok, f"{res.trials} families, failures={res.failures}, "
                    f"{res.elapsed:.1f}s (limit 60s)")
@@ -75,8 +76,9 @@ def test_criterion_02_chain_bridge_exhaustive():
     assert res.elapsed < 30
 
 
-def test_criterion_03_czd_invariant_battery():
-    res = czd_suite(10_000, J=12, seed=2)
+def test_criterion_03_czd_invariant_battery(once_per_session):
+    # the same run as configs/czd_suite.json in the committed-output gate
+    res = once_per_session(czd_suite)(10_000, J=12, seed=2)
     verdict(3, res.ok, f"{res.trials} (f, lambda) pairs at J=12, "
                        f"failures={res.failures}, {res.elapsed:.1f}s")
     assert res.ok, res.failures

@@ -282,6 +282,31 @@ def test_integer_cube_components_match_reference():
             assert holds == cube_covering_holds(as_cubes(fam), j_max)
 
 
+def test_empty_families_hold_with_no_components():
+    """An empty family, anywhere in the batch, holds, has no components
+    and leaves the other families' labels and hulls as they are; an
+    empty batch gives empty results.  The whole-torus family [(0, 0)]
+    follows an empty one, so its circle is not the one its id names."""
+    rng = np.random.default_rng(47)
+    fams = [np.array([[0, 0]])] + [random_nonadjacent_family(rng) for _ in range(5)]
+    cubes = [np.array([[0, 0, 0]])] + [random_nonadjacent_cube_family(rng)
+                                       for _ in range(4)]
+    for verify, batch, width in ((verify_covering, fams, 2),
+                                 (verify_covering_cubes, cubes, 3)):
+        empty = np.empty((0, width), dtype=np.int64)
+        ref = verify(batch)
+        got = verify([empty, *batch[:2], empty, *batch[2:], empty])
+        empties = [0, 3, len(batch) + 2]
+        rest = np.setdiff1d(np.arange(len(batch) + 3), empties)
+        assert np.array_equal(got.holds[rest], ref.holds)
+        assert np.array_equal(got.components[rest], ref.components)
+        assert got.holds[empties].all() and not got.components[empties].any()
+        assert np.array_equal(got.label, ref.label)
+        assert np.array_equal(got.hulls, ref.hulls)
+        none = verify([])
+        assert len(none.holds) == len(none.components) == len(none.label) == 0
+
+
 def test_statement_form_holds_on_generated_families():
     """The lemma as stated, hull inside 4 times a largest original
     member, on the generators' families at the suite's levels."""

@@ -133,6 +133,16 @@ def test_covering_suite_small_run_clean():
     assert res.stats["components"] > 0
 
 
+def test_covering_suite_with_one_kind_empty():
+    """No families of one kind is an empty batch, not an error; the
+    other kind's families are drawn from the same stream as ever."""
+    for trials_1d, trials_2d in ((0, 1), (1, 0), (0, 0)):
+        res = covering_suite(trials_1d, trials_2d, seed=3)
+        assert res.ok and res.trials == trials_1d + trials_2d
+    assert covering_suite(0, 0, seed=3).stats["components"] == 0
+    assert covering_suite(1, 0, seed=3).stats["components"] > 0
+
+
 def test_chain_suite_level_five():
     res = chain_suite(5)
     assert res.ok
