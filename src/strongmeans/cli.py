@@ -66,10 +66,10 @@ CSV_COLUMNS = {
 }
 
 
-# integer options of the suites: name -> (default, least, greatest).  The
+# integer options: experiment -> name -> (default, least, greatest).  The
 # chain scan builds n x n matrices with n = 2**(L+1) - 2, so its level
 # stays small.
-SUITE_OPTIONS = {
+INT_OPTIONS = {
     "czd_suite": {"trials": (10000, 1, None)},
     "covering_suite": {
         "trials_1d": (10000, 1, None),
@@ -78,11 +78,22 @@ SUITE_OPTIONS = {
         "max_level_2d": (7, 1, DEFAULT_J_MAX),
         "chain_level": (6, 1, 8),
     },
+    "density": {"N_max": (10**6, 1, None), "base": (4, 2, None)},
 }
+
+# bytes one float lattice of the density run may take (N_max**d
+# entries); the run holds a few arrays of that size at once
+DENSITY_LATTICE_BUDGET = 1 << 25
 
 
 class ConfigError(ValueError):
     """Config file is structurally or semantically invalid."""
+
+
+def _positive_numbers(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+        for x in value)
 
 
 @dataclass
@@ -124,7 +135,10 @@ class ExperimentConfig:
         if self.d not in (1, 2):
             raise ConfigError("d must be 1 or 2")
         if self.schedule is not None:
-            sched = list(self.schedule)
+            if not isinstance(self.schedule, list) or any(
+                    type(N) is not int for N in self.schedule):
+                raise ConfigError("schedule entries must be integers")
+            sched = self.schedule
             if sched != sorted(sched) or len(set(sched)) != len(sched):
                 raise ConfigError("schedule must be strictly increasing")
             if sched and sched[0] < 1:
@@ -139,9 +153,8 @@ class ExperimentConfig:
                     raise ConfigError(
                         "decay_kernel smooths at order N; schedule must stay"
                         f" within 2**{self.J - 2}")
-        for lam in self.lams:
-            if not lam > 0:
-                raise ConfigError("lambda values must be positive")
+        if not _positive_numbers(self.lams):
+            raise ConfigError("lams must be a list of positive real numbers")
         if not isinstance(self.options, dict):
             raise ConfigError("options must be a JSON object")
         if not isinstance(self.corpus, dict):
@@ -149,7 +162,7 @@ class ExperimentConfig:
         vp = self.corpus.get("vp")
         if vp is not None and (type(vp) is not int or vp < 1):
             raise ConfigError("corpus: vp must be a positive integer")
-        for name, (default, least, greatest) in SUITE_OPTIONS.get(
+        for name, (default, least, greatest) in INT_OPTIONS.get(
                 self.experiment, {}).items():
             value = self.options.get(name, default)
             if (type(value) is not int or value < least
@@ -158,6 +171,14 @@ class ExperimentConfig:
                           else f">= {least}")
                 raise ConfigError(
                     f"{self.experiment}: {name} must be an integer {bounds}")
+        if self.experiment == "density":
+            N_max = self.options.get("N_max", INT_OPTIONS["density"]["N_max"][0])
+            need = 8 * N_max**self.d
+            if need > DENSITY_LATTICE_BUDGET:
+                raise ConfigError(
+                    f"density: a {self.d}-d lattice to N_max = {N_max} needs"
+                    f" {need / 2**20:.0f} MB, over the"
+                    f" {DENSITY_LATTICE_BUDGET >> 20} MB budget")
         if self.experiment == "averaged_moment":
             p = self.options.get("p", 2)
             if type(p) is not int or p not in (2, 4):
@@ -307,12 +328,6 @@ def run_cell(cfg: ExperimentConfig, fn_id: str, f, lam: float):
 # whole-experiment runners (no lambda fan-out)
 
 
-def _positive_numbers(value) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
-        for x in value)
-
-
 def run_strong_means(cfg: ExperimentConfig):
     opts = cfg.options
     eps_factors = opts.get("eps_factors", [0.5, 0.25])
@@ -351,8 +366,8 @@ def run_density(cfg: ExperimentConfig):
     opts = cfg.options
     kind = opts.get("kind", "quarter_power")
     s = float(opts.get("s", 1.0))
-    N_max = int(opts.get("N_max", 10**6))
-    base = int(opts.get("base", 4))
+    N_max = opts.get("N_max", INT_OPTIONS["density"]["N_max"][0])
+    base = opts.get("base", INT_OPTIONS["density"]["base"][0])
     sched = [base**k for k in range(1, 64) if base**k <= N_max]
     if cfg.d == 1:
         n = np.arange(1, N_max + 1, dtype=float)
@@ -377,7 +392,7 @@ def run_density(cfg: ExperimentConfig):
 
 def run_suite(cfg: ExperimentConfig):
     opts = {name: cfg.options.get(name, default)
-            for name, (default, _, _) in SUITE_OPTIONS[cfg.experiment].items()}
+            for name, (default, _, _) in INT_OPTIONS[cfg.experiment].items()}
     if cfg.experiment == "covering_suite":
         res = covering_suite(opts["trials_1d"], opts["trials_2d"],
                              seed=cfg.seed,

@@ -19,20 +19,39 @@ n = 1..N_max costs O(N_max^2) work and O(N_max) memory.  The full-torus
 column is the cumulative per-order energy sum_{|m|<=n} |c_m|^2 of the
 same coefficients.
 
+The full-torus column of the quartic (p = 4) moment has a closed form
+too.  |S_n f|^2 = sum_m g_m e(m x) with the Hermitian autocorrelation
+
+    g_m = sum_{a-b=m, |a|,|b|<=n} c_a conj(c_b),    |m| <= 2n,
+
+which needs no symmetry of c, so complex input is covered.  On the
+M-grid, e(m t/M) depends on m mod M only, so |S_n f|^2 has the grid
+coefficients G_r = sum_{m = r mod M} g_m, and discrete Parseval gives
+
+    (1/M) sum_t |S_n f(t)|^4 = sum_{r mod M} |G_r|^2.
+
+Nothing folds while 4n < M (always when refine >= 2), and the sum is
+sum_m |g_m|^2.  Raising n by one adds only the pairs with a or b at
++-n, O(n) entries of g, so the column costs O(N_max^2).  The weighted
+column has no such form (weighting |S_n f|^4 through its coefficients
+is a Toeplitz product per order, O(N_max^3)), so it streams, but only
+the grid columns with w_t > 0: none when E is the whole torus, and when
+E is empty w = 1 and it is the full column.
+
 Fourth moments, strong means and the rectangular factors need pointwise
-values and use a partial-sum stream instead: S_n differs from S_{n-1} by
-the real pair A_n cos n theta + B_n sin n theta (complex only for complex
+values and use a partial-sum stream: S_n differs from S_{n-1} by the
+real pair A_n cos n theta + B_n sin n theta (complex only for complex
 input), so a chunked running sum over the refined grid computes the
 whole curve in O(N_max * M) work, in the input's own dtype.  Each
-function is streamed once per experiment: strong means take all their
-eps thresholds from the same sweep.
+function is streamed at most once per experiment: strong means take
+all their eps thresholds from the same sweep.
 
 Orders are capped at the stored bandwidth n/2; the reading at the cap
 includes the shared Nyquist coefficient on both sides, matching
-`spectral.partial_sum`.  The closed form reads it the same way: at n = H
-the stored bin enters as both +H and -H, and indexing w^ mod M keeps the
-identity exact for every refinement, including refine = 0, where +H and
--H fall on the same grid frequency.
+`spectral.partial_sum`.  Both closed forms read it the same way: at
+n = H the stored bin enters as both +H and -H, and indexing w^ or
+folding g mod M keeps each identity exact for every refinement,
+including refine = 0, where +H and -H fall on the same grid frequency.
 """
 
 from __future__ import annotations
@@ -282,13 +301,14 @@ def dyadic_schedule(N_max: int, lo: int = 32) -> tuple:
 
 
 def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
-                        chunk: int = 256):
+                        chunk: int = 256, cols: np.ndarray | None = None):
     """Yield (ns, rows): rows[i] is S_{ns[i]} f on the 2**refine finer grid.
 
     Rows carry the input's dtype.  With theta = 2 pi t / M,
     S_n f = c_0 + sum_{k<=n} (A_k cos k theta + B_k sin k theta), where
     A_k = c_k + c_{-k} and B_k = i (c_k - c_{-k}) are real for real f.
     At k = H both read the Nyquist bin, so A_H = 2 c_H and B_H = 0.
+    With cols, only those grid columns t are evaluated, in that order.
     rows is scratch that the next chunk overwrites.
     """
     H = f.n // 2
@@ -302,15 +322,15 @@ def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
     if f.is_real():
         A, B, c0 = A.real, B.real, c0.real
     M = 1 << (f.J + refine)
-    # keep the per-chunk scratch (a few chunk x M complex arrays) well
-    # under 100 MB so parallel sweeps on fine grids stay in memory
-    chunk = max(8, min(chunk, (1 << 21) // M))
-    t = np.arange(M)
-    table = np.exp(2j * np.pi * t / M)
+    t = np.arange(M) if cols is None else np.asarray(cols)
+    # keep the per-chunk scratch (a few chunk x columns complex arrays)
+    # well under 100 MB so parallel sweeps on fine grids stay in memory
+    chunk = max(8, min(chunk, (1 << 21) // t.size))
+    table = np.exp(2j * np.pi * np.arange(M) / M)
     step = table[(np.arange(chunk)[:, None] * t) % M]  # e(j t) for j < chunk
-    ph = np.empty((chunk, M), dtype=complex)
-    buf = np.empty((chunk, M), dtype=A.dtype)
-    carry = np.full(M, c0)  # S_0 is the mean
+    ph = np.empty((chunk, t.size), dtype=complex)
+    buf = np.empty((chunk, t.size), dtype=A.dtype)
+    carry = np.full(t.size, c0)  # S_0 is the mean
     for n0 in range(1, n_hi + 1, chunk):
         ns = np.arange(n0, min(n0 + chunk, n_hi + 1))
         e = ph[: len(ns)]
@@ -361,6 +381,38 @@ def _weighted_energy_curve(f: GridFunction, w: np.ndarray,
     return e0 * wh[K].real + np.cumsum(border), e0 + np.cumsum(diag)
 
 
+def _quartic_full_curve(f: GridFunction, n_hi: int, M: int) -> np.ndarray:
+    """(1/M) sum_t |S_n f(t)|^4 on the M-grid for n = 1..n_hi, in closed form.
+
+    g[2N + m] holds g_m = sum_{a-b=m, |a|,|b|<=n} c_a conj(c_b), the
+    coefficients of |S_n f|^2; raising n adds the pairs with a or b at
+    +-n.  The quadrature is sum_r |G_r|^2 with G_r = sum_{m = r mod M} g_m,
+    and nothing folds while 4n < M.
+    """
+    H = f.n // 2
+    N = n_hi
+    ms = np.arange(-N, N + 1)
+    c = forward(f)[(ms + H) % f.n]  # c[N + m] is mode m; +-H share the Nyquist bin
+    cc = np.conj(c)
+    g = np.zeros(4 * N + 1, dtype=complex)
+    g[2 * N] = c[N] * cc[N]
+    out = np.empty(N)
+    for n in range(1, N + 1):
+        cp, cm = c[N + n], c[N - n]
+        v = cc[N - n:N + n + 1]        # conj(c_b), b = -n..n
+        u = c[N - n + 1:N + n]         # c_a, |a| < n
+        g[2 * N:2 * N + 2 * n + 1] += cp * v[::-1]       # a = +n: m = n - b
+        g[2 * N - 2 * n:2 * N + 1] += cm * v[::-1]       # a = -n: m = -n - b
+        g[2 * N - 2 * n + 1:2 * N] += u * np.conj(cp)    # b = +n: m = a - n
+        g[2 * N + 1:2 * N + 2 * n] += u * np.conj(cm)    # b = -n: m = a + n
+        gn = g[2 * N - 2 * n:2 * N + 2 * n + 1]
+        if 4 * n >= M:
+            r = np.arange(-2 * n, 2 * n + 1) % M
+            gn = (np.bincount(r, gn.real, M) + 1j * np.bincount(r, gn.imag, M))
+        out[n - 1] = np.vdot(gn, gn).real
+    return out
+
+
 def _norm_factor(N: int, p: int) -> float:
     # N for the quadratic moment; N log^(p-2) N beyond
     if p == 2:
@@ -376,7 +428,9 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
 
     E is built once from the decomposition at height lambda and shared
     by every report in the curve.  p = 2 takes the closed form of the
-    module docstring; p = 4 streams the partial sums once.
+    module docstring; p = 4 takes the closed form for the full-torus
+    column and streams the partial sums once, on the columns off E, for
+    the weighted one.
     """
     if f.dim != 1:
         raise ValueError("averaged_moment is the 1-d sweep")
@@ -396,11 +450,18 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
         per = np.stack(_weighted_energy_curve(f, w, N_max), axis=1)
     else:
         per = np.empty((N_max, 2))
-        wt = np.stack([w, np.ones(M)], axis=1) / M
-        for ns, rows in _partial_sum_stream(f, N_max, refine):
-            a = _abs2(rows)
-            a *= a
-            per[ns - 1] = a @ wt
+        per[:, 1] = _quartic_full_curve(f, N_max, M)
+        if exc.measure == 0:    # w == 1
+            per[:, 0] = per[:, 1]
+        elif exc.measure == 1:  # w == 0
+            per[:, 0] = 0.0
+        else:  # stream only the columns the weights can see
+            cols = np.flatnonzero(w)
+            wt = w[cols] / M
+            for ns, rows in _partial_sum_stream(f, N_max, refine, cols=cols):
+                a = _abs2(rows)
+                a *= a
+                per[ns - 1, 0] = a @ wt
     cw, cf = np.cumsum(per, axis=0).T
     l1 = f.l1()
     meta = {"fn_id": fn_id, "J": f.J, "d": 1, "c": exc.dilation, "refine": refine}

@@ -36,15 +36,10 @@ def forward(f: GridFunction) -> np.ndarray:
 
 
 def inverse(coeffs: np.ndarray, J: int) -> GridFunction:
-    dim = coeffs.ndim
     n = 1 << J
-    if coeffs.shape != ((n,) if dim == 1 else (n, n)):
+    if coeffs.shape != (n,):
         raise ValueError("coefficient shape does not match J")
-    if dim == 1:
-        samples = np.fft.ifft(np.fft.ifftshift(coeffs)) * n
-    else:
-        samples = np.fft.ifft2(np.fft.ifftshift(coeffs)) * n**2
-    return GridFunction(dim, J, samples)
+    return GridFunction(1, J, np.fft.ifft(np.fft.ifftshift(coeffs)) * n)
 
 
 def _check_order(N: int, H: int):
@@ -160,17 +155,13 @@ def _mode_weights(n: int, N: int) -> np.ndarray:
     return w
 
 
-def plancherel_average_rect(f: GridFunction, N1: int, N2: int | None = None) -> float:
-    """(1/(N1 N2)) sum_{n1<=N1, n2<=N2} ||S_{n1,n2} f||_2^2, exact."""
+def plancherel_average_rect(f: GridFunction, N: int) -> float:
+    """(1/N^2) sum_{n1, n2 <= N} ||S_{n1,n2} f||_2^2, exact."""
     if f.dim != 2:
         raise ValueError("needs a 2-d function")
-    if N2 is None:
-        N2 = N1
     c = forward(f)
-    w1 = _mode_weights(f.n, N1)
-    w2 = _mode_weights(f.n, N2)
-    a = c.real**2 + c.imag**2
-    return float(w1 @ a @ w2 / (N1 * N2))
+    w = _mode_weights(f.n, N)
+    return float(w @ (c.real**2 + c.imag**2) @ w / N**2)
 
 
 def band_energy(f: GridFunction, lo: int, hi: int) -> float:

@@ -172,6 +172,13 @@ def plancherel_average(f: GridFunction, N: int) -> float:
     return float(np.sum((c.real**2 + c.imag**2) * spectral._mode_weights(f.n, N)) / N)
 
 
+def inverse_2d(coeffs: np.ndarray, J: int) -> GridFunction:
+    """2-d inverse of `spectral.forward`: centered coefficients to samples."""
+    n = 1 << J
+    assert coeffs.shape == (n, n)
+    return GridFunction(2, J, np.fft.ifft2(np.fft.ifftshift(coeffs)) * n**2)
+
+
 def partial_sum_rect(f: GridFunction, N1: int, N2: int, refine: int = 1) -> GridFunction:
     """Rectangular partial sum of a 2-d function: modes |m1| <= N1, |m2| <= N2,
     on a 2**refine finer grid."""

@@ -147,8 +147,8 @@ def test_run_writes_schema_and_passes(tmp_path):
 
 def test_averaged_moment_config_reproduces_committed_csv(tmp_path, monkeypatch,
                                                        once_per_session):
-    """Every cell of the committed outputs of every config that runs in
-    seconds, from fresh runs.  strong_means measures are grid counts, so
+    """Every cell of the committed outputs of every config, from fresh
+    runs.  strong_means measures are grid counts, so
     this pins every threshold decision; the two suites' counts pin their
     random draws and every component and bad cell.  The two batteries
     share their runs with acceptance criteria 01 and 03, which call them
@@ -157,9 +157,10 @@ def test_averaged_moment_config_reproduces_committed_csv(tmp_path, monkeypatch,
         monkeypatch.setattr(cli, name, once_per_session(getattr(cli, name)))
     bl = tmp_path / "bl"
     shutil.copytree(ROOT / "baselines", bl)
-    for name in ("averaged_moment", "strong_means", "first_reduction",
-                 "second_reduction", "decay_kernel", "rect_moment", "density",
-                 "density_2d", "czd_suite", "covering_suite"):
+    for name in ("averaged_moment", "p4_moment", "strong_means",
+                 "first_reduction", "second_reduction", "decay_kernel",
+                 "rect_moment", "density", "density_2d", "czd_suite",
+                 "covering_suite"):
         assert cli.main(["run", str(ROOT / "configs" / f"{name}.json"),
                          "--out", str(tmp_path / "out"),
                          "--baselines", str(bl)]) == 0
@@ -227,6 +228,37 @@ def test_averaged_moment_bad_p_exit_2(tmp_path, capsys, monkeypatch):
     assert "options must be" in capsys.readouterr().err
 
 
+def test_non_integer_schedule_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    for bad in ([32.5], [16, 32.0], [True, 32], ["32"], 32):
+        cfg = write_config(tmp_path, schedule=bad)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2, bad
+        assert "schedule entries must be integers" in capsys.readouterr().err
+
+
+def test_non_numeric_lams_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    for bad in (["8"], [8.0, True], [None], 8.0, [4.0, 0], [-2]):
+        cfg = write_config(tmp_path, lams=bad)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2, bad
+        assert "lams must be a list of positive real numbers" in \
+            capsys.readouterr().err
+    ExperimentConfig.from_dict({"experiment": "averaged_moment", "seed": 1,
+                                "lams": [2, 8.5]})
+
+
+def test_density_lattice_over_budget_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_density", refuse)
+    side = {1: cli.DENSITY_LATTICE_BUDGET // 8, 2: 2048}  # largest in budget
+    for d, N_max in side.items():
+        ExperimentConfig.from_dict({"experiment": "density", "seed": 1, "d": d,
+                                    "options": {"N_max": N_max}})
+        cfg = write_config(tmp_path, experiment="density", d=d,
+                           options={"N_max": N_max + 1})
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "MB budget" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("corpus,message", [
     ([], "corpus must be a JSON object"),
     ("spike", "corpus must be a JSON object"),
@@ -251,11 +283,13 @@ def test_bad_corpus_exit_2(tmp_path, capsys, monkeypatch, corpus, message):
     ("covering_suite", "max_level_1d", 1, 14),
     ("covering_suite", "max_level_2d", 1, 14),
     ("covering_suite", "chain_level", 1, 8),
+    ("density", "N_max", 1, None),
+    ("density", "base", 2, None),
 ], ids=["trials", "trials_1d", "trials_2d", "max_level_1d", "max_level_2d",
-        "chain_level"])
+        "chain_level", "density-N_max", "density-base"])
 def test_suite_bad_option_exit_2(tmp_path, capsys, monkeypatch, experiment,
                                  name, least, greatest):
-    for runner in ("czd_suite", "covering_suite", "chain_suite"):
+    for runner in ("czd_suite", "covering_suite", "chain_suite", "run_density"):
         monkeypatch.setattr(cli, runner, refuse)
     bad = [least - 1, 2.7, float(least), True, str(least), None, [least]]
     if greatest is not None:

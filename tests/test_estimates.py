@@ -227,6 +227,62 @@ def test_engine_matches_brute_curve_p4():
             assert abs(rep.full_torus_avg - full) < 1e-9 * max(1.0, full)
 
 
+def refuse_stream(*args, **kwargs):
+    raise AssertionError("p = 4 streamed the partial sums")
+
+
+def test_p4_curve_on_empty_set_needs_no_partial_sums(monkeypatch):
+    # w == 1, so the weighted column is the closed-form full column
+    f = corpus.multi_spike(6, 3, np.random.default_rng(26))
+    cw, cf = brute_curve(f, 8.0, 32, 5, 4, 2, exc=whole_or_empty_set(6, False))
+    monkeypatch.setattr(estimates, "_partial_sum_stream", refuse_stream)
+    reports = averaged_moment(f, 8.0, 32, p=4, schedule=(4, 32),
+                              exc=whole_or_empty_set(6, False))
+    for rep in reports:
+        norm = rep.N * np.log(rep.N) ** 2
+        assert rep.avg_moment == rep.full_torus_avg
+        assert abs(rep.avg_moment - cw[rep.N - 1] / norm) <= 1e-12 * rep.avg_moment
+        assert abs(rep.full_torus_avg - cf[rep.N - 1] / norm) <= 1e-12 * rep.full_torus_avg
+
+
+def test_p4_curve_on_whole_set_is_zero(monkeypatch):
+    f = corpus.abs_noise(6, np.random.default_rng(27))
+    monkeypatch.setattr(estimates, "_partial_sum_stream", refuse_stream)
+    reports = averaged_moment(f, 4.0, 32, p=4, schedule=(4, 32),
+                              exc=whole_or_empty_set(6, True))
+    for rep in reports:
+        assert rep.avg_moment == 0.0 and rep.ratio == 0.0
+        assert rep.full_torus_avg > 0
+
+
+def test_p4_weighted_column_streams_only_visible_columns():
+    rng = np.random.default_rng(28)
+    spikes = corpus.multi_spike(6, 3, rng)
+    cplx = GridFunction(1, 6, spikes.samples + 1j * corpus.abs_noise(6, rng).samples)
+    for f, refine in [(spikes, 2), (cplx, 1)]:
+        exc = build_exceptional_set(decompose(f, 8.0), 5)
+        assert 0 < exc.measure < 1
+        M = 1 << (f.J + refine)
+        w = exc.complement_weights(M)
+        cols = np.flatnonzero(w)
+        assert 0 < cols.size < M
+        # the restricted stream is the full stream read at those columns
+        full = estimates._partial_sum_stream(f, 32, refine, chunk=8)
+        per = np.empty(32)
+        part = estimates._partial_sum_stream(f, 32, refine, chunk=8, cols=cols)
+        for (ns, rows), (ns_c, rows_c) in zip(full, part):
+            assert np.array_equal(ns, ns_c)
+            assert np.allclose(rows_c, rows[:, cols], rtol=0, atol=1e-12)
+            per[ns - 1] = np.abs(rows) ** 4 @ w / M
+        # ... and the curve's weighted column matches the full-grid sum
+        reports = averaged_moment(f, 8.0, 32, p=4, schedule=(4, 8, 32),
+                                  refine=refine, exc=exc)
+        cw = np.cumsum(per)
+        for rep in reports:
+            want = cw[rep.N - 1] / (rep.N * np.log(rep.N) ** 2)
+            assert abs(rep.avg_moment - want) <= 1e-12 * want
+
+
 def test_stream_runs_once_per_function(monkeypatch):
     calls = []
     stream = estimates._partial_sum_stream

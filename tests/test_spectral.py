@@ -27,7 +27,13 @@ from strongmeans.spectral import (
     vp_multiplier,
 )
 
-from oracles import constant, exponential, partial_sum_rect, plancherel_average
+from oracles import (
+    constant,
+    exponential,
+    inverse_2d,
+    partial_sum_rect,
+    plancherel_average,
+)
 
 
 def random_function(seed, J=4, dim=1, real=False):
@@ -97,7 +103,7 @@ def test_roundtrip(seed):
 
 def test_roundtrip_2d():
     f = random_function(7, J=3, dim=2)
-    g = inverse(forward(f), 3)
+    g = inverse_2d(forward(f), 3)
     assert np.allclose(g.samples, f.samples, atol=1e-10)
 
 
@@ -194,7 +200,7 @@ def test_vp_of_tensor_smooths_each_factor():
         out = valle_poussin(f, N)
         assert out.factors is not None and out.is_real() == f.is_real()
         w = vp_multiplier(N, centered_modes(f.n))
-        want = inverse(forward(f) * np.multiply.outer(w, w), f.J).samples
+        want = inverse_2d(forward(f) * np.multiply.outer(w, w), f.J).samples
         assert np.max(np.abs(out.samples - want)) <= 1e-12 * np.max(np.abs(want))
     with pytest.raises(ValueError, match="separable"):
         valle_poussin(GridFunction(2, 5, np.ones((32, 32))), 4)
@@ -260,9 +266,16 @@ def test_plancherel_average_rect_tensor():
     g = random_function(21, J=4, real=True)
     h = random_function(22, J=4, real=True)
     f = tensor(g, h)
-    got = plancherel_average_rect(f, 5, 7)
-    want = plancherel_average(g, 5) * plancherel_average(h, 7)
-    assert got == pytest.approx(want, rel=1e-10)
+    for N in (5, 8):  # 8 is the Nyquist order at J = 4
+        got = plancherel_average_rect(f, N)
+        want = plancherel_average(g, N) * plancherel_average(h, N)
+        assert got == pytest.approx(want, rel=1e-10)
+    # an unseparable input against the per-pair rectangular sums
+    f = random_function(23, J=3, dim=2)
+    for N in (2, 4):
+        want = np.mean([partial_sum_rect(f, n1, n2).l2sq()
+                        for n1 in range(1, N + 1) for n2 in range(1, N + 1)])
+        assert plancherel_average_rect(f, N) == pytest.approx(want, rel=1e-10)
 
 
 def test_band_energy_matches_difference_norm():
