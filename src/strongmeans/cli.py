@@ -1,12 +1,12 @@
 """Config-driven experiment runner with deterministic artifacts.
 
-One JSON config describes one experiment run: which experiment, which
-functions, which heights and orders.  `run` executes it and writes a CSV
-of per-row results plus a JSON summary; both are byte-identical across
-repeat runs and across parallelism levels, because every cell of the
-(function x lambda) sweep is a pure function of the config and the merge
-order is fixed.  Headline values per cell are recorded into a baseline
-file on first run and compared against it afterwards.
+One JSON config describes one experiment run.  Each experiment is one
+record in `EXPERIMENTS`: CSV columns, option schema, fan-out, schedule
+bound and runner.  `run` writes a CSV of per-row results plus a JSON
+summary, byte-identical across repeat runs and parallelism levels,
+because every (function x lambda) cell is a pure function of the config
+and the merge order is fixed.  Headline values per cell are recorded
+into a baseline file on first run and compared against it afterwards.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,56 +32,6 @@ from .suites import chain_suite, covering_suite, czd_suite
 SCHEMA_VERSION = 1
 BASELINE_TOLERANCE = 0.10
 
-EXPERIMENTS = (
-    "first_reduction",
-    "second_reduction",
-    "averaged_moment",
-    "decay_kernel",
-    "rect_moment",
-    "p4_moment",
-    "strong_means",
-    "density",
-    "covering_suite",
-    "czd_suite",
-)
-
-# column layout of the per-row CSV, fixed per experiment
-CSV_COLUMNS = {
-    "first_reduction": ["fn_id", "lambda", "N", "avg_moment", "full_avg",
-                        "measure_E", "ratio", "config_hash"],
-    "second_reduction": ["fn_id", "lambda", "N", "avg_moment", "full_avg",
-                         "measure_E", "ratio", "config_hash"],
-    "averaged_moment": ["fn_id", "lambda", "N", "avg_moment", "full_avg",
-                        "measure_E", "ratio", "config_hash"],
-    "p4_moment": ["fn_id", "lambda", "N", "avg_moment", "full_avg",
-                  "measure_E", "ratio", "config_hash"],
-    "decay_kernel": ["fn_id", "lambda", "s", "N", "moment", "config_hash"],
-    "rect_moment": ["fn_id", "geometry", "lambda", "N", "avg_moment",
-                    "full_avg", "measure_E", "ratio", "config_hash"],
-    "strong_means": ["fn_id", "eps", "N", "measure", "config_hash"],
-    "density": ["kind", "N", "density", "config_hash"],
-    "covering_suite": ["kind", "trials", "violations", "components",
-                       "config_hash"],
-    "czd_suite": ["kind", "trials", "failures", "mean_bad_cells",
-                  "config_hash"],
-}
-
-
-# integer options: experiment -> name -> (default, least, greatest).  The
-# chain scan builds n x n matrices with n = 2**(L+1) - 2, so its level
-# stays small.
-INT_OPTIONS = {
-    "czd_suite": {"trials": (10000, 1, None)},
-    "covering_suite": {
-        "trials_1d": (10000, 1, None),
-        "trials_2d": (1000, 1, None),
-        "max_level_1d": (12, 1, DEFAULT_J_MAX),
-        "max_level_2d": (7, 1, DEFAULT_J_MAX),
-        "chain_level": (6, 1, 8),
-    },
-    "density": {"N_max": (10**6, 1, None), "base": (4, 2, None)},
-}
-
 # bytes one float lattice of the density run may take (N_max**d
 # entries); the run holds a few arrays of that size at once
 DENSITY_LATTICE_BUDGET = 1 << 25
@@ -94,6 +45,44 @@ def _positive_numbers(value) -> bool:
     return isinstance(value, list) and all(
         isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
         for x in value)
+
+
+@dataclass(frozen=True)
+class Option:
+    """An option's default, a check of a given value, and the rule that
+    completes "<experiment>: <name> must be ..."."""
+
+    default: object
+    ok: Callable[[object], bool]
+    rule: str
+
+
+def _integer(default: int, least: int, greatest: int | None = None) -> Option:
+    rule = (f"an integer >= {least}" if greatest is None
+            else f"an integer in [{least}, {greatest}]")
+    return Option(default, lambda v: type(v) is int and v >= least
+                  and (greatest is None or v <= greatest), rule)
+
+
+_TWO_OR_FOUR = Option(2, lambda v: type(v) is int and v in (2, 4),
+                      "the integer 2 or 4")
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the CLI knows about one experiment.  With `per_cell`,
+    `run(cfg, fn_id, f, lam, schedule)` runs one (function, lambda) cell
+    and keys its headline values by what follows `fn_id|lambda`; else
+    `run(cfg)` runs the whole experiment.  Both return rows, headline
+    values and invariant flags.  Schedules stay within 2**(J - band)
+    unless band is None.  `check` sees the whole config."""
+
+    columns: tuple
+    run: Callable
+    per_cell: bool = True
+    band: int | None = 1
+    options: dict = field(default_factory=dict)
+    check: Callable | None = None
 
 
 @dataclass
@@ -117,8 +106,7 @@ class ExperimentConfig:
             raise ConfigError("missing field: experiment")
         if "seed" not in raw:
             raise ConfigError("missing field: seed (runs must be reproducible)")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(raw) - known
+        unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         cfg = cls(**raw)
@@ -126,33 +114,28 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(f"unknown experiment {self.experiment!r}")
+        name = self.experiment
+        exp = EXPERIMENTS.get(name) if isinstance(name, str) else None
+        if exp is None:
+            raise ConfigError(f"unknown experiment {name!r}")
         if not isinstance(self.seed, int):
             raise ConfigError("seed must be an integer")
         if not 1 <= self.J <= DEFAULT_J_MAX:
             raise ConfigError(f"J must lie in [1, {DEFAULT_J_MAX}]")
         if self.d not in (1, 2):
             raise ConfigError("d must be 1 or 2")
-        if self.schedule is not None:
-            if not isinstance(self.schedule, list) or any(
-                    type(N) is not int for N in self.schedule):
+        sched = self.schedule
+        if sched is not None:
+            if not isinstance(sched, list) or any(type(N) is not int for N in sched):
                 raise ConfigError("schedule entries must be integers")
-            sched = self.schedule
             if sched != sorted(sched) or len(set(sched)) != len(sched):
                 raise ConfigError("schedule must be strictly increasing")
             if sched and sched[0] < 1:
                 raise ConfigError("schedule entries must be positive")
-            if sched and self.experiment not in ("density",):
-                if sched[-1] > (1 << (self.J - 1)):
-                    raise ConfigError(
-                        f"schedule exceeds stored bandwidth 2**{self.J - 1}")
-            # the decay sweep smooths at order N, which doubles the band
-            if sched and self.experiment == "decay_kernel":
-                if sched[-1] > (1 << (self.J - 2)):
-                    raise ConfigError(
-                        "decay_kernel smooths at order N; schedule must stay"
-                        f" within 2**{self.J - 2}")
+            if sched and exp.band is not None \
+                    and sched[-1] > (1 << (self.J - exp.band)):
+                raise ConfigError(f"{name}: schedule exceeds the usable"
+                                  f" bandwidth 2**{self.J - exp.band}")
         if not _positive_numbers(self.lams):
             raise ConfigError("lams must be a list of positive real numbers")
         if not isinstance(self.options, dict):
@@ -162,40 +145,27 @@ class ExperimentConfig:
         vp = self.corpus.get("vp")
         if vp is not None and (type(vp) is not int or vp < 1):
             raise ConfigError("corpus: vp must be a positive integer")
-        for name, (default, least, greatest) in INT_OPTIONS.get(
-                self.experiment, {}).items():
-            value = self.options.get(name, default)
-            if (type(value) is not int or value < least
-                    or (greatest is not None and value > greatest)):
-                bounds = (f"in [{least}, {greatest}]" if greatest is not None
-                          else f">= {least}")
+        unknown = sorted(set(self.options) - set(exp.options))
+        if unknown:
+            raise ConfigError(f"{name}: unknown options {unknown}; it takes"
+                              f" {sorted(exp.options)}")
+        for key, value in self.options.items():
+            if not exp.options[key].ok(value):
                 raise ConfigError(
-                    f"{self.experiment}: {name} must be an integer {bounds}")
-        if self.experiment == "density":
-            N_max = self.options.get("N_max", INT_OPTIONS["density"]["N_max"][0])
-            need = 8 * N_max**self.d
-            if need > DENSITY_LATTICE_BUDGET:
-                raise ConfigError(
-                    f"density: a {self.d}-d lattice to N_max = {N_max} needs"
-                    f" {need / 2**20:.0f} MB, over the"
-                    f" {DENSITY_LATTICE_BUDGET >> 20} MB budget")
-        if self.experiment == "averaged_moment":
-            p = self.options.get("p", 2)
-            if type(p) is not int or p not in (2, 4):
-                raise ConfigError("averaged_moment: p must be the integer 2 or 4")
+                    f"{name}: {key} must be {exp.options[key].rule}")
+        if exp.check is not None:
+            exp.check(self)
+
+    def option(self, name: str):
+        """A given option, else its schema default."""
+        default = EXPERIMENTS[self.experiment].options[name].default
+        return self.options.get(name, default)
 
     def canonical(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "seed": self.seed,
-            "J": self.J,
-            "d": self.d,
-            "lams": list(self.lams),
-            "schedule": list(self.schedule) if self.schedule else None,
-            "s_values": list(self.s_values),
-            "corpus": self.corpus,
-            "options": self.options,
-        }
+        """Every field but `output`; an empty schedule reads as none."""
+        fields = {k: getattr(self, k) for k in self.__dataclass_fields__
+                  if k != "output"}
+        return {**fields, "schedule": self.schedule or None}
 
     @property
     def config_hash(self) -> str:
@@ -208,8 +178,7 @@ class ExperimentConfig:
 
 
 def fmt(v) -> str:
-    """Serialization of one CSV field: 12 significant digits for floats,
-    p/q for exact rationals."""
+    """One CSV field: 12 significant digits for floats, p/q for rationals."""
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, (float, np.floating)):
@@ -222,10 +191,9 @@ def fmt(v) -> str:
 def build_functions(cfg: ExperimentConfig) -> list:
     """Deterministic (fn_id, GridFunction) list for a config."""
     sel = cfg.corpus
-    fams = sel.get("families")
-    n_random = sel.get("n_random", 2)
     fns = corpus.standard_corpus(cfg.J, seed=cfg.seed, d=cfg.d,
-                                 n_random=n_random)
+                                 n_random=sel.get("n_random", 2))
+    fams = sel.get("families")
     if fams:
         fns = [(fid, f) for fid, f in fns if fid.split("-")[0] in fams]
     if not fns:
@@ -237,121 +205,104 @@ def build_functions(cfg: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# per-cell runners: pure functions of (config, fn_id, lam)
+# per-cell runners: pure functions of (config, fn_id, lam, schedule)
 
 
-def _moment_rows(cfg, fn_id, reports, extra=()):
-    rows = []
-    for rep in reports:
-        rows.append({
-            "fn_id": fn_id, "lambda": rep.lam, "N": rep.N,
-            "avg_moment": rep.avg_moment, "full_avg": rep.full_torus_avg,
-            "measure_E": rep.measure_E, "ratio": rep.ratio,
-            "config_hash": cfg.config_hash, **dict(extra),
-        })
-    return rows
+MOMENT_COLUMNS = ("fn_id", "lambda", "N", "avg_moment", "full_avg",
+                  "measure_E", "ratio", "config_hash")
+
+
+def _moment_rows(fn_id, reports, **extra):
+    return [{"fn_id": fn_id, "lambda": rep.lam, "N": rep.N,
+             "avg_moment": rep.avg_moment, "full_avg": rep.full_torus_avg,
+             "measure_E": rep.measure_E, "ratio": rep.ratio, **extra}
+            for rep in reports]
 
 
 def _check_measure_bound(rep, f, c=5) -> bool:
-    bound = Fraction(c) ** rep.exceptional.dim * Fraction(f.l1()) / Fraction(rep.lam)
-    return rep.measure_E <= bound
+    return rep.measure_E <= (Fraction(c) ** rep.exceptional.dim
+                             * Fraction(f.l1()) / Fraction(rep.lam))
 
 
-def run_cell(cfg: ExperimentConfig, fn_id: str, f, lam: float):
-    """Rows + summary fragment for one (function, lambda) cell."""
-    exp = cfg.experiment
-    sched = cfg.schedule or cfg.default_schedule()
-    key = f"{fn_id}|{fmt(lam)}"
-    inv = {}
+def _full_ge_restricted(reports) -> bool:
+    return all(r.full_torus_avg >= r.avg_moment - 1e-12 for r in reports)
 
-    if exp == "first_reduction":
-        rep = estimates.verify_first_reduction(f, lam, fn_id=fn_id)
-        rows = _moment_rows(cfg, fn_id, [rep])
-        inv["ratio_le_one"] = bool(rep.metadata["passed"])
-        return rows, {key: rep.ratio}, inv
 
-    if exp == "second_reduction":
-        rows, best = [], 0.0
-        for N in sched:
-            fN = valle_poussin(f, N) if cfg.corpus.get("vp") is None else f
-            rep = estimates.verify_second_reduction(fN, lam, N, fn_id=fn_id)
-            rows += _moment_rows(cfg, fn_id, [rep])
-            best = max(best, rep.ratio)
-            inv.setdefault("full_ge_restricted", True)
-            if rep.full_torus_avg < rep.avg_moment - 1e-12:
-                inv["full_ge_restricted"] = False
-        return rows, {key: best}, inv
+def _first_reduction(cfg, fn_id, f, lam, sched):
+    rep = estimates.verify_first_reduction(f, lam, fn_id=fn_id)
+    return (_moment_rows(fn_id, [rep]), {"": rep.ratio},
+            {"ratio_le_one": bool(rep.metadata["passed"])})
 
-    if exp in ("averaged_moment", "p4_moment"):
-        p = 4 if exp == "p4_moment" else cfg.options.get("p", 2)
-        reports = estimates.averaged_moment(f, lam, sched[-1], p=p,
-                                            schedule=sched, fn_id=fn_id)
-        rows = _moment_rows(cfg, fn_id, reports)
-        inv["measure_bound_exact"] = _check_measure_bound(reports[0], f)
-        inv["full_ge_restricted"] = all(
-            r.full_torus_avg >= r.avg_moment - 1e-12 for r in reports)
-        head = (max(r.avg_moment for r in reports) if exp == "p4_moment"
-                else reports[-1].ratio)
-        return rows, {key: head}, inv
 
-    if exp == "decay_kernel":
-        rows, values = [], {}
-        Ns = tuple(sched)
-        for s in cfg.s_values:
-            slope, reports = estimates.decay_slope(f, lam, s, Ns=Ns,
-                                                   fn_id=fn_id)
-            for rep in reports:
-                rows.append({
-                    "fn_id": fn_id, "lambda": lam, "s": s, "N": rep.N,
-                    "moment": rep.avg_moment, "config_hash": cfg.config_hash,
-                })
-            values[f"{key}|s={fmt(s)}"] = slope
-        return rows, values, inv
+def _second_reduction(cfg, fn_id, f, lam, sched):
+    smoothed = cfg.corpus.get("vp") is not None
+    reports = [estimates.verify_second_reduction(
+        f if smoothed else valle_poussin(f, N), lam, N, fn_id=fn_id)
+        for N in sched]
+    return (_moment_rows(fn_id, reports),
+            {"": max(0.0, *(r.ratio for r in reports))},
+            {"full_ge_restricted": _full_ge_restricted(reports)})
 
-    if exp == "rect_moment":
-        rows, values = [], {}
-        for geometry in ("cube", "slab"):
-            reports = estimates.averaged_moment_rect(
-                f, lam, sched[-1], schedule=sched, fn_id=fn_id,
-                geometry=geometry)
-            rows += _moment_rows(cfg, fn_id, reports,
-                                 extra=[("geometry", geometry)])
-            values[f"{key}|{geometry}"] = reports[-1].ratio
-            if geometry == "cube":
-                inv["measure_bound_exact"] = _check_measure_bound(reports[0], f)
-        return rows, values, inv
 
-    raise ConfigError(f"experiment {exp} has no per-cell runner")
+def _moment_curve(f, fn_id, lam, sched, p):
+    reports = estimates.averaged_moment(f, lam, sched[-1], p=p,
+                                        schedule=sched, fn_id=fn_id)
+    return reports, {"measure_bound_exact": _check_measure_bound(reports[0], f),
+                     "full_ge_restricted": _full_ge_restricted(reports)}
+
+
+def _averaged_moment(cfg, fn_id, f, lam, sched):
+    reports, inv = _moment_curve(f, fn_id, lam, sched, cfg.option("p"))
+    return _moment_rows(fn_id, reports), {"": reports[-1].ratio}, inv
+
+
+def _p4_moment(cfg, fn_id, f, lam, sched):
+    reports, inv = _moment_curve(f, fn_id, lam, sched, 4)
+    return (_moment_rows(fn_id, reports),
+            {"": max(r.avg_moment for r in reports)}, inv)
+
+
+def _decay_kernel(cfg, fn_id, f, lam, sched):
+    rows, values = [], {}
+    for s in cfg.s_values:
+        slope, reports = estimates.decay_slope(f, lam, s, Ns=tuple(sched),
+                                               fn_id=fn_id)
+        rows += [{"fn_id": fn_id, "lambda": lam, "s": s, "N": rep.N,
+                  "moment": rep.avg_moment} for rep in reports]
+        values[f"|s={fmt(s)}"] = slope
+    return rows, values, {}
+
+
+def _rect_moment(cfg, fn_id, f, lam, sched):
+    rows, values, inv = [], {}, {}
+    for geometry in ("cube", "slab"):
+        reports = estimates.averaged_moment_rect(
+            f, lam, sched[-1], schedule=sched, fn_id=fn_id,
+            geometry=geometry)
+        rows += _moment_rows(fn_id, reports, geometry=geometry)
+        values[f"|{geometry}"] = reports[-1].ratio
+        if geometry == "cube":
+            inv["measure_bound_exact"] = _check_measure_bound(reports[0], f)
+    return rows, values, inv
 
 
 # ---------------------------------------------------------------------------
 # whole-experiment runners (no lambda fan-out)
 
 
-def run_strong_means(cfg: ExperimentConfig):
-    opts = cfg.options
-    eps_factors = opts.get("eps_factors", [0.5, 0.25])
-    r = opts.get("r", 2)
-    lam_grid = opts.get("lam_grid", list(estimates.DEFAULT_LAM_GRID))
-    if not eps_factors or not _positive_numbers(eps_factors):
-        raise ConfigError("strong_means: eps_factors must be a non-empty list"
-                          " of positive numbers")
-    if isinstance(r, bool) or r not in (2, 4):
-        raise ConfigError("strong_means: r must be 2 or 4")
-    if not _positive_numbers(lam_grid):
-        raise ConfigError("strong_means: lam_grid must be a list of positive"
-                          " numbers")
+def _strong_means(cfg: ExperimentConfig):
     sched = tuple(cfg.schedule or cfg.default_schedule())
     rows, values, inv = [], {}, {"superlevel_non_increasing": True}
     for fn_id, f in build_functions(cfg):
         scale = f.linf() ** 2
         reports = estimates.strong_means_measure(
-            f, [factor * scale for factor in eps_factors], sched, r=int(r),
-            lam_grid=tuple(lam_grid), fn_id=fn_id)
+            f, [factor * scale for factor in cfg.option("eps_factors")],
+            sched, r=cfg.option("r"), lam_grid=tuple(cfg.option("lam_grid")),
+            fn_id=fn_id)
         for rep in reports:
             for N, m in zip(rep.schedule, rep.measures):
                 rows.append({"fn_id": fn_id, "eps": rep.eps, "N": N,
-                             "measure": m, "config_hash": cfg.config_hash})
+                             "measure": m})
             if any(b > a + 1e-15 for a, b in zip(rep.measures,
                                                  rep.measures[1:])):
                 inv["superlevel_non_increasing"] = False
@@ -362,87 +313,132 @@ def run_strong_means(cfg: ExperimentConfig):
     return rows, values, inv
 
 
-def run_density(cfg: ExperimentConfig):
-    opts = cfg.options
-    kind = opts.get("kind", "quarter_power")
-    s = float(opts.get("s", 1.0))
-    N_max = opts.get("N_max", INT_OPTIONS["density"]["N_max"][0])
-    base = opts.get("base", INT_OPTIONS["density"]["base"][0])
+def _density_budget(cfg: ExperimentConfig):
+    N_max = cfg.option("N_max")
+    need = 8 * N_max**cfg.d
+    if need > DENSITY_LATTICE_BUDGET:
+        raise ConfigError(
+            f"density: a {cfg.d}-d lattice to N_max = {N_max} needs"
+            f" {need / 2**20:.0f} MB, over the"
+            f" {DENSITY_LATTICE_BUDGET >> 20} MB budget")
+
+
+def _density(cfg: ExperimentConfig):
+    s, N_max, base = cfg.option("s"), cfg.option("N_max"), cfg.option("base")
     sched = [base**k for k in range(1, 64) if base**k <= N_max]
-    if cfg.d == 1:
-        n = np.arange(1, N_max + 1, dtype=float)
-        values = s + (n ** -0.25 if kind == "quarter_power"
-                      else np.zeros_like(n))
-    else:
-        i = np.arange(1, N_max + 1, dtype=float)
-        rad = np.hypot(i[:, None], i[None, :])
-        values = s + (rad ** -0.25 if kind == "quarter_power"
-                      else np.zeros_like(rad))
+    i = np.arange(1, N_max + 1, dtype=float)
+    radius = i if cfg.d == 1 else np.hypot(i[:, None], i[None, :])
+    values = s + radius ** -0.25
     run = estimates.density_subsequence(values, s, tuple(sched))
-    tag = f"{kind}-{cfg.d}d"
-    rows = [{"kind": tag, "N": N, "density": dens,
-             "config_hash": cfg.config_hash}
+    rows = [{"kind": f"{cfg.option('kind')}-{cfg.d}d", "N": N, "density": dens}
             for N, dens in zip(run.eval_points, run.density)]
-    inv = {
-        "membership": bool(run.check_membership(values)),
-        "density_floor": bool(run.density_floor_ok()),
-    }
-    return rows, {}, inv
+    return rows, {}, {"membership": bool(run.check_membership(values)),
+                      "density_floor": bool(run.density_floor_ok())}
 
 
-def run_suite(cfg: ExperimentConfig):
-    opts = {name: cfg.options.get(name, default)
-            for name, (default, _, _) in INT_OPTIONS[cfg.experiment].items()}
-    if cfg.experiment == "covering_suite":
-        res = covering_suite(opts["trials_1d"], opts["trials_2d"],
-                             seed=cfg.seed,
-                             max_level_1d=opts["max_level_1d"],
-                             max_level_2d=opts["max_level_2d"])
-        chain = chain_suite(opts["chain_level"])
-        rows = [
-            {"kind": "families", "trials": res.trials,
-             "violations": sum(res.failures.values()),
-             "components": res.stats["components"],
-             "config_hash": cfg.config_hash},
-            {"kind": "chains", "trials": chain.trials,
-             "violations": sum(chain.failures.values()),
-             "components": chain.stats["outer_pairs"],
-             "config_hash": cfg.config_hash},
-        ]
-        inv = {"containment": res.ok, "bridge_length": chain.ok}
-        return rows, {}, inv
-    res = czd_suite(opts["trials"], J=cfg.J, seed=cfg.seed, dim=cfg.d)
+def _covering_suite(cfg: ExperimentConfig):
+    res = covering_suite(cfg.option("trials_1d"), cfg.option("trials_2d"),
+                         seed=cfg.seed,
+                         max_level_1d=cfg.option("max_level_1d"),
+                         max_level_2d=cfg.option("max_level_2d"))
+    chain = chain_suite(cfg.option("chain_level"))
+    rows = [{"kind": kind, "trials": r.trials,
+             "violations": sum(r.failures.values()), "components": r.stats[n]}
+            for kind, r, n in (("families", res, "components"),
+                               ("chains", chain, "outer_pairs"))]
+    return rows, {}, {"containment": res.ok, "bridge_length": chain.ok}
+
+
+def _czd_suite(cfg: ExperimentConfig):
+    res = czd_suite(cfg.option("trials"), J=cfg.J, seed=cfg.seed, dim=cfg.d)
     rows = [{"kind": res.suite, "trials": res.trials,
              "failures": sum(res.failures.values()),
-             "mean_bad_cells": res.stats["mean_bad_cells"],
-             "config_hash": cfg.config_hash}]
+             "mean_bad_cells": res.stats["mean_bad_cells"]}]
     return rows, {}, {"invariants": res.ok}
+
+
+# ---------------------------------------------------------------------------
+# the experiments, in `list-experiments` order
+
+
+EXPERIMENTS = {
+    "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction),
+    "second_reduction": Experiment(MOMENT_COLUMNS, _second_reduction),
+    "averaged_moment": Experiment(MOMENT_COLUMNS, _averaged_moment,
+                                  options={"p": _TWO_OR_FOUR}),
+    # the decay sweep smooths at order N, which doubles the band
+    "decay_kernel": Experiment(
+        ("fn_id", "lambda", "s", "N", "moment", "config_hash"),
+        _decay_kernel, band=2),
+    "rect_moment": Experiment(
+        ("fn_id", "geometry") + MOMENT_COLUMNS[1:], _rect_moment),
+    "p4_moment": Experiment(MOMENT_COLUMNS, _p4_moment),
+    "strong_means": Experiment(
+        ("fn_id", "eps", "N", "measure", "config_hash"), _strong_means,
+        per_cell=False, options={
+            "eps_factors": Option(
+                (0.5, 0.25), lambda v: _positive_numbers(v) and len(v) > 0,
+                "a non-empty list of positive numbers"),
+            "r": _TWO_OR_FOUR,
+            "lam_grid": Option(estimates.DEFAULT_LAM_GRID, _positive_numbers,
+                               "a list of positive numbers"),
+        }),
+    "density": Experiment(
+        ("kind", "N", "density", "config_hash"), _density, per_cell=False,
+        band=None, check=_density_budget, options={
+            "kind": Option("quarter_power", lambda v: v == "quarter_power",
+                           '"quarter_power"'),
+            "s": Option(1.0, lambda v: isinstance(v, (int, float))
+                        and not isinstance(v, bool), "a real number"),
+            "N_max": _integer(10**6, 1),
+            "base": _integer(4, 2),
+        }),
+    # the chain scan builds n x n matrices with n = 2**(L+1) - 2, so its
+    # level stays small
+    "covering_suite": Experiment(
+        ("kind", "trials", "violations", "components", "config_hash"),
+        _covering_suite, per_cell=False, options={
+            "trials_1d": _integer(10000, 1),
+            "trials_2d": _integer(1000, 1),
+            "max_level_1d": _integer(12, 1, DEFAULT_J_MAX),
+            "max_level_2d": _integer(7, 1, DEFAULT_J_MAX),
+            "chain_level": _integer(6, 1, 8),
+        }),
+    "czd_suite": Experiment(
+        ("kind", "trials", "failures", "mean_bad_cells", "config_hash"),
+        _czd_suite, per_cell=False, options={"trials": _integer(10000, 1)}),
+}
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
 
-def execute(cfg: ExperimentConfig, jobs: int = 1):
-    """Run all cells, merge deterministically.  Returns rows, headline
-    values keyed for the baseline file, and invariant flags."""
-    exp = cfg.experiment
-    if exp == "strong_means":
-        return run_strong_means(cfg)
-    if exp == "density":
-        return run_density(cfg)
-    if exp in ("covering_suite", "czd_suite"):
-        return run_suite(cfg)
+def run_cell(cfg: ExperimentConfig, fn_id: str, f, lam: float):
+    """Rows + summary fragment for one (function, lambda) cell."""
+    rows, values, inv = EXPERIMENTS[cfg.experiment].run(
+        cfg, fn_id, f, lam, cfg.schedule or cfg.default_schedule())
+    key = f"{fn_id}|{fmt(lam)}"
+    return rows, {key + suffix: v for suffix, v in values.items()}, inv
 
-    # the corpus is built once per run; each cell carries its function to
-    # the worker
-    cells = [(cfg, fid, f, lam) for fid, f in build_functions(cfg)
-             for lam in cfg.lams]
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            results = list(ex.map(run_cell, *zip(*cells), chunksize=1))
+
+def execute(cfg: ExperimentConfig, jobs: int = 1):
+    """Run the experiment and merge its cells deterministically.  Returns
+    rows stamped with the config hash, headline values keyed for the
+    baseline file, and invariant flags."""
+    exp = EXPERIMENTS[cfg.experiment]
+    if not exp.per_cell:
+        results = [exp.run(cfg)]
     else:
-        results = [run_cell(*cell) for cell in cells]
+        # the corpus is built once per run; each cell carries its
+        # function to the worker
+        cells = [(cfg, fid, f, lam) for fid, f in build_functions(cfg)
+                 for lam in cfg.lams]
+        if jobs > 1 and len(cells) > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as ex:
+                results = list(ex.map(run_cell, *zip(*cells), chunksize=1))
+        else:
+            results = [run_cell(*cell) for cell in cells]
 
     rows, values, inv = [], {}, {}
     for cell_rows, cell_values, cell_inv in results:
@@ -450,11 +446,14 @@ def execute(cfg: ExperimentConfig, jobs: int = 1):
         values.update(cell_values)
         for k, ok in cell_inv.items():
             inv[k] = inv.get(k, True) and ok
+    config_hash = cfg.config_hash
+    for row in rows:
+        row["config_hash"] = config_hash
     return rows, values, inv
 
 
 def write_csv(path: Path, experiment: str, rows: list):
-    cols = CSV_COLUMNS[experiment]
+    cols = EXPERIMENTS[experiment].columns
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(cols)
@@ -469,8 +468,7 @@ def compare_baseline(fresh: dict, recorded: dict, tol=BASELINE_TOLERANCE):
         if k not in fresh:
             violations[k] = "missing"
             continue
-        ref = max(abs(base), 1e-30)
-        delta = (fresh[k] - base) / ref
+        delta = (fresh[k] - base) / max(abs(base), 1e-30)
         deltas[k] = delta
         if abs(delta) > tol:
             violations[k] = delta
@@ -480,25 +478,34 @@ def compare_baseline(fresh: dict, recorded: dict, tol=BASELINE_TOLERANCE):
     return deltas, violations
 
 
+def _write_json(path: Path, payload: dict):
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
+                    encoding="utf-8")
+
+
 def cmd_run(args) -> int:
-    cfg_path = Path(args.config)
     try:
-        raw = json.loads(cfg_path.read_text(encoding="utf-8"))
-        cfg = ExperimentConfig.from_dict(raw)
+        cfg = ExperimentConfig.from_dict(
+            json.loads(Path(args.config).read_text(encoding="utf-8")))
     except (OSError, json.JSONDecodeError, ConfigError, TypeError) as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
+    try:
+        return _run(cfg, args)
+    except (ConfigError, ValueError) as e:
+        print(f"run failed: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # a crash must not read as exit 1 or 2
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
+
+def _run(cfg: ExperimentConfig, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     base_dir = Path(args.baselines)
     name = cfg.output or cfg.experiment
-
-    try:
-        rows, values, inv = execute(cfg, jobs=args.jobs)
-    except (ConfigError, ValueError) as e:
-        print(f"run failed: {e}", file=sys.stderr)
-        return 2
+    rows, values, inv = execute(cfg, jobs=args.jobs)
     write_csv(out_dir / f"{name}.csv", cfg.experiment, rows)
 
     baseline = {"status": "none"}
@@ -506,15 +513,12 @@ def cmd_run(args) -> int:
     if values:
         if args.record_baseline or not base_path.exists():
             base_dir.mkdir(parents=True, exist_ok=True)
-            payload = {
+            _write_json(base_path, {
                 "experiment": cfg.experiment,
                 "config_hash": cfg.config_hash,
                 "tolerance": BASELINE_TOLERANCE,
                 "values": {k: float(v) for k, v in sorted(values.items())},
-            }
-            base_path.write_text(
-                json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                encoding="utf-8")
+            })
             baseline = {"status": "recorded", "path": base_path.name}
         else:
             recorded = json.loads(base_path.read_text(encoding="utf-8"))
@@ -527,9 +531,8 @@ def cmd_run(args) -> int:
                                for k, v in sorted(violations.items())},
             }
 
-    ok = all(inv.values()) and baseline.get("violations", {}) == {} \
-        if baseline["status"] == "compared" else all(inv.values())
-    summary = {
+    ok = all(inv.values()) and not baseline.get("violations")
+    _write_json(out_dir / f"{name}.summary.json", {
         "experiment": cfg.experiment,
         "schema_version": SCHEMA_VERSION,
         "config_hash": cfg.config_hash,
@@ -539,10 +542,7 @@ def cmd_run(args) -> int:
         "values": {k: float(v) for k, v in sorted(values.items())},
         "baseline": baseline,
         "pass": bool(ok),
-    }
-    (out_dir / f"{name}.summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=1) + "\n",
-        encoding="utf-8")
+    })
     print(f"{cfg.experiment}: rows={len(rows)} pass={ok} "
           f"baseline={baseline['status']}")
     return 0 if ok else 1
@@ -557,8 +557,7 @@ def cmd_list(_args) -> int:
 def cmd_verify_baselines(args) -> int:
     out_dir = Path(args.dir)
     base_dir = Path(args.baselines)
-    failures = 0
-    seen = 0
+    failures = seen = 0
     for summary_path in sorted(out_dir.glob("*.summary.json")):
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
         values = summary.get("values") or {}

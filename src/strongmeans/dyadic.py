@@ -9,7 +9,7 @@ integer arithmetic, on one interval or on arrays of levels and indices.
 Arcs are half-open [lo, hi) with 0 <= lo < S and 0 < hi - lo <= S; an
 arc that wraps past 1 is represented with hi > S, never split in two.
 
-Derived rational quantities (measures, distances) are returned as
+Derived rational quantities (endpoints, measures) are returned as
 fractions.Fraction values, so callers can compare them exactly.
 """
 
@@ -41,10 +41,6 @@ class ResolutionExceededError(ValueError):
 
 class InvalidFactorError(ValueError):
     """Dilation factor outside the supported exact set."""
-
-
-class OverlapError(ValueError):
-    """Inputs required to be disjoint are not."""
 
 
 def scale_for(j_max: int = DEFAULT_J_MAX) -> int:
@@ -205,31 +201,6 @@ def gap_units(alo: int, ahi: int, blo: int, bhi: int, S: int) -> int:
     return best
 
 
-def torus_distance(a: ScaledInterval, b: ScaledInterval) -> Fraction:
-    """Infimum of |x - y| on the torus over the two arcs; 0 iff they touch."""
-    if a.scale != b.scale:
-        raise ValueError("scale mismatch")
-    return Fraction(gap_units(a.lo, a.hi, b.lo, b.hi, a.scale), a.scale)
-
-
-def intervals_disjoint(a: DyadicInterval, b: DyadicInterval) -> bool:
-    """Dyadic intervals are either nested or disjoint."""
-    return not (a.contains(b) or b.contains(a))
-
-
-def adjacent(a: DyadicInterval, b: DyadicInterval, j_max: int = DEFAULT_J_MAX) -> bool:
-    """True iff the disjoint intervals share an endpoint on the torus.
-
-    Raises OverlapError when the inputs are not disjoint.
-    """
-    if not intervals_disjoint(a, b):
-        raise OverlapError(f"{a} and {b} overlap")
-    jm = max(a.level, b.level, j_max)
-    sa = interval_to_scaled(a, jm)
-    sb = interval_to_scaled(b, jm)
-    return (sa.hi % sa.scale) == sb.lo or (sb.hi % sb.scale) == sa.lo
-
-
 # ---------------------------------------------------------------------------
 # cubes
 
@@ -272,22 +243,3 @@ class DyadicCube:
 def _product_indices(d: int):
     for mask in range(1 << d):
         yield tuple((mask >> i) & 1 for i in range(d))
-
-
-def cubes_disjoint(a: DyadicCube, b: DyadicCube) -> bool:
-    """Products of half-open intervals are disjoint iff some axis pair is."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    return any(intervals_disjoint(x, y) for x, y in zip(a.axes, b.axes))
-
-
-def cube_adjacent(a: DyadicCube, b: DyadicCube, j_max: int = DEFAULT_J_MAX) -> bool:
-    """True iff the disjoint cubes have torus distance zero (closures touch)."""
-    if not cubes_disjoint(a, b):
-        raise OverlapError(f"{a} and {b} overlap")
-    for x, y in zip(a.axes, b.axes):
-        sx = interval_to_scaled(x, j_max)
-        sy = interval_to_scaled(y, j_max)
-        if torus_distance(sx, sy) > 0:
-            return False
-    return True

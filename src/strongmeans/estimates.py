@@ -300,25 +300,35 @@ def dyadic_schedule(N_max: int, lo: int = 32) -> tuple:
     return tuple(out)
 
 
+def _modes(f: GridFunction, n_hi: int) -> np.ndarray:
+    """Fourier coefficients of modes -n_hi..n_hi: entry n_hi + m is mode m.
+
+    At n_hi = H the modes +-H both read the one stored Nyquist bin.
+    """
+    H = f.n // 2
+    if n_hi > H:
+        raise AliasingError(f"order {n_hi} exceeds stored bandwidth {H}")
+    return forward(f)[(np.arange(-n_hi, n_hi + 1) + H) % f.n]
+
+
 def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
-                        chunk: int = 256, cols: np.ndarray | None = None):
+                        chunk: int = 256, cols: np.ndarray | None = None,
+                        c: np.ndarray | None = None):
     """Yield (ns, rows): rows[i] is S_{ns[i]} f on the 2**refine finer grid.
 
     Rows carry the input's dtype.  With theta = 2 pi t / M,
     S_n f = c_0 + sum_{k<=n} (A_k cos k theta + B_k sin k theta), where
     A_k = c_k + c_{-k} and B_k = i (c_k - c_{-k}) are real for real f.
     At k = H both read the Nyquist bin, so A_H = 2 c_H and B_H = 0.
+    c is `_modes(f, n_hi)` when the caller already holds it.
     With cols, only those grid columns t are evaluated, in that order.
     rows is scratch that the next chunk overwrites.
     """
-    H = f.n // 2
-    if n_hi > H:
-        raise AliasingError(f"order {n_hi} exceeds stored bandwidth {H}")
-    c = forward(f)
+    if c is None:
+        c = _modes(f, n_hi)
     ks = np.arange(1, n_hi + 1)
-    cp = c[(ks + H) % f.n]  # mode +k; wraps to the Nyquist bin at k = H
-    cm = c[(H - ks) % f.n]  # mode -k
-    A, B, c0 = cp + cm, 1j * (cp - cm), c[H]
+    cp, cm = c[n_hi + ks], c[n_hi - ks]  # modes +k and -k
+    A, B, c0 = cp + cm, 1j * (cp - cm), c[n_hi]
     if f.is_real():
         A, B, c0 = A.real, B.real, c0.real
     M = 1 << (f.J + refine)
@@ -352,20 +362,19 @@ def _abs2(rows: np.ndarray) -> np.ndarray:
     return rows.real**2 + rows.imag**2
 
 
-def _weighted_energy_curve(f: GridFunction, w: np.ndarray,
-                           n_hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """(1/M) sum_t w_t |S_n f(t)|^2 for n = 1..n_hi, by the Parseval identity,
-    and the full-torus energy ||S_n f||_2^2 = sum_{|m|<=n} |c_m|^2 beside it.
+def _weighted_energy_curve(c: np.ndarray,
+                           w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(1/M) sum_t w_t |S_n f(t)|^2 for n = 1..N, by the Parseval identity,
+    and the full-torus energy ||S_n f||_2^2 = sum_{|m|<=n} |c_m|^2 beside it;
+    c is `_modes(f, N)`.
 
     Rounding in w^ acts like a perturbation of w that does not vanish on
     E, so the relative error grows like eps * (energy of S_n f on E) /
     (energy off E): largest for spikes whose mass sits inside E.
     """
-    H = f.n // 2
     M = w.size
-    N, K = n_hi, 2 * n_hi
-    ms = np.arange(-N, N + 1)
-    c = forward(f)[(ms + H) % f.n]  # c[N + m] is mode m; +-H share the Nyquist bin
+    N = c.size // 2
+    K = 2 * N
     cc = np.conj(c)
     wh = (np.fft.fft(w) / M)[np.arange(-K, K + 1) % M]  # wh[K + k] is w^(k)
     n = np.arange(1, N + 1)
@@ -381,18 +390,16 @@ def _weighted_energy_curve(f: GridFunction, w: np.ndarray,
     return e0 * wh[K].real + np.cumsum(border), e0 + np.cumsum(diag)
 
 
-def _quartic_full_curve(f: GridFunction, n_hi: int, M: int) -> np.ndarray:
-    """(1/M) sum_t |S_n f(t)|^4 on the M-grid for n = 1..n_hi, in closed form.
+def _quartic_full_curve(c: np.ndarray, M: int) -> np.ndarray:
+    """(1/M) sum_t |S_n f(t)|^4 on the M-grid for n = 1..N, in closed form;
+    c is `_modes(f, N)`.
 
     g[2N + m] holds g_m = sum_{a-b=m, |a|,|b|<=n} c_a conj(c_b), the
     coefficients of |S_n f|^2; raising n adds the pairs with a or b at
     +-n.  The quadrature is sum_r |G_r|^2 with G_r = sum_{m = r mod M} g_m,
     and nothing folds while 4n < M.
     """
-    H = f.n // 2
-    N = n_hi
-    ms = np.arange(-N, N + 1)
-    c = forward(f)[(ms + H) % f.n]  # c[N + m] is mode m; +-H share the Nyquist bin
+    N = c.size // 2
     cc = np.conj(c)
     g = np.zeros(4 * N + 1, dtype=complex)
     g[2 * N] = c[N] * cc[N]
@@ -446,11 +453,12 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
         exc = build_exceptional_set(decompose(f, lam), c)
     M = 1 << (f.J + refine)
     w = exc.complement_weights(M)
+    c = _modes(f, N_max)
     if p == 2:
-        per = np.stack(_weighted_energy_curve(f, w, N_max), axis=1)
+        per = np.stack(_weighted_energy_curve(c, w), axis=1)
     else:
         per = np.empty((N_max, 2))
-        per[:, 1] = _quartic_full_curve(f, N_max, M)
+        per[:, 1] = _quartic_full_curve(c, M)
         if exc.measure == 0:    # w == 1
             per[:, 0] = per[:, 1]
         elif exc.measure == 1:  # w == 0
@@ -458,7 +466,8 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
         else:  # stream only the columns the weights can see
             cols = np.flatnonzero(w)
             wt = w[cols] / M
-            for ns, rows in _partial_sum_stream(f, N_max, refine, cols=cols):
+            for ns, rows in _partial_sum_stream(f, N_max, refine, cols=cols,
+                                                c=c):
                 a = _abs2(rows)
                 a *= a
                 per[ns - 1, 0] = a @ wt

@@ -4,8 +4,9 @@ Dilated bad cells become exact Fraction endpoint pairs, and their
 coverage of grid cells is recomputed by interval arithmetic, so these
 helpers stay independent of the integer bitmaps in
 `strongmeans.estimates`.  Reference computations that no experiment
-runs live here too: the chain check behind the vectorized exhaustive
-scan, cell averages, mode-counting energy averages, and rectangular
+runs live here too: disjointness, adjacency and torus distance of
+dyadic intervals and cubes, the chain check behind the vectorized
+exhaustive scan, cell averages, mode-counting energy averages, and rectangular
 partial sums with the per-pair 2-d moment they give.  `csv_differences`
 compares a fresh CSV with a committed reference cell by cell.
 
@@ -37,14 +38,10 @@ from strongmeans.dyadic import (
     DyadicInterval,
     InvalidFactorError,
     ScaledInterval,
-    adjacent,
-    cube_adjacent,
-    cubes_disjoint,
     dilate,
     gap_units,
-    intervals_disjoint,
+    interval_to_scaled,
     scale_for,
-    torus_distance,
 )
 from strongmeans.grid import GridFunction
 
@@ -129,6 +126,58 @@ def cell_average(f: GridFunction, cell) -> float:
     i0 = cell.axes[0].index * w
     j0 = cell.axes[1].index * w
     return float(np.mean(np.abs(f.samples[i0 : i0 + w, j0 : j0 + w])))
+
+
+# ---------------------------------------------------------------------------
+# disjointness, adjacency and torus distance of dyadic intervals and cubes
+
+
+class OverlapError(ValueError):
+    """Inputs required to be disjoint are not."""
+
+
+def torus_distance(a: ScaledInterval, b: ScaledInterval) -> Fraction:
+    """Infimum of |x - y| on the torus over the two arcs; 0 iff they touch."""
+    if a.scale != b.scale:
+        raise ValueError("scale mismatch")
+    return Fraction(gap_units(a.lo, a.hi, b.lo, b.hi, a.scale), a.scale)
+
+
+def intervals_disjoint(a: DyadicInterval, b: DyadicInterval) -> bool:
+    """Dyadic intervals are either nested or disjoint."""
+    return not (a.contains(b) or b.contains(a))
+
+
+def adjacent(a: DyadicInterval, b: DyadicInterval, j_max: int = DEFAULT_J_MAX) -> bool:
+    """True iff the disjoint intervals share an endpoint on the torus.
+
+    Raises OverlapError when the inputs are not disjoint.
+    """
+    if not intervals_disjoint(a, b):
+        raise OverlapError(f"{a} and {b} overlap")
+    jm = max(a.level, b.level, j_max)
+    sa = interval_to_scaled(a, jm)
+    sb = interval_to_scaled(b, jm)
+    return (sa.hi % sa.scale) == sb.lo or (sb.hi % sb.scale) == sa.lo
+
+
+def cubes_disjoint(a: DyadicCube, b: DyadicCube) -> bool:
+    """Products of half-open intervals are disjoint iff some axis pair is."""
+    if a.dim != b.dim:
+        raise ValueError("dimension mismatch")
+    return any(intervals_disjoint(x, y) for x, y in zip(a.axes, b.axes))
+
+
+def cube_adjacent(a: DyadicCube, b: DyadicCube, j_max: int = DEFAULT_J_MAX) -> bool:
+    """True iff the disjoint cubes have torus distance zero (closures touch)."""
+    if not cubes_disjoint(a, b):
+        raise OverlapError(f"{a} and {b} overlap")
+    for x, y in zip(a.axes, b.axes):
+        sx = interval_to_scaled(x, j_max)
+        sy = interval_to_scaled(y, j_max)
+        if torus_distance(sx, sy) > 0:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

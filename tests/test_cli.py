@@ -2,7 +2,9 @@
 byte-level determinism across parallelism levels."""
 
 import json
+import re
 import shutil
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -71,7 +73,7 @@ def test_config_decay_schedule_tighter_by_one_octave():
     ok = {"experiment": "decay_kernel", "seed": 1, "J": 10,
           "schedule": [64, 256]}
     ExperimentConfig.from_dict(ok)
-    with pytest.raises(ConfigError, match="smooths at order N"):
+    with pytest.raises(ConfigError, match=r"usable bandwidth 2\*\*8"):
         ExperimentConfig.from_dict({**ok, "schedule": [64, 512]})
 
 
@@ -191,30 +193,40 @@ def test_invalid_config_file_exits_2(tmp_path):
     assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
-def strong_means_exit_code(tmp_path, capsys, **options) -> int:
+def refuse(*args, **kwargs):
+    raise AssertionError("work started before the config was checked")
+
+
+def refuse_runs(monkeypatch, *experiments):
+    for name in experiments:
+        monkeypatch.setitem(cli.EXPERIMENTS, name,
+                            replace(cli.EXPERIMENTS[name], run=refuse))
+
+
+def strong_means_exit_code(tmp_path, capsys, monkeypatch, **options) -> int:
+    monkeypatch.setattr(cli, "build_functions", refuse)
     cfg = write_config(tmp_path, experiment="strong_means", options=options)
     rc = cli.main(["run", str(cfg), "--out", str(tmp_path / "o")])
-    assert "run failed: strong_means:" in capsys.readouterr().err
+    assert "invalid config: strong_means:" in capsys.readouterr().err
     return rc
 
 
-def test_strong_means_bad_eps_factors_exit_2(tmp_path, capsys):
+def test_strong_means_bad_eps_factors_exit_2(tmp_path, capsys, monkeypatch):
     for bad in ("ab", [], 0.5, [0.5, 0.0], [0.5, "x"], [True]):
-        assert strong_means_exit_code(tmp_path, capsys, eps_factors=bad) == 2
+        assert strong_means_exit_code(tmp_path, capsys, monkeypatch,
+                                      eps_factors=bad) == 2
 
 
-def test_strong_means_bad_r_exit_2(tmp_path, capsys):
-    for bad in (3, "2", [2], True):
-        assert strong_means_exit_code(tmp_path, capsys, r=bad) == 2
+def test_strong_means_bad_r_exit_2(tmp_path, capsys, monkeypatch):
+    for bad in (3, "2", [2], True, 2.0):
+        assert strong_means_exit_code(tmp_path, capsys, monkeypatch,
+                                      r=bad) == 2
 
 
-def test_strong_means_bad_lam_grid_exit_2(tmp_path, capsys):
+def test_strong_means_bad_lam_grid_exit_2(tmp_path, capsys, monkeypatch):
     for bad in ([1.0, 0.0], [-2.0], [1.0, "x"], "ab"):
-        assert strong_means_exit_code(tmp_path, capsys, lam_grid=bad) == 2
-
-
-def refuse(*args, **kwargs):
-    raise AssertionError("work started before the config was checked")
+        assert strong_means_exit_code(tmp_path, capsys, monkeypatch,
+                                      lam_grid=bad) == 2
 
 
 def test_averaged_moment_bad_p_exit_2(tmp_path, capsys, monkeypatch):
@@ -248,7 +260,7 @@ def test_non_numeric_lams_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_density_lattice_over_budget_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_density", refuse)
+    refuse_runs(monkeypatch, "density")
     side = {1: cli.DENSITY_LATTICE_BUDGET // 8, 2: 2048}  # largest in budget
     for d, N_max in side.items():
         ExperimentConfig.from_dict({"experiment": "density", "seed": 1, "d": d,
@@ -289,8 +301,7 @@ def test_bad_corpus_exit_2(tmp_path, capsys, monkeypatch, corpus, message):
         "chain_level", "density-N_max", "density-base"])
 def test_suite_bad_option_exit_2(tmp_path, capsys, monkeypatch, experiment,
                                  name, least, greatest):
-    for runner in ("czd_suite", "covering_suite", "chain_suite", "run_density"):
-        monkeypatch.setattr(cli, runner, refuse)
+    refuse_runs(monkeypatch, experiment)
     bad = [least - 1, 2.7, float(least), True, str(least), None, [least]]
     if greatest is not None:
         bad.append(greatest + 1)
@@ -301,6 +312,51 @@ def test_suite_bad_option_exit_2(tmp_path, capsys, monkeypatch, experiment,
     for value in (least, greatest if greatest is not None else 10**6):
         ExperimentConfig.from_dict({"experiment": experiment, "seed": 1,
                                     "options": {name: value}})
+
+
+@pytest.mark.parametrize("experiment,options,message", [
+    ("czd_suite", {"trails": 3},
+     "czd_suite: unknown options ['trails']; it takes ['trials']"),
+    ("first_reduction", {"p": 2}, "first_reduction: unknown options ['p']"),
+    ("density", {"kind": "quarter_powr"}, 'density: kind must be "quarter_power"'),
+    ("density", {"s": [1]}, "density: s must be a real number"),
+    ("density", {"s": "1.5"}, "density: s must be a real number"),
+    ("density", {"s": True}, "density: s must be a real number"),
+    ("strong_means", {"r": 2.0}, "strong_means: r must be the integer 2 or 4"),
+], ids=["czd-trails", "first_reduction-p", "density-kind", "density-s-list",
+        "density-s-string", "density-s-bool", "strong_means-r-float"])
+def test_bad_option_exit_2(tmp_path, capsys, monkeypatch, experiment, options,
+                           message):
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    refuse_runs(monkeypatch, experiment)
+    cfg = write_config(tmp_path, experiment=experiment, options=options)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"invalid config: {message}" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    def bad_value(*args, **kwargs):
+        raise ValueError("no such order")
+
+    cfg = write_config(tmp_path, experiment="czd_suite", options={"trials": 1})
+    run = ["run", str(cfg), "--out", str(tmp_path / "o"),
+           "--baselines", str(tmp_path / "bl")]
+    monkeypatch.setitem(cli.EXPERIMENTS, "czd_suite",
+                        replace(cli.EXPERIMENTS["czd_suite"], run=crash))
+    assert cli.main(run) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    # a per-cell crash takes the same exit (same config file, rewritten)
+    monkeypatch.setattr(cli.estimates, "averaged_moment", crash)
+    write_config(tmp_path)
+    assert cli.main(run) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+    # ... while a ValueError stays a failed run
+    monkeypatch.setattr(cli.estimates, "averaged_moment", bad_value)
+    assert cli.main(run) == 2
+    assert capsys.readouterr().err == "run failed: no such order\n"
 
 
 def test_determinism_across_parallelism(tmp_path):
@@ -350,6 +406,35 @@ def test_list_experiments(capsys):
     assert cli.main(["list-experiments"]) == 0
     out = capsys.readouterr().out.split()
     assert out == list(cli.EXPERIMENTS)
+
+
+def readme_table(after: str) -> list:
+    """Rows of the first Markdown table after a line of the README, as
+    lists of stripped cells."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = text.split(after, 1)[1].lstrip("\n").splitlines()
+    rows = []
+    for line in lines[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_tables_match_registry(capsys):
+    columns = {}
+    for names, cols in readme_table("CSV columns are fixed per experiment:"):
+        for name in re.findall(r"`(\w+)`", names):
+            columns[name] = cols.strip("`")
+    assert cli.main(["list-experiments"]) == 0
+    assert sorted(columns) == sorted(capsys.readouterr().out.split())
+    for name, exp in cli.EXPERIMENTS.items():
+        assert columns[name] == ",".join(exp.columns), name
+    # the config table names only options some experiment takes
+    fields = dict(readme_table("A config is one JSON object:"))
+    named = set(re.findall(r"`(\w+)`", fields["`options`"]))
+    taken = {o for exp in cli.EXPERIMENTS.values() for o in exp.options}
+    assert named and named <= taken
 
 
 def test_rect_run_emits_both_geometries(tmp_path):

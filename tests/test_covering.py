@@ -26,25 +26,25 @@ from strongmeans.dyadic import (
     DyadicCube,
     DyadicInterval,
     ScaledInterval,
-    adjacent,
-    cube_adjacent,
-    cubes_disjoint,
-    intervals_disjoint,
     scale_for,
 )
 
 from oracles import (
     NonadjacentInputError,
     NotAChainError,
+    adjacent,
     as_cubes,
     as_intervals,
     chain_check,
     covering_holds,
+    cube_adjacent,
     cube_components,
     cube_covering_holds,
     cube_hulls,
     cube_statement_form_holds,
+    cubes_disjoint,
     dilated_components,
+    intervals_disjoint,
     statement_form_holds,
 )
 

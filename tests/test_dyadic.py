@@ -17,26 +17,26 @@ from strongmeans.dyadic import (
     DyadicCube,
     DyadicInterval,
     InvalidFactorError,
-    OverlapError,
     ResolutionExceededError,
     ScaledInterval,
-    adjacent,
-    cube_adjacent,
-    cubes_disjoint,
     dilate,
     dilate_units,
     interval_to_scaled,
-    intervals_disjoint,
     scale_for,
-    torus_distance,
 )
 
 from oracles import (
+    OverlapError,
+    adjacent,
+    cube_adjacent,
+    cubes_disjoint,
     dilate_box,
     dilate_cube,
     dilate_scaled,
     fraction_dilate,
+    intervals_disjoint,
     merged_segments,
+    torus_distance,
 )
 
 

@@ -307,6 +307,23 @@ def test_stream_runs_once_per_function(monkeypatch):
     assert len(rows) == 2 * 3 * 3  # functions x eps factors x schedule
 
 
+def test_p4_curve_transforms_once(monkeypatch):
+    # the closed-form full column and the stream off E share one forward(f)
+    calls = []
+    forward = estimates.forward
+
+    def counted(f):
+        calls.append(f)
+        return forward(f)
+
+    f = corpus.multi_spike(6, 3, np.random.default_rng(23))
+    exc = build_exceptional_set(decompose(f, 8.0), 5)
+    assert 0 < exc.measure < 1  # so both columns are computed
+    monkeypatch.setattr(estimates, "forward", counted)
+    averaged_moment(f, 8.0, 32, p=4, schedule=(4, 8, 16, 32), exc=exc)
+    assert calls == [f]
+
+
 def test_full_torus_average_matches_closed_form():
     f = corpus.spike(6)
     reports = averaged_moment(f, 8.0, 32, schedule=(4, 8, 16, 32))
