@@ -41,9 +41,12 @@ class ConfigError(ValueError):
     """Config file is structurally or semantically invalid."""
 
 
-def _positive_numbers(value) -> bool:
+CORPUS_FIELDS = {"families", "n_random", "vp"}
+
+
+def _numbers_above(value, floor: float = 0) -> bool:
     return isinstance(value, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and x > 0
+        isinstance(x, (int, float)) and not isinstance(x, bool) and x > floor
         for x in value)
 
 
@@ -136,12 +139,26 @@ class ExperimentConfig:
                     and sched[-1] > (1 << (self.J - exp.band)):
                 raise ConfigError(f"{name}: schedule exceeds the usable"
                                   f" bandwidth 2**{self.J - exp.band}")
-        if not _positive_numbers(self.lams):
+        if not _numbers_above(self.lams):
             raise ConfigError("lams must be a list of positive real numbers")
         if not isinstance(self.options, dict):
             raise ConfigError("options must be a JSON object")
+        if not _numbers_above(self.s_values, 1):
+            raise ConfigError("s_values must be a list of real numbers above 1")
         if not isinstance(self.corpus, dict):
             raise ConfigError("corpus must be a JSON object")
+        unknown = sorted(set(self.corpus) - CORPUS_FIELDS)
+        if unknown:
+            raise ConfigError(f"corpus: unknown fields {unknown}; it takes"
+                              f" {sorted(CORPUS_FIELDS)}")
+        fams = self.corpus.get("families", [])
+        if not isinstance(fams, list) or not all(
+                isinstance(x, str) and x in corpus.FAMILIES for x in fams):
+            raise ConfigError("corpus: families must be a list of names from"
+                              f" {list(corpus.FAMILIES)}")
+        n_random = self.corpus.get("n_random", 0)
+        if type(n_random) is not int or n_random < 0:
+            raise ConfigError("corpus: n_random must be an integer >= 0")
         vp = self.corpus.get("vp")
         if vp is not None and (type(vp) is not int or vp < 1):
             raise ConfigError("corpus: vp must be a positive integer")
@@ -377,10 +394,10 @@ EXPERIMENTS = {
         ("fn_id", "eps", "N", "measure", "config_hash"), _strong_means,
         per_cell=False, options={
             "eps_factors": Option(
-                (0.5, 0.25), lambda v: _positive_numbers(v) and len(v) > 0,
+                (0.5, 0.25), lambda v: _numbers_above(v) and len(v) > 0,
                 "a non-empty list of positive numbers"),
             "r": _TWO_OR_FOUR,
-            "lam_grid": Option(estimates.DEFAULT_LAM_GRID, _positive_numbers,
+            "lam_grid": Option(estimates.DEFAULT_LAM_GRID, _numbers_above,
                                "a list of positive numbers"),
         }),
     "density": Experiment(

@@ -115,6 +115,10 @@ def tensor_trig(J: int, rng: np.random.Generator) -> GridFunction:
                   trig_poly(J, rng, bits=FACTOR_BITS))
 
 
+# family names, the first part of each fn_id: 1-d, then 2-d
+FAMILIES = ("spike", "kspikes", "trig", "noise", "tspike", "tkspikes", "ttrig")
+
+
 def standard_corpus(J: int, seed: int, d: int = 1,
                     n_random: int = 2) -> list[tuple[str, GridFunction]]:
     """The named function battery used by experiment sweeps.

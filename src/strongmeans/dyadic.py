@@ -157,11 +157,6 @@ class ScaledInterval:
         return off + other.length_units <= self.length_units
 
 
-def interval_to_scaled(iv: DyadicInterval, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
-    lo, hi = iv.units(j_max)
-    return ScaledInterval(lo, hi, scale_for(j_max))
-
-
 def dilate_units(level, index, c, j_max: int = DEFAULT_J_MAX):
     """(lo, length) of the concentric c-dilates of dyadic intervals.
 
@@ -189,16 +184,6 @@ def dilate(iv: DyadicInterval, c, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
     """
     lo, length = dilate_units(iv.level, iv.index, c, j_max)
     return ScaledInterval(int(lo), int(lo + length), scale_for(j_max))
-
-
-def gap_units(alo: int, ahi: int, blo: int, bhi: int, S: int) -> int:
-    """Integer torus gap between arcs [alo, ahi) and [blo, bhi)."""
-    best = None
-    for shift in (-S, 0, S):
-        lo, hi = blo + shift, bhi + shift
-        gap = max(lo - ahi, alo - hi, 0)
-        best = gap if best is None else min(best, gap)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,16 @@ E is empty w = 1 and it is the full column.
 Fourth moments, strong means and the rectangular factors need pointwise
 values and use a partial-sum stream: S_n differs from S_{n-1} by the
 real pair A_n cos n theta + B_n sin n theta (complex only for complex
-input), so a chunked running sum over the refined grid computes the
-whole curve in O(N_max * M) work, in the input's own dtype.  Each
-function is streamed at most once per experiment: strong means take
-all their eps thresholds from the same sweep.
+input), so a running sum over the refined grid computes the whole
+curve in O(N_max * M) work, in the input's own dtype.  The stream
+yields tiles of at most `_TILE` = (orders, columns) = (16, 8192)
+entries: each block of grid columns runs through every order, 16 at a
+time, with its own step table and carry, in scratch of a few MB that
+does not grow with M.  Column blocks leave every value of S_n f as it
+is; the order count fixes where each phase e(n theta) splits into
+e(n0 theta) e(j theta), n0 the first order of a tile.  Each function
+is streamed at most once per experiment: strong means take all their
+eps thresholds from the same sweep.
 
 Orders are capped at the stored bandwidth n/2; the reading at the cap
 includes the shared Nyquist coefficient on both sides, matching
@@ -78,6 +84,9 @@ from .spectral import (
 
 SUPPORTED_DILATIONS = (1, 3, 5)
 DEFAULT_LAM_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
+# (orders, columns) in one tile of the partial-sum stream: its scratch,
+# a few tile-sized arrays of 1-2 MB each, stays near the per-core cache
+_TILE = (16, 8192)
 
 
 class NotBandLimitedError(ValueError):
@@ -312,17 +321,24 @@ def _modes(f: GridFunction, n_hi: int) -> np.ndarray:
 
 
 def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
-                        chunk: int = 256, cols: np.ndarray | None = None,
+                        cols: np.ndarray | None = None,
                         c: np.ndarray | None = None):
-    """Yield (ns, rows): rows[i] is S_{ns[i]} f on the 2**refine finer grid.
+    """Yield tiles (ns, span, rows): rows[i, j] is S_{ns[i]} f at the grid
+    column t[span][j] of the 2**refine finer grid.
+
+    t is `cols` when given (grid columns, evaluated in that order), else
+    every column; span is a slice of positions in t.  Tiles are at most
+    `_TILE` (orders x columns).  Column blocks form the outer loop, each
+    with its own step table and carry, and order chunks the inner one,
+    so every block streams orders 1..n_hi in turn and the scratch stays
+    cache-sized whatever the grid.
 
     Rows carry the input's dtype.  With theta = 2 pi t / M,
     S_n f = c_0 + sum_{k<=n} (A_k cos k theta + B_k sin k theta), where
     A_k = c_k + c_{-k} and B_k = i (c_k - c_{-k}) are real for real f.
     At k = H both read the Nyquist bin, so A_H = 2 c_H and B_H = 0.
     c is `_modes(f, n_hi)` when the caller already holds it.
-    With cols, only those grid columns t are evaluated, in that order.
-    rows is scratch that the next chunk overwrites.
+    rows is scratch that the next tile overwrites.
     """
     if c is None:
         c = _modes(f, n_hi)
@@ -333,26 +349,35 @@ def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
         A, B, c0 = A.real, B.real, c0.real
     M = 1 << (f.J + refine)
     t = np.arange(M) if cols is None else np.asarray(cols)
-    # keep the per-chunk scratch (a few chunk x columns complex arrays)
-    # well under 100 MB so parallel sweeps on fine grids stay in memory
-    chunk = max(8, min(chunk, (1 << 21) // t.size))
+    h, width = min(_TILE[0], n_hi), min(_TILE[1], t.size)
     table = np.exp(2j * np.pi * np.arange(M) / M)
-    step = table[(np.arange(chunk)[:, None] * t) % M]  # e(j t) for j < chunk
-    ph = np.empty((chunk, t.size), dtype=complex)
-    buf = np.empty((chunk, t.size), dtype=A.dtype)
-    carry = np.full(t.size, c0)  # S_0 is the mean
-    for n0 in range(1, n_hi + 1, chunk):
-        ns = np.arange(n0, min(n0 + chunk, n_hi + 1))
-        e = ph[: len(ns)]
-        np.multiply(step[: len(ns)], table[(n0 * t) % M], out=e)  # e(n0 t) e(j t)
-        rows = buf[: len(ns)]
-        np.multiply(A[ns - 1, None], e.real, out=rows)
-        rows += B[ns - 1, None] * e.imag
-        rows[0] += carry
-        for j in range(1, len(ns)):  # running sum; np.cumsum on axis 0 is slow
-            rows[j] += rows[j - 1]
-        carry = rows[-1].copy()
-        yield ns, rows
+    # flat scratch, viewed as a contiguous (orders, columns) tile
+    step, ph = np.empty(h * width, complex), np.empty(h * width, complex)
+    buf, tmp = np.empty(h * width, A.dtype), np.empty(h * width, A.dtype)
+    carry = np.empty(width, A.dtype)
+    for lo in range(0, t.size, width):
+        span = slice(lo, min(lo + width, t.size))
+        tb = t[span]
+        k = tb.size
+        st = step[: h * k].reshape(h, k)
+        np.take(table, (np.arange(h)[:, None] * tb) % M, out=st)  # e(j t), j < h
+        cy = carry[:k]
+        cy.fill(c0)  # S_0 is the mean
+        for n0 in range(1, n_hi + 1, h):
+            ns = np.arange(n0, min(n0 + h, n_hi + 1))
+            size = len(ns) * k
+            e = ph[:size].reshape(-1, k)
+            np.multiply(st[: len(ns)], table[(n0 * tb) % M], out=e)  # e(n0 t) e(j t)
+            rows = buf[:size].reshape(-1, k)
+            np.multiply(A[ns - 1, None], e.real, out=rows)
+            bi = tmp[:size].reshape(-1, k)
+            np.multiply(B[ns - 1, None], e.imag, out=bi)
+            rows += bi
+            rows[0] += cy
+            for j in range(1, len(ns)):  # running sum; np.cumsum on axis 0 is slow
+                rows[j] += rows[j - 1]
+            cy[:] = rows[-1]
+            yield ns, span, rows
 
 
 def _abs2(rows: np.ndarray) -> np.ndarray:
@@ -466,11 +491,12 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
         else:  # stream only the columns the weights can see
             cols = np.flatnonzero(w)
             wt = w[cols] / M
-            for ns, rows in _partial_sum_stream(f, N_max, refine, cols=cols,
-                                                c=c):
+            per[:, 0] = 0.0
+            for ns, span, rows in _partial_sum_stream(f, N_max, refine,
+                                                      cols=cols, c=c):
                 a = _abs2(rows)
                 a *= a
-                per[ns - 1, 0] = a @ wt
+                per[ns - 1, 0] += a @ wt[span]
     cw, cf = np.cumsum(per, axis=0).T
     l1 = f.l1()
     meta = {"fn_id": fn_id, "J": f.J, "d": 1, "c": exc.dilation, "refine": refine}
@@ -599,8 +625,8 @@ def _abs2_rows(g: GridFunction, n_hi: int, refine: int) -> np.ndarray:
     """|S_n g|^2 on the refined grid for n = 1..n_hi, as an (n_hi, M) array."""
     M = 1 << (g.J + refine)
     rows = np.empty((n_hi, M))
-    for ns, block in _partial_sum_stream(g, n_hi, refine):
-        rows[ns - 1] = _abs2(block)
+    for ns, span, block in _partial_sum_stream(g, n_hi, refine):
+        rows[ns - 1, span] = _abs2(block)
     return rows
 
 
@@ -681,33 +707,42 @@ def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
         ref = ref.real
     R = np.zeros(M)
     P = np.zeros(M)
+    RS = np.empty((len(schedule), M))  # R and P as they stand at each N
+    PS = np.empty((len(schedule), M))
     half = r // 2
+    for ns, span, rows in _partial_sum_stream(f, schedule[-1], refine):
+        # split the tile after each schedule point it contains
+        start = 0
+        for i, N in enumerate(schedule):
+            if ns[0] <= N <= ns[-1]:
+                end = N - ns[0] + 1
+                _accumulate(R[span], P[span], rows[start:end], ref[span], half)
+                RS[i, span], PS[i, span] = R[span], P[span]
+                start = end
+        _accumulate(R[span], P[span], rows[start:], ref[span], half)
     l1 = f.l1()
     measures = [[] for _ in eps_values]
     weak = np.zeros(len(lam_grid))
-    for ns, rows in _partial_sum_stream(f, schedule[-1], refine):
-        # split the chunk after each schedule point it contains
-        start = 0
-        for N in [n for n in schedule if ns[0] <= n <= ns[-1]] + [None]:
-            end = len(ns) if N is None else N - ns[0] + 1
-            seg = rows[start:end]
-            R += (_abs2(seg - ref) ** half).sum(axis=0)
-            P += _abs2(seg).sum(axis=0)
-            start = end
-            if N is None:
-                continue
-            RN = R / N
-            for m, eps in zip(measures, eps_values):
-                m.append(float(np.count_nonzero(RN > eps)) / M)
-            A = np.sqrt(P / N)
-            for i, lam in enumerate(lam_grid):
-                ratio = lam * (np.count_nonzero(A > lam) / M) / l1
-                weak[i] = max(weak[i], ratio)
+    for N, RN, PN in zip(schedule, RS, PS):
+        RN /= N
+        for m, eps in zip(measures, eps_values):
+            m.append(float(np.count_nonzero(RN > eps)) / M)
+        A = np.sqrt(PN / N)
+        for i, lam in enumerate(lam_grid):
+            ratio = lam * (np.count_nonzero(A > lam) / M) / l1
+            weak[i] = max(weak[i], ratio)
     return [StrongMeansReport(
         eps=eps, r=r, schedule=schedule, measures=tuple(m),
         lam_grid=tuple(lam_grid), weak_ratios=tuple(weak),
         metadata={"fn_id": fn_id, "J": f.J, "d": 1, "refine": refine},
     ) for m, eps in zip(measures, eps_values)]
+
+
+def _accumulate(R: np.ndarray, P: np.ndarray, seg: np.ndarray,
+                ref: np.ndarray, half: int):
+    """Add the deviations |S_n - ref|^r and energies |S_n|^2 of seg's rows."""
+    R += (_abs2(seg - ref) ** half).sum(axis=0)
+    P += _abs2(seg).sum(axis=0)
 
 
 def density_subsequence(values: np.ndarray, s: float,

@@ -39,8 +39,6 @@ from strongmeans.dyadic import (
     InvalidFactorError,
     ScaledInterval,
     dilate,
-    gap_units,
-    interval_to_scaled,
     scale_for,
 )
 from strongmeans.grid import GridFunction
@@ -134,6 +132,21 @@ def cell_average(f: GridFunction, cell) -> float:
 
 class OverlapError(ValueError):
     """Inputs required to be disjoint are not."""
+
+
+def interval_to_scaled(iv: DyadicInterval, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
+    lo, hi = iv.units(j_max)
+    return ScaledInterval(lo, hi, scale_for(j_max))
+
+
+def gap_units(alo: int, ahi: int, blo: int, bhi: int, S: int) -> int:
+    """Integer torus gap between arcs [alo, ahi) and [blo, bhi)."""
+    best = None
+    for shift in (-S, 0, S):
+        lo, hi = blo + shift, bhi + shift
+        gap = max(lo - ahi, alo - hi, 0)
+        best = gap if best is None else min(best, gap)
+    return best
 
 
 def torus_distance(a: ScaledInterval, b: ScaledInterval) -> Fraction:

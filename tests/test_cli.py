@@ -279,13 +279,35 @@ def test_density_lattice_over_budget_exit_2(tmp_path, capsys, monkeypatch):
     ({"vp": -8}, "corpus: vp must be a positive integer"),
     ({"vp": True}, "corpus: vp must be a positive integer"),
     ({"vp": "8"}, "corpus: vp must be a positive integer"),
+    ({"n_random": 2.5}, "corpus: n_random must be an integer >= 0"),
+    ({"n_random": -1}, "corpus: n_random must be an integer >= 0"),
+    ({"n_random": True}, "corpus: n_random must be an integer >= 0"),
+    ({"familes": ["spike"]}, "corpus: unknown fields ['familes']"),
+    ({"families": ["spikes"]}, "corpus: families must be a list of names"),
+    ({"families": "spike"}, "corpus: families must be a list of names"),
+    ({"families": [["spike"]]}, "corpus: families must be a list of names"),
 ], ids=["list", "string", "vp-fraction", "vp-zero", "vp-negative", "vp-bool",
-        "vp-string"])
+        "vp-string", "n_random-fraction", "n_random-negative", "n_random-bool",
+        "misspelt-families", "families-unknown", "families-string",
+        "families-nested"])
 def test_bad_corpus_exit_2(tmp_path, capsys, monkeypatch, corpus, message):
     monkeypatch.setattr(cli, "build_functions", refuse)
     cfg = write_config(tmp_path, corpus=corpus)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("s_values", [["x"], [1.5, None], [True], [1.0],
+                                      [0.5], 2.0, "1.5"])
+def test_bad_s_values_exit_2(tmp_path, capsys, monkeypatch, s_values):
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    cfg = write_config(tmp_path, experiment="decay_kernel", lams=[8.0],
+                       schedule=[16, 32], s_values=s_values)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "s_values must be a list of real numbers above 1" in \
+        capsys.readouterr().err
+    ExperimentConfig.from_dict({"experiment": "decay_kernel", "seed": 1,
+                                "s_values": [1.5, 3]})
 
 
 @pytest.mark.parametrize("experiment,name,least,greatest", [

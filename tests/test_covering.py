@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongmeans.covering import (
+    NINE_EIGHTHS,
     exhaustive_chain_scan,
     random_nonadjacent_cube_family,
     random_nonadjacent_family,
@@ -26,6 +27,7 @@ from strongmeans.dyadic import (
     DyadicCube,
     DyadicInterval,
     ScaledInterval,
+    dilate,
     scale_for,
 )
 
@@ -46,6 +48,7 @@ from oracles import (
     dilated_components,
     intervals_disjoint,
     statement_form_holds,
+    torus_distance,
 )
 
 S = scale_for(14)
@@ -349,11 +352,20 @@ def _brute_chain_counts(max_level):
         for j in range(1, max_level + 1)
         for k in range(1 << j)
     ]
+    # chain_check's preconditions are all pairwise, so each pair is tested
+    # once: a triple failing one of them is never a chain
+    apart = [[x is not y and intervals_disjoint(x, y) and not adjacent(x, y)
+              for y in ivs] for x in ivs]
+    dil = [dilate(iv, NINE_EIGHTHS) for iv in ivs]
+    touch = [[torus_distance(x, y) == 0 for y in dil] for x in dil]
     chains = violations = 0
     for a in range(len(ivs)):
         for b in range(a + 1, len(ivs)):
+            if not apart[a][b] or touch[a][b]:  # outer dilates must be apart
+                continue
             for m in range(len(ivs)):
-                if m in (a, b):
+                if not (apart[a][m] and apart[m][b]
+                        and touch[m][a] and touch[m][b]):  # middle bridges
                     continue
                 try:
                     ok = chain_check(ivs[a], ivs[m], ivs[b])

@@ -21,7 +21,6 @@ from strongmeans.dyadic import (
     ScaledInterval,
     dilate,
     dilate_units,
-    interval_to_scaled,
     scale_for,
 )
 
@@ -34,6 +33,7 @@ from oracles import (
     dilate_cube,
     dilate_scaled,
     fraction_dilate,
+    interval_to_scaled,
     intervals_disjoint,
     merged_segments,
     torus_distance,

@@ -6,6 +6,7 @@ arithmetic, moment curves with per-order partial sums, and the density
 extractor against a direct loop over the defining thresholds.
 """
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -255,6 +256,24 @@ def test_p4_curve_on_whole_set_is_zero(monkeypatch):
         assert rep.full_torus_avg > 0
 
 
+def assembled_stream(f, n_hi, refine, cols=None):
+    """The partial-sum stream's tiles put together into an (n_hi, columns)
+    array; checks that each tile fits `_TILE` and that the tiles cover
+    every (order, column) exactly once."""
+    t = np.arange(1 << (f.J + refine)) if cols is None else cols
+    out = np.empty((n_hi, t.size), dtype=float if f.is_real() else complex)
+    seen = np.zeros(out.shape, dtype=int)
+    h, width = estimates._TILE
+    for ns, span, rows in estimates._partial_sum_stream(f, n_hi, refine,
+                                                        cols=cols):
+        assert rows.shape == (len(ns), len(t[span]))
+        assert rows.shape[0] <= h and rows.shape[1] <= width
+        out[ns - 1, span] = rows
+        seen[ns - 1, span] += 1
+    assert (seen == 1).all()
+    return out
+
+
 def test_p4_weighted_column_streams_only_visible_columns():
     rng = np.random.default_rng(28)
     spikes = corpus.multi_spike(6, 3, rng)
@@ -267,13 +286,10 @@ def test_p4_weighted_column_streams_only_visible_columns():
         cols = np.flatnonzero(w)
         assert 0 < cols.size < M
         # the restricted stream is the full stream read at those columns
-        full = estimates._partial_sum_stream(f, 32, refine, chunk=8)
-        per = np.empty(32)
-        part = estimates._partial_sum_stream(f, 32, refine, chunk=8, cols=cols)
-        for (ns, rows), (ns_c, rows_c) in zip(full, part):
-            assert np.array_equal(ns, ns_c)
-            assert np.allclose(rows_c, rows[:, cols], rtol=0, atol=1e-12)
-            per[ns - 1] = np.abs(rows) ** 4 @ w / M
+        full = assembled_stream(f, 32, refine)
+        part = assembled_stream(f, 32, refine, cols=cols)
+        assert np.allclose(part, full[:, cols], rtol=0, atol=1e-12)
+        per = np.abs(full) ** 4 @ w / M
         # ... and the curve's weighted column matches the full-grid sum
         reports = averaged_moment(f, 8.0, 32, p=4, schedule=(4, 8, 32),
                                   refine=refine, exc=exc)
@@ -281,6 +297,49 @@ def test_p4_weighted_column_streams_only_visible_columns():
         for rep in reports:
             want = cw[rep.N - 1] / (rep.N * np.log(rep.N) ** 2)
             assert abs(rep.avg_moment - want) <= 1e-12 * want
+
+
+def test_stream_tiles_match_partial_sums_at_ragged_edges(monkeypatch):
+    # 3 orders x 10 columns: no grid below is a multiple of 10 columns,
+    # and n_hi = 16 is not a multiple of 3 orders
+    monkeypatch.setattr(estimates, "_TILE", (3, 10))
+    rng = np.random.default_rng(29)
+    spikes = corpus.multi_spike(5, 3, rng)
+    assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
+    cplx = GridFunction(1, 5, spikes.samples + 1j * corpus.abs_noise(5, rng).samples)
+    # n_hi = 16 is the Nyquist order at J = 5
+    for f, refine in [(spikes, 2), (cplx, 1), (spikes, 0)]:
+        got = assembled_stream(f, 16, refine)
+        for n in range(1, 17):
+            want = spectral.partial_sum(f, n, refine).samples
+            if f.is_real():
+                want = want.real
+            assert np.allclose(got[n - 1], want, rtol=0, atol=1e-12)
+
+
+def test_stream_tiles_stay_within_the_tile():
+    # grids of M = 2**(J + refine) columns up to 2**16, all columns and a
+    # ragged subset; assembled_stream checks the bound on every tile
+    rng = np.random.default_rng(30)
+    for J, refine in [(3, 0), (5, 2), (8, 1), (12, 0), (11, 2), (14, 2)]:
+        f = corpus.abs_noise(J, rng)
+        n_hi = min(f.n // 2, 21)
+        assembled_stream(f, n_hi, refine)
+        assembled_stream(f, n_hi, refine,
+                         cols=np.arange(0, 1 << (J + refine), 3))
+
+
+def test_stream_scratch_is_tile_sized():
+    # at M = 2**16 the tables and tile scratch come to about 11 MB
+    f = corpus.abs_noise(14, np.random.default_rng(31))
+    tracemalloc.start()
+    try:
+        for _ in estimates._partial_sum_stream(f, 40, 2):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
 
 
 def test_stream_runs_once_per_function(monkeypatch):
