@@ -41,9 +41,6 @@ class ConfigError(ValueError):
     """Config file is structurally or semantically invalid."""
 
 
-CORPUS_FIELDS = {"families", "n_random", "vp"}
-
-
 def _numbers_above(value, floor: float = 0) -> bool:
     return isinstance(value, list) and all(
         isinstance(x, (int, float)) and not isinstance(x, bool) and x > floor
@@ -53,7 +50,8 @@ def _numbers_above(value, floor: float = 0) -> bool:
 @dataclass(frozen=True)
 class Option:
     """An option's default, a check of a given value, and the rule that
-    completes "<experiment>: <name> must be ..."."""
+    completes "<experiment>: <name> must be ..." (for a `corpus` field,
+    "corpus: <name> must be ...")."""
 
     default: object
     ok: Callable[[object], bool]
@@ -69,6 +67,17 @@ def _integer(default: int, least: int, greatest: int | None = None) -> Option:
 
 _TWO_OR_FOUR = Option(2, lambda v: type(v) is int and v in (2, 4),
                       "the integer 2 or 4")
+
+# the `corpus` fields: the families kept (empty keeps them all), the
+# random draws per family, and an optional delayed-mean order
+CORPUS = {
+    "families": Option([], lambda v: isinstance(v, list) and all(
+        isinstance(x, str) and x in corpus.FAMILIES for x in v),
+        f"a list of names from {list(corpus.FAMILIES)}"),
+    "n_random": _integer(2, 0),
+    "vp": Option(None, lambda v: v is None or type(v) is int and v >= 1,
+                 "a positive integer"),
+}
 
 
 @dataclass(frozen=True)
@@ -147,21 +156,13 @@ class ExperimentConfig:
             raise ConfigError("s_values must be a list of real numbers above 1")
         if not isinstance(self.corpus, dict):
             raise ConfigError("corpus must be a JSON object")
-        unknown = sorted(set(self.corpus) - CORPUS_FIELDS)
+        unknown = sorted(set(self.corpus) - set(CORPUS))
         if unknown:
             raise ConfigError(f"corpus: unknown fields {unknown}; it takes"
-                              f" {sorted(CORPUS_FIELDS)}")
-        fams = self.corpus.get("families", [])
-        if not isinstance(fams, list) or not all(
-                isinstance(x, str) and x in corpus.FAMILIES for x in fams):
-            raise ConfigError("corpus: families must be a list of names from"
-                              f" {list(corpus.FAMILIES)}")
-        n_random = self.corpus.get("n_random", 0)
-        if type(n_random) is not int or n_random < 0:
-            raise ConfigError("corpus: n_random must be an integer >= 0")
-        vp = self.corpus.get("vp")
-        if vp is not None and (type(vp) is not int or vp < 1):
-            raise ConfigError("corpus: vp must be a positive integer")
+                              f" {sorted(CORPUS)}")
+        for key, value in self.corpus.items():
+            if not CORPUS[key].ok(value):
+                raise ConfigError(f"corpus: {key} must be {CORPUS[key].rule}")
         unknown = sorted(set(self.options) - set(exp.options))
         if unknown:
             raise ConfigError(f"{name}: unknown options {unknown}; it takes"
@@ -208,8 +209,9 @@ def fmt(v) -> str:
 def build_functions(cfg: ExperimentConfig) -> list:
     """Deterministic (fn_id, GridFunction) list for a config."""
     sel = cfg.corpus
-    fns = corpus.standard_corpus(cfg.J, seed=cfg.seed, d=cfg.d,
-                                 n_random=sel.get("n_random", 2))
+    fns = corpus.standard_corpus(
+        cfg.J, seed=cfg.seed, d=cfg.d,
+        n_random=sel.get("n_random", CORPUS["n_random"].default))
     fams = sel.get("families")
     if fams:
         fns = [(fid, f) for fid, f in fns if fid.split("-")[0] in fams]

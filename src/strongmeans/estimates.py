@@ -85,7 +85,8 @@ from .spectral import (
 SUPPORTED_DILATIONS = (1, 3, 5)
 DEFAULT_LAM_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 # (orders, columns) in one tile of the partial-sum stream: its scratch,
-# a few tile-sized arrays of 1-2 MB each, stays near the per-core cache
+# a few tile-sized arrays of 1-2 MB each, stays near the per-core cache;
+# the fastest of the shapes from 16 x 2048 to 16 x 32768 on a J = 14 sweep
 _TILE = (16, 8192)
 
 
