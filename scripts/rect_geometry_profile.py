@@ -21,13 +21,8 @@ import numpy as np
 
 from strongmeans import corpus
 from strongmeans.czd import decompose
-from strongmeans.dyadic import dilate
-from strongmeans.estimates import (
-    _abs2_rows,
-    _axis_segments,
-    averaged_moment_rect,
-    build_exceptional_set,
-)
+from strongmeans.dyadic import dilate_units, scale_for, union_mask
+from strongmeans.estimates import _abs2_rows, averaged_moment_rect
 
 J, LAM = 7, 32.0
 SCHEDULE = (4, 8, 16, 32, 64)
@@ -46,11 +41,9 @@ def main():
     # 1-d off-band average w_N along the schedule
     cz = decompose(f, LAM)
     assert len(cz.bad) == 1, "the identities assume one bad cube"
-    S = build_exceptional_set(cz, 5).scale
-    band = np.zeros(S, dtype=bool)
-    arc = dilate(cz.bad[0].axes[0], 5, j_max=J)
-    for lo, hi in _axis_segments(arc.lo, arc.hi, S):
-        band[lo:hi] = True
+    S = scale_for(J)
+    lo, length = dilate_units(cz.bad[:, :1], cz.bad[:, 1:2], 5, J)
+    band = union_mask(lo, length, S)  # the bad cube's 5-dilated shadow on axis 0
     M = 1 << (J + 1)
     w_cells = 1.0 - band.reshape(M, S // M).mean(axis=1)
     rows = _abs2_rows(corpus.spike(J), SCHEDULE[-1], 1)

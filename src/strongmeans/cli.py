@@ -68,16 +68,23 @@ def _integer(default: int, least: int, greatest: int | None = None) -> Option:
 _TWO_OR_FOUR = Option(2, lambda v: type(v) is int and v in (2, 4),
                       "the integer 2 or 4")
 
-# the `corpus` fields: the families kept (empty keeps them all), the
-# random draws per family, and an optional delayed-mean order
-CORPUS = {
-    "families": Option([], lambda v: isinstance(v, list) and all(
-        isinstance(x, str) and x in corpus.FAMILIES for x in v),
-        f"a list of names from {list(corpus.FAMILIES)}"),
-    "n_random": _integer(2, 0),
-    "vp": Option(None, lambda v: v is None or type(v) is int and v >= 1,
-                 "a positive integer"),
-}
+
+def _corpus_fields(d: int) -> dict:
+    """The `corpus` fields of a d-dimensional config: the families kept
+    (empty keeps them all), each one of the d-dimensional families, the
+    random draws per family, and an optional delayed-mean order."""
+    names = list(corpus.FAMILIES[d])
+    return {
+        "families": Option([], lambda v: isinstance(v, list) and all(
+            isinstance(x, str) and x in names for x in v),
+            f"a list of names from {names} (the d = {d} families)"),
+        "n_random": _integer(2, 0),
+        "vp": Option(None, lambda v: v is None or type(v) is int and v >= 1,
+                     "a positive integer"),
+    }
+
+
+CORPUS = {d: _corpus_fields(d) for d in corpus.FAMILIES}
 
 
 @dataclass(frozen=True)
@@ -156,13 +163,14 @@ class ExperimentConfig:
             raise ConfigError("s_values must be a list of real numbers above 1")
         if not isinstance(self.corpus, dict):
             raise ConfigError("corpus must be a JSON object")
-        unknown = sorted(set(self.corpus) - set(CORPUS))
+        fields = CORPUS[self.d]
+        unknown = sorted(set(self.corpus) - set(fields))
         if unknown:
             raise ConfigError(f"corpus: unknown fields {unknown}; it takes"
-                              f" {sorted(CORPUS)}")
+                              f" {sorted(fields)}")
         for key, value in self.corpus.items():
-            if not CORPUS[key].ok(value):
-                raise ConfigError(f"corpus: {key} must be {CORPUS[key].rule}")
+            if not fields[key].ok(value):
+                raise ConfigError(f"corpus: {key} must be {fields[key].rule}")
         unknown = sorted(set(self.options) - set(exp.options))
         if unknown:
             raise ConfigError(f"{name}: unknown options {unknown}; it takes"
@@ -211,7 +219,7 @@ def build_functions(cfg: ExperimentConfig) -> list:
     sel = cfg.corpus
     fns = corpus.standard_corpus(
         cfg.J, seed=cfg.seed, d=cfg.d,
-        n_random=sel.get("n_random", CORPUS["n_random"].default))
+        n_random=sel.get("n_random", CORPUS[cfg.d]["n_random"].default))
     fams = sel.get("families")
     if fams:
         fns = [(fid, f) for fid, f in fns if fid.split("-")[0] in fams]

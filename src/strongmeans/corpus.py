@@ -20,12 +20,6 @@ from .grid import GridFunction, tensor
 FACTOR_BITS = FRACT_BITS // 2
 
 
-def quantize(samples: np.ndarray, bits: int = FRACT_BITS) -> np.ndarray:
-    """Round samples to the grid of multiples of 2**-bits, preserving sign."""
-    scale = 1 << bits
-    return np.rint(samples * scale) / scale
-
-
 def normalize_l1_exact(samples: np.ndarray, bits: int = FRACT_BITS) -> np.ndarray:
     """Rescale and quantize so that mean(|samples|) == 1 exactly.
 
@@ -115,8 +109,9 @@ def tensor_trig(J: int, rng: np.random.Generator) -> GridFunction:
                   trig_poly(J, rng, bits=FACTOR_BITS))
 
 
-# family names, the first part of each fn_id: 1-d, then 2-d
-FAMILIES = ("spike", "kspikes", "trig", "noise", "tspike", "tkspikes", "ttrig")
+# family names of each dimension, the first part of each fn_id
+FAMILIES = {1: ("spike", "kspikes", "trig", "noise"),
+            2: ("tspike", "tkspikes", "ttrig")}
 
 
 def standard_corpus(J: int, seed: int, d: int = 1,

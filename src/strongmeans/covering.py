@@ -10,10 +10,12 @@ families, and checks the chain property: whenever the dilate of a middle
 interval bridges two outer dilates that are themselves separated, the
 bridge is strictly longer than the smaller outer dilate.
 
-A family is an integer array with one (level, index) row per interval,
-or one (level, i, j) row per cube.  Dilates come from
-`dyadic.dilate_units` and its integer factor table, so every endpoint is
-an integer at scale S = 2**(j_max + 4).  1-d components come from one
+A family is an integer array of `dyadic` cell rows, (level, index) per
+interval or (level, i, j) per cube, the format of the bad cells of a
+`czd.decompose`.  Dilates come from `dyadic.dilate_units` and its
+integer factor table, so every endpoint is an integer at scale
+S = 2**(j_max + 4), and the chain scan reports its violations as
+(level, index) pairs.  1-d components come from one
 sort by left end and a running maximum of right ends; 2-d components
 from the pairwise gap matrix of the dilated boxes.
 """
@@ -25,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import DEFAULT_J_MAX, DyadicInterval, dilate_units, scale_for
+from .dyadic import DEFAULT_J_MAX, dilate_units, scale_for
 
 NINE_EIGHTHS = Fraction(9, 8)
 
@@ -190,15 +192,16 @@ class ChainScan:
     intervals: int
     outer_pairs: int
     chains: int
-    violations: list  # (i1, i2, i3) DyadicInterval triples
+    violations: list  # (I1, I2, I3) triples of (level, index) pairs
 
 
-def exhaustive_chain_scan(max_level: int, factor=NINE_EIGHTHS) -> ChainScan:
+def exhaustive_chain_scan(max_level: int) -> ChainScan:
     """Check the bridge-length property for every chain up to max_level.
 
     Enumerates all dyadic intervals of levels 1..max_level, finds every
     triple satisfying the chain preconditions, and records violations of
-    |I2*| > min(|I1*|, |I3*|).  Vectorized over the middle interval.
+    |I2*| > min(|I1*|, |I3*|), with * the 9/8-dilate.  Vectorized over
+    the middle interval.
     """
     level = np.concatenate([np.full(1 << j, j) for j in range(1, max_level + 1)])
     index = np.concatenate([np.arange(1 << j) for j in range(1, max_level + 1)])
@@ -207,7 +210,7 @@ def exhaustive_chain_scan(max_level: int, factor=NINE_EIGHTHS) -> ChainScan:
     S = scale_for(j_max)
     lo_o = index << (j_max + 4 - level)
     hi_o = lo_o + (S >> level)
-    lo_d, len_d = dilate_units(level, index, factor, j_max)
+    lo_d, len_d = dilate_units(level, index, NINE_EIGHTHS, j_max)
     hi_d = lo_d + len_d
 
     contains = (lo_o[:, None] <= lo_o[None, :]) & (hi_o[None, :] <= hi_o[:, None])
@@ -236,7 +239,7 @@ def exhaustive_chain_scan(max_level: int, factor=NINE_EIGHTHS) -> ChainScan:
             chains += len(idx)
             thresh = min(len_d[a], len_d[b])
             for m in idx[len_d[idx] <= thresh]:
-                violations.append(tuple(DyadicInterval(int(level[i]), int(index[i]))
+                violations.append(tuple((int(level[i]), int(index[i]))
                                         for i in (a, m, b)))
     return ChainScan(
         max_level=max_level,

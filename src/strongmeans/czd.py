@@ -5,7 +5,9 @@ average exceeds the stopping height, for a batch of functions and
 several heights per function at once: it builds one level-sum pyramid
 per batch and descends the dyadic tree breadth first, keeping a running
 mask of the cells blocked by a selected ancestor.  `decompose` calls it
-with a batch of one.
+with a batch of one and keeps the bad cells as an int64 array of
+`dyadic` cell rows, (level, index) in dim 1 and (level, i, j) in dim 2,
+the format the exceptional sets and the covering checks read.
 
 Selection is exact: whenever the samples are dyadic rationals with at
 most FRACT_BITS fractional bits (the corpus guarantees this for
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import DyadicCube, DyadicInterval
+from .dyadic import union_mask
 from .grid import GridFunction
 
 FRACT_BITS = 24
@@ -42,8 +44,9 @@ class CZDecomposition:
     source: GridFunction
     height: Fraction
     lam: float
-    height_scale: float
-    bad: tuple  # DyadicInterval (dim 1) or DyadicCube (dim 2), maximal, disjoint
+    # int64 cell rows, (level, index) in dim 1 and (level, i, j) in dim 2,
+    # ordered by level, then index: maximal and pairwise disjoint
+    bad: np.ndarray
     exact: bool  # True when every selection comparison was exact
 
     @property
@@ -54,25 +57,11 @@ class CZDecomposition:
     def J(self) -> int:
         return self.source.J
 
-    def bad_measure(self) -> Fraction:
-        return sum((c.measure for c in self.bad), Fraction(0))
-
     def bad_mask(self) -> np.ndarray:
         """Boolean mask over finest cells covered by some bad cell."""
         n = 1 << self.J
-        if self.dim == 1:
-            mask = np.zeros(n, dtype=bool)
-            for iv in self.bad:
-                w = n >> iv.level
-                mask[iv.index * w : (iv.index + 1) * w] = True
-            return mask
-        mask = np.zeros((n, n), dtype=bool)
-        for q in self.bad:
-            w = n >> q.level
-            i0 = q.axes[0].index * w
-            j0 = q.axes[1].index * w
-            mask[i0 : i0 + w, j0 : j0 + w] = True
-        return mask
+        w = n >> self.bad[:, :1]
+        return union_mask(self.bad[:, 1:] * w, w, n)
 
 
 def _exact_scaled(work: np.ndarray):
@@ -210,29 +199,23 @@ def _select(finest, heights, dim: int, J: int, exact: bool):
     return (np.concatenate(a) for a in zip(*found))
 
 
-def decompose(f: GridFunction, lam: float, height_scale: float = 1.0) -> CZDecomposition:
-    """Decompose |f| at height lam * height_scale: `stopping_cells` with
-    a batch of one.
+def decompose(f: GridFunction, lam: float) -> CZDecomposition:
+    """Decompose |f| at height lam: `stopping_cells` with a batch of one.
 
     Raises HeightTooLowError if the mean of |f| exceeds the height, since
     the root cell would then already be selected and nothing is maximal.
     """
-    if lam <= 0 or height_scale <= 0:
+    if lam <= 0:
         raise ValueError("height must be positive")
-    height = Fraction(lam) * Fraction(height_scale)
+    height = Fraction(lam)
     cells = stopping_cells(np.abs(f.samples)[None], f.dim, [[height]])
-    found = zip(cells.level.tolist(), cells.index.tolist())
-    if f.dim == 1:
-        bad = tuple(DyadicInterval(j, k) for j, k in found)
-    else:
-        bad = tuple(DyadicCube(tuple(DyadicInterval(j, i) for i in divmod(k, 1 << j)))
-                    for j, k in found)
+    level, index = cells.level, cells.index
+    axes = (index,) if f.dim == 1 else np.divmod(index, 1 << level)
     return CZDecomposition(
         source=f,
         height=height,
         lam=float(lam),
-        height_scale=float(height_scale),
-        bad=bad,
+        bad=np.stack((level, *axes), axis=1),
         exact=bool(cells.exact[0]),
     )
 

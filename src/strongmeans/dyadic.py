@@ -1,21 +1,25 @@
-"""Exact dyadic interval and cube geometry on the torus.
+"""Exact dyadic geometry on the torus, on integer arrays.
 
-Everything here is integer arithmetic.  The torus [0, 1) is modelled at a
-global power-of-two scale S = 2**(j_max + 4); the extra 4 bits guarantee
-that every supported dilation factor (9/8, 2, 3, 4, 9/2, 5) of a dyadic
-interval of level <= j_max has integer endpoints at scale S.  The
-factors live in an integer table of (p, q) pairs, so a dilation is
-integer arithmetic, on one interval or on arrays of levels and indices.
-Arcs are half-open [lo, hi) with 0 <= lo < S and 0 < hi - lo <= S; an
-arc that wraps past 1 is represented with hi > S, never split in two.
+A dyadic cell is an integer row: (level, index) for the interval
+[index * 2**-level, (index+1) * 2**-level), and (level, i, j) for the
+square of side 2**-level at (i, j).  The stopping-time decomposition,
+the exceptional sets and the covering checks all pass cells in this
+one format, as int64 arrays with one row per cell.
 
-Derived rational quantities (endpoints, measures) are returned as
-fractions.Fraction values, so callers can compare them exactly.
+The torus [0, 1) is modelled at a global power-of-two scale
+S = 2**(j_max + 4); the extra 4 bits guarantee that every supported
+dilation factor (9/8, 2, 3, 4, 9/2, 5) of a dyadic interval of level
+<= j_max has integer endpoints at scale S.  The factors live in an
+integer table of (p, q) pairs, so `dilate_units`, the one dilation, is
+integer arithmetic on arrays of levels and indices.  Arcs are half-open
+[lo, lo + length) with 0 <= lo < S and 0 < length <= S; an arc that
+wraps past 1 keeps lo + length > S, never split in two.  `union_mask`
+marks a union of such arcs, or of boxes made of them, as a bitmap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -55,108 +59,6 @@ def _factor(c) -> tuple[int, int]:
         raise InvalidFactorError(f"unsupported dilation factor {c!r}") from None
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    """Half-open dyadic interval [index * 2**-level, (index+1) * 2**-level)."""
-
-    level: int
-    index: int
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
-        if not 0 <= self.index < (1 << self.level):
-            raise ValueError("index out of range for level")
-
-    @property
-    def lo(self) -> Fraction:
-        return Fraction(self.index, 1 << self.level)
-
-    @property
-    def hi(self) -> Fraction:
-        return Fraction(self.index + 1, 1 << self.level)
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(1, 1 << self.level)
-
-    @property
-    def midpoint(self) -> Fraction:
-        return Fraction(2 * self.index + 1, 1 << (self.level + 1))
-
-    def units(self, j_max: int = DEFAULT_J_MAX) -> tuple[int, int]:
-        """Endpoints as integers at scale 2**(j_max+4)."""
-        if self.level > j_max:
-            raise ResolutionExceededError(
-                f"level {self.level} exceeds resolution cap {j_max}"
-            )
-        w = scale_for(j_max) >> self.level
-        return self.index * w, (self.index + 1) * w
-
-    def children(self, j_max: int = DEFAULT_J_MAX) -> tuple["DyadicInterval", "DyadicInterval"]:
-        if self.level >= j_max:
-            raise ResolutionExceededError(
-                f"cannot split level {self.level} at cap {j_max}"
-            )
-        return (
-            DyadicInterval(self.level + 1, 2 * self.index),
-            DyadicInterval(self.level + 1, 2 * self.index + 1),
-        )
-
-    def parent(self) -> "DyadicInterval":
-        if self.level == 0:
-            raise ValueError("root has no parent")
-        return DyadicInterval(self.level - 1, self.index // 2)
-
-    def contains(self, other: "DyadicInterval") -> bool:
-        if other.level < self.level:
-            return False
-        return (other.index >> (other.level - self.level)) == self.index
-
-
-@dataclass(frozen=True)
-class ScaledInterval:
-    """Arc [lo, hi) on the scaled torus, hi > scale means wraparound."""
-
-    lo: int
-    hi: int
-    scale: int
-
-    def __post_init__(self):
-        if not 0 <= self.lo < self.scale:
-            raise ValueError("lo out of range")
-        if not 0 < self.hi - self.lo <= self.scale:
-            raise ValueError("arc length must lie in (0, scale]")
-
-    @property
-    def length_units(self) -> int:
-        return self.hi - self.lo
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(self.hi - self.lo, self.scale)
-
-    @property
-    def midpoint(self) -> Fraction:
-        return Fraction((self.lo + self.hi) % (2 * self.scale), 2 * self.scale)
-
-    def segments(self) -> list[tuple[int, int]]:
-        """Linear pieces inside [0, scale); a wrapping arc yields two."""
-        if self.hi <= self.scale:
-            return [(self.lo, self.hi)]
-        if self.hi - self.scale == self.lo:  # full torus
-            return [(0, self.scale)]
-        return [(self.lo, self.scale), (0, self.hi - self.scale)]
-
-    def contains_arc(self, other: "ScaledInterval") -> bool:
-        if self.scale != other.scale:
-            raise ValueError("scale mismatch")
-        if self.length_units == self.scale:
-            return True
-        off = (other.lo - self.lo) % self.scale
-        return off + other.length_units <= self.length_units
-
-
 def dilate_units(level, index, c, j_max: int = DEFAULT_J_MAX):
     """(lo, length) of the concentric c-dilates of dyadic intervals.
 
@@ -176,55 +78,48 @@ def dilate_units(level, index, c, j_max: int = DEFAULT_J_MAX):
     return lo, length
 
 
-def dilate(iv: DyadicInterval, c, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
-    """Concentric dilation c * I, capped at full-torus length.
+# difference-array sign of each (piece, end) of an arc
+_PIECE_SIGN = np.array([[1.0, -1.0], [1.0, -1.0]])
 
-    The midpoint is preserved exactly; the result length is
-    min(1, c * measure(I)) at scale 2**(j_max+4).
+
+def union_mask(lo, length, S: int) -> np.ndarray:
+    """Bitmap of a union of boxes on the torus of S units per axis.
+
+    `lo` has one row per box and one column per axis (d <= 2); box e
+    covers [lo[e, a], lo[e, a] + length[e, a]) mod S on axis a, with
+    0 <= lo < S and 0 < length <= S, and `length` broadcasts against
+    `lo`.  A wrapping arc is the pieces [lo, S) and [0, lo + length - S).
+    Every piece edge cuts its axis; one difference array, filled by one
+    `bincount`, counts the boxes over each cell of the coarse grid
+    those cuts make, and each coarse cell is then repeated over its
+    units.
     """
-    lo, length = dilate_units(iv.level, iv.index, c, j_max)
-    return ScaledInterval(int(lo), int(lo + length), scale_for(j_max))
-
-
-# ---------------------------------------------------------------------------
-# cubes
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """Product of dyadic intervals with a common level."""
-
-    axes: tuple[DyadicInterval, ...]
-
-    def __post_init__(self):
-        if not self.axes:
-            raise ValueError("empty cube")
-        levels = {iv.level for iv in self.axes}
-        if len(levels) != 1:
-            raise ValueError("cube axes must share a level")
-
-    @property
-    def dim(self) -> int:
-        return len(self.axes)
-
-    @property
-    def level(self) -> int:
-        return self.axes[0].level
-
-    @property
-    def measure(self) -> Fraction:
-        return Fraction(1, 1 << (self.level * self.dim))
-
-    def children(self, j_max: int = DEFAULT_J_MAX) -> list["DyadicCube"]:
-        halves = [iv.children(j_max) for iv in self.axes]
-        out = []
-        for combo in _product_indices(len(self.axes)):
-            out.append(DyadicCube(tuple(halves[i][b] for i, b in enumerate(combo))))
-        return out
-
-    def contains(self, other: "DyadicCube") -> bool:
-        return all(a.contains(b) for a, b in zip(self.axes, other.axes))
-
-
-def _product_indices(d: int):
-    for mask in range(1 << d):
-        yield tuple((mask >> i) & 1 for i in range(d))
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = lo + length
+    k, d = lo.shape
+    # (axis, box, piece, end): the second piece is empty unless the arc wraps
+    cuts = np.zeros((d, k, 2, 2), dtype=np.int64)
+    cuts[:, :, 0, 0] = lo.T
+    cuts[:, :, 0, 1] = np.minimum(hi, S).T
+    cuts[:, :, 1, 1] = np.maximum(hi - S, 0).T
+    flat = np.zeros(k, dtype=np.int64)
+    sign = np.ones(1)
+    widths = []
+    for a in range(d):
+        edges = np.sort(np.concatenate(([0, S], cuts[a].ravel())))
+        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+        # difference-array corner of every piece product: a start adds
+        # the box, an end takes it away, on each axis
+        at = np.searchsorted(edges, cuts[a]).reshape((k,) + (1,) * (2 * a) + (2, 2))
+        flat = flat[..., None, None] * len(edges) + at
+        sign = np.multiply.outer(sign, _PIECE_SIGN)
+        widths.append(np.diff(edges))
+    shape = [len(w) + 1 for w in widths]
+    count = np.bincount(flat.ravel(), np.broadcast_to(sign, flat.shape).ravel(),
+                        minlength=math.prod(shape)).reshape(shape)
+    for a in range(d):
+        np.cumsum(count, axis=a, out=count)
+    mask = count[(slice(-1),) * d] > 0.5  # counts are exact small integers
+    for a in range(d):
+        mask = np.repeat(mask, widths[a], axis=a)
+    return mask

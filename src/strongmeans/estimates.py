@@ -6,7 +6,9 @@ spectral quantity (partial sums, or a kernel convolved with |f|^2) over
 the complement.  E lives as a bitmap of integer unit cells at scale
 2**(J+4) per axis, the same scale the dilation arithmetic uses, so its
 measure is an exact Fraction and quadrature weights on any power-of-two
-grid are exact dyadic numbers.
+grid are exact dyadic numbers.  It is built from the decomposition's
+bad-cell rows by one `dyadic.dilate_units` call and one
+`dyadic.union_mask`.
 
 Quadratic (p = 2) averaged moments never evaluate S_n f.  With w the
 complement weights on the refined M-grid and w^ = fft(w)/M their DFT,
@@ -69,7 +71,7 @@ from fractions import Fraction
 import numpy as np
 
 from .czd import CZDecomposition, decompose
-from .dyadic import dilate, scale_for
+from .dyadic import dilate_units, scale_for, union_mask
 from .grid import GridFunction
 from .spectral import (
     AliasingError,
@@ -152,63 +154,38 @@ class ExceptionalSet:
         return w
 
 
-def _mark_arc(mask: np.ndarray, lo: int, hi: int):
-    S = mask.shape[0]
-    if hi <= S:
-        mask[lo:hi] = True
-    else:
-        mask[lo:] = True
-        mask[: hi - S] = True
-
-
-def _axis_segments(lo: int, hi: int, S: int) -> list[tuple[int, int]]:
-    if hi <= S:
-        return [(lo, hi)]
-    return [(lo, S), (0, hi - S)]
-
-
-def _dilated_units(iv, c: int, J: int) -> tuple[int, int]:
-    if c == 1:
-        return iv.units(J)
-    arc = dilate(iv, c, j_max=J)
-    return arc.lo, arc.hi
-
-
 def build_exceptional_set(cz: CZDecomposition, c: int = 5,
                           geometry: str = "cube") -> ExceptionalSet:
-    """E = union of c-dilated bad cells of the decomposition."""
+    """E = union of c-dilated bad cells of the decomposition.
+
+    The arcs of every bad row come from one `dyadic.dilate_units` call;
+    for c = 1 each arc is the cell itself.  "cube" marks each cell's
+    box, the product of its arcs, and "slab" every point inside some
+    cell's arc on either axis.
+    """
     if c not in SUPPORTED_DILATIONS:
         raise ValueError(f"dilation {c} not in {SUPPORTED_DILATIONS}")
     if geometry not in ("cube", "slab"):
         raise ValueError(f"unknown geometry {geometry!r}")
     J = cz.J
     S = scale_for(J)
+    level, index = cz.bad[:, :1], cz.bad[:, 1:]
+    if c == 1:
+        length = S >> level
+        lo = index * length
+    else:
+        lo, length = dilate_units(level, index, c, J)
     if cz.dim == 1:
         geometry = "cube"  # identical constructions
-        mask = np.zeros(S, dtype=bool)
-        for iv in cz.bad:
-            _mark_arc(mask, *_dilated_units(iv, c, J))
-        measure = Fraction(int(mask.sum()), S)
-    elif geometry == "slab":
-        axis_masks = []
-        for a in range(2):
-            m = np.zeros(S, dtype=bool)
-            for q in cz.bad:
-                _mark_arc(m, *_dilated_units(q.axes[a], c, J))
-            axis_masks.append(m)
+    if geometry == "slab":
+        axis_masks = [union_mask(lo[:, a:a + 1], length, S) for a in range(2)]
         mask = axis_masks[0][:, None] | axis_masks[1][None, :]
         # complement is a product set, so the measure multiplies out
         free = [S - int(m.sum()) for m in axis_masks]
         measure = 1 - Fraction(free[0] * free[1], S * S)
     else:
-        mask = np.zeros((S, S), dtype=bool)
-        for q in cz.bad:
-            segs = [_axis_segments(*_dilated_units(iv, c, J), S)
-                    for iv in q.axes]
-            for a0, a1 in segs[0]:
-                for b0, b1 in segs[1]:
-                    mask[a0:a1, b0:b1] = True
-        measure = Fraction(int(mask.sum()), S * S)
+        mask = union_mask(lo, length, S)
+        measure = Fraction(int(mask.sum()), S ** cz.dim)
     return ExceptionalSet(cz.dim, S, cz.lam, c, mask, measure, geometry)
 
 

@@ -61,16 +61,6 @@ class SuiteResult:
     def ok(self) -> bool:
         return all(v == 0 for v in self.failures.values())
 
-    def summary(self) -> dict:
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "ok": self.ok,
-            "failures": dict(self.failures),
-            "elapsed_s": round(self.elapsed, 3),
-            **{k: v for k, v in self.stats.items()},
-        }
-
 
 def _draw_lam(rng) -> float:
     """Dyadic-rational heights, log-spread over (1, 64]."""
@@ -210,11 +200,9 @@ def cube_invariants(f, lam: float) -> tuple[dict, int]:
         return int(csum2[i1, j1] - csum2[i0, j1] - csum2[i1, j0] + csum2[i0, j0])
 
     disjoint = True
-    cells = []
-    for q in cz.bad:
-        w = n >> q.level
-        i0, j0 = q.axes[0].index * w, q.axes[1].index * w
-        cells.append((i0, i0 + w, j0, j0 + w))
+    w = n >> cz.bad[:, 0]
+    i0, j0 = cz.bad[:, 1] * w, cz.bad[:, 2] * w
+    cells = list(zip(i0.tolist(), (i0 + w).tolist(), j0.tolist(), (j0 + w).tolist()))
     for a in range(len(cells)):
         for b in range(a + 1, len(cells)):
             A, B = cells[a], cells[b]

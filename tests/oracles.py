@@ -1,18 +1,23 @@
 """Oracles shared by the test modules.
 
-Dilated bad cells become exact Fraction endpoint pairs, and their
-coverage of grid cells is recomputed by interval arithmetic, so these
-helpers stay independent of the integer bitmaps in
+The library passes dyadic cells as integer rows; the references here
+use objects instead: `DyadicInterval`, `DyadicCube` and the arc type
+`ScaledInterval`, with `as_intervals` and `as_cubes` to turn rows into
+them.  Dilated bad cells become exact Fraction endpoint pairs, and
+their coverage of grid cells is recomputed by interval arithmetic, so
+these helpers stay independent of the integer bitmaps in
 `strongmeans.estimates`.  Reference computations that no experiment
 runs live here too: disjointness, adjacency and torus distance of
 dyadic intervals and cubes, the chain check behind the vectorized
-exhaustive scan, cell averages, mode-counting energy averages, and rectangular
-partial sums with the per-pair 2-d moment they give.  `csv_differences`
-compares a fresh CSV with a committed reference cell by cell.
+exhaustive scan, cell averages, mode-counting energy averages, and
+rectangular partial sums with the per-pair 2-d moment they give.
+`csv_differences` compares a fresh CSV with a committed reference cell
+by cell.
 
 The batched exact layer has one-at-a-time references here:
 `czd_invariants` runs the 1-d stopping-time battery on one (f, lam)
-pair; `fraction_dilate` dilates with a Fraction factor; and
+pair; `reference_exceptional_set` builds E one bad cell at a time;
+`fraction_dilate` dilates with a Fraction factor; and
 `dilated_components`, `cube_components` and the `*_holds` checks work
 on DyadicInterval and DyadicCube objects with ScaledInterval arcs,
 including the statement form of the covering lemma (each hull inside 4
@@ -21,6 +26,7 @@ times a largest original member).
 
 import csv
 import io
+import itertools
 import math
 import re
 from dataclasses import dataclass, field
@@ -34,20 +40,122 @@ from strongmeans.czd import FRACT_BITS, bad_part, decompose, good_part
 from strongmeans.dyadic import (
     DEFAULT_J_MAX,
     SUPPORTED_FACTORS,
-    DyadicCube,
-    DyadicInterval,
     InvalidFactorError,
-    ScaledInterval,
-    dilate,
     scale_for,
 )
 from strongmeans.grid import GridFunction
 
 
-def dilated_arc(iv, c: int) -> tuple[Fraction, Fraction]:
+# ---------------------------------------------------------------------------
+# cells and arcs as objects
+
+
+@dataclass(frozen=True)
+class DyadicInterval:
+    """Half-open dyadic interval [index * 2**-level, (index+1) * 2**-level)."""
+
+    level: int
+    index: int
+
+    def __post_init__(self):
+        if self.level < 0:
+            raise ValueError("level must be >= 0")
+        if not 0 <= self.index < (1 << self.level):
+            raise ValueError("index out of range for level")
+
+    @property
+    def measure(self) -> Fraction:
+        return Fraction(1, 1 << self.level)
+
+    @property
+    def midpoint(self) -> Fraction:
+        return Fraction(2 * self.index + 1, 1 << (self.level + 1))
+
+    def contains(self, other: "DyadicInterval") -> bool:
+        if other.level < self.level:
+            return False
+        return (other.index >> (other.level - self.level)) == self.index
+
+
+@dataclass(frozen=True)
+class DyadicCube:
+    """Product of dyadic intervals with a common level."""
+
+    axes: tuple[DyadicInterval, ...]
+
+    def __post_init__(self):
+        if len({iv.level for iv in self.axes}) != 1:
+            raise ValueError("cube axes must share a level")
+
+
+@dataclass(frozen=True)
+class ScaledInterval:
+    """Arc [lo, hi) on the scaled torus, hi > scale means wraparound."""
+
+    lo: int
+    hi: int
+    scale: int
+
+    def __post_init__(self):
+        if not 0 <= self.lo < self.scale:
+            raise ValueError("lo out of range")
+        if not 0 < self.hi - self.lo <= self.scale:
+            raise ValueError("arc length must lie in (0, scale]")
+
+    @property
+    def length_units(self) -> int:
+        return self.hi - self.lo
+
+    @property
+    def measure(self) -> Fraction:
+        return Fraction(self.hi - self.lo, self.scale)
+
+    @property
+    def midpoint(self) -> Fraction:
+        return Fraction((self.lo + self.hi) % (2 * self.scale), 2 * self.scale)
+
+    def segments(self) -> list[tuple[int, int]]:
+        """Linear pieces inside [0, scale); a wrapping arc yields two."""
+        if self.hi <= self.scale:
+            return [(self.lo, self.hi)]
+        if self.hi - self.scale == self.lo:  # full torus
+            return [(0, self.scale)]
+        return [(self.lo, self.scale), (0, self.hi - self.scale)]
+
+    def contains_arc(self, other: "ScaledInterval") -> bool:
+        if self.scale != other.scale:
+            raise ValueError("scale mismatch")
+        if self.length_units == self.scale:
+            return True
+        off = (other.lo - self.lo) % self.scale
+        return off + other.length_units <= self.length_units
+
+
+def as_intervals(family) -> list:
+    """(level, index) rows as DyadicInterval objects."""
+    return [DyadicInterval(int(j), int(k)) for j, k in family]
+
+
+def as_cubes(family) -> list:
+    """(level, i, j) rows as DyadicCube objects."""
+    return [DyadicCube((DyadicInterval(int(l), int(i)), DyadicInterval(int(l), int(j))))
+            for l, i, j in family]
+
+
+# ---------------------------------------------------------------------------
+# decompositions and exceptional sets
+
+
+def bad_measure(cz) -> Fraction:
+    """Total measure of the bad cells, one Fraction per row."""
+    return sum((Fraction(1, 1 << (cz.dim * int(level))) for level in cz.bad[:, 0]),
+               Fraction(0))
+
+
+def dilated_arc(level: int, index: int, c: int) -> tuple[Fraction, Fraction]:
     """c-dilation of a dyadic interval about its center (lo may be negative)."""
-    lo = Fraction(iv.index, 1 << iv.level)
-    hi = Fraction(iv.index + 1, 1 << iv.level)
+    lo = Fraction(int(index), 1 << int(level))
+    hi = Fraction(int(index) + 1, 1 << int(level))
     mid = (lo + hi) / 2
     half = min(Fraction(c) * (hi - lo), Fraction(1)) / 2
     return mid - half, mid + half
@@ -55,12 +163,43 @@ def dilated_arc(iv, c: int) -> tuple[Fraction, Fraction]:
 
 def arcs_of(cz, c: int) -> list[tuple[Fraction, Fraction]]:
     """Dilated bad cells of a 1-d decomposition, exact endpoints."""
-    return [dilated_arc(iv, c) for iv in cz.bad]
+    return [dilated_arc(level, index, c) for level, index in cz.bad]
 
 
 def axis_arcs(cz, c: int, axis: int) -> list[tuple[Fraction, Fraction]]:
     """Dilated per-axis shadows of the bad cubes, exact endpoints."""
-    return [dilated_arc(q.axes[axis], c) for q in cz.bad]
+    return [dilated_arc(row[0], row[1 + axis], c) for row in cz.bad]
+
+
+def sliced_mask(boxes, S: int, d: int) -> np.ndarray:
+    """Union of boxes, each a tuple of d ScaledInterval arcs at scale S,
+    marked one slice assignment per piece."""
+    mask = np.zeros((S,) * d, dtype=bool)
+    for box in boxes:
+        for piece in itertools.product(*(arc.segments() for arc in box)):
+            mask[tuple(slice(lo, hi) for lo, hi in piece)] = True
+    return mask
+
+
+def reference_exceptional_set(cz, c: int, geometry: str = "cube"):
+    """(mask, measure) of E built one bad cell at a time: each row
+    becomes a DyadicInterval or DyadicCube, each of its axes a
+    `fraction_dilate` arc (the cell itself for c = 1), and each arc
+    piece is marked by slicing.  The row-based
+    `estimates.build_exceptional_set` must give the same mask and
+    measure."""
+    J, d = cz.J, cz.dim
+    S = scale_for(J)
+    cells = ([(iv,) for iv in as_intervals(cz.bad)] if d == 1
+             else [q.axes for q in as_cubes(cz.bad)])
+    boxes = [tuple(interval_to_scaled(iv, J) if c == 1 else fraction_dilate(iv, c, J)
+                   for iv in axes) for axes in cells]
+    if geometry == "slab" and d == 2:
+        m0, m1 = (sliced_mask([box[a:a + 1] for box in boxes], S, 1) for a in range(2))
+        free = (S - int(m0.sum())) * (S - int(m1.sum()))
+        return m0[:, None] | m1[None, :], 1 - Fraction(free, S * S)
+    mask = sliced_mask(boxes, S, d)
+    return mask, Fraction(int(mask.sum()), S**d)
 
 
 def covered_length(arcs, lo: Fraction, hi: Fraction) -> Fraction:
@@ -117,13 +256,12 @@ def exponential(m, J: int) -> GridFunction:
 
 
 def cell_average(f: GridFunction, cell) -> float:
-    """Mean of |samples| inside a dyadic interval or cube."""
-    w = f.n >> cell.level
-    if isinstance(cell, DyadicInterval):
-        return float(np.mean(np.abs(f.samples[cell.index * w : (cell.index + 1) * w])))
-    i0 = cell.axes[0].index * w
-    j0 = cell.axes[1].index * w
-    return float(np.mean(np.abs(f.samples[i0 : i0 + w, j0 : j0 + w])))
+    """Mean of |samples| inside a dyadic cell row (level, index) or
+    (level, i, j)."""
+    level, *index = (int(v) for v in cell)
+    w = f.n >> level
+    return float(np.mean(np.abs(f.samples[tuple(slice(k * w, (k + 1) * w)
+                                                 for k in index)])))
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +273,9 @@ class OverlapError(ValueError):
 
 
 def interval_to_scaled(iv: DyadicInterval, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
-    lo, hi = iv.units(j_max)
-    return ScaledInterval(lo, hi, scale_for(j_max))
+    """The interval itself as an arc at scale 2**(j_max+4)."""
+    w = scale_for(j_max) >> iv.level
+    return ScaledInterval(iv.index * w, (iv.index + 1) * w, scale_for(j_max))
 
 
 def gap_units(alo: int, ahi: int, blo: int, bhi: int, S: int) -> int:
@@ -176,8 +315,6 @@ def adjacent(a: DyadicInterval, b: DyadicInterval, j_max: int = DEFAULT_J_MAX) -
 
 def cubes_disjoint(a: DyadicCube, b: DyadicCube) -> bool:
     """Products of half-open intervals are disjoint iff some axis pair is."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
     return any(intervals_disjoint(x, y) for x, y in zip(a.axes, b.axes))
 
 
@@ -216,7 +353,7 @@ def chain_check(i1, i2, i3, factor=NINE_EIGHTHS, j_max: int = DEFAULT_J_MAX) -> 
                 raise NotAChainError(f"{trio[a]} and {trio[b]} overlap")
             if adjacent(trio[a], trio[b], j_max):
                 raise NotAChainError(f"{trio[a]} and {trio[b]} are adjacent")
-    d1, d2, d3 = (dilate(iv, factor, j_max) for iv in trio)
+    d1, d2, d3 = (fraction_dilate(iv, factor, j_max) for iv in trio)
     if torus_distance(d1, d3) == 0:
         raise NotAChainError("outer dilates intersect or touch")
     if torus_distance(d2, d1) > 0 or torus_distance(d2, d3) > 0:
@@ -345,15 +482,14 @@ def czd_invariants(f, lam: float) -> tuple[dict, int]:
     checks["exact_path"] = cz.exact
 
     csum = np.concatenate(([0], np.cumsum(np.abs(units))))
-    spans = sorted((iv.index << (f.J - iv.level),
-                    (iv.index + 1) << (f.J - iv.level)) for iv in cz.bad)
+    spans = sorted((k << (f.J - j), (k + 1) << (f.J - j)) for j, k in cz.bad.tolist())
     checks["disjoint"] = all(a[1] <= b[0] for a, b in zip(spans, spans[1:]))
 
     window = True
     maximal = True
     by_level = {}
-    for iv in cz.bad:
-        by_level.setdefault(iv.level, []).append(iv.index)
+    for j, k in cz.bad.tolist():
+        by_level.setdefault(j, []).append(k)
     for j, idxs in by_level.items():
         idx = np.asarray(idxs, dtype=np.int64)
         w = n >> j
@@ -465,17 +601,6 @@ def dilate_box(box: ScaledBox, c: int) -> ScaledBox:
 
 # ---------------------------------------------------------------------------
 # covering references: DyadicInterval and DyadicCube objects
-
-
-def as_intervals(family) -> list:
-    """(level, index) rows as DyadicInterval objects."""
-    return [DyadicInterval(int(j), int(k)) for j, k in family]
-
-
-def as_cubes(family) -> list:
-    """(level, i, j) rows as DyadicCube objects."""
-    return [DyadicCube((DyadicInterval(int(l), int(i)), DyadicInterval(int(l), int(j))))
-            for l, i, j in family]
 
 
 class NonadjacentInputError(ValueError):

@@ -114,7 +114,7 @@ def test_build_functions_family_filter_and_vp():
 def test_build_functions_empty_selection_fails():
     cfg = ExperimentConfig.from_dict({
         "experiment": "averaged_moment", "seed": 2, "J": 8,
-        "corpus": {"families": ["tspike"]},  # 2-d family, d=1 corpus
+        "corpus": {"families": ["kspikes"], "n_random": 0},  # no draws
     })
     with pytest.raises(ConfigError, match="empty"):
         build_functions(cfg)
@@ -265,7 +265,8 @@ def test_density_lattice_over_budget_exit_2(tmp_path, capsys, monkeypatch):
     for d, N_max in side.items():
         ExperimentConfig.from_dict({"experiment": "density", "seed": 1, "d": d,
                                     "options": {"N_max": N_max}})
-        cfg = write_config(tmp_path, experiment="density", d=d,
+        # no corpus: the default one names 1-d families
+        cfg = write_config(tmp_path, experiment="density", d=d, corpus={},
                            options={"N_max": N_max + 1})
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "MB budget" in capsys.readouterr().err
@@ -286,10 +287,13 @@ def test_density_lattice_over_budget_exit_2(tmp_path, capsys, monkeypatch):
     ({"families": ["spikes"]}, "corpus: families must be a list of names"),
     ({"families": "spike"}, "corpus: families must be a list of names"),
     ({"families": [["spike"]]}, "corpus: families must be a list of names"),
+    ({"families": ["spike", "tspike"]},
+     "corpus: families must be a list of names from ['spike', 'kspikes',"
+     " 'trig', 'noise'] (the d = 1 families)"),
 ], ids=["list", "string", "vp-fraction", "vp-zero", "vp-negative", "vp-bool",
         "vp-string", "n_random-fraction", "n_random-negative", "n_random-bool",
         "misspelt-families", "families-unknown", "families-string",
-        "families-nested"])
+        "families-nested", "families-2d-in-1d"])
 def test_bad_corpus_exit_2(tmp_path, capsys, monkeypatch, corpus, message):
     monkeypatch.setattr(cli, "build_functions", refuse)
     cfg = write_config(tmp_path, corpus=corpus)

@@ -13,7 +13,6 @@ from strongmeans.corpus import (
     abs_noise,
     multi_spike,
     normalize_l1_exact,
-    quantize,
     spike,
     standard_corpus,
     tensor_multi_spike,
@@ -30,12 +29,6 @@ def exact_mean_abs(samples: np.ndarray, bits: int) -> Fraction:
         assert u.denominator == 1, "sample is not on the dyadic grid"
         total += u
     return total / (samples.size * scale)
-
-
-def test_quantize_lands_on_grid():
-    rng = np.random.default_rng(0)
-    q = quantize(rng.standard_normal(64), bits=8)
-    assert np.all(q * 256 == np.rint(q * 256))
 
 
 def test_normalize_exact_unit_mean():

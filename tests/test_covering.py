@@ -23,17 +23,14 @@ from strongmeans.covering import (
     verify_covering,
     verify_covering_cubes,
 )
-from strongmeans.dyadic import (
-    DyadicCube,
-    DyadicInterval,
-    ScaledInterval,
-    dilate,
-    scale_for,
-)
+from strongmeans.dyadic import scale_for
 
 from oracles import (
+    DyadicCube,
+    DyadicInterval,
     NonadjacentInputError,
     NotAChainError,
+    ScaledInterval,
     adjacent,
     as_cubes,
     as_intervals,
@@ -45,7 +42,9 @@ from oracles import (
     cube_hulls,
     cube_statement_form_holds,
     cubes_disjoint,
+    dilated_arc,
     dilated_components,
+    fraction_dilate,
     intervals_disjoint,
     statement_form_holds,
     torus_distance,
@@ -73,11 +72,8 @@ def components_of(check, families) -> list:
 
 def arc_of(iv: DyadicInterval, factor) -> tuple:
     """Dilated arc of a dyadic interval as exact fractions (lo, hi), hi <= lo+1."""
-    length = iv.measure * F(factor)
-    if length >= 1:
-        return (F(0), F(1))
-    lo = (iv.midpoint - length / 2) % 1
-    return (lo, lo + length)
+    lo, hi = dilated_arc(iv.level, iv.index, factor)
+    return (F(0), F(1)) if hi - lo == 1 else (lo % 1, lo % 1 + hi - lo)
 
 
 def arcs_touch(a, b) -> bool:
@@ -356,7 +352,7 @@ def _brute_chain_counts(max_level):
     # once: a triple failing one of them is never a chain
     apart = [[x is not y and intervals_disjoint(x, y) and not adjacent(x, y)
               for y in ivs] for x in ivs]
-    dil = [dilate(iv, NINE_EIGHTHS) for iv in ivs]
+    dil = [fraction_dilate(iv, NINE_EIGHTHS) for iv in ivs]
     touch = [[torus_distance(x, y) == 0 for y in dil] for x in dil]
     chains = violations = 0
     for a in range(len(ivs)):

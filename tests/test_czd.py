@@ -2,7 +2,10 @@
 
 The oracle re-derives the decomposition by top-down recursion with
 Fraction arithmetic, independent of the library's vectorized level
-sweep over int64 sums.
+sweep over int64 sums.  The bad cells are compared as rows: the
+decomposition keeps them as an int64 array of (level, index) or
+(level, i, j) rows ordered by level, then index, and the oracle's
+cells, sorted, must equal it row for row.
 """
 
 from fractions import Fraction
@@ -18,10 +21,9 @@ from strongmeans.czd import (
     decompose,
     good_part,
 )
-from strongmeans.dyadic import DyadicCube, DyadicInterval
 from strongmeans.grid import GridFunction, tensor
 
-from oracles import cell_average, constant
+from oracles import bad_measure, cell_average, constant
 
 
 # --------------------------------------------------------------- oracle
@@ -80,6 +82,11 @@ def oracle_decompose_2d(samples, height: Fraction):
     return bad
 
 
+def rows(cells) -> list:
+    """Oracle cells in the decomposition's row order."""
+    return sorted(list(c) for c in cells)
+
+
 def spike(J, height=None):
     n = 1 << J
     s = np.zeros(n)
@@ -92,9 +99,9 @@ def spike(J, height=None):
 def test_spike_heights_frozen():
     f = spike(12)  # unit mass
     cz4 = decompose(f, 4.0)
-    assert cz4.bad == (DyadicInterval(3, 0),)
+    assert cz4.bad.dtype == np.int64 and cz4.bad.tolist() == [[3, 0]]
     cz8 = decompose(f, 8.0)
-    assert cz8.bad == (DyadicInterval(4, 0),)
+    assert cz8.bad.tolist() == [[4, 0]]
     assert cz8.exact
     # oracle agreement
     assert oracle_decompose_1d(f.samples, Fraction(8)) == [(4, 0)]
@@ -109,8 +116,9 @@ def test_bad_cell_average_at_doubling_boundary():
 
 def test_constant_function_no_bad_cells():
     cz = decompose(constant(1.0, 10), 2.0)
-    assert cz.bad == ()
-    assert cz.bad_measure() == 0
+    assert cz.bad.shape == (0, 2) and cz.bad.dtype == np.int64
+    assert bad_measure(cz) == 0
+    assert not cz.bad_mask().any()
 
 
 def test_root_average_above_height_rejected():
@@ -126,9 +134,8 @@ def test_two_spike_with_sub_height_plateau():
     s[n // 2 : n // 2 + n // 4] = 3.0  # plateau below height 8
     f = GridFunction(1, J, s)
     cz = decompose(f, 8.0)
-    assert all(iv.lo < Fraction(1, 4) for iv in cz.bad)
-    want = oracle_decompose_1d(s, Fraction(8))
-    assert sorted((iv.level, iv.index) for iv in cz.bad) == sorted(want)
+    assert all(Fraction(k, 1 << j) < Fraction(1, 4) for j, k in cz.bad.tolist())
+    assert cz.bad.tolist() == rows(oracle_decompose_1d(s, Fraction(8)))
 
 
 def test_signed_and_complex_inputs_use_magnitude():
@@ -139,8 +146,8 @@ def test_signed_and_complex_inputs_use_magnitude():
     neg = GridFunction(1, J, -s)
     cplx = GridFunction(1, J, 1j * s)
     ref = decompose(GridFunction(1, J, s), 16.0)
-    assert decompose(neg, 16.0).bad == ref.bad
-    assert decompose(cplx, 16.0).bad == ref.bad
+    assert np.array_equal(decompose(neg, 16.0).bad, ref.bad)
+    assert np.array_equal(decompose(cplx, 16.0).bad, ref.bad)
     g, b = good_part(decompose(neg, 16.0)), bad_part(decompose(neg, 16.0))
     assert np.array_equal(g.samples + b.samples, neg.samples)
 
@@ -150,17 +157,19 @@ def test_signed_and_complex_inputs_use_magnitude():
 def check_invariants_1d(f, cz: CZDecomposition):
     h = cz.height
     l1 = Fraction(f.l1())
-    # disjoint + maximal
-    for i, a in enumerate(cz.bad):
-        for b in cz.bad[i + 1 :]:
-            assert not (a.contains(b) or b.contains(a))
-    for iv in cz.bad:
-        avg = Fraction(cell_average(f, iv))
+    cells = cz.bad.tolist()
+    # disjoint + maximal: no cell sits inside another
+    for i, (j1, k1) in enumerate(cells):
+        for j2, k2 in cells[i + 1 :]:
+            lo, hi = sorted(((j1, k1), (j2, k2)))
+            assert hi[1] >> (hi[0] - lo[0]) != lo[1]
+    for j, k in cells:
+        avg = Fraction(cell_average(f, (j, k)))
         assert h < avg <= 2 * h
-        if iv.level > 0:
-            assert Fraction(cell_average(f, iv.parent())) <= h
+        if j > 0:
+            assert Fraction(cell_average(f, (j - 1, k >> 1))) <= h
     # weak type
-    assert cz.bad_measure() <= l1 / h
+    assert bad_measure(cz) <= l1 / h
     # good part bounded off the bad set
     g = good_part(cz)
     if len(cz.bad) < (1 << cz.J):
@@ -191,12 +200,11 @@ def test_invariants_random_1d(data):
     cz = decompose(f, lam)
     assert cz.exact
     check_invariants_1d(f, cz)
-    want = oracle_decompose_1d(s, Fraction(lam_num))
-    assert sorted((iv.level, iv.index) for iv in cz.bad) == sorted(want)
+    assert cz.bad.tolist() == rows(oracle_decompose_1d(s, Fraction(lam_num)))
     # monotonicity: bad cells at a higher height sit inside bad cells here
     cz2 = decompose(f, 2 * lam)
-    for small in cz2.bad:
-        assert any(big.contains(small) or big == small for big in cz.bad)
+    for j2, k2 in cz2.bad.tolist():
+        assert any(j <= j2 and k2 >> (j2 - j) == k for j, k in cz.bad.tolist())
 
 
 def test_invariants_2d_tensor_spike():
@@ -208,7 +216,7 @@ def test_invariants_2d_tensor_spike():
     f = tensor(g, g)
     cz = decompose(f, 8.0)
     # averages over level-j cubes containing the spike are 4**j
-    assert cz.bad == (DyadicCube((DyadicInterval(2, 0), DyadicInterval(2, 0))),)
+    assert cz.bad.tolist() == [[2, 0, 0]]
     assert oracle_decompose_2d(f.samples, Fraction(8)) == [(2, 0, 0)]
     # dimensional doubling: child average can be 4x the parent average
     avg = cell_average(f, cz.bad[0])
@@ -234,21 +242,11 @@ def test_invariants_random_2d(data):
     if f.l1() > lam:
         return
     cz = decompose(f, lam)
-    want = oracle_decompose_2d(s, Fraction(8))
-    got = sorted((q.level, q.axes[0].index, q.axes[1].index) for q in cz.bad)
-    assert got == sorted(want)
+    assert cz.bad.tolist() == rows(oracle_decompose_2d(s, Fraction(8)))
     for q in cz.bad:
         avg = Fraction(cell_average(f, q))
         assert cz.height < avg <= 4 * cz.height
-    assert cz.bad_measure() <= Fraction(f.l1()) / cz.height
-
-
-def test_height_scale_shifts_stopping_height():
-    f = spike(10)
-    a = decompose(f, 16.0, height_scale=0.5)
-    b = decompose(f, 8.0)
-    assert a.bad == b.bad
-    assert a.height == b.height
+    assert bad_measure(cz) <= Fraction(f.l1()) / cz.height
 
 
 def test_exact_sums_past_int64_refused():

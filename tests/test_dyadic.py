@@ -1,8 +1,10 @@
 """Exactness tests for the dyadic geometry core.
 
 Oracles here are deliberately independent of the library code paths:
-rational interval arithmetic with fractions.Fraction, and brute-force
-unit-grid point sets for distances.
+rational interval arithmetic with fractions.Fraction, brute-force
+unit-grid point sets for distances, and slice-by-slice marking for
+union bitmaps.  The library works on integer rows; `dilate` below
+wraps its one dilation, `dilate_units`, into the oracles' arc objects.
 """
 
 from fractions import Fraction
@@ -14,40 +16,40 @@ from hypothesis import given, settings, strategies as st
 from strongmeans.dyadic import (
     DEFAULT_J_MAX,
     SUPPORTED_FACTORS,
-    DyadicCube,
-    DyadicInterval,
     InvalidFactorError,
     ResolutionExceededError,
-    ScaledInterval,
-    dilate,
     dilate_units,
     scale_for,
+    union_mask,
 )
 
 from oracles import (
+    DyadicCube,
+    DyadicInterval,
     OverlapError,
+    ScaledInterval,
     adjacent,
     cube_adjacent,
     cubes_disjoint,
     dilate_box,
     dilate_cube,
     dilate_scaled,
+    dilated_arc,
     fraction_dilate,
     interval_to_scaled,
     intervals_disjoint,
     merged_segments,
+    sliced_mask,
     torus_distance,
 )
 
 
 # --------------------------------------------------------------- oracles
 
-def oracle_dilate(iv: DyadicInterval, c) -> tuple[Fraction, Fraction]:
-    """Rational endpoints of c*I before torus reduction."""
-    c = Fraction(c)
-    mid = iv.midpoint
-    half = c * iv.measure / 2
-    return mid - half, mid + half
+def dilate(iv: DyadicInterval, c, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
+    """`dilate_units` on one interval, as an arc object."""
+    lo, length = dilate_units(iv.level, iv.index, c, j_max)
+    return ScaledInterval(int(lo), int(lo + length), scale_for(j_max))
 
 
 def oracle_union_measure(frac_arcs) -> Fraction:
@@ -95,7 +97,7 @@ def scaled_to_frac(arc: ScaledInterval) -> tuple[Fraction, Fraction]:
 def test_dilate_nine_eighths_frozen():
     # oracle: [3/4, 7/8) has midpoint 13/16, half-width 9/128
     iv = DyadicInterval(3, 6)
-    lo, hi = oracle_dilate(iv, Fraction(9, 8))
+    lo, hi = dilated_arc(3, 6, Fraction(9, 8))
     assert (lo, hi) == (Fraction(95, 128), Fraction(113, 128))
     arc = dilate(iv, Fraction(9, 8))
     assert scaled_to_frac(arc) == (Fraction(95, 128), Fraction(113, 128))
@@ -119,8 +121,6 @@ def test_dilate_caps_at_full_torus_and_keeps_midpoint():
 
 def test_dilate_rejects_unsupported_factor():
     for bad in (Fraction(7, 8), 1, 6, 0.1, "9/8", [2]):
-        with pytest.raises(InvalidFactorError):
-            dilate(DyadicInterval(2, 1), bad)
         with pytest.raises(InvalidFactorError):
             dilate_units(np.array([2]), np.array([1]), bad)
 
@@ -307,18 +307,26 @@ def test_dilate_box_composition():
     assert outer == direct
 
 
-# --------------------------------------------------------------- structure
+# --------------------------------------------------------------- bitmaps
 
-def test_children_partition_parent():
-    iv = DyadicInterval(4, 7)
-    a, b = iv.children()
-    assert a.lo == iv.lo and b.hi == iv.hi and a.hi == b.lo
-    with pytest.raises(ResolutionExceededError):
-        DyadicInterval(DEFAULT_J_MAX, 0).children()
+@given(st.data())
+@settings(max_examples=100)
+def test_union_mask_matches_slicing(data):
+    S = 64
+    d = data.draw(st.sampled_from([1, 2]))
+    k = data.draw(st.integers(min_value=0, max_value=6))
+    lo = np.array([[data.draw(st.integers(0, S - 1)) for _ in range(d)]
+                   for _ in range(k)], dtype=np.int64).reshape(k, d)
+    length = np.array([[data.draw(st.integers(1, S)) for _ in range(d)]
+                       for _ in range(k)], dtype=np.int64).reshape(k, d)
+    boxes = [[ScaledInterval(int(a), int(a + n), S) for a, n in zip(r, m)]
+             for r, m in zip(lo, length)]
+    assert np.array_equal(union_mask(lo, length, S), sliced_mask(boxes, S, d))
 
 
-def test_cube_children_count():
-    q = DyadicCube((DyadicInterval(2, 1), DyadicInterval(2, 2)))
-    kids = q.children()
-    assert len(kids) == 4
-    assert sum(k.measure for k in kids) == q.measure
+def test_union_mask_wrapping_and_full_arcs():
+    S = 16
+    # [12, 20) wraps to [12, 16) and [0, 4); a full arc from 5 covers all
+    assert np.flatnonzero(union_mask([[12]], 8, S)).tolist() == [0, 1, 2, 3, 12, 13, 14, 15]
+    assert union_mask([[5]], S, S).all()
+    assert not union_mask(np.empty((0, 2), dtype=np.int64), 1, S).any()

@@ -46,6 +46,7 @@ from oracles import (
     off_arc_moments,
     plancherel_average,
     rect_moment_per_pair,
+    reference_exceptional_set,
 )
 
 
@@ -97,6 +98,26 @@ def test_spike_exceptional_set_frozen():
         exc = build_exceptional_set(cz, c)
         assert exc.measure == want
         assert exc.measure == union_measure_oracle(arcs_of(cz, c))
+
+
+@pytest.mark.parametrize("d,J", [(1, 10), (2, 6)])
+def test_row_construction_matches_per_cell_reference(d, J):
+    """The row-based E against the per-cell object construction: same
+    mask and same Fraction measure on corpus functions, every dilation
+    and, in 2-d, both geometries; some arcs wrap past 1."""
+    wraps = 0
+    for _, f in corpus.standard_corpus(J, seed=5, d=d, n_random=1):
+        for lam in (2.0, 4.0, 16.0):
+            cz = decompose(f, lam)
+            for c in (1, 3, 5):
+                wraps += sum(lo < 0 or hi > 1 for lo, hi in (
+                    arcs_of(cz, c) if d == 1 else axis_arcs(cz, c, 0)))
+                for geometry in ("cube", "slab") if d == 2 else ("cube",):
+                    exc = build_exceptional_set(cz, c, geometry)
+                    mask, measure = reference_exceptional_set(cz, c, geometry)
+                    assert np.array_equal(exc.mask, mask), (lam, c, geometry)
+                    assert exc.measure == measure
+    assert wraps > 0
 
 
 def test_exceptional_set_rejects_other_dilations():

@@ -148,11 +148,3 @@ def test_chain_suite_level_five():
     assert res.ok
     assert res.stats["chains"] > 0
     assert res.stats["outer_pairs"] > res.stats["chains"]
-
-
-def test_suite_summary_shape():
-    res = czd_suite(5, J=8, seed=9)
-    s = res.summary()
-    assert s["suite"] == "czd-1d"
-    assert s["ok"] is True
-    assert "elapsed_s" in s and "mean_bad_cells" in s
