@@ -35,6 +35,8 @@ BASELINE_TOLERANCE = 0.10
 # bytes one float lattice of the density run may take (N_max**d
 # entries); the run holds a few arrays of that size at once
 DENSITY_LATTICE_BUDGET = 1 << 25
+# log2 of the samples one czd_suite trial may take (2**(d J))
+CZD_TRIAL_BITS = 16
 
 
 class ConfigError(ValueError):
@@ -376,6 +378,16 @@ def _covering_suite(cfg: ExperimentConfig):
     return rows, {}, {"containment": res.ok, "bridge_length": chain.ok}
 
 
+def _czd_lattice(cfg: ExperimentConfig):
+    # multi_spike draws up to 16 cells, so a trial needs n >= 16
+    greatest = min(DEFAULT_J_MAX, CZD_TRIAL_BITS // cfg.d)
+    if not 4 <= cfg.J <= greatest:
+        raise ConfigError(
+            f"czd_suite: J must lie in [4, {greatest}] for d = {cfg.d}"
+            " (a trial draws up to 16 spike cells per axis and takes at"
+            f" most 2**{CZD_TRIAL_BITS} samples)")
+
+
 def _czd_suite(cfg: ExperimentConfig):
     res = czd_suite(cfg.option("trials"), J=cfg.J, seed=cfg.seed, dim=cfg.d)
     rows = [{"kind": res.suite, "trials": res.trials,
@@ -433,7 +445,8 @@ EXPERIMENTS = {
         }),
     "czd_suite": Experiment(
         ("kind", "trials", "failures", "mean_bad_cells", "config_hash"),
-        _czd_suite, per_cell=False, options={"trials": _integer(10000, 1)}),
+        _czd_suite, per_cell=False, check=_czd_lattice,
+        options={"trials": _integer(10000, 1)}),
 }
 
 

@@ -112,6 +112,15 @@ class StoppingCells:
     index: np.ndarray
 
 
+def cell_axes(level: np.ndarray, index: np.ndarray, dim: int) -> tuple:
+    """Per-axis indices of cells given by level and C-order index."""
+    axes = []
+    for _ in range(dim - 1):
+        index, last = np.divmod(index, 1 << level)
+        axes.append(last)
+    return (index, *reversed(axes))
+
+
 def stopping_cells(work: np.ndarray, dim: int, heights) -> StoppingCells:
     """Stopping-time selection for a batch of functions at once.
 
@@ -209,25 +218,12 @@ def decompose(f: GridFunction, lam: float) -> CZDecomposition:
         raise ValueError("height must be positive")
     height = Fraction(lam)
     cells = stopping_cells(np.abs(f.samples)[None], f.dim, [[height]])
-    level, index = cells.level, cells.index
-    axes = (index,) if f.dim == 1 else np.divmod(index, 1 << level)
+    level = cells.level
     return CZDecomposition(
         source=f,
         height=height,
         lam=float(lam),
-        bad=np.stack((level, *axes), axis=1),
+        bad=np.stack((level, *cell_axes(level, cells.index, f.dim)), axis=1),
         exact=bool(cells.exact[0]),
     )
 
-
-def good_part(cz: CZDecomposition) -> GridFunction:
-    """f outside the bad set, zero on it; g + b reconstructs f exactly."""
-    s = cz.source.samples.copy()
-    s[cz.bad_mask()] = 0
-    return GridFunction(cz.dim, cz.J, s)
-
-
-def bad_part(cz: CZDecomposition) -> GridFunction:
-    s = cz.source.samples.copy()
-    s[~cz.bad_mask()] = 0
-    return GridFunction(cz.dim, cz.J, s)

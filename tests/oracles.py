@@ -15,8 +15,9 @@ rectangular partial sums with the per-pair 2-d moment they give.
 by cell.
 
 The batched exact layer has one-at-a-time references here:
-`czd_invariants` runs the 1-d stopping-time battery on one (f, lam)
-pair; `reference_exceptional_set` builds E one bad cell at a time;
+`czd_invariants` and `cube_invariants` run the 1-d and 2-d
+stopping-time batteries on one (f, lam) pair;
+`reference_exceptional_set` builds E one bad cell at a time;
 `fraction_dilate` dilates with a Fraction factor; and
 `dilated_components`, `cube_components` and the `*_holds` checks work
 on DyadicInterval and DyadicCube objects with ScaledInterval arcs,
@@ -36,7 +37,7 @@ import numpy as np
 
 from strongmeans import spectral
 from strongmeans.covering import NINE_EIGHTHS
-from strongmeans.czd import FRACT_BITS, bad_part, decompose, good_part
+from strongmeans.czd import FRACT_BITS, decompose
 from strongmeans.dyadic import (
     DEFAULT_J_MAX,
     SUPPORTED_FACTORS,
@@ -513,13 +514,88 @@ def czd_invariants(f, lam: float) -> tuple[dict, int]:
     off = np.abs(units[~mask])
     checks["bounded_off_bad"] = off.size == 0 or Fraction(int(off.max())) <= lam_units
 
-    g = good_part(cz)
-    b = bad_part(cz)
-    checks["reassembly"] = bool(np.array_equal(g.samples + b.samples, f.samples))
+    checks["reassembly"] = reassembles(f.samples, mask)
 
     mask2 = decompose(f, 2 * lam).bad_mask()
     checks["lam_monotone"] = bool(np.all(mask | ~mask2))
     return checks, len(cz.bad)
+
+
+def cube_invariants(f, lam: float) -> tuple[dict, int]:
+    """The exact-invariant battery on one 2-d (f, lam) pair, with
+    pairwise cube loops and one Fraction at a time.
+
+    Returns (check name -> bool, number of bad cubes).  The batched
+    `strongmeans.suites.czd_block_checks` must agree with it check by
+    check and count by count.
+    """
+    lamF = Fraction(lam)
+    num, den = lamF.numerator, lamF.denominator
+    n = 1 << f.J
+    units = np.round(np.real(f.samples) * (1 << FRACT_BITS)).astype(np.int64)
+    checks = {}
+    checks["exact_input"] = bool(
+        np.array_equal(units / (1 << FRACT_BITS), np.real(f.samples))
+    )
+
+    cz = decompose(f, lam)
+    checks["exact_path"] = cz.exact
+
+    absu = np.abs(units)
+    csum2 = np.zeros((n + 1, n + 1), dtype=np.int64)
+    csum2[1:, 1:] = absu.cumsum(axis=0).cumsum(axis=1)
+
+    def box_sum(i0, i1, j0, j1):
+        return int(csum2[i1, j1] - csum2[i0, j1] - csum2[i1, j0] + csum2[i0, j0])
+
+    disjoint = True
+    w = n >> cz.bad[:, 0]
+    i0, j0 = cz.bad[:, 1] * w, cz.bad[:, 2] * w
+    cells = list(zip(i0.tolist(), (i0 + w).tolist(), j0.tolist(), (j0 + w).tolist()))
+    for a in range(len(cells)):
+        for b in range(a + 1, len(cells)):
+            A, B = cells[a], cells[b]
+            if A[0] < B[1] and B[0] < A[1] and A[2] < B[3] and B[2] < A[3]:
+                disjoint = False
+    checks["disjoint"] = disjoint
+
+    window = True
+    maximal = True
+    for i0, i1, j0, j1 in cells:
+        w = i1 - i0
+        s = box_sum(i0, i1, j0, j1)
+        height_units = num * ((w * w) << FRACT_BITS)
+        window &= s * den > height_units
+        window &= s * den <= 4 * height_units  # 2**d with d=2
+        pw = 2 * w
+        pi, pj = (i0 // pw) * pw, (j0 // pw) * pw
+        ps = box_sum(pi, pi + pw, pj, pj + pw)
+        maximal &= ps * den <= num * ((pw * pw) << FRACT_BITS)
+    checks["height_window"] = window
+    checks["parents_not_selected"] = maximal
+
+    total = Fraction(sum((i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in cells),
+                     n * n)
+    l1 = Fraction(int(absu.sum()), (n * n) << FRACT_BITS)
+    checks["mass_bound"] = total <= l1 / lamF
+
+    mask = cz.bad_mask()
+    lam_units = Fraction(num << FRACT_BITS, den)
+    off = absu[~mask]
+    checks["bounded_off_bad"] = off.size == 0 or Fraction(int(off.max())) <= lam_units
+
+    checks["reassembly"] = reassembles(f.samples, mask)
+
+    mask2 = decompose(f, 2 * lam).bad_mask()
+    checks["lam_monotone"] = bool(np.all(mask | ~mask2))
+    return checks, len(cz.bad)
+
+
+def reassembles(samples: np.ndarray, mask: np.ndarray) -> bool:
+    """Good part (zero on the bad set) plus bad part (zero off it) is f."""
+    good = np.where(mask, 0, samples)
+    bad = np.where(mask, samples, 0)
+    return bool(np.array_equal(good + bad, samples))
 
 
 # ---------------------------------------------------------------------------

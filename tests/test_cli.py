@@ -272,6 +272,23 @@ def test_density_lattice_over_budget_exit_2(tmp_path, capsys, monkeypatch):
         assert "MB budget" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d,J,message", [
+    (1, 3, "czd_suite: J must lie in [4, 14] for d = 1"),
+    (2, 3, "czd_suite: J must lie in [4, 8] for d = 2"),
+    (2, 9, "czd_suite: J must lie in [4, 8] for d = 2"),
+    (2, 14, "czd_suite: J must lie in [4, 8] for d = 2"),
+], ids=["czd-J3-1d", "czd-J3-2d", "czd-J9-2d", "czd-J14-2d"])
+def test_czd_lattice_exit_2(tmp_path, capsys, monkeypatch, d, J, message):
+    refuse_runs(monkeypatch, "czd_suite")
+    cfg = write_config(tmp_path, experiment="czd_suite", d=d, J=J, corpus={},
+                       schedule=None, options={"trials": 1})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+    for J in (4, {1: 14, 2: 8}[d]):
+        ExperimentConfig.from_dict({"experiment": "czd_suite", "seed": 1,
+                                    "d": d, "J": J})
+
+
 @pytest.mark.parametrize("corpus,message", [
     ([], "corpus must be a JSON object"),
     ("spike", "corpus must be a JSON object"),

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongmeans.czd import (
-    CZDecomposition,
-    HeightTooLowError,
-    bad_part,
-    decompose,
-    good_part,
-)
+from strongmeans.czd import CZDecomposition, HeightTooLowError, decompose
 from strongmeans.grid import GridFunction, tensor
 
 from oracles import bad_measure, cell_average, constant
@@ -148,8 +142,6 @@ def test_signed_and_complex_inputs_use_magnitude():
     ref = decompose(GridFunction(1, J, s), 16.0)
     assert np.array_equal(decompose(neg, 16.0).bad, ref.bad)
     assert np.array_equal(decompose(cplx, 16.0).bad, ref.bad)
-    g, b = good_part(decompose(neg, 16.0)), bad_part(decompose(neg, 16.0))
-    assert np.array_equal(g.samples + b.samples, neg.samples)
 
 
 # --------------------------------------------------------------- invariants
@@ -170,13 +162,10 @@ def check_invariants_1d(f, cz: CZDecomposition):
             assert Fraction(cell_average(f, (j - 1, k >> 1))) <= h
     # weak type
     assert bad_measure(cz) <= l1 / h
-    # good part bounded off the bad set
-    g = good_part(cz)
+    # |f| bounded off the bad set
     if len(cz.bad) < (1 << cz.J):
-        off = np.abs(g.samples[~cz.bad_mask()])
+        off = np.abs(f.samples[~cz.bad_mask()])
         assert np.all(off <= float(h))
-    # exact reconstruction
-    assert np.array_equal(good_part(cz).samples + bad_part(cz).samples, f.samples)
 
 
 def quantized(vals):
@@ -221,7 +210,6 @@ def test_invariants_2d_tensor_spike():
     # dimensional doubling: child average can be 4x the parent average
     avg = cell_average(f, cz.bad[0])
     assert Fraction(avg) <= 4 * cz.height
-    assert np.array_equal(good_part(cz).samples + bad_part(cz).samples, f.samples)
 
 
 @given(st.data())

@@ -1,9 +1,10 @@
 """Invariant batteries: sanity on small runs plus hand-built failure probes.
 
 The suites must detect violations, not just count trials, so each
-negative test feeds a deliberately broken input through the same check
-code the battery uses.  The batched 1-d battery is also checked against
-the scalar `czd_invariants` of oracles.py, check by check and count by
+negative test feeds a deliberately broken input, in 1-d and in 2-d,
+through the same check code the battery uses.  The block battery is
+also checked against the scalar `czd_invariants` (1-d) and
+`cube_invariants` (2-d) of oracles.py, check by check and count by
 count.
 """
 
@@ -14,12 +15,11 @@ import numpy as np
 import pytest
 
 from strongmeans import corpus
-from strongmeans.czd import decompose, stopping_cells
+from strongmeans.czd import cell_axes, decompose, stopping_cells
 from strongmeans.grid import GridFunction
 from strongmeans.suites import (
     chain_suite,
     covering_suite,
-    cube_invariants,
     czd_block_checks,
     czd_block_invariants,
     czd_suite,
@@ -27,7 +27,7 @@ from strongmeans.suites import (
     _draw_lam,
 )
 
-from oracles import czd_invariants
+from oracles import cube_invariants, czd_invariants
 
 
 def test_draw_lam_is_dyadic_and_in_range():
@@ -50,8 +50,11 @@ def test_czd_invariants_all_pass_on_corpus_function():
 
 def test_czd_invariants_all_pass_2d():
     f = corpus.tensor_multi_spike(5, 6, np.random.default_rng(2))
-    checks, _ = cube_invariants(f, 4.0)
+    checks, n_bad = cube_invariants(f, 4.0)
     assert all(checks.values()), checks
+    block, counts = czd_block_invariants(f.samples[None], [4.0])
+    assert {k: bool(v[0]) for k, v in block.items()} == checks
+    assert counts.tolist() == [n_bad]
 
 
 def test_czd_invariants_flag_offgrid_samples():
@@ -65,54 +68,63 @@ def test_czd_invariants_flag_offgrid_samples():
     assert {k: bool(v[1]) for k, v in checks.items()} == want
 
 
-@pytest.mark.parametrize("J", [6, 10])
-def test_block_battery_matches_scalar_oracle(J):
-    """500 trials of each corpus family, every 50th pushed off the
-    24-bit grid so that some checks fail on both sides."""
+@pytest.mark.parametrize("dim,J", [
+    (1, 6), (1, 10), (2, 5), (2, 7),
+], ids=["6", "10", "2d-5", "2d-7"])
+def test_block_battery_matches_scalar_oracle(dim, J):
+    """500 trials of each 1-d and 300 of each 2-d corpus family, every
+    50th pushed off the 24-bit grid so that some checks fail on both
+    sides."""
+    oracle, trials = (czd_invariants, 500) if dim == 1 else (cube_invariants, 300)
     rng = np.random.default_rng(100 + J)
-    for family in range(3):
+    for family in range(3 if dim == 1 else 2):
         fs, lams = [], []
-        for t in range(500):
-            f = _draw_function(rng, J, family)
+        for t in range(trials):
+            f = _draw_function(rng, J, family, dim)
             if t % 50 == 0:
-                f = GridFunction(1, J, f.samples + np.where(np.arange(f.n) == t % f.n,
-                                                            2.0**-40, 0.0))
+                s = f.samples.copy()
+                s.flat[t % s.size] += 2.0**-40
+                f = GridFunction(dim, J, s)
             fs.append(f)
             lams.append(_draw_lam(rng))
         checks, n_bad = czd_block_invariants(np.stack([f.samples for f in fs]), lams)
         for i, (f, lam) in enumerate(zip(fs, lams)):
-            want, count = czd_invariants(f, lam)
+            want, count = oracle(f, lam)
             assert {k: bool(v[i]) for k, v in checks.items()} == want, (family, i)
             assert n_bad[i] == count, (family, i)
         assert not checks["exact_input"][::50].any()
 
 
 def test_block_checks_flag_corrupted_bad_cell():
-    rng = np.random.default_rng(7)
-    fs = [_draw_function(rng, 9, t) for t in range(6)]
-    lams = [4.0] * 6
-    samples = np.stack([f.samples for f in fs])
-    cells = stopping_cells(np.abs(samples), 1, [(4, 8)] * 6)
-    clean, counts = czd_block_checks(samples, lams, cells)
-    assert all(v.all() for v in clean.values()), clean
-    k = np.flatnonzero((cells.row == 3) & (cells.col == 0))[0]
+    for dim, J in ((1, 9), (2, 6)):
+        rng = np.random.default_rng(7)
+        fs = [_draw_function(rng, J, t, dim) for t in range(6)]
+        lams = [4.0] * 6
+        samples = np.stack([f.samples for f in fs])
+        cells = stopping_cells(np.abs(samples), dim, [(4, 8)] * 6)
+        clean, counts = czd_block_checks(samples, lams, cells)
+        assert all(v.all() for v in clean.values()), (dim, clean)
+        k = np.flatnonzero((cells.row == 3) & (cells.col == 0) & (cells.level >= 2))[0]
+        others = np.arange(6) != 3
 
-    # a bad cell replaced by its parent, whose average is at most lam
-    level, index = cells.level.copy(), cells.index.copy()
-    level[k] -= 1
-    index[k] >>= 1
-    checks, _ = czd_block_checks(samples, lams, replace(cells, level=level, index=index))
-    assert not checks["height_window"][3]
-    assert all(v[np.arange(6) != 3].all() for v in checks.values())
+        # a bad cell replaced by its parent, whose average is at most lam
+        level, index = cells.level.copy(), cells.index.copy()
+        axes = [a >> 1 for a in cell_axes(level[k], index[k], dim)]
+        level[k] -= 1
+        index[k] = axes[0] if dim == 1 else (axes[0] << level[k]) + axes[1]
+        checks, _ = czd_block_checks(samples, lams,
+                                     replace(cells, level=level, index=index))
+        assert not checks["height_window"][3], dim
+        assert all(v[others].all() for v in checks.values()), dim
 
-    # a bad cell dropped: samples above lam are left uncovered
-    keep = np.arange(len(cells.row)) != k
-    dropped = replace(cells, row=cells.row[keep], col=cells.col[keep],
-                      level=cells.level[keep], index=cells.index[keep])
-    checks, n_bad = czd_block_checks(samples, lams, dropped)
-    assert not checks["bounded_off_bad"][3]
-    assert n_bad[3] == counts[3] - 1
-    assert all(v[np.arange(6) != 3].all() for v in checks.values())
+        # a bad cell dropped: samples above lam are left uncovered
+        keep = np.arange(len(cells.row)) != k
+        dropped = replace(cells, row=cells.row[keep], col=cells.col[keep],
+                          level=cells.level[keep], index=cells.index[keep])
+        checks, n_bad = czd_block_checks(samples, lams, dropped)
+        assert not checks["bounded_off_bad"][3], dim
+        assert n_bad[3] == counts[3] - 1
+        assert all(v[others].all() for v in checks.values()), dim
 
 
 def test_czd_suite_small_run_clean():
@@ -123,8 +135,14 @@ def test_czd_suite_small_run_clean():
 
 
 def test_czd_suite_2d_small_run_clean():
-    res = czd_suite(10, J=5, seed=6, dim=2)
-    assert res.ok, res.failures
+    # pinned at the trial-by-trial 2-d battery: the block battery draws
+    # the same functions and heights in the same order
+    for trials, J, seed, mean_bad in ((300, 5, 6, 18.47), (300, 7, 1, 100.21),
+                                      (100, 8, 3, 168.99)):
+        res = czd_suite(trials, J=J, seed=seed, dim=2)
+        assert res.ok, res.failures
+        assert res.suite == "czd-2d" and res.trials == trials
+        assert res.stats["mean_bad_cells"] == mean_bad, (J, seed)
 
 
 def test_covering_suite_small_run_clean():
