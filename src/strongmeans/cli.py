@@ -32,9 +32,9 @@ from .suites import chain_suite, covering_suite, czd_suite
 SCHEMA_VERSION = 1
 BASELINE_TOLERANCE = 0.10
 
-# bytes one float lattice of the density run may take (N_max**d
-# entries); the run holds a few arrays of that size at once
-DENSITY_LATTICE_BUDGET = 1 << 25
+# lattice entries (N_max**d) one density run may walk; the walk holds
+# only a few blocks at once, so this bounds work, not memory
+DENSITY_LATTICE_BUDGET = 1 << 22
 # log2 of the samples one czd_suite trial may take (2**(d J))
 CZD_TRIAL_BITS = 16
 
@@ -344,24 +344,30 @@ def _strong_means(cfg: ExperimentConfig):
 
 def _density_budget(cfg: ExperimentConfig):
     N_max = cfg.option("N_max")
-    need = 8 * N_max**cfg.d
-    if need > DENSITY_LATTICE_BUDGET:
+    entries = N_max**cfg.d
+    if entries > DENSITY_LATTICE_BUDGET:
         raise ConfigError(
-            f"density: a {cfg.d}-d lattice to N_max = {N_max} needs"
-            f" {need / 2**20:.0f} MB, over the"
-            f" {DENSITY_LATTICE_BUDGET >> 20} MB budget")
+            f"density: a {cfg.d}-d lattice to N_max = {N_max} has"
+            f" {entries} entries, over the budget of"
+            f" {DENSITY_LATTICE_BUDGET} lattice entries")
 
 
 def _density(cfg: ExperimentConfig):
     s, N_max, base = cfg.option("s"), cfg.option("N_max"), cfg.option("base")
     sched = [base**k for k in range(1, 64) if base**k <= N_max]
-    i = np.arange(1, N_max + 1, dtype=float)
-    radius = i if cfg.d == 1 else np.hypot(i[:, None], i[None, :])
-    values = s + radius ** -0.25
-    run = estimates.density_subsequence(values, s, tuple(sched))
+
+    def lattice(r0, r1, c0=0, c1=0):
+        """s + |n|^(-1/4) over rows r0+1..r1 (by columns c0+1..c1 in 2-d)."""
+        radius = np.arange(r0 + 1, r1 + 1, dtype=float)
+        if cfg.d == 2:
+            cols = np.arange(c0 + 1, c1 + 1, dtype=float)
+            radius = np.hypot(radius[:, None], cols[None, :])
+        return s + radius ** -0.25
+
+    run = estimates.density_subsequence(lattice, N_max, cfg.d, s, tuple(sched))
     rows = [{"kind": f"{cfg.option('kind')}-{cfg.d}d", "N": N, "density": dens}
             for N, dens in zip(run.eval_points, run.density)]
-    return rows, {}, {"membership": bool(run.check_membership(values)),
+    return rows, {}, {"membership": bool(run.check_membership(lattice)),
                       "density_floor": bool(run.density_floor_ok())}
 
 
@@ -436,7 +442,7 @@ EXPERIMENTS = {
     # level stays small
     "covering_suite": Experiment(
         ("kind", "trials", "violations", "components", "config_hash"),
-        _covering_suite, per_cell=False, options={
+        _covering_suite, per_cell=False, band=None, options={
             "trials_1d": _integer(10000, 1),
             "trials_2d": _integer(1000, 1),
             "max_level_1d": _integer(12, 1, DEFAULT_J_MAX),
@@ -445,7 +451,7 @@ EXPERIMENTS = {
         }),
     "czd_suite": Experiment(
         ("kind", "trials", "failures", "mean_bad_cells", "config_hash"),
-        _czd_suite, per_cell=False, check=_czd_lattice,
+        _czd_suite, per_cell=False, band=None, check=_czd_lattice,
         options={"trials": _integer(10000, 1)}),
 }
 

@@ -90,6 +90,9 @@ DEFAULT_LAM_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 # a few tile-sized arrays of 1-2 MB each, stays near the per-core cache;
 # the fastest of the shapes from 16 x 2048 to 16 x 32768 on a J = 14 sweep
 _TILE = (16, 8192)
+# lattice entries in one block of a density shell walk; the walk's
+# scratch is a few arrays of this size whatever the lattice side
+_SHELL_BLOCK = 1 << 16
 
 
 class NotBandLimitedError(ValueError):
@@ -240,15 +243,20 @@ class DensityRun:
     mean_square: tuple    # per schedule point
     eval_points: tuple
     density: tuple
-    mask: np.ndarray = field(repr=False, compare=False)
+    kept: tuple           # entries kept per shell
 
-    def check_membership(self, values: np.ndarray) -> bool:
-        """Every emitted index obeys its shell threshold |s_n - s| < 1/m."""
-        dev = np.abs(values - self.s)
-        for m, lo, hi in self.shells:
-            sel = _shell_slice(self.mask, lo, hi)
-            dsel = _shell_slice(dev, lo, hi)
-            if np.any(dsel[sel] >= 1.0 / m):
+    def check_membership(self, lattice) -> bool:
+        """Walk each shell of `lattice` again and recount the indices with
+        |s_n - s| < 1/m: the count must equal the shell's kept count, and
+        the running total must give the density recorded at its end."""
+        total = 0
+        for (m, lo, hi), kept in zip(self.shells, self.kept):
+            count = 0
+            for _, block in _shell_blocks(lattice, self.dim, lo, hi):
+                count += int(np.count_nonzero(np.abs(block - self.s) < 1.0 / m))
+            total += count
+            end = self.density[self.eval_points.index(hi)]
+            if count != kept or total / hi**self.dim != end:
                 return False
         return True
 
@@ -262,13 +270,27 @@ class DensityRun:
         return True
 
 
-def _shell_slice(arr: np.ndarray, lo: int, hi: int):
-    """Entries of the shell R+_hi minus R+_lo (1-based lattice indices)."""
-    if arr.ndim == 1:
-        return arr[lo:hi]
-    return np.concatenate(
-        [arr[lo:hi, 0:hi].ravel(), arr[0:lo, lo:hi].ravel()]
-    )
+def _shell_blocks(lattice, d: int, lo: int, hi: int):
+    """The shell [0, hi)^d minus [0, lo)^d of 0-based lattice slots, as
+    (columns, values) blocks of at most `_SHELL_BLOCK` entries.
+
+    In 1-d the blocks run along the index and columns is None.  In 2-d
+    the rectangle rows [0, lo) x columns [lo, hi) comes first, then rows
+    [lo, hi) x columns [0, hi); each is cut into column strips and each
+    strip into row bands, so every column meets its rows in ascending
+    order and columns is the strip's slice.
+    """
+    if d == 1:
+        for r in range(lo, hi, _SHELL_BLOCK):
+            yield None, lattice(r, min(r + _SHELL_BLOCK, hi))
+        return
+    for r0, r1, c0 in ((0, lo, lo), (lo, hi, 0)):
+        width = min(hi - c0, _SHELL_BLOCK)
+        height = max(1, _SHELL_BLOCK // width)
+        for c in range(c0, hi, width):
+            c1 = min(c + width, hi)
+            for r in range(r0, r1, height):
+                yield slice(c, c1), lattice(r, min(r + height, r1), c, c1)
 
 
 # ---------------------------------------------------------------------------
@@ -723,35 +745,50 @@ def _accumulate(R: np.ndarray, P: np.ndarray, seg: np.ndarray,
     P += _abs2(seg).sum(axis=0)
 
 
-def density_subsequence(values: np.ndarray, s: float,
+def density_subsequence(lattice, size: int, d: int, s: float,
                         schedule: tuple) -> DensityRun:
-    """Extract a density-one index set along which values approach s.
+    """Extract a density-one index set along which a lattice sequence
+    approaches s.
 
-    Shell construction: pick schedule points k_m where the mean square
-    of |values - s| over the initial lattice block drops below m**-3;
-    between consecutive picks, keep exactly the indices within 1/m of
-    the limit.  The final shell extends to the end of the value array.
+    `lattice(r0, r1)` returns the values at 1-based indices r0+1..r1;
+    in 2-d `lattice(r0, r1, c0, c1)` returns rows r0+1..r1 by columns
+    c0+1..c1 of the side-`size` square.  Shell construction: pick
+    schedule points k_m where the mean square of |values - s| over the
+    initial lattice block drops below m**-3; between consecutive picks,
+    keep exactly the indices within 1/m of the limit.  The final shell
+    extends to the end of the lattice.
+
+    No lattice-sized array is formed: both passes walk the shells
+    between consecutive schedule and evaluation points in blocks of
+    `_SHELL_BLOCK` entries.  The mean squares add |values - s|^2 in the
+    order of a cumulative sum over the whole lattice (in 2-d, down each
+    column, then across the columns), carrying the running sums from
+    block to block, so they equal the whole-array sums bit for bit.
+    The second pass counts the kept indices between evaluation points.
     """
-    values = np.asarray(values, dtype=float)
-    d = values.ndim
     if d not in (1, 2):
-        raise ValueError("values must be a 1-d or 2-d lattice array")
-    size = values.shape[0]
-    if d == 2 and values.shape[1] != size:
-        raise ValueError("2-d lattice must be square")
+        raise ValueError("d must be 1 or 2")
     schedule = tuple(int(N) for N in schedule)
     if not all(1 <= N <= size for N in schedule) or \
             any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing within the lattice")
-    dev = np.abs(values - s)
-    sq = dev * dev
-    if d == 1:
-        csum = np.concatenate([[0.0], np.cumsum(sq)])
-        msq = tuple(float(csum[N] / N) for N in schedule)
-    else:
-        ii = np.zeros((size + 1, size + 1))
-        ii[1:, 1:] = sq.cumsum(axis=0).cumsum(axis=1)
-        msq = tuple(float(ii[N, N] / N**2) for N in schedule)
+
+    # running sums of |values - s|^2 down each column; 1-d has one column
+    sums = np.zeros(1 if d == 1 else schedule[-1])
+    msq = []
+    lo = 0
+    for N in schedule:
+        for cols, block in _shell_blocks(lattice, d, lo, N):
+            dev = np.abs(block - s)
+            sq = dev * dev
+            if cols is None:
+                sq, cols = sq[:, None], slice(0, 1)
+            sq[0] += sums[cols]
+            np.cumsum(sq, axis=0, out=sq)
+            sums[cols] = sq[-1]
+        msq.append(float(np.cumsum(sums[:N])[-1] / N**d))
+        lo = N
+    msq = tuple(msq)
 
     ks: list[int] = []
     prev = -1
@@ -768,8 +805,9 @@ def density_subsequence(values: np.ndarray, s: float,
         prev = k
         m += 1
 
-    shells = []
-    mask = np.zeros(values.shape, dtype=bool)
+    eval_points = schedule if schedule[-1] == size else schedule + (size,)
+    shells, kept, counted = [], [], {}
+    total = 0
     for m, kpos in enumerate(ks, start=1):
         lo = schedule[kpos]
         hi = schedule[ks[m]] if m < len(ks) else size
@@ -777,22 +815,17 @@ def density_subsequence(values: np.ndarray, s: float,
             continue
         shells.append((m, lo, hi))
         thr = 1.0 / m
-        if d == 1:
-            mask[lo:hi] = dev[lo:hi] < thr
-        else:
-            mask[lo:hi, 0:hi] = dev[lo:hi, 0:hi] < thr
-            mask[0:lo, lo:hi] = dev[0:lo, lo:hi] < thr
-
-    eval_points = schedule if schedule[-1] == size else schedule + (size,)
-    if d == 1:
-        mc = np.concatenate([[0], np.cumsum(mask)])
-        density = tuple(float(mc[N] / N) for N in eval_points)
-    else:
-        mi = np.zeros((size + 1, size + 1), dtype=np.int64)
-        mi[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
-        density = tuple(float(mi[N, N] / N**2) for N in eval_points)
+        before = total
+        # the shell ends at an evaluation point; those inside cut it
+        cuts = [lo] + [N for N in eval_points if lo < N <= hi]
+        for a, b in zip(cuts, cuts[1:]):
+            for _, block in _shell_blocks(lattice, d, a, b):
+                total += int(np.count_nonzero(np.abs(block - s) < thr))
+            counted[b] = total
+        kept.append(total - before)
+    density = tuple(float(counted.get(N, 0) / N**d) for N in eval_points)
     return DensityRun(
         s=s, dim=d, schedule=schedule, k_positions=tuple(ks),
         shells=tuple(shells), mean_square=msq,
-        eval_points=eval_points, density=density, mask=mask,
+        eval_points=eval_points, density=density, kept=tuple(kept),
     )

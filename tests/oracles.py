@@ -12,7 +12,9 @@ dyadic intervals and cubes, the chain check behind the vectorized
 exhaustive scan, cell averages, mode-counting energy averages, and
 rectangular partial sums with the per-pair 2-d moment they give.
 `csv_differences` compares a fresh CSV with a committed reference cell
-by cell.
+by cell.  `density_subsequence` is the whole-array density extractor,
+mask included, that the streamed `strongmeans.estimates` version must
+reproduce; `sliced` turns an array into the lattice callable it takes.
 
 The batched exact layer has one-at-a-time references here:
 `czd_invariants` and `cube_invariants` run the 1-d and 2-d
@@ -44,6 +46,7 @@ from strongmeans.dyadic import (
     InvalidFactorError,
     scale_for,
 )
+from strongmeans.estimates import ScheduleInfeasibleError
 from strongmeans.grid import GridFunction
 
 
@@ -596,6 +599,109 @@ def reassembles(samples: np.ndarray, mask: np.ndarray) -> bool:
     good = np.where(mask, 0, samples)
     bad = np.where(mask, samples, 0)
     return bool(np.array_equal(good + bad, samples))
+
+
+# ---------------------------------------------------------------------------
+# density extraction on a whole lattice array
+
+
+def sliced(values: np.ndarray):
+    """The lattice callable of an array: 1-based rows r0+1..r1, and in
+    2-d columns c0+1..c1."""
+    if values.ndim == 1:
+        return lambda r0, r1: values[r0:r1]
+    return lambda r0, r1, c0, c1: values[r0:r1, c0:c1]
+
+
+@dataclass
+class DensityReference:
+    s: float
+    dim: int
+    schedule: tuple
+    k_positions: tuple
+    shells: tuple
+    mean_square: tuple
+    eval_points: tuple
+    density: tuple
+    mask: np.ndarray = field(repr=False)
+
+
+def density_subsequence(values: np.ndarray, s: float,
+                        schedule: tuple) -> DensityReference:
+    """The density extractor on a whole 1-d or square 2-d array: mean
+    squares from cumulative sum tables, the kept indices as a mask, and
+    densities from the mask's cumulative counts."""
+    values = np.asarray(values, dtype=float)
+    d = values.ndim
+    size = values.shape[0]
+    schedule = tuple(int(N) for N in schedule)
+    if not all(1 <= N <= size for N in schedule) or \
+            any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing within the lattice")
+    dev = np.abs(values - s)
+    sq = dev * dev
+    if d == 1:
+        csum = np.concatenate([[0.0], np.cumsum(sq)])
+        msq = tuple(float(csum[N] / N) for N in schedule)
+    else:
+        ii = np.zeros((size + 1, size + 1))
+        ii[1:, 1:] = sq.cumsum(axis=0).cumsum(axis=1)
+        msq = tuple(float(ii[N, N] / N**2) for N in schedule)
+
+    ks: list[int] = []
+    prev = -1
+    m = 1
+    while True:
+        k = next((i for i in range(prev + 1, len(schedule))
+                  if msq[i] < m**-3), None)
+        if k is None:
+            if m == 1:
+                raise ScheduleInfeasibleError(
+                    "no schedule point has mean square below 1")
+            break
+        ks.append(k)
+        prev = k
+        m += 1
+
+    shells = []
+    mask = np.zeros(values.shape, dtype=bool)
+    for m, kpos in enumerate(ks, start=1):
+        lo = schedule[kpos]
+        hi = schedule[ks[m]] if m < len(ks) else size
+        if hi <= lo:
+            continue
+        shells.append((m, lo, hi))
+        thr = 1.0 / m
+        if d == 1:
+            mask[lo:hi] = dev[lo:hi] < thr
+        else:
+            mask[lo:hi, 0:hi] = dev[lo:hi, 0:hi] < thr
+            mask[0:lo, lo:hi] = dev[0:lo, lo:hi] < thr
+
+    eval_points = schedule if schedule[-1] == size else schedule + (size,)
+    if d == 1:
+        mc = np.concatenate([[0], np.cumsum(mask)])
+        density = tuple(float(mc[N] / N) for N in eval_points)
+    else:
+        mi = np.zeros((size + 1, size + 1), dtype=np.int64)
+        mi[1:, 1:] = mask.cumsum(axis=0).cumsum(axis=1)
+        density = tuple(float(mi[N, N] / N**2) for N in eval_points)
+    return DensityReference(
+        s=s, dim=d, schedule=schedule, k_positions=tuple(ks),
+        shells=tuple(shells), mean_square=msq,
+        eval_points=eval_points, density=density, mask=mask,
+    )
+
+
+def shell_counts(mask: np.ndarray, shells) -> tuple:
+    """Kept entries of a mask in each (m, lo, hi) shell."""
+    counts = []
+    for _, lo, hi in shells:
+        if mask.ndim == 1:
+            counts.append(int(mask[lo:hi].sum()))
+        else:
+            counts.append(int(mask[:hi, :hi].sum() - mask[:lo, :lo].sum()))
+    return tuple(counts)
 
 
 # ---------------------------------------------------------------------------

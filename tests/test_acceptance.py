@@ -24,7 +24,8 @@ from strongmeans import cli, corpus, estimates, spectral
 from strongmeans.czd import decompose
 from strongmeans.suites import chain_suite, covering_suite, czd_suite
 
-from oracles import axis_arcs, exponential, off_arc_moments, plancherel_average
+from oracles import (axis_arcs, exponential, off_arc_moments,
+                     plancherel_average, sliced)
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT = ROOT / "acceptance_report.txt"
@@ -257,21 +258,23 @@ def test_criterion_09_strong_means_convergence():
 
 def test_criterion_10_density_extractor():
     n = np.arange(1, 10**6 + 1, dtype=float)
-    run = estimates.density_subsequence(1.0 + n**-0.25, 1.0,
+    values = sliced(1.0 + n**-0.25)
+    run = estimates.density_subsequence(values, 10**6, 1, 1.0,
                                         tuple(4**k for k in range(1, 10)))
     end_density = run.density[-1]
     assert run.eval_points[-1] == 10**6
     assert end_density >= 0.99
-    assert run.check_membership(1.0 + n**-0.25)
+    assert run.check_membership(values)
     assert run.density_floor_ok()
 
     i = np.arange(1, 1001, dtype=float)
     rad = np.hypot(i[:, None], i[None, :])
-    run2 = estimates.density_subsequence(1.0 + rad**-0.25, 1.0,
+    values2 = sliced(1.0 + rad**-0.25)
+    run2 = estimates.density_subsequence(values2, 1000, 2, 1.0,
                                          (4, 16, 64, 256))
     assert run2.eval_points[-1] == 1000
     assert run2.density[-1] >= 0.98
-    assert run2.check_membership(1.0 + rad**-0.25)
+    assert run2.check_membership(values2)
     verdict(10, True, f"1-d density at 10^6: {end_density:.4f} (>=0.99), "
                       f"membership exact; 2-d density at 10^3: "
                       f"{run2.density[-1]:.4f} (>=0.98)")

@@ -77,6 +77,17 @@ def test_config_decay_schedule_tighter_by_one_octave():
         ExperimentConfig.from_dict({**ok, "schedule": [64, 512]})
 
 
+@pytest.mark.parametrize("raw", [
+    {"experiment": "czd_suite", "seed": 1, "J": 5, "schedule": [64],
+     "options": {"trials": 1}},
+    {"experiment": "covering_suite", "seed": 1, "J": 5, "schedule": [64],
+     "options": {"trials_1d": 1}},
+], ids=["czd_suite", "covering_suite"])
+def test_config_suites_read_no_schedule_band(raw):
+    # the suites never read a schedule, so no bandwidth bounds it
+    ExperimentConfig.from_dict(raw)
+
+
 def test_config_hash_stable_and_sensitive():
     a = ExperimentConfig.from_dict({"experiment": "density", "seed": 1})
     b = ExperimentConfig.from_dict({"experiment": "density", "seed": 1})
@@ -261,7 +272,7 @@ def test_non_numeric_lams_exit_2(tmp_path, capsys, monkeypatch):
 
 def test_density_lattice_over_budget_exit_2(tmp_path, capsys, monkeypatch):
     refuse_runs(monkeypatch, "density")
-    side = {1: cli.DENSITY_LATTICE_BUDGET // 8, 2: 2048}  # largest in budget
+    side = {1: cli.DENSITY_LATTICE_BUDGET, 2: 2048}  # largest in budget
     for d, N_max in side.items():
         ExperimentConfig.from_dict({"experiment": "density", "seed": 1, "d": d,
                                     "options": {"N_max": N_max}})
@@ -269,7 +280,7 @@ def test_density_lattice_over_budget_exit_2(tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path, experiment="density", d=d, corpus={},
                            options={"N_max": N_max + 1})
         assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "MB budget" in capsys.readouterr().err
+        assert "lattice entries" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d,J,message", [

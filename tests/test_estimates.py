@@ -3,7 +3,8 @@
 Oracles come first and stay independent of the implementation: set
 measures and cell weights are recomputed with Fraction interval
 arithmetic, moment curves with per-order partial sums, and the density
-extractor against a direct loop over the defining thresholds.
+extractor against a direct loop over the defining thresholds and the
+whole-array extractor in `oracles`.
 """
 
 import tracemalloc
@@ -47,7 +48,10 @@ from oracles import (
     plancherel_average,
     rect_moment_per_pair,
     reference_exceptional_set,
+    shell_counts,
+    sliced,
 )
+from oracles import density_subsequence as density_reference
 
 
 # ---------------------------------------------------------------------------
@@ -689,11 +693,18 @@ def density_oracle_1d(values, s, schedule):
     return ks, mask
 
 
+def streamed(values, s, schedule):
+    """The streamed extractor on an array, through a slicing callable."""
+    return density_subsequence(sliced(values), values.shape[0], values.ndim,
+                               s, schedule)
+
+
 def test_density_constant_values():
     size = 10_000
-    run = density_subsequence(np.full(size, 2.5), 2.5, (4, 16, 64, 256, 1024, 4096))
+    values = np.full(size, 2.5)
+    run = streamed(values, 2.5, (4, 16, 64, 256, 1024, 4096))
     assert run.density[-1] >= 0.999
-    assert run.check_membership(np.full(size, 2.5))
+    assert run.check_membership(sliced(values))
     assert run.density_floor_ok()
 
 
@@ -702,12 +713,14 @@ def test_density_quarter_power_matches_oracle():
     n = np.arange(1, size + 1)
     values = 1.0 + n**-0.25
     schedule = tuple(4**k for k in range(1, 9))
-    run = density_subsequence(values, 1.0, schedule)
+    run = streamed(values, 1.0, schedule)
     ks, mask = density_oracle_1d(values, 1.0, schedule)
     assert list(run.k_positions) == ks
-    assert np.array_equal(run.mask, mask)
+    ref = density_reference(values, 1.0, schedule)
+    assert np.array_equal(ref.mask, mask)
+    assert run.kept == shell_counts(mask, run.shells)
     assert run.density[-1] >= 0.99
-    assert run.check_membership(values)
+    assert run.check_membership(sliced(values))
     assert run.density_floor_ok()
 
 
@@ -716,20 +729,93 @@ def test_density_2d_radial():
     i = np.arange(1, size + 1)
     r = np.hypot(i[:, None], i[None, :])
     values = 3.0 + r**-0.5
-    run = density_subsequence(values, 3.0, (4, 16, 64, 200))
+    run = streamed(values, 3.0, (4, 16, 64, 200))
     assert run.dim == 2
     assert run.density[-1] >= 0.98
-    assert run.check_membership(values)
+    assert run.check_membership(sliced(values))
     assert run.density_floor_ok()
+
+
+def quarter_power(size, d, s=1.0):
+    """s + |n|^(-1/4) on the whole lattice of side size."""
+    i = np.arange(1, size + 1, dtype=float)
+    radius = i if d == 1 else np.hypot(i[:, None], i[None, :])
+    return s + radius ** -0.25
+
+
+@pytest.mark.parametrize("d,size,const,schedule", [
+    (1, 4096, None, (4, 16, 64, 256, 1024, 4096)),
+    (1, 5000, None, (4, 16, 64, 256, 1024, 4096)),
+    (1, 3000, 2.5, (4, 16, 64, 256, 1024)),
+    (2, 64, None, (2, 4, 8, 16, 32, 64)),
+    (2, 75, None, (2, 4, 8, 16, 32, 64)),
+    (2, 50, 2.5, (2, 4, 8, 16, 32)),
+], ids=["1d-to-side", "1d-below-side", "1d-constant",
+        "2d-to-side", "2d-below-side", "2d-constant"])
+def test_density_stream_matches_whole_array(monkeypatch, d, size, const,
+                                            schedule):
+    # blocks of 7 entries end off every shell, strip and row edge
+    monkeypatch.setattr(estimates, "_SHELL_BLOCK", 7)
+    if const is None:
+        s, values = 1.0, quarter_power(size, d)
+    else:
+        s, values = const, np.full((size,) * d, const)
+    ref = density_reference(values, s, schedule)
+    run = streamed(values, s, schedule)
+    assert run.k_positions == ref.k_positions
+    assert run.shells == ref.shells
+    assert run.eval_points == ref.eval_points
+    assert run.density == ref.density
+    # the stream adds in the whole-array cumulative order, so the mean
+    # squares agree bit for bit in both dimensions
+    assert run.mean_square == ref.mean_square
+    assert run.kept == shell_counts(ref.mask, ref.shells)
+    assert run.check_membership(sliced(values))
+
+
+def test_density_stream_scratch_is_block_sized():
+    # each whole lattice below takes 8 MB as one float array
+    for size, d, schedule in ((10**6, 1, tuple(4**k for k in range(1, 10))),
+                              (1000, 2, (4, 16, 64, 256))):
+        i = np.arange(1, size + 1, dtype=float)
+        lattice = (sliced(1.0 + i**-0.25) if d == 1 else
+                   lambda r0, r1, c0, c1: 1.0 + np.hypot(
+                       i[r0:r1, None], i[None, c0:c1]) ** -0.25)
+        tracemalloc.start()
+        try:
+            run = density_subsequence(lattice, size, d, 1.0, schedule)
+            assert run.check_membership(lattice)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20, (d, peak)
+
+
+@pytest.mark.parametrize("d,size,schedule", [
+    (1, 5000, (4, 16, 64, 256, 1024, 4096)),
+    (2, 80, (2, 4, 8, 16, 32, 64)),
+])
+def test_density_membership_catches_one_changed_value(d, size, schedule):
+    values = quarter_power(size, d)
+    run = streamed(values, 1.0, schedule)
+    assert run.check_membership(sliced(values))
+    # the last slot of the final shell lies within 1/m of s; moved far
+    # from s, it drops out of that shell's recount
+    m, _, hi = run.shells[-1]
+    last = (hi - 1,) * d
+    assert abs(values[last] - 1.0) < 1.0 / m
+    changed = values.copy()
+    changed[last] = 11.0
+    assert not run.check_membership(sliced(changed))
 
 
 def test_density_infeasible_schedule():
     with pytest.raises(ScheduleInfeasibleError):
-        density_subsequence(np.full(100, 7.0), 0.0, (10, 100))
+        streamed(np.full(100, 7.0), 0.0, (10, 100))
 
 
 def test_density_rejects_bad_schedule():
     with pytest.raises(ValueError):
-        density_subsequence(np.zeros(10), 0.0, (4, 4))
+        streamed(np.zeros(10), 0.0, (4, 4))
     with pytest.raises(ValueError):
-        density_subsequence(np.zeros(10), 0.0, (4, 20))
+        streamed(np.zeros(10), 0.0, (4, 20))
