@@ -7,6 +7,7 @@ extractor against a direct loop over the defining thresholds and the
 whole-array extractor in `oracles`.
 """
 
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -743,23 +744,38 @@ def quarter_power(size, d, s=1.0):
     return s + radius ** -0.25
 
 
-@pytest.mark.parametrize("d,size,const,schedule", [
-    (1, 4096, None, (4, 16, 64, 256, 1024, 4096)),
-    (1, 5000, None, (4, 16, 64, 256, 1024, 4096)),
-    (1, 3000, 2.5, (4, 16, 64, 256, 1024)),
-    (2, 64, None, (2, 4, 8, 16, 32, 64)),
-    (2, 75, None, (2, 4, 8, 16, 32, 64)),
-    (2, 50, 2.5, (2, 4, 8, 16, 32)),
-], ids=["1d-to-side", "1d-below-side", "1d-constant",
-        "2d-to-side", "2d-below-side", "2d-constant"])
-def test_density_stream_matches_whole_array(monkeypatch, d, size, const,
+def on_thresholds(size, d):
+    """Limit 0: a decaying base, and at indices whose coordinates are all
+    squares k^2 the values 1/(1 + sum(k) % 7), which lie exactly on the
+    shell thresholds 1/m, so every strict threshold test binds."""
+    i = np.arange(1, size + 1, dtype=float)
+    values = 1.0 / i if d == 1 else 1.0 / (i[:, None] ** 2 + i[None, :] ** 2)
+    k = np.arange(1, math.isqrt(size) + 1)
+    if d == 1:
+        values[k**2 - 1] = 1.0 / (1 + k % 7)
+    else:
+        values[np.ix_(k**2 - 1, k**2 - 1)] = 1.0 / (1 + (k[:, None] + k) % 7)
+    return values
+
+
+@pytest.mark.parametrize("d,size,kind,schedule", [
+    (1, 4096, "quarter", (4, 16, 64, 256, 1024, 4096)),
+    (1, 5000, "quarter", (4, 16, 64, 256, 1024, 4096)),
+    (1, 3000, "constant", (4, 16, 64, 256, 1024)),
+    (1, 5000, "thresholds", (4, 16, 64, 256, 1024, 4096)),
+    (2, 64, "quarter", (2, 4, 8, 16, 32, 64)),
+    (2, 75, "quarter", (2, 4, 8, 16, 32, 64)),
+    (2, 50, "constant", (2, 4, 8, 16, 32)),
+    (2, 75, "thresholds", (2, 4, 8, 16, 32, 64)),
+], ids=["1d-to-side", "1d-below-side", "1d-constant", "1d-thresholds",
+        "2d-to-side", "2d-below-side", "2d-constant", "2d-thresholds"])
+def test_density_stream_matches_whole_array(monkeypatch, d, size, kind,
                                             schedule):
     # blocks of 7 entries end off every shell, strip and row edge
     monkeypatch.setattr(estimates, "_SHELL_BLOCK", 7)
-    if const is None:
-        s, values = 1.0, quarter_power(size, d)
-    else:
-        s, values = const, np.full((size,) * d, const)
+    s, values = {"quarter": lambda: (1.0, quarter_power(size, d)),
+                 "constant": lambda: (2.5, np.full((size,) * d, 2.5)),
+                 "thresholds": lambda: (0.0, on_thresholds(size, d))}[kind]()
     ref = density_reference(values, s, schedule)
     run = streamed(values, s, schedule)
     assert run.k_positions == ref.k_positions
@@ -771,6 +787,9 @@ def test_density_stream_matches_whole_array(monkeypatch, d, size, const,
     assert run.mean_square == ref.mean_square
     assert run.kept == shell_counts(ref.mask, ref.shells)
     assert run.check_membership(sliced(values))
+    if kind == "thresholds":
+        full = [hi**d - lo**d for _, lo, hi in run.shells]
+        assert len(run.shells) >= 3 and run.kept != tuple(full)
 
 
 def test_density_stream_scratch_is_block_sized():
