@@ -281,7 +281,7 @@ def _moment_curve(f, fn_id, lam, sched, p):
 
 
 def _averaged_moment(cfg, fn_id, f, lam, sched):
-    reports, inv = _moment_curve(f, fn_id, lam, sched, cfg.option("p"))
+    reports, inv = _moment_curve(f, fn_id, lam, sched, 2)
     return _moment_rows(fn_id, reports), {"": reports[-1].ratio}, inv
 
 
@@ -409,8 +409,7 @@ def _czd_suite(cfg: ExperimentConfig):
 EXPERIMENTS = {
     "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction),
     "second_reduction": Experiment(MOMENT_COLUMNS, _second_reduction),
-    "averaged_moment": Experiment(MOMENT_COLUMNS, _averaged_moment,
-                                  options={"p": _TWO_OR_FOUR}),
+    "averaged_moment": Experiment(MOMENT_COLUMNS, _averaged_moment),
     # the decay sweep smooths at order N, which doubles the band
     "decay_kernel": Experiment(
         ("fn_id", "lambda", "s", "N", "moment", "config_hash"),

@@ -17,7 +17,7 @@ integer factor table, so every endpoint is an integer at scale
 S = 2**(j_max + 4), and the chain scan reports its violations as
 (level, index) pairs.  1-d components come from one
 sort by left end and a running maximum of right ends; 2-d components
-from the pairwise gap matrix of the dilated boxes.
+from the pairwise touch matrix of the dilated boxes.
 """
 
 from __future__ import annotations
@@ -30,6 +30,19 @@ import numpy as np
 from .dyadic import DEFAULT_J_MAX, dilate_units, scale_for
 
 NINE_EIGHTHS = Fraction(9, 8)
+
+
+def _torus_touch(a_lo, a_hi, b_lo, b_hi, S: int) -> np.ndarray:
+    """Whether the closed arcs [a_lo, a_hi] and [b_lo, b_hi] of a circle
+    of length S meet: b_lo + s <= a_hi and a_lo <= b_hi + s for some
+    shift s in {-S, 0, S}.  Broadcasts like the arrays it is given.
+
+    The shifts that work form the range [a_lo - b_hi, a_hi - b_lo], so
+    two broadcast differences are taken and each shift is compared with
+    them as a scalar.
+    """
+    lo, hi = a_lo - b_hi, a_hi - b_lo
+    return (lo <= 0) & (0 <= hi) | (lo <= S) & (S <= hi) | (lo <= -S) & (-S <= hi)
 
 
 def _circle_runs(group: np.ndarray, lo: np.ndarray, hi: np.ndarray, S: int):
@@ -144,7 +157,7 @@ def verify_covering_cubes(families: list, j_max: int = DEFAULT_J_MAX) -> Coverin
     rows.
 
     Two dilated cubes connect when their projections touch on both axes
-    (corner contact counts), read from each family's pairwise gap
+    (corner contact counts), read from each family's pairwise touch
     matrix.  A component's projections on one axis then form one run of
     a circle sweep, whose hull is the component's hull on that axis.
     The members must be pairwise disjoint and nonadjacent, as
@@ -161,11 +174,8 @@ def verify_covering_cubes(families: list, j_max: int = DEFAULT_J_MAX) -> Coverin
             continue
         a_lo, a_hi = lo[at:at + k, None, :], hi[at:at + k, None, :]
         b_lo, b_hi = lo[None, at:at + k, :], hi[None, at:at + k, :]
-        # zero torus gap on every axis: some shift of b meets a's closure
-        touch = ((b_lo - S <= a_hi) & (a_lo <= b_hi - S)
-                 | (b_lo <= a_hi) & (a_lo <= b_hi)
-                 | (b_lo + S <= a_hi) & (a_lo <= b_hi + S)).all(axis=2)
-        reach = touch.astype(np.int32)
+        # zero torus gap on every axis
+        reach = _torus_touch(a_lo, a_hi, b_lo, b_hi, S).all(axis=2).astype(np.int32)
         while True:  # transitive closure by squaring
             wider = np.minimum(reach @ reach, 1)
             if np.array_equal(wider, reach):
@@ -218,18 +228,12 @@ def exhaustive_chain_scan(max_level: int) -> ChainScan:
     adj = (hi_o[:, None] % S == lo_o[None, :]) | (hi_o[None, :] % S == lo_o[:, None])
     valid_pair = disjoint & ~adj
 
-    gap = None
-    for s in (-S, 0, S):
-        cand = np.maximum(lo_d[None, :] + s - hi_d[:, None], lo_d[:, None] - hi_d[None, :] - s)
-        np.maximum(cand, 0, out=cand)
-        gap = cand if gap is None else np.minimum(gap, cand)
-    touch_d = gap == 0
-    sep_d = gap > 0
+    touch_d = _torus_touch(lo_d[:, None], hi_d[:, None], lo_d[None, :], hi_d[None, :], S)
 
     outer_pairs = chains = 0
     violations = []
     for a in range(n):
-        row = valid_pair[a] & sep_d[a]
+        row = valid_pair[a] & ~touch_d[a]
         for b in range(a + 1, n):
             if not row[b]:
                 continue
@@ -311,12 +315,10 @@ def random_nonadjacent_cube_family(rng, max_level: int = 7,
     w = W >> tiles[:, 0]
     touch = np.ones((len(tiles), len(tiles)), dtype=bool)
     for ax in (1, 2):
-        a0 = tiles[:, ax] * w
-        a1 = a0 + w
-        # closed intervals meet, or meet across the seam at 0 = W
-        touch &= ((a0[:, None] <= a1[None, :]) & (a0[None, :] <= a1[:, None])
-                  | (a0[:, None] == 0) & (a1[None, :] == W)
-                  | (a0[None, :] == 0) & (a1[:, None] == W))
+        # edges are at most W = 2**max_level; int32 halves the pairwise work
+        lo = (tiles[:, ax] * w).astype(np.int32)
+        hi = lo + w.astype(np.int32)
+        touch &= _torus_touch(lo[:, None], hi[:, None], lo[None, :], hi[None, :], W)
     blocked = np.zeros(len(tiles), dtype=bool)
     kept = []
     for idx in order:

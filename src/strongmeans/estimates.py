@@ -54,12 +54,12 @@ e(n0 theta) e(j theta), n0 the first order of a tile.  Each function
 is streamed at most once per experiment: strong means take all their
 eps thresholds from the same sweep.
 
-Orders are capped at the stored bandwidth n/2; the reading at the cap
-includes the shared Nyquist coefficient on both sides, matching
-`spectral.partial_sum`.  Both closed forms read it the same way: at
-n = H the stored bin enters as both +H and -H, and indexing w^ or
-folding g mod M keeps each identity exact for every refinement,
-including refine = 0, where +H and -H fall on the same grid frequency.
+Orders are capped at the stored bandwidth H = n/2.  The stream, both
+closed forms and the energy curves take their coefficients from
+`spectral.modes`, which at n = H reads the stored Nyquist bin as both
++H and -H, as `spectral.partial_sum` does; indexing w^ or folding g
+mod M keeps each identity exact for every refinement, including
+refine = 0, where +H and -H fall on the same grid frequency.
 """
 
 from __future__ import annotations
@@ -77,9 +77,8 @@ from .spectral import (
     AliasingError,
     band_energy,
     convolve,
-    forward,
     kernel_samples,
-    plancherel_average_rect,
+    modes,
     saturated_sum,
     valle_poussin,
 )
@@ -140,19 +139,13 @@ class ExceptionalSet:
         w = self._weights.get(M)
         if w is not None:
             return w
-        S = self.scale
-        if self.dim == 1:
-            if M <= S:
-                w = 1.0 - self.mask.reshape(M, S // M).mean(axis=1)
-            else:
-                w = 1.0 - np.repeat(self.mask, M // S).astype(float)
-        else:
-            if M <= S:
-                r = S // M
-                w = 1.0 - self.mask.reshape(M, r, M, r).mean(axis=(1, 3))
-            else:
-                r = M // S
-                w = 1.0 - np.repeat(np.repeat(self.mask, r, 0), r, 1).astype(float)
+        S, d = self.scale, self.dim
+        k = min(M, S)  # cells per axis of the coarser of the two grids
+        w = 1.0 - self.mask.reshape((k, S // k) * d).mean(
+            axis=tuple(range(1, 2 * d, 2)))
+        if M > S:  # a finer grid repeats each unit cell
+            for axis in range(d):
+                w = np.repeat(w, M // S, axis)
         self._weights[M] = w
         return w
 
@@ -309,17 +302,6 @@ def dyadic_schedule(N_max: int, lo: int = 32) -> tuple:
     return tuple(out)
 
 
-def _modes(f: GridFunction, n_hi: int) -> np.ndarray:
-    """Fourier coefficients of modes -n_hi..n_hi: entry n_hi + m is mode m.
-
-    At n_hi = H the modes +-H both read the one stored Nyquist bin.
-    """
-    H = f.n // 2
-    if n_hi > H:
-        raise AliasingError(f"order {n_hi} exceeds stored bandwidth {H}")
-    return forward(f)[(np.arange(-n_hi, n_hi + 1) + H) % f.n]
-
-
 def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
                         cols: np.ndarray | None = None,
                         c: np.ndarray | None = None):
@@ -337,11 +319,11 @@ def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
     S_n f = c_0 + sum_{k<=n} (A_k cos k theta + B_k sin k theta), where
     A_k = c_k + c_{-k} and B_k = i (c_k - c_{-k}) are real for real f.
     At k = H both read the Nyquist bin, so A_H = 2 c_H and B_H = 0.
-    c is `_modes(f, n_hi)` when the caller already holds it.
+    c is `modes(f, n_hi)` when the caller already holds it.
     rows is scratch that the next tile overwrites.
     """
     if c is None:
-        c = _modes(f, n_hi)
+        c = modes(f, n_hi)
     ks = np.arange(1, n_hi + 1)
     cp, cm = c[n_hi + ks], c[n_hi - ks]  # modes +k and -k
     A, B, c0 = cp + cm, 1j * (cp - cm), c[n_hi]
@@ -387,11 +369,16 @@ def _abs2(rows: np.ndarray) -> np.ndarray:
     return rows.real**2 + rows.imag**2
 
 
-def _weighted_energy_curve(c: np.ndarray,
-                           w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(1/M) sum_t w_t |S_n f(t)|^2 for n = 1..N, by the Parseval identity,
-    and the full-torus energy ||S_n f||_2^2 = sum_{|m|<=n} |c_m|^2 beside it;
-    c is `_modes(f, N)`.
+def _energy_curve(c: np.ndarray) -> np.ndarray:
+    """||S_n f||_2^2 = sum_{|m|<=n} |c_m|^2 for n = 1..N; c is `modes(f, N)`."""
+    N = c.size // 2
+    n = np.arange(1, N + 1)
+    return abs(c[N]) ** 2 + np.cumsum(np.abs(c[N + n]) ** 2 + np.abs(c[N - n]) ** 2)
+
+
+def _weighted_energy_curve(c: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(1/M) sum_t w_t |S_n f(t)|^2 for n = 1..N, by the Parseval identity;
+    c is `modes(f, N)`.
 
     Rounding in w^ acts like a perturbation of w that does not vanish on
     E, so the relative error grows like eps * (energy of S_n f on E) /
@@ -411,13 +398,12 @@ def _weighted_energy_curve(c: np.ndarray,
     border = (2.0 * (cp * r_plus + cm * r_minus).real
               + diag * wh[K].real
               + 2.0 * (cp * cc[N - n] * wh[K - 2 * n]).real)
-    e0 = abs(c[N]) ** 2
-    return e0 * wh[K].real + np.cumsum(border), e0 + np.cumsum(diag)
+    return abs(c[N]) ** 2 * wh[K].real + np.cumsum(border)
 
 
 def _quartic_full_curve(c: np.ndarray, M: int) -> np.ndarray:
     """(1/M) sum_t |S_n f(t)|^4 on the M-grid for n = 1..N, in closed form;
-    c is `_modes(f, N)`.
+    c is `modes(f, N)`.
 
     g[2N + m] holds g_m = sum_{a-b=m, |a|,|b|<=n} c_a conj(c_b), the
     coefficients of |S_n f|^2; raising n adds the pairs with a or b at
@@ -478,11 +464,12 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
         exc = build_exceptional_set(decompose(f, lam), c)
     M = 1 << (f.J + refine)
     w = exc.complement_weights(M)
-    c = _modes(f, N_max)
+    c = modes(f, N_max)
+    per = np.empty((N_max, 2))
     if p == 2:
-        per = np.stack(_weighted_energy_curve(c, w), axis=1)
+        per[:, 0] = _weighted_energy_curve(c, w)
+        per[:, 1] = _energy_curve(c)
     else:
-        per = np.empty((N_max, 2))
         per[:, 1] = _quartic_full_curve(c, M)
         if exc.measure == 0:    # w == 1
             per[:, 0] = per[:, 1]
@@ -621,11 +608,13 @@ def decay_slope(f: GridFunction, lam: float, s: float,
 # rectangular (d = 2) sweep
 
 
-def _abs2_rows(g: GridFunction, n_hi: int, refine: int) -> np.ndarray:
-    """|S_n g|^2 on the refined grid for n = 1..n_hi, as an (n_hi, M) array."""
+def _abs2_rows(g: GridFunction, n_hi: int, refine: int,
+               c: np.ndarray | None = None) -> np.ndarray:
+    """|S_n g|^2 on the refined grid for n = 1..n_hi, as an (n_hi, M) array;
+    c is `modes(g, n_hi)` when the caller already holds it."""
     M = 1 << (g.J + refine)
     rows = np.empty((n_hi, M))
-    for ns, span, block in _partial_sum_stream(g, n_hi, refine):
+    for ns, span, block in _partial_sum_stream(g, n_hi, refine, c=c):
         rows[ns - 1, span] = _abs2(block)
     return rows
 
@@ -639,7 +628,8 @@ def averaged_moment_rect(f: GridFunction, lam: float, N_max: int, c: int = 5,
     and its delayed means).  Then S_{n1,n2} f = S_{n1} a (x) S_{n2} b, so
     with W the complement weights on the refined M x M grid, the
     integral off E of |S_{n1,n2} f|^2 is |S_{n1} a|^2 W |S_{n2} b|^2 / M^2,
-    and one stream per factor gives every (n1, n2) pair.
+    and one stream per factor gives every (n1, n2) pair.  The full-torus
+    column needs no stream: it is the product of the factors' energy sums.
     """
     if f.dim != 2:
         raise ValueError("averaged_moment_rect needs a 2-d function")
@@ -656,9 +646,14 @@ def averaged_moment_rect(f: GridFunction, lam: float, N_max: int, c: int = 5,
     M = 1 << (f.J + refine)
     W = exc.complement_weights(M)
     a, b = f.factors
-    T = _abs2_rows(a, N_max, refine) @ W @ _abs2_rows(b, N_max, refine).T
+    ca, cb = modes(a, N_max), modes(b, N_max)
+    T = (_abs2_rows(a, N_max, refine, ca) @ W
+         @ _abs2_rows(b, N_max, refine, cb).T)
     T /= M * M
     cum = T.cumsum(axis=0).cumsum(axis=1)
+    # ||S_{n1,n2} f||^2 = ||S_{n1} a||^2 ||S_{n2} b||^2, so the full-torus
+    # sum over the square is the product of the factors' energy sums
+    full_a, full_b = np.cumsum(_energy_curve(ca)), np.cumsum(_energy_curve(cb))
     l1 = f.l1()
     meta = {"fn_id": fn_id, "J": f.J, "d": 2, "c": c, "refine": refine,
             "geometry": exc.geometry}
@@ -668,7 +663,7 @@ def averaged_moment_rect(f: GridFunction, lam: float, N_max: int, c: int = 5,
         out.append(MomentReport(
             lam=lam, N=N, p=2, avg_moment=avg, measure_E=exc.measure,
             ratio=avg / (lam * l1**2),
-            full_torus_avg=plancherel_average_rect(f, N),
+            full_torus_avg=full_a[N - 1] * full_b[N - 1] / N**2,
             metadata=dict(meta), exceptional=exc,
         ))
     return out

@@ -2,15 +2,15 @@
 
 Coefficients are stored centered: index i of a length-n array holds the
 mode m = i - n/2, so the range is [-n/2, n/2).  Partial sums of order up
-to n/2 inclusive are allowed; the order-n/2 sum reads the single stored
+to n/2 inclusive are allowed.  `modes` is the one reader of the stored
+spectrum up to that order: at order n/2 it reads the single stored
 Nyquist bin for both modes +-n/2, which is the periodic reading of the
-discrete spectrum.  Orders beyond n/2 raise AliasingError in the public
-entry points; sweep engines instead saturate there, since a partial sum
-of a band-limited function stops changing once the band is exhausted.
+discrete spectrum, and every partial sum, band energy and closed form
+takes its coefficients from it.  Orders beyond n/2 raise AliasingError.
 
 Partial sums, kernels and convolutions are one-dimensional.  Two-dimensional
 functions enter only as tensor products: delayed means act on each factor,
-and the rectangular energy average reads the 2-d coefficients directly.
+and rectangular averages are products of the factors' 1-d averages.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ def centered_modes(n: int) -> np.ndarray:
 
 def forward(f: GridFunction) -> np.ndarray:
     """Fourier coefficients with mode m at index m + n/2 (per axis)."""
-    if f.dim == 1:
-        return np.fft.fftshift(np.fft.fft(f.samples)) / f.n
-    return np.fft.fftshift(np.fft.fft2(f.samples)) / f.n**2
+    return np.fft.fftshift(np.fft.fftn(f.samples)) / f.n**f.dim
 
 
 def inverse(coeffs: np.ndarray, J: int) -> GridFunction:
@@ -42,24 +40,28 @@ def inverse(coeffs: np.ndarray, J: int) -> GridFunction:
     return GridFunction(1, J, np.fft.ifft(np.fft.ifftshift(coeffs)) * n)
 
 
-def _check_order(N: int, H: int):
+def modes(f: GridFunction, N: int) -> np.ndarray:
+    """Coefficients of the 1-d modes -N..N: entry N + m is mode m.
+
+    The one reader of the stored spectrum up to the bandwidth H = n/2:
+    at N = H the modes +-H both read the single stored Nyquist bin.
+    """
+    H = f.n // 2
     if N < 0:
         raise ValueError("order must be nonnegative")
     if N > H:
         raise AliasingError(f"order {N} exceeds stored bandwidth {H}")
+    return forward(f)[(np.arange(-N, N + 1) + H) % f.n]
 
 
 def partial_sum(f: GridFunction, N: int, refine: int = 2) -> GridFunction:
     """Partial sum of order N evaluated on a 2**refine finer grid."""
     if f.dim != 1:
         raise ValueError("partial sums are one-dimensional")
-    H = f.n // 2
-    _check_order(N, H)
-    c = forward(f)
+    c = modes(f, N)
     M = 1 << (f.J + refine)
-    ms = np.arange(-N, N + 1)
     b = np.zeros(M, dtype=complex)
-    np.add.at(b, ms % M, c[(ms + H) % f.n])
+    np.add.at(b, np.arange(-N, N + 1) % M, c)
     samples = np.fft.ifft(b) * M
     return GridFunction(1, f.J + refine, samples)
 
@@ -138,43 +140,16 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(1, f.J, samples)
 
 
-# ---------------------------------------------------------------------------
-# closed-form averaged second moments (full torus)
-
-def _mode_weights(n: int, N: int) -> np.ndarray:
-    """For each stored mode, how many of S_1..S_N contain it.
-
-    The Nyquist bin enters both as +n/2 and -n/2 once n/2 <= N, hence
-    the doubled weight.  Valid for every N; orders past n/2 change
-    nothing, which encodes the saturation of partial sums.
-    """
-    H = n // 2
-    ms = centered_modes(n)
-    w = np.maximum(N + 1 - np.maximum(np.abs(ms), 1), 0).astype(float)
-    w[0] = 2.0 * max(N + 1 - H, 0)
-    return w
-
-
-def plancherel_average_rect(f: GridFunction, N: int) -> float:
-    """(1/N^2) sum_{n1, n2 <= N} ||S_{n1,n2} f||_2^2, exact."""
-    if f.dim != 2:
-        raise ValueError("needs a 2-d function")
-    c = forward(f)
-    w = _mode_weights(f.n, N)
-    return float(w @ (c.real**2 + c.imag**2) @ w / N**2)
-
-
 def band_energy(f: GridFunction, lo: int, hi: int) -> float:
     """||S_hi f - S_lo f||_2^2: energy of modes lo < |m| <= hi (1-d)."""
     if f.dim != 1:
         raise ValueError("band energy is 1-d")
+    if lo < 0:
+        raise ValueError("order must be nonnegative")
     H = f.n // 2
     lo, hi = min(lo, H), min(hi, H)
     if hi <= lo:
         return 0.0
-    c = forward(f)
-    ms = np.abs(centered_modes(f.n))
+    c = modes(f, hi)
     a = c.real**2 + c.imag**2
-    mask = (ms > lo) & (ms <= hi)
-    extra = a[0] if hi >= H > lo else 0.0  # Nyquist bin counts twice
-    return float(np.sum(a[mask]) + extra)
+    return float(np.sum(a[:hi - lo]) + np.sum(a[hi + lo + 1:]))

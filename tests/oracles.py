@@ -9,8 +9,9 @@ these helpers stay independent of the integer bitmaps in
 `strongmeans.estimates`.  Reference computations that no experiment
 runs live here too: disjointness, adjacency and torus distance of
 dyadic intervals and cubes, the chain check behind the vectorized
-exhaustive scan, cell averages, mode-counting energy averages, and
-rectangular partial sums with the per-pair 2-d moment they give.
+exhaustive scan, cell averages, mode-counting energy averages in one
+and two dimensions, and rectangular partial sums with the per-pair 2-d
+moment they give.
 `csv_differences` compares a fresh CSV with a committed reference cell
 by cell.  `density_subsequence` is the whole-array density extractor,
 mask included, that the streamed `strongmeans.estimates` version must
@@ -369,10 +370,33 @@ def chain_check(i1, i2, i3, factor=NINE_EIGHTHS, j_max: int = DEFAULT_J_MAX) -> 
 # energy averages and rectangular partial sums
 
 
+def mode_weights(n: int, N: int) -> np.ndarray:
+    """For each stored mode, how many of S_1..S_N contain it.
+
+    The Nyquist bin enters both as +n/2 and -n/2 once n/2 <= N, hence
+    the doubled weight.  Valid for every N; orders past n/2 change
+    nothing, which encodes the saturation of partial sums.
+    """
+    H = n // 2
+    ms = spectral.centered_modes(n)
+    w = np.maximum(N + 1 - np.maximum(np.abs(ms), 1), 0).astype(float)
+    w[0] = 2.0 * max(N + 1 - H, 0)
+    return w
+
+
 def plancherel_average(f: GridFunction, N: int) -> float:
     """(1/N) sum_{n<=N} ||S_n f||_2^2 via mode counting; exact, no sweep."""
     c = spectral.forward(f)
-    return float(np.sum((c.real**2 + c.imag**2) * spectral._mode_weights(f.n, N)) / N)
+    return float(np.sum((c.real**2 + c.imag**2) * mode_weights(f.n, N)) / N)
+
+
+def plancherel_average_rect(f: GridFunction, N: int) -> float:
+    """(1/N^2) sum_{n1, n2 <= N} ||S_{n1,n2} f||_2^2 via mode counting on
+    the 2-d coefficients; exact for any 2-d f, separable or not."""
+    assert f.dim == 2
+    c = spectral.forward(f)
+    w = mode_weights(f.n, N)
+    return float(w @ (c.real**2 + c.imag**2) @ w / N**2)
 
 
 def inverse_2d(coeffs: np.ndarray, J: int) -> GridFunction:

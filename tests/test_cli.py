@@ -240,17 +240,6 @@ def test_strong_means_bad_lam_grid_exit_2(tmp_path, capsys, monkeypatch):
                                       lam_grid=bad) == 2
 
 
-def test_averaged_moment_bad_p_exit_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "build_functions", refuse)
-    for bad in ([2], 2.7, 2.0, 3, "2", True):
-        cfg = write_config(tmp_path, options={"p": bad})
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-        assert "averaged_moment: p must be" in capsys.readouterr().err
-    cfg = write_config(tmp_path, options=[4])
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "options must be" in capsys.readouterr().err
-
-
 def test_non_integer_schedule_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_functions", refuse)
     for bad in ([32.5], [16, 32.0], [True, 32], ["32"], 32):
@@ -372,13 +361,16 @@ def test_suite_bad_option_exit_2(tmp_path, capsys, monkeypatch, experiment,
     ("czd_suite", {"trails": 3},
      "czd_suite: unknown options ['trails']; it takes ['trials']"),
     ("first_reduction", {"p": 2}, "first_reduction: unknown options ['p']"),
+    ("averaged_moment", {"p": 2}, "averaged_moment: unknown options ['p']"),
+    ("averaged_moment", [4], "options must be a JSON object"),
     ("density", {"kind": "quarter_powr"}, 'density: kind must be "quarter_power"'),
     ("density", {"s": [1]}, "density: s must be a real number"),
     ("density", {"s": "1.5"}, "density: s must be a real number"),
     ("density", {"s": True}, "density: s must be a real number"),
     ("strong_means", {"r": 2.0}, "strong_means: r must be the integer 2 or 4"),
-], ids=["czd-trails", "first_reduction-p", "density-kind", "density-s-list",
-        "density-s-string", "density-s-bool", "strong_means-r-float"])
+], ids=["czd-trails", "first_reduction-p", "averaged_moment-p", "options-list",
+        "density-kind", "density-s-list", "density-s-string", "density-s-bool",
+        "strong_means-r-float"])
 def test_bad_option_exit_2(tmp_path, capsys, monkeypatch, experiment, options,
                            message):
     monkeypatch.setattr(cli, "build_functions", refuse)

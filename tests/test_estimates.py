@@ -395,7 +395,7 @@ def test_stream_runs_once_per_function(monkeypatch):
 def test_p4_curve_transforms_once(monkeypatch):
     # the closed-form full column and the stream off E share one forward(f)
     calls = []
-    forward = estimates.forward
+    forward = spectral.forward
 
     def counted(f):
         calls.append(f)
@@ -404,7 +404,7 @@ def test_p4_curve_transforms_once(monkeypatch):
     f = corpus.multi_spike(6, 3, np.random.default_rng(23))
     exc = build_exceptional_set(decompose(f, 8.0), 5)
     assert 0 < exc.measure < 1  # so both columns are computed
-    monkeypatch.setattr(estimates, "forward", counted)
+    monkeypatch.setattr(spectral, "forward", counted)
     averaged_moment(f, 8.0, 32, p=4, schedule=(4, 8, 16, 32), exc=exc)
     assert calls == [f]
 

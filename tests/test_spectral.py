@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongmeans import corpus
+from strongmeans import corpus, estimates
 from strongmeans.grid import GridFunction, tensor
 from strongmeans.spectral import (
     AliasingError,
@@ -20,8 +20,8 @@ from strongmeans.spectral import (
     forward,
     inverse,
     kernel_samples,
+    modes,
     partial_sum,
-    plancherel_average_rect,
     saturated_sum,
     valle_poussin,
     vp_multiplier,
@@ -33,6 +33,7 @@ from oracles import (
     inverse_2d,
     partial_sum_rect,
     plancherel_average,
+    plancherel_average_rect,
 )
 
 
@@ -151,6 +152,39 @@ def test_nyquist_order_reads_the_bin_twice():
     assert np.allclose(saturated_sum(f, refine=2).samples, sat.samples)
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_every_reader_takes_the_nyquist_bin_twice(real):
+    # J = 4, H = 8: each reader of the stored spectrum, at every order up to
+    # and including H, against direct DFT sums and the mode-counting oracles
+    J, H = 4, 8
+    f = random_function(31, J=J, real=real)
+    bf = brute_forward(f)  # modes -H..H-1
+    c = {m: bf[(m + H) % f.n] for m in range(-H, H + 1)}  # +H reads the -H bin
+    energy = [sum(abs(c[m]) ** 2 for m in range(-n, n + 1)) for n in range(H + 1)]
+    for n in range(H + 1):
+        want = np.array([c[m] for m in range(-n, n + 1)])
+        assert np.allclose(modes(f, n), want, atol=1e-12)
+        for refine in (0, 1):
+            assert np.allclose(partial_sum(f, n, refine).samples,
+                               brute_partial(f, n, refine), atol=1e-10)
+        assert band_energy(f, n, H) == pytest.approx(energy[H] - energy[n],
+                                                     rel=1e-12, abs=1e-14)
+    orders = tuple(range(1, H + 1))
+    for rep in estimates.averaged_moment(f, 8.0, H, schedule=orders):
+        want = sum(energy[1:rep.N + 1]) / rep.N
+        assert rep.full_torus_avg == pytest.approx(want, rel=1e-12)
+        assert rep.full_torus_avg == pytest.approx(plancherel_average(f, rep.N),
+                                                   rel=1e-12)
+    fg = tensor(f, random_function(32, J=J, real=real))
+    for rep in estimates.averaged_moment_rect(fg, 8.0, H, schedule=orders):
+        N = rep.N
+        want = np.mean([partial_sum_rect(fg, n1, n2).l2sq()
+                        for n1 in range(1, N + 1) for n2 in range(1, N + 1)])
+        assert rep.full_torus_avg == pytest.approx(want, rel=1e-12)
+        assert rep.full_torus_avg == pytest.approx(plancherel_average_rect(fg, N),
+                                                   rel=1e-12)
+
+
 def test_orders_beyond_bandwidth_raise():
     f = random_function(0, J=4)
     with pytest.raises(AliasingError):
@@ -263,13 +297,16 @@ def test_plancherel_average_spike_is_linear():
 
 
 def test_plancherel_average_rect_tensor():
+    # the full column of averaged_moment_rect, from the factors' energies
     g = random_function(21, J=4, real=True)
     h = random_function(22, J=4, real=True)
     f = tensor(g, h)
-    for N in (5, 8):  # 8 is the Nyquist order at J = 4
-        got = plancherel_average_rect(f, N)
-        want = plancherel_average(g, N) * plancherel_average(h, N)
-        assert got == pytest.approx(want, rel=1e-10)
+    reports = estimates.averaged_moment_rect(f, 8.0, 8, schedule=(5, 8))
+    for rep in reports:  # 8 is the Nyquist order at J = 4
+        want = plancherel_average(g, rep.N) * plancherel_average(h, rep.N)
+        assert rep.full_torus_avg == pytest.approx(want, rel=1e-10)
+        assert rep.full_torus_avg == pytest.approx(
+            plancherel_average_rect(f, rep.N), rel=1e-10)
     # an unseparable input against the per-pair rectangular sums
     f = random_function(23, J=3, dim=2)
     for N in (2, 4):
@@ -285,3 +322,5 @@ def test_band_energy_matches_difference_norm():
         b = partial_sum(f, min(lo, 16), refine=1)
         want = float(np.mean(np.abs(a.samples - b.samples) ** 2))
         assert band_energy(f, lo, hi) == pytest.approx(want, abs=1e-10)
+    with pytest.raises(ValueError):
+        band_energy(f, -1, 3)
