@@ -87,6 +87,10 @@ def _corpus_fields(d: int) -> dict:
 
 
 CORPUS = {d: _corpus_fields(d) for d in corpus.FAMILIES}
+# the integer fields of every config (defaults on ExperimentConfig)
+INTEGER_FIELDS = {"seed": Option(None, lambda v: type(v) is int, "an integer"),
+                  "J": _integer(None, 1, DEFAULT_J_MAX),
+                  "d": _integer(None, 1, 2)}
 
 
 @dataclass(frozen=True)
@@ -95,8 +99,9 @@ class Experiment:
     `run(cfg, fn_id, f, lam, schedule)` runs one (function, lambda) cell
     and keys its headline values by what follows `fn_id|lambda`; else
     `run(cfg)` runs the whole experiment.  Both return rows, headline
-    values and invariant flags.  Schedules stay within 2**(J - band)
-    unless band is None.  `check` sees the whole config."""
+    values and invariant flags.  Schedules stay within 2**(J - band);
+    band is None for an experiment that reads no schedule, and its
+    runner gets None.  `check` sees the whole config."""
 
     columns: tuple
     run: Callable
@@ -139,12 +144,9 @@ class ExperimentConfig:
         exp = EXPERIMENTS.get(name) if isinstance(name, str) else None
         if exp is None:
             raise ConfigError(f"unknown experiment {name!r}")
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed must be an integer")
-        if not 1 <= self.J <= DEFAULT_J_MAX:
-            raise ConfigError(f"J must lie in [1, {DEFAULT_J_MAX}]")
-        if self.d not in (1, 2):
-            raise ConfigError("d must be 1 or 2")
+        for key, check in INTEGER_FIELDS.items():
+            if not check.ok(getattr(self, key)):
+                raise ConfigError(f"{key} must be {check.rule}")
         sched = self.schedule
         if sched is not None:
             if not isinstance(sched, list) or any(type(N) is not int for N in sched):
@@ -157,6 +159,10 @@ class ExperimentConfig:
                     and sched[-1] > (1 << (self.J - exp.band)):
                 raise ConfigError(f"{name}: schedule exceeds the usable"
                                   f" bandwidth 2**{self.J - exp.band}")
+        if not sched and exp.band is not None and self.J < 7:
+            raise ConfigError(
+                f"{name}: with no schedule, J must be at least 7 (the"
+                " default schedule is 32, 64, ..., 2**(J-2))")
         if not _numbers_above(self.lams):
             raise ConfigError("lams must be a list of positive real numbers")
         if not isinstance(self.options, dict):
@@ -201,8 +207,12 @@ class ExperimentConfig:
                           separators=(",", ":")).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
-    def default_schedule(self) -> list:
-        return list(estimates.dyadic_schedule(1 << (self.J - 2)))
+    def run_schedule(self) -> list | None:
+        """The given schedule, else 32, 64, ..., 2**(J-2); None for an
+        experiment that reads no schedule."""
+        if EXPERIMENTS[self.experiment].band is None:
+            return None
+        return self.schedule or list(estimates.dyadic_schedule(1 << (self.J - 2)))
 
 
 def fmt(v) -> str:
@@ -248,8 +258,9 @@ def _moment_rows(fn_id, reports, **extra):
             for rep in reports]
 
 
-def _check_measure_bound(rep, f, c=5) -> bool:
-    return rep.measure_E <= (Fraction(c) ** rep.exceptional.dim
+def _check_measure_bound(rep, f) -> bool:
+    exc = rep.exceptional
+    return rep.measure_E <= (Fraction(exc.dilation) ** exc.dim
                              * Fraction(f.l1()) / Fraction(rep.lam))
 
 
@@ -258,15 +269,15 @@ def _full_ge_restricted(reports) -> bool:
 
 
 def _first_reduction(cfg, fn_id, f, lam, sched):
-    rep = estimates.verify_first_reduction(f, lam, fn_id=fn_id)
+    rep = estimates.verify_first_reduction(f, lam)
     return (_moment_rows(fn_id, [rep]), {"": rep.ratio},
-            {"ratio_le_one": bool(rep.metadata["passed"])})
+            {"ratio_le_one": rep.ratio <= 1 + 1e-12})
 
 
 def _second_reduction(cfg, fn_id, f, lam, sched):
     smoothed = cfg.corpus.get("vp") is not None
     reports = [estimates.verify_second_reduction(
-        f if smoothed else valle_poussin(f, N), lam, N, fn_id=fn_id)
+        f if smoothed else valle_poussin(f, N), lam, N)
         for N in sched]
     return (_moment_rows(fn_id, reports),
             {"": max(0.0, *(r.ratio for r in reports))},
@@ -294,8 +305,7 @@ def _p4_moment(cfg, fn_id, f, lam, sched):
 def _decay_kernel(cfg, fn_id, f, lam, sched):
     rows, values = [], {}
     for s in cfg.s_values:
-        slope, reports = estimates.decay_slope(f, lam, s, Ns=tuple(sched),
-                                               fn_id=fn_id)
+        slope, reports = estimates.decay_slope(f, lam, s, Ns=tuple(sched))
         rows += [{"fn_id": fn_id, "lambda": lam, "s": s, "N": rep.N,
                   "moment": rep.avg_moment} for rep in reports]
         values[f"|s={fmt(s)}"] = slope
@@ -320,7 +330,7 @@ def _rect_moment(cfg, fn_id, f, lam, sched):
 
 
 def _strong_means(cfg: ExperimentConfig):
-    sched = tuple(cfg.schedule or cfg.default_schedule())
+    sched = tuple(cfg.run_schedule())
     rows, values, inv = [], {}, {"superlevel_non_increasing": True}
     for fn_id, f in build_functions(cfg):
         scale = f.linf() ** 2
@@ -407,7 +417,7 @@ def _czd_suite(cfg: ExperimentConfig):
 
 
 EXPERIMENTS = {
-    "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction),
+    "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction, band=None),
     "second_reduction": Experiment(MOMENT_COLUMNS, _second_reduction),
     "averaged_moment": Experiment(MOMENT_COLUMNS, _averaged_moment),
     # the decay sweep smooths at order N, which doubles the band
@@ -462,7 +472,7 @@ EXPERIMENTS = {
 def run_cell(cfg: ExperimentConfig, fn_id: str, f, lam: float):
     """Rows + summary fragment for one (function, lambda) cell."""
     rows, values, inv = EXPERIMENTS[cfg.experiment].run(
-        cfg, fn_id, f, lam, cfg.schedule or cfg.default_schedule())
+        cfg, fn_id, f, lam, cfg.run_schedule())
     key = f"{fn_id}|{fmt(lam)}"
     return rows, {key + suffix: v for suffix, v in values.items()}, inv
 

@@ -109,9 +109,28 @@ def tensor_trig(J: int, rng: np.random.Generator) -> GridFunction:
                   trig_poly(J, rng, bits=FACTOR_BITS))
 
 
-# family names of each dimension, the first part of each fn_id
-FAMILIES = {1: ("spike", "kspikes", "trig", "noise"),
-            2: ("tspike", "tkspikes", "ttrig")}
+def _draw(make, k_spikes: bool = False):
+    """A family's draw(J, rng) -> (id tag, function).  A k-spike family
+    draws k from [2, 16] first and is tagged -kNN."""
+    def draw(J, rng):
+        if not k_spikes:
+            return "", make(J, rng)
+        k = int(rng.integers(2, 17))
+        return f"-k{k:02d}", make(J, k, rng)
+    return draw
+
+
+# the families of each dimension in draw order, name -> draw; the name is
+# the first part of each fn_id.  The first family is the unit spike,
+# which draws nothing; the rest are the random families.
+FAMILIES = {
+    1: {"spike": _draw(lambda J, rng: spike(J)),
+        "kspikes": _draw(multi_spike, k_spikes=True),
+        "trig": _draw(trig_poly), "noise": _draw(abs_noise)},
+    2: {"tspike": _draw(lambda J, rng: spike(J, 2)),
+        "tkspikes": _draw(tensor_multi_spike, k_spikes=True),
+        "ttrig": _draw(tensor_trig)},
+}
 
 
 def standard_corpus(J: int, seed: int, d: int = 1,
@@ -121,24 +140,13 @@ def standard_corpus(J: int, seed: int, d: int = 1,
     One spike plus n_random draws each of the random families, in a
     fixed order so ids are stable for a given (J, seed, d).
     """
-    rng = np.random.default_rng(seed)
-    out: list[tuple[str, GridFunction]] = []
-    if d == 1:
-        out.append((f"spike-J{J}", spike(J)))
-        for r in range(n_random):
-            k = int(rng.integers(2, 17))
-            out.append((f"kspikes-J{J}-k{k:02d}-r{r}", multi_spike(J, k, rng)))
-        for r in range(n_random):
-            out.append((f"trig-J{J}-r{r}", trig_poly(J, rng)))
-        for r in range(n_random):
-            out.append((f"noise-J{J}-r{r}", abs_noise(J, rng)))
-        return out
-    if d != 2:
+    if d not in FAMILIES:
         raise ValueError("d must be 1 or 2")
-    out.append((f"tspike-J{J}", spike(J, dim=2)))
-    for r in range(n_random):
-        k = int(rng.integers(2, 17))
-        out.append((f"tkspikes-J{J}-k{k:02d}-r{r}", tensor_multi_spike(J, k, rng)))
-    for r in range(n_random):
-        out.append((f"ttrig-J{J}-r{r}", tensor_trig(J, rng)))
+    rng = np.random.default_rng(seed)
+    (name, draw), *drawn = FAMILIES[d].items()
+    out = [(f"{name}-J{J}", draw(J, rng)[1])]
+    for name, draw in drawn:
+        for r in range(n_random):
+            tag, f = draw(J, rng)
+            out.append((f"{name}-J{J}{tag}-r{r}", f))
     return out

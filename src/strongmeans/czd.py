@@ -43,7 +43,6 @@ class CZDecomposition:
 
     source: GridFunction
     height: Fraction
-    lam: float
     # int64 cell rows, (level, index) in dim 1 and (level, i, j) in dim 2,
     # ordered by level, then index: maximal and pairwise disjoint
     bad: np.ndarray
@@ -222,7 +221,6 @@ def decompose(f: GridFunction, lam: float) -> CZDecomposition:
     return CZDecomposition(
         source=f,
         height=height,
-        lam=float(lam),
         bad=np.stack((level, *cell_axes(level, cells.index, f.dim)), axis=1),
         exact=bool(cells.exact[0]),
     )

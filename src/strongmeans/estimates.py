@@ -56,7 +56,9 @@ eps thresholds from the same sweep.
 
 Orders are capped at the stored bandwidth H = n/2.  The stream, both
 closed forms and the energy curves take their coefficients from
-`spectral.modes`, which at n = H reads the stored Nyquist bin as both
+`spectral.modes`, which raises AliasingError beyond H (as
+`spectral.valle_poussin` does for a band beyond H); it is the one
+bandwidth check here.  At n = H it reads the stored Nyquist bin as both
 +H and -H, as `spectral.partial_sum` does; indexing w^ or folding g
 mod M keeps each identity exact for every refinement, including
 refine = 0, where +H and -H fall on the same grid frequency.
@@ -74,7 +76,6 @@ from .czd import CZDecomposition, decompose
 from .dyadic import dilate_units, scale_for, union_mask
 from .grid import GridFunction
 from .spectral import (
-    AliasingError,
     band_energy,
     convolve,
     kernel_samples,
@@ -123,12 +124,10 @@ class ExceptionalSet:
 
     dim: int
     scale: int  # units per axis
-    lam: float
     dilation: int
     mask: np.ndarray = field(repr=False)
     measure: Fraction
     geometry: str = "cube"
-    _weights: dict = field(default_factory=dict, repr=False, compare=False)
 
     def complement_weights(self, M: int) -> np.ndarray:
         """Fraction of each M-grid cell lying outside the set.
@@ -136,9 +135,6 @@ class ExceptionalSet:
         Exact: M and the bitmap scale are both powers of two, so each
         weight is a count divided by a power of two.
         """
-        w = self._weights.get(M)
-        if w is not None:
-            return w
         S, d = self.scale, self.dim
         k = min(M, S)  # cells per axis of the coarser of the two grids
         w = 1.0 - self.mask.reshape((k, S // k) * d).mean(
@@ -146,7 +142,6 @@ class ExceptionalSet:
         if M > S:  # a finer grid repeats each unit cell
             for axis in range(d):
                 w = np.repeat(w, M // S, axis)
-        self._weights[M] = w
         return w
 
 
@@ -182,7 +177,7 @@ def build_exceptional_set(cz: CZDecomposition, c: int = 5,
     else:
         mask = union_mask(lo, length, S)
         measure = Fraction(int(mask.sum()), S ** cz.dim)
-    return ExceptionalSet(cz.dim, S, cz.lam, c, mask, measure, geometry)
+    return ExceptionalSet(cz.dim, S, c, mask, measure, geometry)
 
 
 def weighted_moment(g: GridFunction, exc: ExceptionalSet, p: int = 1) -> float:
@@ -206,13 +201,20 @@ def weighted_moment(g: GridFunction, exc: ExceptionalSet, p: int = 1) -> float:
 class MomentReport:
     lam: float
     N: int
-    p: int
     avg_moment: float
     measure_E: Fraction
-    ratio: float
+    ratio: float          # avg_moment / (lam^(p-1) ||f||_1^p)
     full_torus_avg: float
-    metadata: dict
-    exceptional: ExceptionalSet | None = field(default=None, repr=False, compare=False)
+    exceptional: ExceptionalSet = field(repr=False, compare=False)
+
+
+def _reports(f: GridFunction, lam: float, exc: ExceptionalSet, p: int,
+             Ns, moments, fulls) -> list[MomentReport]:
+    """One report per order in Ns: the p-th moment measured off exc, the
+    full-torus one, and the moment's ratio to lam^(p-1) ||f||_1^p."""
+    scale = lam ** (p - 1) * f.l1() ** p
+    return [MomentReport(lam, N, avg, exc.measure, avg / scale, full, exc)
+            for N, avg, full in zip(Ns, moments, fulls)]
 
 
 @dataclass
@@ -223,7 +225,6 @@ class StrongMeansReport:
     measures: tuple       # super-level measure of the averaged deviation, per N
     lam_grid: tuple
     weak_ratios: tuple    # sup over the schedule of lam*|{A_N > lam}| / ||f||_1
-    metadata: dict
 
 
 @dataclass
@@ -439,32 +440,31 @@ def _norm_factor(N: int, p: int) -> float:
 
 
 def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
-                    c: int = 5, schedule: tuple | None = None, refine: int = 2,
+                    schedule: tuple | None = None, refine: int = 2,
                     fn_id: str = "", exc: ExceptionalSet | None = None
                     ) -> list[MomentReport]:
     """Curve of (1/norm(N)) sum_{n<=N} integral of |S_n f|^p off E.
 
-    E is built once from the decomposition at height lambda and shared
-    by every report in the curve.  p = 2 takes the closed form of the
-    module docstring; p = 4 takes the closed form for the full-torus
-    column and streams the partial sums once, on the columns off E, for
-    the weighted one.
+    E is the 5-dilated bad set of the decomposition at height lambda
+    unless `exc` is given, and every report in the curve shares it.
+    p = 2 takes the closed form of the module docstring; p = 4 takes the
+    closed form for the full-torus column and streams the partial sums
+    once, on the columns off E, for the weighted one.  `fn_id` only
+    labels the call: the benchmark's tracer counts sweeps per function
+    by it.
     """
     if f.dim != 1:
         raise ValueError("averaged_moment is the 1-d sweep")
-    H = f.n // 2
-    if N_max > H:
-        raise AliasingError(f"N_max {N_max} exceeds stored bandwidth {H}")
     if p not in (2, 4):
         raise ValueError("p must be 2 or 4")
     schedule = tuple(schedule) if schedule else dyadic_schedule(N_max)
     if max(schedule) > N_max:
         raise ValueError("schedule exceeds N_max")
+    c = modes(f, N_max)
     if exc is None:
-        exc = build_exceptional_set(decompose(f, lam), c)
+        exc = build_exceptional_set(decompose(f, lam))
     M = 1 << (f.J + refine)
     w = exc.complement_weights(M)
-    c = modes(f, N_max)
     per = np.empty((N_max, 2))
     if p == 2:
         per[:, 0] = _weighted_energy_curve(c, w)
@@ -485,43 +485,25 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
                 a *= a
                 per[ns - 1, 0] += a @ wt[span]
     cw, cf = np.cumsum(per, axis=0).T
-    l1 = f.l1()
-    meta = {"fn_id": fn_id, "J": f.J, "d": 1, "c": exc.dilation, "refine": refine}
-    out = []
-    for N in schedule:
-        avg = cw[N - 1] / _norm_factor(N, p)
-        out.append(MomentReport(
-            lam=lam, N=N, p=p, avg_moment=avg, measure_E=exc.measure,
-            ratio=avg / (lam ** (p - 1) * l1**p),
-            full_torus_avg=cf[N - 1] / _norm_factor(N, p), metadata=dict(meta),
-            exceptional=exc,
-        ))
-    return out
+    at = np.array(schedule) - 1
+    norm = np.array([_norm_factor(N, p) for N in schedule])
+    return _reports(f, lam, exc, p, schedule, cw[at] / norm, cf[at] / norm)
 
 
 # ---------------------------------------------------------------------------
 # single-moment checks
 
 
-def verify_first_reduction(f: GridFunction, lam: float,
-                           fn_id: str = "") -> MomentReport:
+def verify_first_reduction(f: GridFunction, lam: float) -> MomentReport:
     """Integral of |f|^2 off the undilated bad cells, against lam*||f||_1^2.
 
     Off the bad set every sample is at most lam, so the moment is at
-    most lam times the L1 mass: the passed flag checks ratio <= 1.
+    most lam times the L1 mass: the ratio is at most 1.
     """
-    cz = decompose(f, lam)
-    exc = build_exceptional_set(cz, 1)
-    moment = weighted_moment(f, exc, 2)
-    l1 = f.l1()
-    ratio = moment / (lam * l1**2)
-    return MomentReport(
-        lam=lam, N=0, p=2, avg_moment=moment, measure_E=exc.measure,
-        ratio=ratio, full_torus_avg=f.l2sq(),
-        metadata={"fn_id": fn_id, "J": f.J, "d": f.dim, "c": 1,
-                  "passed": bool(ratio <= 1.0 + 1e-12)},
-        exceptional=exc,
-    )
+    exc = build_exceptional_set(decompose(f, lam), 1)
+    [rep] = _reports(f, lam, exc, 2, [0], [weighted_moment(f, exc, 2)],
+                     [f.l2sq()])
+    return rep
 
 
 def _require_band(f: GridFunction, N: int):
@@ -535,70 +517,48 @@ def _require_band(f: GridFunction, N: int):
         )
 
 
-def verify_second_reduction(f: GridFunction, lam: float, N: int,
-                            fn_id: str = "") -> MomentReport:
+def _kernel_moment(f: GridFunction, lam: float, N: int, kernel: GridFunction,
+                   dilation: int, exc: ExceptionalSet | None) -> MomentReport:
+    """Moment of kernel * |f|^2 off E, E the bad cells of the decomposition
+    at height lambda dilated by `dilation` unless `exc` is given."""
+    _require_band(f, N)
+    if exc is None:
+        exc = build_exceptional_set(decompose(f, lam), dilation)
+    conv = convolve(GridFunction(1, f.J, np.abs(f.samples) ** 2), kernel)
+    [rep] = _reports(f, lam, exc, 2, [N], [weighted_moment(conv, exc, 1)],
+                     [float(np.mean(conv.samples.real))])
+    return rep
+
+
+def verify_second_reduction(f: GridFunction, lam: float, N: int) -> MomentReport:
     """Moment of B_N * |f|^2 off the 3-dilated bad cells.
 
     No constant is asserted; the ratio is recorded for baseline
     comparison.  B_N carries total mass 1/N^2.
     """
-    _require_band(f, N)
-    cz = decompose(f, lam)
-    exc = build_exceptional_set(cz, 3)
-    sq = GridFunction(1, f.J, np.abs(f.samples) ** 2)
-    conv = convolve(sq, kernel_samples("box", N, f.J))
-    moment = weighted_moment(conv, exc, 1)
-    l1 = f.l1()
-    return MomentReport(
-        lam=lam, N=N, p=2, avg_moment=moment, measure_E=exc.measure,
-        ratio=moment / (lam * l1**2),
-        full_torus_avg=float(np.mean(conv.samples.real)),
-        metadata={"fn_id": fn_id, "J": f.J, "d": 1, "c": 3,
-                  "kernel": "box", "kernel_mass": 1.0 / N**2},
-        exceptional=exc,
-    )
+    return _kernel_moment(f, lam, N, kernel_samples("box", N, f.J), 3, None)
 
 
 def verify_decay_kernel(f: GridFunction, lam: float, N: int, s: float,
-                        fn_id: str = "",
                         exc: ExceptionalSet | None = None) -> MomentReport:
-    """Moment of the power-decay kernel against |f|^2 off E."""
-    if s <= 1:
-        raise ValueError("decay exponent must exceed 1")
-    _require_band(f, N)
-    if exc is None:
-        exc = build_exceptional_set(decompose(f, lam), 5)
-    sq = GridFunction(1, f.J, np.abs(f.samples) ** 2)
-    conv = convolve(sq, kernel_samples("power_decay", N, f.J, s=s))
-    moment = weighted_moment(conv, exc, 1)
-    l1 = f.l1()
-    return MomentReport(
-        lam=lam, N=N, p=2, avg_moment=moment, measure_E=exc.measure,
-        ratio=moment / (lam * l1**2),
-        full_torus_avg=float(np.mean(conv.samples.real)),
-        metadata={"fn_id": fn_id, "J": f.J, "d": 1, "c": exc.dilation,
-                  "kernel": "power_decay", "s": s},
-        exceptional=exc,
-    )
+    """Moment of the power-decay kernel (s > 1) against |f|^2 off E, by
+    default the 5-dilated bad cells."""
+    kernel = kernel_samples("power_decay", N, f.J, s=s)
+    return _kernel_moment(f, lam, N, kernel, 5, exc)
 
 
 def decay_slope(f: GridFunction, lam: float, s: float,
-                Ns: tuple = (64, 128, 256, 512, 1024), c: int = 5,
-                fn_id: str = "") -> tuple[float, list[MomentReport]]:
+                Ns: tuple = (64, 128, 256, 512, 1024)
+                ) -> tuple[float, list[MomentReport]]:
     """Log-log slope of the power-decay moment over a sweep of N.
 
     The base function is smoothed per N with the delayed mean, while
     the exceptional set stays fixed: the bad cells keep their length,
     so the slope isolates the kernel's scale behaviour.
     """
-    H = f.n // 2
-    if 2 * max(Ns) - 1 > H:
-        raise AliasingError("smoothing order exceeds the stored bandwidth")
-    exc = build_exceptional_set(decompose(f, lam), c)
-    reports = [
-        verify_decay_kernel(valle_poussin(f, N), lam, N, s, fn_id=fn_id, exc=exc)
-        for N in Ns
-    ]
+    exc = build_exceptional_set(decompose(f, lam))
+    reports = [verify_decay_kernel(valle_poussin(f, N), lam, N, s, exc)
+               for N in Ns]
     moments = np.array([r.avg_moment for r in reports])
     slope = float(np.polyfit(np.log(np.array(Ns, float)), np.log(moments), 1)[0])
     return slope, reports
@@ -619,54 +579,42 @@ def _abs2_rows(g: GridFunction, n_hi: int, refine: int,
     return rows
 
 
-def averaged_moment_rect(f: GridFunction, lam: float, N_max: int, c: int = 5,
-                         schedule: tuple | None = None, refine: int = 1,
-                         fn_id: str = "", geometry: str = "cube") -> list[MomentReport]:
+def averaged_moment_rect(f: GridFunction, lam: float, N_max: int,
+                         schedule: tuple | None = None, fn_id: str = "",
+                         geometry: str = "cube") -> list[MomentReport]:
     """Square-lattice version: (1/N^2) sum over 1 <= n1, n2 <= N.
 
     f must be separable (f.factors set, as for every 2-d corpus family
     and its delayed means).  Then S_{n1,n2} f = S_{n1} a (x) S_{n2} b, so
-    with W the complement weights on the refined M x M grid, the
+    with W the complement weights on the twice finer M x M grid, the
     integral off E of |S_{n1,n2} f|^2 is |S_{n1} a|^2 W |S_{n2} b|^2 / M^2,
     and one stream per factor gives every (n1, n2) pair.  The full-torus
     column needs no stream: it is the product of the factors' energy sums.
+    E is the 5-dilated bad set in the given geometry; `fn_id` only labels
+    the call, as for `averaged_moment`.
     """
     if f.dim != 2:
         raise ValueError("averaged_moment_rect needs a 2-d function")
     if f.factors is None:
         raise ValueError("averaged_moment_rect needs a separable function"
                          " (f.factors)")
-    H = f.n // 2
-    if N_max > H:
-        raise AliasingError(f"N_max {N_max} exceeds stored bandwidth {H}")
     schedule = tuple(schedule) if schedule else dyadic_schedule(N_max)
     if max(schedule) > N_max:
         raise ValueError("schedule exceeds N_max")
-    exc = build_exceptional_set(decompose(f, lam), c, geometry)
-    M = 1 << (f.J + refine)
-    W = exc.complement_weights(M)
     a, b = f.factors
     ca, cb = modes(a, N_max), modes(b, N_max)
-    T = (_abs2_rows(a, N_max, refine, ca) @ W
-         @ _abs2_rows(b, N_max, refine, cb).T)
+    exc = build_exceptional_set(decompose(f, lam), geometry=geometry)
+    M = 1 << (f.J + 1)
+    W = exc.complement_weights(M)
+    T = _abs2_rows(a, N_max, 1, ca) @ W @ _abs2_rows(b, N_max, 1, cb).T
     T /= M * M
     cum = T.cumsum(axis=0).cumsum(axis=1)
     # ||S_{n1,n2} f||^2 = ||S_{n1} a||^2 ||S_{n2} b||^2, so the full-torus
     # sum over the square is the product of the factors' energy sums
     full_a, full_b = np.cumsum(_energy_curve(ca)), np.cumsum(_energy_curve(cb))
-    l1 = f.l1()
-    meta = {"fn_id": fn_id, "J": f.J, "d": 2, "c": c, "refine": refine,
-            "geometry": exc.geometry}
-    out = []
-    for N in schedule:
-        avg = cum[N - 1, N - 1] / N**2
-        out.append(MomentReport(
-            lam=lam, N=N, p=2, avg_moment=avg, measure_E=exc.measure,
-            ratio=avg / (lam * l1**2),
-            full_torus_avg=full_a[N - 1] * full_b[N - 1] / N**2,
-            metadata=dict(meta), exceptional=exc,
-        ))
-    return out
+    return _reports(f, lam, exc, 2, schedule,
+                    [cum[N - 1, N - 1] / N**2 for N in schedule],
+                    [full_a[N - 1] * full_b[N - 1] / N**2 for N in schedule])
 
 
 # ---------------------------------------------------------------------------
@@ -675,15 +623,16 @@ def averaged_moment_rect(f: GridFunction, lam: float, N_max: int, c: int = 5,
 
 def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
                          r: int = 2, lam_grid: tuple = DEFAULT_LAM_GRID,
-                         refine: int = 2, fn_id: str = "") -> list[StrongMeansReport]:
+                         fn_id: str = "") -> list[StrongMeansReport]:
     """Super-level measures of the averaged r-th deviation, plus the
     weak-type ratio of the quadratic means functional; one report per
     eps in eps_values, all from a single partial-sum stream.
 
     The reference value at each point is the saturated partial sum, so
     deviations vanish identically once n reaches the stored bandwidth.
-    Measures are counting quadrature on the refined grid.  Only the
-    final threshold count depends on eps.
+    Measures are counting quadrature on the 4 times finer grid.  Only
+    the final threshold count depends on eps.  `fn_id` only labels the
+    call, as for `averaged_moment`.
     """
     if f.dim != 1:
         raise ValueError("strong_means_measure is one-dimensional")
@@ -692,12 +641,10 @@ def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
     eps_values = tuple(eps_values)
     if not eps_values:
         raise ValueError("strong_means_measure needs at least one eps")
-    H = f.n // 2
     schedule = tuple(sorted(schedule))
-    if schedule[-1] > H:
-        raise AliasingError("schedule exceeds stored bandwidth")
-    M = 1 << (f.J + refine)
-    ref = saturated_sum(f, refine).samples
+    c = modes(f, schedule[-1])
+    M = 1 << (f.J + 2)
+    ref = saturated_sum(f, 2).samples
     if f.is_real():
         ref = ref.real
     R = np.zeros(M)
@@ -705,7 +652,7 @@ def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
     RS = np.empty((len(schedule), M))  # R and P as they stand at each N
     PS = np.empty((len(schedule), M))
     half = r // 2
-    for ns, span, rows in _partial_sum_stream(f, schedule[-1], refine):
+    for ns, span, rows in _partial_sum_stream(f, schedule[-1], 2, c=c):
         # split the tile after each schedule point it contains
         start = 0
         for i, N in enumerate(schedule):
@@ -729,7 +676,6 @@ def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
     return [StrongMeansReport(
         eps=eps, r=r, schedule=schedule, measures=tuple(m),
         lam_grid=tuple(lam_grid), weak_ratios=tuple(weak),
-        metadata={"fn_id": fn_id, "J": f.J, "d": 1, "refine": refine},
     ) for m, eps in zip(measures, eps_values)]
 
 

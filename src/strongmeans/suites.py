@@ -65,21 +65,14 @@ def _draw_lam(rng) -> float:
     return (m << e) / _LAM_DEN
 
 
-def _k_spikes(make):
-    """make(J, k, rng) with k drawn from [2, 16] first."""
-    return lambda J, rng: make(J, int(rng.integers(2, 17)), rng)
-
-
-# the families a czd trial draws from, trial t taking family t mod count
-_DRAWS = {
-    1: (_k_spikes(corpus.multi_spike), corpus.trig_poly, corpus.abs_noise),
-    2: (_k_spikes(corpus.tensor_multi_spike), corpus.tensor_trig),
-}
+# the draws a czd trial takes, trial t taking family t mod count: every
+# corpus family but the unit spike
+_DRAWS = {d: list(fams.values())[1:] for d, fams in corpus.FAMILIES.items()}
 
 
 def _draw_function(rng, J: int, t: int, dim: int):
     families = _DRAWS[dim]
-    return families[t % len(families)](J, rng)
+    return families[t % len(families)](J, rng)[1]
 
 
 def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells):

@@ -182,6 +182,17 @@ def test_averaged_moment_config_reproduces_committed_csv(tmp_path, monkeypatch,
         assert csv_differences(fresh, ref) == [], name
 
 
+def test_committed_summaries_compare_against_their_baselines():
+    # a committed summary is the output of a plain run against the
+    # committed baselines, never of the run that recorded them
+    for path in sorted((ROOT / "out").glob("*.summary.json")):
+        summary = json.loads(path.read_text(encoding="utf-8"))
+        has_baseline = (ROOT / "baselines" / f"{summary['experiment']}.json"
+                        ).exists()
+        want = "compared" if has_baseline else "none"
+        assert summary["baseline"]["status"] == want, path.name
+
+
 def test_csv_differences_rules():
     ref = "id,N,x,m\na,2,0.125000000001,1/3\n"
     assert csv_differences(ref, ref) == []
@@ -287,6 +298,52 @@ def test_czd_lattice_exit_2(tmp_path, capsys, monkeypatch, d, J, message):
     for J in (4, {1: 14, 2: 8}[d]):
         ExperimentConfig.from_dict({"experiment": "czd_suite", "seed": 1,
                                     "d": d, "J": J})
+
+
+@pytest.mark.parametrize("experiment,key,value,message", [
+    ("averaged_moment", "J", 12.5, "J must be an integer in [1, 14]"),
+    ("czd_suite", "J", 6.0, "J must be an integer in [1, 14]"),
+    ("averaged_moment", "J", True, "J must be an integer in [1, 14]"),
+    ("averaged_moment", "J", 0, "J must be an integer in [1, 14]"),
+    ("averaged_moment", "d", True, "d must be an integer in [1, 2]"),
+    ("averaged_moment", "d", 1.0, "d must be an integer in [1, 2]"),
+    ("averaged_moment", "d", 3, "d must be an integer in [1, 2]"),
+    ("averaged_moment", "seed", True, "seed must be an integer"),
+    ("averaged_moment", "seed", 1.5, "seed must be an integer"),
+    ("averaged_moment", "seed", "1", "seed must be an integer"),
+], ids=["J-fraction", "czd-J-float", "J-bool", "J-zero", "d-bool", "d-float",
+        "d-three", "seed-bool", "seed-fraction", "seed-string"])
+def test_bad_integer_field_exit_2(tmp_path, capsys, monkeypatch, experiment,
+                                  key, value, message):
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    refuse_runs(monkeypatch, experiment)
+    cfg = write_config(tmp_path, experiment=experiment, **{key: value})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert f"invalid config: {message}" in capsys.readouterr().err
+
+
+def test_missing_default_schedule_exit_2(tmp_path, capsys, monkeypatch):
+    # the default schedule 32, ..., 2**(J-2) needs J >= 7
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    for experiment in ("averaged_moment", "strong_means", "decay_kernel"):
+        cfg = write_config(tmp_path, experiment=experiment, J=6, schedule=None)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert (f"invalid config: {experiment}: with no schedule, J must be"
+                " at least 7") in capsys.readouterr().err
+    ExperimentConfig.from_dict({"experiment": "averaged_moment", "seed": 1,
+                                "J": 7})
+    ExperimentConfig.from_dict({"experiment": "averaged_moment", "seed": 1,
+                                "J": 6, "schedule": [4, 8]})
+
+
+def test_first_reduction_reads_no_schedule(tmp_path):
+    cfg = write_config(tmp_path, experiment="first_reduction", J=6,
+                       schedule=None)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o"),
+                     "--baselines", str(tmp_path / "bl")]) == 0
+    lines = (tmp_path / "o" / "small.csv").read_text().splitlines()
+    assert len(lines) == 1 + 2 * 2  # fns x lams, one row each
+    assert {line.split(",")[2] for line in lines[1:]} == {"0"}
 
 
 @pytest.mark.parametrize("corpus,message", [
