@@ -304,8 +304,8 @@ def _p4_moment(cfg, fn_id, f, lam, sched):
 
 def _decay_kernel(cfg, fn_id, f, lam, sched):
     rows, values = [], {}
-    for s in cfg.s_values:
-        slope, reports = estimates.decay_slope(f, lam, s, Ns=tuple(sched))
+    slopes = estimates.decay_slope(f, lam, cfg.s_values, Ns=tuple(sched))
+    for s, (slope, reports) in zip(cfg.s_values, slopes):
         rows += [{"fn_id": fn_id, "lambda": lam, "s": s, "N": rep.N,
                   "moment": rep.avg_moment} for rep in reports]
         values[f"|s={fmt(s)}"] = slope

@@ -8,9 +8,18 @@ bounds are checkable as Fractions, not as floats with slack.
 
 Tensor factors are quantized to 12 bits per axis so the product samples
 still carry at most 24 fractional bits.
+
+Every random function is drawn in two steps: a per-function draw makes
+its random number calls, in order, and keeps only the raw floats; one
+call per block then does the float work (transform, magnitude,
+normalization, outer product) on all rows at once.  A single function,
+as in `standard_corpus`, is a block of one.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -21,25 +30,29 @@ FACTOR_BITS = FRACT_BITS // 2
 
 
 def normalize_l1_exact(samples: np.ndarray, bits: int = FRACT_BITS) -> np.ndarray:
-    """Rescale and quantize so that mean(|samples|) == 1 exactly.
+    """Rescale and quantize each row (the last axis) so that its mean
+    |sample| is 1 exactly.
 
     The rounding deficit (at most half a unit per sample) is dumped on
-    the largest-magnitude sample, which keeps the perturbation relative
-    size O(n * 2**-bits / max).
+    the row's largest-magnitude sample, which keeps the perturbation
+    relative size O(n * 2**-bits / max).
     """
-    a = np.abs(samples).astype(float)
-    total = a.sum()
-    if total <= 0:
+    u = np.abs(samples).astype(float, copy=False)
+    total = u.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0):
         raise ValueError("cannot normalize the zero function")
+    n = samples.shape[-1]
     scale = 1 << bits
-    u = np.rint(a * (samples.size * scale / total)).astype(np.int64)
-    deficit = samples.size * scale - int(u.sum())
-    k = np.unravel_index(int(np.argmax(u)), u.shape)
-    if u[k] + deficit <= 0:
+    # whole units, held as floats: every partial sum of a row is an
+    # integer below 2**53, so the sums and the deficit are exact
+    np.rint(np.multiply(u, n * scale / total, out=u), out=u)
+    deficit = n * scale - u.sum(axis=-1, keepdims=True)
+    k = np.argmax(u, axis=-1, keepdims=True)
+    top = np.take_along_axis(u, k, axis=-1) + deficit
+    if np.any(top <= 0):
         raise ValueError("quantization deficit exceeds the largest sample")
-    u[k] += deficit
-    signs = np.where(np.signbit(samples), -1.0, 1.0)
-    return signs * (u / scale)
+    np.put_along_axis(u, k, top, axis=-1)
+    return np.copysign(np.multiply(u, 1.0 / scale, out=u), samples, out=u)
 
 
 def spike(J: int, dim: int = 1, cell: int = 0) -> GridFunction:
@@ -52,16 +65,69 @@ def spike(J: int, dim: int = 1, cell: int = 0) -> GridFunction:
     return tensor(spike(J, 1, cell), spike(J, 1, cell))
 
 
-def multi_spike(J: int, k: int, rng: np.random.Generator,
-                bits: int = FRACT_BITS) -> GridFunction:
-    """k distinct cells with random heights, unit L1 mass."""
+# Raw draws and their block finishers.  A raw draw takes (J, rng, *args)
+# and makes every random call of one 1-d function; the matching rows
+# function takes (J, raws, bits) and returns one sample row per raw.
+
+def _spike_heights(J: int, rng: np.random.Generator, k: int) -> np.ndarray:
     n = 1 << J
     if not 2 <= k <= n:
         raise ValueError("k out of range")
     cells = rng.choice(n, size=k, replace=False)
     s = np.zeros(n)
     s[cells] = rng.uniform(0.25, 1.0, size=k)
-    return GridFunction(1, J, normalize_l1_exact(s, bits))
+    return s
+
+
+def _spike_rows(J: int, raws: list, bits: int) -> np.ndarray:
+    return normalize_l1_exact(np.stack(raws), bits)
+
+
+def _trig_coeffs(J: int, rng: np.random.Generator, degree: int | None = None):
+    """Real and imaginary parts of the modes 1..D, then the mean."""
+    n = 1 << J
+    D = n // 8 if degree is None else degree
+    if not 1 <= D < n // 2:
+        raise ValueError("degree out of range")
+    re = rng.standard_normal(D)
+    im = rng.standard_normal(D)
+    return re, im, rng.standard_normal()
+
+
+def _trig_samples(J: int, raws: list) -> np.ndarray:
+    """The real trigonometric polynomials of a block of coefficient draws,
+    by one inverse FFT over the rows; mode m is scaled by m**-1/2."""
+    n = 1 << J
+    re, im = np.array([r[0] for r in raws]), np.array([r[1] for r in raws])
+    ms = np.arange(1, re.shape[1] + 1)
+    amp = 1.0 / np.sqrt(ms)
+    re *= amp
+    im *= amp
+    # mode m sits at column m mod n: the order ifft reads
+    coeffs = np.zeros((len(raws), n), dtype=complex)
+    coeffs[:, 0] = [r[2] for r in raws]
+    coeffs[:, ms] = (re + 1j * im) / 2
+    coeffs[:, n - ms] = (re - 1j * im) / 2
+    return np.fft.ifft(coeffs, axis=-1).real * n
+
+
+def _trig_rows(J: int, raws: list, bits: int) -> np.ndarray:
+    return normalize_l1_exact(_trig_samples(J, raws), bits)
+
+
+def _noise(J: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.standard_normal(1 << J)
+
+
+def _noise_rows(J: int, raws: list, bits: int) -> np.ndarray:
+    s = np.stack(raws)
+    return normalize_l1_exact(np.abs(s, out=s), bits)
+
+
+def multi_spike(J: int, k: int, rng: np.random.Generator,
+                bits: int = FRACT_BITS) -> GridFunction:
+    """k distinct cells with random heights, unit L1 mass."""
+    return GridFunction(1, J, _spike_rows(J, [_spike_heights(J, rng, k)], bits)[0])
 
 
 def trig_poly(J: int, rng: np.random.Generator, degree: int | None = None,
@@ -73,20 +139,7 @@ def trig_poly(J: int, rng: np.random.Generator, degree: int | None = None,
     samples are snapped to the dyadic grid and exactly normalized; this
     trades exact band-limitedness for exact set arithmetic.
     """
-    n = 1 << J
-    D = n // 8 if degree is None else degree
-    if not 1 <= D < n // 2:
-        raise ValueError("degree out of range")
-    ms = np.arange(1, D + 1)
-    amp = 1.0 / np.sqrt(ms)
-    re = rng.standard_normal(D) * amp
-    im = rng.standard_normal(D) * amp
-    coeffs = np.zeros(n, dtype=complex)
-    H = n // 2
-    coeffs[H] = rng.standard_normal()
-    coeffs[H + ms] = (re + 1j * im) / 2
-    coeffs[H - ms] = (re - 1j * im) / 2
-    s = np.fft.ifft(np.fft.ifftshift(coeffs)).real * n
+    [s] = _trig_samples(J, [_trig_coeffs(J, rng, degree)])
     if not quantized:
         return GridFunction(1, J, s / np.mean(np.abs(s)))
     return GridFunction(1, J, normalize_l1_exact(s, bits))
@@ -95,8 +148,7 @@ def trig_poly(J: int, rng: np.random.Generator, degree: int | None = None,
 def abs_noise(J: int, rng: np.random.Generator,
               bits: int = FRACT_BITS) -> GridFunction:
     """|white noise|, unit L1 mass."""
-    s = np.abs(rng.standard_normal(1 << J))
-    return GridFunction(1, J, normalize_l1_exact(s, bits))
+    return GridFunction(1, J, _noise_rows(J, [_noise(J, rng)], bits)[0])
 
 
 def tensor_multi_spike(J: int, k: int, rng: np.random.Generator) -> GridFunction:
@@ -109,27 +161,66 @@ def tensor_trig(J: int, rng: np.random.Generator) -> GridFunction:
                   trig_poly(J, rng, bits=FACTOR_BITS))
 
 
-def _draw(make, k_spikes: bool = False):
-    """A family's draw(J, rng) -> (id tag, function).  A k-spike family
-    draws k from [2, 16] first and is tagged -kNN."""
-    def draw(J, rng):
-        if not k_spikes:
-            return "", make(J, rng)
-        k = int(rng.integers(2, 17))
-        return f"-k{k:02d}", make(J, k, rng)
-    return draw
+@dataclass(frozen=True)
+class Family:
+    """One corpus family of dimension `dim`, drawn in blocks.
+
+    A function of the family is `dim` factors, each drawn by
+    `factor(J, rng, *args)` and finished by `rows(J, raws, bits)`; a
+    2-d function is the outer product of its two factors, each
+    quantized to FACTOR_BITS.  A k-spike family draws k from [2, 16]
+    first, passes it to both factors and is tagged -kNN.
+    """
+
+    dim: int
+    factor: Callable
+    rows: Callable
+    k_spikes: bool = False
+
+    def draw(self, J: int, rng: np.random.Generator) -> tuple[str, list]:
+        """Every random call of one function, in order: its id tag and
+        the raw draws of its factors."""
+        tag, args = "", ()
+        if self.k_spikes:
+            k = int(rng.integers(2, 17))
+            tag, args = f"-k{k:02d}", (k,)
+        return tag, [self.factor(J, rng, *args) for _ in range(self.dim)]
+
+    def block(self, J: int, raws: list) -> tuple[np.ndarray, list]:
+        """Samples of a block of raw draws, shape (B, n) or (B, n, n),
+        and the (B, n) rows of each factor."""
+        bits = FRACT_BITS // self.dim
+        rows = [self.rows(J, list(r), bits) for r in zip(*raws)]
+        if self.dim == 1:
+            return rows[0], rows
+        a, b = rows
+        return a[:, :, None] * b[:, None, :], rows
+
+    def sample(self, J: int, rng: np.random.Generator) -> tuple[str, GridFunction]:
+        """One function, as a block of one: its id tag and the function."""
+        tag, raw = self.draw(J, rng)
+        samples, rows = self.block(J, [raw])
+        if self.dim == 1:
+            return tag, GridFunction(1, J, samples[0])
+        a, b = (GridFunction(1, J, r[0]) for r in rows)
+        return tag, GridFunction(2, J, samples[0], factors=(a, b))
 
 
-# the families of each dimension in draw order, name -> draw; the name is
-# the first part of each fn_id.  The first family is the unit spike,
+def _unit_spike_rows(J: int, raws: list, bits: int) -> np.ndarray:
+    return np.stack([spike(J).samples] * len(raws))
+
+
+# the families of each dimension in draw order, name -> Family; the name
+# is the first part of each fn_id.  The first family is the unit spike,
 # which draws nothing; the rest are the random families.
 FAMILIES = {
-    1: {"spike": _draw(lambda J, rng: spike(J)),
-        "kspikes": _draw(multi_spike, k_spikes=True),
-        "trig": _draw(trig_poly), "noise": _draw(abs_noise)},
-    2: {"tspike": _draw(lambda J, rng: spike(J, 2)),
-        "tkspikes": _draw(tensor_multi_spike, k_spikes=True),
-        "ttrig": _draw(tensor_trig)},
+    1: {"spike": Family(1, lambda J, rng: None, _unit_spike_rows),
+        "kspikes": Family(1, _spike_heights, _spike_rows, k_spikes=True),
+        "trig": Family(1, _trig_coeffs, _trig_rows),
+        "noise": Family(1, _noise, _noise_rows)},
+    2: {"tspike": Family(2, lambda J, rng: None, _unit_spike_rows),
+        "tkspikes": Family(2, _spike_heights, _spike_rows, k_spikes=True),
+        "ttrig": Family(2, _trig_coeffs, _trig_rows)},
 }
 
 
@@ -143,10 +234,10 @@ def standard_corpus(J: int, seed: int, d: int = 1,
     if d not in FAMILIES:
         raise ValueError("d must be 1 or 2")
     rng = np.random.default_rng(seed)
-    (name, draw), *drawn = FAMILIES[d].items()
-    out = [(f"{name}-J{J}", draw(J, rng)[1])]
-    for name, draw in drawn:
+    (name, unit), *drawn = FAMILIES[d].items()
+    out = [(f"{name}-J{J}", unit.sample(J, rng)[1])]
+    for name, family in drawn:
         for r in range(n_random):
-            tag, f = draw(J, rng)
+            tag, f = family.sample(J, rng)
             out.append((f"{name}-J{J}{tag}-r{r}", f))
     return out

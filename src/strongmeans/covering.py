@@ -79,6 +79,7 @@ def _circle_runs(group: np.ndarray, lo: np.ndarray, hi: np.ndarray, S: int):
     cut = np.minimum.reduceat(np.where(uncovered, np.arange(n), n), first)
     shift = np.where(np.arange(n) <= cut[r], S, 0)
     lo, hi = lo + shift, hi + shift
+    del reach, nxt, uncovered, cut, shift  # peak memory: n-sized, read no more
     turn = np.lexsort((lo, g))
     order, lo, hi = order[turn], lo[turn], hi[turn]
     reach = np.maximum.accumulate(g * span + hi) - g * span
@@ -265,17 +266,32 @@ def random_nonadjacent_family(rng, max_level: int = 12,
     Draws a random stopping-time tiling of the torus, keeps alternating
     tiles in circular order (never two consecutive, hence nonadjacent),
     then thins randomly.  Levels get mixed because split depth varies.
+
+    A node below max_level draws one uniform while the leaves and the
+    stack hold fewer than `budget` tiles, and splits when it is below
+    0.62.  The uniforms come in batches that are sure to be used, so
+    the stream is the one a uniform per node reads: the stack's levels
+    never decrease towards its top, so when a node below max_level is
+    popped, every node left on the stack is below max_level too and
+    draws when popped unless the count has reached the budget, and a
+    split adds one to the count.
     """
     leaves = []
     stack = [(0, 0)]
     budget = 4 * max_count
+    splits, at = [], 0
     while stack:
         level, index = stack.pop()
-        if level < max_level and len(leaves) + len(stack) < budget and rng.random() < 0.62:
-            stack.append((level + 1, 2 * index))
-            stack.append((level + 1, 2 * index + 1))
-        else:
-            leaves.append((level, index))
+        if level < max_level and len(leaves) + len(stack) < budget:
+            if at == len(splits):
+                batch = min(len(stack) + 1, budget - len(leaves) - len(stack))
+                splits, at = (rng.random(batch) < 0.62).tolist(), 0
+            at += 1
+            if splits[at - 1]:
+                stack.append((level + 1, 2 * index))
+                stack.append((level + 1, 2 * index + 1))
+                continue
+        leaves.append((level, index))
     # the tiles of one tiling have distinct left ends, and this integer
     # key orders them by left end
     leaves.sort(key=lambda t: t[1] << (max_level - t[0]))
@@ -285,7 +301,7 @@ def random_nonadjacent_family(rng, max_level: int = 12,
     kept = leaves[phase::2]
     if len(leaves) % 2 == 1 and phase == 0 and len(kept) > 1:
         kept = kept[:-1]  # circular order: first and last tiles are adjacent
-    out = [t for t in kept if rng.random() < 0.8]
+    out = [t for t, keep in zip(kept, rng.random(len(kept)) < 0.8) if keep]
     if not out:
         out = [leaves[0]]
     return np.array(out[:max_count], dtype=np.int64)
@@ -298,17 +314,26 @@ def random_nonadjacent_cube_family(rng, max_level: int = 7,
 
     Visits the tiles in a random order and keeps each one whose closure
     touches no kept tile, read from a touch matrix of all tile pairs.
+    The quadtree's uniforms come in batches sure to be used, as for
+    `random_nonadjacent_family`, where a split adds three to the count.
     """
     leaves = []
     stack = [(0, 0, 0)]
+    budget = 5 * max_count
+    splits, at = [], 0
     while stack:
         level, i, j = stack.pop()
-        if level < max_level and len(leaves) + len(stack) < 5 * max_count and rng.random() < 0.55:
-            for di in (0, 1):
-                for dj in (0, 1):
-                    stack.append((level + 1, 2 * i + di, 2 * j + dj))
-        else:
-            leaves.append((level, i, j))
+        if level < max_level and len(leaves) + len(stack) < budget:
+            if at == len(splits):
+                batch = min(len(stack) + 1, -((len(leaves) + len(stack) - budget) // 3))
+                splits, at = (rng.random(batch) < 0.55).tolist(), 0
+            at += 1
+            if splits[at - 1]:
+                for di in (0, 1):
+                    for dj in (0, 1):
+                        stack.append((level + 1, 2 * i + di, 2 * j + dj))
+                continue
+        leaves.append((level, i, j))
     W = 1 << max_level
     order = rng.permutation(len(leaves))
     tiles = np.array(leaves, dtype=np.int64)

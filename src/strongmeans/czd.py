@@ -63,21 +63,27 @@ class CZDecomposition:
         return union_mask(self.bad[:, 1:] * w, w, n)
 
 
-def _exact_scaled(work: np.ndarray):
-    """Samples as int64 at 2**FRACT_BITS, and which rows are representable.
+def exact_units(samples: np.ndarray):
+    """|samples| as int64 at 2**FRACT_BITS, and which rows are exact.
 
-    A row is representable when every sample is finite, on the grid and
-    below 2**53 once scaled; its unrepresentable entries read 0.
+    A row is exact when every magnitude is finite, on the grid and below
+    2**53 once scaled.  Magnitudes off the grid read rounded to it, and
+    those that are not finite or too large read 0.
     """
-    scaled = work * float(1 << FRACT_BITS)
+    scaled = np.abs(samples).astype(np.float64, copy=False)
+    scaled *= float(1 << FRACT_BITS)
     rounded = np.rint(scaled)
-    # NaN fails the equality, an infinity the size bound
+    # no magnitude is negative; NaN fails both tests, an infinity the
+    # size bound
     ok = scaled == rounded
-    ok &= np.abs(rounded, out=scaled) < float(1 << 53)
-    rows = ok.reshape(len(work), -1).all(axis=1)
+    fits = rounded < float(1 << 53)
+    ok &= fits
+    rows = ok.reshape(len(samples), -1).all(axis=1)
     if not rows.all():
-        rounded[~ok] = 0
-    return rounded.astype(np.int64), rows
+        rounded[~fits] = 0
+    units = scaled.view(np.int64)  # the scaled buffer, read no more
+    units[...] = rounded
+    return units, rows
 
 
 def _level_sums(finest: np.ndarray, J: int, dim: int) -> list[np.ndarray]:
@@ -120,12 +126,14 @@ def cell_axes(level: np.ndarray, index: np.ndarray, dim: int) -> tuple:
     return (index, *reversed(axes))
 
 
-def stopping_cells(work: np.ndarray, dim: int, heights) -> StoppingCells:
-    """Stopping-time selection for a batch of functions at once.
+def stopping_cells(samples: np.ndarray, dim: int, heights, units=None) -> StoppingCells:
+    """Stopping-time selection on |samples| for a batch of functions at
+    once.
 
-    `work` holds magnitudes, shape (B, n) for dim 1 or (B, n, n) for
-    dim 2; `heights` holds B equal-length sequences of positive heights,
-    one per row.  A row takes the exact integer path when its samples
+    `samples` has shape (B, n) for dim 1 or (B, n, n) for dim 2;
+    `heights` holds B equal-length sequences of positive heights, one
+    per row; `units` is `exact_units(samples)` when the caller already
+    holds it.  A row takes the exact integer path when its samples
     lie on the 2**-FRACT_BITS grid and its heights have denominators of
     at most _DEN_CAP, else the float path.  Each path builds one
     level-sum pyramid for its rows and descends it once, selecting at
@@ -137,16 +145,17 @@ def stopping_cells(work: np.ndarray, dim: int, heights) -> StoppingCells:
     nothing is maximal, and OverflowError when the exact comparisons
     would leave int64.
     """
-    J = work.shape[1].bit_length() - 1
+    J = samples.shape[1].bit_length() - 1
     heights = [[Fraction(h) for h in hs] for hs in heights]
-    ints, on_grid = _exact_scaled(work)
+    ints, on_grid = exact_units(samples) if units is None else units
     exact = on_grid & np.array(
         [max(h.denominator for h in hs) <= _DEN_CAP for hs in heights], dtype=bool)
     parts = []
     for path in (True, False):
         rows = np.flatnonzero(exact == path)
         if rows.size:
-            finest = ints[rows] if path else work[rows].astype(np.float64)
+            take = slice(None) if rows.size == len(samples) else rows  # a view, no copy
+            finest = ints[take] if path else np.abs(samples[take]).astype(np.float64)
             r, c, lv, ix = _select(finest, [heights[i] for i in rows], dim, J, path)
             parts.append((rows[r], c, lv, ix))
     row, col, level, index = (np.concatenate(a) for a in zip(*parts))
@@ -216,7 +225,7 @@ def decompose(f: GridFunction, lam: float) -> CZDecomposition:
     if lam <= 0:
         raise ValueError("height must be positive")
     height = Fraction(lam)
-    cells = stopping_cells(np.abs(f.samples)[None], f.dim, [[height]])
+    cells = stopping_cells(f.samples[None], f.dim, [[height]])
     level = cells.level
     return CZDecomposition(
         source=f,

@@ -547,21 +547,27 @@ def verify_decay_kernel(f: GridFunction, lam: float, N: int, s: float,
     return _kernel_moment(f, lam, N, kernel, 5, exc)
 
 
-def decay_slope(f: GridFunction, lam: float, s: float,
+def decay_slope(f: GridFunction, lam: float, s_values,
                 Ns: tuple = (64, 128, 256, 512, 1024)
-                ) -> tuple[float, list[MomentReport]]:
-    """Log-log slope of the power-decay moment over a sweep of N.
+                ) -> list[tuple[float, list[MomentReport]]]:
+    """Log-log slope of the power-decay moment over a sweep of N, for
+    each s of `s_values`: (slope, reports) per s, in order.
 
     The base function is smoothed per N with the delayed mean, while
     the exceptional set stays fixed: the bad cells keep their length,
-    so the slope isolates the kernel's scale behaviour.
+    so the slope isolates the kernel's scale behaviour.  The set and
+    the smoothed functions do not depend on s, so they are built once.
     """
     exc = build_exceptional_set(decompose(f, lam))
-    reports = [verify_decay_kernel(valle_poussin(f, N), lam, N, s, exc)
-               for N in Ns]
-    moments = np.array([r.avg_moment for r in reports])
-    slope = float(np.polyfit(np.log(np.array(Ns, float)), np.log(moments), 1)[0])
-    return slope, reports
+    smoothed = [valle_poussin(f, N) for N in Ns]
+    logN = np.log(np.array(Ns, float))
+    out = []
+    for s in s_values:
+        reports = [verify_decay_kernel(g, lam, N, s, exc)
+                   for g, N in zip(smoothed, Ns)]
+        moments = np.array([r.avg_moment for r in reports])
+        out.append((float(np.polyfit(logN, np.log(moments), 1)[0]), reports))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,15 @@ in integer arithmetic on the 24-bit sample grid; nothing here trusts a
 float tolerance.
 
 The decomposition battery works on blocks of trials in either
-dimension, BLOCK samples to a block: one `czd.stopping_cells` call
-selects the bad cells of the whole block at lam and 2 lam, and
-`czd_block_checks` checks them on the whole block, d-dimensional cells
-as boxes.  The covering battery draws every family of one kind, then
-checks them as one batch of integer arrays.  Neither changes the order
-of the random draws.
+dimension, BLOCK samples to a block.  Each trial makes its random calls
+in turn, and the float work of the block's functions runs once per
+corpus family.  |samples| goes to integer units once per block: one
+`czd.stopping_cells` call selects the bad cells of the whole block at
+lam and 2 lam from those units, and `czd_block_checks` checks them on
+the whole block from the same units, d-dimensional cells as boxes.
+The covering battery draws every family of one kind, then checks them
+as one batch of integer arrays.  Neither changes the order of the
+random draws.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .covering import (
     verify_covering,
     verify_covering_cubes,
 )
-from .czd import FRACT_BITS, StoppingCells, cell_axes, stopping_cells
+from .czd import FRACT_BITS, StoppingCells, cell_axes, exact_units, stopping_cells
 
 # lambda draws live on this grid so the stopping height stays a dyadic
 # rational and every decomposition takes the exact integer path
@@ -65,22 +68,36 @@ def _draw_lam(rng) -> float:
     return (m << e) / _LAM_DEN
 
 
-# the draws a czd trial takes, trial t taking family t mod count: every
-# corpus family but the unit spike
-_DRAWS = {d: list(fams.values())[1:] for d, fams in corpus.FAMILIES.items()}
+# the families a czd trial draws from, trial t taking family t mod
+# count: every corpus family but the unit spike
+_FAMILIES = {d: list(fams.values())[1:] for d, fams in corpus.FAMILIES.items()}
 
 
-def _draw_function(rng, J: int, t: int, dim: int):
-    families = _DRAWS[dim]
-    return families[t % len(families)](J, rng)[1]
+def _draw_block(rng, J: int, dim: int, start: int, stop: int):
+    """Samples and heights of trials start..stop-1, shape (B, n) or
+    (B, n, n).  Each trial draws its function, then its height; the
+    float work then runs once per family, on all of its rows."""
+    families = _FAMILIES[dim]
+    F = len(families)
+    raws = [[] for _ in families]
+    lams = []
+    for t in range(start, stop):
+        raws[t % F].append(families[t % F].draw(J, rng)[1])
+        lams.append(_draw_lam(rng))
+    samples = np.empty((stop - start,) + (1 << J,) * dim)
+    for i, family in enumerate(families):
+        if raws[i]:
+            samples[(i - start) % F::F] = family.block(J, raws[i])[0]
+    return samples, lams
 
 
-def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells):
+def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units):
     """Every exact invariant of a block of d-dimensional decompositions.
 
     `samples` holds one function per row, shape (B, n) in dim 1 and
-    (B, n, n) in dim 2; `lams` one height per row, and `cells` the
-    selection at lam (height column 0) and 2 lam (column 1).  Returns
+    (B, n, n) in dim 2; `lams` one height per row, `cells` the
+    selection at lam (height column 0) and 2 lam (column 1), and
+    `units` the `czd.exact_units` of the samples.  Returns
     (check name -> bool per row, bad cells at lam per row).  The checks
     recompute every cell and parent sum from the 2**d corners of a
     per-row summed-area table and every covered sample from the cells'
@@ -91,10 +108,8 @@ def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells):
     dim = samples.ndim - 1
     J = n.bit_length() - 1
     lamF = [Fraction(x) for x in lams]
-    scaled = np.real(samples).reshape(B, -1) * float(1 << FRACT_BITS)
-    rounded = np.rint(scaled)
-    on_grid = np.all(rounded == scaled, axis=1)
-    absu = np.abs(rounded, out=rounded).astype(np.int64)  # |samples| in units
+    absu, on_grid = units
+    absu = absu.reshape(B, -1)
     # int64 budget: 2**d * lam * n**d * 2**FRACT_BITS and sum|units| * den
     # must stay below 2**62 (the sum taken in floats, which cannot wrap)
     if (max(x.numerator for x in lamF).bit_length() + dim * J + FRACT_BITS + 1 >= 62
@@ -193,17 +208,18 @@ def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells):
 
 def czd_block_invariants(samples: np.ndarray, lams):
     """Select the bad cells of a block of functions at lam and 2 lam in
-    one pass, then run `czd_block_checks` on them."""
-    heights = [(Fraction(x), 2 * Fraction(x)) for x in lams]
-    cells = stopping_cells(np.abs(samples), samples.ndim - 1, heights)
-    return czd_block_checks(samples, lams, cells)
+    one pass, then run `czd_block_checks` on them; both read one
+    conversion of |samples| to integer units."""
+    units = exact_units(samples)
+    cells = stopping_cells(samples, samples.ndim - 1, [(x, 2 * x) for x in lams], units)
+    return czd_block_checks(samples, lams, cells, units)
 
 
 def czd_suite(trials: int, J: int = 12, seed: int = 0, dim: int = 1) -> SuiteResult:
     """Randomized decomposition battery: zero failures expected.
 
-    Each trial draws a function, then a height; the trials run through
-    `czd_block_invariants` in blocks of BLOCK samples.
+    Each trial draws a function, then a height; the trials are drawn
+    and run through `czd_block_invariants` in blocks of BLOCK samples.
     """
     rng = np.random.default_rng(seed)
     failures: dict = {}
@@ -211,11 +227,8 @@ def czd_suite(trials: int, J: int = 12, seed: int = 0, dim: int = 1) -> SuiteRes
     per_block = max(1, BLOCK >> (dim * J))
     t0 = time.perf_counter()
     for start in range(0, trials, per_block):
-        samples, lams = [], []
-        for t in range(start, min(start + per_block, trials)):
-            samples.append(_draw_function(rng, J, t, dim).samples)
-            lams.append(_draw_lam(rng))
-        checks, n_bad = czd_block_invariants(np.stack(samples), lams)
+        samples, lams = _draw_block(rng, J, dim, start, min(start + per_block, trials))
+        checks, n_bad = czd_block_invariants(samples, lams)
         bad_counts += int(n_bad.sum())
         for name, ok in checks.items():
             count = int(np.count_nonzero(~ok))

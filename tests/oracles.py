@@ -19,7 +19,11 @@ reproduce; `sliced` turns an array into the lattice callable it takes.
 
 The batched exact layer has one-at-a-time references here:
 `czd_invariants` and `cube_invariants` run the 1-d and 2-d
-stopping-time batteries on one (f, lam) pair;
+stopping-time batteries on one (f, lam) pair, both reading |f| as the
+selection does; `trial_samples` draws the function of one battery
+trial, one random call and one float step at a time, and
+`nonadjacent_family` and `nonadjacent_cube_family` draw a covering
+family with one random call per tree node and per kept tile;
 `reference_exceptional_set` builds E one bad cell at a time;
 `fraction_dilate` dilates with a Fraction factor; and
 `dilated_components`, `cube_components` and the `*_holds` checks work
@@ -39,7 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from strongmeans import spectral
-from strongmeans.covering import NINE_EIGHTHS
+from strongmeans.covering import NINE_EIGHTHS, _torus_touch
 from strongmeans.czd import FRACT_BITS, decompose
 from strongmeans.dyadic import (
     DEFAULT_J_MAX,
@@ -500,10 +504,10 @@ def czd_invariants(f, lam: float) -> tuple[dict, int]:
     lamF = Fraction(lam)
     num, den = lamF.numerator, lamF.denominator
     n = 1 << f.J
-    units = np.round(np.real(f.samples) * (1 << FRACT_BITS)).astype(np.int64)
+    units = np.round(np.abs(f.samples) * (1 << FRACT_BITS)).astype(np.int64)
     checks = {}
     checks["exact_input"] = bool(
-        np.array_equal(units / (1 << FRACT_BITS), np.real(f.samples))
+        np.array_equal(units / (1 << FRACT_BITS), np.abs(f.samples))
     )
 
     cz = decompose(f, lam)
@@ -559,10 +563,10 @@ def cube_invariants(f, lam: float) -> tuple[dict, int]:
     lamF = Fraction(lam)
     num, den = lamF.numerator, lamF.denominator
     n = 1 << f.J
-    units = np.round(np.real(f.samples) * (1 << FRACT_BITS)).astype(np.int64)
+    units = np.round(np.abs(f.samples) * (1 << FRACT_BITS)).astype(np.int64)
     checks = {}
     checks["exact_input"] = bool(
-        np.array_equal(units / (1 << FRACT_BITS), np.real(f.samples))
+        np.array_equal(units / (1 << FRACT_BITS), np.abs(f.samples))
     )
 
     cz = decompose(f, lam)
@@ -1008,3 +1012,115 @@ def cube_statement_form_holds(family, j_max: int = DEFAULT_J_MAX) -> bool:
             if dil[i].axes[0].length_units
             == max(dil[m].axes[0].length_units for m in members))
         for members, hull in zip(comps, hulls))
+
+
+# ---------------------------------------------------------------------------
+# battery inputs drawn one at a time
+
+
+def _unit_mass(samples: np.ndarray, bits: int) -> np.ndarray:
+    """mean |samples| == 1 exactly, the rounding deficit on the largest
+    sample, in int64 units."""
+    a = np.abs(samples).astype(float)
+    scale = 1 << bits
+    u = np.rint(a * (samples.size * scale / a.sum())).astype(np.int64)
+    u[int(np.argmax(u))] += samples.size * scale - int(u.sum())
+    return np.where(np.signbit(samples), -1.0, 1.0) * (u / scale)
+
+
+def _spikes(J: int, rng, bits: int, k: int) -> np.ndarray:
+    n = 1 << J
+    cells = rng.choice(n, size=k, replace=False)
+    s = np.zeros(n)
+    s[cells] = rng.uniform(0.25, 1.0, size=k)
+    return _unit_mass(s, bits)
+
+
+def _trig(J: int, rng, bits: int) -> np.ndarray:
+    n = 1 << J
+    ms = np.arange(1, n // 8 + 1)
+    amp = 1.0 / np.sqrt(ms)
+    re = rng.standard_normal(len(ms)) * amp
+    im = rng.standard_normal(len(ms)) * amp
+    coeffs = np.zeros(n, dtype=complex)
+    H = n // 2
+    coeffs[H] = rng.standard_normal()
+    coeffs[H + ms] = (re + 1j * im) / 2
+    coeffs[H - ms] = (re - 1j * im) / 2
+    return _unit_mass(np.fft.ifft(np.fft.ifftshift(coeffs)).real * n, bits)
+
+
+def _noise(J: int, rng, bits: int) -> np.ndarray:
+    return _unit_mass(np.abs(rng.standard_normal(1 << J)), bits)
+
+
+def trial_samples(rng, J: int, t: int, dim: int) -> np.ndarray:
+    """Samples of the function of decomposition-battery trial t: the
+    (t mod count)-th random corpus family of the dimension (k spikes,
+    trig, noise in 1-d; their tensor squares but noise in 2-d), k drawn
+    first for the spikes, each 2-d factor at 12 bits."""
+    kinds = (_spikes, _trig, _noise)[:4 - dim]
+    kind = kinds[t % len(kinds)]
+    args = (int(rng.integers(2, 17)),) if kind is _spikes else ()
+    rows = [kind(J, rng, FRACT_BITS // dim, *args) for _ in range(dim)]
+    return rows[0] if dim == 1 else np.outer(*rows)
+
+
+def nonadjacent_family(rng, max_level: int = 12, max_count: int = 64) -> np.ndarray:
+    """`strongmeans.covering.random_nonadjacent_family`, one uniform per
+    tree node and per kept tile."""
+    leaves = []
+    stack = [(0, 0)]
+    budget = 4 * max_count
+    while stack:
+        level, index = stack.pop()
+        if level < max_level and len(leaves) + len(stack) < budget and rng.random() < 0.62:
+            stack.append((level + 1, 2 * index))
+            stack.append((level + 1, 2 * index + 1))
+        else:
+            leaves.append((level, index))
+    leaves.sort(key=lambda t: t[1] << (max_level - t[0]))
+    if len(leaves) < 2:
+        return np.array([[1, 0]], dtype=np.int64)
+    phase = int(rng.integers(0, 2))
+    kept = leaves[phase::2]
+    if len(leaves) % 2 == 1 and phase == 0 and len(kept) > 1:
+        kept = kept[:-1]
+    out = [t for t in kept if rng.random() < 0.8]
+    if not out:
+        out = [leaves[0]]
+    return np.array(out[:max_count], dtype=np.int64)
+
+
+def nonadjacent_cube_family(rng, max_level: int = 7, max_count: int = 40) -> np.ndarray:
+    """`strongmeans.covering.random_nonadjacent_cube_family`, one uniform
+    per quadtree node."""
+    leaves = []
+    stack = [(0, 0, 0)]
+    while stack:
+        level, i, j = stack.pop()
+        if level < max_level and len(leaves) + len(stack) < 5 * max_count and rng.random() < 0.55:
+            for di in (0, 1):
+                for dj in (0, 1):
+                    stack.append((level + 1, 2 * i + di, 2 * j + dj))
+        else:
+            leaves.append((level, i, j))
+    W = 1 << max_level
+    order = rng.permutation(len(leaves))
+    tiles = np.array(leaves, dtype=np.int64)
+    w = W >> tiles[:, 0]
+    touch = np.ones((len(tiles), len(tiles)), dtype=bool)
+    for ax in (1, 2):
+        lo = tiles[:, ax] * w
+        touch &= _torus_touch(lo[:, None], (lo + w)[:, None], lo[None, :],
+                              (lo + w)[None, :], W)
+    blocked = np.zeros(len(tiles), dtype=bool)
+    kept = []
+    for idx in order:
+        if blocked[idx]:
+            continue
+        kept.append(idx)
+        blocked |= touch[idx]
+        if len(kept) >= max_count:
+            break
+    return tiles[kept]

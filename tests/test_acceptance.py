@@ -141,10 +141,8 @@ def test_criterion_06_decay_kernel_exponents():
     f = corpus.spike(12)
     half_width = {1.5: 0.2, 2.0: 0.1, 3.0: 0.1}
     bands = {s: (2 - s - h, 2 - s + h) for s, h in half_width.items()}
-    slopes = {}
-    for s in bands:
-        slopes[s], _ = estimates.decay_slope(f, 8.0, s,
-                                             Ns=(64, 128, 256, 512, 1024))
+    slopes = {s: slope for s, (slope, _) in zip(
+        bands, estimates.decay_slope(f, 8.0, list(bands), (64, 128, 256, 512, 1024)))}
     in_band = {s: lo <= slopes[s] <= hi for s, (lo, hi) in bands.items()}
     verdict(6, all(in_band.values()),
             "slopes against the law 2-s: " + ", ".join(

@@ -182,6 +182,26 @@ def test_averaged_moment_config_reproduces_committed_csv(tmp_path, monkeypatch,
         assert csv_differences(fresh, ref) == [], name
 
 
+def test_decay_kernel_decomposes_and_smooths_once_per_cell(tmp_path, monkeypatch):
+    """Neither the exceptional set nor the smoothed functions depend on
+    s: the committed config (one function, one lambda, three s values,
+    five orders) decomposes once and smooths five times, and writes the
+    committed CSV byte for byte."""
+    calls = {"decompose": 0, "valle_poussin": 0}
+    for name in calls:
+        def counted(*args, _inner=getattr(cli.estimates, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(cli.estimates, name, counted)
+    bl = tmp_path / "bl"
+    shutil.copytree(ROOT / "baselines", bl)
+    assert cli.main(["run", str(ROOT / "configs" / "decay_kernel.json"),
+                     "--out", str(tmp_path / "out"), "--baselines", str(bl)]) == 0
+    assert calls == {"decompose": 1, "valle_poussin": 5}
+    assert (tmp_path / "out" / "decay_kernel.csv").read_bytes() == \
+        (ROOT / "out" / "decay_kernel.csv").read_bytes()
+
+
 def test_committed_summaries_compare_against_their_baselines():
     # a committed summary is the output of a plain run against the
     # committed baselines, never of the run that recorded them

@@ -46,6 +46,8 @@ from oracles import (
     dilated_components,
     fraction_dilate,
     intervals_disjoint,
+    nonadjacent_cube_family,
+    nonadjacent_family,
     statement_form_holds,
     torus_distance,
 )
@@ -251,6 +253,27 @@ def test_covering_holds_on_random_families(seed):
     check = verify_covering([family])
     assert check.holds.tolist() == [True]
     assert statement_form_holds(as_intervals(family))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_family_generators_read_the_stream_one_uniform_at_a_time(seed):
+    """The batched uniforms give the families and the final generator
+    state of one uniform per node and per kept tile, 1-d and 2-d
+    families drawn from one stream as the covering suite draws them."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for draw, want, count in ((random_nonadjacent_family, nonadjacent_family, 2000),
+                              (random_nonadjacent_cube_family, nonadjacent_cube_family, 200)):
+        for _ in range(count):
+            assert np.array_equal(draw(rng), want(ref))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # trees cut short by the level cap, and by a small budget
+    for max_level, max_count in ((3, 64), (12, 3)):
+        for draw, want in ((random_nonadjacent_family, nonadjacent_family),
+                           (random_nonadjacent_cube_family, nonadjacent_cube_family)):
+            for _ in range(50):
+                assert np.array_equal(draw(rng, max_level, max_count),
+                                      want(ref, max_level, max_count))
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_integer_components_match_reference():

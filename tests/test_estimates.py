@@ -498,13 +498,14 @@ def test_decay_slopes_match_scale_dichotomy():
     # flat at s=2, decay at s=3, with the bad interval held fixed
     f = corpus.spike(10)
     Ns = (32, 64, 128, 256)
-    slope15, reports = decay_slope(f, 8.0, 1.5, Ns)
+    (slope15, reports), (slope2, _), (slope3, _) = decay_slope(f, 8.0, (1.5, 2.0, 3.0), Ns)
     assert 0.25 < slope15 < 0.75
     assert all(r.exceptional is reports[0].exceptional for r in reports)
-    slope2, _ = decay_slope(f, 8.0, 2.0, Ns)
     assert -0.2 < slope2 < 0.2
-    slope3, _ = decay_slope(f, 8.0, 3.0, Ns)
     assert -1.3 < slope3 < -0.7
+    # one s at a time gives the same slopes
+    assert [decay_slope(f, 8.0, [s], Ns)[0][0] for s in (1.5, 2.0, 3.0)] == \
+        [slope15, slope2, slope3]
 
 
 def test_every_report_carries_its_ratio_and_set_measure():
@@ -514,7 +515,7 @@ def test_every_report_carries_its_ratio_and_set_measure():
     f = corpus.multi_spike(7, 4, rng)
     smooth = spectral.valle_poussin(corpus.spike(8), 16)
     g = corpus.tensor_multi_spike(5, 3, rng)
-    _, decay = decay_slope(corpus.spike(8), 8.0, 1.5, (8, 16, 32))
+    [(_, decay)] = decay_slope(corpus.spike(8), 8.0, [1.5], (8, 16, 32))
     cases = [(f, 4.0, 2, verify_first_reduction(f, 4.0)),
              (smooth, 8.0, 2, verify_second_reduction(smooth, 8.0, 16))]
     cases += [(spectral.valle_poussin(corpus.spike(8), rep.N), 8.0, 2, rep)

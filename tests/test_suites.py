@@ -5,7 +5,7 @@ negative test feeds a deliberately broken input, in 1-d and in 2-d,
 through the same check code the battery uses.  The block battery is
 also checked against the scalar `czd_invariants` (1-d) and
 `cube_invariants` (2-d) of oracles.py, check by check and count by
-count.
+count, and its block draws against the one-at-a-time `trial_samples`.
 """
 
 from dataclasses import replace
@@ -15,19 +15,27 @@ import numpy as np
 import pytest
 
 from strongmeans import corpus
-from strongmeans.czd import cell_axes, decompose, stopping_cells
+from strongmeans.czd import cell_axes, decompose, exact_units, stopping_cells
 from strongmeans.grid import GridFunction
 from strongmeans.suites import (
+    BLOCK,
     chain_suite,
     covering_suite,
     czd_block_checks,
     czd_block_invariants,
     czd_suite,
-    _draw_function,
+    _FAMILIES,
+    _draw_block,
     _draw_lam,
 )
 
-from oracles import cube_invariants, czd_invariants
+from oracles import cube_invariants, czd_invariants, trial_samples
+
+
+def draw_function(rng, J: int, t: int, dim: int) -> GridFunction:
+    """The function of trial t, drawn alone: a block of one."""
+    families = _FAMILIES[dim]
+    return families[t % len(families)].sample(J, rng)[1]
 
 
 def test_draw_lam_is_dyadic_and_in_range():
@@ -80,7 +88,7 @@ def test_block_battery_matches_scalar_oracle(dim, J):
     for family in range(3 if dim == 1 else 2):
         fs, lams = [], []
         for t in range(trials):
-            f = _draw_function(rng, J, family, dim)
+            f = draw_function(rng, J, family, dim)
             if t % 50 == 0:
                 s = f.samples.copy()
                 s.flat[t % s.size] += 2.0**-40
@@ -98,11 +106,12 @@ def test_block_battery_matches_scalar_oracle(dim, J):
 def test_block_checks_flag_corrupted_bad_cell():
     for dim, J in ((1, 9), (2, 6)):
         rng = np.random.default_rng(7)
-        fs = [_draw_function(rng, J, t, dim) for t in range(6)]
+        fs = [draw_function(rng, J, t, dim) for t in range(6)]
         lams = [4.0] * 6
         samples = np.stack([f.samples for f in fs])
-        cells = stopping_cells(np.abs(samples), dim, [(4, 8)] * 6)
-        clean, counts = czd_block_checks(samples, lams, cells)
+        units = exact_units(samples)
+        cells = stopping_cells(samples, dim, [(4, 8)] * 6, units)
+        clean, counts = czd_block_checks(samples, lams, cells, units)
         assert all(v.all() for v in clean.values()), (dim, clean)
         k = np.flatnonzero((cells.row == 3) & (cells.col == 0) & (cells.level >= 2))[0]
         others = np.arange(6) != 3
@@ -113,7 +122,7 @@ def test_block_checks_flag_corrupted_bad_cell():
         level[k] -= 1
         index[k] = axes[0] if dim == 1 else (axes[0] << level[k]) + axes[1]
         checks, _ = czd_block_checks(samples, lams,
-                                     replace(cells, level=level, index=index))
+                                     replace(cells, level=level, index=index), units)
         assert not checks["height_window"][3], dim
         assert all(v[others].all() for v in checks.values()), dim
 
@@ -121,10 +130,45 @@ def test_block_checks_flag_corrupted_bad_cell():
         keep = np.arange(len(cells.row)) != k
         dropped = replace(cells, row=cells.row[keep], col=cells.col[keep],
                           level=cells.level[keep], index=cells.index[keep])
-        checks, n_bad = czd_block_checks(samples, lams, dropped)
+        checks, n_bad = czd_block_checks(samples, lams, dropped, units)
         assert not checks["bounded_off_bad"][3], dim
         assert n_bad[3] == counts[3] - 1
         assert all(v[others].all() for v in checks.values()), dim
+
+
+def test_block_checks_read_the_magnitude_of_complex_rows():
+    """The checks read |f|, as the selection does: a spike on the
+    imaginary axis is a bad cell's whole mass, not zero."""
+    f = np.full(64, 0.5, dtype=complex)
+    f[3] = 40j
+    checks, n_bad = czd_block_invariants(f[None], [4.0])
+    assert all(v[0] for v in checks.values()), checks
+    want, count = czd_invariants(GridFunction(1, 6, f), 4.0)
+    assert all(want.values()) and n_bad[0] == count > 0
+
+
+@pytest.mark.parametrize("dim,J,ends", [
+    (1, 12, (64,)), (2, 7, (16,)), (1, 12, (64, 100)), (2, 7, (16, 21)),
+], ids=["1d-full", "2d-full", "1d-partial", "2d-partial"])
+def test_block_draws_match_trial_draws(dim, J, ends):
+    """Blocks of BLOCK samples (the last one partly full) hold the
+    functions and heights that one trial at a time draws, bit for bit,
+    and leave the generator in the same state."""
+    assert ends[0] == BLOCK >> (dim * J)
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    start = 0
+    for stop in ends:
+        samples, lams = _draw_block(rng, J, dim, start, stop)
+        want, want_lams = [], []
+        for t in range(start, stop):
+            want.append(trial_samples(ref, J, t, dim))
+            want_lams.append(_draw_lam(ref))
+        assert samples.shape == (stop - start,) + (1 << J,) * dim
+        assert np.array_equal(samples, np.stack(want))
+        assert np.array_equal(np.signbit(samples), np.signbit(want))
+        assert lams == want_lams
+        start = stop
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_czd_suite_small_run_clean():
