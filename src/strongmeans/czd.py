@@ -14,7 +14,9 @@ most FRACT_BITS fractional bits (the corpus guarantees this for
 nonnegative families), cell sums are integer arithmetic and every
 comparison against the height is an exact rational comparison.
 Otherwise float sums are used and the outcome is correct up to float
-rounding of the cell averages.
+rounding of the cell averages.  `exact_units` gives those integers and
+says which rows have them; `stopping_cells` takes them from its caller,
+so a caller that checks the selection reads the same units.
 """
 
 from __future__ import annotations
@@ -126,14 +128,14 @@ def cell_axes(level: np.ndarray, index: np.ndarray, dim: int) -> tuple:
     return (index, *reversed(axes))
 
 
-def stopping_cells(samples: np.ndarray, dim: int, heights, units=None) -> StoppingCells:
+def stopping_cells(samples: np.ndarray, dim: int, heights, units) -> StoppingCells:
     """Stopping-time selection on |samples| for a batch of functions at
     once.
 
     `samples` has shape (B, n) for dim 1 or (B, n, n) for dim 2;
     `heights` holds B equal-length sequences of positive heights, one
-    per row; `units` is `exact_units(samples)` when the caller already
-    holds it.  A row takes the exact integer path when its samples
+    per row; `units` is `exact_units(samples)`.  A row takes the exact
+    integer path when its samples
     lie on the 2**-FRACT_BITS grid and its heights have denominators of
     at most _DEN_CAP, else the float path.  Each path builds one
     level-sum pyramid for its rows and descends it once, selecting at
@@ -147,7 +149,7 @@ def stopping_cells(samples: np.ndarray, dim: int, heights, units=None) -> Stoppi
     """
     J = samples.shape[1].bit_length() - 1
     heights = [[Fraction(h) for h in hs] for hs in heights]
-    ints, on_grid = exact_units(samples) if units is None else units
+    ints, on_grid = units
     exact = on_grid & np.array(
         [max(h.denominator for h in hs) <= _DEN_CAP for hs in heights], dtype=bool)
     parts = []
@@ -225,7 +227,8 @@ def decompose(f: GridFunction, lam: float) -> CZDecomposition:
     if lam <= 0:
         raise ValueError("height must be positive")
     height = Fraction(lam)
-    cells = stopping_cells(f.samples[None], f.dim, [[height]])
+    batch = f.samples[None]
+    cells = stopping_cells(batch, f.dim, [[height]], exact_units(batch))
     level = cells.level
     return CZDecomposition(
         source=f,
