@@ -93,6 +93,11 @@ INTEGER_FIELDS = {"seed": Option(None, lambda v: type(v) is int, "an integer"),
                   "d": _integer(None, 1, 2)}
 
 
+# the config fields every experiment reads; each `Experiment` lists the
+# others it reads
+COMMON_FIELDS = ("experiment", "seed", "output", "options")
+
+
 @dataclass(frozen=True)
 class Experiment:
     """Everything the CLI knows about one experiment.  With `per_cell`,
@@ -101,7 +106,9 @@ class Experiment:
     `run(cfg)` runs the whole experiment.  Both return rows, headline
     values and invariant flags.  Schedules stay within 2**(J - band);
     band is None for an experiment that reads no schedule, and its
-    runner gets None.  `check` sees the whole config."""
+    runner gets None.  `reads` names the config fields beyond
+    COMMON_FIELDS that the experiment reads; a config that sets any
+    other is refused.  `check` sees the whole config."""
 
     columns: tuple
     run: Callable
@@ -109,6 +116,7 @@ class Experiment:
     band: int | None = 1
     options: dict = field(default_factory=dict)
     check: Callable | None = None
+    reads: tuple = ("J", "d", "lams", "schedule", "corpus")
 
 
 @dataclass
@@ -189,6 +197,14 @@ class ExperimentConfig:
                     f"{name}: {key} must be {exp.options[key].rule}")
         if exp.check is not None:
             exp.check(self)
+        # a field set away from its default that the run never reads
+        # would only move config_hash
+        defaults = ExperimentConfig(self.experiment, self.seed).canonical()
+        unread = sorted(k for k, v in self.canonical().items()
+                        if k not in COMMON_FIELDS + exp.reads and v != defaults[k])
+        if unread:
+            raise ConfigError(f"{name}: unread config fields {unread}; it reads"
+                              f" {sorted(exp.reads)} besides {list(COMMON_FIELDS)}")
 
     def option(self, name: str):
         """A given option, else its schema default."""
@@ -417,19 +433,21 @@ def _czd_suite(cfg: ExperimentConfig):
 
 
 EXPERIMENTS = {
-    "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction, band=None),
+    "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction, band=None,
+                                  reads=("J", "d", "lams", "corpus")),
     "second_reduction": Experiment(MOMENT_COLUMNS, _second_reduction),
     "averaged_moment": Experiment(MOMENT_COLUMNS, _averaged_moment),
     # the decay sweep smooths at order N, which doubles the band
     "decay_kernel": Experiment(
         ("fn_id", "lambda", "s", "N", "moment", "config_hash"),
-        _decay_kernel, band=2),
+        _decay_kernel, band=2,
+        reads=("J", "d", "lams", "schedule", "s_values", "corpus")),
     "rect_moment": Experiment(
         ("fn_id", "geometry") + MOMENT_COLUMNS[1:], _rect_moment),
     "p4_moment": Experiment(MOMENT_COLUMNS, _p4_moment),
     "strong_means": Experiment(
         ("fn_id", "eps", "N", "measure", "config_hash"), _strong_means,
-        per_cell=False, options={
+        per_cell=False, reads=("J", "d", "schedule", "corpus"), options={
             "eps_factors": Option(
                 (0.5, 0.25), lambda v: _numbers_above(v) and len(v) > 0,
                 "a non-empty list of positive numbers"),
@@ -439,7 +457,7 @@ EXPERIMENTS = {
         }),
     "density": Experiment(
         ("kind", "N", "density", "config_hash"), _density, per_cell=False,
-        band=None, check=_density_budget, options={
+        band=None, check=_density_budget, reads=("d",), options={
             "kind": Option("quarter_power", lambda v: v == "quarter_power",
                            '"quarter_power"'),
             "s": Option(1.0, lambda v: isinstance(v, (int, float))
@@ -451,7 +469,7 @@ EXPERIMENTS = {
     # level stays small
     "covering_suite": Experiment(
         ("kind", "trials", "violations", "components", "config_hash"),
-        _covering_suite, per_cell=False, band=None, options={
+        _covering_suite, per_cell=False, band=None, reads=(), options={
             "trials_1d": _integer(10000, 1),
             "trials_2d": _integer(1000, 1),
             "max_level_1d": _integer(12, 1, DEFAULT_J_MAX),
@@ -461,7 +479,7 @@ EXPERIMENTS = {
     "czd_suite": Experiment(
         ("kind", "trials", "failures", "mean_bad_cells", "config_hash"),
         _czd_suite, per_cell=False, band=None, check=_czd_lattice,
-        options={"trials": _integer(10000, 1)}),
+        reads=("J", "d"), options={"trials": _integer(10000, 1)}),
 }
 
 

@@ -29,15 +29,19 @@ from .grid import GridFunction, tensor
 FACTOR_BITS = FRACT_BITS // 2
 
 
-def normalize_l1_exact(samples: np.ndarray, bits: int = FRACT_BITS) -> np.ndarray:
+def normalize_l1_exact(samples: np.ndarray, bits: int = FRACT_BITS,
+                       out: np.ndarray | None = None) -> np.ndarray:
     """Rescale and quantize each row (the last axis) so that its mean
     |sample| is 1 exactly.
 
     The rounding deficit (at most half a unit per sample) is dumped on
     the row's largest-magnitude sample, which keeps the perturbation
-    relative size O(n * 2**-bits / max).
+    relative size O(n * 2**-bits / max).  The result goes to `out` when
+    given, a float array whose rows are contiguous.  With `out` the
+    samples themselves, the magnitudes replace them first, so the
+    result is that of |samples|.
     """
-    u = np.abs(samples).astype(float, copy=False)
+    u = np.abs(samples, out=out).astype(float, copy=False)
     total = u.sum(axis=-1, keepdims=True)
     if np.any(total <= 0):
         raise ValueError("cannot normalize the zero function")
@@ -52,7 +56,10 @@ def normalize_l1_exact(samples: np.ndarray, bits: int = FRACT_BITS) -> np.ndarra
     if np.any(top <= 0):
         raise ValueError("quantization deficit exceeds the largest sample")
     np.put_along_axis(u, k, top, axis=-1)
-    return np.copysign(np.multiply(u, 1.0 / scale, out=u), samples, out=u)
+    np.multiply(u, 1.0 / scale, out=u)
+    if u is samples:  # in place, the samples' signs are already gone
+        return u
+    return np.copysign(u, samples, out=u)
 
 
 def spike(J: int, dim: int = 1, cell: int = 0) -> GridFunction:
@@ -79,8 +86,9 @@ def _spike_heights(J: int, rng: np.random.Generator, k: int) -> np.ndarray:
     return s
 
 
-def _spike_rows(J: int, raws: list, bits: int) -> np.ndarray:
-    return normalize_l1_exact(np.stack(raws), bits)
+def _spike_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
+    s = np.stack(raws, out=out)
+    return normalize_l1_exact(s, bits, out=s)
 
 
 def _trig_coeffs(J: int, rng: np.random.Generator, degree: int | None = None):
@@ -96,32 +104,33 @@ def _trig_coeffs(J: int, rng: np.random.Generator, degree: int | None = None):
 
 def _trig_samples(J: int, raws: list) -> np.ndarray:
     """The real trigonometric polynomials of a block of coefficient draws,
-    by one inverse FFT over the rows; mode m is scaled by m**-1/2."""
+    by one inverse FFT over the rows, in place; mode m is scaled by
+    m**-1/2."""
     n = 1 << J
     re, im = np.array([r[0] for r in raws]), np.array([r[1] for r in raws])
-    ms = np.arange(1, re.shape[1] + 1)
-    amp = 1.0 / np.sqrt(ms)
+    D = re.shape[1]
+    amp = 1.0 / np.sqrt(np.arange(1, D + 1))
     re *= amp
     im *= amp
     # mode m sits at column m mod n: the order ifft reads
     coeffs = np.zeros((len(raws), n), dtype=complex)
     coeffs[:, 0] = [r[2] for r in raws]
-    coeffs[:, ms] = (re + 1j * im) / 2
-    coeffs[:, n - ms] = (re - 1j * im) / 2
-    return np.fft.ifft(coeffs, axis=-1).real * n
+    coeffs[:, 1:D + 1] = (re + 1j * im) / 2
+    coeffs[:, n - 1:n - D - 1:-1] = (re - 1j * im) / 2
+    return np.fft.ifft(coeffs, axis=-1, out=coeffs).real * n
 
 
-def _trig_rows(J: int, raws: list, bits: int) -> np.ndarray:
-    return normalize_l1_exact(_trig_samples(J, raws), bits)
+def _trig_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
+    return normalize_l1_exact(_trig_samples(J, raws), bits, out=out)
 
 
 def _noise(J: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal(1 << J)
 
 
-def _noise_rows(J: int, raws: list, bits: int) -> np.ndarray:
-    s = np.stack(raws)
-    return normalize_l1_exact(np.abs(s, out=s), bits)
+def _noise_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
+    s = np.stack(raws, out=out)
+    return normalize_l1_exact(s, bits, out=s)  # |noise|, normalized
 
 
 def multi_spike(J: int, k: int, rng: np.random.Generator,
@@ -166,7 +175,7 @@ class Family:
     """One corpus family of dimension `dim`, drawn in blocks.
 
     A function of the family is `dim` factors, each drawn by
-    `factor(J, rng, *args)` and finished by `rows(J, raws, bits)`; a
+    `factor(J, rng, *args)` and finished by `rows(J, raws, bits, out)`; a
     2-d function is the outer product of its two factors, each
     quantized to FACTOR_BITS.  A k-spike family draws k from [2, 16]
     first, passes it to both factors and is tagged -kNN.
@@ -186,15 +195,18 @@ class Family:
             tag, args = f"-k{k:02d}", (k,)
         return tag, [self.factor(J, rng, *args) for _ in range(self.dim)]
 
-    def block(self, J: int, raws: list) -> tuple[np.ndarray, list]:
+    def block(self, J: int, raws: list, out: np.ndarray | None = None
+              ) -> tuple[np.ndarray, list]:
         """Samples of a block of raw draws, shape (B, n) or (B, n, n),
-        and the (B, n) rows of each factor."""
+        and the (B, n) rows of each factor.  The samples go to `out`
+        when given, an array whose last axis is contiguous."""
         bits = FRACT_BITS // self.dim
-        rows = [self.rows(J, list(r), bits) for r in zip(*raws)]
         if self.dim == 1:
+            rows = [self.rows(J, list(r), bits, out) for r in zip(*raws)]
             return rows[0], rows
+        rows = [self.rows(J, list(r), bits) for r in zip(*raws)]
         a, b = rows
-        return a[:, :, None] * b[:, None, :], rows
+        return np.multiply(a[:, :, None], b[:, None, :], out=out), rows
 
     def sample(self, J: int, rng: np.random.Generator) -> tuple[str, GridFunction]:
         """One function, as a block of one: its id tag and the function."""
@@ -206,8 +218,8 @@ class Family:
         return tag, GridFunction(2, J, samples[0], factors=(a, b))
 
 
-def _unit_spike_rows(J: int, raws: list, bits: int) -> np.ndarray:
-    return np.stack([spike(J).samples] * len(raws))
+def _unit_spike_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
+    return np.stack([spike(J).samples] * len(raws), out=out)
 
 
 # the families of each dimension in draw order, name -> Family; the name

@@ -2,12 +2,19 @@
 
 One routine, `stopping_cells`, selects the maximal dyadic cells whose
 average exceeds the stopping height, for a batch of functions and
-several heights per function at once: it builds one level-sum pyramid
-per batch and descends the dyadic tree breadth first, keeping a running
-mask of the cells blocked by a selected ancestor.  `decompose` calls it
-with a batch of one and keeps the bad cells as an int64 array of
-`dyadic` cell rows, (level, index) in dim 1 and (level, i, j) in dim 2,
-the format the exceptional sets and the covering checks read.
+several heights per function at once.  It builds one level-sum pyramid
+per batch and tests only the cells that are over a height: a cell is
+selected at a height when it is over it and no ancestor is.  One dense
+comparison per level, at each row's lowest height, finds the cells
+over some height; each gets a code with one bit per height it is over,
+and its ancestors' codes, gathered from the levels above, say at which
+heights it is blocked.  No mask of blocked cells is carried from level
+to level.  A caller that selects block after block passes flat buffers
+for the level sums and the codes, allocated once.  `decompose` calls
+`stopping_cells` with a batch of one and keeps the bad cells as an
+int64 array of `dyadic` cell rows, (level, index) in dim 1 and
+(level, i, j) in dim 2, the format the exceptional sets and the
+covering checks read.
 
 Selection is exact: whenever the samples are dyadic rationals with at
 most FRACT_BITS fractional bits (the corpus guarantees this for
@@ -26,13 +33,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyadic import union_mask
 from .grid import GridFunction
 
 FRACT_BITS = 24
 # int64 comparison budget: sums * height.denominator and
 # height.numerator * 2**(FRACT_BITS + d*J) must both stay below 2**62
 _DEN_CAP = 1 << 16
+# a cell's code has one bit per height of its row
+MAX_HEIGHTS = 8
 
 
 class HeightTooLowError(ValueError):
@@ -58,47 +66,65 @@ class CZDecomposition:
     def J(self) -> int:
         return self.source.J
 
-    def bad_mask(self) -> np.ndarray:
-        """Boolean mask over finest cells covered by some bad cell."""
-        n = 1 << self.J
-        w = n >> self.bad[:, :1]
-        return union_mask(self.bad[:, 1:] * w, w, n)
 
-
-def exact_units(samples: np.ndarray):
+def exact_units(samples: np.ndarray, out=None, scratch=None):
     """|samples| as int64 at 2**FRACT_BITS, and which rows are exact.
 
     A row is exact when every magnitude is finite, on the grid and below
     2**53 once scaled.  Magnitudes off the grid read rounded to it, and
-    those that are not finite or too large read 0.
+    those that are not finite or too large read 0.  `out` (int64) and
+    `scratch` (float64), C-contiguous and of the samples' shape, are
+    buffers a caller reuses: the units are written to `out`.
     """
-    scaled = np.abs(samples).astype(np.float64, copy=False)
+    if out is not None:
+        out = out.view(np.float64)
+    scaled = np.abs(samples, out=out)
+    if scaled.dtype != np.float64:
+        scaled = scaled.astype(np.float64)
     scaled *= float(1 << FRACT_BITS)
-    rounded = np.rint(scaled)
+    rounded = np.rint(scaled, out=scratch)
+    ok = scaled == rounded
+    rows = ok.reshape(len(samples), -1).all(axis=1)
     # no magnitude is negative; NaN fails both tests, an infinity the
     # size bound
-    ok = scaled == rounded
-    fits = rounded < float(1 << 53)
-    ok &= fits
-    rows = ok.reshape(len(samples), -1).all(axis=1)
-    if not rows.all():
+    if not rounded.max(initial=0) < float(1 << 53):
+        fits = rounded < float(1 << 53)
+        rows &= fits.reshape(len(samples), -1).all(axis=1)
         rounded[~fits] = 0
     units = scaled.view(np.int64)  # the scaled buffer, read no more
     units[...] = rounded
     return units, rows
 
 
-def _level_sums(finest: np.ndarray, J: int, dim: int) -> list[np.ndarray]:
-    """sums[j][b] = per-cell sums of row b's finest samples at level j."""
+def pyramid_cells(J: int, dim: int) -> int:
+    """Cells of one row on levels 0..J together."""
+    return ((1 << (dim * (J + 1))) - 1) // ((1 << dim) - 1)
+
+
+def _levels(flat: np.ndarray, B: int, dim: int, count: int) -> list[np.ndarray]:
+    """Views of `flat` for levels 0..count-1 of B rows, level after
+    level, each shaped (B, 2**j) or (B, 2**j, 2**j)."""
+    views, at = [], 0
+    for j in range(count):
+        size = B << (dim * j)
+        views.append(flat[at:at + size].reshape((B,) + (1 << j,) * dim))
+        at += size
+    return views
+
+
+def _level_sums(finest: np.ndarray, J: int, dim: int, out=None) -> list[np.ndarray]:
+    """sums[j][b] = per-cell sums of row b's finest samples at level j;
+    `out`, when given, holds a view for each level below J."""
     sums = [None] * (J + 1)
     sums[J] = cur = finest
     B = len(finest)
     for j in range(J - 1, -1, -1):
+        dst = None if out is None else out[j]
         if dim == 1:
-            cur = cur[:, 0::2] + cur[:, 1::2]
+            cur = np.add(cur[:, 0::2], cur[:, 1::2], out=dst)
         else:
             m = cur.shape[1] // 2
-            cur = cur.reshape(B, m, 2, m, 2).sum(axis=(2, 4))
+            cur = cur.reshape(B, m, 2, m, 2).sum(axis=(2, 4), out=dst)
         sums[j] = cur
     return sums
 
@@ -128,19 +154,30 @@ def cell_axes(level: np.ndarray, index: np.ndarray, dim: int) -> tuple:
     return (index, *reversed(axes))
 
 
-def stopping_cells(samples: np.ndarray, dim: int, heights, units) -> StoppingCells:
+def ratio(h) -> tuple[int, int]:
+    """(numerator, denominator) of a height in lowest terms."""
+    try:
+        return h.as_integer_ratio()
+    except AttributeError:  # numpy integers
+        return Fraction(h).as_integer_ratio()
+
+
+def stopping_cells(samples: np.ndarray, dim: int, heights, units,
+                   sums: np.ndarray | None = None,
+                   codes: np.ndarray | None = None) -> StoppingCells:
     """Stopping-time selection on |samples| for a batch of functions at
     once.
 
     `samples` has shape (B, n) for dim 1 or (B, n, n) for dim 2;
-    `heights` holds B equal-length sequences of positive heights, one
-    per row; `units` is `exact_units(samples)`.  A row takes the exact
-    integer path when its samples
-    lie on the 2**-FRACT_BITS grid and its heights have denominators of
-    at most _DEN_CAP, else the float path.  Each path builds one
-    level-sum pyramid for its rows and descends it once, selecting at
-    every height together; a running mask blocks the cells below a
-    selected ancestor, so every selected cell is maximal.
+    `heights` holds B equal-length sequences of at most MAX_HEIGHTS
+    positive heights, one per row; `units` is `exact_units(samples)`.
+    `sums` (8-byte items) and `codes` (uint8) are flat buffers a caller
+    reuses, of at least B * pyramid_cells(J - 1, dim) and
+    B * pyramid_cells(J, dim) elements: they hold the level sums below
+    the finest level and the cells' codes.  A row takes the exact integer path when its samples lie on the
+    2**-FRACT_BITS grid and its heights have denominators of at most
+    _DEN_CAP, else the float path.  Each path builds one level-sum
+    pyramid for its rows and selects at every height together.
 
     Raises HeightTooLowError when a row's mean exceeds one of its
     heights, since the root cell would then already be selected and
@@ -148,74 +185,132 @@ def stopping_cells(samples: np.ndarray, dim: int, heights, units) -> StoppingCel
     would leave int64.
     """
     J = samples.shape[1].bit_length() - 1
-    heights = [[Fraction(h) for h in hs] for hs in heights]
+    ratios = [[ratio(h) for h in hs] for hs in heights]
     ints, on_grid = units
     exact = on_grid & np.array(
-        [max(h.denominator for h in hs) <= _DEN_CAP for hs in heights], dtype=bool)
+        [max(d for _, d in hs) <= _DEN_CAP for hs in ratios], dtype=bool)
     parts = []
     for path in (True, False):
         rows = np.flatnonzero(exact == path)
         if rows.size:
             take = slice(None) if rows.size == len(samples) else rows  # a view, no copy
             finest = ints[take] if path else np.abs(samples[take]).astype(np.float64)
-            r, c, lv, ix = _select(finest, [heights[i] for i in rows], dim, J, path)
+            r, c, lv, ix = _select(finest, [ratios[i] for i in rows], dim, J, path,
+                                  sums, codes)
             parts.append((rows[r], c, lv, ix))
+    if len(parts) == 1:  # already in order
+        return StoppingCells(exact, *parts[0])
     row, col, level, index = (np.concatenate(a) for a in zip(*parts))
     order = np.lexsort((index, col, row, level))
     return StoppingCells(exact, row[order], col[order], level[order], index[order])
 
 
-def _select(finest, heights, dim: int, J: int, exact: bool):
-    """(row, col, level, index) of the maximal cells over each height."""
-    sums = _level_sums(finest, J, dim)
-    shape = (len(finest), len(heights[0])) + (1,) * dim
+def _select(finest, ratios, dim: int, J: int, exact: bool, sums=None, codes=None):
+    """(row, col, level, index) of the maximal cells over each height,
+    ordered as `StoppingCells` is; the heights are (numerator,
+    denominator) pairs, and `sums` and `codes` as `stopping_cells` takes
+    them.
+
+    A cell of level j is over height c when its sum exceeds
+    limits[j, row, c].  Level by level, one dense comparison at the
+    row's lowest limit finds the cells over some height; each gets a
+    code with bit c set when it is over height c, kept in place for the
+    levels below to read.  A cell is selected at the heights where its
+    own bit is set and no ancestor's is.  Most cells over a height sit
+    under a parent over the same heights; the rest OR in the codes of
+    their further ancestors, read at (i >> s, j >> s) per axis for an
+    ancestor s levels up.
+    """
+    B, H = len(finest), len(ratios[0])
+    if H > MAX_HEIGHTS:
+        raise ValueError(f"at most {MAX_HEIGHTS} heights per row")
+    level_sums = _level_sums(finest, J, dim, None if sums is None else _levels(
+        sums.view(finest.dtype), B, dim, J))
+    levels = np.arange(J + 1)[:, None, None]
     if exact:
-        num = [h.numerator for hs in heights for h in hs]
-        den = [h.denominator for hs in heights for h in hs]
         # int64 budget: sums * den and num * 2**(FRACT_BITS + dim*(J-j))
-        # must stay below 2**62; a sum that wrapped past 2**63 reads
-        # negative, and the root need not show it
-        top = max(int(s.max(initial=0)) for s in sums)
-        if (max(num).bit_length() + dim * J + FRACT_BITS >= 62
-                or top.bit_length() + max(den).bit_length() >= 62
-                or min(int(s.min(initial=0)) for s in sums) < 0):
+        # must stay below 2**62.  Level sums only grow toward the root,
+        # so when the largest sample times the cell count stays below
+        # 2**62 the roots bound every level; otherwise a sum that
+        # wrapped past 2**63 reads negative, and the root need not show it
+        flat = [x for hs in ratios for pair in hs for x in pair]
+        wide = int(finest.max(initial=0)).bit_length() + dim * J >= 62
+        top = max(int(s.max(initial=0))
+                  for s in (level_sums if wide else level_sums[:1]))
+        if (max(flat[0::2]).bit_length() + dim * J + FRACT_BITS >= 62
+                or top.bit_length() + max(flat[1::2]).bit_length() >= 62
+                or wide and min(int(s.min(initial=0)) for s in level_sums) < 0):
             raise OverflowError("exact comparison budget exceeded")
-        num = np.array(num, dtype=np.int64).reshape(shape)
-        den = np.array(den, dtype=np.int64).reshape(shape)
-
-        def over(sums_j, j):
-            # sum * den > num * n_cell * 2**FRACT_BITS; for an integer sum
-            # that is sum > floor(num * n_cell * 2**FRACT_BITS / den)
-            return sums_j[:, None] > (num << (dim * (J - j) + FRACT_BITS)) // den
+        num, den = np.array(flat, dtype=np.int64).reshape(B, H, 2).transpose(2, 0, 1)
+        # sum * den > num * n_cell * 2**FRACT_BITS; for an integer sum
+        # that is sum > floor(num * n_cell * 2**FRACT_BITS / den)
+        limits = (num << (dim * (J - levels) + FRACT_BITS)) // den
     else:
-        h = np.array([float(h) for hs in heights for h in hs]).reshape(shape)
+        h = np.array([[n / d for n, d in hs] for hs in ratios])
+        limits = h * (1 << (dim * (J - levels))).astype(np.float64)
 
-        def over(sums_j, j):
-            return sums_j[:, None] > h * float(1 << (dim * (J - j)))
-
-    root = over(sums[0], 0)
+    root = level_sums[0].reshape(B, 1) > limits[0]
     if root.any():
-        r, c = np.argwhere(root.reshape(shape[:2]))[0]
-        mean = float(sums[0][r].sum()) / (1 << dim * J)
+        r, c = np.argwhere(root)[0]
+        mean = float(level_sums[0][r].sum()) / (1 << dim * J)
         if exact:
             mean /= 1 << FRACT_BITS
+        n, d = ratios[r][c]
         raise HeightTooLowError(
-            f"mean {mean:.6g} exceeds stopping height {float(heights[r][c]):.6g}")
+            f"mean {mean:.6g} exceeds stopping height {n / d:.6g}")
 
-    empty = np.zeros(0, dtype=np.int64)
-    found = [(empty, empty, empty, empty)]
-    alive = np.ones(shape, dtype=bool)
-    for j in range(1, J + 1):
-        for axis in range(2, 2 + dim):
-            alive = alive.repeat(2, axis=axis)
-        bad = alive & over(sums[j], j)
-        # one flat scan: C order makes the flat index within a row of
-        # level j the cell's index
-        rc, index = np.divmod(np.flatnonzero(bad), 1 << (dim * j))
-        r, c = np.divmod(rc, shape[1])
-        found.append((r, c, np.full(r.size, j, dtype=np.int64), index))
-        alive &= ~bad
-    return (np.concatenate(a) for a in zip(*found))
+    if codes is None:
+        codes = np.empty(B * pyramid_cells(J, dim), dtype=np.uint8)
+    level_codes = _levels(codes, B, dim, J + 1)
+    # where each level starts in `codes`
+    start = np.array([B * pyramid_cells(j - 1, dim) for j in range(J + 1)])
+    lowest = limits.min(axis=2, keepdims=True)
+    keys, values = [], []
+    for j in range(J + 1):
+        # the flat index within level j is row * 2**(dim j) + index
+        cells = level_sums[j].reshape(B, -1)
+        key = np.flatnonzero(np.greater(
+            cells, lowest[j], out=level_codes[j].view(bool).reshape(B, -1)))
+        keys.append(key)
+        values.append(cells.reshape(-1).take(key))
+    level = np.repeat(np.arange(J + 1), [k.size for k in keys])
+    key, value = np.concatenate(keys), np.concatenate(values)
+    row = key >> (dim * level)
+    index = key & ((1 << (dim * level)) - 1)
+    mark = np.zeros(key.size, dtype=np.uint8)
+    for c in range(H):
+        over = value > limits[:, :, c].reshape(-1).take(level * B + row)
+        mark |= over.view(np.uint8) << c
+    codes[start.take(level) + key] = mark
+
+    # the parent's code, then only the cells it leaves a height to
+    axes = cell_axes(level, index, dim)
+    above = codes[start.take(level - 1) + _ancestor(row, axes, 1, level - 1)]
+    keep = np.flatnonzero(mark & ~above)
+    level, row, index, mark, above, *axes = (
+        a.take(keep) for a in (level, row, index, mark, above, *axes))
+    for k in range(1, J - 1):
+        below = slice(np.searchsorted(level, k + 2), None)  # levels past k + 1
+        at = _ancestor(row[below], [x[below] for x in axes], level[below] - k, k)
+        above[below] |= level_codes[k].reshape(-1).take(at)
+    fresh = mark & ~above
+    parts = [np.flatnonzero(fresh & (1 << c)) for c in range(H)]
+    i = np.concatenate(parts)
+    col = np.repeat(np.arange(H), [p.size for p in parts])
+    # each part runs by level, row and index: a stable sort by level,
+    # row and column interleaves them
+    order = np.argsort((level.take(i) * B + row.take(i)) * H + col, kind="stable")
+    i, col = i.take(order), col.take(order)
+    return row.take(i), col, level.take(i), index.take(i)
+
+
+def _ancestor(row, axes, shift, k):
+    """Flat index within level k of the ancestor `shift` levels up of
+    each cell of `row` with per-axis indices `axes`."""
+    at = row
+    for x in axes:
+        at = (at << k) | (x >> shift)
+    return at
 
 
 def decompose(f: GridFunction, lam: float) -> CZDecomposition:

@@ -33,13 +33,6 @@ def forward(f: GridFunction) -> np.ndarray:
     return np.fft.fftshift(np.fft.fftn(f.samples)) / f.n**f.dim
 
 
-def inverse(coeffs: np.ndarray, J: int) -> GridFunction:
-    n = 1 << J
-    if coeffs.shape != (n,):
-        raise ValueError("coefficient shape does not match J")
-    return GridFunction(1, J, np.fft.ifft(np.fft.ifftshift(coeffs)) * n)
-
-
 def modes(f: GridFunction, N: int) -> np.ndarray:
     """Coefficients of the 1-d modes -N..N: entry N + m is mode m.
 
@@ -97,10 +90,8 @@ def valle_poussin(f: GridFunction, N: int) -> GridFunction:
     if 2 * N - 1 > H:
         raise AliasingError(f"band {2 * N - 1} exceeds stored bandwidth {H}")
     c = forward(f) * vp_multiplier(N, centered_modes(f.n))
-    out = inverse(c, f.J)
-    if f.is_real():
-        out = GridFunction(1, f.J, out.samples.real)
-    return out
+    samples = np.fft.ifft(np.fft.ifftshift(c)) * f.n
+    return GridFunction(1, f.J, samples.real if f.is_real() else samples)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,14 @@ in integer arithmetic on the 24-bit sample grid; nothing here trusts a
 float tolerance.
 
 The decomposition battery works on blocks of trials in either
-dimension, BLOCK samples to a block.  Each trial makes its random calls
-in turn, and the float work of the block's functions runs once per
-corpus family.  |samples| goes to integer units once per block: one
-`czd.stopping_cells` call selects the bad cells of the whole block at
-lam and 2 lam from those units, and `czd_block_checks` checks them on
-the whole block from the same units, d-dimensional cells as boxes.
+dimension, BLOCK samples to a block, every block in one `Workspace`
+allocated for the whole run and reused through `out=` arguments, so no
+block pays to fault its arrays in again.  Each trial makes its random
+calls in turn, and the float work of the block's functions runs once
+per corpus family.  |samples| goes to integer units once per block:
+one `czd.stopping_cells` call selects the bad cells of the whole block
+at lam and 2 lam from those units, and `czd_block_checks` checks them
+on the whole block from the same units, d-dimensional cells as boxes.
 The covering battery draws every family of one kind, then checks them
 as one batch of integer arrays.  Neither changes the order of the
 random draws.
@@ -23,8 +25,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,15 +37,22 @@ from .covering import (
     verify_covering,
     verify_covering_cubes,
 )
-from .czd import FRACT_BITS, StoppingCells, cell_axes, exact_units, stopping_cells
+from .czd import (
+    FRACT_BITS,
+    StoppingCells,
+    cell_axes,
+    exact_units,
+    pyramid_cells,
+    ratio,
+    stopping_cells,
+)
 
 # lambda draws live on this grid so the stopping height stays a dyadic
 # rational and every decomposition takes the exact integer path
 _LAM_DEN = 64
 # samples per czd block, one pyramid each: 2**18 >> (d J) trials, at
-# least one.  Peak memory grows with the block: at 1-d J = 12 a suite
-# process peaks near 56 MB with 64 trials per block and near 105 MB
-# with 256.
+# least one.  The workspace takes about 28 bytes a sample, 7 MB at this
+# size: at 1-d J = 12 a suite process peaks near 50 MB.
 BLOCK = 1 << 18
 
 
@@ -73,10 +81,43 @@ def _draw_lam(rng) -> float:
 _FAMILIES = {d: list(fams.values())[1:] for d, fams in corpus.FAMILIES.items()}
 
 
-def _draw_block(rng, J: int, dim: int, start: int, stop: int):
+@dataclass(frozen=True)
+class Workspace:
+    """The block-sized arrays of the decomposition battery, allocated
+    once per suite run and reused through `out=` arguments; `first(b)`
+    views them for a block of b rows, the last one being shorter.
+
+    `scratch` serves one stage after another: the rounding in
+    `exact_units`, then the level sums of the selection."""
+
+    samples: np.ndarray  # float64, (B, n) or (B, n, n)
+    units: np.ndarray  # int64, the samples' shape: |samples| in units
+    scratch: np.ndarray  # flat, 8-byte items, B * n**d of them
+    codes: np.ndarray  # flat uint8: the selection's codes
+    mask: np.ndarray  # (B, n**d) bool: the cover at lam
+    flags: np.ndarray  # (B, n**d) bool scratch
+
+    @classmethod
+    def allocate(cls, rows: int, J: int, dim: int) -> "Workspace":
+        shape = (rows,) + (1 << J,) * dim
+        return cls(
+            samples=np.empty(shape),
+            units=np.empty(shape, dtype=np.int64),
+            scratch=np.empty(rows << (dim * J), dtype=np.int64),
+            codes=np.empty(rows * pyramid_cells(J, dim), dtype=np.uint8),
+            mask=np.empty((rows, 1 << (dim * J)), dtype=bool),
+            flags=np.empty((rows, 1 << (dim * J)), dtype=bool))
+
+    def first(self, b: int) -> "Workspace":
+        return replace(self, samples=self.samples[:b], units=self.units[:b],
+                       mask=self.mask[:b], flags=self.flags[:b])
+
+
+def _draw_block(rng, J: int, dim: int, start: int, stop: int, out=None):
     """Samples and heights of trials start..stop-1, shape (B, n) or
-    (B, n, n).  Each trial draws its function, then its height; the
-    float work then runs once per family, on all of its rows."""
+    (B, n, n), the samples written to `out` when given.  Each trial
+    draws its function, then its height; the float work then runs once
+    per family, on all of its rows."""
     families = _FAMILIES[dim]
     F = len(families)
     raws = [[] for _ in families]
@@ -84,48 +125,44 @@ def _draw_block(rng, J: int, dim: int, start: int, stop: int):
     for t in range(start, stop):
         raws[t % F].append(families[t % F].draw(J, rng)[1])
         lams.append(_draw_lam(rng))
-    samples = np.empty((stop - start,) + (1 << J,) * dim)
+    samples = np.empty((stop - start,) + (1 << J,) * dim) if out is None else out
     for i, family in enumerate(families):
         if raws[i]:
-            samples[(i - start) % F::F] = family.block(J, raws[i])[0]
+            family.block(J, raws[i], out=samples[(i - start) % F::F])
     return samples, lams
 
 
-def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units):
+def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units,
+                     work: Workspace | None = None):
     """Every exact invariant of a block of d-dimensional decompositions.
 
     `samples` holds one function per row, shape (B, n) in dim 1 and
     (B, n, n) in dim 2; `lams` one height per row, `cells` the
-    selection at lam (height column 0) and 2 lam (column 1), and
-    `units` the `czd.exact_units` of the samples.  Returns
-    (check name -> bool per row, bad cells at lam per row).  The checks
-    recompute every cell and parent sum from the 2**d corners of a
-    per-row summed-area table and every covered sample from the cells'
-    corners, so they do not trust the pyramid that selected the cells.
+    selection at lam (height column 0) and 2 lam (column 1), `units`
+    the `czd.exact_units` of the samples, and `work` the block's
+    `Workspace`, a fresh one when not given.  Returns (check name ->
+    bool per row, bad cells at lam per row).  The checks recompute
+    every cell and parent sum from the samples inside it and every
+    covered sample from the cells' corners, so they do not trust the
+    pyramid that selected the cells.
     Raises OverflowError when the exact comparisons would leave int64.
     """
     B, n = samples.shape[:2]
     dim = samples.ndim - 1
     J = n.bit_length() - 1
-    lamF = [Fraction(x) for x in lams]
+    if work is None:
+        work = Workspace.allocate(B, J, dim)
+    num, den = np.array([ratio(x) for x in lams], dtype=object).T
     absu, on_grid = units
     absu = absu.reshape(B, -1)
     # int64 budget: 2**d * lam * n**d * 2**FRACT_BITS and sum|units| * den
-    # must stay below 2**62 (the sum taken in floats, which cannot wrap)
-    if (max(x.numerator for x in lamF).bit_length() + dim * J + FRACT_BITS + 1 >= 62
-            or absu.sum(axis=1, dtype=np.float64).max()
-            * max(x.denominator for x in lamF) >= 2.0**62):
+    # must stay below 2**62 (the sum taken in floats, which cannot wrap,
+    # unless the largest sample bounds it)
+    if (int(num.max()).bit_length() + dim * J + FRACT_BITS + 1 >= 62
+            or int(absu.max(initial=0)) * absu.shape[1] * int(den.max()) >= 1 << 62
+            and absu.sum(axis=1, dtype=np.float64).max() * int(den.max()) >= 2.0**62):
         raise OverflowError("exact comparison budget exceeded")
-    num = np.array([x.numerator for x in lamF], dtype=np.int64)
-    den = np.array([x.denominator for x in lamF], dtype=np.int64)
-    # summed-area table: table[b, x_1, ..., x_d] sums the samples below
-    # the corner (x_1, ..., x_d) of row b
-    table = np.zeros((B,) + (n + 1,) * dim, dtype=np.int64)
-    inner = table[(slice(None),) + (slice(1, None),) * dim]
-    np.cumsum(absu.reshape(inner.shape), axis=1, out=inner)
-    for axis in range(2, dim + 1):
-        np.cumsum(inner, axis=axis, out=inner)
-    table = table.reshape(-1)
+    num, den = num.astype(np.int64), den.astype(np.int64)
     checks = {
         "exact_input": on_grid,
         "exact_path": cells.exact.copy(),
@@ -138,34 +175,27 @@ def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units):
         w = n >> level
         return row, [a * w for a in cell_axes(level, cells.index[sel], dim)], w
 
-    def box_sums(row, corner, w):
-        """Sum of |units| over each box, by inclusion-exclusion over
-        its 2**d corners in the summed-area table."""
-        total = 0
-        for far in itertools.product((False, True), repeat=dim):
-            at = row
-            for x, f in zip(corner, far):
-                at = at * (n + 1) + (x + w if f else x)
-            total = total + (-1) ** (dim - sum(far)) * table[at]
-        return total
-
     def spread(start, w, stride):
         """start + stride * k for k in range(w), for each start."""
         return (np.repeat(start - stride * (np.cumsum(w) - w), w)
                 + stride * np.arange(w.sum()))
 
-    def cover(row, corner, w):
-        """Samples inside some box: each box is w**(d-1) runs of w
-        samples along the last axis, marked from the runs' starts."""
+    def inside(row, corner, w):
+        """Flat indices of the samples inside each box, repeated where
+        boxes overlap: each box is w**(d-1) runs of w samples along the
+        last axis, spread from the runs' starts."""
         start = row
         for x in corner:
             start = start * n + x
         for axis in range(1, dim):
             start = spread(start, w, n ** (dim - axis))
             w = np.repeat(w, w)
-        mask = np.zeros(B * n**dim, dtype=bool)
-        mask[spread(start, w, 1)] = True
-        return mask.reshape(B, -1)
+        return spread(start, w, 1)
+
+    def box_sums(at, w):
+        """Sum of |units| over each box, from the flat indices `inside`
+        gives for the boxes of side w."""
+        return np.add.reduceat(absu.reshape(-1).take(at), np.cumsum(w**dim) - w**dim)
 
     def rows_where_all(row, ok):
         out = np.ones(B, dtype=bool)
@@ -175,11 +205,17 @@ def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units):
     row, corner, w = boxes(0)
     covered = np.zeros(B, dtype=np.int64)
     np.add.at(covered, row, w**dim)
-    mask = cover(row, corner, w)
-    # the cells are disjoint exactly when they cover their total volume
-    checks["disjoint"] = np.count_nonzero(mask, axis=1) == covered
+    bad = inside(row, corner, w)
+    mask = work.mask.reshape(-1)
+    mask.fill(False)
+    mask[bad] = True
+    # the cells are disjoint exactly when they cover their total volume;
+    # the total decides when they do, the slower count per row when not
+    checks["disjoint"] = (
+        np.ones(B, dtype=bool) if np.count_nonzero(mask) == bad.size
+        else np.count_nonzero(work.mask, axis=1) == covered)
 
-    sums = box_sums(row, corner, w)
+    sums = box_sums(bad, w)
     height = num[row] * (w**dim << FRACT_BITS)  # lam * cell volume, scaled
     d = den[row]
     bound = height << dim  # 2**d lam * cell volume = lam * parent volume
@@ -187,48 +223,63 @@ def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units):
         row, (sums * d > height) & (sums * d <= bound))
     # parent average must sit at or below the height, else the stopping
     # time would have selected the parent instead
-    psums = box_sums(row, [x - x % (2 * w) for x in corner], 2 * w)
+    psums = box_sums(inside(row, [x - x % (2 * w) for x in corner], 2 * w), 2 * w)
     checks["parents_not_selected"] = rows_where_all(row, psums * d <= bound)
 
     # |bad set| = covered / n**d <= ||f||_1 / lam
     #           = sum|units| / (n**d 2**FRACT_BITS lam)
     checks["mass_bound"] = covered * (num << FRACT_BITS) <= absu.sum(axis=1) * den
 
-    off_max = np.max(absu, axis=1, where=~mask, initial=0)
-    checks["bounded_off_bad"] = off_max * den <= num << FRACT_BITS
+    # every sample above lam is covered: for integer units, u * den >
+    # num << FRACT_BITS is u > floor((num << FRACT_BITS) / den), and for
+    # flags, above > covered is above and not covered
+    above = np.greater(absu, ((num << FRACT_BITS) // den)[:, None], out=work.flags)
+    checks["bounded_off_bad"] = ~np.greater(above, work.mask, out=above).any(axis=1)
 
-    flat = samples.reshape(B, -1)
-    parts = np.where(mask, 0, flat)  # good part
-    np.add(parts, flat, out=parts, where=mask)  # plus bad part
-    checks["reassembly"] = np.all(parts == flat, axis=1)
+    # good part (zero on the bad set) plus bad part (zero off it) is f:
+    # the sum is f + 0 off the bad set and 0 + f on it, which equals f
+    # for every sample but NaN, whatever the cells
+    checks["reassembly"] = ~np.isnan(samples.reshape(B, -1), out=work.flags).any(axis=1)
 
-    checks["lam_monotone"] = np.all(mask | ~cover(*boxes(1)), axis=1)
+    # every sample covered at 2 lam is covered at lam
+    twice = inside(*boxes(1))
+    checks["lam_monotone"] = rows_where_all(twice >> (dim * J), mask[twice])
     return checks, np.bincount(row, minlength=B)
 
 
-def czd_block_invariants(samples: np.ndarray, lams):
+def czd_block_invariants(samples: np.ndarray, lams, work: Workspace | None = None):
     """Select the bad cells of a block of functions at lam and 2 lam in
     one pass, then run `czd_block_checks` on them; both read one
-    conversion of |samples| to integer units."""
-    units = exact_units(samples)
-    cells = stopping_cells(samples, samples.ndim - 1, [(x, 2 * x) for x in lams], units)
-    return czd_block_checks(samples, lams, cells, units)
+    conversion of |samples| to integer units, and every block-sized
+    array comes from `work`, a fresh `Workspace` when not given."""
+    dim = samples.ndim - 1
+    if work is None:
+        work = Workspace.allocate(len(samples), samples.shape[1].bit_length() - 1, dim)
+    rounding = work.scratch[:samples.size].view(np.float64).reshape(samples.shape)
+    units = exact_units(samples, work.units, rounding)
+    cells = stopping_cells(samples, dim, [(x, 2 * x) for x in lams], units,
+                           work.scratch, work.codes)
+    return czd_block_checks(samples, lams, cells, units, work)
 
 
 def czd_suite(trials: int, J: int = 12, seed: int = 0, dim: int = 1) -> SuiteResult:
     """Randomized decomposition battery: zero failures expected.
 
     Each trial draws a function, then a height; the trials are drawn
-    and run through `czd_block_invariants` in blocks of BLOCK samples.
+    and run through `czd_block_invariants` in blocks of BLOCK samples,
+    every block in one `Workspace` allocated for the run.
     """
     rng = np.random.default_rng(seed)
     failures: dict = {}
     bad_counts = 0
     per_block = max(1, BLOCK >> (dim * J))
+    work = Workspace.allocate(min(per_block, trials), J, dim)
     t0 = time.perf_counter()
     for start in range(0, trials, per_block):
-        samples, lams = _draw_block(rng, J, dim, start, min(start + per_block, trials))
-        checks, n_bad = czd_block_invariants(samples, lams)
+        stop = min(start + per_block, trials)
+        block = work.first(stop - start)
+        samples, lams = _draw_block(rng, J, dim, start, stop, out=block.samples)
+        checks, n_bad = czd_block_invariants(samples, lams, block)
         bad_counts += int(n_bad.sum())
         for name, ok in checks.items():
             count = int(np.count_nonzero(~ok))

@@ -10,12 +10,16 @@ these helpers stay independent of the integer bitmaps in
 runs live here too: disjointness, adjacency and torus distance of
 dyadic intervals and cubes, the chain check behind the vectorized
 exhaustive scan, cell averages, mode-counting energy averages in one
-and two dimensions, and rectangular partial sums with the per-pair 2-d
-moment they give.
+and two dimensions, inverse transforms in both, and rectangular
+partial sums with the per-pair 2-d moment they give.
 `csv_differences` compares a fresh CSV with a committed reference cell
 by cell.  `density_subsequence` is the whole-array density extractor,
 mask included, that the streamed `strongmeans.estimates` version must
 reproduce; `sliced` turns an array into the lattice callable it takes.
+
+`running_mask_cells` is the dense stopping-time selection, a running
+mask of blocked cells carried down the levels, that the mask-free
+`strongmeans.czd.stopping_cells` must reproduce cell for cell.
 
 The batched exact layer has one-at-a-time references here:
 `czd_invariants` and `cube_invariants` run the 1-d and 2-d
@@ -44,12 +48,19 @@ import numpy as np
 
 from strongmeans import spectral
 from strongmeans.covering import NINE_EIGHTHS, _torus_touch
-from strongmeans.czd import FRACT_BITS, decompose
+from strongmeans.czd import (
+    _DEN_CAP,
+    FRACT_BITS,
+    HeightTooLowError,
+    StoppingCells,
+    decompose,
+)
 from strongmeans.dyadic import (
     DEFAULT_J_MAX,
     SUPPORTED_FACTORS,
     InvalidFactorError,
     scale_for,
+    union_mask,
 )
 from strongmeans.estimates import ScheduleInfeasibleError
 from strongmeans.grid import GridFunction
@@ -153,6 +164,13 @@ def as_cubes(family) -> list:
 
 # ---------------------------------------------------------------------------
 # decompositions and exceptional sets
+
+
+def bad_mask(cz) -> np.ndarray:
+    """Boolean mask over the finest cells covered by some bad cell."""
+    n = 1 << cz.J
+    w = n >> cz.bad[:, :1]
+    return union_mask(cz.bad[:, 1:] * w, w, n)
 
 
 def bad_measure(cz) -> Fraction:
@@ -403,6 +421,13 @@ def plancherel_average_rect(f: GridFunction, N: int) -> float:
     return float(w @ (c.real**2 + c.imag**2) @ w / N**2)
 
 
+def inverse(coeffs: np.ndarray, J: int) -> GridFunction:
+    """1-d inverse of `spectral.forward`: centered coefficients to samples."""
+    n = 1 << J
+    assert coeffs.shape == (n,)
+    return GridFunction(1, J, np.fft.ifft(np.fft.ifftshift(coeffs)) * n)
+
+
 def inverse_2d(coeffs: np.ndarray, J: int) -> GridFunction:
     """2-d inverse of `spectral.forward`: centered coefficients to samples."""
     n = 1 << J
@@ -490,6 +515,82 @@ def csv_differences(fresh_text: str, ref_text: str, rtol: float = 1e-12) -> list
 
 
 # ---------------------------------------------------------------------------
+# stopping-time selection with a running mask
+
+
+def running_mask_cells(samples: np.ndarray, dim: int, heights, units) -> StoppingCells:
+    """`strongmeans.czd.stopping_cells` by a dense descent: at every
+    level a running mask, copied up one level with `repeat` along each
+    axis, blocks the cells below a selected ancestor.  Same paths, same
+    order, same HeightTooLowError; no int64 budget check."""
+    J = samples.shape[1].bit_length() - 1
+    heights = [[Fraction(h) for h in hs] for hs in heights]
+    ints, on_grid = units
+    exact = on_grid & np.array(
+        [max(h.denominator for h in hs) <= _DEN_CAP for hs in heights], dtype=bool)
+    parts = []
+    for path in (True, False):
+        rows = np.flatnonzero(exact == path)
+        if rows.size:
+            finest = ints[rows] if path else np.abs(samples[rows]).astype(np.float64)
+            r, c, lv, ix = _running_mask_select(
+                finest, [heights[i] for i in rows], dim, J, path)
+            parts.append((rows[r], c, lv, ix))
+    row, col, level, index = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((index, col, row, level))
+    return StoppingCells(exact, row[order], col[order], level[order], index[order])
+
+
+def _running_mask_select(finest, heights, dim: int, J: int, exact: bool):
+    sums = [None] * (J + 1)
+    sums[J] = cur = finest
+    B = len(finest)
+    for j in range(J - 1, -1, -1):
+        if dim == 1:
+            cur = cur[:, 0::2] + cur[:, 1::2]
+        else:
+            m = cur.shape[1] // 2
+            cur = cur.reshape(B, m, 2, m, 2).sum(axis=(2, 4))
+        sums[j] = cur
+    shape = (B, len(heights[0])) + (1,) * dim
+    if exact:
+        num = np.array([h.numerator for hs in heights for h in hs],
+                       dtype=np.int64).reshape(shape)
+        den = np.array([h.denominator for hs in heights for h in hs],
+                       dtype=np.int64).reshape(shape)
+
+        def over(sums_j, j):
+            return sums_j[:, None] > (num << (dim * (J - j) + FRACT_BITS)) // den
+    else:
+        h = np.array([float(h) for hs in heights for h in hs]).reshape(shape)
+
+        def over(sums_j, j):
+            return sums_j[:, None] > h * float(1 << (dim * (J - j)))
+
+    root = over(sums[0], 0)
+    if root.any():
+        r, c = np.argwhere(root.reshape(shape[:2]))[0]
+        mean = float(sums[0][r].sum()) / (1 << dim * J)
+        if exact:
+            mean /= 1 << FRACT_BITS
+        raise HeightTooLowError(
+            f"mean {mean:.6g} exceeds stopping height {float(heights[r][c]):.6g}")
+
+    empty = np.zeros(0, dtype=np.int64)
+    found = [(empty, empty, empty, empty)]
+    alive = np.ones(shape, dtype=bool)
+    for j in range(1, J + 1):
+        for axis in range(2, 2 + dim):
+            alive = alive.repeat(2, axis=axis)
+        bad = alive & over(sums[j], j)
+        rc, index = np.divmod(np.flatnonzero(bad), 1 << (dim * j))
+        r, c = np.divmod(rc, shape[1])
+        found.append((r, c, np.full(r.size, j, dtype=np.int64), index))
+        alive &= ~bad
+    return (np.concatenate(a) for a in zip(*found))
+
+
+# ---------------------------------------------------------------------------
 # stopping-time battery
 
 
@@ -540,14 +641,14 @@ def czd_invariants(f, lam: float) -> tuple[dict, int]:
     l1 = Fraction(int(np.abs(units).sum()), n << FRACT_BITS)
     checks["mass_bound"] = total <= l1 / lamF
 
-    mask = cz.bad_mask()
+    mask = bad_mask(cz)
     lam_units = Fraction(num << FRACT_BITS, den)
     off = np.abs(units[~mask])
     checks["bounded_off_bad"] = off.size == 0 or Fraction(int(off.max())) <= lam_units
 
     checks["reassembly"] = reassembles(f.samples, mask)
 
-    mask2 = decompose(f, 2 * lam).bad_mask()
+    mask2 = bad_mask(decompose(f, 2 * lam))
     checks["lam_monotone"] = bool(np.all(mask | ~mask2))
     return checks, len(cz.bad)
 
@@ -610,14 +711,14 @@ def cube_invariants(f, lam: float) -> tuple[dict, int]:
     l1 = Fraction(int(absu.sum()), (n * n) << FRACT_BITS)
     checks["mass_bound"] = total <= l1 / lamF
 
-    mask = cz.bad_mask()
+    mask = bad_mask(cz)
     lam_units = Fraction(num << FRACT_BITS, den)
     off = absu[~mask]
     checks["bounded_off_bad"] = off.size == 0 or Fraction(int(off.max())) <= lam_units
 
     checks["reassembly"] = reassembles(f.samples, mask)
 
-    mask2 = decompose(f, 2 * lam).bad_mask()
+    mask2 = bad_mask(decompose(f, 2 * lam))
     checks["lam_monotone"] = bool(np.all(mask | ~mask2))
     return checks, len(cz.bad)
 

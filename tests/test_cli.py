@@ -84,8 +84,42 @@ def test_config_decay_schedule_tighter_by_one_octave():
      "options": {"trials_1d": 1}},
 ], ids=["czd_suite", "covering_suite"])
 def test_config_suites_read_no_schedule_band(raw):
-    # the suites never read a schedule, so no bandwidth bounds it
-    ExperimentConfig.from_dict(raw)
+    # the suites never read a schedule, so no bandwidth bounds it: one
+    # past the band is refused as unread, and so is covering_suite's J
+    with pytest.raises(ConfigError, match=r"unread config fields \[.*'schedule'\]"):
+        ExperimentConfig.from_dict(raw)
+    ExperimentConfig.from_dict({k: v for k, v in raw.items() if k != "schedule"
+                                and (k != "J" or raw["experiment"] == "czd_suite")})
+
+
+@pytest.mark.parametrize("experiment,field,value", [
+    ("averaged_moment", "s_values", [1.5]),
+    ("density", "lams", [3.0]),
+    ("czd_suite", "schedule", [32, 64]),
+], ids=["s_values-averaged_moment", "lams-density", "schedule-czd_suite"])
+def test_unread_config_field_exit_2(tmp_path, capsys, experiment, field, value):
+    """A field the experiment never reads would only move config_hash:
+    set away from its default it is refused, as an unknown option is."""
+    raw = {"experiment": experiment, "seed": 1, field: value}
+    with pytest.raises(ConfigError, match=f"{experiment}: unread config fields"
+                       f" \\['{field}'\\]"):
+        ExperimentConfig.from_dict(raw)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert f"invalid config: {experiment}: unread config fields ['{field}']" in \
+        capsys.readouterr().err
+    # at its default the field changes nothing, config_hash included
+    default = getattr(ExperimentConfig(experiment, 1), field)
+    assert (ExperimentConfig.from_dict({**raw, field: default}).config_hash
+            == ExperimentConfig.from_dict({"experiment": experiment, "seed": 1}).config_hash)
+
+
+def test_committed_configs_keep_their_hashes():
+    for path in sorted((ROOT / "configs").glob("*.json")):
+        cfg = ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        summary = ROOT / "out" / f"{cfg.output or cfg.experiment}.summary.json"
+        assert cfg.config_hash == json.loads(summary.read_text())["config_hash"], path
 
 
 def test_config_hash_stable_and_sensitive():
@@ -464,7 +498,8 @@ def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
     def bad_value(*args, **kwargs):
         raise ValueError("no such order")
 
-    cfg = write_config(tmp_path, experiment="czd_suite", options={"trials": 1})
+    cfg = write_config(tmp_path, experiment="czd_suite", lams=[8.0], schedule=None,
+                       corpus={}, options={"trials": 1})
     run = ["run", str(cfg), "--out", str(tmp_path / "o"),
            "--baselines", str(tmp_path / "bl")]
     monkeypatch.setitem(cli.EXPERIMENTS, "czd_suite",

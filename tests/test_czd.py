@@ -14,10 +14,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from strongmeans.czd import CZDecomposition, HeightTooLowError, decompose
+from strongmeans.czd import (
+    CZDecomposition,
+    HeightTooLowError,
+    decompose,
+    exact_units,
+    pyramid_cells,
+    stopping_cells,
+)
 from strongmeans.grid import GridFunction, tensor
 
-from oracles import bad_measure, cell_average, constant
+from oracles import bad_mask, bad_measure, cell_average, constant, running_mask_cells
 
 
 # --------------------------------------------------------------- oracle
@@ -112,7 +119,7 @@ def test_constant_function_no_bad_cells():
     cz = decompose(constant(1.0, 10), 2.0)
     assert cz.bad.shape == (0, 2) and cz.bad.dtype == np.int64
     assert bad_measure(cz) == 0
-    assert not cz.bad_mask().any()
+    assert not bad_mask(cz).any()
 
 
 def test_root_average_above_height_rejected():
@@ -164,7 +171,7 @@ def check_invariants_1d(f, cz: CZDecomposition):
     assert bad_measure(cz) <= l1 / h
     # |f| bounded off the bad set
     if len(cz.bad) < (1 << cz.J):
-        off = np.abs(f.samples[~cz.bad_mask()])
+        off = np.abs(f.samples[~bad_mask(cz)])
         assert np.all(off <= float(h))
 
 
@@ -253,3 +260,82 @@ def test_float_path_used_for_non_dyadic_samples():
     cz = decompose(f, 4.0)
     assert not cz.exact
     assert len(cz.bad) >= 1
+
+
+# --------------------------------------------------------------- batches
+
+def selection_batch(rng, dim: int, J: int, exact: bool, B: int = 24):
+    """B rows of mean-one spiky samples with two heights each: on the
+    24-bit grid with dyadic heights for the exact path, off it with
+    heights like 1.7 for the float path.  Every fourth row's heights
+    come in decreasing order, and every fifth row's second height is
+    above its largest sample, so it selects nothing."""
+    x = rng.exponential(1.0, (B,) + (1 << J,) * dim) ** 4
+    x /= x.reshape(B, -1).mean(axis=1).reshape((B,) + (1,) * dim)
+    if exact:
+        x = np.rint(x * 2.0**20) / 2.0**20
+    heights = []
+    for b in range(B):
+        lam = float(rng.integers(9, 200)) / 8 if exact else rng.uniform(1.1, 25.0)
+        pair = [lam, 2 * lam]
+        if b % 5 == 0:
+            pair[1] = float(np.ceil(2 * x[b].max())) + 1
+        heights.append(pair[::-1] if b % 4 == 0 else pair)
+    return x, heights
+
+
+def same_cells(got, want):
+    for name in ("exact", "row", "col", "level", "index"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
+@pytest.mark.parametrize("dim,J", [(1, 9), (2, 5)], ids=["1d", "2d"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_selection_matches_running_mask_oracle(dim, J, exact):
+    rng = np.random.default_rng(40 + 2 * dim + exact)
+    for _ in range(3):
+        x, heights = selection_batch(rng, dim, J, exact)
+        units = exact_units(x)
+        got = stopping_cells(x, dim, heights, units)
+        assert got.exact.all() if exact else not got.exact.any()
+        same_cells(got, running_mask_cells(x, dim, heights, units))
+        # rows where the second height selects nothing
+        empty = [b for b, hs in enumerate(heights) if hs[1] > 2 * x[b].max()]
+        assert empty and not np.isin(got.row[got.col == 1], empty).any()
+        assert np.isin(empty, got.row[got.col == 0]).all()
+
+
+@pytest.mark.parametrize("dim,J", [(1, 9), (2, 5)], ids=["1d", "2d"])
+def test_selection_mixes_paths_and_reuses_buffers(dim, J):
+    """Exact and float rows in one batch, through buffers sized for a
+    larger batch and reused from call to call, match the oracle."""
+    rng = np.random.default_rng(7 + dim)
+    sums = np.empty(40 * pyramid_cells(J - 1, dim), dtype=np.int64)
+    codes = np.empty(40 * pyramid_cells(J, dim), dtype=np.uint8)
+    for B in (40, 17):
+        x, heights = selection_batch(rng, dim, J, True, B)
+        y, float_heights = selection_batch(rng, dim, J, False, B)
+        x[1::2], heights[1::2] = y[1::2], float_heights[1::2]
+        units = exact_units(x)
+        got = stopping_cells(x, dim, heights, units, sums, codes)
+        assert got.exact.tolist() == [b % 2 == 0 for b in range(B)]
+        same_cells(got, running_mask_cells(x, dim, heights, units))
+
+
+def test_batch_height_below_a_row_mean_refused():
+    rng = np.random.default_rng(3)
+    x, heights = selection_batch(rng, 1, 8, True, 6)
+    heights[4] = [8.0, 0.5]  # every row has mean one
+    units = exact_units(x)
+    for select in (stopping_cells, running_mask_cells):
+        with pytest.raises(HeightTooLowError, match="exceeds stopping height 0.5"):
+            select(x, 1, heights, units)
+
+
+def test_at_most_eight_heights_per_row():
+    x = np.ones((1, 16))
+    units = exact_units(x)
+    assert stopping_cells(x, 1, [[2.0] * 8], units).row.size == 0
+    with pytest.raises(ValueError):
+        stopping_cells(x, 1, [[2.0] * 9], units)

@@ -105,3 +105,19 @@ def test_bench_files_share_one_layout():
         for w in workloads:
             assert set(data["end_to_end"][w]["metrics"]) == metrics, (path.name, w)
             assert isinstance(data["per_layer"][w]["absent"], dict)
+
+
+def test_bench_pairs_compares_sides():
+    pairs = load(ROOT / "scripts" / "bench_pairs.py")
+    parent = [10.0, 11.0, 12.0, 10.5, 11.5]
+    change = [8.0, 8.5, 12.5, 8.2, 8.1]
+    out = pairs.compare(parent, change, "lower")
+    assert out["wins"] == 4 and out["pairs"] == 5
+    assert out["parent"]["median"] == 11.0 and out["change"]["median"] == 8.2
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    assert (out["parent"]["q1"], out["parent"]["q3"]) == (q1, q3)
+    assert out["beyond_spread"] and out["better"]
+    # a gap within the parent's spread, and the direction of "higher"
+    same = pairs.compare(parent, [x + 0.1 for x in parent], "higher")
+    assert same["wins"] == 5 and not same["beyond_spread"] and same["better"]
+    assert not pairs.compare(parent, change, "higher")["better"]

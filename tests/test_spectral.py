@@ -18,7 +18,6 @@ from strongmeans.spectral import (
     centered_modes,
     convolve,
     forward,
-    inverse,
     kernel_samples,
     modes,
     partial_sum,
@@ -30,6 +29,7 @@ from strongmeans.spectral import (
 from oracles import (
     constant,
     exponential,
+    inverse,
     inverse_2d,
     partial_sum_rect,
     plancherel_average,

@@ -8,6 +8,7 @@ also checked against the scalar `czd_invariants` (1-d) and
 count, and its block draws against the one-at-a-time `trial_samples`.
 """
 
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 
@@ -134,6 +135,78 @@ def test_block_checks_flag_corrupted_bad_cell():
         assert not checks["bounded_off_bad"][3], dim
         assert n_bad[3] == counts[3] - 1
         assert all(v[others].all() for v in checks.values()), dim
+
+
+def test_block_checks_flag_each_corruption():
+    """One corrupted decomposition for each check the clean batteries
+    never fail, all on row r, the first row with cells at 2 lam; every
+    other row stays clean."""
+    for dim, J in ((1, 9), (2, 6)):
+        rng = np.random.default_rng(7)
+        samples = np.stack([draw_function(rng, J, t, dim).samples for t in range(6)])
+        lams = [4.0] * 6
+        units = exact_units(samples)
+        cells = stopping_cells(samples, dim, [(4, 8)] * 6, units)
+        r = cells.row[cells.col == 1][0]
+        others = np.arange(6) != r
+        n = 1 << J
+
+        def flags(names, cells, samples=samples, lams=lams):
+            """Run the checks on a corrupted row r: each named check
+            fails there, and every other row passes them all."""
+            checks, _ = czd_block_checks(samples, lams, cells, exact_units(samples))
+            for name in names:
+                assert not checks[name][r], (dim, name)
+            assert all(v[others].all() for v in checks.values()), dim
+            return checks
+
+        def entries(keep, **extra):
+            """`cells` restricted to `keep`, then the entries in `extra`."""
+            fields = {f: getattr(cells, f)[keep] for f in ("row", "col", "level", "index")}
+            return replace(cells, **{f: np.concatenate((v, extra.get(f, [])))
+                                     .astype(np.int64) for f, v in fields.items()})
+
+        mine = (cells.row == r) & (cells.col == 0)
+        k = np.flatnonzero(mine & (cells.level < J))[0]
+        everything = np.ones(len(cells.row), dtype=bool)
+
+        # a bad cell listed twice
+        flags(["disjoint"], entries(everything, row=[r], col=[0],
+                                    level=[cells.level[k]], index=[cells.index[k]]))
+
+        # a bad cell replaced by its heaviest child, whose parent, the
+        # cell itself, has an average in (lam, 2**d lam]
+        level = cells.level[k] + 1
+        kids = [[2 * a + b for b in (0, 1)] for a in cell_axes(cells.level[k], cells.index[k], dim)]
+        w = n >> level
+        heaviest = max(itertools.product(*kids), key=lambda ax: np.abs(
+            samples[r][tuple(slice(a * w, (a + 1) * w) for a in ax)]).sum())
+        index = heaviest[0] if dim == 1 else (heaviest[0] << level) + heaviest[1]
+        flags(["parents_not_selected"], entries(
+            everything != (np.arange(len(cells.row)) == k),
+            row=[r], col=[0], level=[level], index=[index]))
+
+        # at lam = 3/2 the bad cells of row r replaced by the level-1
+        # cells, which cover the whole torus: twice the measure that
+        # ||f||_1 / lam = 2/3 allows, and less than 2 ||f||_1 / lam
+        quarters = 1 << dim
+        flags(["mass_bound"], entries(~mine, row=[r] * quarters, col=[0] * quarters,
+                                      level=[1] * quarters, index=range(quarters)),
+              lams=[1.5 if b == r else 4.0 for b in range(6)])
+
+        # a NaN sample: the good and bad parts no longer add up to f
+        spoiled = samples.copy()
+        spoiled[r].flat[5] = np.nan
+        spoiled_cells = stopping_cells(spoiled, dim, [(4, 8)] * 6, exact_units(spoiled))
+        flags(["reassembly", "exact_input"], spoiled_cells, samples=spoiled)
+
+        # the bad cell over a cell selected at 2 lam dropped
+        twice = np.flatnonzero((cells.row == r) & (cells.col == 1))[0]
+        at = [a >> (cells.level[twice] - cells.level[mine])
+              for a in cell_axes(cells.level[twice], cells.index[twice], dim)]
+        over = np.flatnonzero(mine)[np.all([a == b for a, b in zip(at, cell_axes(
+            cells.level[mine], cells.index[mine], dim))], axis=0)]
+        flags(["lam_monotone"], entries(np.arange(len(cells.row)) != over[0]))
 
 
 def test_block_checks_read_the_magnitude_of_complex_rows():
