@@ -76,11 +76,8 @@ def exact_units(samples: np.ndarray, out=None, scratch=None):
     `scratch` (float64), C-contiguous and of the samples' shape, are
     buffers a caller reuses: the units are written to `out`.
     """
-    if out is not None:
-        out = out.view(np.float64)
-    scaled = np.abs(samples, out=out)
-    if scaled.dtype != np.float64:
-        scaled = scaled.astype(np.float64)
+    scaled = np.abs(samples, out=None if out is None else out.view(np.float64))
+    scaled = scaled.astype(np.float64, copy=False)
     scaled *= float(1 << FRACT_BITS)
     rounded = np.rint(scaled, out=scratch)
     ok = scaled == rounded

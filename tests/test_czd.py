@@ -5,7 +5,9 @@ Fraction arithmetic, independent of the library's vectorized level
 sweep over int64 sums.  The bad cells are compared as rows: the
 decomposition keeps them as an int64 array of (level, index) or
 (level, i, j) rows ordered by level, then index, and the oracle's
-cells, sorted, must equal it row for row.
+cells, sorted, must equal it row for row.  Batches of functions with
+two heights each, on both arithmetic paths, must match the dense
+running-mask selection of oracles.py cell for cell.
 """
 
 from fractions import Fraction

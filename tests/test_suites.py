@@ -158,7 +158,6 @@ def test_block_checks_flag_each_corruption():
             for name in names:
                 assert not checks[name][r], (dim, name)
             assert all(v[others].all() for v in checks.values()), dim
-            return checks
 
         def entries(keep, **extra):
             """`cells` restricted to `keep`, then the entries in `extra`."""
@@ -168,10 +167,10 @@ def test_block_checks_flag_each_corruption():
 
         mine = (cells.row == r) & (cells.col == 0)
         k = np.flatnonzero(mine & (cells.level < J))[0]
-        everything = np.ones(len(cells.row), dtype=bool)
+        entry = np.arange(len(cells.row))
 
         # a bad cell listed twice
-        flags(["disjoint"], entries(everything, row=[r], col=[0],
+        flags(["disjoint"], entries(entry >= 0, row=[r], col=[0],
                                     level=[cells.level[k]], index=[cells.index[k]]))
 
         # a bad cell replaced by its heaviest child, whose parent, the
@@ -183,12 +182,11 @@ def test_block_checks_flag_each_corruption():
             samples[r][tuple(slice(a * w, (a + 1) * w) for a in ax)]).sum())
         index = heaviest[0] if dim == 1 else (heaviest[0] << level) + heaviest[1]
         flags(["parents_not_selected"], entries(
-            everything != (np.arange(len(cells.row)) == k),
-            row=[r], col=[0], level=[level], index=[index]))
+            entry != k, row=[r], col=[0], level=[level], index=[index]))
 
         # at lam = 3/2 the bad cells of row r replaced by the level-1
-        # cells, which cover the whole torus: twice the measure that
-        # ||f||_1 / lam = 2/3 allows, and less than 2 ||f||_1 / lam
+        # cells, which cover the whole torus: measure 1, over the 2/3
+        # that ||f||_1 / lam allows and under twice that
         quarters = 1 << dim
         flags(["mass_bound"], entries(~mine, row=[r] * quarters, col=[0] * quarters,
                                       level=[1] * quarters, index=range(quarters)),
@@ -206,7 +204,19 @@ def test_block_checks_flag_each_corruption():
               for a in cell_axes(cells.level[twice], cells.index[twice], dim)]
         over = np.flatnonzero(mine)[np.all([a == b for a, b in zip(at, cell_axes(
             cells.level[mine], cells.index[mine], dim))], axis=0)]
-        flags(["lam_monotone"], entries(np.arange(len(cells.row)) != over[0]))
+        flags(["lam_monotone"], entries(entry != over[0]))
+
+
+def test_block_checks_take_the_row_sums_past_the_largest_sample_bound():
+    """One spike of 2**44 units in 4096 samples, at a height with
+    denominator 64: n times the largest sample times the denominator
+    reaches 2**62, so the int64 budget reads the row sums, which fit."""
+    f = np.zeros(4096)
+    f[7] = 2.0**20
+    checks, n_bad = czd_block_invariants(f[None], [16449 / 64])
+    assert all(v[0] for v in checks.values()), checks
+    want, count = czd_invariants(GridFunction(1, 12, f), 16449 / 64)
+    assert all(want.values()) and n_bad[0] == count > 0
 
 
 def test_block_checks_read_the_magnitude_of_complex_rows():
