@@ -4,10 +4,10 @@
     python3 scripts/bench_pairs.py HEAD~1 --workload exact_and_small --pairs 10
 
 The parent revision is checked out in a temporary `git worktree`, and
-each tree runs its own `perfbench/run.py` (so its own `src/`).  Pair k
-runs both trees with `--seed first + k`, the parent first in even pairs
-and the checkout first in odd ones, so drift on the machine falls on
-both sides alike.  For every end-to-end metric of BENCHMARK.json it
+each tree runs its own `perfbench/run.py` (so its own `src/`) for
+BENCHMARK.json's `run_seconds`.  Pair k (k = 1..pairs) runs both trees
+with `--seed k`, the parent first in odd pairs and the checkout first
+in even ones, so drift on the machine falls on both sides alike.  For every end-to-end metric of BENCHMARK.json it
 reports both sides' medians and quartiles, the pairs the checkout wins,
 and whether the gap between the medians exceeds the parent's quartile
 spread (q3 - q1).  The worktree is removed at the end.  The last line
@@ -24,18 +24,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_record import result_lines, spread  # noqa: E402
-
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced run of `tree`'s benchmark."""
-    cmd = [sys.executable, str(tree / "perfbench" / "run.py"),
-           "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    return result_lines(proc.stdout)[1]
+from bench_record import ROOT, perfbench, spread  # noqa: E402
 
 
 def compare(parent: list, change: list, better: str) -> dict:
@@ -52,15 +41,15 @@ def compare(parent: list, change: list, better: str) -> dict:
             "better": sign * gap > 0}
 
 
-def pairs(parent_tree: Path, workload: str, count: int, first: int,
-          seconds: float) -> dict:
+def pairs(parent_tree: Path, workload: str, count: int) -> dict:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = bench["run_seconds"]
     runs = {"parent": [], "change": []}
-    for k in range(count):
+    for seed in range(1, count + 1):
         order = [("parent", parent_tree), ("change", ROOT)]
-        for side, tree in order if k % 2 == 0 else order[::-1]:
-            runs[side].append(perfbench(tree, workload, first + k, seconds))
-        print(f"pair {k + 1}/{count} seed {first + k}: wall_s parent "
+        for side, tree in order if seed % 2 else order[::-1]:
+            runs[side].append(perfbench(workload, seed, seconds, 0, tree)[1])
+        print(f"pair {seed}/{count}: wall_s parent "
               f"{runs['parent'][-1]['metrics']['wall_s']['value']:.3f} change "
               f"{runs['change'][-1]['metrics']['wall_s']['value']:.3f}",
               file=sys.stderr)
@@ -70,7 +59,7 @@ def pairs(parent_tree: Path, workload: str, count: int, first: int,
                   for side, rs in runs.items()}
         metrics[m["name"]] = compare(values["parent"], values["change"], m["better"])
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
-    return {"workload": workload, "seeds": [first, first + count - 1],
+    return {"workload": workload, "seeds": [1, count],
             "run_seconds": seconds, "failed": failed, "metrics": metrics}
 
 
@@ -79,12 +68,7 @@ def main() -> int:
     ap.add_argument("parent", help="git revision of the parent tree")
     ap.add_argument("--workload", default="exact_and_small")
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="perfbench --seconds (default: BENCHMARK.json run_seconds)")
     args = ap.parse_args()
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
     rev = subprocess.run(["git", "rev-parse", "--verify", args.parent + "^{commit}"],
                          cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
@@ -92,7 +76,7 @@ def main() -> int:
         subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev],
                        cwd=ROOT, capture_output=True, check=True)
         try:
-            report = pairs(tree, args.workload, args.pairs, args.first_seed, seconds)
+            report = pairs(tree, args.workload, args.pairs)
         finally:
             subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
                            cwd=ROOT, capture_output=True)

@@ -82,11 +82,13 @@ def git_revision() -> str:
     return rev + ("-dirty" if dirty else "") if rev else "unknown"
 
 
-def perfbench(workload: str, seed: int, seconds: float, trace: int):
-    cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"),
+def perfbench(workload: str, seed: int, seconds: float, trace: int,
+              tree: Path = ROOT):
+    """The last two JSON lines of one run of `tree`'s perfbench."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     return result_lines(proc.stdout)
 
 

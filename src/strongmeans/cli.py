@@ -198,10 +198,13 @@ class ExperimentConfig:
         if exp.check is not None:
             exp.check(self)
         # a field set away from its default that the run never reads
-        # would only move config_hash
+        # would only move config_hash, so it is compared as hashed: in
+        # JSON, where 8 and 8.0 differ
         defaults = ExperimentConfig(self.experiment, self.seed).canonical()
         unread = sorted(k for k, v in self.canonical().items()
-                        if k not in COMMON_FIELDS + exp.reads and v != defaults[k])
+                        if k not in COMMON_FIELDS + exp.reads
+                        and json.dumps(v, sort_keys=True)
+                        != json.dumps(defaults[k], sort_keys=True))
         if unread:
             raise ConfigError(f"{name}: unread config fields {unread}; it reads"
                               f" {sorted(exp.reads)} besides {list(COMMON_FIELDS)}")

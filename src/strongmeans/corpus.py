@@ -37,9 +37,9 @@ def normalize_l1_exact(samples: np.ndarray, bits: int = FRACT_BITS,
     The rounding deficit (at most half a unit per sample) is dumped on
     the row's largest-magnitude sample, which keeps the perturbation
     relative size O(n * 2**-bits / max).  The result goes to `out` when
-    given, a float array whose rows are contiguous.  With `out` the
-    samples themselves, the magnitudes replace them first, so the
-    result is that of |samples|.
+    given, a float array whose rows are contiguous; it may be the
+    samples themselves only when they are nonnegative, since their
+    signs are read last.
     """
     u = np.abs(samples, out=out).astype(float, copy=False)
     total = u.sum(axis=-1, keepdims=True)
@@ -57,8 +57,6 @@ def normalize_l1_exact(samples: np.ndarray, bits: int = FRACT_BITS,
         raise ValueError("quantization deficit exceeds the largest sample")
     np.put_along_axis(u, k, top, axis=-1)
     np.multiply(u, 1.0 / scale, out=u)
-    if u is samples:  # in place, the samples' signs are already gone
-        return u
     return np.copysign(u, samples, out=u)
 
 
@@ -87,7 +85,7 @@ def _spike_heights(J: int, rng: np.random.Generator, k: int) -> np.ndarray:
 
 
 def _spike_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
-    s = np.stack(raws, out=out)
+    s = np.stack(raws, out=out)  # heights are positive
     return normalize_l1_exact(s, bits, out=s)
 
 
@@ -104,8 +102,7 @@ def _trig_coeffs(J: int, rng: np.random.Generator, degree: int | None = None):
 
 def _trig_samples(J: int, raws: list) -> np.ndarray:
     """The real trigonometric polynomials of a block of coefficient draws,
-    by one inverse FFT over the rows, in place; mode m is scaled by
-    m**-1/2."""
+    by one inverse FFT over the rows; mode m is scaled by m**-1/2."""
     n = 1 << J
     re, im = np.array([r[0] for r in raws]), np.array([r[1] for r in raws])
     D = re.shape[1]
@@ -117,7 +114,7 @@ def _trig_samples(J: int, raws: list) -> np.ndarray:
     coeffs[:, 0] = [r[2] for r in raws]
     coeffs[:, 1:D + 1] = (re + 1j * im) / 2
     coeffs[:, n - 1:n - D - 1:-1] = (re - 1j * im) / 2
-    return np.fft.ifft(coeffs, axis=-1, out=coeffs).real * n
+    return np.fft.ifft(coeffs, axis=-1).real * n
 
 
 def _trig_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
@@ -130,7 +127,7 @@ def _noise(J: int, rng: np.random.Generator) -> np.ndarray:
 
 def _noise_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
     s = np.stack(raws, out=out)
-    return normalize_l1_exact(s, bits, out=s)  # |noise|, normalized
+    return normalize_l1_exact(np.abs(s, out=s), bits, out=s)
 
 
 def multi_spike(J: int, k: int, rng: np.random.Generator,

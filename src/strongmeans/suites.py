@@ -133,14 +133,14 @@ def _draw_block(rng, J: int, dim: int, start: int, stop: int, out=None):
 
 
 def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units,
-                     work: Workspace | None = None):
+                     work: Workspace):
     """Every exact invariant of a block of d-dimensional decompositions.
 
     `samples` holds one function per row, shape (B, n) in dim 1 and
     (B, n, n) in dim 2; `lams` one height per row, `cells` the
     selection at lam (height column 0) and 2 lam (column 1), `units`
-    the `czd.exact_units` of the samples, and `work` the block's
-    `Workspace`, a fresh one when not given.  Returns (check name ->
+    the `czd.exact_units` of the samples, and `work` a `Workspace` of
+    the block's rows.  Returns (check name ->
     bool per row, bad cells at lam per row).  The checks recompute
     every cell and parent sum from the samples inside it and every
     covered sample from the cells' corners, so they do not trust the
@@ -150,8 +150,6 @@ def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units,
     B, n = samples.shape[:2]
     dim = samples.ndim - 1
     J = n.bit_length() - 1
-    if work is None:
-        work = Workspace.allocate(B, J, dim)
     num, den = np.array([ratio(x) for x in lams], dtype=object).T
     absu, on_grid = units
     absu = absu.reshape(B, -1)
@@ -247,14 +245,12 @@ def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units,
     return checks, np.bincount(row, minlength=B)
 
 
-def czd_block_invariants(samples: np.ndarray, lams, work: Workspace | None = None):
+def czd_block_invariants(samples: np.ndarray, lams, work: Workspace):
     """Select the bad cells of a block of functions at lam and 2 lam in
     one pass, then run `czd_block_checks` on them; both read one
     conversion of |samples| to integer units, and every block-sized
-    array comes from `work`, a fresh `Workspace` when not given."""
+    array comes from `work`, a `Workspace` of the block's rows."""
     dim = samples.ndim - 1
-    if work is None:
-        work = Workspace.allocate(len(samples), samples.shape[1].bit_length() - 1, dim)
     rounding = work.scratch[:samples.size].view(np.float64).reshape(samples.shape)
     units = exact_units(samples, work.units, rounding)
     cells = stopping_cells(samples, dim, [(x, 2 * x) for x in lams], units,

@@ -96,10 +96,14 @@ def test_config_suites_read_no_schedule_band(raw):
     ("averaged_moment", "s_values", [1.5]),
     ("density", "lams", [3.0]),
     ("czd_suite", "schedule", [32, 64]),
-], ids=["s_values-averaged_moment", "lams-density", "schedule-czd_suite"])
+    ("density", "lams", [8]),
+], ids=["s_values-averaged_moment", "lams-density", "schedule-czd_suite",
+        "int-lams-density"])
 def test_unread_config_field_exit_2(tmp_path, capsys, experiment, field, value):
     """A field the experiment never reads would only move config_hash:
-    set away from its default it is refused, as an unknown option is."""
+    set away from its default it is refused, as an unknown option is.
+    `[8]` is away from the default `[8.0]`: its JSON, which the hash
+    reads, differs."""
     raw = {"experiment": experiment, "seed": 1, field: value}
     with pytest.raises(ConfigError, match=f"{experiment}: unread config fields"
                        f" \\['{field}'\\]"):

@@ -20,6 +20,7 @@ from strongmeans.czd import cell_axes, decompose, exact_units, stopping_cells
 from strongmeans.grid import GridFunction
 from strongmeans.suites import (
     BLOCK,
+    Workspace,
     chain_suite,
     covering_suite,
     czd_block_checks,
@@ -31,6 +32,12 @@ from strongmeans.suites import (
 )
 
 from oracles import cube_invariants, czd_invariants, trial_samples
+
+
+def workspace(samples: np.ndarray) -> Workspace:
+    """A `Workspace` for the rows of a block of samples."""
+    return Workspace.allocate(len(samples), samples.shape[1].bit_length() - 1,
+                              samples.ndim - 1)
 
 
 def draw_function(rng, J: int, t: int, dim: int) -> GridFunction:
@@ -52,7 +59,8 @@ def test_czd_invariants_all_pass_on_corpus_function():
     checks, n_bad = czd_invariants(f, 4.0)
     assert all(checks.values()), checks
     assert n_bad == len(decompose(f, 4.0).bad)
-    block, counts = czd_block_invariants(f.samples[None], [4.0])
+    samples = f.samples[None]
+    block, counts = czd_block_invariants(samples, [4.0], workspace(samples))
     assert {k: bool(v[0]) for k, v in block.items()} == checks
     assert counts.tolist() == [n_bad]
 
@@ -61,7 +69,8 @@ def test_czd_invariants_all_pass_2d():
     f = corpus.tensor_multi_spike(5, 6, np.random.default_rng(2))
     checks, n_bad = cube_invariants(f, 4.0)
     assert all(checks.values()), checks
-    block, counts = czd_block_invariants(f.samples[None], [4.0])
+    samples = f.samples[None]
+    block, counts = czd_block_invariants(samples, [4.0], workspace(samples))
     assert {k: bool(v[0]) for k, v in block.items()} == checks
     assert counts.tolist() == [n_bad]
 
@@ -69,7 +78,7 @@ def test_czd_invariants_all_pass_2d():
 def test_czd_invariants_flag_offgrid_samples():
     samples = np.full((3, 64), 1.0)
     samples[1, 0] = 1.0 + 2.0**-40  # off the 24-bit grid
-    checks, _ = czd_block_invariants(samples, [2.0, 2.0, 2.0])
+    checks, _ = czd_block_invariants(samples, [2.0, 2.0, 2.0], workspace(samples))
     assert checks["exact_input"].tolist() == [True, False, True]
     assert checks["exact_path"].tolist() == [True, False, True]
     want, _ = czd_invariants(GridFunction(1, 6, samples[1]), 2.0)
@@ -96,7 +105,8 @@ def test_block_battery_matches_scalar_oracle(dim, J):
                 f = GridFunction(dim, J, s)
             fs.append(f)
             lams.append(_draw_lam(rng))
-        checks, n_bad = czd_block_invariants(np.stack([f.samples for f in fs]), lams)
+        samples = np.stack([f.samples for f in fs])
+        checks, n_bad = czd_block_invariants(samples, lams, workspace(samples))
         for i, (f, lam) in enumerate(zip(fs, lams)):
             want, count = oracle(f, lam)
             assert {k: bool(v[i]) for k, v in checks.items()} == want, (family, i)
@@ -112,7 +122,8 @@ def test_block_checks_flag_corrupted_bad_cell():
         samples = np.stack([f.samples for f in fs])
         units = exact_units(samples)
         cells = stopping_cells(samples, dim, [(4, 8)] * 6, units)
-        clean, counts = czd_block_checks(samples, lams, cells, units)
+        work = workspace(samples)
+        clean, counts = czd_block_checks(samples, lams, cells, units, work)
         assert all(v.all() for v in clean.values()), (dim, clean)
         k = np.flatnonzero((cells.row == 3) & (cells.col == 0) & (cells.level >= 2))[0]
         others = np.arange(6) != 3
@@ -123,7 +134,7 @@ def test_block_checks_flag_corrupted_bad_cell():
         level[k] -= 1
         index[k] = axes[0] if dim == 1 else (axes[0] << level[k]) + axes[1]
         checks, _ = czd_block_checks(samples, lams,
-                                     replace(cells, level=level, index=index), units)
+                                     replace(cells, level=level, index=index), units, work)
         assert not checks["height_window"][3], dim
         assert all(v[others].all() for v in checks.values()), dim
 
@@ -131,7 +142,7 @@ def test_block_checks_flag_corrupted_bad_cell():
         keep = np.arange(len(cells.row)) != k
         dropped = replace(cells, row=cells.row[keep], col=cells.col[keep],
                           level=cells.level[keep], index=cells.index[keep])
-        checks, n_bad = czd_block_checks(samples, lams, dropped, units)
+        checks, n_bad = czd_block_checks(samples, lams, dropped, units, work)
         assert not checks["bounded_off_bad"][3], dim
         assert n_bad[3] == counts[3] - 1
         assert all(v[others].all() for v in checks.values()), dim
@@ -154,7 +165,8 @@ def test_block_checks_flag_each_corruption():
         def flags(names, cells, samples=samples, lams=lams):
             """Run the checks on a corrupted row r: each named check
             fails there, and every other row passes them all."""
-            checks, _ = czd_block_checks(samples, lams, cells, exact_units(samples))
+            checks, _ = czd_block_checks(samples, lams, cells, exact_units(samples),
+                                        workspace(samples))
             for name in names:
                 assert not checks[name][r], (dim, name)
             assert all(v[others].all() for v in checks.values()), dim
@@ -213,7 +225,7 @@ def test_block_checks_take_the_row_sums_past_the_largest_sample_bound():
     reaches 2**62, so the int64 budget reads the row sums, which fit."""
     f = np.zeros(4096)
     f[7] = 2.0**20
-    checks, n_bad = czd_block_invariants(f[None], [16449 / 64])
+    checks, n_bad = czd_block_invariants(f[None], [16449 / 64], workspace(f[None]))
     assert all(v[0] for v in checks.values()), checks
     want, count = czd_invariants(GridFunction(1, 12, f), 16449 / 64)
     assert all(want.values()) and n_bad[0] == count > 0
@@ -224,7 +236,7 @@ def test_block_checks_read_the_magnitude_of_complex_rows():
     imaginary axis is a bad cell's whole mass, not zero."""
     f = np.full(64, 0.5, dtype=complex)
     f[3] = 40j
-    checks, n_bad = czd_block_invariants(f[None], [4.0])
+    checks, n_bad = czd_block_invariants(f[None], [4.0], workspace(f[None]))
     assert all(v[0] for v in checks.values()), checks
     want, count = czd_invariants(GridFunction(1, 6, f), 4.0)
     assert all(want.values()) and n_bad[0] == count > 0
