@@ -102,7 +102,8 @@ def _trig_coeffs(J: int, rng: np.random.Generator, degree: int | None = None):
 
 def _trig_samples(J: int, raws: list) -> np.ndarray:
     """The real trigonometric polynomials of a block of coefficient draws,
-    by one inverse FFT over the rows; mode m is scaled by m**-1/2."""
+    by one inverse FFT over the rows, in place (`out=` of the fft
+    functions needs numpy 2); mode m is scaled by m**-1/2."""
     n = 1 << J
     re, im = np.array([r[0] for r in raws]), np.array([r[1] for r in raws])
     D = re.shape[1]
@@ -114,7 +115,7 @@ def _trig_samples(J: int, raws: list) -> np.ndarray:
     coeffs[:, 0] = [r[2] for r in raws]
     coeffs[:, 1:D + 1] = (re + 1j * im) / 2
     coeffs[:, n - 1:n - D - 1:-1] = (re - 1j * im) / 2
-    return np.fft.ifft(coeffs, axis=-1).real * n
+    return np.fft.ifft(coeffs, axis=-1, out=coeffs).real * n
 
 
 def _trig_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
