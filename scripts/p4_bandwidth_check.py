@@ -22,9 +22,8 @@ LAM = 8.0
 
 def main():
     for J in (12, 14):
-        f = corpus.abs_noise(J, np.random.default_rng(7))
-        reports = averaged_moment(f, LAM, SCHEDULE[-1], p=4,
-                                  schedule=SCHEDULE, fn_id=f"noise-J{J}")
+        _, f = corpus.FAMILIES[1]["noise"].sample(J, np.random.default_rng(7))
+        reports = averaged_moment(f, LAM, SCHEDULE, p=4, fn_id=f"noise-J{J}")
         curve = [r.avg_moment for r in reports]
         tail = curve[SCHEDULE.index(256):]
         monotone = all(b <= a * (1 + 1e-12) for a, b in zip(tail, tail[1:]))

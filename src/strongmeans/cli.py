@@ -231,7 +231,7 @@ class ExperimentConfig:
         experiment that reads no schedule."""
         if EXPERIMENTS[self.experiment].band is None:
             return None
-        return self.schedule or list(estimates.dyadic_schedule(1 << (self.J - 2)))
+        return self.schedule or [1 << k for k in range(5, self.J - 1)]
 
 
 def fmt(v) -> str:
@@ -304,8 +304,7 @@ def _second_reduction(cfg, fn_id, f, lam, sched):
 
 
 def _moment_curve(f, fn_id, lam, sched, p):
-    reports = estimates.averaged_moment(f, lam, sched[-1], p=p,
-                                        schedule=sched, fn_id=fn_id)
+    reports = estimates.averaged_moment(f, lam, sched, p=p, fn_id=fn_id)
     return reports, {"measure_bound_exact": _check_measure_bound(reports[0], f),
                      "full_ge_restricted": _full_ge_restricted(reports)}
 
@@ -334,9 +333,8 @@ def _decay_kernel(cfg, fn_id, f, lam, sched):
 def _rect_moment(cfg, fn_id, f, lam, sched):
     rows, values, inv = [], {}, {}
     for geometry in ("cube", "slab"):
-        reports = estimates.averaged_moment_rect(
-            f, lam, sched[-1], schedule=sched, fn_id=fn_id,
-            geometry=geometry)
+        reports = estimates.averaged_moment_rect(f, lam, sched, fn_id=fn_id,
+                                                 geometry=geometry)
         rows += _moment_rows(fn_id, reports, geometry=geometry)
         values[f"|{geometry}"] = reports[-1].ratio
         if geometry == "cube":
@@ -353,20 +351,18 @@ def _strong_means(cfg: ExperimentConfig):
     rows, values, inv = [], {}, {"superlevel_non_increasing": True}
     for fn_id, f in build_functions(cfg):
         scale = f.linf() ** 2
-        reports = estimates.strong_means_measure(
+        rep = estimates.strong_means_measure(
             f, [factor * scale for factor in cfg.option("eps_factors")],
             sched, r=cfg.option("r"), lam_grid=tuple(cfg.option("lam_grid")),
             fn_id=fn_id)
-        for rep in reports:
-            for N, m in zip(rep.schedule, rep.measures):
-                rows.append({"fn_id": fn_id, "eps": rep.eps, "N": N,
-                             "measure": m})
-            if any(b > a + 1e-15 for a, b in zip(rep.measures,
-                                                 rep.measures[1:])):
+        for eps, measures in zip(rep.eps, rep.measures):
+            for N, m in zip(rep.schedule, measures):
+                rows.append({"fn_id": fn_id, "eps": eps, "N": N, "measure": m})
+            if any(b > a + 1e-15 for a, b in zip(measures, measures[1:])):
                 inv["superlevel_non_increasing"] = False
         # the weak-type functional does not involve eps, so one record
         # per function suffices
-        for lam, ratio in zip(reports[0].lam_grid, reports[0].weak_ratios):
+        for lam, ratio in zip(rep.lam_grid, rep.weak_ratios):
             values[f"{fn_id}|{fmt(lam)}"] = ratio
     return rows, values, inv
 
@@ -414,7 +410,7 @@ def _covering_suite(cfg: ExperimentConfig):
 
 
 def _czd_lattice(cfg: ExperimentConfig):
-    # multi_spike draws up to 16 cells, so a trial needs n >= 16
+    # a k-spike factor draws up to 16 cells, so a trial needs n >= 16
     greatest = min(DEFAULT_J_MAX, CZD_TRIAL_BITS // cfg.d)
     if not 4 <= cfg.J <= greatest:
         raise ConfigError(

@@ -26,8 +26,6 @@ import numpy as np
 from .czd import FRACT_BITS
 from .grid import GridFunction, tensor
 
-FACTOR_BITS = FRACT_BITS // 2
-
 
 def normalize_l1_exact(samples: np.ndarray, bits: int = FRACT_BITS,
                        out: np.ndarray | None = None) -> np.ndarray:
@@ -74,26 +72,28 @@ def spike(J: int, dim: int = 1, cell: int = 0) -> GridFunction:
 # and makes every random call of one 1-d function; the matching rows
 # function takes (J, raws, bits) and returns one sample row per raw.
 
-def _spike_heights(J: int, rng: np.random.Generator, k: int) -> np.ndarray:
+def _spike_cells(J: int, rng: np.random.Generator, k: int) -> tuple:
+    """k distinct cells and their heights."""
     n = 1 << J
     if not 2 <= k <= n:
         raise ValueError("k out of range")
     cells = rng.choice(n, size=k, replace=False)
-    s = np.zeros(n)
-    s[cells] = rng.uniform(0.25, 1.0, size=k)
-    return s
+    return cells, rng.uniform(0.25, 1.0, size=k)
 
 
 def _spike_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
-    s = np.stack(raws, out=out)  # heights are positive
-    return normalize_l1_exact(s, bits, out=s)
+    s = np.empty((len(raws), 1 << J)) if out is None else out
+    s.fill(0.0)
+    for row, (cells, heights) in zip(s, raws):
+        row[cells] = heights
+    return normalize_l1_exact(s, bits, out=s)  # heights are positive
 
 
-def _trig_coeffs(J: int, rng: np.random.Generator, degree: int | None = None):
-    """Real and imaginary parts of the modes 1..D, then the mean."""
-    n = 1 << J
-    D = n // 8 if degree is None else degree
-    if not 1 <= D < n // 2:
+def _trig_coeffs(J: int, rng: np.random.Generator):
+    """Real and imaginary parts of the modes 1..D, D = 2**(J-3), then
+    the mean."""
+    D = (1 << J) // 8
+    if D < 1:
         raise ValueError("degree out of range")
     re = rng.standard_normal(D)
     im = rng.standard_normal(D)
@@ -131,43 +131,6 @@ def _noise_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
     return normalize_l1_exact(np.abs(s, out=s), bits, out=s)
 
 
-def multi_spike(J: int, k: int, rng: np.random.Generator,
-                bits: int = FRACT_BITS) -> GridFunction:
-    """k distinct cells with random heights, unit L1 mass."""
-    return GridFunction(1, J, _spike_rows(J, [_spike_heights(J, rng, k)], bits)[0])
-
-
-def trig_poly(J: int, rng: np.random.Generator, degree: int | None = None,
-              quantized: bool = True, bits: int = FRACT_BITS) -> GridFunction:
-    """Real random trigonometric polynomial of degree <= 2**(J-3).
-
-    Coefficients decay like m**-1/2 so the sample paths are rough but
-    integrable-looking.  With quantized=True (the corpus default) the
-    samples are snapped to the dyadic grid and exactly normalized; this
-    trades exact band-limitedness for exact set arithmetic.
-    """
-    [s] = _trig_samples(J, [_trig_coeffs(J, rng, degree)])
-    if not quantized:
-        return GridFunction(1, J, s / np.mean(np.abs(s)))
-    return GridFunction(1, J, normalize_l1_exact(s, bits))
-
-
-def abs_noise(J: int, rng: np.random.Generator,
-              bits: int = FRACT_BITS) -> GridFunction:
-    """|white noise|, unit L1 mass."""
-    return GridFunction(1, J, _noise_rows(J, [_noise(J, rng)], bits)[0])
-
-
-def tensor_multi_spike(J: int, k: int, rng: np.random.Generator) -> GridFunction:
-    return tensor(multi_spike(J, k, rng, FACTOR_BITS),
-                  multi_spike(J, k, rng, FACTOR_BITS))
-
-
-def tensor_trig(J: int, rng: np.random.Generator) -> GridFunction:
-    return tensor(trig_poly(J, rng, bits=FACTOR_BITS),
-                  trig_poly(J, rng, bits=FACTOR_BITS))
-
-
 @dataclass(frozen=True)
 class Family:
     """One corpus family of dimension `dim`, drawn in blocks.
@@ -175,7 +138,7 @@ class Family:
     A function of the family is `dim` factors, each drawn by
     `factor(J, rng, *args)` and finished by `rows(J, raws, bits, out)`; a
     2-d function is the outer product of its two factors, each
-    quantized to FACTOR_BITS.  A k-spike family draws k from [2, 16]
+    quantized to FRACT_BITS // 2.  A k-spike family draws k from [2, 16]
     first, passes it to both factors and is tagged -kNN.
     """
 
@@ -225,11 +188,11 @@ def _unit_spike_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
 # which draws nothing; the rest are the random families.
 FAMILIES = {
     1: {"spike": Family(1, lambda J, rng: None, _unit_spike_rows),
-        "kspikes": Family(1, _spike_heights, _spike_rows, k_spikes=True),
+        "kspikes": Family(1, _spike_cells, _spike_rows, k_spikes=True),
         "trig": Family(1, _trig_coeffs, _trig_rows),
         "noise": Family(1, _noise, _noise_rows)},
     2: {"tspike": Family(2, lambda J, rng: None, _unit_spike_rows),
-        "tkspikes": Family(2, _spike_heights, _spike_rows, k_spikes=True),
+        "tkspikes": Family(2, _spike_cells, _spike_rows, k_spikes=True),
         "ttrig": Family(2, _trig_coeffs, _trig_rows)},
 }
 

@@ -10,11 +10,11 @@ over some height; each gets a code with one bit per height it is over,
 and its ancestors' codes, gathered from the levels above, say at which
 heights it is blocked.  No mask of blocked cells is carried from level
 to level.  A caller that selects block after block passes flat buffers
-for the level sums and the codes, allocated once.  `decompose` calls
-`stopping_cells` with a batch of one and keeps the bad cells as an
-int64 array of `dyadic` cell rows, (level, index) in dim 1 and
-(level, i, j) in dim 2, the format the exceptional sets and the
-covering checks read.
+for the level sums and the codes, allocated once.  The selected cells
+come out as an int64 array of `dyadic` cell rows, (level, index) in
+dim 1 and (level, i, j) in dim 2, the format the exceptional sets and
+the covering checks read; `decompose` calls `stopping_cells` with a
+batch of one and keeps those rows as its bad cells.
 
 Selection is exact: whenever the samples are dyadic rationals with at
 most FRACT_BITS fractional bits (the corpus guarantees this for
@@ -131,24 +131,14 @@ class StoppingCells:
     """Maximal bad cells of a batch of functions, each at several heights.
 
     One entry per selected cell, ordered by level, then row, height
-    column and index.  `index` is the cell's index within its level, in
-    C order for dim 2: cube (i, j) of level l has index i * 2**l + j.
+    column and the cell's per-axis indices.  `cells` holds the `dyadic` cell rows, int64 of
+    shape (k, 1 + dim): (level, index) in dim 1, (level, i, j) in dim 2.
     """
 
     exact: np.ndarray  # (B,) bool: every comparison of the row was exact
     row: np.ndarray
     col: np.ndarray  # which of the row's heights selected the cell
-    level: np.ndarray
-    index: np.ndarray
-
-
-def cell_axes(level: np.ndarray, index: np.ndarray, dim: int) -> tuple:
-    """Per-axis indices of cells given by level and C-order index."""
-    axes = []
-    for _ in range(dim - 1):
-        index, last = np.divmod(index, 1 << level)
-        axes.append(last)
-    return (index, *reversed(axes))
+    cells: np.ndarray
 
 
 def ratio(h) -> tuple[int, int]:
@@ -192,21 +182,20 @@ def stopping_cells(samples: np.ndarray, dim: int, heights, units,
         if rows.size:
             take = slice(None) if rows.size == len(samples) else rows  # a view, no copy
             finest = ints[take] if path else np.abs(samples[take]).astype(np.float64)
-            r, c, lv, ix = _select(finest, [ratios[i] for i in rows], dim, J, path,
-                                  sums, codes)
-            parts.append((rows[r], c, lv, ix))
+            r, c, cells = _select(finest, [ratios[i] for i in rows], dim, J, path,
+                                 sums, codes)
+            parts.append((rows[r], c, cells))
     if len(parts) == 1:  # already in order
         return StoppingCells(exact, *parts[0])
-    row, col, level, index = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((index, col, row, level))
-    return StoppingCells(exact, row[order], col[order], level[order], index[order])
+    row, col, cells = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((*cells.T[:0:-1], col, row, cells[:, 0]))
+    return StoppingCells(exact, row[order], col[order], cells[order])
 
 
 def _select(finest, ratios, dim: int, J: int, exact: bool, sums=None, codes=None):
-    """(row, col, level, index) of the maximal cells over each height,
-    ordered as `StoppingCells` is; the heights are (numerator,
-    denominator) pairs, and `sums` and `codes` as `stopping_cells` takes
-    them.
+    """(row, col, cells) of the maximal cells over each height, ordered
+    as `StoppingCells` is; the heights are (numerator, denominator)
+    pairs, and `sums` and `codes` as `stopping_cells` takes them.
 
     A cell of level j is over height c when its sum exceeds
     limits[j, row, c].  Level by level, one dense comparison at the
@@ -272,8 +261,11 @@ def _select(finest, ratios, dim: int, J: int, exact: bool, sums=None, codes=None
         values.append(cells.reshape(-1).take(key))
     level = np.repeat(np.arange(J + 1), [k.size for k in keys])
     key, value = np.concatenate(keys), np.concatenate(values)
+    # the key's low dim * level bits are the cell's per-axis indices,
+    # level bits each, and the bits above them its row
     row = key >> (dim * level)
-    index = key & ((1 << (dim * level)) - 1)
+    low = (1 << level) - 1
+    axes = [key >> (level * a) & low for a in range(dim - 1, -1, -1)]
     mark = np.zeros(key.size, dtype=np.uint8)
     for c in range(H):
         over = value > limits[:, :, c].reshape(-1).take(level * B + row)
@@ -281,11 +273,10 @@ def _select(finest, ratios, dim: int, J: int, exact: bool, sums=None, codes=None
     codes[start.take(level) + key] = mark
 
     # the parent's code, then only the cells it leaves a height to
-    axes = cell_axes(level, index, dim)
     above = codes[start.take(level - 1) + _ancestor(row, axes, 1, level - 1)]
     keep = np.flatnonzero(mark & ~above)
-    level, row, index, mark, above, *axes = (
-        a.take(keep) for a in (level, row, index, mark, above, *axes))
+    level, row, mark, above, *axes = (
+        a.take(keep) for a in (level, row, mark, above, *axes))
     for k in range(1, J - 1):
         below = slice(np.searchsorted(level, k + 2), None)  # levels past k + 1
         at = _ancestor(row[below], [x[below] for x in axes], level[below] - k, k)
@@ -298,7 +289,7 @@ def _select(finest, ratios, dim: int, J: int, exact: bool, sums=None, codes=None
     # row and column interleaves them
     order = np.argsort((level.take(i) * B + row.take(i)) * H + col, kind="stable")
     i, col = i.take(order), col.take(order)
-    return row.take(i), col, level.take(i), index.take(i)
+    return row.take(i), col, np.stack([a.take(i) for a in (level, *axes)], axis=1)
 
 
 def _ancestor(row, axes, shift, k):
@@ -320,12 +311,7 @@ def decompose(f: GridFunction, lam: float) -> CZDecomposition:
         raise ValueError("height must be positive")
     height = Fraction(lam)
     batch = f.samples[None]
-    cells = stopping_cells(batch, f.dim, [[height]], exact_units(batch))
-    level = cells.level
-    return CZDecomposition(
-        source=f,
-        height=height,
-        bad=np.stack((level, *cell_axes(level, cells.index, f.dim)), axis=1),
-        exact=bool(cells.exact[0]),
-    )
+    sel = stopping_cells(batch, f.dim, [[height]], exact_units(batch))
+    return CZDecomposition(source=f, height=height, bad=sel.cells,
+                           exact=bool(sel.exact[0]))
 

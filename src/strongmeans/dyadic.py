@@ -2,9 +2,10 @@
 
 A dyadic cell is an integer row: (level, index) for the interval
 [index * 2**-level, (index+1) * 2**-level), and (level, i, j) for the
-square of side 2**-level at (i, j).  The stopping-time decomposition,
-the exceptional sets and the covering checks all pass cells in this
-one format, as int64 arrays with one row per cell.
+square of side 2**-level at (i, j).  The stopping-time selection
+(`czd.stopping_cells`) returns its cells in this one format, as int64
+arrays with one row per cell, and the decomposition, the exceptional
+sets and the covering checks pass them on in it.
 
 The torus [0, 1) is modelled at a global power-of-two scale
 S = 2**(j_max + 4); the extra 4 bits guarantee that every supported

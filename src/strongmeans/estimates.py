@@ -219,10 +219,11 @@ def _reports(f: GridFunction, lam: float, exc: ExceptionalSet, p: int,
 
 @dataclass
 class StrongMeansReport:
-    eps: float
+    eps: tuple
     r: int
     schedule: tuple
-    measures: tuple       # super-level measure of the averaged deviation, per N
+    # per eps, the super-level measure of the averaged deviation per N
+    measures: tuple
     lam_grid: tuple
     weak_ratios: tuple    # sup over the schedule of lam*|{A_N > lam}| / ||f||_1
 
@@ -289,18 +290,6 @@ def _shell_blocks(lattice, d: int, lo: int, hi: int):
 
 # ---------------------------------------------------------------------------
 # running partial-sum engine
-
-
-def dyadic_schedule(N_max: int, lo: int = 32) -> tuple:
-    """Powers of two lo, 2*lo, ..., N_max."""
-    if N_max < lo or N_max & (N_max - 1) or lo & (lo - 1):
-        raise ValueError("schedule endpoints must be powers of two, N_max >= lo")
-    out = []
-    N = lo
-    while N <= N_max:
-        out.append(N)
-        N *= 2
-    return tuple(out)
 
 
 def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
@@ -439,11 +428,11 @@ def _norm_factor(N: int, p: int) -> float:
     return float(N) * math.log(N) ** (p - 2)
 
 
-def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
-                    schedule: tuple | None = None, refine: int = 2,
-                    fn_id: str = "", exc: ExceptionalSet | None = None
-                    ) -> list[MomentReport]:
-    """Curve of (1/norm(N)) sum_{n<=N} integral of |S_n f|^p off E.
+def averaged_moment(f: GridFunction, lam: float, schedule: tuple, p: int = 2,
+                    refine: int = 2, fn_id: str = "",
+                    exc: ExceptionalSet | None = None) -> list[MomentReport]:
+    """Curve of (1/norm(N)) sum_{n<=N} integral of |S_n f|^p off E, one
+    report per order N of the schedule; the sums run to its last order.
 
     E is the 5-dilated bad set of the decomposition at height lambda
     unless `exc` is given, and every report in the curve shares it.
@@ -457,9 +446,7 @@ def averaged_moment(f: GridFunction, lam: float, N_max: int, p: int = 2,
         raise ValueError("averaged_moment is the 1-d sweep")
     if p not in (2, 4):
         raise ValueError("p must be 2 or 4")
-    schedule = tuple(schedule) if schedule else dyadic_schedule(N_max)
-    if max(schedule) > N_max:
-        raise ValueError("schedule exceeds N_max")
+    N_max = max(schedule)
     c = modes(f, N_max)
     if exc is None:
         exc = build_exceptional_set(decompose(f, lam))
@@ -585,10 +572,11 @@ def _abs2_rows(g: GridFunction, n_hi: int, refine: int,
     return rows
 
 
-def averaged_moment_rect(f: GridFunction, lam: float, N_max: int,
-                         schedule: tuple | None = None, fn_id: str = "",
-                         geometry: str = "cube") -> list[MomentReport]:
-    """Square-lattice version: (1/N^2) sum over 1 <= n1, n2 <= N.
+def averaged_moment_rect(f: GridFunction, lam: float, schedule: tuple,
+                         fn_id: str = "", geometry: str = "cube"
+                         ) -> list[MomentReport]:
+    """Square-lattice version: (1/N^2) sum over 1 <= n1, n2 <= N, one
+    report per order N of the schedule; the sums run to its last order.
 
     f must be separable (f.factors set, as for every 2-d corpus family
     and its delayed means).  Then S_{n1,n2} f = S_{n1} a (x) S_{n2} b, so
@@ -604,9 +592,7 @@ def averaged_moment_rect(f: GridFunction, lam: float, N_max: int,
     if f.factors is None:
         raise ValueError("averaged_moment_rect needs a separable function"
                          " (f.factors)")
-    schedule = tuple(schedule) if schedule else dyadic_schedule(N_max)
-    if max(schedule) > N_max:
-        raise ValueError("schedule exceeds N_max")
+    N_max = max(schedule)
     a, b = f.factors
     ca, cb = modes(a, N_max), modes(b, N_max)
     exc = build_exceptional_set(decompose(f, lam), geometry=geometry)
@@ -629,10 +615,10 @@ def averaged_moment_rect(f: GridFunction, lam: float, N_max: int,
 
 def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
                          r: int = 2, lam_grid: tuple = DEFAULT_LAM_GRID,
-                         fn_id: str = "") -> list[StrongMeansReport]:
-    """Super-level measures of the averaged r-th deviation, plus the
-    weak-type ratio of the quadratic means functional; one report per
-    eps in eps_values, all from a single partial-sum stream.
+                         fn_id: str = "") -> StrongMeansReport:
+    """Super-level measures of the averaged r-th deviation, one curve per
+    eps in eps_values, plus the weak-type ratio of the quadratic means
+    functional, all from a single partial-sum stream.
 
     The reference value at each point is the saturated partial sum, so
     deviations vanish identically once n reaches the stored bandwidth.
@@ -679,10 +665,10 @@ def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
         for i, lam in enumerate(lam_grid):
             ratio = lam * (np.count_nonzero(A > lam) / M) / l1
             weak[i] = max(weak[i], ratio)
-    return [StrongMeansReport(
-        eps=eps, r=r, schedule=schedule, measures=tuple(m),
-        lam_grid=tuple(lam_grid), weak_ratios=tuple(weak),
-    ) for m, eps in zip(measures, eps_values)]
+    return StrongMeansReport(
+        eps=eps_values, r=r, schedule=schedule,
+        measures=tuple(tuple(m) for m in measures),
+        lam_grid=tuple(lam_grid), weak_ratios=tuple(weak))
 
 
 def _accumulate(R: np.ndarray, P: np.ndarray, seg: np.ndarray,

@@ -14,8 +14,9 @@ block pays to fault its arrays in again.  Each trial makes its random
 calls in turn, and the float work of the block's functions runs once
 per corpus family.  |samples| goes to integer units once per block:
 one `czd.stopping_cells` call selects the bad cells of the whole block
-at lam and 2 lam from those units, and `czd_block_checks` checks them
-on the whole block from the same units, d-dimensional cells as boxes.
+at lam and 2 lam from those units, as `dyadic` cell rows, and
+`czd_block_checks` checks them on the whole block from the same units,
+reading each row as a box.
 The covering battery draws every family of one kind, then checks them
 as one batch of integer arrays.  Neither changes the order of the
 random draws.
@@ -40,7 +41,6 @@ from .covering import (
 from .czd import (
     FRACT_BITS,
     StoppingCells,
-    cell_axes,
     exact_units,
     pyramid_cells,
     ratio,
@@ -132,12 +132,12 @@ def _draw_block(rng, J: int, dim: int, start: int, stop: int, out=None):
     return samples, lams
 
 
-def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units,
+def czd_block_checks(samples: np.ndarray, lams, sel: StoppingCells, units,
                      work: Workspace):
     """Every exact invariant of a block of d-dimensional decompositions.
 
     `samples` holds one function per row, shape (B, n) in dim 1 and
-    (B, n, n) in dim 2; `lams` one height per row, `cells` the
+    (B, n, n) in dim 2; `lams` one height per row, `sel` the
     selection at lam (height column 0) and 2 lam (column 1), `units`
     the `czd.exact_units` of the samples, and `work` a `Workspace` of
     the block's rows.  Returns (check name ->
@@ -163,15 +163,15 @@ def czd_block_checks(samples: np.ndarray, lams, cells: StoppingCells, units,
     num, den = num.astype(np.int64), den.astype(np.int64)
     checks = {
         "exact_input": on_grid,
-        "exact_path": cells.exact.copy(),
+        "exact_path": sel.exact.copy(),
     }
 
     def boxes(col):
         """Row, lower corner and side of each cell of one height column."""
-        sel = cells.col == col
-        row, level = cells.row[sel], cells.level[sel]
-        w = n >> level
-        return row, [a * w for a in cell_axes(level, cells.index[sel], dim)], w
+        at = sel.col == col
+        cells = sel.cells[at]
+        w = n >> cells[:, 0]
+        return sel.row[at], [a * w for a in cells[:, 1:].T], w
 
     def spread(start, w, stride):
         """start + stride * k for k in range(w), for each start."""
@@ -253,9 +253,9 @@ def czd_block_invariants(samples: np.ndarray, lams, work: Workspace):
     dim = samples.ndim - 1
     rounding = work.scratch[:samples.size].view(np.float64).reshape(samples.shape)
     units = exact_units(samples, work.units, rounding)
-    cells = stopping_cells(samples, dim, [(x, 2 * x) for x in lams], units,
-                           work.scratch, work.codes)
-    return czd_block_checks(samples, lams, cells, units, work)
+    sel = stopping_cells(samples, dim, [(x, 2 * x) for x in lams], units,
+                         work.scratch, work.codes)
+    return czd_block_checks(samples, lams, sel, units, work)
 
 
 def czd_suite(trials: int, J: int = 12, seed: int = 0, dim: int = 1) -> SuiteResult:

@@ -21,6 +21,10 @@ reproduce; `sliced` turns an array into the lattice callable it takes.
 mask of blocked cells carried down the levels, that the mask-free
 `strongmeans.czd.stopping_cells` must reproduce cell for cell.
 
+`k_spikes` and `trig_poly` draw test functions that no corpus family
+draws: a k-spike function at a given k, and a band-limited
+trigonometric polynomial of a given degree.
+
 The batched exact layer has one-at-a-time references here:
 `czd_invariants` and `cube_invariants` run the 1-d and 2-d
 stopping-time batteries on one (f, lam) pair, both reading |f| as the
@@ -63,7 +67,7 @@ from strongmeans.dyadic import (
     union_mask,
 )
 from strongmeans.estimates import ScheduleInfeasibleError
-from strongmeans.grid import GridFunction
+from strongmeans.grid import GridFunction, tensor
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +537,12 @@ def running_mask_cells(samples: np.ndarray, dim: int, heights, units) -> Stoppin
         rows = np.flatnonzero(exact == path)
         if rows.size:
             finest = ints[rows] if path else np.abs(samples[rows]).astype(np.float64)
-            r, c, lv, ix = _running_mask_select(
+            r, c, cells = _running_mask_select(
                 finest, [heights[i] for i in rows], dim, J, path)
-            parts.append((rows[r], c, lv, ix))
-    row, col, level, index = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((index, col, row, level))
-    return StoppingCells(exact, row[order], col[order], level[order], index[order])
+            parts.append((rows[r], c, cells))
+    row, col, cells = (np.concatenate(a) for a in zip(*parts))
+    order = np.lexsort((*cells.T[:0:-1], col, row, cells[:, 0]))
+    return StoppingCells(exact, row[order], col[order], cells[order])
 
 
 def _running_mask_select(finest, heights, dim: int, J: int, exact: bool):
@@ -576,18 +580,18 @@ def _running_mask_select(finest, heights, dim: int, J: int, exact: bool):
         raise HeightTooLowError(
             f"mean {mean:.6g} exceeds stopping height {float(heights[r][c]):.6g}")
 
-    empty = np.zeros(0, dtype=np.int64)
-    found = [(empty, empty, empty, empty)]
+    # (level, row, column, *axes) of each selected cell
+    found = [np.zeros((0, 3 + dim), dtype=np.int64)]
     alive = np.ones(shape, dtype=bool)
     for j in range(1, J + 1):
         for axis in range(2, 2 + dim):
             alive = alive.repeat(2, axis=axis)
         bad = alive & over(sums[j], j)
-        rc, index = np.divmod(np.flatnonzero(bad), 1 << (dim * j))
-        r, c = np.divmod(rc, shape[1])
-        found.append((r, c, np.full(r.size, j, dtype=np.int64), index))
+        at = np.argwhere(bad)
+        found.append(np.insert(at, 0, j, axis=1))
         alive &= ~bad
-    return (np.concatenate(a) for a in zip(*found))
+    found = np.concatenate(found)
+    return found[:, 1], found[:, 2], np.delete(found, (1, 2), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1137,9 +1141,9 @@ def _spikes(J: int, rng, bits: int, k: int) -> np.ndarray:
     return _unit_mass(s, bits)
 
 
-def _trig(J: int, rng, bits: int) -> np.ndarray:
+def _trig_poly(J: int, rng, degree: int) -> np.ndarray:
     n = 1 << J
-    ms = np.arange(1, n // 8 + 1)
+    ms = np.arange(1, degree + 1)
     amp = 1.0 / np.sqrt(ms)
     re = rng.standard_normal(len(ms)) * amp
     im = rng.standard_normal(len(ms)) * amp
@@ -1148,7 +1152,11 @@ def _trig(J: int, rng, bits: int) -> np.ndarray:
     coeffs[H] = rng.standard_normal()
     coeffs[H + ms] = (re + 1j * im) / 2
     coeffs[H - ms] = (re - 1j * im) / 2
-    return _unit_mass(np.fft.ifft(np.fft.ifftshift(coeffs)).real * n, bits)
+    return np.fft.ifft(np.fft.ifftshift(coeffs)).real * n
+
+
+def _trig(J: int, rng, bits: int) -> np.ndarray:
+    return _unit_mass(_trig_poly(J, rng, (1 << J) // 8), bits)
 
 
 def _noise(J: int, rng, bits: int) -> np.ndarray:
@@ -1165,6 +1173,23 @@ def trial_samples(rng, J: int, t: int, dim: int) -> np.ndarray:
     args = (int(rng.integers(2, 17)),) if kind is _spikes else ()
     rows = [kind(J, rng, FRACT_BITS // dim, *args) for _ in range(dim)]
     return rows[0] if dim == 1 else np.outer(*rows)
+
+
+def k_spikes(J: int, k: int, rng, dim: int = 1) -> GridFunction:
+    """A k-spike corpus function with k given instead of drawn: k
+    distinct cells with random heights per factor, unit mass, each 2-d
+    factor at 12 bits."""
+    rows = [GridFunction(1, J, _spikes(J, rng, FRACT_BITS // dim, k))
+            for _ in range(dim)]
+    return rows[0] if dim == 1 else tensor(*rows)
+
+
+def trig_poly(J: int, rng, degree: int) -> GridFunction:
+    """Real random trigonometric polynomial of the given degree, mode m
+    scaled by m**-1/2 as in the trig corpus family, and normalized but
+    not quantized, so it stays band-limited."""
+    s = _trig_poly(J, rng, degree)
+    return GridFunction(1, J, s / np.mean(np.abs(s)))
 
 
 def nonadjacent_family(rng, max_level: int = 12, max_count: int = 64) -> np.ndarray:

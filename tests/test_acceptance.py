@@ -26,7 +26,7 @@ from strongmeans.czd import decompose
 from strongmeans.suites import chain_suite, covering_suite, czd_suite
 
 from oracles import (axis_arcs, exponential, off_arc_moments,
-                     plancherel_average, sliced)
+                     plancherel_average, sliced, trig_poly)
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORT = ROOT / "acceptance_report.txt"
@@ -89,8 +89,7 @@ def test_criterion_03_czd_invariant_battery(once_per_session):
 
 def test_criterion_04_spike_plateau_contrast():
     f = corpus.spike(12)
-    reports = estimates.averaged_moment(f, 8.0, 2048,
-                                        schedule=(256, 2048), fn_id="spike")
+    reports = estimates.averaged_moment(f, 8.0, (256, 2048), fn_id="spike")
     lo, hi = reports
     full_err = max(abs(lo.full_torus_avg - 258), abs(hi.full_torus_avg - 2050))
     plateau = hi.avg_moment / lo.avg_moment
@@ -160,8 +159,7 @@ def test_criterion_07_fourth_moment_log_normalized():
     fns = corpus.standard_corpus(14, seed=7, n_random=1)
     details = []
     for fn_id, f in fns:
-        reports = estimates.averaged_moment(f, 8.0, 2048, p=4,
-                                            schedule=sched, fn_id=fn_id)
+        reports = estimates.averaged_moment(f, 8.0, sched, p=4, fn_id=fn_id)
         curve = [r.avg_moment for r in reports]
         peak = max(curve)
         cap = 1.25 * base[f"{fn_id}|8"]
@@ -179,9 +177,8 @@ def test_criterion_07_fourth_moment_log_normalized():
 def test_criterion_08_rect_moment_geometries():
     f = corpus.spike(7, dim=2)
     sched = (4, 8, 16, 32, 64)
-    cube = estimates.averaged_moment_rect(f, 32.0, 64, schedule=sched)
-    slab = estimates.averaged_moment_rect(f, 32.0, 64, schedule=sched,
-                                          geometry="slab")
+    cube = estimates.averaged_moment_rect(f, 32.0, sched)
+    slab = estimates.averaged_moment_rect(f, 32.0, sched, geometry="slab")
     full_err = max(abs(r.full_torus_avg - (r.N + 2) ** 2) for r in cube)
     # One bad cube Q; its dilated shadow on axis i is an arc B_i, so the
     # dilated cube is B_0 x B_1.  Every Fourier coefficient of the spike
@@ -242,15 +239,16 @@ def test_criterion_09_strong_means_convergence():
     fn_id = "spike-J12-vp512"
     worst = 0.0
     eps_values = [factor * f.linf() ** 2 for factor in (0.5, 0.25)]
-    for rep in estimates.strong_means_measure(f, eps_values, sched, fn_id=fn_id):
-        head = rep.measures[:sched.index(1024) + 1]
+    rep = estimates.strong_means_measure(f, eps_values, sched, fn_id=fn_id)
+    for measures in rep.measures:
+        head = measures[:sched.index(1024) + 1]
         assert all(b <= a + 1e-15 for a, b in zip(head, head[1:])), head
-        assert rep.measures[-1] == 0.0
-        for lam, ratio in zip(rep.lam_grid, rep.weak_ratios):
-            ref = base[f"{fn_id}|{cli.fmt(lam)}"]
-            drift = abs(ratio - ref) / max(abs(ref), 1e-30)
-            worst = max(worst, drift)
-            assert drift <= 0.10, (lam, ratio, ref)
+        assert measures[-1] == 0.0
+    for lam, ratio in zip(rep.lam_grid, rep.weak_ratios):
+        ref = base[f"{fn_id}|{cli.fmt(lam)}"]
+        drift = abs(ratio - ref) / max(abs(ref), 1e-30)
+        worst = max(worst, drift)
+        assert drift <= 0.10, (lam, ratio, ref)
     verdict(9, True, "super-level measures non-increasing on [32,1024], "
                      "exactly 0 at N=2048 for both eps factors; weak-type "
                      f"ratios within {worst:.2%} of baseline (tol 10%)")
@@ -282,8 +280,8 @@ def test_criterion_10_density_extractor():
 
 def test_criterion_11_spectral_exactness():
     rng = np.random.default_rng(5)
-    f = corpus.trig_poly(10, rng, degree=100, quantized=False)
-    eng = estimates.averaged_moment(f, 2.0, 256, schedule=(256,))[0]
+    f = trig_poly(10, rng, 100)
+    eng = estimates.averaged_moment(f, 2.0, (256,))[0]
     plan = plancherel_average(f, 256)
     rel = abs(eng.full_torus_avg - plan) / plan
 
@@ -293,7 +291,7 @@ def test_criterion_11_spectral_exactness():
     err3 = float(np.max(np.abs(s3.samples - e3.samples)))
     err2 = float(np.max(np.abs(s2.samples)))
 
-    g = corpus.trig_poly(9, rng, degree=60, quantized=False)
+    g = trig_poly(9, rng, 60)
     vp = spectral.valle_poussin(g, 64)  # band 60 <= 64 is reproduced
     errvp = float(np.max(np.abs(vp.samples - g.samples)))
 

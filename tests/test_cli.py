@@ -394,6 +394,18 @@ def test_missing_default_schedule_exit_2(tmp_path, capsys, monkeypatch):
                                 "J": 6, "schedule": [4, 8]})
 
 
+def test_dyadic_schedule():
+    """With no schedule, an experiment that reads one runs 32, 64, ...,
+    2**(J-2); one that reads none gets None."""
+    def schedule(**raw):
+        return ExperimentConfig.from_dict({"seed": 1, **raw}).run_schedule()
+
+    assert schedule(experiment="averaged_moment", J=10) == [32, 64, 128, 256]
+    assert schedule(experiment="strong_means", J=7) == [32]
+    assert schedule(experiment="averaged_moment", J=6, schedule=[4, 8]) == [4, 8]
+    assert schedule(experiment="first_reduction", J=10) is None
+
+
 def test_first_reduction_reads_no_schedule(tmp_path):
     cfg = write_config(tmp_path, experiment="first_reduction", J=6,
                        schedule=None)

@@ -7,17 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strongmeans import corpus, czd, spectral
-from strongmeans.corpus import (
-    FACTOR_BITS,
-    abs_noise,
-    multi_spike,
-    normalize_l1_exact,
-    spike,
-    standard_corpus,
-    tensor_multi_spike,
-    trig_poly,
-)
+from strongmeans import czd, spectral
+from strongmeans.corpus import FAMILIES, normalize_l1_exact, spike, standard_corpus
+
+from oracles import trig_poly
 
 
 def exact_mean_abs(samples: np.ndarray, bits: int) -> Fraction:
@@ -71,38 +64,40 @@ def test_spike_tensor():
 
 
 def test_multi_spike_support_and_mass():
-    f = multi_spike(8, 7, np.random.default_rng(3))
-    assert np.count_nonzero(f.samples) == 7
+    tag, f = FAMILIES[1]["kspikes"].sample(8, np.random.default_rng(3))
+    k = int(tag.removeprefix("-k"))
+    assert 2 <= k <= 16 and np.count_nonzero(f.samples) == k
     assert np.all(f.samples >= 0)
     assert exact_mean_abs(f.samples, czd.FRACT_BITS) == 1
 
 
 def test_trig_poly_unquantized_band():
-    f = trig_poly(7, np.random.default_rng(4), quantized=False)
     D = 16  # 2**(7-3)
+    f = trig_poly(7, np.random.default_rng(4), D)
     assert f.is_real()
     assert spectral.band_energy(f, D, f.n // 2) < 1e-20
     assert abs(f.l1() - 1.0) < 1e-12
 
 
 def test_trig_poly_quantized_exact_mass():
-    f = trig_poly(9, np.random.default_rng(5))
+    _, f = FAMILIES[1]["trig"].sample(9, np.random.default_rng(5))
     assert f.is_real()
     assert exact_mean_abs(f.samples, czd.FRACT_BITS) == 1
 
 
 def test_abs_noise_nonnegative_unit():
-    f = abs_noise(9, np.random.default_rng(6))
+    _, f = FAMILIES[1]["noise"].sample(9, np.random.default_rng(6))
     assert np.all(f.samples >= 0)
     assert exact_mean_abs(f.samples, czd.FRACT_BITS) == 1
 
 
 def test_tensor_multi_spike_is_outer_product():
-    f = tensor_multi_spike(5, 3, np.random.default_rng(7))
+    _, f = FAMILIES[2]["tkspikes"].sample(5, np.random.default_rng(7))
     a, b = f.factors
     assert np.array_equal(f.samples, np.outer(a.samples, b.samples))
     # 12-bit factors keep the product on the 24-bit grid with unit mass
-    assert exact_mean_abs(f.samples, 2 * FACTOR_BITS) == 1
+    assert exact_mean_abs(a.samples, czd.FRACT_BITS // 2) == 1
+    assert exact_mean_abs(f.samples, czd.FRACT_BITS) == 1
 
 
 def test_corpus_functions_take_exact_cz_path():

@@ -7,7 +7,8 @@ decomposition keeps them as an int64 array of (level, index) or
 (level, i, j) rows ordered by level, then index, and the oracle's
 cells, sorted, must equal it row for row.  Batches of functions with
 two heights each, on both arithmetic paths, must match the dense
-running-mask selection of oracles.py cell for cell.
+running-mask selection of oracles.py cell for cell, and each row of a
+batch at each height must select the rows `decompose` gives for it.
 """
 
 from fractions import Fraction
@@ -287,7 +288,7 @@ def selection_batch(rng, dim: int, J: int, exact: bool, B: int = 24):
 
 
 def same_cells(got, want):
-    for name in ("exact", "row", "col", "level", "index"):
+    for name in ("exact", "row", "col", "cells"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert getattr(got, name).dtype == getattr(want, name).dtype, name
 
@@ -323,6 +324,21 @@ def test_selection_mixes_paths_and_reuses_buffers(dim, J):
         got = stopping_cells(x, dim, heights, units, sums, codes)
         assert got.exact.tolist() == [b % 2 == 0 for b in range(B)]
         same_cells(got, running_mask_cells(x, dim, heights, units))
+
+
+@pytest.mark.parametrize("dim,J", [(1, 9), (2, 5)], ids=["1d", "2d"])
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_batch_cells_are_each_rows_bad_cells(dim, J, exact):
+    """The cells a batch selects for one row at one height are the bad
+    cells of `decompose` for that row alone at that height, as they
+    stand: one cell format from the selection to the exceptional set."""
+    x, heights = selection_batch(np.random.default_rng(60 + dim), dim, J, exact, 8)
+    got = stopping_cells(x, dim, heights, exact_units(x))
+    for b, hs in enumerate(heights):
+        for c, h in enumerate(hs):
+            bad = decompose(GridFunction(dim, J, x[b]), h).bad
+            mine = got.cells[(got.row == b) & (got.col == c)]
+            assert mine.dtype == bad.dtype and np.array_equal(mine, bad), (b, c)
 
 
 def test_batch_height_below_a_row_mean_refused():

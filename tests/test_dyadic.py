@@ -205,14 +205,11 @@ def test_distance_symmetric_and_matches_point_oracle(data):
     a, b = arc(data), arc(data)
     dist = torus_distance(a, b)
     assert dist == torus_distance(b, a)
-    # point oracle on the unit grid
-    pts_a = {x % S for lo, hi in a.segments() for x in range(lo, hi)}
-    pts_b = {x % S for lo, hi in b.segments() for x in range(lo, hi)}
-    best = S
-    for x in pts_a:
-        for y in pts_b:
-            d0 = min(abs(x - y), S - abs(x - y))
-            best = min(best, max(0, d0 - 1))  # cells are [x, x+1), sets touch at d0=1
+    # point oracle on the unit grid, over every pair of unit cells
+    pts_a, pts_b = (np.concatenate([np.arange(lo, hi) for lo, hi in arc.segments()]) % S
+                    for arc in (a, b))
+    d0 = np.abs(pts_a[:, None] - pts_b[None, :])
+    best = max(0, int(np.minimum(d0, S - d0).min()) - 1)  # cells are [x, x+1), sets touch at d0=1
     assert dist == Fraction(best, S)
 
 

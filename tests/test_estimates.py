@@ -30,7 +30,6 @@ from strongmeans.estimates import (
     build_exceptional_set,
     decay_slope,
     density_subsequence,
-    dyadic_schedule,
     strong_means_measure,
     verify_decay_kernel,
     verify_first_reduction,
@@ -45,14 +44,18 @@ from oracles import (
     axis_arcs,
     constant,
     covered_length,
+    k_spikes,
     off_arc_moments,
     plancherel_average,
     rect_moment_per_pair,
     reference_exceptional_set,
     shell_counts,
     sliced,
+    trig_poly,
 )
 from oracles import density_subsequence as density_reference
+
+NOISE = corpus.FAMILIES[1]["noise"]
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,7 @@ def test_exceptional_set_rejects_other_dilations():
        st.sampled_from([1, 3, 5]))
 def test_measure_matches_fraction_oracle(seed, lam, c):
     rng = np.random.default_rng(seed)
-    f = corpus.multi_spike(6, int(rng.integers(2, 9)), rng)
+    f = k_spikes(6, int(rng.integers(2, 9)), rng)
     cz = decompose(f, lam)
     exc = build_exceptional_set(cz, c)
     assert exc.measure == union_measure_oracle(arcs_of(cz, c))
@@ -146,14 +149,14 @@ def test_measure_matches_fraction_oracle(seed, lam, c):
 @given(st.integers(0, 10_000), st.sampled_from([2.0, 4.0, 8.0]))
 def test_measure_bound_exact_rational(seed, lam):
     rng = np.random.default_rng(seed)
-    f = corpus.abs_noise(7, rng)
+    f = NOISE.sample(7, rng)[1]
     exc = build_exceptional_set(decompose(f, lam), 5)
     assert exc.measure <= Fraction(5) / Fraction(lam)
 
 
 def test_weighted_moment_vs_oversampled_oracle():
     rng = np.random.default_rng(9)
-    f = corpus.multi_spike(5, 4, rng)
+    f = k_spikes(5, 4, rng)
     cz = decompose(f, 4.0)
     exc = build_exceptional_set(cz, 5)
     want = float(weighted_moment_oracle(f, cz, 5, 2))
@@ -175,12 +178,6 @@ def test_complement_weights_exact_on_both_grid_directions():
 # averaged moments, 1-d
 
 
-def test_dyadic_schedule():
-    assert dyadic_schedule(256) == (32, 64, 128, 256)
-    with pytest.raises(ValueError):
-        dyadic_schedule(100)
-
-
 def whole_or_empty_set(J: int, whole: bool) -> ExceptionalSet:
     """E equal to the whole torus, or empty, on the bitmap of a 2**J grid."""
     S = scale_for(J)
@@ -189,19 +186,19 @@ def whole_or_empty_set(J: int, whole: bool) -> ExceptionalSet:
 
 def test_engine_matches_brute_curve():
     rng = np.random.default_rng(21)
-    trig = corpus.trig_poly(6, rng)
-    spikes = corpus.multi_spike(5, 3, rng)
+    trig = corpus.FAMILIES[1]["trig"].sample(6, rng)[1]
+    spikes = k_spikes(5, 3, rng)
     assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
-    cplx = GridFunction(1, 5, spikes.samples + 1j * corpus.abs_noise(5, rng).samples)
+    cplx = GridFunction(1, 5, spikes.samples + 1j * NOISE.sample(5, rng)[1].samples)
     # (f, lam, N_max, refine, exc); N_max = 16 is the Nyquist order at J = 5
     cases = [(trig, 4.0, 16, 2, None)]
     cases += [(spikes, 8.0, 16, refine, None) for refine in (0, 1, 2)]
     cases += [(cplx, 4.0, 16, 1, None),
-              (corpus.abs_noise(6, rng), 4.0, 32, 2, whole_or_empty_set(6, True)),
+              (NOISE.sample(6, rng)[1], 4.0, 32, 2, whole_or_empty_set(6, True)),
               (spikes, 8.0, 16, 1, whole_or_empty_set(5, False))]
     for f, lam, N_max, refine, exc in cases:
-        sched = dyadic_schedule(N_max, 2)
-        reports = averaged_moment(f, lam, N_max, schedule=sched, refine=refine,
+        sched = tuple(1 << k for k in range(1, N_max.bit_length()))
+        reports = averaged_moment(f, lam, sched, refine=refine,
                                   exc=exc)
         cw, cf = brute_curve(f, lam, N_max, 5, 2, refine, exc=exc)
         for rep in reports:
@@ -221,25 +218,25 @@ def test_engine_matches_brute_curve():
 
 
 def test_p2_curve_needs_no_partial_sums(monkeypatch):
-    f = corpus.multi_spike(6, 3, np.random.default_rng(25))
-    want = averaged_moment(f, 8.0, 32, schedule=(4, 32))
+    f = k_spikes(6, 3, np.random.default_rng(25))
+    want = averaged_moment(f, 8.0, (4, 32))
 
     def refuse(*args, **kwargs):
         raise AssertionError("p = 2 streamed the partial sums")
 
     monkeypatch.setattr(estimates, "_partial_sum_stream", refuse)
-    assert averaged_moment(f, 8.0, 32, schedule=(4, 32)) == want
+    assert averaged_moment(f, 8.0, (4, 32)) == want
 
 
 def test_engine_matches_brute_curve_p4():
     rng = np.random.default_rng(22)
-    f = corpus.multi_spike(6, 3, rng)
-    spikes = corpus.multi_spike(5, 3, rng)
+    f = k_spikes(6, 3, rng)
+    spikes = k_spikes(5, 3, rng)
     assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
-    cplx = GridFunction(1, 5, spikes.samples + 1j * corpus.abs_noise(5, rng).samples)
+    cplx = GridFunction(1, 5, spikes.samples + 1j * NOISE.sample(5, rng)[1].samples)
     # (f, refine); N_max = 16 is the Nyquist order at J = 5
     for g, refine in [(f, 2), (cplx, 1), (spikes, 0)]:
-        reports = averaged_moment(g, 8.0, 16, p=4, schedule=(4, 16), refine=refine)
+        reports = averaged_moment(g, 8.0, (4, 16), p=4, refine=refine)
         cw, cf = brute_curve(g, 8.0, 16, 5, 4, refine=refine)
         for rep in reports:
             norm = rep.N * np.log(rep.N) ** 2
@@ -255,11 +252,10 @@ def refuse_stream(*args, **kwargs):
 
 def test_p4_curve_on_empty_set_needs_no_partial_sums(monkeypatch):
     # w == 1, so the weighted column is the closed-form full column
-    f = corpus.multi_spike(6, 3, np.random.default_rng(26))
+    f = k_spikes(6, 3, np.random.default_rng(26))
     cw, cf = brute_curve(f, 8.0, 32, 5, 4, 2, exc=whole_or_empty_set(6, False))
     monkeypatch.setattr(estimates, "_partial_sum_stream", refuse_stream)
-    reports = averaged_moment(f, 8.0, 32, p=4, schedule=(4, 32),
-                              exc=whole_or_empty_set(6, False))
+    reports = averaged_moment(f, 8.0, (4, 32), p=4, exc=whole_or_empty_set(6, False))
     for rep in reports:
         norm = rep.N * np.log(rep.N) ** 2
         assert rep.avg_moment == rep.full_torus_avg
@@ -268,10 +264,9 @@ def test_p4_curve_on_empty_set_needs_no_partial_sums(monkeypatch):
 
 
 def test_p4_curve_on_whole_set_is_zero(monkeypatch):
-    f = corpus.abs_noise(6, np.random.default_rng(27))
+    f = NOISE.sample(6, np.random.default_rng(27))[1]
     monkeypatch.setattr(estimates, "_partial_sum_stream", refuse_stream)
-    reports = averaged_moment(f, 4.0, 32, p=4, schedule=(4, 32),
-                              exc=whole_or_empty_set(6, True))
+    reports = averaged_moment(f, 4.0, (4, 32), p=4, exc=whole_or_empty_set(6, True))
     for rep in reports:
         assert rep.avg_moment == 0.0 and rep.ratio == 0.0
         assert rep.full_torus_avg > 0
@@ -297,8 +292,8 @@ def assembled_stream(f, n_hi, refine, cols=None):
 
 def test_p4_weighted_column_streams_only_visible_columns():
     rng = np.random.default_rng(28)
-    spikes = corpus.multi_spike(6, 3, rng)
-    cplx = GridFunction(1, 6, spikes.samples + 1j * corpus.abs_noise(6, rng).samples)
+    spikes = k_spikes(6, 3, rng)
+    cplx = GridFunction(1, 6, spikes.samples + 1j * NOISE.sample(6, rng)[1].samples)
     for f, refine in [(spikes, 2), (cplx, 1)]:
         exc = build_exceptional_set(decompose(f, 8.0), 5)
         assert 0 < exc.measure < 1
@@ -312,8 +307,7 @@ def test_p4_weighted_column_streams_only_visible_columns():
         assert np.allclose(part, full[:, cols], rtol=0, atol=1e-12)
         per = np.abs(full) ** 4 @ w / M
         # ... and the curve's weighted column matches the full-grid sum
-        reports = averaged_moment(f, 8.0, 32, p=4, schedule=(4, 8, 32),
-                                  refine=refine, exc=exc)
+        reports = averaged_moment(f, 8.0, (4, 8, 32), p=4, refine=refine, exc=exc)
         cw = np.cumsum(per)
         for rep in reports:
             want = cw[rep.N - 1] / (rep.N * np.log(rep.N) ** 2)
@@ -325,9 +319,9 @@ def test_stream_tiles_match_partial_sums_at_ragged_edges(monkeypatch):
     # and n_hi = 16 is not a multiple of 3 orders
     monkeypatch.setattr(estimates, "_TILE", (3, 10))
     rng = np.random.default_rng(29)
-    spikes = corpus.multi_spike(5, 3, rng)
+    spikes = k_spikes(5, 3, rng)
     assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
-    cplx = GridFunction(1, 5, spikes.samples + 1j * corpus.abs_noise(5, rng).samples)
+    cplx = GridFunction(1, 5, spikes.samples + 1j * NOISE.sample(5, rng)[1].samples)
     # n_hi = 16 is the Nyquist order at J = 5
     for f, refine in [(spikes, 2), (cplx, 1), (spikes, 0)]:
         got = assembled_stream(f, 16, refine)
@@ -343,7 +337,7 @@ def test_stream_tiles_stay_within_the_tile():
     # ragged subset; assembled_stream checks the bound on every tile
     rng = np.random.default_rng(30)
     for J, refine in [(3, 0), (5, 2), (8, 1), (12, 0), (11, 2), (14, 2)]:
-        f = corpus.abs_noise(J, rng)
+        f = NOISE.sample(J, rng)[1]
         n_hi = min(f.n // 2, 21)
         assembled_stream(f, n_hi, refine)
         assembled_stream(f, n_hi, refine,
@@ -352,7 +346,7 @@ def test_stream_tiles_stay_within_the_tile():
 
 def test_stream_scratch_is_tile_sized():
     # at M = 2**16 the tables and tile scratch come to about 11 MB
-    f = corpus.abs_noise(14, np.random.default_rng(31))
+    f = NOISE.sample(14, np.random.default_rng(31))[1]
     tracemalloc.start()
     try:
         for _ in estimates._partial_sum_stream(f, 40, 2):
@@ -372,8 +366,8 @@ def test_stream_runs_once_per_function(monkeypatch):
         return stream(f, *args, **kwargs)
 
     monkeypatch.setattr(estimates, "_partial_sum_stream", counted)
-    f = corpus.multi_spike(6, 3, np.random.default_rng(23))
-    averaged_moment(f, 8.0, 32, p=4, schedule=(4, 8, 16, 32))
+    f = k_spikes(6, 3, np.random.default_rng(23))
+    averaged_moment(f, 8.0, (4, 8, 16, 32), p=4)
     assert calls == [f]
     calls.clear()
     cfg = cli.ExperimentConfig.from_dict({
@@ -396,24 +390,24 @@ def test_p4_curve_transforms_once(monkeypatch):
         calls.append(f)
         return forward(f)
 
-    f = corpus.multi_spike(6, 3, np.random.default_rng(23))
+    f = k_spikes(6, 3, np.random.default_rng(23))
     exc = build_exceptional_set(decompose(f, 8.0), 5)
     assert 0 < exc.measure < 1  # so both columns are computed
     monkeypatch.setattr(spectral, "forward", counted)
-    averaged_moment(f, 8.0, 32, p=4, schedule=(4, 8, 16, 32), exc=exc)
+    averaged_moment(f, 8.0, (4, 8, 16, 32), p=4, exc=exc)
     assert calls == [f]
 
 
 def test_full_torus_average_matches_closed_form():
     f = corpus.spike(6)
-    reports = averaged_moment(f, 8.0, 32, schedule=(4, 8, 16, 32))
+    reports = averaged_moment(f, 8.0, (4, 8, 16, 32))
     for rep in reports:
         assert abs(rep.full_torus_avg - (rep.N + 2)) < 1e-9
         assert abs(rep.full_torus_avg - plancherel_average(f, rep.N)) < 1e-9
 
 
 def test_constant_function_curve_is_one():
-    reports = averaged_moment(constant(1.0, 6), 2.0, 16, schedule=(4, 16))
+    reports = averaged_moment(constant(1.0, 6), 2.0, (4, 16))
     for rep in reports:
         assert rep.measure_E == 0
         assert abs(rep.avg_moment - 1.0) < 1e-12
@@ -422,19 +416,19 @@ def test_constant_function_curve_is_one():
 
 def test_exceptional_set_shared_across_curve():
     f = corpus.spike(8)
-    reports = averaged_moment(f, 8.0, 64)
+    reports = averaged_moment(f, 8.0, (32, 64))
     assert all(r.exceptional is reports[0].exceptional for r in reports)
 
 
 def test_full_torus_dominates_restricted():
     for _, f in corpus.standard_corpus(8, seed=5):
-        for rep in averaged_moment(f, 8.0, 64):
+        for rep in averaged_moment(f, 8.0, (32, 64)):
             assert rep.full_torus_avg >= rep.avg_moment - 1e-12
 
 
 def test_averaged_moment_rejects_aliased_schedule():
     with pytest.raises(AliasingError):
-        averaged_moment(corpus.spike(6), 8.0, 64)
+        averaged_moment(corpus.spike(6), 8.0, (32, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +451,13 @@ def test_first_reduction_spike_moment_zero():
 @given(st.integers(0, 10_000), st.sampled_from([2.0, 4.0, 8.0, 32.0]))
 def test_first_reduction_ratio_never_exceeds_one(seed, lam):
     rng = np.random.default_rng(seed)
-    f = corpus.abs_noise(7, rng) if seed % 2 else corpus.multi_spike(7, 5, rng)
+    f = NOISE.sample(7, rng)[1] if seed % 2 else k_spikes(7, 5, rng)
     rep = verify_first_reduction(f, lam)
     assert rep.ratio <= 1 + 1e-12
 
 
 def test_first_reduction_exact_against_oracle():
-    f = corpus.multi_spike(5, 3, np.random.default_rng(33))
+    f = k_spikes(5, 3, np.random.default_rng(33))
     cz = decompose(f, 4.0)
     rep = verify_first_reduction(f, 4.0)
     want = float(weighted_moment_oracle(f, cz, 1, 2))
@@ -476,7 +470,7 @@ def test_second_reduction_constant():
 
 
 def test_second_reduction_rejects_wideband():
-    f = corpus.abs_noise(8, np.random.default_rng(3))
+    f = NOISE.sample(8, np.random.default_rng(3))[1]
     with pytest.raises(NotBandLimitedError):
         verify_second_reduction(f, 4.0, 4)
 
@@ -512,18 +506,18 @@ def test_every_report_carries_its_ratio_and_set_measure():
     # every MomentReport comes from one builder: the ratio is the moment
     # over lam^(p-1) ||f||_1^p, bit for bit, and measure_E is E's measure
     rng = np.random.default_rng(5)
-    f = corpus.multi_spike(7, 4, rng)
+    f = k_spikes(7, 4, rng)
     smooth = spectral.valle_poussin(corpus.spike(8), 16)
-    g = corpus.tensor_multi_spike(5, 3, rng)
+    g = k_spikes(5, 3, rng, dim=2)
     [(_, decay)] = decay_slope(corpus.spike(8), 8.0, [1.5], (8, 16, 32))
     cases = [(f, 4.0, 2, verify_first_reduction(f, 4.0)),
              (smooth, 8.0, 2, verify_second_reduction(smooth, 8.0, 16))]
     cases += [(spectral.valle_poussin(corpus.spike(8), rep.N), 8.0, 2, rep)
               for rep in decay]
     cases += [(f, 4.0, p, rep) for p in (2, 4)
-              for rep in averaged_moment(f, 4.0, 32, p=p, schedule=(4, 32))]
+              for rep in averaged_moment(f, 4.0, (4, 32), p=p)]
     cases += [(g, 16.0, 2, rep)
-              for rep in averaged_moment_rect(g, 16.0, 8, schedule=(4, 8))]
+              for rep in averaged_moment_rect(g, 16.0, (4, 8))]
     assert len(cases) == 11
     for fn, lam, p, rep in cases:
         assert rep.lam == lam
@@ -536,8 +530,8 @@ def test_every_report_carries_its_ratio_and_set_measure():
 
 
 def test_rect_tensor_path_matches_general_path():
-    f = corpus.tensor_multi_spike(4, 2, np.random.default_rng(8))
-    fast = averaged_moment_rect(f, 4.0, 8, schedule=(2, 4, 8))
+    f = k_spikes(4, 2, np.random.default_rng(8), dim=2)
+    fast = averaged_moment_rect(f, 4.0, (2, 4, 8))
     bare = GridFunction(2, 4, f.samples.copy())
     exc = build_exceptional_set(decompose(bare, 4.0), 5)
     slow = rect_moment_per_pair(bare, exc, 8)
@@ -545,12 +539,12 @@ def test_rect_tensor_path_matches_general_path():
         assert abs(rep.avg_moment - slow[rep.N - 1]) < 1e-10
         assert rep.measure_E == exc.measure
     with pytest.raises(ValueError, match="separable"):
-        averaged_moment_rect(bare, 4.0, 8)
+        averaged_moment_rect(bare, 4.0, (8,))
 
 
 def test_rect_tensor_spike_closed_form():
     f = corpus.spike(5, dim=2)
-    reports = averaged_moment_rect(f, 16.0, 16, schedule=(4, 8, 16))
+    reports = averaged_moment_rect(f, 16.0, (4, 8, 16))
     for rep in reports:
         assert abs(rep.full_torus_avg - (rep.N + 2) ** 2) < 1e-9
         assert rep.full_torus_avg >= rep.avg_moment - 1e-12
@@ -558,13 +552,13 @@ def test_rect_tensor_spike_closed_form():
 
 def test_rect_constant_curve():
     f = tensor(constant(1.0, 4), constant(1.0, 4))
-    for rep in averaged_moment_rect(f, 2.0, 8, schedule=(8,)):
+    for rep in averaged_moment_rect(f, 2.0, (8,)):
         assert rep.measure_E == 0
         assert abs(rep.avg_moment - 1.0) < 1e-12
 
 
 def test_rect_measure_bound_uses_squared_dilation():
-    f = corpus.tensor_multi_spike(5, 6, np.random.default_rng(urandom := 17))
+    f = k_spikes(5, 6, np.random.default_rng(urandom := 17), dim=2)
     exc = build_exceptional_set(decompose(f, 4.0), 5)
     assert exc.measure <= Fraction(25, 4)
 
@@ -574,7 +568,7 @@ def test_rect_measure_bound_uses_squared_dilation():
 
 
 def test_slab_measure_matches_inclusion_exclusion_oracle():
-    f = corpus.tensor_multi_spike(5, 4, np.random.default_rng(3))
+    f = k_spikes(5, 4, np.random.default_rng(3), dim=2)
     cz = decompose(f, 4.0)
     exc = build_exceptional_set(cz, 5, geometry="slab")
     lens = [union_measure_oracle(axis_arcs(cz, 5, a)) for a in range(2)]
@@ -583,7 +577,7 @@ def test_slab_measure_matches_inclusion_exclusion_oracle():
 
 
 def test_slab_contains_cube_set():
-    f = corpus.tensor_multi_spike(5, 3, np.random.default_rng(11))
+    f = k_spikes(5, 3, np.random.default_rng(11), dim=2)
     cz = decompose(f, 8.0)
     cube = build_exceptional_set(cz, 5, geometry="cube")
     slab = build_exceptional_set(cz, 5, geometry="slab")
@@ -592,7 +586,7 @@ def test_slab_contains_cube_set():
 
 
 def test_slab_collapses_to_cube_in_1d():
-    f = corpus.multi_spike(6, 3, np.random.default_rng(2))
+    f = k_spikes(6, 3, np.random.default_rng(2))
     cz = decompose(f, 4.0)
     a = build_exceptional_set(cz, 5)
     b = build_exceptional_set(cz, 5, geometry="slab")
@@ -612,8 +606,7 @@ def test_rect_slab_average_factorizes():
     # average must equal the product of two 1-d off-band averages
     f = corpus.spike(6, dim=2)
     cz = decompose(f, 16.0)
-    reports = averaged_moment_rect(f, 16.0, 16, schedule=(4, 8, 16),
-                                   geometry="slab")
+    reports = averaged_moment_rect(f, 16.0, (4, 8, 16), geometry="slab")
     per_axis = [np.cumsum(off_arc_moments(f.factors[axis],
                                           axis_arcs(cz, 5, axis), 16, 1))
                 for axis in range(2)]
@@ -627,8 +620,8 @@ def test_rect_cube_grows_where_slab_plateaus():
     # cross-bands of the cube complement carry partial-sum mass that
     # scales with the order; the slab complement removes them
     f = corpus.spike(6, dim=2)
-    cube = averaged_moment_rect(f, 32.0, 32, schedule=(16, 32))
-    slab = averaged_moment_rect(f, 32.0, 32, schedule=(16, 32), geometry="slab")
+    cube = averaged_moment_rect(f, 32.0, (16, 32))
+    slab = averaged_moment_rect(f, 32.0, (16, 32), geometry="slab")
     cube_change = cube[1].avg_moment / cube[0].avg_moment - 1
     slab_change = abs(slab[1].avg_moment / slab[0].avg_moment - 1)
     assert cube_change > 0.5
@@ -640,15 +633,15 @@ def test_rect_cube_grows_where_slab_plateaus():
 
 
 def test_strong_means_constant_is_zero():
-    [rep] = strong_means_measure(constant(1.0, 6), [0.1], (4, 8, 16, 32))
-    assert rep.measures == (0.0, 0.0, 0.0, 0.0)
+    rep = strong_means_measure(constant(1.0, 6), [0.1], (4, 8, 16, 32))
+    assert rep.measures == ((0.0, 0.0, 0.0, 0.0),)
 
 
 def test_strong_means_matches_direct_recomputation():
-    f = corpus.multi_spike(5, 3, np.random.default_rng(12))
+    f = k_spikes(5, 3, np.random.default_rng(12))
     schedule = (4, 8, 16)
     eps_values = (0.5 * f.linf() ** 2, 0.25 * f.linf() ** 2)
-    reports = strong_means_measure(f, eps_values, schedule)
+    rep = strong_means_measure(f, eps_values, schedule)
     M = 1 << (f.J + 2)
     ref = spectral.saturated_sum(f, 2).samples
     R = np.zeros(M)
@@ -666,19 +659,18 @@ def test_strong_means_matches_direct_recomputation():
             for i, lam in enumerate(DEFAULT_LAM_GRID):
                 weak[i] = max(weak[i], lam * (np.count_nonzero(A > lam) / M) / f.l1())
     assert want_measures[0] != want_measures[1]
-    assert len(reports) == len(eps_values)
-    for rep, eps, want in zip(reports, eps_values, want_measures):
-        assert rep.eps == eps
-        assert np.allclose(rep.measures, want, atol=1e-12)
-        assert np.allclose(rep.weak_ratios, weak, atol=1e-9)
+    assert rep.eps == eps_values and len(rep.measures) == len(eps_values)
+    for got, want in zip(rep.measures, want_measures):
+        assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(rep.weak_ratios, weak, atol=1e-9)
 
 
 def test_strong_means_band_limited_poly_hits_zero():
-    f = corpus.trig_poly(8, np.random.default_rng(14), degree=8, quantized=False)
+    f = trig_poly(8, np.random.default_rng(14), 8)
     eps = 0.25 * f.linf() ** 2
-    [rep] = strong_means_measure(f, [eps], (8, 16, 32, 64, 128))
-    assert rep.measures[-1] == 0.0
-    assert all(a >= b for a, b in zip(rep.measures, rep.measures[1:]))
+    [measures] = strong_means_measure(f, [eps], (8, 16, 32, 64, 128)).measures
+    assert measures[-1] == 0.0
+    assert all(a >= b for a, b in zip(measures, measures[1:]))
 
 
 def test_strong_means_rejects_aliased_schedule():

@@ -15,8 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from strongmeans import corpus
-from strongmeans.czd import cell_axes, decompose, exact_units, stopping_cells
+from strongmeans.czd import decompose, exact_units, stopping_cells
 from strongmeans.grid import GridFunction
 from strongmeans.suites import (
     BLOCK,
@@ -31,7 +30,7 @@ from strongmeans.suites import (
     _draw_lam,
 )
 
-from oracles import cube_invariants, czd_invariants, trial_samples
+from oracles import cube_invariants, czd_invariants, k_spikes, trial_samples
 
 
 def workspace(samples: np.ndarray) -> Workspace:
@@ -55,7 +54,7 @@ def test_draw_lam_is_dyadic_and_in_range():
 
 
 def test_czd_invariants_all_pass_on_corpus_function():
-    f = corpus.multi_spike(10, 5, np.random.default_rng(1))
+    f = k_spikes(10, 5, np.random.default_rng(1))
     checks, n_bad = czd_invariants(f, 4.0)
     assert all(checks.values()), checks
     assert n_bad == len(decompose(f, 4.0).bad)
@@ -66,7 +65,7 @@ def test_czd_invariants_all_pass_on_corpus_function():
 
 
 def test_czd_invariants_all_pass_2d():
-    f = corpus.tensor_multi_spike(5, 6, np.random.default_rng(2))
+    f = k_spikes(5, 6, np.random.default_rng(2), dim=2)
     checks, n_bad = cube_invariants(f, 4.0)
     assert all(checks.values()), checks
     samples = f.samples[None]
@@ -121,27 +120,23 @@ def test_block_checks_flag_corrupted_bad_cell():
         lams = [4.0] * 6
         samples = np.stack([f.samples for f in fs])
         units = exact_units(samples)
-        cells = stopping_cells(samples, dim, [(4, 8)] * 6, units)
+        sel = stopping_cells(samples, dim, [(4, 8)] * 6, units)
         work = workspace(samples)
-        clean, counts = czd_block_checks(samples, lams, cells, units, work)
+        clean, counts = czd_block_checks(samples, lams, sel, units, work)
         assert all(v.all() for v in clean.values()), (dim, clean)
-        k = np.flatnonzero((cells.row == 3) & (cells.col == 0) & (cells.level >= 2))[0]
+        k = np.flatnonzero((sel.row == 3) & (sel.col == 0) & (sel.cells[:, 0] >= 2))[0]
         others = np.arange(6) != 3
 
         # a bad cell replaced by its parent, whose average is at most lam
-        level, index = cells.level.copy(), cells.index.copy()
-        axes = [a >> 1 for a in cell_axes(level[k], index[k], dim)]
-        level[k] -= 1
-        index[k] = axes[0] if dim == 1 else (axes[0] << level[k]) + axes[1]
-        checks, _ = czd_block_checks(samples, lams,
-                                     replace(cells, level=level, index=index), units, work)
+        cells = sel.cells.copy()
+        cells[k] = [cells[k, 0] - 1, *cells[k, 1:] >> 1]
+        checks, _ = czd_block_checks(samples, lams, replace(sel, cells=cells), units, work)
         assert not checks["height_window"][3], dim
         assert all(v[others].all() for v in checks.values()), dim
 
         # a bad cell dropped: samples above lam are left uncovered
-        keep = np.arange(len(cells.row)) != k
-        dropped = replace(cells, row=cells.row[keep], col=cells.col[keep],
-                          level=cells.level[keep], index=cells.index[keep])
+        keep = np.arange(len(sel.row)) != k
+        dropped = replace(sel, row=sel.row[keep], col=sel.col[keep], cells=sel.cells[keep])
         checks, n_bad = czd_block_checks(samples, lams, dropped, units, work)
         assert not checks["bounded_off_bad"][3], dim
         assert n_bad[3] == counts[3] - 1
@@ -157,65 +152,63 @@ def test_block_checks_flag_each_corruption():
         samples = np.stack([draw_function(rng, J, t, dim).samples for t in range(6)])
         lams = [4.0] * 6
         units = exact_units(samples)
-        cells = stopping_cells(samples, dim, [(4, 8)] * 6, units)
-        r = cells.row[cells.col == 1][0]
+        sel = stopping_cells(samples, dim, [(4, 8)] * 6, units)
+        r = sel.row[sel.col == 1][0]
         others = np.arange(6) != r
         n = 1 << J
 
-        def flags(names, cells, samples=samples, lams=lams):
+        def flags(names, sel, samples=samples, lams=lams):
             """Run the checks on a corrupted row r: each named check
             fails there, and every other row passes them all."""
-            checks, _ = czd_block_checks(samples, lams, cells, exact_units(samples),
+            checks, _ = czd_block_checks(samples, lams, sel, exact_units(samples),
                                         workspace(samples))
             for name in names:
                 assert not checks[name][r], (dim, name)
             assert all(v[others].all() for v in checks.values()), dim
 
-        def entries(keep, **extra):
-            """`cells` restricted to `keep`, then the entries in `extra`."""
-            fields = {f: getattr(cells, f)[keep] for f in ("row", "col", "level", "index")}
-            return replace(cells, **{f: np.concatenate((v, extra.get(f, [])))
-                                     .astype(np.int64) for f, v in fields.items()})
+        def entries(keep, extra=()):
+            """`sel` restricted to `keep`, then the cell rows `extra` for
+            row r at lam."""
+            extra = np.array(extra, dtype=np.int64).reshape(-1, 1 + dim)
+            add = np.full(len(extra), r)
+            return replace(sel, row=np.concatenate((sel.row[keep], add)),
+                           col=np.concatenate((sel.col[keep], 0 * add)),
+                           cells=np.concatenate((sel.cells[keep], extra)))
 
-        mine = (cells.row == r) & (cells.col == 0)
-        k = np.flatnonzero(mine & (cells.level < J))[0]
-        entry = np.arange(len(cells.row))
+        mine = (sel.row == r) & (sel.col == 0)
+        k = np.flatnonzero(mine & (sel.cells[:, 0] < J))[0]
+        entry = np.arange(len(sel.row))
 
         # a bad cell listed twice
-        flags(["disjoint"], entries(entry >= 0, row=[r], col=[0],
-                                    level=[cells.level[k]], index=[cells.index[k]]))
+        flags(["disjoint"], entries(entry >= 0, [sel.cells[k]]))
 
         # a bad cell replaced by its heaviest child, whose parent, the
         # cell itself, has an average in (lam, 2**d lam]
-        level = cells.level[k] + 1
-        kids = [[2 * a + b for b in (0, 1)] for a in cell_axes(cells.level[k], cells.index[k], dim)]
+        level = sel.cells[k, 0] + 1
+        kids = [[2 * a + b for b in (0, 1)] for a in sel.cells[k, 1:]]
         w = n >> level
         heaviest = max(itertools.product(*kids), key=lambda ax: np.abs(
             samples[r][tuple(slice(a * w, (a + 1) * w) for a in ax)]).sum())
-        index = heaviest[0] if dim == 1 else (heaviest[0] << level) + heaviest[1]
-        flags(["parents_not_selected"], entries(
-            entry != k, row=[r], col=[0], level=[level], index=[index]))
+        flags(["parents_not_selected"], entries(entry != k, [[level, *heaviest]]))
 
         # at lam = 3/2 the bad cells of row r replaced by the level-1
         # cells, which cover the whole torus: measure 1, over the 2/3
         # that ||f||_1 / lam allows and under twice that
-        quarters = 1 << dim
-        flags(["mass_bound"], entries(~mine, row=[r] * quarters, col=[0] * quarters,
-                                      level=[1] * quarters, index=range(quarters)),
+        quarters = [[1, *ax] for ax in itertools.product((0, 1), repeat=dim)]
+        flags(["mass_bound"], entries(~mine, quarters),
               lams=[1.5 if b == r else 4.0 for b in range(6)])
 
         # a NaN sample: the good and bad parts no longer add up to f
         spoiled = samples.copy()
         spoiled[r].flat[5] = np.nan
-        spoiled_cells = stopping_cells(spoiled, dim, [(4, 8)] * 6, exact_units(spoiled))
-        flags(["reassembly", "exact_input"], spoiled_cells, samples=spoiled)
+        spoiled_sel = stopping_cells(spoiled, dim, [(4, 8)] * 6, exact_units(spoiled))
+        flags(["reassembly", "exact_input"], spoiled_sel, samples=spoiled)
 
         # the bad cell over a cell selected at 2 lam dropped
-        twice = np.flatnonzero((cells.row == r) & (cells.col == 1))[0]
-        at = [a >> (cells.level[twice] - cells.level[mine])
-              for a in cell_axes(cells.level[twice], cells.index[twice], dim)]
-        over = np.flatnonzero(mine)[np.all([a == b for a, b in zip(at, cell_axes(
-            cells.level[mine], cells.index[mine], dim))], axis=0)]
+        twice = sel.cells[(sel.row == r) & (sel.col == 1)][0]
+        cells = sel.cells[mine]
+        at = twice[1:] >> (twice[0] - cells[:, :1])
+        over = np.flatnonzero(mine)[np.all(at == cells[:, 1:], axis=1)]
         flags(["lam_monotone"], entries(entry != over[0]))
 
 
