@@ -24,7 +24,6 @@ random draws.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field, replace
 
