@@ -3,15 +3,17 @@
 
     python3 scripts/bench_pairs.py HEAD~1 --workload exact_and_small --pairs 10
 
-The parent revision is checked out in a temporary `git worktree`, and
-each tree runs its own `perfbench/run.py` (so its own `src/`) for
-BENCHMARK.json's `run_seconds`.  Pair k (k = 1..pairs) runs both trees
+The parent revision is exported with `git archive` into a temporary
+directory, and each tree runs its own `perfbench/run.py` (so its own
+`src/`) for BENCHMARK.json's `run_seconds`.  Pair k (k = 1..pairs) runs both trees
 with `--seed k`, the parent first in odd pairs and the checkout first
 in even ones, so drift on the machine falls on both sides alike.  For every end-to-end metric of BENCHMARK.json it
 reports both sides' medians and quartiles, the pairs the checkout wins,
 and whether the gap between the medians exceeds the parent's quartile
-spread (q3 - q1).  The worktree is removed at the end.  The last line
-of stdout is the report as one JSON object.
+spread (q3 - q1).  The export is removed at the end.  The last line
+of stdout is the report as one JSON object; it names the parent, and
+the checkout's HEAD with a `dirty` flag for tracked files that differ
+from it when the run starts.
 """
 
 from __future__ import annotations
@@ -63,25 +65,26 @@ def pairs(parent_tree: Path, workload: str, count: int) -> dict:
             "run_seconds": seconds, "failed": failed, "metrics": metrics}
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="git revision of the parent tree")
     ap.add_argument("--workload", default="exact_and_small")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
-    rev = subprocess.run(["git", "rev-parse", "--verify", args.parent + "^{commit}"],
-                         cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
+    rev = git("rev-parse", "--verify", args.parent + "^{commit}")
+    checkout = {"revision": git("rev-parse", "HEAD"),
+                "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        tree = Path(tmp) / "parent"
-        subprocess.run(["git", "worktree", "add", "--detach", str(tree), rev],
-                       cwd=ROOT, capture_output=True, check=True)
-        try:
-            report = pairs(tree, args.workload, args.pairs)
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
-                           cwd=ROOT, capture_output=True)
-            subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
-    report["parent"] = rev
+        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                                 check=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        report = pairs(Path(tmp), args.workload, args.pairs)
+    report.update(parent=rev, **checkout)
     for name, m in report["metrics"].items():
         p, c = m["parent"], m["change"]
         print(f"{name}: parent {p['median']:.4g} [{p['q1']:.4g}, {p['q3']:.4g}]"

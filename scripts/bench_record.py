@@ -12,7 +12,10 @@ model, Python and numpy versions), for each workload the median,
 quartiles and spread (q3 - q1) / median of every end-to-end metric over
 the RUNS runs, the failed and attempted config counts, and the per-layer
 values of the traced run with its `absent` list.  Every BENCH file is
-measured with the same RUNS, so any two of them compare.
+measured with the same RUNS, but the machine's speed drifts by 20-40%
+within minutes, so two BENCH files recorded apart do not compare: a
+before/after claim rests on the alternating pairs of
+`scripts/bench_pairs.py`.
 """
 
 from __future__ import annotations

@@ -187,6 +187,13 @@ class ExperimentConfig:
         for key, value in self.corpus.items():
             if not fields[key].ok(value):
                 raise ConfigError(f"corpus: {key} must be {fields[key].rule}")
+        if "corpus" in exp.reads and self.corpus.get("n_random", fields["n_random"].default):
+            # the corpus draws every family, whichever it keeps
+            for key, family in corpus.FAMILIES[self.d].items():
+                if self.J < family.least_J:
+                    raise ConfigError(
+                        f"corpus: the {key} family needs J >= {family.least_J}, and J"
+                        f" is {self.J} (every family is drawn, whichever are kept)")
         unknown = sorted(set(self.options) - set(exp.options))
         if unknown:
             raise ConfigError(f"{name}: unknown options {unknown}; it takes"

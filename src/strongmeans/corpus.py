@@ -139,13 +139,15 @@ class Family:
     `factor(J, rng, *args)` and finished by `rows(J, raws, bits, out)`; a
     2-d function is the outer product of its two factors, each
     quantized to FRACT_BITS // 2.  A k-spike family draws k from [2, 16]
-    first, passes it to both factors and is tagged -kNN.
+    first, passes it to both factors and is tagged -kNN.  `least_J` is
+    the least J at which every draw works.
     """
 
     dim: int
     factor: Callable
     rows: Callable
     k_spikes: bool = False
+    least_J: int = 1
 
     def draw(self, J: int, rng: np.random.Generator) -> tuple[str, list]:
         """Every random call of one function, in order: its id tag and
@@ -186,14 +188,15 @@ def _unit_spike_rows(J: int, raws: list, bits: int, out=None) -> np.ndarray:
 # the families of each dimension in draw order, name -> Family; the name
 # is the first part of each fn_id.  The first family is the unit spike,
 # which draws nothing; the rest are the random families.
+# k-spikes need 16 cells per axis and trig polynomials 2**(J-3) >= 1 modes
 FAMILIES = {
     1: {"spike": Family(1, lambda J, rng: None, _unit_spike_rows),
-        "kspikes": Family(1, _spike_cells, _spike_rows, k_spikes=True),
-        "trig": Family(1, _trig_coeffs, _trig_rows),
+        "kspikes": Family(1, _spike_cells, _spike_rows, k_spikes=True, least_J=4),
+        "trig": Family(1, _trig_coeffs, _trig_rows, least_J=3),
         "noise": Family(1, _noise, _noise_rows)},
     2: {"tspike": Family(2, lambda J, rng: None, _unit_spike_rows),
-        "tkspikes": Family(2, _spike_cells, _spike_rows, k_spikes=True),
-        "ttrig": Family(2, _trig_coeffs, _trig_rows)},
+        "tkspikes": Family(2, _spike_cells, _spike_rows, k_spikes=True, least_J=4),
+        "ttrig": Family(2, _trig_coeffs, _trig_rows, least_J=3)},
 }
 
 

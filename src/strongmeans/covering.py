@@ -15,9 +15,10 @@ interval or (level, i, j) per cube, the format of the bad cells of a
 `czd.decompose`.  Dilates come from `dyadic.dilate_units` and its
 integer factor table, so every endpoint is an integer at scale
 S = 2**(j_max + 4), and the chain scan reports its violations as
-(level, index) pairs.  1-d components come from one
-sort by left end and a running maximum of right ends; 2-d components
-from the pairwise touch matrix of the dilated boxes.
+(level, index) pairs.  1-d components come from one sort by left end
+and a running maximum of right ends; 2-d components from the touching
+pairs of each family's dilated boxes.  The random families come from one
+stopping-time tiling walk in either dimension.
 """
 
 from __future__ import annotations
@@ -32,17 +33,13 @@ from .dyadic import DEFAULT_J_MAX, dilate_units, scale_for
 NINE_EIGHTHS = Fraction(9, 8)
 
 
-def _torus_touch(a_lo, a_hi, b_lo, b_hi, S: int) -> np.ndarray:
-    """Whether the closed arcs [a_lo, a_hi] and [b_lo, b_hi] of a circle
-    of length S meet: b_lo + s <= a_hi and a_lo <= b_hi + s for some
-    shift s in {-S, 0, S}.  Broadcasts like the arrays it is given.
-
-    The shifts that work form the range [a_lo - b_hi, a_hi - b_lo], so
-    two broadcast differences are taken and each shift is compared with
-    them as a scalar.
-    """
-    lo, hi = a_lo - b_hi, a_hi - b_lo
-    return (lo <= 0) & (0 <= hi) | (lo <= S) & (S <= hi) | (lo <= -S) & (-S <= hi)
+def _circle_gap(a, b, period: int) -> np.ndarray:
+    """Distance from a to b around a circle of the given period,
+    broadcast.  Closed arcs of a circle of length S meet exactly when
+    the gap of their doubled centres, period 2 S, is at most the sum of
+    their lengths."""
+    d = np.abs(a - b)
+    return np.minimum(d, period - d, out=d)
 
 
 def _circle_runs(group: np.ndarray, lo: np.ndarray, hi: np.ndarray, S: int):
@@ -158,37 +155,38 @@ def verify_covering_cubes(families: list, j_max: int = DEFAULT_J_MAX) -> Coverin
     rows.
 
     Two dilated cubes connect when their projections touch on both axes
-    (corner contact counts), read from each family's pairwise touch
-    matrix.  A component's projections on one axis then form one run of
+    (corner contact counts).  The components come from the touching
+    pairs among all pairs of members of one family, by min-label
+    propagation.  A component's projections on one axis form one run of
     a circle sweep, whose hull is the component's hull on that axis.
     The members must be pairwise disjoint and nonadjacent, as
     `random_nonadjacent_cube_family` guarantees by construction.
     """
     S = scale_for(j_max)
     fam, lo, length = _dilates(families, 2, j_max)
-    hi = lo + length
-    label = np.empty(len(fam), dtype=np.int64)
-    at = m = 0
-    for f in families:
-        k = len(f)
-        if k == 0:
-            continue
-        a_lo, a_hi = lo[at:at + k, None, :], hi[at:at + k, None, :]
-        b_lo, b_hi = lo[None, at:at + k, :], hi[None, at:at + k, :]
-        # zero torus gap on every axis
-        reach = _torus_touch(a_lo, a_hi, b_lo, b_hi, S).all(axis=2).astype(np.int32)
-        while True:  # transitive closure by squaring
-            wider = np.minimum(reach @ reach, 1)
-            if np.array_equal(wider, reach):
-                break
-            reach = wider
-        roots, local = np.unique(reach.argmax(axis=1), return_inverse=True)
-        label[at:at + k] = m + local
-        at += k
-        m += len(roots)
+    # every pair (a, b), a < b, of members of one family
+    n = len(fam)
+    later = np.searchsorted(fam, fam, side="right") - np.arange(n) - 1
+    a = np.repeat(np.arange(n), later)
+    b = a + np.arange(len(a)) - np.repeat(np.cumsum(later) - later - 1, later)
+    # dilated cubes meet when their projections meet on both axes
+    centre = 2 * lo + length
+    gap = _circle_gap(centre[a], centre[b], 2 * S)
+    touch = np.maximum(gap[:, 0], gap[:, 1]) <= length[a, 0] + length[b, 0]
+    a, b = np.r_[a[touch], b[touch]], np.r_[b[touch], a[touch]]
+    # each member takes the least root among its own and its touching
+    # members', then its root's root, until nothing changes: every root
+    # is then the first member of its component
+    root, step = None, np.arange(n)
+    while not np.array_equal(root, step):
+        root, step = step, step.copy()
+        np.minimum.at(step, a, root[b])
+        step = step[step]
+    roots, label = np.unique(root, return_inverse=True)
+    m = len(roots)
     # one circle per component and axis
     _, hull_lo, hull_len = _circle_runs(np.concatenate((2 * label, 2 * label + 1)),
-                                        lo.T.ravel(), hi.T.ravel(), S)
+                                        lo.T.ravel(), (lo + length).T.ravel(), S)
     if len(hull_lo) != 2 * m:
         raise RuntimeError("a connected component has a disconnected projection")
     return _check(len(families), fam, label, lo, length,
@@ -222,14 +220,14 @@ def exhaustive_chain_scan(max_level: int) -> ChainScan:
     lo_o = index << (j_max + 4 - level)
     hi_o = lo_o + (S >> level)
     lo_d, len_d = dilate_units(level, index, NINE_EIGHTHS, j_max)
-    hi_d = lo_d + len_d
 
     contains = (lo_o[:, None] <= lo_o[None, :]) & (hi_o[None, :] <= hi_o[:, None])
     disjoint = ~(contains | contains.T)
     adj = (hi_o[:, None] % S == lo_o[None, :]) | (hi_o[None, :] % S == lo_o[:, None])
     valid_pair = disjoint & ~adj
 
-    touch_d = _torus_touch(lo_d[:, None], hi_d[:, None], lo_d[None, :], hi_d[None, :], S)
+    centre = 2 * lo_d + len_d
+    touch_d = _circle_gap(centre[:, None], centre, 2 * S) <= len_d[:, None] + len_d
 
     outer_pairs = chains = 0
     violations = []
@@ -246,65 +244,87 @@ def exhaustive_chain_scan(max_level: int) -> ChainScan:
             for m in idx[len_d[idx] <= thresh]:
                 violations.append(tuple((int(level[i]), int(index[i]))
                                         for i in (a, m, b)))
-    return ChainScan(
-        max_level=max_level,
-        intervals=n,
-        outer_pairs=outer_pairs,
-        chains=chains,
-        violations=violations,
-    )
+    return ChainScan(max_level=max_level, intervals=n, outer_pairs=outer_pairs,
+                     chains=chains, violations=violations)
 
 
 # ---------------------------------------------------------------------------
 # random nonadjacent families (for the randomized suites)
+
+def _tiling(rng, dim: int, max_level: int, budget: int, p_split: float):
+    """A random stopping-time tiling of the dim-torus, last tile first:
+    each tile's b = dim * (max_level - level), and its Morton code at
+    its level.
+
+    A depth-first walk, last child first, keeps the position p, in
+    cells of level max_level in Morton order, below which the tiles are
+    unknown.  Its node is the largest aligned block of 2**b cells that
+    ends at p, b read from p's lowest nonzero base-2**dim digit.  A node
+    below max_level draws a uniform while fewer than ceil(budget /
+    (2**dim - 1)) nodes have split (fewer than `budget` other tiles),
+    and splits below p_split, keeping its end; else it is a tile and p
+    moves to its start.  The uniforms are drawn ahead in chunks; the
+    generator's state is then restored and exactly the ones read drawn
+    again, so the stream is the one a uniform per node reads.
+    """
+    limit = -(-budget // ((1 << dim) - 1))
+    state = rng.bit_generator.state
+    flags, used, splits = [], 0, 0
+    b = dim * max_level
+    p = 1 << b
+    bits, codes = [], []
+    while p:
+        if b and splits < limit:
+            if used == len(flags):
+                flags += (rng.random(len(flags) + 32) < p_split).tolist()
+            used += 1
+            if flags[used - 1]:
+                splits += 1
+                b -= dim
+                continue
+        p -= 1 << b
+        bits.append(b)
+        codes.append(p >> b)
+        b = ((p & -p).bit_length() - 1) & -dim  # dim is 1 or 2
+    rng.bit_generator.state = state
+    rng.random(used)
+    return bits, codes
+
 
 def random_nonadjacent_family(rng, max_level: int = 12,
                               max_count: int = 64) -> np.ndarray:
     """Random family of pairwise disjoint, nonadjacent dyadic intervals,
     as (level, index) rows.
 
-    Draws a random stopping-time tiling of the torus, keeps alternating
-    tiles in circular order (never two consecutive, hence nonadjacent),
-    then thins randomly.  Levels get mixed because split depth varies.
-
-    A node below max_level draws one uniform while the leaves and the
-    stack hold fewer than `budget` tiles, and splits when it is below
-    0.62.  The uniforms come in batches that are sure to be used, so
-    the stream is the one a uniform per node reads: the stack's levels
-    never decrease towards its top, so when a node below max_level is
-    popped, every node left on the stack is below max_level too and
-    draws when popped unless the count has reached the budget, and a
-    split adds one to the count.
+    Draws a random stopping-time tiling of the torus with fewer than
+    4 * max_count splits (`_tiling`, splitting below 0.62), keeps
+    alternating tiles in circular order (never two consecutive, hence
+    nonadjacent), then thins randomly.  Levels get mixed because split
+    depth varies.
     """
-    leaves = []
-    stack = [(0, 0)]
-    budget = 4 * max_count
-    splits, at = [], 0
-    while stack:
-        level, index = stack.pop()
-        if level < max_level and len(leaves) + len(stack) < budget:
-            if at == len(splits):
-                batch = min(len(stack) + 1, budget - len(leaves) - len(stack))
-                splits, at = (rng.random(batch) < 0.62).tolist(), 0
-            at += 1
-            if splits[at - 1]:
-                stack.append((level + 1, 2 * index))
-                stack.append((level + 1, 2 * index + 1))
-                continue
-        leaves.append((level, index))
-    # the tiles of one tiling have distinct left ends, and this integer
-    # key orders them by left end
-    leaves.sort(key=lambda t: t[1] << (max_level - t[0]))
-    if len(leaves) < 2:
+    bits, index = _tiling(rng, 1, max_level, 4 * max_count, 0.62)
+    n = len(bits)
+    if n < 2:
         return np.array([[1, 0]], dtype=np.int64)
+    bits.reverse()  # by left end
+    index.reverse()
     phase = int(rng.integers(0, 2))
-    kept = leaves[phase::2]
-    if len(leaves) % 2 == 1 and phase == 0 and len(kept) > 1:
-        kept = kept[:-1]  # circular order: first and last tiles are adjacent
-    out = [t for t, keep in zip(kept, rng.random(len(kept)) < 0.8) if keep]
-    if not out:
-        out = [leaves[0]]
-    return np.array(out[:max_count], dtype=np.int64)
+    # circular order: with an odd count the first and last tiles are adjacent
+    kept = range(phase, n - (n % 2 > phase), 2)
+    out = [(max_level - bits[t], index[t])
+           for t, keep in zip(kept, (rng.random(len(kept)) < 0.8).tolist()) if keep]
+    return np.array(out[:max_count] or [(max_level - bits[0], index[0])],
+                    dtype=np.int64)
+
+
+def _deinterleave(z: np.ndarray) -> np.ndarray:
+    """The even bits of each entry of z, packed: the second coordinate
+    of a Morton code below 2**32, or its first when given z >> 1."""
+    z = z & 0x5555555555555555
+    for s, mask in ((1, 0x3333333333333333), (2, 0x0F0F0F0F0F0F0F0F),
+                    (4, 0x00FF00FF00FF00FF), (8, 0x0000FFFF0000FFFF)):
+        z = (z | z >> s) & mask
+    return z
 
 
 def random_nonadjacent_cube_family(rng, max_level: int = 7,
@@ -312,41 +332,25 @@ def random_nonadjacent_cube_family(rng, max_level: int = 7,
     """Random nonadjacent dyadic cubes from a quadtree tiling of the
     torus, as (level, i, j) rows.
 
-    Visits the tiles in a random order and keeps each one whose closure
-    touches no kept tile, read from a touch matrix of all tile pairs.
-    The quadtree's uniforms come in batches sure to be used, as for
-    `random_nonadjacent_family`, where a split adds three to the count.
+    The tiling has fewer than 5 * max_count tiles (`_tiling`, splitting
+    below 0.55).  Visits the tiles in a random order and keeps each one
+    whose closure touches no kept tile, read from a touch matrix of all
+    tile pairs.
     """
-    leaves = []
-    stack = [(0, 0, 0)]
-    budget = 5 * max_count
-    splits, at = [], 0
-    while stack:
-        level, i, j = stack.pop()
-        if level < max_level and len(leaves) + len(stack) < budget:
-            if at == len(splits):
-                batch = min(len(stack) + 1, -((len(leaves) + len(stack) - budget) // 3))
-                splits, at = (rng.random(batch) < 0.55).tolist(), 0
-            at += 1
-            if splits[at - 1]:
-                for di in (0, 1):
-                    for dj in (0, 1):
-                        stack.append((level + 1, 2 * i + di, 2 * j + dj))
-                continue
-        leaves.append((level, i, j))
-    W = 1 << max_level
-    order = rng.permutation(len(leaves))
-    tiles = np.array(leaves, dtype=np.int64)
-    w = W >> tiles[:, 0]
-    touch = np.ones((len(tiles), len(tiles)), dtype=bool)
-    for ax in (1, 2):
-        # edges are at most W = 2**max_level; int32 halves the pairwise work
-        lo = (tiles[:, ax] * w).astype(np.int32)
-        hi = lo + w.astype(np.int32)
-        touch &= _torus_touch(lo[:, None], hi[:, None], lo[None, :], hi[None, :], W)
+    bits, codes = _tiling(rng, 2, max_level, 5 * max_count, 0.55)
+    order = rng.permutation(len(bits))
+    codes = np.array(codes, dtype=np.int64)
+    tiles = np.stack((max_level - np.array(bits) // 2, _deinterleave(codes >> 1),
+                      _deinterleave(codes)), axis=1)
+    # closed cubes meet when their projections meet on both axes; int32
+    # halves the pairwise work
+    w = (1 << max_level >> tiles[:, :1]).astype(np.int32)
+    centre = (2 * tiles[:, 1:] + 1).astype(np.int32) * w
+    gap = [_circle_gap(c[:, None], c, 2 << max_level) for c in centre.T]
+    touch = np.maximum(*gap) <= w + w.T
     blocked = np.zeros(len(tiles), dtype=bool)
     kept = []
-    for idx in order:
+    for idx in order.tolist():
         if blocked[idx]:
             continue
         kept.append(idx)

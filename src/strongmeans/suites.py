@@ -17,9 +17,8 @@ one `czd.stopping_cells` call selects the bad cells of the whole block
 at lam and 2 lam from those units, as `dyadic` cell rows, and
 `czd_block_checks` checks them on the whole block from the same units,
 reading each row as a box.
-The covering battery draws every family of one kind, then checks them
-as one batch of integer arrays.  Neither changes the order of the
-random draws.
+The covering battery draws and checks its families in blocks.  Neither
+battery changes the order of the random draws.
 """
 
 from __future__ import annotations
@@ -53,6 +52,9 @@ _LAM_DEN = 64
 # least one.  The workspace takes about 28 bytes a sample, 7 MB at this
 # size: at 1-d J = 12 a suite process peaks near 50 MB.
 BLOCK = 1 << 18
+# families per covering block, by dimension: a block's members, their
+# pairs and their circle sweeps trace about 1 MB at the default levels
+COVERING_BLOCK = {1: 500, 2: 25}
 
 
 @dataclass
@@ -292,31 +294,24 @@ def czd_suite(trials: int, J: int = 12, seed: int = 0, dim: int = 1) -> SuiteRes
 
 def covering_suite(trials_1d: int, trials_2d: int, seed: int = 0,
                    max_level_1d: int = 12, max_level_2d: int = 7) -> SuiteResult:
-    """Random nonadjacent families: hull containment must never fail."""
+    """Random nonadjacent families: hull containment must never fail.
+    They are drawn and checked in blocks of COVERING_BLOCK, 1-d first;
+    the checks draw nothing, so the blocks do not move the stream."""
     rng = np.random.default_rng(seed)
     failures = {"containment_1d": 0, "containment_2d": 0}
     components = 0
     t0 = time.perf_counter()
-    # the checks draw nothing, so each kind's families are drawn first
-    # and checked as one batch
-    fams = [random_nonadjacent_family(rng, max_level=max_level_1d, max_count=64)
-            for _ in range(trials_1d)]
-    check = verify_covering(fams, j_max=max_level_1d)
-    failures["containment_1d"] = int(np.count_nonzero(~check.holds))
-    components += int(check.components.sum())
-    cubes = [random_nonadjacent_cube_family(rng, max_level=max_level_2d)
-             for _ in range(trials_2d)]
-    check = verify_covering_cubes(cubes, j_max=max_level_2d)
-    failures["containment_2d"] = int(np.count_nonzero(~check.holds))
-    components += int(check.components.sum())
-    elapsed = time.perf_counter() - t0
-    return SuiteResult(
-        suite="covering",
-        trials=trials_1d + trials_2d,
-        failures=failures,
-        elapsed=elapsed,
-        stats={"components": components},
-    )
+    for dim, trials, max_level, draw, verify in (
+            (1, trials_1d, max_level_1d, random_nonadjacent_family, verify_covering),
+            (2, trials_2d, max_level_2d, random_nonadjacent_cube_family,
+             verify_covering_cubes)):
+        for start in range(0, trials, COVERING_BLOCK[dim]):
+            size = min(COVERING_BLOCK[dim], trials - start)
+            check = verify([draw(rng, max_level) for _ in range(size)], j_max=max_level)
+            failures[f"containment_{dim}d"] += int(np.count_nonzero(~check.holds))
+            components += int(check.components.sum())
+    return SuiteResult(suite="covering", trials=trials_1d + trials_2d, failures=failures,
+                       elapsed=time.perf_counter() - t0, stats={"components": components})
 
 
 def chain_suite(max_level: int = 6) -> SuiteResult:

@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from strongmeans import spectral
-from strongmeans.covering import NINE_EIGHTHS, _torus_touch
+from strongmeans.covering import NINE_EIGHTHS
 from strongmeans.czd import (
     _DEN_CAP,
     FRACT_BITS,
@@ -1192,6 +1192,14 @@ def trig_poly(J: int, rng, degree: int) -> GridFunction:
     return GridFunction(1, J, s / np.mean(np.abs(s)))
 
 
+def torus_touch(a_lo, a_hi, b_lo, b_hi, S: int) -> np.ndarray:
+    """Whether the closed arcs [a_lo, a_hi] and [b_lo, b_hi] of a circle
+    of length S meet: b_lo + s <= a_hi and a_lo <= b_hi + s for some
+    shift s in {-S, 0, S}.  Broadcasts like the arrays it is given."""
+    lo, hi = a_lo - b_hi, a_hi - b_lo
+    return (lo <= 0) & (0 <= hi) | (lo <= S) & (S <= hi) | (lo <= -S) & (-S <= hi)
+
+
 def nonadjacent_family(rng, max_level: int = 12, max_count: int = 64) -> np.ndarray:
     """`strongmeans.covering.random_nonadjacent_family`, one uniform per
     tree node and per kept tile."""
@@ -1238,8 +1246,8 @@ def nonadjacent_cube_family(rng, max_level: int = 7, max_count: int = 40) -> np.
     touch = np.ones((len(tiles), len(tiles)), dtype=bool)
     for ax in (1, 2):
         lo = tiles[:, ax] * w
-        touch &= _torus_touch(lo[:, None], (lo + w)[:, None], lo[None, :],
-                              (lo + w)[None, :], W)
+        touch &= torus_touch(lo[:, None], (lo + w)[:, None], lo[None, :],
+                             (lo + w)[None, :], W)
     blocked = np.zeros(len(tiles), dtype=bool)
     kept = []
     for idx in order:

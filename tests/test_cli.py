@@ -358,6 +358,27 @@ def test_czd_lattice_exit_2(tmp_path, capsys, monkeypatch, d, J, message):
                                     "d": d, "J": J})
 
 
+@pytest.mark.parametrize("raw,message", [
+    ({"experiment": "first_reduction", "seed": 1, "J": 2},
+     "corpus: the kspikes family needs J >= 4, and J is 2"),
+    ({"experiment": "first_reduction", "seed": 3, "J": 3,
+      "corpus": {"families": ["kspikes"]}},
+     "corpus: the kspikes family needs J >= 4, and J is 3"),
+], ids=["first_reduction-J2", "first_reduction-J3-kspikes"])
+def test_corpus_family_below_its_least_J_exit_2(tmp_path, capsys, monkeypatch, raw,
+                                                message):
+    """A J too small for a family the corpus draws is refused before any
+    draw, even when the selection keeps other families only; with no
+    random draws, or at the family's least J, the config is valid."""
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert f"invalid config: {message}" in capsys.readouterr().err
+    ExperimentConfig.from_dict({**raw, "corpus": {"n_random": 0}})
+    ExperimentConfig.from_dict({**raw, "J": 4})
+
+
 @pytest.mark.parametrize("experiment,key,value,message", [
     ("averaged_moment", "J", 12.5, "J must be an integer in [1, 14]"),
     ("czd_suite", "J", 6.0, "J must be an integer in [1, 14]"),

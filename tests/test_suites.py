@@ -9,16 +9,19 @@ count, and its block draws against the one-at-a-time `trial_samples`.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from strongmeans.covering import verify_covering, verify_covering_cubes
 from strongmeans.czd import decompose, exact_units, stopping_cells
 from strongmeans.grid import GridFunction
 from strongmeans.suites import (
     BLOCK,
+    COVERING_BLOCK,
     Workspace,
     chain_suite,
     covering_suite,
@@ -30,7 +33,14 @@ from strongmeans.suites import (
     _draw_lam,
 )
 
-from oracles import cube_invariants, czd_invariants, k_spikes, trial_samples
+from oracles import (
+    cube_invariants,
+    czd_invariants,
+    k_spikes,
+    nonadjacent_cube_family,
+    nonadjacent_family,
+    trial_samples,
+)
 
 
 def workspace(samples: np.ndarray) -> Workspace:
@@ -291,6 +301,44 @@ def test_covering_suite_with_one_kind_empty():
         assert res.ok and res.trials == trials_1d + trials_2d
     assert covering_suite(0, 0, seed=3).stats["components"] == 0
     assert covering_suite(1, 0, seed=3).stats["components"] > 0
+
+
+def test_covering_blocks_match_family_by_family_checks():
+    """Blocks of COVERING_BLOCK families, the last one short, give the
+    components and failures of checking each family on its own, the
+    families drawn one uniform at a time by the oracles from the same
+    stream.  The 1-d families end in a block of one."""
+    trials = {1: 2501, 2: 253}
+    assert trials[1] % COVERING_BLOCK[1] == 1 and trials[2] % COVERING_BLOCK[2]
+    res = covering_suite(trials[1], trials[2], seed=5)
+    rng = np.random.default_rng(5)
+    failures = {"containment_1d": 0, "containment_2d": 0}
+    components = 0
+    for dim, draw, verify, level in ((1, nonadjacent_family, verify_covering, 12),
+                                     (2, nonadjacent_cube_family, verify_covering_cubes, 7)):
+        for _ in range(trials[dim]):
+            check = verify([draw(rng, level)], j_max=level)
+            failures[f"containment_{dim}d"] += int(not check.holds[0])
+            components += int(check.components[0])
+    assert res.failures == failures
+    assert res.stats["components"] == components
+
+
+def test_covering_suite_memory_is_block_sized():
+    """The suite's traced peak does not grow with its trial count: four
+    blocks of each kind peak within 1.5 times one block.  Blocks differ
+    by up to about 25% in peak; one circle sweep over every 1-d member
+    at once would peak about four times higher."""
+    covering_suite(1, 1, seed=2)  # first-call imports
+    peaks = []
+    for blocks in (1, 4):
+        tracemalloc.start()
+        try:
+            covering_suite(blocks * COVERING_BLOCK[1], blocks * COVERING_BLOCK[2], seed=2)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
 
 
 def test_chain_suite_level_five():
