@@ -35,9 +35,9 @@ NINE_EIGHTHS = Fraction(9, 8)
 
 def _circle_gap(a, b, period: int) -> np.ndarray:
     """Distance from a to b around a circle of the given period,
-    broadcast.  Closed arcs of a circle of length S meet exactly when
-    the gap of their doubled centres, period 2 S, is at most the sum of
-    their lengths."""
+    broadcast.  Closed arcs at most S long on a circle of length S meet
+    exactly when the gap of their doubled centres, period 2 S, is at
+    most the sum of their lengths."""
     d = np.abs(a - b)
     return np.minimum(d, period - d, out=d)
 
@@ -244,8 +244,13 @@ def exhaustive_chain_scan(max_level: int) -> ChainScan:
             for m in idx[len_d[idx] <= thresh]:
                 violations.append(tuple((int(level[i]), int(index[i]))
                                         for i in (a, m, b)))
-    return ChainScan(max_level=max_level, intervals=n, outer_pairs=outer_pairs,
-                     chains=chains, violations=violations)
+    return ChainScan(
+        max_level=max_level,
+        intervals=n,
+        outer_pairs=outer_pairs,
+        chains=chains,
+        violations=violations,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +258,16 @@ def exhaustive_chain_scan(max_level: int) -> ChainScan:
 
 def _tiling(rng, dim: int, max_level: int, budget: int, p_split: float):
     """A random stopping-time tiling of the dim-torus, last tile first:
-    each tile's b = dim * (max_level - level), and its Morton code at
-    its level.
+    each tile's b = dim * (max_level - level) and Morton code at its level.
 
-    A depth-first walk, last child first, keeps the position p, in
-    cells of level max_level in Morton order, below which the tiles are
-    unknown.  Its node is the largest aligned block of 2**b cells that
-    ends at p, b read from p's lowest nonzero base-2**dim digit.  A node
-    below max_level draws a uniform while fewer than ceil(budget /
-    (2**dim - 1)) nodes have split (fewer than `budget` other tiles),
+    A depth-first walk, last child first, keeps p, the number of finest
+    cells (in Morton order) not yet tiled.  Its node is the largest
+    aligned block of 2**b cells ending at p.  Below max_level it
+    draws while fewer than ceil(budget / (2**dim - 1)) nodes have split
     and splits below p_split, keeping its end; else it is a tile and p
-    moves to its start.  The uniforms are drawn ahead in chunks; the
-    generator's state is then restored and exactly the ones read drawn
-    again, so the stream is the one a uniform per node reads.
-    """
+    moves to its start.  The uniforms are drawn ahead in chunks, then
+    the state is restored and exactly those read drawn again: the
+    stream of a uniform per node."""
     limit = -(-budget // ((1 << dim) - 1))
     state = rng.bit_generator.state
     flags, used, splits = [], 0, 0
@@ -285,7 +286,7 @@ def _tiling(rng, dim: int, max_level: int, budget: int, p_split: float):
         p -= 1 << b
         bits.append(b)
         codes.append(p >> b)
-        b = ((p & -p).bit_length() - 1) & -dim  # dim is 1 or 2
+        b = ((p & -p).bit_length() - 1) & -dim  # p's lowest nonzero base-2**dim digit
     rng.bit_generator.state = state
     rng.random(used)
     return bits, codes
@@ -296,7 +297,7 @@ def random_nonadjacent_family(rng, max_level: int = 12,
     """Random family of pairwise disjoint, nonadjacent dyadic intervals,
     as (level, index) rows.
 
-    Draws a random stopping-time tiling of the torus with fewer than
+    Draws a random stopping-time tiling of the torus with at most
     4 * max_count splits (`_tiling`, splitting below 0.62), keeps
     alternating tiles in circular order (never two consecutive, hence
     nonadjacent), then thins randomly.  Levels get mixed because split
@@ -332,8 +333,8 @@ def random_nonadjacent_cube_family(rng, max_level: int = 7,
     """Random nonadjacent dyadic cubes from a quadtree tiling of the
     torus, as (level, i, j) rows.
 
-    The tiling has fewer than 5 * max_count tiles (`_tiling`, splitting
-    below 0.55).  Visits the tiles in a random order and keeps each one
+    The tiling has at most ceil(5 * max_count / 3) splits (`_tiling`,
+    splitting below 0.55).  Visits the tiles in a random order and keeps each one
     whose closure touches no kept tile, read from a touch matrix of all
     tile pairs.
     """
