@@ -276,6 +276,20 @@ def test_family_generators_read_the_stream_one_uniform_at_a_time(seed):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
+@pytest.mark.parametrize("max_level", [1, 14])
+def test_family_generators_match_the_references_at_extreme_levels(max_level):
+    """The tiling walk at the coarsest and the finest level a config
+    allows: at 14 a cube tile's Morton code has 28 bits, all of which
+    the de-interleaving must place."""
+    rng, ref = np.random.default_rng(max_level), np.random.default_rng(max_level)
+    for _ in range(100):
+        assert np.array_equal(random_nonadjacent_family(rng, max_level),
+                              nonadjacent_family(ref, max_level))
+        assert np.array_equal(random_nonadjacent_cube_family(rng, max_level),
+                              nonadjacent_cube_family(ref, max_level))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_integer_components_match_reference():
     """Batched integer components, hulls and verdicts against the
     object-per-interval reference, family by family."""
