@@ -21,7 +21,7 @@ import numpy as np
 
 from strongmeans import corpus
 from strongmeans.czd import decompose
-from strongmeans.dyadic import dilate_units, scale_for, union_mask
+from strongmeans.dyadic import union_mask
 from strongmeans.estimates import _abs2_rows, averaged_moment_rect
 
 J, LAM = 7, 32.0
@@ -40,11 +40,14 @@ def main():
     # 1-d off-band average w_N along the schedule
     cz = decompose(f, LAM)
     assert len(cz.bad) == 1, "the identities assume one bad cube"
-    S = scale_for(J)
-    lo, length = dilate_units(cz.bad[:, :1], cz.bad[:, 1:2], 5, J)
-    band = union_mask(lo, length, S)  # the bad cube's 5-dilated shadow on axis 0
-    M = 1 << (J + 1)
-    w_cells = 1.0 - band.reshape(M, S // M).mean(axis=1)
+    # the bad cube's 5-dilated shadow on axis 0, on the 2**J sample cells:
+    # it starts two sides before the cube and spans five
+    n = 1 << J
+    level, index = cz.bad[:, :1], cz.bad[:, 1:2]
+    side = n >> level
+    band = union_mask((index - 2) * side % n, np.minimum(5 * side, n), n)
+    w_cells = np.repeat(1.0 - band, 2)  # on the twice finer grid
+    M = 2 * n
     rows = _abs2_rows(corpus.spike(J), SCHEDULE[-1], 1)
     w_bar = np.cumsum(rows @ w_cells / M) / np.arange(1, SCHEDULE[-1] + 1)
 

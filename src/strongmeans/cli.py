@@ -1,12 +1,13 @@
 """Config-driven experiment runner with deterministic artifacts.
 
 One JSON config describes one experiment run.  Each experiment is one
-record in `EXPERIMENTS`: CSV columns, option schema, fan-out, schedule
-bound and runner.  `run` writes a CSV of per-row results plus a JSON
-summary, byte-identical across repeat runs and parallelism levels,
-because every (function x lambda) cell is a pure function of the config
-and the merge order is fixed.  Headline values per cell are recorded
-into a baseline file on first run and compared against it afterwards.
+record in `EXPERIMENTS`: CSV columns, option schema, the config fields
+it reads (which fix its fan-out and schedule), schedule bound and
+runner.  `run` writes a CSV of per-row results plus a JSON summary,
+byte-identical across repeat runs and parallelism levels, because every
+(function x lambda) cell is a pure function of the config and the merge
+order is fixed.  Headline values per cell are recorded into a baseline
+file on first run and compared against it afterwards.
 """
 
 from __future__ import annotations
@@ -100,20 +101,18 @@ COMMON_FIELDS = ("experiment", "seed", "output", "options")
 
 @dataclass(frozen=True)
 class Experiment:
-    """Everything the CLI knows about one experiment.  With `per_cell`,
-    `run(cfg, fn_id, f, lam, schedule)` runs one (function, lambda) cell
-    and keys its headline values by what follows `fn_id|lambda`; else
-    `run(cfg)` runs the whole experiment.  Both return rows, headline
-    values and invariant flags.  Schedules stay within 2**(J - band);
-    band is None for an experiment that reads no schedule, and its
-    runner gets None.  `reads` names the config fields beyond
-    COMMON_FIELDS that the experiment reads; a config that sets any
-    other is refused.  `check` sees the whole config."""
+    """Everything the CLI knows about one experiment.  `reads` names the
+    config fields beyond COMMON_FIELDS that it reads; a config that sets
+    any other is refused.  If it reads "lams", `run(cfg, fn_id, f, lam,
+    schedule)` runs one (function, lambda) cell and keys its headline
+    values by what follows `fn_id|lambda`; else `run(cfg)` runs it whole.
+    Both return rows, headline values and invariant flags.  If it reads
+    "schedule", that stays within 2**(J - band); else a cell runner gets
+    None for it.  `check` sees the whole config."""
 
     columns: tuple
     run: Callable
-    per_cell: bool = True
-    band: int | None = 1
+    band: int = 1
     options: dict = field(default_factory=dict)
     check: Callable | None = None
     reads: tuple = ("J", "d", "lams", "schedule", "corpus")
@@ -163,11 +162,11 @@ class ExperimentConfig:
                 raise ConfigError("schedule must be strictly increasing")
             if sched and sched[0] < 1:
                 raise ConfigError("schedule entries must be positive")
-            if sched and exp.band is not None \
+            if sched and "schedule" in exp.reads \
                     and sched[-1] > (1 << (self.J - exp.band)):
                 raise ConfigError(f"{name}: schedule exceeds the usable"
                                   f" bandwidth 2**{self.J - exp.band}")
-        if not sched and exp.band is not None and self.J < 7:
+        if not sched and "schedule" in exp.reads and self.J < 7:
             raise ConfigError(
                 f"{name}: with no schedule, J must be at least 7 (the"
                 " default schedule is 32, 64, ..., 2**(J-2))")
@@ -236,7 +235,7 @@ class ExperimentConfig:
     def run_schedule(self) -> list | None:
         """The given schedule, else 32, 64, ..., 2**(J-2); None for an
         experiment that reads no schedule."""
-        if EXPERIMENTS[self.experiment].band is None:
+        if "schedule" not in EXPERIMENTS[self.experiment].reads:
             return None
         return self.schedule or [1 << k for k in range(5, self.J - 1)]
 
@@ -417,11 +416,12 @@ def _covering_suite(cfg: ExperimentConfig):
 
 
 def _czd_lattice(cfg: ExperimentConfig):
-    # a k-spike factor draws up to 16 cells, so a trial needs n >= 16
+    # trials draw from the corpus families, each valid from its least J on
+    least = max(f.least_J for f in corpus.FAMILIES[cfg.d].values())
     greatest = min(DEFAULT_J_MAX, CZD_TRIAL_BITS // cfg.d)
-    if not 4 <= cfg.J <= greatest:
+    if not least <= cfg.J <= greatest:
         raise ConfigError(
-            f"czd_suite: J must lie in [4, {greatest}] for d = {cfg.d}"
+            f"czd_suite: J must lie in [{least}, {greatest}] for d = {cfg.d}"
             " (a trial draws up to 16 spike cells per axis and takes at"
             f" most 2**{CZD_TRIAL_BITS} samples)")
 
@@ -439,7 +439,7 @@ def _czd_suite(cfg: ExperimentConfig):
 
 
 EXPERIMENTS = {
-    "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction, band=None,
+    "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction,
                                   reads=("J", "d", "lams", "corpus")),
     "second_reduction": Experiment(MOMENT_COLUMNS, _second_reduction),
     "averaged_moment": Experiment(MOMENT_COLUMNS, _averaged_moment),
@@ -453,7 +453,7 @@ EXPERIMENTS = {
     "p4_moment": Experiment(MOMENT_COLUMNS, _p4_moment),
     "strong_means": Experiment(
         ("fn_id", "eps", "N", "measure", "config_hash"), _strong_means,
-        per_cell=False, reads=("J", "d", "schedule", "corpus"), options={
+        reads=("J", "d", "schedule", "corpus"), options={
             "eps_factors": Option(
                 (0.5, 0.25), lambda v: _numbers_above(v) and len(v) > 0,
                 "a non-empty list of positive numbers"),
@@ -462,8 +462,8 @@ EXPERIMENTS = {
                                "a list of positive numbers"),
         }),
     "density": Experiment(
-        ("kind", "N", "density", "config_hash"), _density, per_cell=False,
-        band=None, check=_density_budget, reads=("d",), options={
+        ("kind", "N", "density", "config_hash"), _density,
+        check=_density_budget, reads=("d",), options={
             "kind": Option("quarter_power", lambda v: v == "quarter_power",
                            '"quarter_power"'),
             "s": Option(1.0, lambda v: isinstance(v, (int, float))
@@ -475,7 +475,7 @@ EXPERIMENTS = {
     # level stays small
     "covering_suite": Experiment(
         ("kind", "trials", "violations", "components", "config_hash"),
-        _covering_suite, per_cell=False, band=None, reads=(), options={
+        _covering_suite, reads=(), options={
             "trials_1d": _integer(10000, 1),
             "trials_2d": _integer(1000, 1),
             "max_level_1d": _integer(12, 1, DEFAULT_J_MAX),
@@ -484,7 +484,7 @@ EXPERIMENTS = {
         }),
     "czd_suite": Experiment(
         ("kind", "trials", "failures", "mean_bad_cells", "config_hash"),
-        _czd_suite, per_cell=False, band=None, check=_czd_lattice,
+        _czd_suite, check=_czd_lattice,
         reads=("J", "d"), options={"trials": _integer(10000, 1)}),
 }
 
@@ -506,7 +506,7 @@ def execute(cfg: ExperimentConfig, jobs: int = 1):
     rows stamped with the config hash, headline values keyed for the
     baseline file, and invariant flags."""
     exp = EXPERIMENTS[cfg.experiment]
-    if not exp.per_cell:
+    if "lams" not in exp.reads:
         results = [exp.run(cfg)]
     else:
         # the corpus is built once per run; each cell carries its

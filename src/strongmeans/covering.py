@@ -12,8 +12,8 @@ bridge is strictly longer than the smaller outer dilate.
 
 A family is an integer array of `dyadic` cell rows, (level, index) per
 interval or (level, i, j) per cube, the format of the bad cells of a
-`czd.decompose`.  Dilates come from `dyadic.dilate_units` and its
-integer factor table, so every endpoint is an integer at scale
+`czd.decompose`.  Dilates come from `dyadic.dilate_units`, the one
+9/8-dilate, so every endpoint is an integer at scale
 S = 2**(j_max + 4), and the chain scan reports its violations as
 (level, index) pairs.  1-d components come from one sort by left end
 and a running maximum of right ends; 2-d components from the touching
@@ -24,13 +24,10 @@ stopping-time tiling walk in either dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .dyadic import DEFAULT_J_MAX, dilate_units, scale_for
-
-NINE_EIGHTHS = Fraction(9, 8)
 
 
 def _circle_gap(a, b, period: int) -> np.ndarray:
@@ -109,7 +106,7 @@ def _dilates(families: list, axes: int, j_max: int):
     member of every family, from one `dilate_units` call."""
     rows = np.concatenate([np.empty((0, 1 + axes), dtype=np.int64), *families])
     fam = np.repeat(np.arange(len(families)), [len(f) for f in families])
-    lo, length = dilate_units(rows[:, :1], rows[:, 1:1 + axes], NINE_EIGHTHS, j_max)
+    lo, length = dilate_units(rows[:, :1], rows[:, 1:1 + axes], j_max)
     return fam, lo, np.broadcast_to(length, lo.shape)  # a cube's sides are equal
 
 
@@ -219,7 +216,7 @@ def exhaustive_chain_scan(max_level: int) -> ChainScan:
     S = scale_for(j_max)
     lo_o = index << (j_max + 4 - level)
     hi_o = lo_o + (S >> level)
-    lo_d, len_d = dilate_units(level, index, NINE_EIGHTHS, j_max)
+    lo_d, len_d = dilate_units(level, index, j_max)
 
     contains = (lo_o[:, None] <= lo_o[None, :]) & (hi_o[None, :] <= hi_o[:, None])
     disjoint = ~(contains | contains.T)

@@ -149,21 +149,21 @@ def ratio(h) -> tuple[int, int]:
         return Fraction(h).as_integer_ratio()
 
 
-def stopping_cells(samples: np.ndarray, dim: int, heights, units,
+def stopping_cells(samples: np.ndarray, heights, units,
                    sums: np.ndarray | None = None,
                    codes: np.ndarray | None = None) -> StoppingCells:
     """Stopping-time selection on |samples| for a batch of functions at
     once.
 
-    `samples` has shape (B, n) for dim 1 or (B, n, n) for dim 2;
-    `heights` holds B equal-length sequences of at most MAX_HEIGHTS
+    `samples` has shape (B, n) in 1-d or (B, n, n) in 2-d, which fixes
+    dim; `heights` holds B equal-length sequences of at most MAX_HEIGHTS
     positive heights, one per row; `units` is `exact_units(samples)`.
     `sums` (8-byte items) and `codes` (uint8) are flat buffers a caller
     reuses, of at least B * pyramid_cells(J - 1, dim) and
     B * pyramid_cells(J, dim) elements: they hold the level sums below
-    the finest level and the cells' codes.  A row takes the exact integer path when its samples lie on the
-    2**-FRACT_BITS grid and its heights have denominators of at most
-    _DEN_CAP, else the float path.  Each path builds one level-sum
+    the finest level and the cells' codes.  A row takes the exact
+    integer path when its samples lie on the 2**-FRACT_BITS grid and its
+    heights have denominators of at most _DEN_CAP, else the float path.  Each path builds one level-sum
     pyramid for its rows and selects at every height together.
 
     Raises HeightTooLowError when a row's mean exceeds one of its
@@ -182,8 +182,7 @@ def stopping_cells(samples: np.ndarray, dim: int, heights, units,
         if rows.size:
             take = slice(None) if rows.size == len(samples) else rows  # a view, no copy
             finest = ints[take] if path else np.abs(samples[take]).astype(np.float64)
-            r, c, cells = _select(finest, [ratios[i] for i in rows], dim, J, path,
-                                 sums, codes)
+            r, c, cells = _select(finest, [ratios[i] for i in rows], J, path, sums, codes)
             parts.append((rows[r], c, cells))
     if len(parts) == 1:  # already in order
         return StoppingCells(exact, *parts[0])
@@ -192,7 +191,7 @@ def stopping_cells(samples: np.ndarray, dim: int, heights, units,
     return StoppingCells(exact, row[order], col[order], cells[order])
 
 
-def _select(finest, ratios, dim: int, J: int, exact: bool, sums=None, codes=None):
+def _select(finest, ratios, J: int, exact: bool, sums=None, codes=None):
     """(row, col, cells) of the maximal cells over each height, ordered
     as `StoppingCells` is; the heights are (numerator, denominator)
     pairs, and `sums` and `codes` as `stopping_cells` takes them.
@@ -207,7 +206,7 @@ def _select(finest, ratios, dim: int, J: int, exact: bool, sums=None, codes=None
     their further ancestors, read at (i >> s, j >> s) per axis for an
     ancestor s levels up.
     """
-    B, H = len(finest), len(ratios[0])
+    B, H, dim = len(finest), len(ratios[0]), finest.ndim - 1
     if H > MAX_HEIGHTS:
         raise ValueError(f"at most {MAX_HEIGHTS} heights per row")
     level_sums = _level_sums(finest, J, dim, None if sums is None else _levels(
@@ -311,7 +310,7 @@ def decompose(f: GridFunction, lam: float) -> CZDecomposition:
         raise ValueError("height must be positive")
     height = Fraction(lam)
     batch = f.samples[None]
-    sel = stopping_cells(batch, f.dim, [[height]], exact_units(batch))
+    sel = stopping_cells(batch, [[height]], exact_units(batch))
     return CZDecomposition(source=f, height=height, bad=sel.cells,
                            exact=bool(sel.exact[0]))
 

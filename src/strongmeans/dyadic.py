@@ -7,74 +7,49 @@ square of side 2**-level at (i, j).  The stopping-time selection
 arrays with one row per cell, and the decomposition, the exceptional
 sets and the covering checks pass them on in it.
 
-The torus [0, 1) is modelled at a global power-of-two scale
-S = 2**(j_max + 4); the extra 4 bits guarantee that every supported
-dilation factor (9/8, 2, 3, 4, 9/2, 5) of a dyadic interval of level
-<= j_max has integer endpoints at scale S.  The factors live in an
-integer table of (p, q) pairs, so `dilate_units`, the one dilation, is
-integer arithmetic on arrays of levels and indices.  Arcs are half-open
-[lo, lo + length) with 0 <= lo < S and 0 < length <= S; an arc that
-wraps past 1 keeps lo + length > S, never split in two.  `union_mask`
-marks a union of such arcs, or of boxes made of them, as a bitmap.
+Exceptional sets are unions of odd dilates, whose ends fall on the 2**J
+sample cells (`estimates.build_exceptional_set`).  Only the covering
+lemma's 9/8-dilates need a finer grid: S = 2**(j_max + 4) units on the
+torus [0, 1), so that a cell of level <= j_max spans w >= 16 units and
+its dilate, 9w/8 long and starting w/16 before it, has integer ends.
+`dilate_units` is that dilation, integer arithmetic on arrays of levels
+and indices.  Arcs are half-open [lo, lo + length) with 0 <= lo < S and
+0 < length <= S; an arc that wraps past 1 keeps lo + length > S, never
+split in two.  `union_mask` marks a union of such arcs, or of boxes made
+of them, as a bitmap on either grid.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 DEFAULT_J_MAX = 14
-_SCALE_BITS = 4  # 9/8 dilation needs 3 extra bits, one more for headroom
-
-# every supported dilation factor as p / q with q dividing 8, so that
-# p * (S >> level) / q is an integer for every level <= j_max
-SUPPORTED_FACTORS = {
-    Fraction(9, 8): (9, 8),
-    Fraction(2): (2, 1),
-    Fraction(3): (3, 1),
-    Fraction(4): (4, 1),
-    Fraction(9, 2): (9, 2),
-    Fraction(5): (5, 1),
-}
+_SCALE_BITS = 4  # a level-j_max cell's 9/8-dilate starts one unit before it
 
 
 class ResolutionExceededError(ValueError):
     """Operation would need cells finer than the global resolution cap."""
 
 
-class InvalidFactorError(ValueError):
-    """Dilation factor outside the supported exact set."""
-
-
 def scale_for(j_max: int = DEFAULT_J_MAX) -> int:
     return 1 << (j_max + _SCALE_BITS)
 
 
-def _factor(c) -> tuple[int, int]:
-    """(p, q) of a supported factor c = p / q, read from the table."""
-    try:
-        return SUPPORTED_FACTORS[c]
-    except (KeyError, TypeError):
-        raise InvalidFactorError(f"unsupported dilation factor {c!r}") from None
-
-
-def dilate_units(level, index, c, j_max: int = DEFAULT_J_MAX):
-    """(lo, length) of the concentric c-dilates of dyadic intervals.
+def dilate_units(level, index, j_max: int = DEFAULT_J_MAX):
+    """(lo, length) of the concentric 9/8-dilates of dyadic intervals.
 
     Works elementwise on integer arrays of levels and indices as on
-    ints.  The length is min(1, c * measure) and lo the left end mod 1,
-    both at scale 2**(j_max+4); the factor comes from the integer table,
-    so the arithmetic is exact.
+    ints.  The length is min(1, 9/8 * measure) and lo the left end mod
+    1, both at scale 2**(j_max+4), where every step is exact.
     """
-    p, q = _factor(c)
     top = np.max(level, initial=0)
     if top > j_max:
         raise ResolutionExceededError(f"level {top} exceeds resolution cap {j_max}")
     S = scale_for(j_max)
     w = S >> level
-    length = np.minimum(w * p // q, S)  # exact: q divides w
+    length = np.minimum(w * 9 // 8, S)  # exact: 8 divides w
     lo = ((2 * index + 1) * w - length) // 2 % S  # doubled center minus length
     return lo, length
 

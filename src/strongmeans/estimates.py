@@ -3,12 +3,11 @@
 The experiments here all follow one pattern: decompose a function at
 height lambda, remove a union E of dilated bad cells, and integrate a
 spectral quantity (partial sums, or a kernel convolved with |f|^2) over
-the complement.  E lives as a bitmap of integer unit cells at scale
-2**(J+4) per axis, the same scale the dilation arithmetic uses, so its
-measure is an exact Fraction and quadrature weights on any power-of-two
-grid are exact dyadic numbers.  It is built from the decomposition's
-bad-cell rows by one `dyadic.dilate_units` call and one
-`dyadic.union_mask`.
+the complement.  E lives as a bitmap of the 2**J sample cells per axis,
+on which every odd dilate of a dyadic cell starts and ends, so its
+measure is an exact Fraction and its complement weights on any finer
+power-of-two grid are 0 or 1.  It is built from the decomposition's
+bad-cell rows by integer arithmetic and one `dyadic.union_mask`.
 
 Quadratic (p = 2) averaged moments never evaluate S_n f.  With w the
 complement weights on the refined M-grid and w^ = fft(w)/M their DFT,
@@ -73,7 +72,7 @@ from fractions import Fraction
 import numpy as np
 
 from .czd import CZDecomposition, decompose
-from .dyadic import dilate_units, scale_for, union_mask
+from .dyadic import union_mask
 from .grid import GridFunction
 from .spectral import (
     band_energy,
@@ -123,69 +122,62 @@ class ExceptionalSet:
     """
 
     dim: int
-    scale: int  # units per axis
     dilation: int
-    mask: np.ndarray = field(repr=False)
+    mask: np.ndarray = field(repr=False)  # one entry per sample cell
     measure: Fraction
     geometry: str = "cube"
 
     def complement_weights(self, M: int) -> np.ndarray:
-        """Fraction of each M-grid cell lying outside the set.
+        """1 on each cell of the M-grid outside the set, else 0.
 
-        Exact: M and the bitmap scale are both powers of two, so each
-        weight is a count divided by a power of two.
+        M is a power-of-two multiple of the n sample cells per axis, so
+        each M-cell lies in one sample cell and takes its value.
         """
-        S, d = self.scale, self.dim
-        k = min(M, S)  # cells per axis of the coarser of the two grids
-        w = 1.0 - self.mask.reshape((k, S // k) * d).mean(
-            axis=tuple(range(1, 2 * d, 2)))
-        if M > S:  # a finer grid repeats each unit cell
-            for axis in range(d):
-                w = np.repeat(w, M // S, axis)
+        n = len(self.mask)
+        if M % n:
+            raise ValueError(f"M = {M} is no multiple of the {n} cells per axis")
+        w = 1.0 - self.mask
+        for axis in range(self.dim):
+            w = np.repeat(w, M // n, axis)
         return w
 
 
 def build_exceptional_set(cz: CZDecomposition, c: int = 5,
                           geometry: str = "cube") -> ExceptionalSet:
-    """E = union of c-dilated bad cells of the decomposition.
+    """E = union of c-dilated bad cells, on the n = 2**J sample cells.
 
-    The arcs of every bad row come from one `dyadic.dilate_units` call;
-    for c = 1 each arc is the cell itself.  "cube" marks each cell's
-    box, the product of its arcs, and "slab" every point inside some
-    cell's arc on either axis.
+    A bad cell of side w samples has the c-dilate that starts c // 2
+    sides before it and spans min(c w, n) samples; c = 1 is the cell
+    itself.  "cube" marks each cell's box, the product of its arcs, and
+    "slab" every point inside some cell's arc on either axis.
     """
     if c not in SUPPORTED_DILATIONS:
         raise ValueError(f"dilation {c} not in {SUPPORTED_DILATIONS}")
     if geometry not in ("cube", "slab"):
         raise ValueError(f"unknown geometry {geometry!r}")
-    J = cz.J
-    S = scale_for(J)
+    n = 1 << cz.J
     level, index = cz.bad[:, :1], cz.bad[:, 1:]
-    if c == 1:
-        length = S >> level
-        lo = index * length
-    else:
-        lo, length = dilate_units(level, index, c, J)
+    w = n >> level
+    lo, length = (index - c // 2) * w % n, np.minimum(c * w, n)
     if cz.dim == 1:
         geometry = "cube"  # identical constructions
     if geometry == "slab":
-        axis_masks = [union_mask(lo[:, a:a + 1], length, S) for a in range(2)]
+        axis_masks = [union_mask(lo[:, a:a + 1], length, n) for a in range(2)]
         mask = axis_masks[0][:, None] | axis_masks[1][None, :]
         # complement is a product set, so the measure multiplies out
-        free = [S - int(m.sum()) for m in axis_masks]
-        measure = 1 - Fraction(free[0] * free[1], S * S)
+        free = [n - int(m.sum()) for m in axis_masks]
+        measure = 1 - Fraction(free[0] * free[1], n * n)
     else:
-        mask = union_mask(lo, length, S)
-        measure = Fraction(int(mask.sum()), S ** cz.dim)
-    return ExceptionalSet(cz.dim, S, c, mask, measure, geometry)
+        mask = union_mask(lo, length, n)
+        measure = Fraction(int(mask.sum()), n ** cz.dim)
+    return ExceptionalSet(cz.dim, c, mask, measure, geometry)
 
 
 def weighted_moment(g: GridFunction, exc: ExceptionalSet, p: int = 1) -> float:
     """Integral of |g|**p over the complement of the set.
 
-    Reads g as piecewise constant on its own grid; the cell weights are
-    exact, so for g constant on the set's unit cells this is exact
-    quadrature.
+    Exact quadrature of g read as piecewise constant on its own grid, at
+    least as fine as the set's.
     """
     if g.dim != exc.dim:
         raise ValueError("dimension mismatch")

@@ -251,10 +251,9 @@ def czd_block_invariants(samples: np.ndarray, lams, work: Workspace):
     one pass, then run `czd_block_checks` on them; both read one
     conversion of |samples| to integer units, and every block-sized
     array comes from `work`, a `Workspace` of the block's rows."""
-    dim = samples.ndim - 1
     rounding = work.scratch[:samples.size].view(np.float64).reshape(samples.shape)
     units = exact_units(samples, work.units, rounding)
-    sel = stopping_cells(samples, dim, [(x, 2 * x) for x in lams], units,
+    sel = stopping_cells(samples, [(x, 2 * x) for x in lams], units,
                          work.scratch, work.codes)
     return czd_block_checks(samples, lams, sel, units, work)
 

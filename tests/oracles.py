@@ -51,7 +51,6 @@ from fractions import Fraction
 import numpy as np
 
 from strongmeans import spectral
-from strongmeans.covering import NINE_EIGHTHS
 from strongmeans.czd import (
     _DEN_CAP,
     FRACT_BITS,
@@ -59,15 +58,12 @@ from strongmeans.czd import (
     StoppingCells,
     decompose,
 )
-from strongmeans.dyadic import (
-    DEFAULT_J_MAX,
-    SUPPORTED_FACTORS,
-    InvalidFactorError,
-    scale_for,
-    union_mask,
-)
+from strongmeans.dyadic import DEFAULT_J_MAX, scale_for, union_mask
 from strongmeans.estimates import ScheduleInfeasibleError
 from strongmeans.grid import GridFunction, tensor
+
+# the covering lemma's dilation factor
+NINE_EIGHTHS = Fraction(9, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +212,9 @@ def reference_exceptional_set(cz, c: int, geometry: str = "cube"):
     """(mask, measure) of E built one bad cell at a time: each row
     becomes a DyadicInterval or DyadicCube, each of its axes a
     `fraction_dilate` arc (the cell itself for c = 1), and each arc
-    piece is marked by slicing.  The row-based
-    `estimates.build_exceptional_set` must give the same mask and
-    measure."""
+    piece is marked by slicing, at scale 2**(J+4).  The row-based
+    `estimates.build_exceptional_set` must give the same measure, and
+    its mask on the 2**J sample cells must be this one's coarsening."""
     J, d = cz.J, cz.dim
     S = scale_for(J)
     cells = ([(iv,) for iv in as_intervals(cz.bad)] if d == 1
@@ -522,12 +518,12 @@ def csv_differences(fresh_text: str, ref_text: str, rtol: float = 1e-12) -> list
 # stopping-time selection with a running mask
 
 
-def running_mask_cells(samples: np.ndarray, dim: int, heights, units) -> StoppingCells:
+def running_mask_cells(samples: np.ndarray, heights, units) -> StoppingCells:
     """`strongmeans.czd.stopping_cells` by a dense descent: at every
     level a running mask, copied up one level with `repeat` along each
     axis, blocks the cells below a selected ancestor.  Same paths, same
     order, same HeightTooLowError; no int64 budget check."""
-    J = samples.shape[1].bit_length() - 1
+    J, dim = samples.shape[1].bit_length() - 1, samples.ndim - 1
     heights = [[Fraction(h) for h in hs] for hs in heights]
     ints, on_grid = units
     exact = on_grid & np.array(
@@ -842,13 +838,14 @@ def shell_counts(mask: np.ndarray, shells) -> tuple:
 
 
 def fraction_dilate(iv, c, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
-    """c * I at scale 2**(j_max+4) with the factor as a Fraction."""
-    f = Fraction(c)
-    if f not in SUPPORTED_FACTORS:
-        raise InvalidFactorError(f"unsupported dilation factor {c!r}")
+    """c * I at scale 2**(j_max+4) with the factor as a Fraction; c must
+    leave both ends on the integer grid."""
     S = scale_for(j_max)
     w = S >> iv.level
-    new_len = min(int(f * w), S)
+    half = Fraction(c) * w / 2
+    if half <= 0 or half.denominator != 1:
+        raise ValueError(f"a {c!r}-dilate would leave the integer grid")
+    new_len = min(2 * int(half), S)
     lo = (((2 * iv.index + 1) * w - new_len) // 2) % S
     return ScaledInterval(lo, lo + new_len, S)
 
@@ -856,11 +853,11 @@ def fraction_dilate(iv, c, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
 def dilate_scaled(arc: ScaledInterval, c: int) -> ScaledInterval:
     """Integer concentric dilation of an already-scaled arc."""
     if c < 1:
-        raise InvalidFactorError(f"bad factor {c}")
+        raise ValueError(f"bad factor {c}")
     new_len = min(c * arc.length_units, arc.scale)
     lo2 = (arc.lo + arc.hi) - new_len  # doubled lo
     if lo2 % 2 != 0:
-        raise InvalidFactorError("dilation would leave the integer grid")
+        raise ValueError("dilation would leave the integer grid")
     lo = (lo2 // 2) % arc.scale
     return ScaledInterval(lo, lo + new_len, arc.scale)
 

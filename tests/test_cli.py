@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from strongmeans import cli
+from strongmeans import cli, corpus
 from strongmeans.cli import ConfigError, ExperimentConfig, build_functions, fmt
 
 from oracles import csv_differences
@@ -356,6 +356,19 @@ def test_czd_lattice_exit_2(tmp_path, capsys, monkeypatch, d, J, message):
     for J in (4, {1: 14, 2: 8}[d]):
         ExperimentConfig.from_dict({"experiment": "czd_suite", "seed": 1,
                                     "d": d, "J": J})
+
+
+@pytest.mark.parametrize("d,J", [(1, 4), (2, 4)], ids=["czd-J4-1d", "czd-J4-2d"])
+def test_czd_lattice_accepts_the_families_least_J(monkeypatch, d, J):
+    """czd_suite's least J is the greatest `least_J` of the corpus
+    families: J is accepted, and J - 1 too once no family needs more."""
+    assert max(f.least_J for f in corpus.FAMILIES[d].values()) == J
+    ExperimentConfig.from_dict({"experiment": "czd_suite", "seed": 1, "d": d, "J": J})
+    monkeypatch.setitem(corpus.FAMILIES, d, {
+        key: replace(f, least_J=min(f.least_J, J - 1))
+        for key, f in corpus.FAMILIES[d].items()})
+    ExperimentConfig.from_dict({"experiment": "czd_suite", "seed": 1, "d": d,
+                                "J": J - 1})
 
 
 @pytest.mark.parametrize("raw,message", [

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strongmeans.covering import (
-    NINE_EIGHTHS,
     exhaustive_chain_scan,
     random_nonadjacent_cube_family,
     random_nonadjacent_family,
@@ -26,6 +25,7 @@ from strongmeans.covering import (
 from strongmeans.dyadic import scale_for
 
 from oracles import (
+    NINE_EIGHTHS,
     DyadicCube,
     DyadicInterval,
     NonadjacentInputError,

@@ -300,9 +300,9 @@ def test_selection_matches_running_mask_oracle(dim, J, exact):
     for _ in range(3):
         x, heights = selection_batch(rng, dim, J, exact)
         units = exact_units(x)
-        got = stopping_cells(x, dim, heights, units)
+        got = stopping_cells(x, heights, units)
         assert got.exact.all() if exact else not got.exact.any()
-        same_cells(got, running_mask_cells(x, dim, heights, units))
+        same_cells(got, running_mask_cells(x, heights, units))
         # rows where the second height selects nothing
         empty = [b for b, hs in enumerate(heights) if hs[1] > 2 * x[b].max()]
         assert empty and not np.isin(got.row[got.col == 1], empty).any()
@@ -321,9 +321,9 @@ def test_selection_mixes_paths_and_reuses_buffers(dim, J):
         y, float_heights = selection_batch(rng, dim, J, False, B)
         x[1::2], heights[1::2] = y[1::2], float_heights[1::2]
         units = exact_units(x)
-        got = stopping_cells(x, dim, heights, units, sums, codes)
+        got = stopping_cells(x, heights, units, sums, codes)
         assert got.exact.tolist() == [b % 2 == 0 for b in range(B)]
-        same_cells(got, running_mask_cells(x, dim, heights, units))
+        same_cells(got, running_mask_cells(x, heights, units))
 
 
 @pytest.mark.parametrize("dim,J", [(1, 9), (2, 5)], ids=["1d", "2d"])
@@ -333,7 +333,7 @@ def test_batch_cells_are_each_rows_bad_cells(dim, J, exact):
     cells of `decompose` for that row alone at that height, as they
     stand: one cell format from the selection to the exceptional set."""
     x, heights = selection_batch(np.random.default_rng(60 + dim), dim, J, exact, 8)
-    got = stopping_cells(x, dim, heights, exact_units(x))
+    got = stopping_cells(x, heights, exact_units(x))
     for b, hs in enumerate(heights):
         for c, h in enumerate(hs):
             bad = decompose(GridFunction(dim, J, x[b]), h).bad
@@ -348,12 +348,12 @@ def test_batch_height_below_a_row_mean_refused():
     units = exact_units(x)
     for select in (stopping_cells, running_mask_cells):
         with pytest.raises(HeightTooLowError, match="exceeds stopping height 0.5"):
-            select(x, 1, heights, units)
+            select(x, heights, units)
 
 
 def test_at_most_eight_heights_per_row():
     x = np.ones((1, 16))
     units = exact_units(x)
-    assert stopping_cells(x, 1, [[2.0] * 8], units).row.size == 0
+    assert stopping_cells(x, [[2.0] * 8], units).row.size == 0
     with pytest.raises(ValueError):
-        stopping_cells(x, 1, [[2.0] * 9], units)
+        stopping_cells(x, [[2.0] * 9], units)

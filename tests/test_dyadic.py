@@ -4,7 +4,8 @@ Oracles here are deliberately independent of the library code paths:
 rational interval arithmetic with fractions.Fraction, brute-force
 unit-grid point sets for distances, and slice-by-slice marking for
 union bitmaps.  The library works on integer rows; `dilate` below
-wraps its one dilation, `dilate_units`, into the oracles' arc objects.
+wraps its one dilation, the covering lemma's 9/8-dilate `dilate_units`,
+into the oracles' arc objects.
 """
 
 from fractions import Fraction
@@ -15,8 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from strongmeans.dyadic import (
     DEFAULT_J_MAX,
-    SUPPORTED_FACTORS,
-    InvalidFactorError,
     ResolutionExceededError,
     dilate_units,
     scale_for,
@@ -24,6 +23,7 @@ from strongmeans.dyadic import (
 )
 
 from oracles import (
+    NINE_EIGHTHS,
     DyadicCube,
     DyadicInterval,
     OverlapError,
@@ -46,9 +46,9 @@ from oracles import (
 
 # --------------------------------------------------------------- oracles
 
-def dilate(iv: DyadicInterval, c, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
+def dilate(iv: DyadicInterval, j_max: int = DEFAULT_J_MAX) -> ScaledInterval:
     """`dilate_units` on one interval, as an arc object."""
-    lo, length = dilate_units(iv.level, iv.index, c, j_max)
+    lo, length = dilate_units(iv.level, iv.index, j_max)
     return ScaledInterval(int(lo), int(lo + length), scale_for(j_max))
 
 
@@ -99,73 +99,64 @@ def test_dilate_nine_eighths_frozen():
     iv = DyadicInterval(3, 6)
     lo, hi = dilated_arc(3, 6, Fraction(9, 8))
     assert (lo, hi) == (Fraction(95, 128), Fraction(113, 128))
-    arc = dilate(iv, Fraction(9, 8))
+    arc = dilate(iv)
     assert scaled_to_frac(arc) == (Fraction(95, 128), Fraction(113, 128))
 
 
 def test_dilate_wraparound_is_single_arc():
-    arc = dilate(DyadicInterval(3, 0), 5)  # 5*[0,1/8) = [-1/4, 3/8)
+    arc = dilate(DyadicInterval(3, 0))  # 9/8*[0,1/8) = [-1/128, 17/128)
     lo, hi = scaled_to_frac(arc)
-    assert lo == Fraction(3, 4)
-    assert hi == Fraction(3, 4) + Fraction(5, 8)
+    assert lo == Fraction(127, 128)
+    assert hi == Fraction(127, 128) + Fraction(9, 64)
     assert arc.hi > arc.scale  # wraps, not split
-    assert arc.measure == Fraction(5, 8)
+    assert arc.measure == Fraction(9, 64)
 
 
 def test_dilate_caps_at_full_torus_and_keeps_midpoint():
-    iv = DyadicInterval(2, 0)  # measure 1/4, 5x would be 5/4
-    arc = dilate(iv, 5)
+    iv = DyadicInterval(0, 0)  # measure 1, 9/8x would be 9/8
+    arc = dilate(iv)
     assert arc.measure == Fraction(1)
     assert arc.midpoint == iv.midpoint
 
 
-def test_dilate_rejects_unsupported_factor():
-    for bad in (Fraction(7, 8), 1, 6, 0.1, "9/8", [2]):
-        with pytest.raises(InvalidFactorError):
-            dilate_units(np.array([2]), np.array([1]), bad)
-
-
 @pytest.mark.parametrize("j_max", [4, DEFAULT_J_MAX])
 def test_dilate_integer_table_matches_fraction_reference(j_max):
-    """Every supported factor, every level up to j_max, the first, a
-    middle and the last index: the (p, q) table against Fraction
-    arithmetic, one interval at a time and as arrays."""
+    """Every level up to j_max, the first, a middle and the last index:
+    the integer 9/8-dilate against Fraction arithmetic, one interval at
+    a time and as arrays."""
     cells = [(j, k) for j in range(j_max + 1)
              for k in sorted({0, (1 << j) // 3, (1 << j) - 1})]
     level = np.array([j for j, _ in cells])
     index = np.array([k for _, k in cells])
-    for factor in SUPPORTED_FACTORS:
-        for c in (factor, float(factor)):
-            lo, length = dilate_units(level, index, c, j_max)
-            for (j, k), a, n in zip(cells, lo.tolist(), length.tolist()):
-                ref = fraction_dilate(DyadicInterval(j, k), factor, j_max)
-                assert (a, a + n) == (ref.lo, ref.hi), (factor, j, k)
-                assert dilate(DyadicInterval(j, k), c, j_max) == ref
+    lo, length = dilate_units(level, index, j_max)
+    for (j, k), a, n in zip(cells, lo.tolist(), length.tolist()):
+        ref = fraction_dilate(DyadicInterval(j, k), NINE_EIGHTHS, j_max)
+        assert (a, a + n) == (ref.lo, ref.hi), (j, k)
+        assert dilate(DyadicInterval(j, k), j_max) == ref
 
 
 def test_dilate_rejects_level_beyond_cap():
     with pytest.raises(ResolutionExceededError):
-        dilate(DyadicInterval(15, 0), 2, j_max=14)
+        dilate(DyadicInterval(15, 0), j_max=14)
 
 
 @given(
     level=st.integers(min_value=0, max_value=DEFAULT_J_MAX),
     idx_seed=st.integers(min_value=0, max_value=2**32),
-    factor=st.sampled_from([Fraction(9, 8), 2, 3, 4, Fraction(9, 2), 5]),
 )
-def test_dilate_measure_and_midpoint(level, idx_seed, factor):
+def test_dilate_measure_and_midpoint(level, idx_seed):
     iv = DyadicInterval(level, idx_seed % (1 << level))
-    arc = dilate(iv, factor)
-    assert arc.measure == min(Fraction(1), Fraction(factor) * iv.measure)
+    arc = dilate(iv)
+    assert arc.measure == min(Fraction(1), NINE_EIGHTHS * iv.measure)
     assert arc.midpoint == iv.midpoint % 1
 
 
 def test_dilate_scaled_composition():
     # 4 * (9/8 * I) has length (9/2) * |I| and the same midpoint
     iv = DyadicInterval(5, 17)
-    inner = dilate(iv, Fraction(9, 8))
+    inner = dilate(iv)
     outer = dilate_scaled(inner, 4)
-    direct = dilate(iv, Fraction(9, 2))
+    direct = fraction_dilate(iv, Fraction(9, 2))
     assert (outer.lo, outer.hi) == (direct.lo, direct.hi)
 
 
@@ -173,8 +164,8 @@ def test_dilate_scaled_composition():
 
 def test_distance_of_dilates_frozen():
     # 9/8-dilates of [0,1/8) and [1/4,3/8): [-1/128,17/128), [31/128,49/128)
-    a = dilate(DyadicInterval(3, 0), Fraction(9, 8))
-    b = dilate(DyadicInterval(3, 2), Fraction(9, 8))
+    a = dilate(DyadicInterval(3, 0))
+    b = dilate(DyadicInterval(3, 2))
     assert torus_distance(a, b) == Fraction(7, 64)
     assert torus_distance(b, a) == Fraction(7, 64)
 
@@ -244,8 +235,8 @@ def test_adjacent_iff_distance_zero(j1, k1, j2, k2):
 # --------------------------------------------------------------- unions
 
 def test_union_measure_frozen_example():
-    # 5*[0,1/8) and 5*[1/2,5/8) jointly cover the torus
-    arcs = [dilate(DyadicInterval(3, 0), 5), dilate(DyadicInterval(3, 4), 5)]
+    # 9/8*[0,1/2) and 9/8*[1/2,1) jointly cover the torus
+    arcs = [dilate(DyadicInterval(1, 0)), dilate(DyadicInterval(1, 1))]
     assert union_measure(arcs) == Fraction(1)
     frac_arcs = [scaled_to_frac(a) for a in arcs]
     assert oracle_union_measure(frac_arcs) == Fraction(1)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from strongmeans import cli, corpus, estimates, spectral
 from strongmeans.cli import fmt
 from strongmeans.czd import decompose
-from strongmeans.dyadic import scale_for
 from strongmeans.estimates import (
     DEFAULT_LAM_GRID,
     ExceptionalSet,
@@ -110,9 +109,12 @@ def test_spike_exceptional_set_frozen():
 
 @pytest.mark.parametrize("d,J", [(1, 10), (2, 6)])
 def test_row_construction_matches_per_cell_reference(d, J):
-    """The row-based E against the per-cell object construction: same
-    mask and same Fraction measure on corpus functions, every dilation
-    and, in 2-d, both geometries; some arcs wrap past 1."""
+    """The row-based E against the per-cell object construction at 16
+    units per sample cell: the reference is constant on every sample
+    cell, its coarsening is E's mask, and the Fraction measures agree,
+    on corpus functions, every dilation and, in 2-d, both geometries;
+    some arcs wrap past 1."""
+    n = 1 << J
     wraps = 0
     for _, f in corpus.standard_corpus(J, seed=5, d=d, n_random=1):
         for lam in (2.0, 4.0, 16.0):
@@ -123,7 +125,13 @@ def test_row_construction_matches_per_cell_reference(d, J):
                 for geometry in ("cube", "slab") if d == 2 else ("cube",):
                     exc = build_exceptional_set(cz, c, geometry)
                     mask, measure = reference_exceptional_set(cz, c, geometry)
-                    assert np.array_equal(exc.mask, mask), (lam, c, geometry)
+                    assert mask.shape == (16 * n,) * d
+                    blocks = mask.reshape((n, 16) * d)
+                    coarse = blocks[(slice(None), 0) * d]
+                    assert np.array_equal(
+                        blocks, np.broadcast_to(coarse.reshape((n, 1) * d), blocks.shape))
+                    assert exc.mask.shape == (n,) * d
+                    assert np.array_equal(exc.mask, coarse), (lam, c, geometry)
                     assert exc.measure == measure
     assert wraps > 0
 
@@ -164,14 +172,20 @@ def test_weighted_moment_vs_oversampled_oracle():
 
 
 def test_complement_weights_exact_on_both_grid_directions():
-    f = corpus.spike(4)
-    exc = build_exceptional_set(decompose(f, 4.0), 5)
-    for M in (8, 16, 64, 512):
-        w = exc.complement_weights(M)
-        assert w.shape == (M,)
-        # every weight is a dyadic count over the unit subdivision
-        assert np.all(w * exc.scale % 1 == 0) or M > exc.scale
-        assert abs(float(np.mean(1.0 - w)) - float(exc.measure)) < 1e-15
+    """On the sample grid and each finer one, every weight is 0 or 1 and
+    the mean removed weight is the measure; a coarser grid is refused,
+    in 1-d and 2-d."""
+    for f in (corpus.spike(4), corpus.spike(4, dim=2)):
+        exc = build_exceptional_set(decompose(f, 4.0), 5)
+        for M in (f.n, 2 * f.n, 4 * f.n):
+            w = exc.complement_weights(M)
+            assert w.shape == (M,) * f.dim
+            assert np.all((w == 0) | (w == 1))
+            assert np.array_equal(w[(slice(None, None, M // f.n),) * f.dim],
+                                  1.0 - exc.mask)
+            assert Fraction(int(w.sum()), M**f.dim) == 1 - exc.measure
+        with pytest.raises(ValueError):
+            exc.complement_weights(f.n // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +194,7 @@ def test_complement_weights_exact_on_both_grid_directions():
 
 def whole_or_empty_set(J: int, whole: bool) -> ExceptionalSet:
     """E equal to the whole torus, or empty, on the bitmap of a 2**J grid."""
-    S = scale_for(J)
-    return ExceptionalSet(1, S, 5, np.full(S, whole), Fraction(int(whole)))
+    return ExceptionalSet(1, 5, np.full(1 << J, whole), Fraction(int(whole)))
 
 
 def test_engine_matches_brute_curve():
@@ -573,7 +586,7 @@ def test_slab_measure_matches_inclusion_exclusion_oracle():
     exc = build_exceptional_set(cz, 5, geometry="slab")
     lens = [union_measure_oracle(axis_arcs(cz, 5, a)) for a in range(2)]
     assert exc.measure == 1 - (1 - lens[0]) * (1 - lens[1])
-    assert exc.measure == Fraction(int(exc.mask.sum()), exc.scale**2)
+    assert exc.measure == Fraction(int(exc.mask.sum()), exc.mask.size)
 
 
 def test_slab_contains_cube_set():

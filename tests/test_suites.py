@@ -130,7 +130,7 @@ def test_block_checks_flag_corrupted_bad_cell():
         lams = [4.0] * 6
         samples = np.stack([f.samples for f in fs])
         units = exact_units(samples)
-        sel = stopping_cells(samples, dim, [(4, 8)] * 6, units)
+        sel = stopping_cells(samples, [(4, 8)] * 6, units)
         work = workspace(samples)
         clean, counts = czd_block_checks(samples, lams, sel, units, work)
         assert all(v.all() for v in clean.values()), (dim, clean)
@@ -162,7 +162,7 @@ def test_block_checks_flag_each_corruption():
         samples = np.stack([draw_function(rng, J, t, dim).samples for t in range(6)])
         lams = [4.0] * 6
         units = exact_units(samples)
-        sel = stopping_cells(samples, dim, [(4, 8)] * 6, units)
+        sel = stopping_cells(samples, [(4, 8)] * 6, units)
         r = sel.row[sel.col == 1][0]
         others = np.arange(6) != r
         n = 1 << J
@@ -211,7 +211,7 @@ def test_block_checks_flag_each_corruption():
         # a NaN sample: the good and bad parts no longer add up to f
         spoiled = samples.copy()
         spoiled[r].flat[5] = np.nan
-        spoiled_sel = stopping_cells(spoiled, dim, [(4, 8)] * 6, exact_units(spoiled))
+        spoiled_sel = stopping_cells(spoiled, [(4, 8)] * 6, exact_units(spoiled))
         flags(["reassembly", "exact_input"], spoiled_sel, samples=spoiled)
 
         # the bad cell over a cell selected at 2 lam dropped
