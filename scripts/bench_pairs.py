@@ -3,17 +3,20 @@
 
     python3 scripts/bench_pairs.py HEAD~1 --workload exact_and_small --pairs 10
 
-The parent revision is exported with `git archive` into a temporary
-directory, and each tree runs its own `perfbench/run.py` (so its own
-`src/`) for BENCHMARK.json's `run_seconds`.  Pair k (k = 1..pairs) runs both trees
-with `--seed k`, the parent first in odd pairs and the checkout first
-in even ones, so drift on the machine falls on both sides alike.  For every end-to-end metric of BENCHMARK.json it
-reports both sides' medians and quartiles, the pairs the checkout wins,
-and whether the gap between the medians exceeds the parent's quartile
-spread (q3 - q1).  The export is removed at the end.  The last line
-of stdout is the report as one JSON object; it names the parent, and
-the checkout's HEAD with a `dirty` flag for tracked files that differ
-from it when the run starts.
+The parent revision and the checkout's tracked files, as they stand in
+the working tree, are exported with `git archive` into two sibling
+directories of one temporary directory, `parent/` and `change/`, so
+both sides run from the same kind of tree.  Each runs its own
+`perfbench/run.py` (so its own `src/`) for BENCHMARK.json's
+`run_seconds`.  Pair k (k = 1..pairs) runs both trees with `--seed k`,
+the parent first in odd pairs and the checkout first in even ones, so
+drift on the machine falls on both sides alike.  For every end-to-end
+metric of BENCHMARK.json it reports both sides' medians and quartiles,
+the pairs the checkout wins, and whether the gap between the medians
+exceeds the parent's quartile spread (q3 - q1).  The exports are
+removed at the end.  The last line of stdout is the report as one JSON
+object; it names the parent, and the checkout's HEAD with a `dirty`
+flag for tracked files that differ from it when the run starts.
 """
 
 from __future__ import annotations
@@ -43,12 +46,12 @@ def compare(parent: list, change: list, better: str) -> dict:
             "better": sign * gap > 0}
 
 
-def pairs(parent_tree: Path, workload: str, count: int) -> dict:
+def pairs(parent_tree: Path, change_tree: Path, workload: str, count: int) -> dict:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = bench["run_seconds"]
     runs = {"parent": [], "change": []}
     for seed in range(1, count + 1):
-        order = [("parent", parent_tree), ("change", ROOT)]
+        order = [("parent", parent_tree), ("change", change_tree)]
         for side, tree in order if seed % 2 else order[::-1]:
             runs[side].append(perfbench(workload, seed, seconds, 0, tree)[1])
         print(f"pair {seed}/{count}: wall_s parent "
@@ -70,6 +73,15 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
+def export(rev: str, dest: Path) -> Path:
+    """Extract the tree of commit `rev` into the new directory `dest`."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
+                             check=True).stdout
+    dest.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="git revision of the parent tree")
@@ -79,11 +91,12 @@ def main() -> int:
     rev = git("rev-parse", "--verify", args.parent + "^{commit}")
     checkout = {"revision": git("rev-parse", "HEAD"),
                 "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}
+    # a commit of the working tree's tracked files, made without touching
+    # any ref; empty when they equal HEAD
+    work = git("stash", "create") or checkout["revision"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
-        archive = subprocess.run(["git", "archive", rev], cwd=ROOT, capture_output=True,
-                                 check=True).stdout
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        report = pairs(Path(tmp), args.workload, args.pairs)
+        report = pairs(export(rev, Path(tmp) / "parent"),
+                       export(work, Path(tmp) / "change"), args.workload, args.pairs)
     report.update(parent=rev, **checkout)
     for name, m in report["metrics"].items():
         p, c = m["parent"], m["change"]

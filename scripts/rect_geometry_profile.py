@@ -23,6 +23,7 @@ from strongmeans import corpus
 from strongmeans.czd import decompose
 from strongmeans.dyadic import union_mask
 from strongmeans.estimates import _abs2_rows, averaged_moment_rect
+from strongmeans.spectral import modes
 
 J, LAM = 7, 32.0
 SCHEDULE = (4, 8, 16, 32, 64)
@@ -48,7 +49,8 @@ def main():
     band = union_mask((index - 2) * side % n, np.minimum(5 * side, n), n)
     w_cells = np.repeat(1.0 - band, 2)  # on the twice finer grid
     M = 2 * n
-    rows = _abs2_rows(corpus.spike(J), SCHEDULE[-1], 1)
+    g = corpus.spike(J)
+    rows = _abs2_rows(g, modes(g, SCHEDULE[-1]), 1)
     w_bar = np.cumsum(rows @ w_cells / M) / np.arange(1, SCHEDULE[-1] + 1)
 
     print(f"\n{'N':>5} {'w_N':>8} {'cube':>10} {'2(N+2)w-w^2':>12}"

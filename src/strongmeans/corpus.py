@@ -58,14 +58,14 @@ def normalize_l1_exact(samples: np.ndarray, bits: int = FRACT_BITS,
     return np.copysign(u, samples, out=u)
 
 
-def spike(J: int, dim: int = 1, cell: int = 0) -> GridFunction:
-    """Unit-mass indicator of a single grid cell, height 2**(J*dim)."""
+def spike(J: int, dim: int = 1) -> GridFunction:
+    """Unit-mass indicator of the first grid cell, height 2**(J*dim)."""
     n = 1 << J
     if dim == 1:
         s = np.zeros(n)
-        s[cell] = n
+        s[0] = n
         return GridFunction(1, J, s)
-    return tensor(spike(J, 1, cell), spike(J, 1, cell))
+    return tensor(spike(J), spike(J))
 
 
 # Raw draws and their block finishers.  A raw draw takes (J, rng, *args)

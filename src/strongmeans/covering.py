@@ -194,7 +194,6 @@ def verify_covering_cubes(families: list, j_max: int = DEFAULT_J_MAX) -> Coverin
 class ChainScan:
     """Exhaustive scan of all chain triples among dyadic intervals."""
 
-    max_level: int
     intervals: int
     outer_pairs: int
     chains: int
@@ -242,7 +241,6 @@ def exhaustive_chain_scan(max_level: int) -> ChainScan:
                 violations.append(tuple((int(level[i]), int(index[i]))
                                         for i in (a, m, b)))
     return ChainScan(
-        max_level=max_level,
         intervals=n,
         outer_pairs=outer_pairs,
         chains=chains,

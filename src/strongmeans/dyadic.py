@@ -15,13 +15,11 @@ its dilate, 9w/8 long and starting w/16 before it, has integer ends.
 `dilate_units` is that dilation, integer arithmetic on arrays of levels
 and indices.  Arcs are half-open [lo, lo + length) with 0 <= lo < S and
 0 < length <= S; an arc that wraps past 1 keeps lo + length > S, never
-split in two.  `union_mask` marks a union of such arcs, or of boxes made
-of them, as a bitmap on either grid.
+split in two.  `union_mask` marks a union of boxes on the sample grid,
+S = 2**J units per axis, each box a product of such arcs.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -54,10 +52,6 @@ def dilate_units(level, index, j_max: int = DEFAULT_J_MAX):
     return lo, length
 
 
-# difference-array sign of each (piece, end) of an arc
-_PIECE_SIGN = np.array([[1.0, -1.0], [1.0, -1.0]])
-
-
 def union_mask(lo, length, S: int) -> np.ndarray:
     """Bitmap of a union of boxes on the torus of S units per axis.
 
@@ -65,37 +59,26 @@ def union_mask(lo, length, S: int) -> np.ndarray:
     covers [lo[e, a], lo[e, a] + length[e, a]) mod S on axis a, with
     0 <= lo < S and 0 < length <= S, and `length` broadcasts against
     `lo`.  A wrapping arc is the pieces [lo, S) and [0, lo + length - S).
-    Every piece edge cuts its axis; one difference array, filled by one
-    `bincount`, counts the boxes over each cell of the coarse grid
-    those cuts make, and each coarse cell is then repeated over its
-    units.
+    Every piece product adds +-1 at its corners of one (S+1)**d
+    difference array, and a cumsum along each axis then counts the
+    boxes over each unit.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = lo + length
     k, d = lo.shape
-    # (axis, box, piece, end): the second piece is empty unless the arc wraps
-    cuts = np.zeros((d, k, 2, 2), dtype=np.int64)
-    cuts[:, :, 0, 0] = lo.T
-    cuts[:, :, 0, 1] = np.minimum(hi, S).T
-    cuts[:, :, 1, 1] = np.maximum(hi - S, 0).T
-    flat = np.zeros(k, dtype=np.int64)
-    sign = np.ones(1)
-    widths = []
-    for a in range(d):
-        edges = np.sort(np.concatenate(([0, S], cuts[a].ravel())))
-        edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-        # difference-array corner of every piece product: a start adds
-        # the box, an end takes it away, on each axis
-        at = np.searchsorted(edges, cuts[a]).reshape((k,) + (1,) * (2 * a) + (2, 2))
-        flat = flat[..., None, None] * len(edges) + at
-        sign = np.multiply.outer(sign, _PIECE_SIGN)
-        widths.append(np.diff(edges))
-    shape = [len(w) + 1 for w in widths]
-    count = np.bincount(flat.ravel(), np.broadcast_to(sign, flat.shape).ravel(),
-                        minlength=math.prod(shape)).reshape(shape)
+    # per box and axis, the ends of the pieces [lo, min(hi, S)) and
+    # [0, max(hi - S, 0)), the second empty unless the arc wraps; a start
+    # adds the box and an end takes it away
+    ends = lo, np.minimum(hi, S), 0, np.maximum(hi - S, 0)
+    at = np.stack(np.broadcast_arrays(*ends), -1)
+    sign = np.array([1, -1, 1, -1])
+    if d == 2:  # the corners of each piece product, as flat indices
+        at = at[:, 0, :, None] * (S + 1) + at[:, 1, None, :]
+        sign = np.outer(sign, sign)
+    count = np.zeros((S + 1,) * d, dtype=np.int64)
+    # one value per index: numpy 2.4's add.at sums wrongly when it
+    # broadcasts int64 values over a 2-d index
+    np.add.at(count.reshape(-1), at.ravel(), np.tile(sign.ravel(), k))
     for a in range(d):
         np.cumsum(count, axis=a, out=count)
-    mask = count[(slice(-1),) * d] > 0.5  # counts are exact small integers
-    for a in range(d):
-        mask = np.repeat(mask, widths[a], axis=a)
-    return mask
+    return count[(slice(-1),) * d] > 0

@@ -76,8 +76,9 @@ from .dyadic import union_mask
 from .grid import GridFunction
 from .spectral import (
     band_energy,
+    box_kernel,
     convolve,
-    kernel_samples,
+    decay_kernel,
     modes,
     saturated_sum,
     valle_poussin,
@@ -125,7 +126,6 @@ class ExceptionalSet:
     dilation: int
     mask: np.ndarray = field(repr=False)  # one entry per sample cell
     measure: Fraction
-    geometry: str = "cube"
 
     def complement_weights(self, M: int) -> np.ndarray:
         """1 on each cell of the M-grid outside the set, else 0.
@@ -170,7 +170,7 @@ def build_exceptional_set(cz: CZDecomposition, c: int = 5,
     else:
         mask = union_mask(lo, length, n)
         measure = Fraction(int(mask.sum()), n ** cz.dim)
-    return ExceptionalSet(cz.dim, c, mask, measure, geometry)
+    return ExceptionalSet(cz.dim, c, mask, measure)
 
 
 def weighted_moment(g: GridFunction, exc: ExceptionalSet, p: int = 1) -> float:
@@ -212,7 +212,6 @@ def _reports(f: GridFunction, lam: float, exc: ExceptionalSet, p: int,
 @dataclass
 class StrongMeansReport:
     eps: tuple
-    r: int
     schedule: tuple
     # per eps, the super-level measure of the averaged deviation per N
     measures: tuple
@@ -284,11 +283,11 @@ def _shell_blocks(lattice, d: int, lo: int, hi: int):
 # running partial-sum engine
 
 
-def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
-                        cols: np.ndarray | None = None,
-                        c: np.ndarray | None = None):
+def _partial_sum_stream(f: GridFunction, c: np.ndarray, refine: int,
+                        cols: np.ndarray | None = None):
     """Yield tiles (ns, span, rows): rows[i, j] is S_{ns[i]} f at the grid
-    column t[span][j] of the 2**refine finer grid.
+    column t[span][j] of the 2**refine finer grid, for n = 1..n_hi with
+    c = `modes(f, n_hi)`.
 
     t is `cols` when given (grid columns, evaluated in that order), else
     every column; span is a slice of positions in t.  Tiles are at most
@@ -301,11 +300,9 @@ def _partial_sum_stream(f: GridFunction, n_hi: int, refine: int = 2,
     S_n f = c_0 + sum_{k<=n} (A_k cos k theta + B_k sin k theta), where
     A_k = c_k + c_{-k} and B_k = i (c_k - c_{-k}) are real for real f.
     At k = H both read the Nyquist bin, so A_H = 2 c_H and B_H = 0.
-    c is `modes(f, n_hi)` when the caller already holds it.
     rows is scratch that the next tile overwrites.
     """
-    if c is None:
-        c = modes(f, n_hi)
+    n_hi = c.size // 2
     ks = np.arange(1, n_hi + 1)
     cp, cm = c[n_hi + ks], c[n_hi - ks]  # modes +k and -k
     A, B, c0 = cp + cm, 1j * (cp - cm), c[n_hi]
@@ -415,8 +412,6 @@ def _quartic_full_curve(c: np.ndarray, M: int) -> np.ndarray:
 
 def _norm_factor(N: int, p: int) -> float:
     # N for the quadratic moment; N log^(p-2) N beyond
-    if p == 2:
-        return float(N)
     return float(N) * math.log(N) ** (p - 2)
 
 
@@ -458,8 +453,7 @@ def averaged_moment(f: GridFunction, lam: float, schedule: tuple, p: int = 2,
             cols = np.flatnonzero(w)
             wt = w[cols] / M
             per[:, 0] = 0.0
-            for ns, span, rows in _partial_sum_stream(f, N_max, refine,
-                                                      cols=cols, c=c):
+            for ns, span, rows in _partial_sum_stream(f, c, refine, cols):
                 a = _abs2(rows)
                 a *= a
                 per[ns - 1, 0] += a @ wt[span]
@@ -497,12 +491,9 @@ def _require_band(f: GridFunction, N: int):
 
 
 def _kernel_moment(f: GridFunction, lam: float, N: int, kernel: GridFunction,
-                   dilation: int, exc: ExceptionalSet | None) -> MomentReport:
-    """Moment of kernel * |f|^2 off E, E the bad cells of the decomposition
-    at height lambda dilated by `dilation` unless `exc` is given."""
+                   exc: ExceptionalSet) -> MomentReport:
+    """Moment of kernel * |f|^2 off E."""
     _require_band(f, N)
-    if exc is None:
-        exc = build_exceptional_set(decompose(f, lam), dilation)
     conv = convolve(GridFunction(1, f.J, np.abs(f.samples) ** 2), kernel)
     [rep] = _reports(f, lam, exc, 2, [N], [weighted_moment(conv, exc, 1)],
                      [float(np.mean(conv.samples.real))])
@@ -515,22 +506,15 @@ def verify_second_reduction(f: GridFunction, lam: float, N: int) -> MomentReport
     No constant is asserted; the ratio is recorded for baseline
     comparison.  B_N carries total mass 1/N^2.
     """
-    return _kernel_moment(f, lam, N, kernel_samples("box", N, f.J), 3, None)
+    exc = build_exceptional_set(decompose(f, lam), 3)
+    return _kernel_moment(f, lam, N, box_kernel(N, f.J), exc)
 
 
-def verify_decay_kernel(f: GridFunction, lam: float, N: int, s: float,
-                        exc: ExceptionalSet | None = None) -> MomentReport:
-    """Moment of the power-decay kernel (s > 1) against |f|^2 off E, by
-    default the 5-dilated bad cells."""
-    kernel = kernel_samples("power_decay", N, f.J, s=s)
-    return _kernel_moment(f, lam, N, kernel, 5, exc)
-
-
-def decay_slope(f: GridFunction, lam: float, s_values,
-                Ns: tuple = (64, 128, 256, 512, 1024)
+def decay_slope(f: GridFunction, lam: float, s_values, Ns: tuple
                 ) -> list[tuple[float, list[MomentReport]]]:
-    """Log-log slope of the power-decay moment over a sweep of N, for
-    each s of `s_values`: (slope, reports) per s, in order.
+    """Log-log slope over a sweep of N of the moment of the power-decay
+    kernel (`spectral.decay_kernel`) against |f|^2 off the 5-dilated bad
+    cells, for each s > 1 of `s_values`: (slope, reports) per s, in order.
 
     The base function is smoothed per N with the delayed mean, while
     the exceptional set stays fixed: the bad cells keep their length,
@@ -542,7 +526,7 @@ def decay_slope(f: GridFunction, lam: float, s_values,
     logN = np.log(np.array(Ns, float))
     out = []
     for s in s_values:
-        reports = [verify_decay_kernel(g, lam, N, s, exc)
+        reports = [_kernel_moment(g, lam, N, decay_kernel(N, f.J, s), exc)
                    for g, N in zip(smoothed, Ns)]
         moments = np.array([r.avg_moment for r in reports])
         out.append((float(np.polyfit(logN, np.log(moments), 1)[0]), reports))
@@ -553,13 +537,12 @@ def decay_slope(f: GridFunction, lam: float, s_values,
 # rectangular (d = 2) sweep
 
 
-def _abs2_rows(g: GridFunction, n_hi: int, refine: int,
-               c: np.ndarray | None = None) -> np.ndarray:
+def _abs2_rows(g: GridFunction, c: np.ndarray, refine: int) -> np.ndarray:
     """|S_n g|^2 on the refined grid for n = 1..n_hi, as an (n_hi, M) array;
-    c is `modes(g, n_hi)` when the caller already holds it."""
+    c is `modes(g, n_hi)`."""
     M = 1 << (g.J + refine)
-    rows = np.empty((n_hi, M))
-    for ns, span, block in _partial_sum_stream(g, n_hi, refine, c=c):
+    rows = np.empty((c.size // 2, M))
+    for ns, span, block in _partial_sum_stream(g, c, refine):
         rows[ns - 1, span] = _abs2(block)
     return rows
 
@@ -590,7 +573,7 @@ def averaged_moment_rect(f: GridFunction, lam: float, schedule: tuple,
     exc = build_exceptional_set(decompose(f, lam), geometry=geometry)
     M = 1 << (f.J + 1)
     W = exc.complement_weights(M)
-    T = _abs2_rows(a, N_max, 1, ca) @ W @ _abs2_rows(b, N_max, 1, cb).T
+    T = _abs2_rows(a, ca, 1) @ W @ _abs2_rows(b, cb, 1).T
     T /= M * M
     cum = T.cumsum(axis=0).cumsum(axis=1)
     # ||S_{n1,n2} f||^2 = ||S_{n1} a||^2 ||S_{n2} b||^2, so the full-torus
@@ -633,33 +616,27 @@ def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
         ref = ref.real
     R = np.zeros(M)
     P = np.zeros(M)
-    RS = np.empty((len(schedule), M))  # R and P as they stand at each N
-    PS = np.empty((len(schedule), M))
+    # grid points over each eps and each lam, at each N of the schedule
+    over_eps = np.zeros((len(schedule), len(eps_values)), dtype=np.int64)
+    over_lam = np.zeros((len(schedule), len(lam_grid)), dtype=np.int64)
     half = r // 2
-    for ns, span, rows in _partial_sum_stream(f, schedule[-1], 2, c=c):
+    for ns, span, rows in _partial_sum_stream(f, c, 2):
         # split the tile after each schedule point it contains
         start = 0
         for i, N in enumerate(schedule):
             if ns[0] <= N <= ns[-1]:
                 end = N - ns[0] + 1
                 _accumulate(R[span], P[span], rows[start:end], ref[span], half)
-                RS[i, span], PS[i, span] = R[span], P[span]
+                RN, A = R[span] / N, np.sqrt(P[span] / N)
+                over_eps[i] += [np.count_nonzero(RN > eps) for eps in eps_values]
+                over_lam[i] += [np.count_nonzero(A > lam) for lam in lam_grid]
                 start = end
         _accumulate(R[span], P[span], rows[start:], ref[span], half)
-    l1 = f.l1()
-    measures = [[] for _ in eps_values]
-    weak = np.zeros(len(lam_grid))
-    for N, RN, PN in zip(schedule, RS, PS):
-        RN /= N
-        for m, eps in zip(measures, eps_values):
-            m.append(float(np.count_nonzero(RN > eps)) / M)
-        A = np.sqrt(PN / N)
-        for i, lam in enumerate(lam_grid):
-            ratio = lam * (np.count_nonzero(A > lam) / M) / l1
-            weak[i] = max(weak[i], ratio)
+    # sup over the schedule of lam |{A_N > lam}| / ||f||_1
+    weak = np.max(np.array(lam_grid) * (over_lam / M) / f.l1(), axis=0, initial=0.0)
     return StrongMeansReport(
-        eps=eps_values, r=r, schedule=schedule,
-        measures=tuple(tuple(m) for m in measures),
+        eps=eps_values, schedule=schedule,
+        measures=tuple(map(tuple, (over_eps.T / M).tolist())),
         lam_grid=tuple(lam_grid), weak_ratios=tuple(weak))
 
 

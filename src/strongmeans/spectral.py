@@ -102,23 +102,24 @@ def _signed_points(n: int) -> np.ndarray:
     return np.where(t < n // 2, t, t - n) / n
 
 
-def kernel_samples(name: str, N: int, J: int, s: float | None = None) -> GridFunction:
-    """Sample the box kernel or the power-decay kernel on the 1-d grid."""
+def box_kernel(N: int, J: int) -> GridFunction:
+    """The box kernel B_N of mass 1/N**2, sampled on the 1-d grid."""
     x = _signed_points(1 << J)
-    if name == "power_decay":
-        if s is None or s <= 1:
-            raise ValueError("power_decay needs a decay exponent s > 1")
-        near = np.abs(x) < 1.0 / N
-        vals = np.empty(x.size)
-        vals[near] = float(N)
-        vals[~near] = N ** (1.0 - s) * np.abs(x[~near]) ** (-s)
-        return GridFunction(1, J, vals)
-    if name == "box":
-        # half-open window so the cell count is exactly n/N
-        half = 1.0 / (2 * N)
-        vals = np.where((x >= -half) & (x < half), 1.0 / N, 0.0)
-        return GridFunction(1, J, vals)
-    raise ValueError(f"unknown kernel {name!r}")
+    # half-open window so the cell count is exactly n/N
+    half = 1.0 / (2 * N)
+    return GridFunction(1, J, np.where((x >= -half) & (x < half), 1.0 / N, 0.0))
+
+
+def decay_kernel(N: int, J: int, s: float) -> GridFunction:
+    """The power-decay kernel min(N, N**(1-s) |x|**-s), s > 1, on the 1-d grid."""
+    if s <= 1:
+        raise ValueError("the power-decay kernel needs a decay exponent s > 1")
+    x = _signed_points(1 << J)
+    near = np.abs(x) < 1.0 / N
+    vals = np.empty(x.size)
+    vals[near] = float(N)
+    vals[~near] = N ** (1.0 - s) * np.abs(x[~near]) ** (-s)
+    return GridFunction(1, J, vals)
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:

@@ -312,6 +312,28 @@ def test_union_mask_matches_slicing(data):
     assert np.array_equal(union_mask(lo, length, S), sliced_mask(boxes, S, d))
 
 
+@pytest.mark.parametrize("d, J", [(1, 12), (2, 7)])
+def test_union_mask_matches_slicing_on_the_sample_grid(d, J):
+    """Odd dilates of dyadic cells at the sample-grid sizes of the
+    exceptional sets, S = 2**J, as `estimates.build_exceptional_set`
+    makes them: some arcs wrap past 1 and the level-0 cell spans the
+    torus."""
+    S = 1 << J
+    rng = np.random.default_rng(J)
+    level = np.concatenate(([[0], [J - 3]], rng.integers(1, J + 1, (38, 1))))
+    w = S >> level
+    index = rng.integers(0, S, (len(level), d)) // w
+    index[1] = 0  # its 5-dilate starts two cells before 0
+    c = rng.choice([1, 3, 5], (len(level), 1))
+    c[1] = 5
+    lo, length = (index - c // 2) * w % S, np.minimum(c * w, S)
+    arcs = np.broadcast_to(length, lo.shape)
+    assert (arcs == S).any() and (lo + arcs > S).any()
+    boxes = [[ScaledInterval(int(a), int(a + n), S) for a, n in zip(r, m)]
+             for r, m in zip(lo, arcs)]
+    assert np.array_equal(union_mask(lo, length, S), sliced_mask(boxes, S, d))
+
+
 def test_union_mask_wrapping_and_full_arcs():
     S = 16
     # [12, 20) wraps to [12, 16) and [0, 4); a full arc from 5 covers all

@@ -15,10 +15,11 @@ from strongmeans.grid import GridFunction, tensor
 from strongmeans.spectral import (
     AliasingError,
     band_energy,
+    box_kernel,
     centered_modes,
     convolve,
+    decay_kernel,
     forward,
-    kernel_samples,
     modes,
     partial_sum,
     saturated_sum,
@@ -245,13 +246,13 @@ def test_vp_of_tensor_smooths_each_factor():
 
 def test_box_kernel_grid_mass_is_exact():
     for N in (2, 8, 32):
-        k = kernel_samples("box", N, 10)
+        k = box_kernel(N, 10)
         assert float(np.mean(k.samples)) == pytest.approx(1.0 / N**2, abs=1e-15)
 
 
 def test_power_decay_requires_s_above_one():
     with pytest.raises(ValueError):
-        kernel_samples("power_decay", 8, 8, s=1.0)
+        decay_kernel(8, 8, 1.0)
 
 
 # ---------------------------------------------------------------------------
