@@ -50,8 +50,8 @@ time, with its own step table and carry, in scratch of a few MB that
 does not grow with M.  Column blocks leave every value of S_n f as it
 is; the order count fixes where each phase e(n theta) splits into
 e(n0 theta) e(j theta), n0 the first order of a tile.  Each function
-is streamed at most once per experiment: strong means take all their
-eps thresholds from the same sweep.
+is streamed at most once per experiment: strong means count the grid
+points over all their eps and lam thresholds inside the same sweep.
 
 Orders are capped at the stored bandwidth H = n/2.  The stream, both
 closed forms and the energy curves take their coefficients from

@@ -8,9 +8,10 @@ Nyquist bin for both modes +-n/2, which is the periodic reading of the
 discrete spectrum, and every partial sum, band energy and closed form
 takes its coefficients from it.  Orders beyond n/2 raise AliasingError.
 
-Partial sums, kernels and convolutions are one-dimensional.  Two-dimensional
-functions enter only as tensor products: delayed means act on each factor,
-and rectangular averages are products of the factors' 1-d averages.
+Partial sums, the kernels `box_kernel` and `decay_kernel`, and
+convolutions are one-dimensional.  Two-dimensional functions enter only
+as tensor products: delayed means act on each factor, and rectangular
+averages are products of the factors' 1-d averages.
 """
 
 from __future__ import annotations
