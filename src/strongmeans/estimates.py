@@ -41,17 +41,20 @@ E is empty w = 1 and it is the full column.
 
 Fourth moments, strong means and the rectangular factors need pointwise
 values and use a partial-sum stream: S_n differs from S_{n-1} by the
-real pair A_n cos n theta + B_n sin n theta (complex only for complex
-input), so a running sum over the refined grid computes the whole
-curve in O(N_max * M) work, in the input's own dtype.  The stream
-yields tiles of at most `_TILE` = (orders, columns) = (16, 8192)
-entries: each block of grid columns runs through every order, 16 at a
-time, with its own step table and carry, in scratch of a few MB that
-does not grow with M.  Column blocks leave every value of S_n f as it
-is; the order count fixes where each phase e(n theta) splits into
-e(n0 theta) e(j theta), n0 the first order of a tile.  Each function
-is streamed at most once per experiment: strong means count the grid
-points over all their eps and lam thresholds inside the same sweep.
+real pair A_n cos n theta + B_n sin n theta = Re(C_n e(n theta)), with
+C_n = A_n - i B_n (complex pairs only for complex input), so a running
+sum over the refined grid computes the whole curve in O(N_max * M)
+work, in the input's own dtype.  The stream yields tiles of at most
+`_TILE` = (orders, columns) = (16, 2048) entries: each block of grid
+columns runs through every order, 16 at a time, with its own step
+table and carry, in scratch of a few MB that does not grow with M.
+Column blocks leave every value of S_n f as it is; the order count
+fixes where each phase e(n theta) splits into e(n0 theta) e(j theta),
+n0 the first order of a tile.  A reader may overwrite its tile, and
+the p = 4 and strong-means readers square real tiles in place.  Each
+function is streamed at most once per experiment: strong means count
+the grid points over all their eps and lam thresholds inside the same
+sweep.
 
 Orders are capped at the stored bandwidth H = n/2.  The stream, both
 closed forms and the energy curves take their coefficients from
@@ -86,10 +89,11 @@ from .spectral import (
 
 SUPPORTED_DILATIONS = (1, 3, 5)
 DEFAULT_LAM_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-# (orders, columns) in one tile of the partial-sum stream: its scratch,
-# a few tile-sized arrays of 1-2 MB each, stays near the per-core cache;
-# the fastest of the shapes from 16 x 2048 to 16 x 32768 on a J = 14 sweep
-_TILE = (16, 8192)
+# (orders, columns) in one tile of the partial-sum stream.  Its scratch,
+# two complex tiles of 512 KB and a real one of 256 KB, fits in a core's
+# 2 MB L2 with room for the reader; 16 orders fix where the phases split,
+# and so their rounding, while the width leaves every value as it is
+_TILE = (16, 2048)
 # lattice entries in one block of a density shell walk; the walk's
 # scratch is a few arrays of this size whatever the lattice side
 _SHELL_BLOCK = 1 << 16
@@ -299,23 +303,28 @@ def _partial_sum_stream(f: GridFunction, c: np.ndarray, refine: int,
     Rows carry the input's dtype.  With theta = 2 pi t / M,
     S_n f = c_0 + sum_{k<=n} (A_k cos k theta + B_k sin k theta), where
     A_k = c_k + c_{-k} and B_k = i (c_k - c_{-k}) are real for real f.
-    At k = H both read the Nyquist bin, so A_H = 2 c_H and B_H = 0.
-    rows is scratch that the next tile overwrites.
+    At k = H both read the Nyquist bin, so A_H = 2 c_H and B_H = 0.  Real
+    f takes one complex coefficient C_k = A_k - i B_k per order, and a
+    tile's new terms are Re(C_k e(k theta)): one product on the phase
+    tile.  rows is scratch that the next tile overwrites; the carry is
+    copied out of it before the yield, so a reader may overwrite it too.
     """
     n_hi = c.size // 2
     ks = np.arange(1, n_hi + 1)
     cp, cm = c[n_hi + ks], c[n_hi - ks]  # modes +k and -k
     A, B, c0 = cp + cm, 1j * (cp - cm), c[n_hi]
-    if f.is_real():
-        A, B, c0 = A.real, B.real, c0.real
+    real = f.is_real()
+    if real:
+        C, c0 = A.real - 1j * B.real, c0.real
     M = 1 << (f.J + refine)
     t = np.arange(M) if cols is None else np.asarray(cols)
     h, width = min(_TILE[0], n_hi), min(_TILE[1], t.size)
     table = np.exp(2j * np.pi * np.arange(M) / M)
     # flat scratch, viewed as a contiguous (orders, columns) tile
     step, ph = np.empty(h * width, complex), np.empty(h * width, complex)
-    buf, tmp = np.empty(h * width, A.dtype), np.empty(h * width, A.dtype)
-    carry = np.empty(width, A.dtype)
+    buf = np.empty(h * width, c0.dtype)
+    tmp = None if real else np.empty(h * width, complex)
+    carry = np.empty(width, c0.dtype)
     for lo in range(0, t.size, width):
         span = slice(lo, min(lo + width, t.size))
         tb = t[span]
@@ -330,10 +339,14 @@ def _partial_sum_stream(f: GridFunction, c: np.ndarray, refine: int,
             e = ph[:size].reshape(-1, k)
             np.multiply(st[: len(ns)], table[(n0 * tb) % M], out=e)  # e(n0 t) e(j t)
             rows = buf[:size].reshape(-1, k)
-            np.multiply(A[ns - 1, None], e.real, out=rows)
-            bi = tmp[:size].reshape(-1, k)
-            np.multiply(B[ns - 1, None], e.imag, out=bi)
-            rows += bi
+            if real:  # Re(C_n e(n t)) = A_n cos + B_n sin
+                np.multiply(e, C[ns - 1, None], out=e)
+                np.copyto(rows, e.real)
+            else:
+                np.multiply(A[ns - 1, None], e.real, out=rows)
+                bi = tmp[:size].reshape(-1, k)
+                np.multiply(B[ns - 1, None], e.imag, out=bi)
+                rows += bi
             rows[0] += cy
             for j in range(1, len(ns)):  # running sum; np.cumsum on axis 0 is slow
                 rows[j] += rows[j - 1]
@@ -454,8 +467,9 @@ def averaged_moment(f: GridFunction, lam: float, schedule: tuple, p: int = 2,
             wt = w[cols] / M
             per[:, 0] = 0.0
             for ns, span, rows in _partial_sum_stream(f, c, refine, cols):
-                a = _abs2(rows)
-                a *= a
+                # real tiles are squared in place; the stream has copied its carry
+                a = np.square(rows, out=rows) if np.isrealobj(rows) else _abs2(rows)
+                np.square(a, out=a)
                 per[ns - 1, 0] += a @ wt[span]
     cw, cf = np.cumsum(per, axis=0).T
     at = np.array(schedule) - 1
@@ -642,9 +656,20 @@ def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
 
 def _accumulate(R: np.ndarray, P: np.ndarray, seg: np.ndarray,
                 ref: np.ndarray, half: int):
-    """Add the deviations |S_n - ref|^r and energies |S_n|^2 of seg's rows."""
-    R += (_abs2(seg - ref) ** half).sum(axis=0)
-    P += _abs2(seg).sum(axis=0)
+    """Add the deviations |S_n - ref|^r and energies |S_n|^2 of seg's rows.
+
+    Real rows are squared in place, so seg is overwritten.
+    """
+    dev = seg - ref
+    if np.isrealobj(seg):
+        np.square(dev, out=dev)
+        np.square(seg, out=seg)
+    else:
+        dev, seg = _abs2(dev), _abs2(seg)
+    if half == 2:
+        np.square(dev, out=dev)
+    R += dev.sum(axis=0)
+    P += seg.sum(axis=0)
 
 
 def density_subsequence(lattice, size: int, d: int, s: float,
