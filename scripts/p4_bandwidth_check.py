@@ -23,7 +23,7 @@ LAM = 8.0
 def main():
     for J in (12, 14):
         _, f = corpus.FAMILIES[1]["noise"].sample(J, np.random.default_rng(7))
-        reports = averaged_moment(f, LAM, SCHEDULE, p=4, fn_id=f"noise-J{J}")
+        [reports] = averaged_moment(f, [LAM], SCHEDULE, p=4, fn_id=f"noise-J{J}")
         curve = [r.avg_moment for r in reports]
         tail = curve[SCHEDULE.index(256):]
         monotone = all(b <= a * (1 + 1e-12) for a, b in zip(tail, tail[1:]))

@@ -5,9 +5,10 @@ record in `EXPERIMENTS`: CSV columns, option schema, the config fields
 it reads (which fix its fan-out and schedule), schedule bound and
 runner.  `run` writes a CSV of per-row results plus a JSON summary,
 byte-identical across repeat runs and parallelism levels, because every
-(function x lambda) cell is a pure function of the config and the merge
-order is fixed.  Headline values per cell are recorded into a baseline
-file on first run and compared against it afterwards.
+function's results at all its heights are a pure function of the config
+and the merge order is fixed.  Headline values per function and height
+are recorded into a baseline file on first run and compared against it
+afterwards.
 """
 
 from __future__ import annotations
@@ -103,12 +104,15 @@ COMMON_FIELDS = ("experiment", "seed", "output", "options")
 class Experiment:
     """Everything the CLI knows about one experiment.  `reads` names the
     config fields beyond COMMON_FIELDS that it reads; a config that sets
-    any other is refused.  If it reads "lams", `run(cfg, fn_id, f, lam,
-    schedule)` runs one (function, lambda) cell and keys its headline
-    values by what follows `fn_id|lambda`; else `run(cfg)` runs it whole.
+    any other is refused.  If it reads "lams", `run(cfg, fn_id, f, lams,
+    schedule)` runs one function at every height of `lams`: the function
+    is the unit that `execute` fans out, so the work a function's
+    heights share is done once.  It returns the rows of each height in
+    `lams` order, with headline values keyed `fn_id|lambda` (plus a
+    suffix where a height has several).  Else `run(cfg)` runs it whole.
     Both return rows, headline values and invariant flags.  If it reads
-    "schedule", that stays within 2**(J - band); else a cell runner gets
-    None for it.  `check` sees the whole config."""
+    "schedule", that stays within 2**(J - band); else a function runner
+    gets None for it.  `check` sees the whole config."""
 
     columns: tuple
     run: Callable
@@ -172,6 +176,14 @@ class ExperimentConfig:
                 " default schedule is 32, 64, ..., 2**(J-2))")
         if not _numbers_above(self.lams):
             raise ConfigError("lams must be a list of positive real numbers")
+        if not self.lams:
+            raise ConfigError("lams must hold at least one height")
+        repeated = next((x for i, x in enumerate(self.lams) if x in self.lams[:i]),
+                        None)
+        if repeated is not None:
+            # its rows would share their summary keys, fn_id|lambda
+            raise ConfigError(f"lams must not repeat a height: {fmt(repeated)}"
+                              " is given more than once")
         if not isinstance(self.options, dict):
             raise ConfigError("options must be a JSON object")
         if not _numbers_above(self.s_values, 1):
@@ -269,7 +281,38 @@ def build_functions(cfg: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# per-cell runners: pure functions of (config, fn_id, lam, schedule)
+# function runners: pure functions of (config, fn_id, f, lams, schedule)
+
+
+def _merge(results):
+    """(rows, values, invariants) triples folded in order: rows
+    concatenate, values join, and a flag holds when it holds in each."""
+    rows, values, inv = [], {}, {}
+    for part_rows, part_values, part_inv in results:
+        rows += part_rows
+        values.update(part_values)
+        for k, ok in part_inv.items():
+            inv[k] = inv.get(k, True) and ok
+    return rows, values, inv
+
+
+def _key(fn_id: str, lam) -> str:
+    return f"{fn_id}|{fmt(lam)}"
+
+
+def _per_height(run):
+    """The function runner of a one-height runner `run(cfg, fn_id, f,
+    lam, schedule)`, which keys its values by what follows `fn_id|lambda`:
+    it runs the heights in turn."""
+    def at_each(cfg, fn_id, f, lams, sched):
+        parts = []
+        for lam in lams:
+            rows, values, inv = run(cfg, fn_id, f, lam, sched)
+            parts.append((rows, {_key(fn_id, lam) + k: v for k, v in values.items()},
+                          inv))
+        return _merge(parts)
+
+    return at_each
 
 
 MOMENT_COLUMNS = ("fn_id", "lambda", "N", "avg_moment", "full_avg",
@@ -309,21 +352,24 @@ def _second_reduction(cfg, fn_id, f, lam, sched):
             {"full_ge_restricted": _full_ge_restricted(reports)})
 
 
-def _moment_curve(f, fn_id, lam, sched, p):
-    reports = estimates.averaged_moment(f, lam, sched, p=p, fn_id=fn_id)
-    return reports, {"measure_bound_exact": _check_measure_bound(reports[0], f),
-                     "full_ge_restricted": _full_ge_restricted(reports)}
+def _moment_curves(f, fn_id, lams, sched, p, headline):
+    """Every height's curve from one `averaged_moment` call; `headline`
+    reads a curve's headline value."""
+    curves = estimates.averaged_moment(f, lams, sched, p=p, fn_id=fn_id)
+    return _merge(
+        (_moment_rows(fn_id, reports), {_key(fn_id, lam): headline(reports)},
+         {"measure_bound_exact": _check_measure_bound(reports[0], f),
+          "full_ge_restricted": _full_ge_restricted(reports)})
+        for lam, reports in zip(lams, curves))
 
 
-def _averaged_moment(cfg, fn_id, f, lam, sched):
-    reports, inv = _moment_curve(f, fn_id, lam, sched, 2)
-    return _moment_rows(fn_id, reports), {"": reports[-1].ratio}, inv
+def _averaged_moment(cfg, fn_id, f, lams, sched):
+    return _moment_curves(f, fn_id, lams, sched, 2, lambda reports: reports[-1].ratio)
 
 
-def _p4_moment(cfg, fn_id, f, lam, sched):
-    reports, inv = _moment_curve(f, fn_id, lam, sched, 4)
-    return (_moment_rows(fn_id, reports),
-            {"": max(r.avg_moment for r in reports)}, inv)
+def _p4_moment(cfg, fn_id, f, lams, sched):
+    return _moment_curves(f, fn_id, lams, sched, 4,
+                          lambda reports: max(r.avg_moment for r in reports))
 
 
 def _decay_kernel(cfg, fn_id, f, lam, sched):
@@ -439,17 +485,17 @@ def _czd_suite(cfg: ExperimentConfig):
 
 
 EXPERIMENTS = {
-    "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction,
+    "first_reduction": Experiment(MOMENT_COLUMNS, _per_height(_first_reduction),
                                   reads=("J", "d", "lams", "corpus")),
-    "second_reduction": Experiment(MOMENT_COLUMNS, _second_reduction),
+    "second_reduction": Experiment(MOMENT_COLUMNS, _per_height(_second_reduction)),
     "averaged_moment": Experiment(MOMENT_COLUMNS, _averaged_moment),
     # the decay sweep smooths at order N, which doubles the band
     "decay_kernel": Experiment(
         ("fn_id", "lambda", "s", "N", "moment", "config_hash"),
-        _decay_kernel, band=2,
+        _per_height(_decay_kernel), band=2,
         reads=("J", "d", "lams", "schedule", "s_values", "corpus")),
     "rect_moment": Experiment(
-        ("fn_id", "geometry") + MOMENT_COLUMNS[1:], _rect_moment),
+        ("fn_id", "geometry") + MOMENT_COLUMNS[1:], _per_height(_rect_moment)),
     "p4_moment": Experiment(MOMENT_COLUMNS, _p4_moment),
     "strong_means": Experiment(
         ("fn_id", "eps", "N", "measure", "config_hash"), _strong_means,
@@ -493,38 +539,31 @@ EXPERIMENTS = {
 # orchestration
 
 
-def run_cell(cfg: ExperimentConfig, fn_id: str, f, lam: float):
-    """Rows + summary fragment for one (function, lambda) cell."""
-    rows, values, inv = EXPERIMENTS[cfg.experiment].run(
-        cfg, fn_id, f, lam, cfg.run_schedule())
-    key = f"{fn_id}|{fmt(lam)}"
-    return rows, {key + suffix: v for suffix, v in values.items()}, inv
+def _run_function(cfg: ExperimentConfig, fn_id: str, f):
+    """Rows, keyed headline values and invariant flags of one function
+    at every height of the config."""
+    return EXPERIMENTS[cfg.experiment].run(cfg, fn_id, f, cfg.lams, cfg.run_schedule())
 
 
 def execute(cfg: ExperimentConfig, jobs: int = 1):
-    """Run the experiment and merge its cells deterministically.  Returns
-    rows stamped with the config hash, headline values keyed for the
-    baseline file, and invariant flags."""
+    """Run the experiment and merge its functions' results
+    deterministically.  Returns rows stamped with the config hash,
+    headline values keyed for the baseline file, and invariant flags."""
     exp = EXPERIMENTS[cfg.experiment]
     if "lams" not in exp.reads:
         results = [exp.run(cfg)]
     else:
-        # the corpus is built once per run; each cell carries its
-        # function to the worker
-        cells = [(cfg, fid, f, lam) for fid, f in build_functions(cfg)
-                 for lam in cfg.lams]
-        if jobs > 1 and len(cells) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as ex:
-                results = list(ex.map(run_cell, *zip(*cells), chunksize=1))
+        # the corpus is built once per run; each task carries its
+        # function, with all of its heights, to the worker
+        fns = build_functions(cfg)
+        if jobs > 1 and len(fns) > 1:
+            with ProcessPoolExecutor(max_workers=min(jobs, len(fns))) as ex:
+                results = list(ex.map(_run_function, [cfg] * len(fns), *zip(*fns),
+                                      chunksize=1))
         else:
-            results = [run_cell(*cell) for cell in cells]
+            results = [_run_function(cfg, fid, f) for fid, f in fns]
 
-    rows, values, inv = [], {}, {}
-    for cell_rows, cell_values, cell_inv in results:
-        rows += cell_rows
-        values.update(cell_values)
-        for k, ok in cell_inv.items():
-            inv[k] = inv.get(k, True) and ok
+    rows, values, inv = _merge(results)
     config_hash = cfg.config_hash
     for row in rows:
         row["config_hash"] = config_hash

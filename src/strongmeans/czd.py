@@ -13,8 +13,9 @@ to level.  A caller that selects block after block passes flat buffers
 for the level sums and the codes, allocated once.  The selected cells
 come out as an int64 array of `dyadic` cell rows, (level, index) in
 dim 1 and (level, i, j) in dim 2, the format the exceptional sets and
-the covering checks read; `decompose` calls `stopping_cells` with a
-batch of one and keeps those rows as its bad cells.
+the covering checks read; `decompositions` calls `stopping_cells` with
+a batch of one and all of a function's heights, and keeps each height's
+rows as its bad cells, and `decompose` is its one-height case.
 
 Selection is exact: whenever the samples are dyadic rationals with at
 most FRACT_BITS fractional bits (the corpus guarantees this for
@@ -300,17 +301,37 @@ def _ancestor(row, axes, shift, k):
     return at
 
 
-def decompose(f: GridFunction, lam: float) -> CZDecomposition:
-    """Decompose |f| at height lam: `stopping_cells` with a batch of one.
+def decompositions(f: GridFunction, lams) -> list[CZDecomposition]:
+    """Decompose |f| at each height of `lams`, in order: one level-sum
+    pyramid and one `stopping_cells` call per chunk of MAX_HEIGHTS
+    heights, with f as a batch of one.
 
-    Raises HeightTooLowError if the mean of |f| exceeds the height, since
-    the root cell would then already be selected and nothing is maximal.
+    Heights the exact path can compare (denominators of at most
+    _DEN_CAP) are chunked apart from the others, so each height takes
+    the path, and gets the bad cells, of a one-height call.  Raises
+    HeightTooLowError if the mean of |f| exceeds a height, since the
+    root cell would then already be selected and nothing is maximal.
     """
-    if lam <= 0:
+    if any(lam <= 0 for lam in lams):
         raise ValueError("height must be positive")
-    height = Fraction(lam)
+    heights = [Fraction(lam) for lam in lams]
     batch = f.samples[None]
-    sel = stopping_cells(batch, [[height]], exact_units(batch))
-    return CZDecomposition(source=f, height=height, bad=sel.cells,
-                           exact=bool(sel.exact[0]))
+    units = exact_units(batch)
+    capped = [h.denominator <= _DEN_CAP for h in heights]
+    out = [None] * len(heights)
+    for path in (True, False):
+        group = [i for i, c in enumerate(capped) if c == path]
+        for k in range(0, len(group), MAX_HEIGHTS):
+            chunk = group[k:k + MAX_HEIGHTS]
+            sel = stopping_cells(batch, [[heights[i] for i in chunk]], units)
+            exact = bool(sel.exact[0])
+            for c, i in enumerate(chunk):
+                out[i] = CZDecomposition(source=f, height=heights[i],
+                                         bad=sel.cells[sel.col == c], exact=exact)
+    return out
 
+
+def decompose(f: GridFunction, lam: float) -> CZDecomposition:
+    """Decompose |f| at height lam: `decompositions` at that one height."""
+    [cz] = decompositions(f, [lam])
+    return cz

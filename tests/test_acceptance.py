@@ -89,7 +89,7 @@ def test_criterion_03_czd_invariant_battery(once_per_session):
 
 def test_criterion_04_spike_plateau_contrast():
     f = corpus.spike(12)
-    reports = estimates.averaged_moment(f, 8.0, (256, 2048), fn_id="spike")
+    [reports] = estimates.averaged_moment(f, [8.0], (256, 2048), fn_id="spike")
     lo, hi = reports
     full_err = max(abs(lo.full_torus_avg - 258), abs(hi.full_torus_avg - 2050))
     plateau = hi.avg_moment / lo.avg_moment
@@ -159,7 +159,7 @@ def test_criterion_07_fourth_moment_log_normalized():
     fns = corpus.standard_corpus(14, seed=7, n_random=1)
     details = []
     for fn_id, f in fns:
-        reports = estimates.averaged_moment(f, 8.0, sched, p=4, fn_id=fn_id)
+        [reports] = estimates.averaged_moment(f, [8.0], sched, p=4, fn_id=fn_id)
         curve = [r.avg_moment for r in reports]
         peak = max(curve)
         cap = 1.25 * base[f"{fn_id}|8"]
@@ -281,7 +281,7 @@ def test_criterion_10_density_extractor():
 def test_criterion_11_spectral_exactness():
     rng = np.random.default_rng(5)
     f = trig_poly(10, rng, 100)
-    eng = estimates.averaged_moment(f, 2.0, (256,))[0]
+    [[eng]] = estimates.averaged_moment(f, [2.0], (256,))
     plan = plancherel_average(f, 256)
     rel = abs(eng.full_torus_avg - plan) / plan
 

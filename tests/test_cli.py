@@ -328,6 +328,27 @@ def test_non_numeric_lams_exit_2(tmp_path, capsys, monkeypatch):
                                 "lams": [2, 8.5]})
 
 
+def test_empty_lams_exit_2(tmp_path, capsys, monkeypatch):
+    # an empty sweep would write a header-only CSV and pass
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    cfg = write_config(tmp_path, lams=[], schedule=[32])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == \
+        "invalid config: lams must hold at least one height\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lams", [[4.0, 4.0], [2.0, 4, 8.0, 4.0]], ids=["twice", "int"])
+def test_repeated_lams_exit_2(tmp_path, capsys, monkeypatch, lams):
+    # the repeated height's rows would share their summary keys
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    cfg = write_config(tmp_path, lams=lams, schedule=[32])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == ("invalid config: lams must not repeat a"
+                                       " height: 4 is given more than once\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_density_lattice_over_budget_exit_2(tmp_path, capsys, monkeypatch):
     refuse_runs(monkeypatch, "density")
     side = {1: cli.DENSITY_LATTICE_BUDGET, 2: 2048}  # largest in budget
@@ -556,7 +577,8 @@ def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
                         replace(cli.EXPERIMENTS["czd_suite"], run=crash))
     assert cli.main(run) == 3
     assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
-    # a per-cell crash takes the same exit (same config file, rewritten)
+    # a crash inside a function runner takes the same exit (same config
+    # file, rewritten)
     monkeypatch.setattr(cli.estimates, "averaged_moment", crash)
     write_config(tmp_path)
     assert cli.main(run) == 3
@@ -568,17 +590,23 @@ def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_determinism_across_parallelism(tmp_path):
-    cfg = write_config(tmp_path)
-    common = ["--baselines", str(tmp_path / "bl")]
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "seed_run"),
-                     *common]) == 0  # records baseline
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "a"),
-                     "--jobs", "1", *common]) == 0
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "b"),
-                     "--jobs", "2", *common]) == 0
-    for name in ("small.csv", "small.summary.json"):
-        assert ((tmp_path / "a" / name).read_bytes()
-                == (tmp_path / "b" / name).read_bytes())
+    # the default config at --jobs 2, and one function with six heights
+    # at --jobs 3: fewer functions, the unit of the fan-out, than workers
+    one_fn = {"lams": [2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+              "corpus": {"families": ["spike"], "n_random": 0}, "output": "one"}
+    for name, overrides, jobs in (("small", {}, "2"), ("one", one_fn, "3")):
+        cfg = write_config(tmp_path, **overrides)
+        common = ["--baselines", str(tmp_path / "bl" / name)]
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "seed_run"),
+                         *common]) == 0  # records baseline
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "a"),
+                         "--jobs", "1", *common]) == 0
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "b"),
+                         "--jobs", jobs, *common]) == 0
+        for out in (f"{name}.csv", f"{name}.summary.json"):
+            assert ((tmp_path / "a" / out).read_bytes()
+                    == (tmp_path / "b" / out).read_bytes())
+    assert len((tmp_path / "b" / "one.csv").read_text().splitlines()) == 1 + 6 * 3
 
 
 def test_baseline_compare_flags_drift(tmp_path):

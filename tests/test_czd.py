@@ -17,15 +17,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from strongmeans import corpus
 from strongmeans.czd import (
+    MAX_HEIGHTS,
     CZDecomposition,
     HeightTooLowError,
     decompose,
+    decompositions,
     exact_units,
     pyramid_cells,
     stopping_cells,
 )
 from strongmeans.grid import GridFunction, tensor
+from strongmeans.spectral import valle_poussin
 
 from oracles import bad_mask, bad_measure, cell_average, constant, running_mask_cells
 
@@ -357,3 +361,27 @@ def test_at_most_eight_heights_per_row():
     assert stopping_cells(x, [[2.0] * 8], units).row.size == 0
     with pytest.raises(ValueError):
         stopping_cells(x, [[2.0] * 9], units)
+
+
+def test_decompositions_match_one_height_calls():
+    """All of a function's heights in one selection, chunked by
+    MAX_HEIGHTS, give each height the bad cells (bit for bit), path and
+    height of a one-height `decompose`.  2.3 lies off the exact path's
+    denominator cap, so it is chunked apart and keeps the float path."""
+    on_grid = [f for _, f in corpus.standard_corpus(10, seed=3)]
+    delayed = valle_poussin(corpus.spike(10), 16)  # off the grid: float path
+    _, tensor_fn = corpus.FAMILIES[2]["tkspikes"].sample(6, np.random.default_rng(4))
+    lams = [16.0, 1.5, 64.0, 3.0, 2.3, 8.0, 2.0, 32.0, 4.0, 6.0]
+    assert sum(lam != 2.3 for lam in lams) > MAX_HEIGHTS
+    for f in on_grid + [delayed, tensor_fn]:
+        czs = decompositions(f, lams)
+        assert len(czs) == len(lams)
+        for lam, cz in zip(lams, czs):
+            ref = decompose(f, lam)
+            assert cz.height == ref.height == Fraction(lam)
+            assert cz.source is f and cz.exact == ref.exact
+            assert cz.exact == (f is not delayed and lam != 2.3), lam
+            assert cz.bad.dtype == ref.bad.dtype and np.array_equal(cz.bad, ref.bad), lam
+    assert decompositions(delayed, []) == []
+    # the heights select different, non-empty bad sets
+    assert len({decompose(delayed, lam).bad.tobytes() for lam in lams}) > 5

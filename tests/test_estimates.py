@@ -210,8 +210,8 @@ def test_engine_matches_brute_curve():
               (spikes, 8.0, 16, 1, whole_or_empty_set(5, False))]
     for f, lam, N_max, refine, exc in cases:
         sched = tuple(1 << k for k in range(1, N_max.bit_length()))
-        reports = averaged_moment(f, lam, sched, refine=refine,
-                                  exc=exc)
+        [reports] = averaged_moment(f, [lam], sched, refine=refine,
+                                    exc=exc)
         cw, cf = brute_curve(f, lam, N_max, 5, 2, refine, exc=exc)
         for rep in reports:
             want = cw[rep.N - 1] / rep.N
@@ -231,13 +231,42 @@ def test_engine_matches_brute_curve():
 
 def test_p2_curve_needs_no_partial_sums(monkeypatch):
     f = k_spikes(6, 3, np.random.default_rng(25))
-    want = averaged_moment(f, 8.0, (4, 32))
+    want = averaged_moment(f, [8.0], (4, 32))
 
     def refuse(*args, **kwargs):
         raise AssertionError("p = 2 streamed the partial sums")
 
     monkeypatch.setattr(estimates, "_partial_sum_stream", refuse)
-    assert averaged_moment(f, 8.0, (4, 32)) == want
+    assert averaged_moment(f, [8.0], (4, 32)) == want
+
+
+def test_stacked_heights_match_one_height_calls():
+    """Six heights in one call against one call per height, for real and
+    complex input; the stack holds a height whose E is the whole torus
+    and one whose E is empty.  p = 2 stacks the heights' w^ and one
+    product per order serves them all, which may move a curve's last
+    bits: each curve matches to 1e-12 of its largest value, and the
+    shared full-torus column bit for bit.  p = 4 streams each height on
+    its own, so its reports are equal bit for bit."""
+    rng = np.random.default_rng(29)
+    f = k_spikes(7, 3, rng)
+    cplx = GridFunction(1, 7, f.samples + 1j * NOISE.sample(7, rng)[1].samples)
+    lams = [64.0, 2.0, 4.0, 8.0, 16.0, 32.0]
+    for g in (f, cplx):
+        curves = averaged_moment(g, lams, tuple(range(1, 65)), refine=1)
+        assert [c[0].lam for c in curves] == lams
+        assert {c[0].measure_E for c in curves} >= {0, 1}
+        for lam, curve in zip(lams, curves):
+            [one] = averaged_moment(g, [lam], tuple(range(1, 65)), refine=1)
+            scale = max(r.avg_moment for r in one)
+            for a, b in zip(curve, one, strict=True):
+                assert (a.lam, a.N, a.measure_E, a.full_torus_avg) == \
+                    (b.lam, b.N, b.measure_E, b.full_torus_avg)
+                assert abs(a.avg_moment - b.avg_moment) <= 1e-12 * scale
+                assert abs(a.ratio - b.ratio) <= 1e-12 * scale / (lam * g.l1() ** 2)
+        sched = (2, 8, 16, 64)
+        curves = averaged_moment(g, lams, sched, p=4)
+        assert curves == [averaged_moment(g, [lam], sched, p=4)[0] for lam in lams]
 
 
 def test_engine_matches_brute_curve_p4():
@@ -248,7 +277,7 @@ def test_engine_matches_brute_curve_p4():
     cplx = GridFunction(1, 5, spikes.samples + 1j * NOISE.sample(5, rng)[1].samples)
     # (f, refine); N_max = 16 is the Nyquist order at J = 5
     for g, refine in [(f, 2), (cplx, 1), (spikes, 0)]:
-        reports = averaged_moment(g, 8.0, (4, 16), p=4, refine=refine)
+        [reports] = averaged_moment(g, [8.0], (4, 16), p=4, refine=refine)
         cw, cf = brute_curve(g, 8.0, 16, 5, 4, refine=refine)
         for rep in reports:
             norm = rep.N * np.log(rep.N) ** 2
@@ -267,7 +296,7 @@ def test_p4_curve_on_empty_set_needs_no_partial_sums(monkeypatch):
     f = k_spikes(6, 3, np.random.default_rng(26))
     cw, cf = brute_curve(f, 8.0, 32, 5, 4, 2, exc=whole_or_empty_set(6, False))
     monkeypatch.setattr(estimates, "_partial_sum_stream", refuse_stream)
-    reports = averaged_moment(f, 8.0, (4, 32), p=4, exc=whole_or_empty_set(6, False))
+    [reports] = averaged_moment(f, [8.0], (4, 32), p=4, exc=whole_or_empty_set(6, False))
     for rep in reports:
         norm = rep.N * np.log(rep.N) ** 2
         assert rep.avg_moment == rep.full_torus_avg
@@ -278,7 +307,7 @@ def test_p4_curve_on_empty_set_needs_no_partial_sums(monkeypatch):
 def test_p4_curve_on_whole_set_is_zero(monkeypatch):
     f = NOISE.sample(6, np.random.default_rng(27))[1]
     monkeypatch.setattr(estimates, "_partial_sum_stream", refuse_stream)
-    reports = averaged_moment(f, 4.0, (4, 32), p=4, exc=whole_or_empty_set(6, True))
+    [reports] = averaged_moment(f, [4.0], (4, 32), p=4, exc=whole_or_empty_set(6, True))
     for rep in reports:
         assert rep.avg_moment == 0.0 and rep.ratio == 0.0
         assert rep.full_torus_avg > 0
@@ -319,7 +348,7 @@ def test_p4_weighted_column_streams_only_visible_columns():
         assert np.allclose(part, full[:, cols], rtol=0, atol=1e-12)
         per = np.abs(full) ** 4 @ w / M
         # ... and the curve's weighted column matches the full-grid sum
-        reports = averaged_moment(f, 8.0, (4, 8, 32), p=4, refine=refine, exc=exc)
+        [reports] = averaged_moment(f, [8.0], (4, 8, 32), p=4, refine=refine, exc=exc)
         cw = np.cumsum(per)
         for rep in reports:
             want = cw[rep.N - 1] / (rep.N * np.log(rep.N) ** 2)
@@ -413,7 +442,7 @@ def test_stream_runs_once_per_function(monkeypatch):
 
     monkeypatch.setattr(estimates, "_partial_sum_stream", counted)
     f = k_spikes(6, 3, np.random.default_rng(23))
-    averaged_moment(f, 8.0, (4, 8, 16, 32), p=4)
+    averaged_moment(f, [8.0], (4, 8, 16, 32), p=4)
     assert calls == [f]
     calls.clear()
     cfg = cli.ExperimentConfig.from_dict({
@@ -440,20 +469,20 @@ def test_p4_curve_transforms_once(monkeypatch):
     exc = build_exceptional_set(decompose(f, 8.0), 5)
     assert 0 < exc.measure < 1  # so both columns are computed
     monkeypatch.setattr(spectral, "forward", counted)
-    averaged_moment(f, 8.0, (4, 8, 16, 32), p=4, exc=exc)
+    averaged_moment(f, [8.0], (4, 8, 16, 32), p=4, exc=exc)
     assert calls == [f]
 
 
 def test_full_torus_average_matches_closed_form():
     f = corpus.spike(6)
-    reports = averaged_moment(f, 8.0, (4, 8, 16, 32))
+    [reports] = averaged_moment(f, [8.0], (4, 8, 16, 32))
     for rep in reports:
         assert abs(rep.full_torus_avg - (rep.N + 2)) < 1e-9
         assert abs(rep.full_torus_avg - plancherel_average(f, rep.N)) < 1e-9
 
 
 def test_constant_function_curve_is_one():
-    reports = averaged_moment(constant(1.0, 6), 2.0, (4, 16))
+    [reports] = averaged_moment(constant(1.0, 6), [2.0], (4, 16))
     for rep in reports:
         assert rep.measure_E == 0
         assert abs(rep.avg_moment - 1.0) < 1e-12
@@ -462,19 +491,19 @@ def test_constant_function_curve_is_one():
 
 def test_exceptional_set_shared_across_curve():
     f = corpus.spike(8)
-    reports = averaged_moment(f, 8.0, (32, 64))
+    [reports] = averaged_moment(f, [8.0], (32, 64))
     assert all(r.exceptional is reports[0].exceptional for r in reports)
 
 
 def test_full_torus_dominates_restricted():
     for _, f in corpus.standard_corpus(8, seed=5):
-        for rep in averaged_moment(f, 8.0, (32, 64)):
+        for rep in averaged_moment(f, [8.0], (32, 64))[0]:
             assert rep.full_torus_avg >= rep.avg_moment - 1e-12
 
 
 def test_averaged_moment_rejects_aliased_schedule():
     with pytest.raises(AliasingError):
-        averaged_moment(corpus.spike(6), 8.0, (32, 64))
+        averaged_moment(corpus.spike(6), [8.0], (32, 64))
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +590,7 @@ def test_every_report_carries_its_ratio_and_set_measure():
     cases += [(spectral.valle_poussin(corpus.spike(8), rep.N), 8.0, 2, rep)
               for rep in decay]
     cases += [(f, 4.0, p, rep) for p in (2, 4)
-              for rep in averaged_moment(f, 4.0, (4, 32), p=p)]
+              for rep in averaged_moment(f, [4.0], (4, 32), p=p)[0]]
     cases += [(g, 16.0, 2, rep)
               for rep in averaged_moment_rect(g, 16.0, (4, 8))]
     assert len(cases) == 11

@@ -171,7 +171,7 @@ def test_every_reader_takes_the_nyquist_bin_twice(real):
         assert band_energy(f, n, H) == pytest.approx(energy[H] - energy[n],
                                                      rel=1e-12, abs=1e-14)
     orders = tuple(range(1, H + 1))
-    for rep in estimates.averaged_moment(f, 8.0, orders):
+    for rep in estimates.averaged_moment(f, [8.0], orders)[0]:
         want = sum(energy[1:rep.N + 1]) / rep.N
         assert rep.full_torus_avg == pytest.approx(want, rel=1e-12)
         assert rep.full_torus_avg == pytest.approx(plancherel_average(f, rep.N),
