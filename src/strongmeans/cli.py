@@ -51,6 +51,11 @@ def _numbers_above(value, floor: float = 0) -> bool:
         for x in value)
 
 
+def _repeated(values):
+    """The first entry of `values` equal to an earlier one, else None."""
+    return next((x for i, x in enumerate(values) if x in values[:i]), None)
+
+
 @dataclass(frozen=True)
 class Option:
     """An option's default, a check of a given value, and the rule that
@@ -67,6 +72,13 @@ def _integer(default: int, least: int, greatest: int | None = None) -> Option:
             else f"an integer in [{least}, {greatest}]")
     return Option(default, lambda v: type(v) is int and v >= least
                   and (greatest is None or v <= greatest), rule)
+
+
+def _distinct_numbers(default: tuple) -> Option:
+    # a repeated entry would repeat rows, or share their summary key
+    return Option(default, lambda v: _numbers_above(v) and len(v) > 0
+                  and _repeated(v) is None,
+                  "a non-empty list of distinct positive numbers")
 
 
 _TWO_OR_FOUR = Option(2, lambda v: type(v) is int and v in (2, 4),
@@ -178,16 +190,16 @@ class ExperimentConfig:
             raise ConfigError("lams must be a list of positive real numbers")
         if not self.lams:
             raise ConfigError("lams must hold at least one height")
-        repeated = next((x for i, x in enumerate(self.lams) if x in self.lams[:i]),
-                        None)
-        if repeated is not None:
-            # its rows would share their summary keys, fn_id|lambda
-            raise ConfigError(f"lams must not repeat a height: {fmt(repeated)}"
-                              " is given more than once")
         if not isinstance(self.options, dict):
             raise ConfigError("options must be a JSON object")
         if not _numbers_above(self.s_values, 1):
             raise ConfigError("s_values must be a list of real numbers above 1")
+        for key, what in (("lams", "a height"), ("s_values", "a value")):
+            repeated = _repeated(getattr(self, key))
+            if repeated is not None:
+                # its rows would share a summary key (fn_id|lambda|s=...)
+                raise ConfigError(f"{key} must not repeat {what}: {fmt(repeated)}"
+                                  " is given more than once")
         if not isinstance(self.corpus, dict):
             raise ConfigError("corpus must be a JSON object")
         fields = CORPUS[self.d]
@@ -500,12 +512,9 @@ EXPERIMENTS = {
     "strong_means": Experiment(
         ("fn_id", "eps", "N", "measure", "config_hash"), _strong_means,
         reads=("J", "d", "schedule", "corpus"), options={
-            "eps_factors": Option(
-                (0.5, 0.25), lambda v: _numbers_above(v) and len(v) > 0,
-                "a non-empty list of positive numbers"),
+            "eps_factors": _distinct_numbers((0.5, 0.25)),
             "r": _TWO_OR_FOUR,
-            "lam_grid": Option(estimates.DEFAULT_LAM_GRID, _numbers_above,
-                               "a list of positive numbers"),
+            "lam_grid": _distinct_numbers(estimates.DEFAULT_LAM_GRID),
         }),
     "density": Experiment(
         ("kind", "N", "density", "config_hash"), _density,

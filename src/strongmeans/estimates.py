@@ -41,25 +41,30 @@ sum_m |g_m|^2.  Raising n by one adds only the pairs with a or b at
 +-n, O(n) entries of g, so the column costs O(N_max^2).  The weighted
 column has no such form (weighting |S_n f|^4 through its coefficients
 is a Toeplitz product per order, O(N_max^3)), so it streams, but only
-the grid columns with w_t > 0: none when E is the whole torus, and when
-E is empty w = 1 and it is the full column.
+the stream's windows that hold a grid column with w_t > 0, weighting
+their columns by w: none when E is the whole torus, and when E is empty
+w = 1 and it is the full column.
 
 Fourth moments, strong means and the rectangular factors need pointwise
 values and use a partial-sum stream: S_n differs from S_{n-1} by the
 real pair A_n cos n theta + B_n sin n theta = Re(C_n e(n theta)), with
 C_n = A_n - i B_n (complex pairs only for complex input), so a running
 sum over the refined grid computes the whole curve in O(N_max * M)
-work, in the input's own dtype.  The stream yields tiles of at most
-`_TILE` = (orders, columns) = (16, 2048) entries: each block of grid
-columns runs through every order, 16 at a time, with its own step
-table and carry, in scratch of a few MB that does not grow with M.
-Column blocks leave every value of S_n f as it is; the order count
-fixes where each phase e(n theta) splits into e(n0 theta) e(j theta),
-n0 the first order of a tile.  A reader may overwrite its tile, and
-the p = 4 and strong-means readers square real tiles in place.  Each
-function is streamed at most once per experiment: strong means count
-the grid points over all their eps and lam thresholds inside the same
-sweep.
+work, in the input's own dtype.  The grid is cut into windows of
+`_WINDOW` = 256 consecutive columns.  In the window that starts at t0,
+e(n t) = e(n t0) e(n s) with s = t - t0 < 256, so one table
+P[n, s] = e(n s) serves every window of a chunk of 16 orders, each
+window needs one scalar D_n = C_n e(n t0) per order, and each entry
+costs one complex product.  Order chunks form the outer loop and tiles
+of 8 windows, at most `_TILE` = (orders, columns) = (16, 2048) entries,
+the inner one, with a carry per streamed column, in scratch of a few
+MB.  A value of S_n f depends only on its column and `_WINDOW`, which
+fixes where each phase splits, so neither the tile shape nor the set
+of columns streamed moves its bits.  A reader may overwrite its tile,
+and the p = 4 and strong-means readers square real tiles in place.
+Each function is streamed at most once per experiment: strong means
+count the grid points over all their eps and lam thresholds inside the
+same sweep.
 
 Orders are capped at the stored bandwidth H = n/2.  The stream, both
 closed forms and the energy curves take their coefficients from
@@ -94,11 +99,15 @@ from .spectral import (
 
 SUPPORTED_DILATIONS = (1, 3, 5)
 DEFAULT_LAM_GRID = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-# (orders, columns) in one tile of the partial-sum stream.  Its scratch,
-# two complex tiles of 512 KB and a real one of 256 KB, fits in a core's
-# 2 MB L2 with room for the reader; 16 orders fix where the phases split,
-# and so their rounding, while the width leaves every value as it is
+# (orders, columns) in one tile of the partial-sum stream: 8 windows.
+# Its tiles, one complex of 512 KB and one real of 256 KB, fit in a
+# core's 2 MB L2 with room for the reader; the shape leaves every value
+# as it is
 _TILE = (16, 2048)
+# consecutive grid columns that share their phases e(n s), s < _WINDOW,
+# and so the one constant that fixes the stream's rounding; a column
+# subset streams whole windows, so a wider one wastes columns
+_WINDOW = 256
 # lattice entries in one block of a density shell walk; the walk's
 # scratch is a few arrays of this size whatever the lattice side
 _SHELL_BLOCK = 1 << 16
@@ -292,70 +301,69 @@ def _shell_blocks(lattice, d: int, lo: int, hi: int):
 # running partial-sum engine
 
 
+def _windows(M: int, cols: np.ndarray | None = None) -> tuple[int, np.ndarray]:
+    """The width W of the stream's windows on the M-grid and the first
+    column of each window it walks: all, or those holding one of cols."""
+    W = min(_WINDOW, M)
+    if cols is None:
+        return W, np.arange(0, M, W)
+    return W, np.flatnonzero(np.bincount(np.asarray(cols) // W, minlength=M // W)) * W
+
+
 def _partial_sum_stream(f: GridFunction, c: np.ndarray, refine: int,
                         cols: np.ndarray | None = None):
     """Yield tiles (ns, span, rows): rows[i, j] is S_{ns[i]} f at the grid
     column t[span][j] of the 2**refine finer grid, for n = 1..n_hi with
-    c = `modes(f, n_hi)`.
+    c = `modes(f, n_hi)`.  t is every column of the windows of
+    `_windows(M, cols)` in turn, so every column in order when cols is
+    None; span is a slice of positions in t.  Order chunks form the outer
+    loop and tiles of whole windows the inner one; a tile is at most
+    `_TILE` (orders x columns), or one window when that is wider.
 
-    t is `cols` when given (grid columns, evaluated in that order), else
-    every column; span is a slice of positions in t.  Tiles are at most
-    `_TILE` (orders x columns).  Column blocks form the outer loop, each
-    with its own step table and carry, and order chunks the inner one,
-    so every block streams orders 1..n_hi in turn and the scratch stays
-    cache-sized whatever the grid.
-
-    Rows carry the input's dtype.  With theta = 2 pi t / M,
-    S_n f = c_0 + sum_{k<=n} (A_k cos k theta + B_k sin k theta), where
-    A_k = c_k + c_{-k} and B_k = i (c_k - c_{-k}) are real for real f.
-    At k = H both read the Nyquist bin, so A_H = 2 c_H and B_H = 0.  Real
-    f takes one complex coefficient C_k = A_k - i B_k per order, and a
-    tile's new terms are Re(C_k e(k theta)): one product on the phase
-    tile.  rows is scratch that the next tile overwrites; the carry is
+    Rows carry the input's dtype.  Real f takes C_n = A_n - i B_n, where
+    A_n = c_n + c_{-n} and B_n = i (c_n - c_{-n}) are real (at n = H both
+    read the Nyquist bin), and adds Re(C_n e(n t)) per order.  In the
+    window at t0, e(n t) = e(n t0) P[n, s] with P[n, s] = e(n s) for
+    s = t - t0 < W, gathered once per chunk, so with D_n = C_n e(n t0) an
+    entry is one product.  Complex f adds c_n e(n t0) P + c_{-n} e(-n t0)
+    conj(P).  rows is scratch that the next tile overwrites; the carry is
     copied out of it before the yield, so a reader may overwrite it too.
     """
     n_hi = c.size // 2
     ks = np.arange(1, n_hi + 1)
-    cp, cm = c[n_hi + ks], c[n_hi - ks]  # modes +k and -k
-    A, B, c0 = cp + cm, 1j * (cp - cm), c[n_hi]
+    cp, cm, c0 = c[n_hi + ks], c[n_hi - ks], c[n_hi]  # modes +k and -k
     real = f.is_real()
-    if real:
-        C, c0 = A.real - 1j * B.real, c0.real
+    if real:  # cp holds C_k = Re(c_k + c_-k) + i Im(c_k - c_-k)
+        cp, c0 = (cp + cm).real + 1j * (cp - cm).imag, c0.real
     M = 1 << (f.J + refine)
-    t = np.arange(M) if cols is None else np.asarray(cols)
-    h, width = min(_TILE[0], n_hi), min(_TILE[1], t.size)
+    W, starts = _windows(M, cols)
+    per, h = max(1, _TILE[1] // W), min(_TILE[0], n_hi)  # windows, orders a tile
     table = np.exp(2j * np.pi * np.arange(M) / M)
-    # flat scratch, viewed as a contiguous (orders, columns) tile
-    step, ph = np.empty(h * width, complex), np.empty(h * width, complex)
-    buf = np.empty(h * width, c0.dtype)
-    tmp = None if real else np.empty(h * width, complex)
-    carry = np.empty(width, c0.dtype)
-    for lo in range(0, t.size, width):
-        span = slice(lo, min(lo + width, t.size))
-        tb = t[span]
-        k = tb.size
-        st = step[: h * k].reshape(h, k)
-        np.take(table, (np.arange(h)[:, None] * tb) % M, out=st)  # e(j t), j < h
-        cy = carry[:k]
-        cy.fill(c0)  # S_0 is the mean
-        for n0 in range(1, n_hi + 1, h):
-            ns = np.arange(n0, min(n0 + h, n_hi + 1))
-            size = len(ns) * k
-            e = ph[:size].reshape(-1, k)
-            np.multiply(st[: len(ns)], table[(n0 * tb) % M], out=e)  # e(n0 t) e(j t)
-            rows = buf[:size].reshape(-1, k)
+    # flat scratch, viewed as a contiguous (orders, windows, W) tile
+    ph, buf = np.empty(h * per * W, complex), np.empty(h * per * W, c0.dtype)
+    carry = np.full(starts.size * W, c0)  # S_0 is the mean
+    for n0 in range(1, n_hi + 1, h):
+        ns = np.arange(n0, min(n0 + h, n_hi + 1))
+        P = table[(ns[:, None] * np.arange(W)) & (M - 1)][:, None]  # e(n s)
+        e0 = table[(ns[:, None] * starts) & (M - 1)][..., None]  # e(n t0)
+        D = cp[ns - 1, None, None] * e0
+        Dm = None if real else cm[ns - 1, None, None] * np.conj(e0)
+        for g0 in range(0, starts.size, per):
+            g1 = min(g0 + per, starts.size)
+            span = slice(g0 * W, g1 * W)
+            e = ph[: len(ns) * (g1 - g0) * W].reshape(len(ns), g1 - g0, W)
+            rows = buf[: e.size].reshape(e.shape)
             if real:  # Re(C_n e(n t)) = A_n cos + B_n sin
-                np.multiply(e, C[ns - 1, None], out=e)
+                np.multiply(P, D[:, g0:g1], out=e)
                 np.copyto(rows, e.real)
             else:
-                np.multiply(A[ns - 1, None], e.real, out=rows)
-                bi = tmp[:size].reshape(-1, k)
-                np.multiply(B[ns - 1, None], e.imag, out=bi)
-                rows += bi
-            rows[0] += cy
+                np.multiply(P, D[:, g0:g1], out=rows)
+                rows += np.multiply(np.conj(P), Dm[:, g0:g1], out=e)
+            rows = rows.reshape(len(ns), -1)
+            rows[0] += carry[span]
             for j in range(1, len(ns)):  # running sum; np.cumsum on axis 0 is slow
                 rows[j] += rows[j - 1]
-            cy[:] = rows[-1]
+            carry[span] = rows[-1]
             yield ns, span, rows
 
 
@@ -462,9 +470,9 @@ def averaged_moment(f: GridFunction, lams, schedule: tuple, p: int = 2,
     computed once for all of them.  p = 2 takes the closed form of the
     module docstring for every height at once; p = 4 takes the closed
     form for the full-torus column and streams the partial sums once
-    per height, on the columns off its E, for the weighted one.
-    `fn_id` only labels the call: the benchmark's tracer counts sweeps
-    per function by it.
+    per height, on the windows that hold a column off its E, for the
+    weighted one.  `fn_id` only labels the call: the benchmark's tracer
+    counts sweeps per function by it.
     """
     if f.dim != 1:
         raise ValueError("averaged_moment is the 1-d sweep")
@@ -486,10 +494,12 @@ def averaged_moment(f: GridFunction, lams, schedule: tuple, p: int = 2,
         for i, e in enumerate(excs):
             if e.measure == 0:  # w == 1
                 weighted[:, i] = full
-            elif e.measure < 1:  # stream only the columns the weights can see
+            elif e.measure < 1:  # stream only the windows the weights can see
                 w = e.complement_weights(M)
                 cols = np.flatnonzero(w)
-                wt = w[cols] / M
+                W, starts = _windows(M, cols)
+                wt = w.reshape(-1, W)[starts // W].ravel()  # 0 on E
+                wt /= M
                 for ns, span, rows in _partial_sum_stream(f, c, refine, cols):
                     # real tiles are squared in place; the stream has copied its carry
                     a = np.square(rows, out=rows) if np.isrealobj(rows) else _abs2(rows)

@@ -304,9 +304,34 @@ def test_strong_means_bad_r_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_strong_means_bad_lam_grid_exit_2(tmp_path, capsys, monkeypatch):
-    for bad in ([1.0, 0.0], [-2.0], [1.0, "x"], "ab"):
+    # an empty grid used to reach the weak-type maximum and crash (exit 3)
+    for bad in ([1.0, 0.0], [-2.0], [1.0, "x"], "ab", []):
         assert strong_means_exit_code(tmp_path, capsys, monkeypatch,
                                       lam_grid=bad) == 2
+
+
+@pytest.mark.parametrize("overrides,message", [
+    pytest.param({"experiment": "strong_means", "lams": [8.0],
+                  "options": {"lam_grid": [2, 2]}},
+                 "strong_means: lam_grid must be a non-empty list of distinct"
+                 " positive numbers", id="lam_grid"),
+    pytest.param({"experiment": "strong_means", "lams": [8.0],
+                  "options": {"eps_factors": [0.5, 0.25, 0.5]}},
+                 "strong_means: eps_factors must be a non-empty list of"
+                 " distinct positive numbers", id="eps_factors"),
+    pytest.param({"experiment": "decay_kernel", "lams": [8.0],
+                  "schedule": [16, 32], "s_values": [2.0, 3.0, 2]},
+                 "s_values must not repeat a value: 2 is given more than once",
+                 id="s_values"),
+])
+def test_repeated_entries_exit_2(tmp_path, capsys, monkeypatch, overrides, message):
+    # a repeated lam_grid height or s value would write one summary
+    # value for two rows' keys, and a repeated eps factor duplicate rows
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    cfg = write_config(tmp_path, **overrides)
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"invalid config: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_integer_schedule_exit_2(tmp_path, capsys, monkeypatch):

@@ -313,39 +313,59 @@ def test_p4_curve_on_whole_set_is_zero(monkeypatch):
         assert rep.full_torus_avg > 0
 
 
+def window_columns(M, cols=None):
+    """The grid columns a stream over `cols` walks, ascending: every
+    column of each window of min(`_WINDOW`, M) columns that holds one of
+    cols (all of them when cols is None)."""
+    W = min(estimates._WINDOW, M)
+    win = np.arange(M) // W
+    return np.arange(M) if cols is None else np.flatnonzero(np.isin(win, cols // W))
+
+
 def assembled_stream(f, n_hi, refine, cols=None):
     """The partial-sum stream's tiles put together into an (n_hi, columns)
-    array; checks that each tile fits `_TILE` and that the tiles cover
-    every (order, column) exactly once."""
-    t = np.arange(1 << (f.J + refine)) if cols is None else cols
+    array over the stream's own columns, `window_columns(M, cols)`;
+    checks that each tile fits `_TILE`, or is one window wide when a
+    window is wider, and that the tiles cover every (order, column)
+    exactly once."""
+    M = 1 << (f.J + refine)
+    t = window_columns(M, cols)
     out = np.empty((n_hi, t.size), dtype=float if f.is_real() else complex)
     seen = np.zeros(out.shape, dtype=int)
     h, width = estimates._TILE
     for ns, span, rows in estimates._partial_sum_stream(f, modes(f, n_hi), refine,
                                                         cols):
         assert rows.shape == (len(ns), len(t[span]))
-        assert rows.shape[0] <= h and rows.shape[1] <= width
+        assert rows.shape[0] <= h
+        assert rows.shape[1] <= max(width, min(estimates._WINDOW, M))
         out[ns - 1, span] = rows
         seen[ns - 1, span] += 1
     assert (seen == 1).all()
     return out
 
 
-def test_p4_weighted_column_streams_only_visible_columns():
+def test_p4_weighted_column_streams_only_visible_columns(monkeypatch):
+    # at 16 columns a window the streamed columns are a strict subset of
+    # the grid; at 256 every grid here is one window
     rng = np.random.default_rng(28)
     spikes = k_spikes(6, 3, rng)
     cplx = GridFunction(1, 6, spikes.samples + 1j * NOISE.sample(6, rng)[1].samples)
-    for f, refine in [(spikes, 2), (cplx, 1)]:
+    for window, f, refine in [(w, *case) for w in (16, 256)
+                              for case in [(spikes, 2), (cplx, 1)]]:
+        monkeypatch.setattr(estimates, "_WINDOW", window)
         exc = build_exceptional_set(decompose(f, 8.0), 5)
         assert 0 < exc.measure < 1
         M = 1 << (f.J + refine)
         w = exc.complement_weights(M)
         cols = np.flatnonzero(w)
         assert 0 < cols.size < M
-        # the restricted stream is the full stream read at those columns
+        t = window_columns(M, cols)
+        assert np.isin(cols, t).all() and (t.size < M) == (window < M)
+        # the restricted stream is the full stream read at its columns,
+        # bit for bit: both walk the same windows
         full = assembled_stream(f, 32, refine)
         part = assembled_stream(f, 32, refine, cols=cols)
-        assert np.allclose(part, full[:, cols], rtol=0, atol=1e-12)
+        assert np.array_equal(part, full[:, t])
         per = np.abs(full) ** 4 @ w / M
         # ... and the curve's weighted column matches the full-grid sum
         [reports] = averaged_moment(f, [8.0], (4, 8, 32), p=4, refine=refine, exc=exc)
@@ -356,21 +376,28 @@ def test_p4_weighted_column_streams_only_visible_columns():
 
 
 def test_stream_tiles_match_partial_sums_at_ragged_edges(monkeypatch):
-    # 3 orders x 10 columns: no grid below is a multiple of 10 columns,
-    # and n_hi = 16 is not a multiple of 3 orders
+    # 3 orders x 10 columns: a tile holds one window of 8 or two of 4,
+    # and every grid below is narrower than 256 columns; n_hi = 16 is
+    # not a multiple of 3 orders, and the subset holds an odd number of
+    # windows
     monkeypatch.setattr(estimates, "_TILE", (3, 10))
     rng = np.random.default_rng(29)
     spikes = k_spikes(5, 3, rng)
     assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
     cplx = GridFunction(1, 5, spikes.samples + 1j * NOISE.sample(5, rng)[1].samples)
     # n_hi = 16 is the Nyquist order at J = 5
-    for f, refine in [(spikes, 2), (cplx, 1), (spikes, 0)]:
-        got = assembled_stream(f, 16, refine)
-        for n in range(1, 17):
-            want = spectral.partial_sum(f, n, refine).samples
-            if f.is_real():
-                want = want.real
-            assert np.allclose(got[n - 1], want, rtol=0, atol=1e-12)
+    for window, f, refine in [(w, *case) for w in (256, 8, 4)
+                              for case in [(spikes, 2), (cplx, 1), (spikes, 0)]]:
+        monkeypatch.setattr(estimates, "_WINDOW", window)
+        M = 1 << (f.J + refine)
+        for cols in (None, np.arange(0, M, 12)):
+            got = assembled_stream(f, 16, refine, cols=cols)
+            t = window_columns(M, cols)
+            for n in range(1, 17):
+                want = spectral.partial_sum(f, n, refine).samples[t]
+                if f.is_real():
+                    want = want.real
+                assert np.allclose(got[n - 1], want, rtol=0, atol=1e-12)
 
 
 def test_stream_tiles_stay_within_the_tile():
@@ -386,20 +413,21 @@ def test_stream_tiles_stay_within_the_tile():
 
 
 def test_stream_values_do_not_depend_on_the_column_width(monkeypatch):
-    # every value of S_n f is computed per column, so column blocks of 7,
-    # 2048 or 8192 give the same bits; the order count stays 16, since it
-    # fixes where each phase splits
+    # a value of S_n f depends only on its column and `_WINDOW`: not on
+    # the tile's orders or width, nor on which columns are streamed
     rng = np.random.default_rng(32)
     real = NOISE.sample(10, rng)[1]
     cplx = GridFunction(1, 10, real.samples + 1j * NOISE.sample(10, rng)[1].samples)
-    cols = np.flatnonzero(rng.random(1 << 13) < 0.6)
+    dense = np.flatnonzero(rng.random(1 << 13) < 0.6)
+    sparse = np.flatnonzero(rng.random(1 << 13) < 0.001)
+    assert window_columns(1 << 13, sparse).size < 1 << 13
     for f in (real, cplx):
-        for subset in (None, cols):
-            got = []
-            for width in (7, 2048, 8192):
-                monkeypatch.setattr(estimates, "_TILE", (16, width))
-                got.append(assembled_stream(f, 40, 3, cols=subset))
-            assert all(np.array_equal(got[0], g) for g in got[1:])
+        full = assembled_stream(f, 40, 3)
+        for tile in ((3, 10), (16, 2048), (16, 8192)):
+            monkeypatch.setattr(estimates, "_TILE", tile)
+            for subset in (None, dense, sparse):
+                got = assembled_stream(f, 40, 3, cols=subset)
+                assert np.array_equal(got, full[:, window_columns(1 << 13, subset)])
 
 
 def test_reader_may_overwrite_its_tile():
@@ -430,6 +458,22 @@ def test_stream_scratch_is_tile_sized():
     finally:
         tracemalloc.stop()
     assert peak < 6 << 20
+
+
+def test_p4_moment_peak_stays_within_the_stream_scratch():
+    # one J = 14 spike at the p4_moment config's height, to order 256 (the
+    # scratch does not grow with the order): the column weights come per
+    # window from w, and no index array of the streamed columns is built,
+    # so the traced peak stays under 4.5 MB (4.1 MB here; 4.6 MB with 2048
+    # columns a tile and no windows)
+    f = corpus.spike(14)
+    tracemalloc.start()
+    try:
+        averaged_moment(f, [8.0], (32, 64, 128, 256), p=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5e6
 
 
 def test_stream_runs_once_per_function(monkeypatch):
