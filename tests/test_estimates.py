@@ -448,7 +448,8 @@ def test_reader_may_overwrite_its_tile():
 
 
 def test_stream_scratch_is_tile_sized():
-    # at M = 2**16 the tables and 16 x 2048 tile scratch peak near 3.5 MB
+    # at M = 2**16 the table, the carry and the 16 x 2048 tile scratch
+    # peak near 2.9 MB
     f = NOISE.sample(14, np.random.default_rng(31))[1]
     tracemalloc.start()
     try:
@@ -464,8 +465,7 @@ def test_p4_moment_peak_stays_within_the_stream_scratch():
     # one J = 14 spike at the p4_moment config's height, to order 256 (the
     # scratch does not grow with the order): the column weights come per
     # window from w, and no index array of the streamed columns is built,
-    # so the traced peak stays under 4.5 MB (4.1 MB here; 4.6 MB with 2048
-    # columns a tile and no windows)
+    # so the traced peak stays under 4.5 MB (about 4.1 MB)
     f = corpus.spike(14)
     tracemalloc.start()
     try:
