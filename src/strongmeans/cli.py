@@ -188,17 +188,17 @@ class ExperimentConfig:
                 " default schedule is 32, 64, ..., 2**(J-2))")
         if not _numbers_above(self.lams):
             raise ConfigError("lams must be a list of positive real numbers")
-        if not self.lams:
-            raise ConfigError("lams must hold at least one height")
         if not isinstance(self.options, dict):
             raise ConfigError("options must be a JSON object")
         if not _numbers_above(self.s_values, 1):
             raise ConfigError("s_values must be a list of real numbers above 1")
-        for key, what in (("lams", "a height"), ("s_values", "a value")):
+        for key, what in (("lams", "height"), ("s_values", "value")):
+            if not getattr(self, key) and key in exp.reads:  # a header-only CSV
+                raise ConfigError(f"{key} must hold at least one {what}")
             repeated = _repeated(getattr(self, key))
             if repeated is not None:
                 # its rows would share a summary key (fn_id|lambda|s=...)
-                raise ConfigError(f"{key} must not repeat {what}: {fmt(repeated)}"
+                raise ConfigError(f"{key} must not repeat a {what}: {fmt(repeated)}"
                                   " is given more than once")
         if not isinstance(self.corpus, dict):
             raise ConfigError("corpus must be a JSON object")

@@ -17,14 +17,14 @@ the covering checks read; `decompositions` calls `stopping_cells` with
 a batch of one and all of a function's heights, and keeps each height's
 rows as its bad cells, and `decompose` is its one-height case.
 
-Selection is exact: whenever the samples are dyadic rationals with at
-most FRACT_BITS fractional bits (the corpus guarantees this for
-nonnegative families), cell sums are integer arithmetic and every
-comparison against the height is an exact rational comparison.
-Otherwise float sums are used and the outcome is correct up to float
-rounding of the cell averages.  `exact_units` gives those integers and
-says which rows have them; `stopping_cells` takes them from its caller,
-so a caller that checks the selection reads the same units.
+Every row selects on the int64 units at 2**-FRACT_BITS that
+`exact_units` gives (rounded off the grid); `stopping_cells` takes them
+from its caller, so a caller that checks the selection reads the same
+units.  A height h is one Python-int root limit floor(h * 2**(dim*J +
+FRACT_BITS)), which level j reads shifted right by dim*j, so any
+positive height compares exactly.  Rows on the grid are decided exactly
+for their samples, rows off it unless a cell sum falls in a rounding
+band (`_certified`).
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ import numpy as np
 from .grid import GridFunction
 
 FRACT_BITS = 24
-# int64 comparison budget: sums * height.denominator and
-# height.numerator * 2**(FRACT_BITS + d*J) must both stay below 2**62
-_DEN_CAP = 1 << 16
+# every level sum stays below this (OverflowError otherwise), so a limit
+# capped here compares with every sum as the uncapped one does
+_CAP = 1 << 62
 # a cell's code has one bit per height of its row
 MAX_HEIGHTS = 8
 
@@ -57,7 +57,7 @@ class CZDecomposition:
     # int64 cell rows, (level, index) in dim 1 and (level, i, j) in dim 2,
     # ordered by level, then index: maximal and pairwise disjoint
     bad: np.ndarray
-    exact: bool  # True when every selection comparison was exact
+    exact: bool  # the selection is the samples' own (czd._certified)
 
     @property
     def dim(self) -> int:
@@ -69,9 +69,9 @@ class CZDecomposition:
 
 
 def exact_units(samples: np.ndarray, out=None, scratch=None):
-    """|samples| as int64 at 2**FRACT_BITS, and which rows are exact.
+    """|samples| as int64 at 2**FRACT_BITS, and which rows are on the grid.
 
-    A row is exact when every magnitude is finite, on the grid and below
+    A row is on the grid when every magnitude is finite, on it and below
     2**53 once scaled.  Magnitudes off the grid read rounded to it, and
     those that are not finite or too large read 0.  `out` (int64) and
     `scratch` (float64), C-contiguous and of the samples' shape, are
@@ -131,12 +131,13 @@ def _level_sums(finest: np.ndarray, J: int, dim: int, out=None) -> list[np.ndarr
 class StoppingCells:
     """Maximal bad cells of a batch of functions, each at several heights.
 
-    One entry per selected cell, ordered by level, then row, height
-    column and the cell's per-axis indices.  `cells` holds the `dyadic` cell rows, int64 of
-    shape (k, 1 + dim): (level, index) in dim 1, (level, i, j) in dim 2.
+    One entry per selected cell, ordered by level, then row, height column
+    and the cell's per-axis indices.  `cells` holds the `dyadic` cell rows,
+    int64 of shape (k, 1 + dim): (level, index) in dim 1, (level, i, j) in
+    dim 2.
     """
 
-    exact: np.ndarray  # (B,) bool: every comparison of the row was exact
+    exact: np.ndarray  # (B, H) bool: the row's selection at that height is exact
     row: np.ndarray
     col: np.ndarray  # which of the row's heights selected the cell
     cells: np.ndarray
@@ -158,44 +159,86 @@ def stopping_cells(samples: np.ndarray, heights, units,
 
     `samples` has shape (B, n) in 1-d or (B, n, n) in 2-d, which fixes
     dim; `heights` holds B equal-length sequences of at most MAX_HEIGHTS
-    positive heights, one per row; `units` is `exact_units(samples)`.
-    `sums` (8-byte items) and `codes` (uint8) are flat buffers a caller
-    reuses, of at least B * pyramid_cells(J - 1, dim) and
-    B * pyramid_cells(J, dim) elements: they hold the level sums below
-    the finest level and the cells' codes.  A row takes the exact
-    integer path when its samples lie on the 2**-FRACT_BITS grid and its
-    heights have denominators of at most _DEN_CAP, else the float path.  Each path builds one level-sum
-    pyramid for its rows and selects at every height together.
+    positive heights, one per row; `units` is `exact_units(samples)`,
+    whose integers every row selects on.  `sums` (int64) and `codes`
+    (uint8) are flat buffers a caller reuses, of at least
+    B * pyramid_cells(J - 1, dim) and B * pyramid_cells(J, dim)
+    elements: they hold the level sums below the finest level and the
+    cells' codes.  One level-sum pyramid serves every row and height.
 
     Raises HeightTooLowError when a row's mean exceeds one of its
     heights, since the root cell would then already be selected and
-    nothing is maximal, and OverflowError when the exact comparisons
-    would leave int64.
+    nothing is maximal, and OverflowError when a level sum would reach
+    2**62.
     """
-    J = samples.shape[1].bit_length() - 1
-    ratios = [[ratio(h) for h in hs] for hs in heights]
     ints, on_grid = units
-    exact = on_grid & np.array(
-        [max(d for _, d in hs) <= _DEN_CAP for hs in ratios], dtype=bool)
-    parts = []
-    for path in (True, False):
-        rows = np.flatnonzero(exact == path)
-        if rows.size:
-            take = slice(None) if rows.size == len(samples) else rows  # a view, no copy
-            finest = ints[take] if path else np.abs(samples[take]).astype(np.float64)
-            r, c, cells = _select(finest, [ratios[i] for i in rows], J, path, sums, codes)
-            parts.append((rows[r], c, cells))
-    if len(parts) == 1:  # already in order
-        return StoppingCells(exact, *parts[0])
-    row, col, cells = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((*cells.T[:0:-1], col, row, cells[:, 0]))
-    return StoppingCells(exact, row[order], col[order], cells[order])
+    B, dim = len(ints), ints.ndim - 1
+    J = ints.shape[1].bit_length() - 1
+    H = len(heights[0])
+    if H > MAX_HEIGHTS:
+        raise ValueError(f"at most {MAX_HEIGHTS} heights per row")
+    level_sums = _level_sums(ints, J, dim, None if sums is None else _levels(sums, B, dim, J))
+    # sums grow toward the root, so the largest unit times the cell count
+    # bounds them all; past that, every level is read: a sum of 2**dim
+    # cells in [0, 2**62) is its true value or, past 2**63, negative
+    if (int(ints.max(initial=0)).bit_length() + dim * J >= 62
+            and not all(0 <= s.min() and s.max() < _CAP for s in level_sums)):
+        raise OverflowError("exact comparison budget exceeded")
+    limits = _limits(heights, J, dim)
+
+    root = level_sums[0].reshape(B, 1) > limits[0]
+    if root.any():
+        r, c = np.argwhere(root)[0]
+        mean = float(level_sums[0][r].sum()) / (1 << (dim * J + FRACT_BITS))
+        raise HeightTooLowError(
+            f"mean {mean:.6g} exceeds stopping height {float(heights[r][c]):.6g}")
+
+    exact = np.repeat(on_grid[:, None], H, axis=1)
+    off = np.flatnonzero(~on_grid)
+    if off.size:
+        exact[off] = _certified(samples[off], [s[off] for s in level_sums],
+                                [heights[i] for i in off], J, dim)
+    return StoppingCells(exact, *_select(level_sums, limits, codes))
 
 
-def _select(finest, ratios, J: int, exact: bool, sums=None, codes=None):
+def _limits(heights, J: int, dim: int) -> np.ndarray:
+    """(J + 1, B, H) int64: floor(h k 2**FRACT_BITS) for the (B, H)
+    heights h and the k samples of a level-j cell, clamped to
+    [-_CAP, _CAP].  A unit sum S is over h when it exceeds that floor,
+    and floor(floor(x) / m) = floor(x / m) makes it the root's floor
+    shifted right by dim*j."""
+    shift = dim * J + FRACT_BITS
+    tops = [[(n << shift) // d for n, d in map(ratio, hs)] for hs in heights]
+    levels = np.arange(0, dim * (J + 1), dim, dtype=object).reshape(-1, 1, 1)
+    return np.clip(np.array(tops, dtype=object) >> levels, -_CAP, _CAP).astype(np.int64)
+
+
+def _certified(samples, level_sums, heights, J: int, dim: int) -> np.ndarray:
+    """(R, H) bool for R rows off the grid: at which heights their
+    selection on units is the one the samples themselves give.
+
+    A unit is within 1/2 of |sample| * 2**FRACT_BITS when that is finite
+    and rounds below 2**53, so a cell's unit sum S over k samples is
+    within k / 2 of theirs and compares with h k 2**FRACT_BITS as theirs
+    does unless |S - h k 2**FRACT_BITS| <= k / 2, i.e. unless S lies in
+    [(h - half) k, (h + half) k] * 2**FRACT_BITS, half = 2**-(FRACT_BITS + 1).
+    """
+    scaled = np.abs(samples).reshape(len(samples), -1) * float(1 << FRACT_BITS)
+    fits = (np.rint(scaled) < float(1 << 53)).all(axis=1)
+    half = Fraction(1, 2 << FRACT_BITS)
+    hi = _limits([[Fraction(h) + half for h in hs] for hs in heights], J, dim)
+    lo = -_limits([[half - Fraction(h) for h in hs] for hs in heights], J, dim)  # a ceiling
+    band = np.zeros(hi.shape[1:], dtype=bool)
+    for j, s in enumerate(level_sums):
+        s = s.reshape(len(s), 1, -1)
+        band |= ((lo[j, ..., None] <= s) & (s <= hi[j, ..., None])).any(axis=2)
+    return fits[:, None] & ~band
+
+
+def _select(level_sums, limits, codes):
     """(row, col, cells) of the maximal cells over each height, ordered
-    as `StoppingCells` is; the heights are (numerator, denominator)
-    pairs, and `sums` and `codes` as `stopping_cells` takes them.
+    as `StoppingCells` is, from the level sums of B rows and their
+    (J + 1, B, H) limits; `codes` as `stopping_cells` takes it.
 
     A cell of level j is over height c when its sum exceeds
     limits[j, row, c].  Level by level, one dense comparison at the
@@ -207,44 +250,7 @@ def _select(finest, ratios, J: int, exact: bool, sums=None, codes=None):
     their further ancestors, read at (i >> s, j >> s) per axis for an
     ancestor s levels up.
     """
-    B, H, dim = len(finest), len(ratios[0]), finest.ndim - 1
-    if H > MAX_HEIGHTS:
-        raise ValueError(f"at most {MAX_HEIGHTS} heights per row")
-    level_sums = _level_sums(finest, J, dim, None if sums is None else _levels(
-        sums.view(finest.dtype), B, dim, J))
-    levels = np.arange(J + 1)[:, None, None]
-    if exact:
-        # int64 budget: sums * den and num * 2**(FRACT_BITS + dim*(J-j))
-        # must stay below 2**62.  Level sums only grow toward the root,
-        # so when the largest sample times the cell count stays below
-        # 2**62 the roots bound every level; otherwise a sum that
-        # wrapped past 2**63 reads negative, and the root need not show it
-        flat = [x for hs in ratios for pair in hs for x in pair]
-        wide = int(finest.max(initial=0)).bit_length() + dim * J >= 62
-        top = max(int(s.max(initial=0))
-                  for s in (level_sums if wide else level_sums[:1]))
-        if (max(flat[0::2]).bit_length() + dim * J + FRACT_BITS >= 62
-                or top.bit_length() + max(flat[1::2]).bit_length() >= 62
-                or wide and min(int(s.min(initial=0)) for s in level_sums) < 0):
-            raise OverflowError("exact comparison budget exceeded")
-        num, den = np.array(flat, dtype=np.int64).reshape(B, H, 2).transpose(2, 0, 1)
-        # sum * den > num * n_cell * 2**FRACT_BITS; for an integer sum
-        # that is sum > floor(num * n_cell * 2**FRACT_BITS / den)
-        limits = (num << (dim * (J - levels) + FRACT_BITS)) // den
-    else:
-        h = np.array([[n / d for n, d in hs] for hs in ratios])
-        limits = h * (1 << (dim * (J - levels))).astype(np.float64)
-
-    root = level_sums[0].reshape(B, 1) > limits[0]
-    if root.any():
-        r, c = np.argwhere(root)[0]
-        mean = float(level_sums[0][r].sum()) / (1 << dim * J)
-        if exact:
-            mean /= 1 << FRACT_BITS
-        n, d = ratios[r][c]
-        raise HeightTooLowError(
-            f"mean {mean:.6g} exceeds stopping height {n / d:.6g}")
-
+    J, (B, H), dim = len(level_sums) - 1, limits.shape[1:], level_sums[0].ndim - 1
     if codes is None:
         codes = np.empty(B * pyramid_cells(J, dim), dtype=np.uint8)
     level_codes = _levels(codes, B, dim, J + 1)
@@ -304,11 +310,8 @@ def _ancestor(row, axes, shift, k):
 def decompositions(f: GridFunction, lams) -> list[CZDecomposition]:
     """Decompose |f| at each height of `lams`, in order: one level-sum
     pyramid and one `stopping_cells` call per chunk of MAX_HEIGHTS
-    heights, with f as a batch of one.
-
-    Heights the exact path can compare (denominators of at most
-    _DEN_CAP) are chunked apart from the others, so each height takes
-    the path, and gets the bad cells, of a one-height call.  Raises
+    heights, with f as a batch of one, so each height gets the bad
+    cells and the exactness of a one-height call.  Raises
     HeightTooLowError if the mean of |f| exceeds a height, since the
     root cell would then already be selected and nothing is maximal.
     """
@@ -317,17 +320,13 @@ def decompositions(f: GridFunction, lams) -> list[CZDecomposition]:
     heights = [Fraction(lam) for lam in lams]
     batch = f.samples[None]
     units = exact_units(batch)
-    capped = [h.denominator <= _DEN_CAP for h in heights]
-    out = [None] * len(heights)
-    for path in (True, False):
-        group = [i for i, c in enumerate(capped) if c == path]
-        for k in range(0, len(group), MAX_HEIGHTS):
-            chunk = group[k:k + MAX_HEIGHTS]
-            sel = stopping_cells(batch, [[heights[i] for i in chunk]], units)
-            exact = bool(sel.exact[0])
-            for c, i in enumerate(chunk):
-                out[i] = CZDecomposition(source=f, height=heights[i],
-                                         bad=sel.cells[sel.col == c], exact=exact)
+    out = []
+    for k in range(0, len(heights), MAX_HEIGHTS):
+        chunk = heights[k:k + MAX_HEIGHTS]
+        sel = stopping_cells(batch, [chunk], units)
+        out += [CZDecomposition(source=f, height=h, bad=sel.cells[sel.col == c],
+                                exact=bool(sel.exact[0, c]))
+                for c, h in enumerate(chunk)]
     return out
 
 

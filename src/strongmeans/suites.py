@@ -46,7 +46,7 @@ from .czd import (
 )
 
 # lambda draws live on this grid so the stopping height stays a dyadic
-# rational and every decomposition takes the exact integer path
+# rational whose denominator the checks' int64 products can carry
 _LAM_DEN = 64
 # samples per czd block, one pyramid each: 2**18 >> (d J) trials, at
 # least one.  The workspace takes about 28 bytes a sample, 7 MB at this
@@ -164,7 +164,7 @@ def czd_block_checks(samples: np.ndarray, lams, sel: StoppingCells, units,
     num, den = num.astype(np.int64), den.astype(np.int64)
     checks = {
         "exact_input": on_grid,
-        "exact_path": sel.exact.copy(),
+        "exact_path": sel.exact.all(axis=1),
     }
 
     def boxes(col):

@@ -52,7 +52,6 @@ import numpy as np
 
 from strongmeans import spectral
 from strongmeans.czd import (
-    _DEN_CAP,
     FRACT_BITS,
     HeightTooLowError,
     StoppingCells,
@@ -519,32 +518,20 @@ def csv_differences(fresh_text: str, ref_text: str, rtol: float = 1e-12) -> list
 
 
 def running_mask_cells(samples: np.ndarray, heights, units) -> StoppingCells:
-    """`strongmeans.czd.stopping_cells` by a dense descent: at every
-    level a running mask, copied up one level with `repeat` along each
-    axis, blocks the cells below a selected ancestor.  Same paths, same
-    order, same HeightTooLowError; no int64 budget check."""
+    """`strongmeans.czd.stopping_cells` by a dense descent on the units:
+    at every level a running mask, copied up one level with `repeat`
+    along each axis, blocks the cells below a selected ancestor, and a
+    cell of k samples is over height h when its unit sum exceeds the
+    Fraction h k 2**FRACT_BITS.  A row is exact at h when it is on the
+    grid, or when every |sample| * 2**FRACT_BITS is finite and below
+    2**53 and no cell's unit sum lies within k / 2 of h k 2**FRACT_BITS.
+    Same order, same HeightTooLowError; no int64 budget check."""
     J, dim = samples.shape[1].bit_length() - 1, samples.ndim - 1
     heights = [[Fraction(h) for h in hs] for hs in heights]
     ints, on_grid = units
-    exact = on_grid & np.array(
-        [max(h.denominator for h in hs) <= _DEN_CAP for hs in heights], dtype=bool)
-    parts = []
-    for path in (True, False):
-        rows = np.flatnonzero(exact == path)
-        if rows.size:
-            finest = ints[rows] if path else np.abs(samples[rows]).astype(np.float64)
-            r, c, cells = _running_mask_select(
-                finest, [heights[i] for i in rows], dim, J, path)
-            parts.append((rows[r], c, cells))
-    row, col, cells = (np.concatenate(a) for a in zip(*parts))
-    order = np.lexsort((*cells.T[:0:-1], col, row, cells[:, 0]))
-    return StoppingCells(exact, row[order], col[order], cells[order])
-
-
-def _running_mask_select(finest, heights, dim: int, J: int, exact: bool):
+    B, H = len(ints), len(heights[0])
     sums = [None] * (J + 1)
-    sums[J] = cur = finest
-    B = len(finest)
+    sums[J] = cur = ints
     for j in range(J - 1, -1, -1):
         if dim == 1:
             cur = cur[:, 0::2] + cur[:, 1::2]
@@ -552,42 +539,43 @@ def _running_mask_select(finest, heights, dim: int, J: int, exact: bool):
             m = cur.shape[1] // 2
             cur = cur.reshape(B, m, 2, m, 2).sum(axis=(2, 4))
         sums[j] = cur
-    shape = (B, len(heights[0])) + (1,) * dim
-    if exact:
-        num = np.array([h.numerator for hs in heights for h in hs],
-                       dtype=np.int64).reshape(shape)
-        den = np.array([h.denominator for hs in heights for h in hs],
-                       dtype=np.int64).reshape(shape)
+    # limits[j][b][c] = height c of row b times a level-j cell's units
+    limits = [[[h * (1 << (dim * (J - j) + FRACT_BITS)) for h in hs] for hs in heights]
+              for j in range(J + 1)]
 
-        def over(sums_j, j):
-            return sums_j[:, None] > (num << (dim * (J - j) + FRACT_BITS)) // den
-    else:
-        h = np.array([float(h) for hs in heights for h in hs]).reshape(shape)
+    def over(j):
+        """(B, H, *cells) bool: which level-j cells are over each height."""
+        return np.array([[sums[j][b].astype(object) > lim for lim in limits[j][b]]
+                         for b in range(B)], dtype=bool)
 
-        def over(sums_j, j):
-            return sums_j[:, None] > h * float(1 << (dim * (J - j)))
-
-    root = over(sums[0], 0)
+    root = over(0).reshape(B, H)
     if root.any():
-        r, c = np.argwhere(root.reshape(shape[:2]))[0]
-        mean = float(sums[0][r].sum()) / (1 << dim * J)
-        if exact:
-            mean /= 1 << FRACT_BITS
+        r, c = np.argwhere(root)[0]
+        mean = float(sums[0][r].sum()) / (1 << (dim * J + FRACT_BITS))
         raise HeightTooLowError(
             f"mean {mean:.6g} exceeds stopping height {float(heights[r][c]):.6g}")
 
+    scaled = np.abs(samples).reshape(B, -1) * 2.0**FRACT_BITS
+    fits = (np.isfinite(scaled) & (scaled < 2.0**53)).all(axis=1)
+    exact = np.ones((B, H), dtype=bool)
+    for b in np.flatnonzero(~on_grid):
+        for c in range(H):
+            exact[b, c] = fits[b] and not any(
+                abs(s - limits[j][b][c]) <= Fraction(1 << (dim * (J - j)), 2)
+                for j in range(J + 1) for s in sums[j][b].ravel().tolist())
+
     # (level, row, column, *axes) of each selected cell
     found = [np.zeros((0, 3 + dim), dtype=np.int64)]
-    alive = np.ones(shape, dtype=bool)
+    alive = np.ones((B, H) + (1,) * dim, dtype=bool)
     for j in range(1, J + 1):
         for axis in range(2, 2 + dim):
             alive = alive.repeat(2, axis=axis)
-        bad = alive & over(sums[j], j)
-        at = np.argwhere(bad)
-        found.append(np.insert(at, 0, j, axis=1))
+        bad = alive & over(j)
+        found.append(np.insert(np.argwhere(bad), 0, j, axis=1))
         alive &= ~bad
     found = np.concatenate(found)
-    return found[:, 1], found[:, 2], np.delete(found, (1, 2), axis=1)
+    return StoppingCells(exact, found[:, 1], found[:, 2],
+                         np.delete(found, (1, 2), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -611,8 +599,8 @@ def czd_invariants(f, lam: float) -> tuple[dict, int]:
         np.array_equal(units / (1 << FRACT_BITS), np.abs(f.samples))
     )
 
-    cz = decompose(f, lam)
-    checks["exact_path"] = cz.exact
+    cz, cz2 = decompose(f, lam), decompose(f, 2 * lam)
+    checks["exact_path"] = cz.exact and cz2.exact
 
     csum = np.concatenate(([0], np.cumsum(np.abs(units))))
     spans = sorted((k << (f.J - j), (k + 1) << (f.J - j)) for j, k in cz.bad.tolist())
@@ -648,7 +636,7 @@ def czd_invariants(f, lam: float) -> tuple[dict, int]:
 
     checks["reassembly"] = reassembles(f.samples, mask)
 
-    mask2 = bad_mask(decompose(f, 2 * lam))
+    mask2 = bad_mask(cz2)
     checks["lam_monotone"] = bool(np.all(mask | ~mask2))
     return checks, len(cz.bad)
 
@@ -670,8 +658,8 @@ def cube_invariants(f, lam: float) -> tuple[dict, int]:
         np.array_equal(units / (1 << FRACT_BITS), np.abs(f.samples))
     )
 
-    cz = decompose(f, lam)
-    checks["exact_path"] = cz.exact
+    cz, cz2 = decompose(f, lam), decompose(f, 2 * lam)
+    checks["exact_path"] = cz.exact and cz2.exact
 
     absu = np.abs(units)
     csum2 = np.zeros((n + 1, n + 1), dtype=np.int64)
@@ -718,7 +706,7 @@ def cube_invariants(f, lam: float) -> tuple[dict, int]:
 
     checks["reassembly"] = reassembles(f.samples, mask)
 
-    mask2 = bad_mask(decompose(f, 2 * lam))
+    mask2 = bad_mask(cz2)
     checks["lam_monotone"] = bool(np.all(mask | ~mask2))
     return checks, len(cz.bad)
 

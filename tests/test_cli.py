@@ -71,7 +71,7 @@ def test_config_rejects_aliased_schedule():
 
 def test_config_decay_schedule_tighter_by_one_octave():
     ok = {"experiment": "decay_kernel", "seed": 1, "J": 10,
-          "schedule": [64, 256]}
+          "schedule": [64, 256], "s_values": [2.0]}
     ExperimentConfig.from_dict(ok)
     with pytest.raises(ConfigError, match=r"usable bandwidth 2\*\*8"):
         ExperimentConfig.from_dict({**ok, "schedule": [64, 512]})
@@ -361,6 +361,32 @@ def test_empty_lams_exit_2(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == \
         "invalid config: lams must hold at least one height\n"
     assert not (tmp_path / "o").exists()
+
+
+def test_empty_s_values_exit_2(tmp_path, capsys, monkeypatch):
+    # the default, []: a decay sweep over no exponent would write a
+    # header-only CSV and pass
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    for s_values in ([], None):
+        fields = {} if s_values is None else {"s_values": s_values}
+        cfg = write_config(tmp_path, experiment="decay_kernel", lams=[8.0],
+                           schedule=[16, 32], **fields)
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == \
+            "invalid config: s_values must hold at least one value\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_height_past_every_int64_limit_selects_nothing(tmp_path):
+    # 1e30 * 2**(J + 24) is far past int64: each level's limit is capped
+    # at 2**62, above every level sum, so no cell is bad
+    cfg = write_config(tmp_path, experiment="first_reduction", J=8,
+                       schedule=None, lams=[1e30])
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o"),
+                     "--baselines", str(tmp_path / "bl")]) == 0
+    lines = (tmp_path / "o" / "small.csv").read_text().splitlines()
+    column = lines[0].split(",").index("measure_E")
+    assert len(lines) == 1 + 2 and {line.split(",")[column] for line in lines[1:]} == {"0"}
 
 
 @pytest.mark.parametrize("lams", [[4.0, 4.0], [2.0, 4, 8.0, 4.0]], ids=["twice", "int"])

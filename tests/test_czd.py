@@ -5,17 +5,20 @@ Fraction arithmetic, independent of the library's vectorized level
 sweep over int64 sums.  The bad cells are compared as rows: the
 decomposition keeps them as an int64 array of (level, index) or
 (level, i, j) rows ordered by level, then index, and the oracle's
-cells, sorted, must equal it row for row.  Batches of functions with
-two heights each, on both arithmetic paths, must match the dense
-running-mask selection of oracles.py cell for cell, and each row of a
-batch at each height must select the rows `decompose` gives for it.
+cells, sorted, must equal it row for row.  Off the 2**-24 grid the
+oracle reads the samples' exact binary values, and a decomposition
+that says it is exact must match it.  Batches of functions with two
+heights each, on and off the grid, must match the dense running-mask
+selection of oracles.py cell for cell and in which heights they
+certify, and each row of a batch at each height must select the rows
+`decompose` gives for it.
 """
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from strongmeans import corpus
 from strongmeans.czd import (
@@ -259,22 +262,101 @@ def test_exact_sums_past_int64_refused():
         decompose(f, 1.0)
 
 
-def test_float_path_used_for_non_dyadic_samples():
+def test_off_grid_samples_certified():
     n = 256
     s = np.full(n, 1.0 / 3.0)
     s[0] = 100.0
     f = GridFunction(1, 8, s)
     cz = decompose(f, 4.0)
-    assert not cz.exact
-    assert len(cz.bad) >= 1
+    # no cell's unit sum comes within half a unit per sample of 4
+    assert cz.exact
+    assert cz.bad.tolist() == rows(oracle_decompose_1d(s, Fraction(4))) == [[4, 0]]
+
+
+def test_height_within_the_rounding_band_is_not_certified():
+    """A delayed mean's level-3 cell 0 has an average within 2**-26 of
+    the height: its unit sum lies within half a unit per sample of the
+    height, so the units cannot say on which side the samples lie."""
+    f = valle_poussin(corpus.spike(8), 4)
+    vals = [Fraction(float(x)) for x in np.abs(f.samples[:32])]
+    avg = sum(vals) / 32
+    h = float(avg)
+    assert abs(avg - Fraction(h)) <= Fraction(1, 1 << 26)
+    assert not decompose(f, h).exact
+    # a height 2**-20 away from the average is certified on either side
+    above, below = decompose(f, h + 2**-20), decompose(f, h - 2**-20)
+    assert above.exact and below.exact
+    assert [3, 0] not in above.bad.tolist() and [3, 0] in below.bad.tolist()
+    assert below.bad.tolist() == rows(oracle_decompose_1d(f.samples, Fraction(h - 2**-20)))
+    # one sample 0.3 units above 2: heights 0.4 and 0.6 units above 2
+    # lie within and beyond half a unit of its unit, 2 exactly
+    s = np.ones(64)
+    s[9] = 2 + 0.3 * 2.0**-24
+    g = GridFunction(1, 6, s)
+    assert not decompose(g, 2 + 0.4 * 2.0**-24).exact
+    assert decompose(g, 2 + 0.6 * 2.0**-24).exact
+    x = f.samples[None]
+    got = stopping_cells(x, [[h + 2**-20, h]], exact_units(x))
+    assert got.exact.tolist() == [[True, False]]
+    same_cells(got, running_mask_cells(x, [[h + 2**-20, h]], exact_units(x)))
+
+
+def off_grid(raw):
+    """`raw` as samples of mean about 1/4, off the 2**-24 grid."""
+    s = np.asarray(raw, dtype=np.float64)
+    return s * (0.25 / s.mean()) if s.any() else None
+
+
+HEIGHTS = st.sampled_from([2.3, 1 / 3, 0.7, 5.1]) | st.floats(min_value=0.26, max_value=16)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_certified_selection_matches_fraction_oracle_1d(data):
+    J = data.draw(st.integers(min_value=3, max_value=8))
+    s = off_grid(data.draw(st.lists(st.floats(min_value=0, max_value=50), min_size=1 << J,
+                                    max_size=1 << J)))
+    assume(s is not None)
+    h = data.draw(HEIGHTS)
+    cz = decompose(GridFunction(1, J, s), h)
+    if cz.exact:
+        assert cz.bad.tolist() == rows(oracle_decompose_1d(s, Fraction(h)))
+
+
+@given(st.data())
+@settings(max_examples=20, deadline=None)
+def test_certified_selection_matches_fraction_oracle_2d(data):
+    J = data.draw(st.integers(min_value=2, max_value=4))
+    row = st.lists(st.floats(min_value=0, max_value=30), min_size=1 << J, max_size=1 << J)
+    s = off_grid(data.draw(st.lists(row, min_size=1 << J, max_size=1 << J)))
+    assume(s is not None)
+    h = data.draw(HEIGHTS)
+    cz = decompose(GridFunction(2, J, s), h)
+    if cz.exact:
+        assert cz.bad.tolist() == rows(oracle_decompose_2d(s, Fraction(h)))
+
+
+def test_any_positive_height_compares_exactly():
+    """A height past every int64 limit selects nothing, and one with a
+    long binary expansion is exact on corpus input."""
+    for _, f in corpus.standard_corpus(8, seed=1):
+        far = decompose(f, 1e30)
+        assert far.exact and far.bad.shape == (0, 1 + f.dim)
+        cz = decompose(f, 2.3)
+        assert cz.exact and cz.height.denominator > 1 << 40
+    f = spike(10)
+    assert decompose(f, 2.3).bad.tolist() == rows(oracle_decompose_1d(f.samples, Fraction(2.3)))
+    # 2**52 units in one sample: a level-12 limit of 2**(62 - 12), as a
+    # cap taken before the shift would give, would select it
+    assert decompose(spike(12, 2.0**28), 1e30).bad.size == 0
 
 
 # --------------------------------------------------------------- batches
 
 def selection_batch(rng, dim: int, J: int, exact: bool, B: int = 24):
     """B rows of mean-one spiky samples with two heights each: on the
-    24-bit grid with dyadic heights for the exact path, off it with
-    heights like 1.7 for the float path.  Every fourth row's heights
+    2**-20 grid with heights on the 1/8 grid, or off any grid with
+    heights like 1.7 drawn as floats.  Every fourth row's heights
     come in decreasing order, and every fifth row's second height is
     above its largest sample, so it selects nothing."""
     x = rng.exponential(1.0, (B,) + (1 << J,) * dim) ** 4
@@ -305,7 +387,9 @@ def test_selection_matches_running_mask_oracle(dim, J, exact):
         x, heights = selection_batch(rng, dim, J, exact)
         units = exact_units(x)
         got = stopping_cells(x, heights, units)
-        assert got.exact.all() if exact else not got.exact.any()
+        # off the grid every height here is certified, against an oracle
+        # that decides each comparison with Fractions
+        assert got.exact.all() and (units[1] == exact).all()
         same_cells(got, running_mask_cells(x, heights, units))
         # rows where the second height selects nothing
         empty = [b for b, hs in enumerate(heights) if hs[1] > 2 * x[b].max()]
@@ -314,9 +398,10 @@ def test_selection_matches_running_mask_oracle(dim, J, exact):
 
 
 @pytest.mark.parametrize("dim,J", [(1, 9), (2, 5)], ids=["1d", "2d"])
-def test_selection_mixes_paths_and_reuses_buffers(dim, J):
-    """Exact and float rows in one batch, through buffers sized for a
-    larger batch and reused from call to call, match the oracle."""
+def test_selection_mixes_grid_rows_and_reuses_buffers(dim, J):
+    """Rows on and off the grid in one batch, one of them with a NaN
+    sample, through buffers sized for a larger batch and reused from
+    call to call, match the oracle; only the NaN row is not exact."""
     rng = np.random.default_rng(7 + dim)
     sums = np.empty(40 * pyramid_cells(J - 1, dim), dtype=np.int64)
     codes = np.empty(40 * pyramid_cells(J, dim), dtype=np.uint8)
@@ -324,9 +409,11 @@ def test_selection_mixes_paths_and_reuses_buffers(dim, J):
         x, heights = selection_batch(rng, dim, J, True, B)
         y, float_heights = selection_batch(rng, dim, J, False, B)
         x[1::2], heights[1::2] = y[1::2], float_heights[1::2]
+        x[3].flat[5] = np.nan
         units = exact_units(x)
         got = stopping_cells(x, heights, units, sums, codes)
-        assert got.exact.tolist() == [b % 2 == 0 for b in range(B)]
+        assert units[1].tolist() == [b % 2 == 0 for b in range(B)]
+        assert got.exact.all(axis=1).tolist() == [b != 3 for b in range(B)]
         same_cells(got, running_mask_cells(x, heights, units))
 
 
@@ -365,14 +452,14 @@ def test_at_most_eight_heights_per_row():
 
 def test_decompositions_match_one_height_calls():
     """All of a function's heights in one selection, chunked by
-    MAX_HEIGHTS, give each height the bad cells (bit for bit), path and
-    height of a one-height `decompose`.  2.3 lies off the exact path's
-    denominator cap, so it is chunked apart and keeps the float path."""
+    MAX_HEIGHTS, give each height the bad cells (bit for bit),
+    exactness and height of a one-height `decompose`.  The delayed mean
+    lies off the grid, and its selection is certified at every height."""
     on_grid = [f for _, f in corpus.standard_corpus(10, seed=3)]
-    delayed = valle_poussin(corpus.spike(10), 16)  # off the grid: float path
+    delayed = valle_poussin(corpus.spike(10), 16)
     _, tensor_fn = corpus.FAMILIES[2]["tkspikes"].sample(6, np.random.default_rng(4))
     lams = [16.0, 1.5, 64.0, 3.0, 2.3, 8.0, 2.0, 32.0, 4.0, 6.0]
-    assert sum(lam != 2.3 for lam in lams) > MAX_HEIGHTS
+    assert len(lams) > MAX_HEIGHTS
     for f in on_grid + [delayed, tensor_fn]:
         czs = decompositions(f, lams)
         assert len(czs) == len(lams)
@@ -380,7 +467,7 @@ def test_decompositions_match_one_height_calls():
             ref = decompose(f, lam)
             assert cz.height == ref.height == Fraction(lam)
             assert cz.source is f and cz.exact == ref.exact
-            assert cz.exact == (f is not delayed and lam != 2.3), lam
+            assert cz.exact, lam
             assert cz.bad.dtype == ref.bad.dtype and np.array_equal(cz.bad, ref.bad), lam
     assert decompositions(delayed, []) == []
     # the heights select different, non-empty bad sets

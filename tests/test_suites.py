@@ -85,14 +85,19 @@ def test_czd_invariants_all_pass_2d():
 
 
 def test_czd_invariants_flag_offgrid_samples():
-    samples = np.full((3, 64), 1.0)
+    samples = np.full((4, 64), 1.0)
     samples[1, 0] = 1.0 + 2.0**-40  # off the 24-bit grid
-    checks, _ = czd_block_invariants(samples, [2.0, 2.0, 2.0], workspace(samples))
-    assert checks["exact_input"].tolist() == [True, False, True]
-    assert checks["exact_path"].tolist() == [True, False, True]
-    want, _ = czd_invariants(GridFunction(1, 6, samples[1]), 2.0)
-    assert not want["exact_input"]
-    assert {k: bool(v[1]) for k, v in checks.items()} == want
+    # off it too, and its unit is the height's: the units leave
+    # undecided whether the sample is over the height
+    samples[3, 0] = 2.0 + 2.0**-30
+    checks, _ = czd_block_invariants(samples, [2.0] * 4, workspace(samples))
+    assert checks["exact_input"].tolist() == [True, False, True, False]
+    # row 1's unit sums all lie far from 2 and 4: its selection is certified
+    assert checks["exact_path"].tolist() == [True, True, True, False]
+    for r in (1, 3):
+        want, _ = czd_invariants(GridFunction(1, 6, samples[r]), 2.0)
+        assert not want["exact_input"]
+        assert {k: bool(v[r]) for k, v in checks.items()} == want
 
 
 @pytest.mark.parametrize("dim,J", [
