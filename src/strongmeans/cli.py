@@ -14,9 +14,12 @@ afterwards.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import hashlib
 import json
+import math
+import re
 import sys
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -45,10 +48,11 @@ class ConfigError(ValueError):
     """Config file is structurally or semantically invalid."""
 
 
-def _numbers_above(value, floor: float = 0) -> bool:
-    return isinstance(value, list) and all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and x > floor
-        for x in value)
+def _reals(v, above=-math.inf) -> bool:
+    """Numbers above `above` that floats hold finitely: no bool, NaN, infinity
+    or integer past the float range (on which `math.isfinite` would raise)."""
+    return isinstance(v, list) and all(type(x) in (int, float) and x > above
+                                       and abs(x) <= sys.float_info.max for x in v)
 
 
 def _repeated(values):
@@ -58,58 +62,118 @@ def _repeated(values):
 
 @dataclass(frozen=True)
 class Option:
-    """An option's default, a check of a given value, and the rule that
-    completes "<experiment>: <name> must be ..." (for a `corpus` field,
-    "corpus: <name> must be ...")."""
+    """A config field or an option: its default, `ok`, a test of the value
+    alone, and `rule`, which completes "<name> ..." where `ok` fails (after
+    "<experiment>: " for an option, "corpus: " for a corpus field).  `fits`,
+    checked in order once `ok` holds, are the rules that read other fields
+    too: each maps (value, config, experiment) to what is wrong, or None."""
 
     default: object
     ok: Callable[[object], bool]
     rule: str
+    fits: tuple = ()
+
+
+def _problem(table: dict, given: dict, cfg, exp, prefix="", noun="fields"):
+    """What is first wrong with the `given` entries of an Option table:
+    a name it lacks, or a value its Option refuses; else None."""
+    unknown = sorted(set(given) - set(table))
+    if unknown:
+        return f"{prefix}unknown {noun} {unknown}; it takes {sorted(table)}"
+    for key, value in given.items():
+        if not table[key].ok(value):
+            return f"{prefix}{key} {table[key].rule}"
+        for fit in table[key].fits:
+            problem = fit(value, cfg, exp)
+            if problem:
+                return problem
+    return None
 
 
 def _integer(default: int, least: int, greatest: int | None = None) -> Option:
-    rule = (f"an integer >= {least}" if greatest is None
-            else f"an integer in [{least}, {greatest}]")
+    rule = (f"must be an integer >= {least}" if greatest is None
+            else f"must be an integer in [{least}, {greatest}]")
     return Option(default, lambda v: type(v) is int and v >= least
                   and (greatest is None or v <= greatest), rule)
 
 
 def _distinct_numbers(default: tuple) -> Option:
     # a repeated entry would repeat rows, or share their summary key
-    return Option(default, lambda v: _numbers_above(v) and len(v) > 0
-                  and _repeated(v) is None,
-                  "a non-empty list of distinct positive numbers")
+    return Option(default, lambda v: _reals(v, 0) and 0 < len(v) == len(set(v)),
+                  "must be a non-empty list of distinct positive numbers")
 
 
-_TWO_OR_FOUR = Option(2, lambda v: type(v) is int and v in (2, 4),
-                      "the integer 2 or 4")
+def _sweep(key: str, default: list, floor: float, rule: str, what: str) -> Option:
+    """The numbers above `floor` that a run sweeps: an empty list would write a
+    header-only CSV and pass, and a repeat's rows share a summary key."""
+    return Option(default, lambda v: _reals(v, floor), rule, fits=(
+        lambda v, c, e: None if v else f"{key} must hold at least one {what}",
+        lambda v, c, e: None if (x := _repeated(v)) is None else
+        f"{key} must not repeat a {what}: {fmt(x)} is given more than once"))
 
 
 def _corpus_fields(d: int) -> dict:
-    """The `corpus` fields of a d-dimensional config: the families kept
-    (empty keeps them all), each one of the d-dimensional families, the
-    random draws per family, and an optional delayed-mean order."""
+    """The `corpus` fields of a d-dimensional config: the d-dimensional
+    families kept (empty keeps all), the random draws per family, and a
+    delayed-mean order whose band 2 vp - 1 must fit the stored 2**(J-1)."""
     names = list(corpus.FAMILIES[d])
     return {
         "families": Option([], lambda v: isinstance(v, list) and all(
             isinstance(x, str) and x in names for x in v),
-            f"a list of names from {names} (the d = {d} families)"),
+            f"must be a list of names from {names} (the d = {d} families)"),
         "n_random": _integer(2, 0),
         "vp": Option(None, lambda v: v is None or type(v) is int and v >= 1,
-                     "a positive integer"),
+                     "must be a positive integer", fits=(
+            lambda v, c, e: None if v is None or 2 * v - 1 <= 1 << (c.J - 1) else
+            f"corpus: vp must be a positive integer <= {(2 ** (c.J - 1) + 1) // 2} at J ="
+            f" {c.J} (its band 2 vp - 1 must fit the stored bandwidth 2**{c.J - 1})",)),
     }
 
 
 CORPUS = {d: _corpus_fields(d) for d in corpus.FAMILIES}
-# the integer fields of every config (defaults on ExperimentConfig)
-INTEGER_FIELDS = {"seed": Option(None, lambda v: type(v) is int, "an integer"),
-                  "J": _integer(None, 1, DEFAULT_J_MAX),
-                  "d": _integer(None, 1, 2)}
 
 
-# the config fields every experiment reads; each `Experiment` lists the
-# others it reads
-COMMON_FIELDS = ("experiment", "seed", "output", "options")
+# every config field but `experiment`, in the order they are checked, so
+# that a field's rules may read the fields above it
+FIELDS = {
+    "seed": Option(None, lambda v: type(v) is int, "must be an integer"),
+    "J": _integer(12, 1, DEFAULT_J_MAX),
+    "d": _integer(1, 1, 2),
+    "lams": _sweep("lams", [8.0], 0, "must be a list of positive real numbers", "height"),
+    # the orders fit the experiment's band; the default ones need J >= 7
+    "schedule": Option(None, lambda v: v is None or isinstance(v, list) and all(
+        type(N) is int for N in v), "entries must be integers", fits=(
+        lambda v, c, e: None if not v or v == sorted(set(v))
+        else "schedule must be strictly increasing",
+        lambda v, c, e: None if not v or v[0] >= 1
+        else "schedule entries must be positive",
+        lambda v, c, e: None if not v or v[-1] <= 2 ** (c.J - e.band) else
+        f"{c.experiment}: schedule exceeds the usable bandwidth 2**{c.J - e.band}",
+        lambda v, c, e: None if v or c.J >= 7 else
+        f"{c.experiment}: with no schedule, J must be at least 7 (the"
+        " default schedule is 32, 64, ..., 2**(J-2))")),
+    "s_values": _sweep("s_values", [], 1, "must be a list of real numbers above 1", "value"),
+    # with random draws the corpus draws every family, whichever it keeps
+    "corpus": Option({}, lambda v: isinstance(v, dict), "must be a JSON object", fits=(
+        lambda v, c, e: _problem(CORPUS[c.d], v, c, e, "corpus: "),
+        lambda v, c, e: next((
+            f"corpus: the {key} family needs J >= {family.least_J}, and J is {c.J}"
+            " (every family is drawn, whichever are kept)"
+            for key, family in corpus.FAMILIES[c.d].items() if c.J < family.least_J
+            and v.get("n_random", CORPUS[c.d]["n_random"].default)), None))),
+    # a plain file name in --out
+    "output": Option(None, lambda v: v is None or isinstance(v, str) and re.fullmatch(
+        r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", v) is not None,
+        "must be a file name of letters, digits, '_', '-' and '.', not starting"
+        " with '.'"),
+    "options": Option({}, lambda v: isinstance(v, dict), "must be a JSON object", fits=(
+        lambda v, c, e: _problem(e.options, v, c, e, f"{c.experiment}: ", "options"),)),
+}
+
+
+# the config fields every experiment reads besides `experiment`; each
+# `Experiment` lists the others it reads
+COMMON_FIELDS = ("seed", "output", "options")
 
 
 @dataclass(frozen=True)
@@ -117,14 +181,12 @@ class Experiment:
     """Everything the CLI knows about one experiment.  `reads` names the
     config fields beyond COMMON_FIELDS that it reads; a config that sets
     any other is refused.  If it reads "lams", `run(cfg, fn_id, f, lams,
-    schedule)` runs one function at every height of `lams`: the function
-    is the unit that `execute` fans out, so the work a function's
-    heights share is done once.  It returns the rows of each height in
-    `lams` order, with headline values keyed `fn_id|lambda` (plus a
+    schedule)` runs one function, the unit `execute` fans out, at every
+    height, so the work they share is done once; it returns the rows of
+    each height in `lams` order, with values keyed `fn_id|lambda` (plus a
     suffix where a height has several).  Else `run(cfg)` runs it whole.
-    Both return rows, headline values and invariant flags.  If it reads
-    "schedule", that stays within 2**(J - band); else a function runner
-    gets None for it.  `check` sees the whole config."""
+    Both return rows, headline values and invariant flags.  A schedule it
+    reads stays within 2**(J - band).  `check` sees the whole config."""
 
     columns: tuple
     run: Callable
@@ -134,27 +196,30 @@ class Experiment:
     reads: tuple = ("J", "d", "lams", "schedule", "corpus")
 
 
+def _default(key: str):
+    return field(default_factory=lambda: copy.deepcopy(FIELDS[key].default))
+
+
 @dataclass
 class ExperimentConfig:
     experiment: str
     seed: int
-    J: int = 12
-    d: int = 1
-    lams: list = field(default_factory=lambda: [8.0])
-    schedule: list | None = None
-    s_values: list = field(default_factory=list)
-    corpus: dict = field(default_factory=dict)
-    output: str | None = None
-    options: dict = field(default_factory=dict)
+    J: int = _default("J")
+    d: int = _default("d")
+    lams: list = _default("lams")
+    schedule: list | None = _default("schedule")
+    s_values: list = _default("s_values")
+    corpus: dict = _default("corpus")
+    output: str | None = _default("output")
+    options: dict = _default("options")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        if "experiment" not in raw:
-            raise ConfigError("missing field: experiment")
-        if "seed" not in raw:
-            raise ConfigError("missing field: seed (runs must be reproducible)")
+        for key, why in (("experiment", ""), ("seed", " (runs must be reproducible)")):
+            if key not in raw:
+                raise ConfigError(f"missing field: {key}{why}")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -163,91 +228,37 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        """Raise a ConfigError naming the first fault unless every field
+        the experiment reads passes its Option and the experiment's
+        check, and every other field keeps its default."""
         name = self.experiment
         exp = EXPERIMENTS.get(name) if isinstance(name, str) else None
         if exp is None:
             raise ConfigError(f"unknown experiment {name!r}")
-        for key, check in INTEGER_FIELDS.items():
-            if not check.ok(getattr(self, key)):
-                raise ConfigError(f"{key} must be {check.rule}")
-        sched = self.schedule
-        if sched is not None:
-            if not isinstance(sched, list) or any(type(N) is not int for N in sched):
-                raise ConfigError("schedule entries must be integers")
-            if sched != sorted(sched) or len(set(sched)) != len(sched):
-                raise ConfigError("schedule must be strictly increasing")
-            if sched and sched[0] < 1:
-                raise ConfigError("schedule entries must be positive")
-            if sched and "schedule" in exp.reads \
-                    and sched[-1] > (1 << (self.J - exp.band)):
-                raise ConfigError(f"{name}: schedule exceeds the usable"
-                                  f" bandwidth 2**{self.J - exp.band}")
-        if not sched and "schedule" in exp.reads and self.J < 7:
-            raise ConfigError(
-                f"{name}: with no schedule, J must be at least 7 (the"
-                " default schedule is 32, 64, ..., 2**(J-2))")
-        if not _numbers_above(self.lams):
-            raise ConfigError("lams must be a list of positive real numbers")
-        if not isinstance(self.options, dict):
-            raise ConfigError("options must be a JSON object")
-        if not _numbers_above(self.s_values, 1):
-            raise ConfigError("s_values must be a list of real numbers above 1")
-        for key, what in (("lams", "height"), ("s_values", "value")):
-            if not getattr(self, key) and key in exp.reads:  # a header-only CSV
-                raise ConfigError(f"{key} must hold at least one {what}")
-            repeated = _repeated(getattr(self, key))
-            if repeated is not None:
-                # its rows would share a summary key (fn_id|lambda|s=...)
-                raise ConfigError(f"{key} must not repeat a {what}: {fmt(repeated)}"
-                                  " is given more than once")
-        if not isinstance(self.corpus, dict):
-            raise ConfigError("corpus must be a JSON object")
-        fields = CORPUS[self.d]
-        unknown = sorted(set(self.corpus) - set(fields))
-        if unknown:
-            raise ConfigError(f"corpus: unknown fields {unknown}; it takes"
-                              f" {sorted(fields)}")
-        for key, value in self.corpus.items():
-            if not fields[key].ok(value):
-                raise ConfigError(f"corpus: {key} must be {fields[key].rule}")
-        if "corpus" in exp.reads and self.corpus.get("n_random", fields["n_random"].default):
-            # the corpus draws every family, whichever it keeps
-            for key, family in corpus.FAMILIES[self.d].items():
-                if self.J < family.least_J:
-                    raise ConfigError(
-                        f"corpus: the {key} family needs J >= {family.least_J}, and J"
-                        f" is {self.J} (every family is drawn, whichever are kept)")
-        unknown = sorted(set(self.options) - set(exp.options))
-        if unknown:
-            raise ConfigError(f"{name}: unknown options {unknown}; it takes"
-                              f" {sorted(exp.options)}")
-        for key, value in self.options.items():
-            if not exp.options[key].ok(value):
-                raise ConfigError(
-                    f"{name}: {key} must be {exp.options[key].rule}")
+        reads = COMMON_FIELDS + exp.reads
+        problem = _problem(FIELDS, {k: getattr(self, k) for k in FIELDS if k in reads},
+                           self, exp)
+        if problem:
+            raise ConfigError(problem)
         if exp.check is not None:
             exp.check(self)
         # a field set away from its default that the run never reads
         # would only move config_hash, so it is compared as hashed: in
         # JSON, where 8 and 8.0 differ
-        defaults = ExperimentConfig(self.experiment, self.seed).canonical()
-        unread = sorted(k for k, v in self.canonical().items()
-                        if k not in COMMON_FIELDS + exp.reads
-                        and json.dumps(v, sort_keys=True)
-                        != json.dumps(defaults[k], sort_keys=True))
+        given = self.canonical()
+        unread = sorted(k for k in FIELDS if k not in reads and json.dumps(
+            given[k], sort_keys=True) != json.dumps(FIELDS[k].default, sort_keys=True))
         if unread:
             raise ConfigError(f"{name}: unread config fields {unread}; it reads"
                               f" {sorted(exp.reads)} besides {list(COMMON_FIELDS)}")
 
     def option(self, name: str):
         """A given option, else its schema default."""
-        default = EXPERIMENTS[self.experiment].options[name].default
-        return self.options.get(name, default)
+        return self.options.get(name, EXPERIMENTS[self.experiment].options[name].default)
 
     def canonical(self) -> dict:
         """Every field but `output`; an empty schedule reads as none."""
-        fields = {k: getattr(self, k) for k in self.__dataclass_fields__
-                  if k != "output"}
+        fields = {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "output"}
         return {**fields, "schedule": self.schedule or None}
 
     @property
@@ -266,8 +277,6 @@ class ExperimentConfig:
 
 def fmt(v) -> str:
     """One CSV field: 12 significant digits for floats, p/q for rationals."""
-    if isinstance(v, Fraction):
-        return str(v)
     if isinstance(v, (float, np.floating)):
         return format(float(v), ".12g")
     if isinstance(v, bool):
@@ -431,8 +440,11 @@ def _strong_means(cfg: ExperimentConfig):
     return rows, values, inv
 
 
-def _density_budget(cfg: ExperimentConfig):
-    N_max = cfg.option("N_max")
+def _density_lattice(cfg: ExperimentConfig):
+    N_max, base = cfg.option("N_max"), cfg.option("base")
+    if N_max < base:
+        raise ConfigError(f"density: N_max must be an integer >= base, which is {base}"
+                          " (the schedule base, base**2, ... up to N_max needs a point)")
     entries = N_max**cfg.d
     if entries > DENSITY_LATTICE_BUDGET:
         raise ConfigError(
@@ -513,16 +525,16 @@ EXPERIMENTS = {
         ("fn_id", "eps", "N", "measure", "config_hash"), _strong_means,
         reads=("J", "d", "schedule", "corpus"), options={
             "eps_factors": _distinct_numbers((0.5, 0.25)),
-            "r": _TWO_OR_FOUR,
+            "r": Option(2, lambda v: type(v) is int and v in (2, 4),
+                        "must be the integer 2 or 4"),
             "lam_grid": _distinct_numbers(estimates.DEFAULT_LAM_GRID),
         }),
     "density": Experiment(
         ("kind", "N", "density", "config_hash"), _density,
-        check=_density_budget, reads=("d",), options={
+        check=_density_lattice, reads=("d",), options={
             "kind": Option("quarter_power", lambda v: v == "quarter_power",
-                           '"quarter_power"'),
-            "s": Option(1.0, lambda v: isinstance(v, (int, float))
-                        and not isinstance(v, bool), "a real number"),
+                           'must be "quarter_power"'),
+            "s": Option(1.0, lambda v: _reals([v]), "must be a real number"),
             "N_max": _integer(10**6, 1),
             "base": _integer(4, 2),
         }),
@@ -590,18 +602,11 @@ def write_csv(path: Path, experiment: str, rows: list):
 
 def compare_baseline(fresh: dict, recorded: dict, tol=BASELINE_TOLERANCE):
     """Relative drift of headline values against the recorded ones."""
-    deltas, violations = {}, {}
-    for k, base in recorded.items():
-        if k not in fresh:
-            violations[k] = "missing"
-            continue
-        delta = (fresh[k] - base) / max(abs(base), 1e-30)
-        deltas[k] = delta
-        if abs(delta) > tol:
-            violations[k] = delta
-    for k in fresh:
-        if k not in recorded:
-            violations[k] = "unrecorded"
+    deltas = {k: (fresh[k] - base) / max(abs(base), 1e-30)
+              for k, base in recorded.items() if k in fresh}
+    violations = {**{k: "missing" for k in recorded if k not in fresh},
+                  **{k: delta for k, delta in deltas.items() if abs(delta) > tol},
+                  **{k: "unrecorded" for k in fresh if k not in recorded}}
     return deltas, violations
 
 
@@ -614,49 +619,43 @@ def cmd_run(args) -> int:
     try:
         cfg = ExperimentConfig.from_dict(
             json.loads(Path(args.config).read_text(encoding="utf-8")))
-    except (OSError, json.JSONDecodeError, ConfigError, TypeError) as e:
+    except (OSError, json.JSONDecodeError, ConfigError) as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
     try:
         return _run(cfg, args)
-    except (ConfigError, ValueError) as e:
+    except ValueError as e:  # a ConfigError too
         print(f"run failed: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # a crash must not read as exit 1 or 2
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 3
 
 
 def _run(cfg: ExperimentConfig, args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base_dir = Path(args.baselines)
     name = cfg.output or cfg.experiment
     rows, values, inv = execute(cfg, jobs=args.jobs)
     write_csv(out_dir / f"{name}.csv", cfg.experiment, rows)
 
     baseline = {"status": "none"}
-    base_path = base_dir / f"{cfg.experiment}.json"
-    if values:
-        if args.record_baseline or not base_path.exists():
-            base_dir.mkdir(parents=True, exist_ok=True)
-            _write_json(base_path, {
-                "experiment": cfg.experiment,
-                "config_hash": cfg.config_hash,
-                "tolerance": BASELINE_TOLERANCE,
-                "values": {k: float(v) for k, v in sorted(values.items())},
-            })
-            baseline = {"status": "recorded", "path": base_path.name}
-        else:
-            recorded = json.loads(base_path.read_text(encoding="utf-8"))
-            deltas, violations = compare_baseline(values, recorded["values"])
-            baseline = {
-                "status": "compared",
-                "max_rel_delta": max((abs(v) for v in deltas.values()),
-                                     default=0.0),
-                "violations": {k: (v if isinstance(v, str) else float(v))
-                               for k, v in sorted(violations.items())},
-            }
+    base_path = Path(args.baselines) / f"{cfg.experiment}.json"
+    if values and (args.record_baseline or not base_path.exists()):
+        base_path.parent.mkdir(parents=True, exist_ok=True)
+        _write_json(base_path, {
+            "experiment": cfg.experiment,
+            "config_hash": cfg.config_hash,
+            "tolerance": BASELINE_TOLERANCE,
+            "values": {k: float(v) for k, v in sorted(values.items())},
+        })
+        baseline = {"status": "recorded", "path": base_path.name}
+    elif values:
+        recorded = json.loads(base_path.read_text(encoding="utf-8"))
+        deltas, violations = compare_baseline(values, recorded["values"])
+        baseline = {
+            "status": "compared",
+            "max_rel_delta": max((abs(v) for v in deltas.values()), default=0.0),
+            "violations": {k: (v if isinstance(v, str) else float(v))
+                           for k, v in sorted(violations.items())},
+        }
 
     ok = all(inv.values()) and not baseline.get("violations")
     _write_json(out_dir / f"{name}.summary.json", {
@@ -676,23 +675,20 @@ def _run(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_list(_args) -> int:
-    for name in EXPERIMENTS:
-        print(name)
+    print("\n".join(EXPERIMENTS))
     return 0
 
 
 def cmd_verify_baselines(args) -> int:
-    out_dir = Path(args.dir)
-    base_dir = Path(args.baselines)
     failures = seen = 0
-    for summary_path in sorted(out_dir.glob("*.summary.json")):
+    for summary_path in sorted(Path(args.dir).glob("*.summary.json")):
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        values = summary.get("values") or {}
+        name, values = summary["experiment"], summary.get("values") or {}
         if not values:
             continue
-        base_path = base_dir / f"{summary['experiment']}.json"
+        base_path = Path(args.baselines) / f"{name}.json"
         if not base_path.exists():
-            print(f"{summary['experiment']}: no committed baseline")
+            print(f"{name}: no committed baseline")
             failures += 1
             continue
         recorded = json.loads(base_path.read_text(encoding="utf-8"))
@@ -700,12 +696,11 @@ def cmd_verify_baselines(args) -> int:
         seen += 1
         if violations:
             failures += 1
-            print(f"{summary['experiment']}: {len(violations)} drift(s)")
+            print(f"{name}: {len(violations)} drift(s)")
             for k, v in sorted(violations.items()):
                 print(f"  {k}: {v if isinstance(v, str) else format(v, '.3g')}")
         else:
-            print(f"{summary['experiment']}: ok "
-                  f"({len(values)} values within {BASELINE_TOLERANCE:.0%})")
+            print(f"{name}: ok ({len(values)} values within {BASELINE_TOLERANCE:.0%})")
     if seen == 0 and failures == 0:
         print("nothing to verify")
     return 0 if failures == 0 else 1
@@ -723,8 +718,8 @@ def main(argv=None) -> int:
     runp.add_argument("--record-baseline", action="store_true")
     runp.set_defaults(func=cmd_run)
 
-    listp = sub.add_parser("list-experiments", help="print experiment ids")
-    listp.set_defaults(func=cmd_list)
+    sub.add_parser("list-experiments", help="print experiment ids").set_defaults(
+        func=cmd_list)
 
     verp = sub.add_parser("verify-baselines",
                           help="compare run summaries against baselines")
@@ -733,7 +728,11 @@ def main(argv=None) -> int:
     verp.set_defaults(func=cmd_verify_baselines)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as e:  # a crash must not read as exit 1 or 2
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -222,7 +222,8 @@ def _reports(f: GridFunction, lam: float, exc: ExceptionalSet, p: int,
              Ns, moments, fulls) -> list[MomentReport]:
     """One report per order in Ns: the p-th moment measured off exc, the
     full-torus one, and the moment's ratio to lam^(p-1) ||f||_1^p."""
-    scale = lam ** (p - 1) * f.l1() ** p
+    with np.errstate(over="ignore"):  # a scale past the float range gives ratio 0
+        scale = np.float64(lam) ** (p - 1) * f.l1() ** p
     return [MomentReport(lam, N, avg, exc.measure, avg / scale, full, exc)
             for N, avg, full in zip(Ns, moments, fulls)]
 

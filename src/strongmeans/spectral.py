@@ -16,6 +16,8 @@ averages are products of the factors' 1-d averages.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .grid import GridFunction, tensor
@@ -119,7 +121,10 @@ def decay_kernel(N: int, J: int, s: float) -> GridFunction:
     near = np.abs(x) < 1.0 / N
     vals = np.empty(x.size)
     vals[near] = float(N)
-    vals[~near] = N ** (1.0 - s) * np.abs(x[~near]) ** (-s)
+    if s * math.log2(N) < 1000:  # N**(1-s) and N**s stay normal floats
+        vals[~near] = N ** (1.0 - s) * np.abs(x[~near]) ** (-s)
+    else:  # the same values as N (N|x|)**-s, N|x| >= 1, which cannot overflow
+        vals[~near] = N * (N * np.abs(x[~near])) ** (-s)
     return GridFunction(1, J, vals)
 
 

@@ -571,7 +571,8 @@ def test_bad_s_values_exit_2(tmp_path, capsys, monkeypatch, s_values):
     ("covering_suite", "max_level_1d", 1, 14),
     ("covering_suite", "max_level_2d", 1, 14),
     ("covering_suite", "chain_level", 1, 8),
-    ("density", "N_max", 1, None),
+    # N_max must also reach the default base, 4, for one schedule point
+    ("density", "N_max", 4, None),
     ("density", "base", 2, None),
 ], ids=["trials", "trials_1d", "trials_2d", "max_level_1d", "max_level_2d",
         "chain_level", "density-N_max", "density-base"])
@@ -611,6 +612,196 @@ def test_bad_option_exit_2(tmp_path, capsys, monkeypatch, experiment, options,
     cfg = write_config(tmp_path, experiment=experiment, options=options)
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert f"invalid config: {message}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# faults that once crashed or came late, and a one-field mutation fuzzer
+
+
+def run_exit_code(tmp_path, raw: dict) -> int:
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    return cli.main(["run", str(p), "--out", str(tmp_path / "o"),
+                     "--baselines", str(tmp_path / "bl")])
+
+
+def refuse_all_work(monkeypatch):
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    refuse_runs(monkeypatch, *cli.EXPERIMENTS)
+
+
+INF, NAN = float("inf"), float("nan")
+SPIKE = {"families": ["spike"], "n_random": 0}
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"experiment": "first_reduction", "J": 8, "lams": [INF], "corpus": SPIKE},
+     "lams must be a list of positive real numbers"),
+    ({"experiment": "strong_means", "J": 8, "schedule": [16, 32], "corpus": SPIKE,
+      "options": {"lam_grid": [INF]}}, "strong_means: lam_grid must be"),
+    ({"experiment": "strong_means", "J": 8, "schedule": [16, 32], "corpus": SPIKE,
+      "options": {"eps_factors": [1.0, INF]}}, "strong_means: eps_factors must be"),
+    ({"experiment": "decay_kernel", "J": 8, "lams": [8.0], "schedule": [16, 32],
+      "s_values": [INF], "corpus": SPIKE},
+     "s_values must be a list of real numbers above 1"),
+    ({"experiment": "density", "options": {"s": NAN}}, "density: s must be a real number"),
+    ({"experiment": "density", "options": {"s": -INF}}, "density: s must be a real number"),
+    ({"experiment": "first_reduction", "J": 8, "lams": [2**1100], "corpus": SPIKE},
+     "lams must be a list of positive real numbers"),
+], ids=["lams-Infinity", "lam_grid-Infinity", "eps_factors-Infinity",
+        "s_values-Infinity", "density-s-NaN", "density-s-minus-Infinity",
+        "lams-past-float-range"])
+def test_non_finite_number_exit_2(tmp_path, capsys, monkeypatch, raw, message):
+    """JSON's NaN and Infinity, and an integer no float holds, are no
+    real numbers: refused before any work, where they used to crash in
+    `Fraction(lam)` (exit 3), run on as NaN (exit 0) or fail in the run."""
+    refuse_all_work(monkeypatch)
+    assert run_exit_code(tmp_path, {"seed": 1, **raw}) == 2
+    assert f"invalid config: {message}" in capsys.readouterr().err
+
+
+def test_decay_kernel_below_its_band_exit_2(tmp_path, capsys, monkeypatch):
+    # at J = 1 the band 2**(J - 2) is 1/2, so no order fits; the check
+    # used to raise "negative shift count" out of main
+    refuse_all_work(monkeypatch)
+    raw = {"experiment": "decay_kernel", "seed": 1, "J": 1, "lams": [8.0],
+           "schedule": [1], "s_values": [2.0], "corpus": {"n_random": 0}}
+    assert run_exit_code(tmp_path, raw) == 2
+    assert capsys.readouterr().err == ("invalid config: decay_kernel: schedule"
+                                       " exceeds the usable bandwidth 2**-1\n")
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_density_N_max_below_base_exit_2(tmp_path, capsys, monkeypatch, d):
+    """N_max below base leaves the schedule base, base**2, ... empty: the
+    2-d run crashed on `schedule[-1]` (exit 3), the 1-d one failed late."""
+    raw = {"experiment": "density", "seed": 1, "d": d, "options": {"N_max": 3}}
+    with monkeypatch.context() as m:
+        refuse_all_work(m)
+        assert run_exit_code(tmp_path, raw) == 2
+    assert "invalid config: density: N_max must be an integer >= base, which is 4" \
+        in capsys.readouterr().err
+    assert run_exit_code(tmp_path, {**raw, "options": {"N_max": 3, "base": 3}}) == 0
+
+
+def test_vp_above_the_band_exit_2(tmp_path, capsys, monkeypatch):
+    """A delayed mean of order vp has band 2 vp - 1, which must fit the
+    stored bandwidth 2**(J-1) = 128 at J = 8: vp = 64 is the largest."""
+    raw = {"experiment": "strong_means", "seed": 1, "J": 8, "schedule": [16, 32],
+           "corpus": {**SPIKE, "vp": 65}}
+    refuse_all_work(monkeypatch)
+    assert run_exit_code(tmp_path, raw) == 2
+    assert capsys.readouterr().err == (
+        "invalid config: corpus: vp must be a positive integer <= 64 at J = 8 (its"
+        " band 2 vp - 1 must fit the stored bandwidth 2**7)\n")
+    ExperimentConfig.from_dict({**raw, "corpus": {**SPIKE, "vp": 64}})
+    ExperimentConfig.from_dict({**raw, "J": 1, "schedule": [1],
+                                "corpus": {**SPIKE, "vp": 1}})
+
+
+def test_p4_moment_height_past_the_cube_range_runs(tmp_path):
+    # lam**3 overflows a float at 1e308: the ratio to lam**3 ||f||_1**4
+    # rounds to 0 instead of raising OverflowError (exit 3)
+    raw = {"experiment": "p4_moment", "seed": 1, "J": 8, "lams": [1e308],
+           "schedule": [16, 32], "corpus": SPIKE}
+    assert run_exit_code(tmp_path, raw) == 0
+    lines = (tmp_path / "o" / "p4_moment.csv").read_text().splitlines()
+    column = lines[0].split(",").index("ratio")
+    assert [line.split(",")[column] for line in lines[1:]] == ["0", "0"]
+
+
+@pytest.mark.parametrize("output", [7, ["a"], "../escaped", "a/b", ".hidden", "",
+                                    "a b"], ids=repr)
+def test_output_is_a_plain_file_name(tmp_path, capsys, monkeypatch, output):
+    """`output` names two files in --out: a number or list used to write
+    `7.csv` or `['a'].csv`, and "../escaped" wrote outside --out."""
+    raw = {"experiment": "density", "seed": 1, "options": {"N_max": 64},
+           "output": output}
+    refuse_all_work(monkeypatch)
+    assert run_exit_code(tmp_path, raw) == 2
+    assert "invalid config: output must be a file name" in capsys.readouterr().err
+    for name in ("density_2d", "a.b-c_1", "7"):
+        ExperimentConfig.from_dict({**raw, "output": name})
+
+
+# the eleven committed configs, shrunk to J <= 8 and small counts
+SHRUNK = {
+    "averaged_moment": {"J": 8, "lams": [4.0, 8.0], "schedule": [16, 32],
+                        "corpus": {"families": ["spike", "kspikes"], "n_random": 1}},
+    "p4_moment": {"J": 8, "schedule": [16, 32],
+                  "corpus": {"families": ["spike", "trig"], "n_random": 1}},
+    "strong_means": {"J": 8, "schedule": [16, 32],
+                     "corpus": {"families": ["spike"], "n_random": 0, "vp": 32}},
+    "first_reduction": {"J": 8, "lams": [4.0, 8.0],
+                        "corpus": {"families": ["spike", "noise"], "n_random": 1}},
+    "second_reduction": {"J": 8, "lams": [4.0], "schedule": [16, 32],
+                         "corpus": {"families": ["spike", "trig"], "n_random": 1}},
+    "decay_kernel": {"J": 8, "schedule": [16, 32], "s_values": [1.5, 2.0],
+                     "corpus": {"families": ["spike"], "n_random": 0}},
+    "rect_moment": {"J": 6, "schedule": [4, 8],
+                    "corpus": {"families": ["tspike"], "n_random": 0}},
+    "density": {"options": {"kind": "quarter_power", "s": 1.0, "N_max": 256, "base": 4}},
+    "density_2d": {"options": {"kind": "quarter_power", "s": 1.0, "N_max": 64, "base": 4}},
+    "czd_suite": {"J": 6, "options": {"trials": 2}},
+    "covering_suite": {"options": {"trials_1d": 2, "trials_2d": 2, "chain_level": 2,
+                                   "max_level_1d": 4, "max_level_2d": 3}},
+}
+# a mutant of a field that sets a run's size is run only up to the
+# shrunk config's value; above it, it is validated only
+SIZES = ("J", "n_random", "trials", "trials_1d", "trials_2d", "max_level_1d",
+         "max_level_2d", "chain_level", "N_max")
+FUZZ_VALUES = ("x", True, None, {}, [], 0, -0.0, 1e308, INF, -INF, NAN, 2**70)
+
+
+def mutants():
+    """(path of the mutated field, its shrunk value or None, the fuzz
+    value, the mutant) for every one-field mutant: each field, corpus
+    field and option of each shrunk config takes each fuzz value; a
+    list-valued one also takes each inside a one-entry list, and its own
+    first entry once more."""
+    for name, shrink in SHRUNK.items():
+        raw = json.loads((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+        raw.update(shrink)
+        paths = [(key,) for key in ExperimentConfig.__dataclass_fields__]
+        paths += [("corpus", key) for key in cli.CORPUS[raw.get("d", 1)]]
+        paths += [("options", key) for key in cli.EXPERIMENTS[raw["experiment"]].options]
+        for path in paths:
+            old = raw.get(path[0]) if len(path) == 1 else raw.get(path[0], {}).get(path[1])
+            values = list(FUZZ_VALUES)
+            if isinstance(old, list):
+                values += [[v] for v in FUZZ_VALUES] + [old + old[:1]]
+            for value in values:
+                mutant = json.loads(json.dumps(raw))
+                if len(path) == 1:
+                    mutant[path[0]] = value
+                else:
+                    mutant.setdefault(path[0], {})[path[1]] = value
+                yield path, old, value, mutant
+
+
+def test_one_field_mutants_exit_0_1_or_2(tmp_path, capsys, monkeypatch):
+    """Every mutant goes through `validate`, which raises nothing but
+    ConfigError.  A refused one exits 2 with no work started; an
+    accepted one within the shrunk sizes runs in full and exits 0, 1 or
+    2.  No mutant exits 3, and no exception escapes `main`."""
+    refused, accepted = [], []
+    for path, old, value, mutant in mutants():
+        try:
+            ExperimentConfig.from_dict(mutant)
+        except ConfigError:
+            refused.append(mutant)
+            continue
+        if path[-1] not in SIZES or old is not None and value <= old:
+            accepted.append(mutant)
+    assert refused and accepted
+    with monkeypatch.context() as m:
+        refuse_all_work(m)
+        for mutant in refused:
+            assert run_exit_code(tmp_path, mutant) == 2, mutant
+            assert capsys.readouterr().err.startswith("invalid config: "), mutant
+    for mutant in accepted:
+        assert run_exit_code(tmp_path, mutant) in (0, 1, 2), mutant
+        assert "internal error" not in capsys.readouterr().err, mutant
 
 
 def test_unexpected_exception_exits_3(tmp_path, capsys, monkeypatch):

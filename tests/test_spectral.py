@@ -255,6 +255,22 @@ def test_power_decay_requires_s_above_one():
         decay_kernel(8, 8, 1.0)
 
 
+@pytest.mark.parametrize("N,s", [(16, 249.0), (16, 251.0), (16, 1e308), (1024, 101.0)])
+def test_power_decay_stays_finite_for_any_s(N, s):
+    """Where N**s leaves the float range, N**(1-s) |x|**-s would be
+    0 * inf: the kernel is N (N|x|)**-s instead, with N|x| >= 1, so it
+    is finite, N near 0, and agrees with the direct product where both
+    are representable (s log2 N = 996 and 1004 at N = 16)."""
+    J = 12
+    with np.errstate(all="raise", under="ignore"):  # the far tail may round to 0
+        k = decay_kernel(N, J, s).samples
+    x = np.abs(np.where(np.arange(1 << J) < 1 << (J - 1), np.arange(1 << J),
+                        np.arange(1 << J) - (1 << J)) / (1 << J))
+    assert np.isfinite(k).all() and (k[x < 1 / N] == N).all()
+    far = x >= 1 / N
+    np.testing.assert_allclose(k[far], N * (N * x[far]) ** -s, rtol=1e-12, atol=0)
+
+
 # ---------------------------------------------------------------------------
 # convolution
 
