@@ -33,7 +33,7 @@ def main():
     f = corpus.spike(J, dim=2)
     curves = {}
     for geometry in ("cube", "slab"):
-        reports = averaged_moment_rect(f, LAM, SCHEDULE, geometry=geometry)
+        [reports] = averaged_moment_rect(f, [LAM], SCHEDULE, geometry=geometry)
         curves[geometry] = [r.avg_moment for r in reports]
         measure = reports[0].measure_E
         print(f"{geometry:>5}: measure(E) = {measure} = {float(measure):.4f}")

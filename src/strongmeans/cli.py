@@ -25,6 +25,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +122,8 @@ def _corpus_fields(d: int) -> dict:
         "families": Option([], lambda v: isinstance(v, list) and all(
             isinstance(x, str) and x in names for x in v),
             f"must be a list of names from {names} (the d = {d} families)"),
-        "n_random": _integer(2, 0),
+        # per function at J = 14: about 1 s of p4_moment, 1.5 s of strong_means
+        "n_random": _integer(2, 0, 16),
         "vp": Option(None, lambda v: v is None or type(v) is int and v >= 1,
                      "must be a positive integer", fits=(
             lambda v, c, e: None if v is None or 2 * v - 1 <= 1 << (c.J - 1) else
@@ -160,7 +162,13 @@ FIELDS = {
             f"corpus: the {key} family needs J >= {family.least_J}, and J is {c.J}"
             " (every family is drawn, whichever are kept)"
             for key, family in corpus.FAMILIES[c.d].items() if c.J < family.least_J
-            and v.get("n_random", CORPUS[c.d]["n_random"].default)), None))),
+            and v.get("n_random", CORPUS[c.d]["n_random"].default)), None),
+        # without draws only the unit family, the first, has a function
+        lambda v, c, e: None if not v.get("families")
+        or v.get("n_random", CORPUS[c.d]["n_random"].default)
+        or (unit := next(iter(corpus.FAMILIES[c.d]))) in v["families"] else
+        f"corpus: the selection is empty: families {v['families']} leave out"
+        f" {unit}, the one family with a function when n_random is 0")),
     # a plain file name in --out
     "output": Option(None, lambda v: v is None or isinstance(v, str) and re.fullmatch(
         r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", v) is not None,
@@ -180,13 +188,14 @@ COMMON_FIELDS = ("seed", "output", "options")
 class Experiment:
     """Everything the CLI knows about one experiment.  `reads` names the
     config fields beyond COMMON_FIELDS that it reads; a config that sets
-    any other is refused.  If it reads "lams", `run(cfg, fn_id, f, lams,
-    schedule)` runs one function, the unit `execute` fans out, at every
-    height, so the work they share is done once; it returns the rows of
-    each height in `lams` order, with values keyed `fn_id|lambda` (plus a
-    suffix where a height has several).  Else `run(cfg)` runs it whole.
-    Both return rows, headline values and invariant flags.  A schedule it
-    reads stays within 2**(J - band).  `check` sees the whole config."""
+    any other is refused.  One that reads "corpus" has `run(cfg, fn_id,
+    f)`, which runs one corpus function, the unit `execute` fans out, at
+    every height of the config, so the work the heights share is done
+    once; its rows come in height order, its values keyed `fn_id|lambda`
+    (plus a suffix where a height has several).  Any other has `run(cfg)`,
+    which runs it whole.  Both return rows, headline values and invariant
+    flags.  A schedule it reads stays within 2**(J - band).  `check` sees
+    the whole config."""
 
     columns: tuple
     run: Callable
@@ -293,8 +302,6 @@ def build_functions(cfg: ExperimentConfig) -> list:
     fams = sel.get("families")
     if fams:
         fns = [(fid, f) for fid, f in fns if fid.split("-")[0] in fams]
-    if not fns:
-        raise ConfigError("corpus selection is empty")
     vp = sel.get("vp")
     if vp is not None:
         fns = [(f"{fid}-vp{vp}", valle_poussin(f, vp)) for fid, f in fns]
@@ -302,7 +309,7 @@ def build_functions(cfg: ExperimentConfig) -> list:
 
 
 # ---------------------------------------------------------------------------
-# function runners: pure functions of (config, fn_id, f, lams, schedule)
+# function runners: pure functions of (config, fn_id, f), at every height
 
 
 def _merge(results):
@@ -319,21 +326,6 @@ def _merge(results):
 
 def _key(fn_id: str, lam) -> str:
     return f"{fn_id}|{fmt(lam)}"
-
-
-def _per_height(run):
-    """The function runner of a one-height runner `run(cfg, fn_id, f,
-    lam, schedule)`, which keys its values by what follows `fn_id|lambda`:
-    it runs the heights in turn."""
-    def at_each(cfg, fn_id, f, lams, sched):
-        parts = []
-        for lam in lams:
-            rows, values, inv = run(cfg, fn_id, f, lam, sched)
-            parts.append((rows, {_key(fn_id, lam) + k: v for k, v in values.items()},
-                          inv))
-        return _merge(parts)
-
-    return at_each
 
 
 MOMENT_COLUMNS = ("fn_id", "lambda", "N", "avg_moment", "full_avg",
@@ -357,87 +349,86 @@ def _full_ge_restricted(reports) -> bool:
     return all(r.full_torus_avg >= r.avg_moment - 1e-12 for r in reports)
 
 
-def _first_reduction(cfg, fn_id, f, lam, sched):
-    rep = estimates.verify_first_reduction(f, lam)
-    return (_moment_rows(fn_id, [rep]), {"": rep.ratio},
-            {"ratio_le_one": rep.ratio <= 1 + 1e-12})
-
-
-def _second_reduction(cfg, fn_id, f, lam, sched):
-    smoothed = cfg.corpus.get("vp") is not None
-    reports = [estimates.verify_second_reduction(
-        f if smoothed else valle_poussin(f, N), lam, N)
-        for N in sched]
-    return (_moment_rows(fn_id, reports),
-            {"": max(0.0, *(r.ratio for r in reports))},
-            {"full_ge_restricted": _full_ge_restricted(reports)})
-
-
-def _moment_curves(f, fn_id, lams, sched, p, headline):
-    """Every height's curve from one `averaged_moment` call; `headline`
-    reads a curve's headline value."""
-    curves = estimates.averaged_moment(f, lams, sched, p=p, fn_id=fn_id)
+def _first_reduction(cfg, fn_id, f):
     return _merge(
-        (_moment_rows(fn_id, reports), {_key(fn_id, lam): headline(reports)},
+        (_moment_rows(fn_id, [rep]), {_key(fn_id, rep.lam): rep.ratio},
+         {"ratio_le_one": rep.ratio <= 1 + 1e-12})
+        for rep in estimates.verify_first_reduction(f, cfg.lams))
+
+
+def _second_reduction(cfg, fn_id, f):
+    smoothed = cfg.corpus.get("vp") is not None
+    # one report per height at each order; each order smooths f once
+    by_order = [estimates.verify_second_reduction(
+        f if smoothed else valle_poussin(f, N), cfg.lams, N)
+        for N in cfg.run_schedule()]
+    return _merge(
+        (_moment_rows(fn_id, reports),
+         {_key(fn_id, lam): max(0.0, *(r.ratio for r in reports))},
+         {"full_ge_restricted": _full_ge_restricted(reports)})
+        for lam, reports in zip(cfg.lams, zip(*by_order)))
+
+
+def _moment_curves(cfg, fn_id, f, p):
+    """Every height's curve of the p-th moment from one `averaged_moment`
+    call; its headline value is the last ratio at p = 2 and the largest
+    moment at p = 4."""
+    curves = estimates.averaged_moment(f, cfg.lams, cfg.run_schedule(), p=p,
+                                       fn_id=fn_id)
+    return _merge(
+        (_moment_rows(fn_id, reports),
+         {_key(fn_id, lam): reports[-1].ratio if p == 2
+          else max(r.avg_moment for r in reports)},
          {"measure_bound_exact": _check_measure_bound(reports[0], f),
           "full_ge_restricted": _full_ge_restricted(reports)})
-        for lam, reports in zip(lams, curves))
+        for lam, reports in zip(cfg.lams, curves))
 
 
-def _averaged_moment(cfg, fn_id, f, lams, sched):
-    return _moment_curves(f, fn_id, lams, sched, 2, lambda reports: reports[-1].ratio)
-
-
-def _p4_moment(cfg, fn_id, f, lams, sched):
-    return _moment_curves(f, fn_id, lams, sched, 4,
-                          lambda reports: max(r.avg_moment for r in reports))
-
-
-def _decay_kernel(cfg, fn_id, f, lam, sched):
+def _decay_kernel(cfg, fn_id, f):
     rows, values = [], {}
-    slopes = estimates.decay_slope(f, lam, cfg.s_values, Ns=tuple(sched))
-    for s, (slope, reports) in zip(cfg.s_values, slopes):
-        rows += [{"fn_id": fn_id, "lambda": lam, "s": s, "N": rep.N,
-                  "moment": rep.avg_moment} for rep in reports]
-        values[f"|s={fmt(s)}"] = slope
+    slopes = estimates.decay_slope(f, cfg.lams, cfg.s_values,
+                                   Ns=tuple(cfg.run_schedule()))
+    for lam, at_lam in zip(cfg.lams, slopes):
+        for s, (slope, reports) in zip(cfg.s_values, at_lam):
+            rows += [{"fn_id": fn_id, "lambda": lam, "s": s, "N": rep.N,
+                      "moment": rep.avg_moment} for rep in reports]
+            values[f"{_key(fn_id, lam)}|s={fmt(s)}"] = slope
     return rows, values, {}
 
 
-def _rect_moment(cfg, fn_id, f, lam, sched):
-    rows, values, inv = [], {}, {}
-    for geometry in ("cube", "slab"):
-        reports = estimates.averaged_moment_rect(f, lam, sched, fn_id=fn_id,
-                                                 geometry=geometry)
-        rows += _moment_rows(fn_id, reports, geometry=geometry)
-        values[f"|{geometry}"] = reports[-1].ratio
-        if geometry == "cube":
-            inv["measure_bound_exact"] = _check_measure_bound(reports[0], f)
-    return rows, values, inv
+def _rect_moment(cfg, fn_id, f):
+    cube, slab = (estimates.averaged_moment_rect(f, cfg.lams, cfg.run_schedule(),
+                                                 fn_id=fn_id, geometry=geometry)
+                  for geometry in ("cube", "slab"))
+    return _merge(
+        (_moment_rows(fn_id, c, geometry="cube")
+         + _moment_rows(fn_id, s, geometry="slab"),
+         {f"{_key(fn_id, lam)}|cube": c[-1].ratio,
+          f"{_key(fn_id, lam)}|slab": s[-1].ratio},
+         {"measure_bound_exact": _check_measure_bound(c[0], f)})
+        for lam, c, s in zip(cfg.lams, cube, slab))
+
+
+def _strong_means(cfg, fn_id, f):
+    scale = f.linf() ** 2
+    rep = estimates.strong_means_measure(
+        f, [factor * scale for factor in cfg.option("eps_factors")],
+        tuple(cfg.run_schedule()), r=cfg.option("r"),
+        lam_grid=tuple(cfg.option("lam_grid")), fn_id=fn_id)
+    rows = [{"fn_id": fn_id, "eps": eps, "N": N, "measure": m}
+            for eps, measures in zip(rep.eps, rep.measures)
+            for N, m in zip(rep.schedule, measures)]
+    # the weak-type functional does not involve eps, so one record per
+    # function suffices
+    values = {_key(fn_id, lam): ratio
+              for lam, ratio in zip(rep.lam_grid, rep.weak_ratios)}
+    return rows, values, {"superlevel_non_increasing": not any(
+        b > a + 1e-15 for measures in rep.measures
+        for a, b in zip(measures, measures[1:]))}
 
 
 # ---------------------------------------------------------------------------
-# whole-experiment runners (no lambda fan-out)
-
-
-def _strong_means(cfg: ExperimentConfig):
-    sched = tuple(cfg.run_schedule())
-    rows, values, inv = [], {}, {"superlevel_non_increasing": True}
-    for fn_id, f in build_functions(cfg):
-        scale = f.linf() ** 2
-        rep = estimates.strong_means_measure(
-            f, [factor * scale for factor in cfg.option("eps_factors")],
-            sched, r=cfg.option("r"), lam_grid=tuple(cfg.option("lam_grid")),
-            fn_id=fn_id)
-        for eps, measures in zip(rep.eps, rep.measures):
-            for N, m in zip(rep.schedule, measures):
-                rows.append({"fn_id": fn_id, "eps": eps, "N": N, "measure": m})
-            if any(b > a + 1e-15 for a, b in zip(measures, measures[1:])):
-                inv["superlevel_non_increasing"] = False
-        # the weak-type functional does not involve eps, so one record
-        # per function suffices
-        for lam, ratio in zip(rep.lam_grid, rep.weak_ratios):
-            values[f"{fn_id}|{fmt(lam)}"] = ratio
-    return rows, values, inv
+# whole-experiment runners (no corpus)
 
 
 def _density_lattice(cfg: ExperimentConfig):
@@ -509,18 +500,18 @@ def _czd_suite(cfg: ExperimentConfig):
 
 
 EXPERIMENTS = {
-    "first_reduction": Experiment(MOMENT_COLUMNS, _per_height(_first_reduction),
+    "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction,
                                   reads=("J", "d", "lams", "corpus")),
-    "second_reduction": Experiment(MOMENT_COLUMNS, _per_height(_second_reduction)),
-    "averaged_moment": Experiment(MOMENT_COLUMNS, _averaged_moment),
+    "second_reduction": Experiment(MOMENT_COLUMNS, _second_reduction),
+    "averaged_moment": Experiment(MOMENT_COLUMNS, partial(_moment_curves, p=2)),
     # the decay sweep smooths at order N, which doubles the band
     "decay_kernel": Experiment(
         ("fn_id", "lambda", "s", "N", "moment", "config_hash"),
-        _per_height(_decay_kernel), band=2,
+        _decay_kernel, band=2,
         reads=("J", "d", "lams", "schedule", "s_values", "corpus")),
     "rect_moment": Experiment(
-        ("fn_id", "geometry") + MOMENT_COLUMNS[1:], _per_height(_rect_moment)),
-    "p4_moment": Experiment(MOMENT_COLUMNS, _p4_moment),
+        ("fn_id", "geometry") + MOMENT_COLUMNS[1:], _rect_moment),
+    "p4_moment": Experiment(MOMENT_COLUMNS, partial(_moment_curves, p=4)),
     "strong_means": Experiment(
         ("fn_id", "eps", "N", "measure", "config_hash"), _strong_means,
         reads=("J", "d", "schedule", "corpus"), options={
@@ -543,8 +534,9 @@ EXPERIMENTS = {
     "covering_suite": Experiment(
         ("kind", "trials", "violations", "components", "config_hash"),
         _covering_suite, reads=(), options={
-            "trials_1d": _integer(10000, 1),
-            "trials_2d": _integer(1000, 1),
+            # about 25 000 1-d and 2 500 2-d families a second at level 14
+            "trials_1d": _integer(10000, 1, 10**6),
+            "trials_2d": _integer(1000, 1, 10**5),
             "max_level_1d": _integer(12, 1, DEFAULT_J_MAX),
             "max_level_2d": _integer(7, 1, DEFAULT_J_MAX),
             "chain_level": _integer(6, 1, 8),
@@ -552,7 +544,8 @@ EXPERIMENTS = {
     "czd_suite": Experiment(
         ("kind", "trials", "failures", "mean_bad_cells", "config_hash"),
         _czd_suite, check=_czd_lattice,
-        reads=("J", "d"), options={"trials": _integer(10000, 1)}),
+        # about 1 500 trials a second at 1-d J = 14, 450 at 2-d J = 8
+        reads=("J", "d"), options={"trials": _integer(10000, 1, 10**5)}),
 }
 
 
@@ -560,18 +553,12 @@ EXPERIMENTS = {
 # orchestration
 
 
-def _run_function(cfg: ExperimentConfig, fn_id: str, f):
-    """Rows, keyed headline values and invariant flags of one function
-    at every height of the config."""
-    return EXPERIMENTS[cfg.experiment].run(cfg, fn_id, f, cfg.lams, cfg.run_schedule())
-
-
 def execute(cfg: ExperimentConfig, jobs: int = 1):
     """Run the experiment and merge its functions' results
     deterministically.  Returns rows stamped with the config hash,
     headline values keyed for the baseline file, and invariant flags."""
     exp = EXPERIMENTS[cfg.experiment]
-    if "lams" not in exp.reads:
+    if "corpus" not in exp.reads:
         results = [exp.run(cfg)]
     else:
         # the corpus is built once per run; each task carries its
@@ -579,10 +566,10 @@ def execute(cfg: ExperimentConfig, jobs: int = 1):
         fns = build_functions(cfg)
         if jobs > 1 and len(fns) > 1:
             with ProcessPoolExecutor(max_workers=min(jobs, len(fns))) as ex:
-                results = list(ex.map(_run_function, [cfg] * len(fns), *zip(*fns),
+                results = list(ex.map(exp.run, [cfg] * len(fns), *zip(*fns),
                                       chunksize=1))
         else:
-            results = [_run_function(cfg, fid, f) for fid, f in fns]
+            results = [exp.run(cfg, fid, f) for fid, f in fns]
 
     rows, values, inv = _merge(results)
     config_hash = cfg.config_hash

@@ -7,7 +7,10 @@ the complement.  E lives as a bitmap of the 2**J sample cells per axis,
 on which every odd dilate of a dyadic cell starts and ends, so its
 measure is an exact Fraction and its complement weights on any finer
 power-of-two grid are 0 or 1.  It is built from the decomposition's
-bad-cell rows by integer arithmetic and one `dyadic.union_mask`.
+bad-cell rows by integer arithmetic and one `dyadic.union_mask`.  Each
+moment estimator returns one result per height of a list, in order, from
+one selection (`czd.decompositions`), and does the work that does not
+depend on the height once.
 
 Quadratic (p = 2) averaged moments never evaluate S_n f.  With w the
 complement weights on the refined M-grid and w^ = fft(w)/M their DFT,
@@ -84,7 +87,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .czd import CZDecomposition, decompose, decompositions
+from .czd import CZDecomposition, decompositions
 from .dyadic import union_mask
 from .grid import GridFunction
 from .spectral import (
@@ -517,16 +520,16 @@ def averaged_moment(f: GridFunction, lams, schedule: tuple, p: int = 2,
 # single-moment checks
 
 
-def verify_first_reduction(f: GridFunction, lam: float) -> MomentReport:
-    """Integral of |f|^2 off the undilated bad cells, against lam*||f||_1^2.
+def verify_first_reduction(f: GridFunction, lams) -> list[MomentReport]:
+    """Integral of |f|^2 off the undilated bad cells, against lam*||f||_1^2,
+    one report per height of `lams`.
 
     Off the bad set every sample is at most lam, so the moment is at
     most lam times the L1 mass: the ratio is at most 1.
     """
-    exc = build_exceptional_set(decompose(f, lam), 1)
-    [rep] = _reports(f, lam, exc, 2, [0], [weighted_moment(f, exc, 2)],
-                     [f.l2sq()])
-    return rep
+    excs = [build_exceptional_set(cz, 1) for cz in decompositions(f, lams)]
+    return [_reports(f, lam, exc, 2, [0], [weighted_moment(f, exc, 2)], [f.l2sq()])[0]
+            for lam, exc in zip(lams, excs)]
 
 
 def _require_band(f: GridFunction, N: int):
@@ -540,46 +543,50 @@ def _require_band(f: GridFunction, N: int):
         )
 
 
-def _kernel_moment(f: GridFunction, lam: float, N: int, kernel: GridFunction,
-                   exc: ExceptionalSet) -> MomentReport:
-    """Moment of kernel * |f|^2 off E."""
+def _kernel_moments(f: GridFunction, lams, N: int, kernel: GridFunction,
+                    excs) -> list[MomentReport]:
+    """Moment of kernel * |f|^2 off each height's E, one report per height."""
     _require_band(f, N)
     conv = convolve(GridFunction(1, f.J, np.abs(f.samples) ** 2), kernel)
-    [rep] = _reports(f, lam, exc, 2, [N], [weighted_moment(conv, exc, 1)],
-                     [float(np.mean(conv.samples.real))])
-    return rep
+    full = float(np.mean(conv.samples.real))
+    return [_reports(f, lam, exc, 2, [N], [weighted_moment(conv, exc, 1)], [full])[0]
+            for lam, exc in zip(lams, excs)]
 
 
-def verify_second_reduction(f: GridFunction, lam: float, N: int) -> MomentReport:
-    """Moment of B_N * |f|^2 off the 3-dilated bad cells.
+def verify_second_reduction(f: GridFunction, lams, N: int) -> list[MomentReport]:
+    """Moment of B_N * |f|^2 off the 3-dilated bad cells, one report per
+    height of `lams`.
 
     No constant is asserted; the ratio is recorded for baseline
     comparison.  B_N carries total mass 1/N^2.
     """
-    exc = build_exceptional_set(decompose(f, lam), 3)
-    return _kernel_moment(f, lam, N, box_kernel(N, f.J), exc)
+    excs = [build_exceptional_set(cz, 3) for cz in decompositions(f, lams)]
+    return _kernel_moments(f, lams, N, box_kernel(N, f.J), excs)
 
 
-def decay_slope(f: GridFunction, lam: float, s_values, Ns: tuple
-                ) -> list[tuple[float, list[MomentReport]]]:
+def decay_slope(f: GridFunction, lams, s_values, Ns: tuple
+                ) -> list[list[tuple[float, list[MomentReport]]]]:
     """Log-log slope over a sweep of N of the moment of the power-decay
     kernel (`spectral.decay_kernel`) against |f|^2 off the 5-dilated bad
-    cells, for each s > 1 of `s_values`: (slope, reports) per s, in order.
+    cells: per height of `lams`, (slope, reports) per s > 1 of `s_values`.
 
     The base function is smoothed per N with the delayed mean, while
     the exceptional set stays fixed: the bad cells keep their length,
-    so the slope isolates the kernel's scale behaviour.  The set and
-    the smoothed functions do not depend on s, so they are built once.
+    so the slope isolates the kernel's scale behaviour.  The smoothed
+    functions depend on neither s nor the height, and each convolution
+    not on the height, so they are built once.
     """
-    exc = build_exceptional_set(decompose(f, lam))
+    excs = [build_exceptional_set(cz) for cz in decompositions(f, lams)]
     smoothed = [valle_poussin(f, N) for N in Ns]
     logN = np.log(np.array(Ns, float))
-    out = []
+    out = [[] for _ in lams]
     for s in s_values:
-        reports = [_kernel_moment(g, lam, N, decay_kernel(N, f.J, s), exc)
-                   for g, N in zip(smoothed, Ns)]
-        moments = np.array([r.avg_moment for r in reports])
-        out.append((float(np.polyfit(logN, np.log(moments), 1)[0]), reports))
+        by_order = [_kernel_moments(g, lams, N, decay_kernel(N, f.J, s), excs)
+                    for g, N in zip(smoothed, Ns)]
+        for slopes, reports in zip(out, zip(*by_order)):
+            moments = np.array([r.avg_moment for r in reports])
+            slopes.append((float(np.polyfit(logN, np.log(moments), 1)[0]),
+                           list(reports)))
     return out
 
 
@@ -597,20 +604,21 @@ def _abs2_rows(g: GridFunction, c: np.ndarray, refine: int) -> np.ndarray:
     return rows
 
 
-def averaged_moment_rect(f: GridFunction, lam: float, schedule: tuple,
+def averaged_moment_rect(f: GridFunction, lams, schedule: tuple,
                          fn_id: str = "", geometry: str = "cube"
-                         ) -> list[MomentReport]:
+                         ) -> list[list[MomentReport]]:
     """Square-lattice version: (1/N^2) sum over 1 <= n1, n2 <= N, one
-    report per order N of the schedule; the sums run to its last order.
+    curve per height of `lams`, each with one report per order N of the
+    schedule; the sums run to its last order.
 
     f must be separable (f.factors set, as for every 2-d corpus family
     and its delayed means).  Then S_{n1,n2} f = S_{n1} a (x) S_{n2} b, so
     with W the complement weights on the twice finer M x M grid, the
     integral off E of |S_{n1,n2} f|^2 is |S_{n1} a|^2 W |S_{n2} b|^2 / M^2,
-    and one stream per factor gives every (n1, n2) pair.  The full-torus
-    column needs no stream: it is the product of the factors' energy sums.
-    E is the 5-dilated bad set in the given geometry; `fn_id` only labels
-    the call, as for `averaged_moment`.
+    and one stream per factor gives every (n1, n2) pair at every height.
+    The full-torus column needs no stream: it is the product of the
+    factors' energy sums.  E is the 5-dilated bad set in the given
+    geometry; `fn_id` only labels the call, as for `averaged_moment`.
     """
     if f.dim != 2:
         raise ValueError("averaged_moment_rect needs a 2-d function")
@@ -620,18 +628,21 @@ def averaged_moment_rect(f: GridFunction, lam: float, schedule: tuple,
     N_max = max(schedule)
     a, b = f.factors
     ca, cb = modes(a, N_max), modes(b, N_max)
-    exc = build_exceptional_set(decompose(f, lam), geometry=geometry)
     M = 1 << (f.J + 1)
-    W = exc.complement_weights(M)
-    T = _abs2_rows(a, ca, 1) @ W @ _abs2_rows(b, cb, 1).T
-    T /= M * M
-    cum = T.cumsum(axis=0).cumsum(axis=1)
+    rows_a, rows_b = _abs2_rows(a, ca, 1), _abs2_rows(b, cb, 1)
     # ||S_{n1,n2} f||^2 = ||S_{n1} a||^2 ||S_{n2} b||^2, so the full-torus
     # sum over the square is the product of the factors' energy sums
     full_a, full_b = np.cumsum(_energy_curve(ca)), np.cumsum(_energy_curve(cb))
-    return _reports(f, lam, exc, 2, schedule,
-                    [cum[N - 1, N - 1] / N**2 for N in schedule],
-                    [full_a[N - 1] * full_b[N - 1] / N**2 for N in schedule])
+    full = [full_a[N - 1] * full_b[N - 1] / N**2 for N in schedule]
+    curves = []
+    for lam, cz in zip(lams, decompositions(f, lams)):
+        exc = build_exceptional_set(cz, geometry=geometry)
+        T = rows_a @ exc.complement_weights(M) @ rows_b.T
+        T /= M * M
+        cum = T.cumsum(axis=0).cumsum(axis=1)
+        curves.append(_reports(f, lam, exc, 2, schedule,
+                               [cum[N - 1, N - 1] / N**2 for N in schedule], full))
+    return curves
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,8 @@ def test_criterion_06_decay_kernel_exponents():
     f = corpus.spike(12)
     half_width = {1.5: 0.2, 2.0: 0.1, 3.0: 0.1}
     bands = {s: (2 - s - h, 2 - s + h) for s, h in half_width.items()}
-    slopes = {s: slope for s, (slope, _) in zip(
-        bands, estimates.decay_slope(f, 8.0, list(bands), (64, 128, 256, 512, 1024)))}
+    slopes = {s: slope for s, (slope, _) in zip(bands, estimates.decay_slope(
+        f, [8.0], list(bands), (64, 128, 256, 512, 1024))[0])}
     in_band = {s: lo <= slopes[s] <= hi for s, (lo, hi) in bands.items()}
     verdict(6, all(in_band.values()),
             "slopes against the law 2-s: " + ", ".join(
@@ -177,8 +177,8 @@ def test_criterion_07_fourth_moment_log_normalized():
 def test_criterion_08_rect_moment_geometries():
     f = corpus.spike(7, dim=2)
     sched = (4, 8, 16, 32, 64)
-    cube = estimates.averaged_moment_rect(f, 32.0, sched)
-    slab = estimates.averaged_moment_rect(f, 32.0, sched, geometry="slab")
+    cube = estimates.averaged_moment_rect(f, [32.0], sched)[0]
+    slab = estimates.averaged_moment_rect(f, [32.0], sched, geometry="slab")[0]
     full_err = max(abs(r.full_torus_avg - (r.N + 2) ** 2) for r in cube)
     # One bad cube Q; its dilated shadow on axis i is an arc B_i, so the
     # dilated cube is B_0 x B_1.  Every Fourier coefficient of the spike

@@ -160,13 +160,18 @@ def test_build_functions_family_filter_and_vp():
     assert band_energy(f, 64, f.n // 2) < 1e-18
 
 
-def test_build_functions_empty_selection_fails():
-    cfg = ExperimentConfig.from_dict({
-        "experiment": "averaged_moment", "seed": 2, "J": 8,
-        "corpus": {"families": ["kspikes"], "n_random": 0},  # no draws
-    })
-    with pytest.raises(ConfigError, match="empty"):
-        build_functions(cfg)
+def test_build_functions_empty_selection_fails(tmp_path, capsys, monkeypatch):
+    # with no draws only the unit spike exists, and the families leave it
+    # out: refused before the corpus is built
+    monkeypatch.setattr(cli, "build_functions", refuse)
+    cfg = write_config(tmp_path, corpus={"families": ["kspikes"], "n_random": 0})
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "invalid config: corpus: the selection is empty" in capsys.readouterr().err
+    for kept in ({"families": ["kspikes"], "n_random": 1},
+                 {"families": ["spike", "kspikes"], "n_random": 0},
+                 {"families": [], "n_random": 0}):
+        ExperimentConfig.from_dict({"experiment": "averaged_moment", "seed": 2,
+                                    "J": 8, "corpus": kept})
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +228,9 @@ def test_averaged_moment_config_reproduces_committed_csv(tmp_path, monkeypatch,
 def test_decay_kernel_decomposes_and_smooths_once_per_cell(tmp_path, monkeypatch):
     """Neither the exceptional set nor the smoothed functions depend on
     s: the committed config (one function, one lambda, three s values,
-    five orders) decomposes once and smooths five times, and writes the
+    five orders) selects once and smooths five times, and writes the
     committed CSV byte for byte."""
-    calls = {"decompose": 0, "valle_poussin": 0}
+    calls = {"decompositions": 0, "valle_poussin": 0}
     for name in calls:
         def counted(*args, _inner=getattr(cli.estimates, name), _name=name, **kwargs):
             calls[_name] += 1
@@ -235,7 +240,7 @@ def test_decay_kernel_decomposes_and_smooths_once_per_cell(tmp_path, monkeypatch
     shutil.copytree(ROOT / "baselines", bl)
     assert cli.main(["run", str(ROOT / "configs" / "decay_kernel.json"),
                      "--out", str(tmp_path / "out"), "--baselines", str(bl)]) == 0
-    assert calls == {"decompose": 1, "valle_poussin": 5}
+    assert calls == {"decompositions": 1, "valle_poussin": 5}
     assert (tmp_path / "out" / "decay_kernel.csv").read_bytes() == \
         (ROOT / "out" / "decay_kernel.csv").read_bytes()
 
@@ -530,9 +535,9 @@ def test_first_reduction_reads_no_schedule(tmp_path):
     ({"vp": -8}, "corpus: vp must be a positive integer"),
     ({"vp": True}, "corpus: vp must be a positive integer"),
     ({"vp": "8"}, "corpus: vp must be a positive integer"),
-    ({"n_random": 2.5}, "corpus: n_random must be an integer >= 0"),
-    ({"n_random": -1}, "corpus: n_random must be an integer >= 0"),
-    ({"n_random": True}, "corpus: n_random must be an integer >= 0"),
+    ({"n_random": 2.5}, "corpus: n_random must be an integer in [0, 16]"),
+    ({"n_random": -1}, "corpus: n_random must be an integer in [0, 16]"),
+    ({"n_random": True}, "corpus: n_random must be an integer in [0, 16]"),
     ({"familes": ["spike"]}, "corpus: unknown fields ['familes']"),
     ({"families": ["spikes"]}, "corpus: families must be a list of names"),
     ({"families": "spike"}, "corpus: families must be a list of names"),
@@ -565,9 +570,9 @@ def test_bad_s_values_exit_2(tmp_path, capsys, monkeypatch, s_values):
 
 
 @pytest.mark.parametrize("experiment,name,least,greatest", [
-    ("czd_suite", "trials", 1, None),
-    ("covering_suite", "trials_1d", 1, None),
-    ("covering_suite", "trials_2d", 1, None),
+    ("czd_suite", "trials", 1, 10**5),
+    ("covering_suite", "trials_1d", 1, 10**6),
+    ("covering_suite", "trials_2d", 1, 10**5),
     ("covering_suite", "max_level_1d", 1, 14),
     ("covering_suite", "max_level_2d", 1, 14),
     ("covering_suite", "chain_level", 1, 8),
@@ -697,6 +702,25 @@ def test_vp_above_the_band_exit_2(tmp_path, capsys, monkeypatch):
     ExperimentConfig.from_dict({**raw, "corpus": {**SPIKE, "vp": 64}})
     ExperimentConfig.from_dict({**raw, "J": 1, "schedule": [1],
                                 "corpus": {**SPIKE, "vp": 1}})
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"experiment": "first_reduction", "J": 8, "corpus": {"n_random": 2**70}},
+     "corpus: n_random must be an integer in [0, 16]"),
+    ({"experiment": "czd_suite", "J": 6, "options": {"trials": 2**70}},
+     "czd_suite: trials must be an integer in [1, 100000]"),
+    ({"experiment": "covering_suite", "options": {"trials_1d": 2**70}},
+     "covering_suite: trials_1d must be an integer in [1, 1000000]"),
+    ({"experiment": "covering_suite", "options": {"trials_2d": 2**70}},
+     "covering_suite: trials_2d must be an integer in [1, 100000]"),
+], ids=["n_random", "trials", "trials_1d", "trials_2d"])
+def test_size_field_over_its_cap_exit_2(tmp_path, capsys, monkeypatch, raw, message):
+    """A size field at 2**70 used to pass validation and start a run that
+    could not finish: each has a cap under which the largest config
+    finishes in minutes, and a value over it exits 2 before any work."""
+    refuse_all_work(monkeypatch)
+    assert run_exit_code(tmp_path, {"seed": 1, **raw}) == 2
+    assert f"invalid config: {message}" in capsys.readouterr().err
 
 
 def test_p4_moment_height_past_the_cube_range_runs(tmp_path):
@@ -849,6 +873,69 @@ def test_determinism_across_parallelism(tmp_path):
             assert ((tmp_path / "a" / out).read_bytes()
                     == (tmp_path / "b" / out).read_bytes())
     assert len((tmp_path / "b" / "one.csv").read_text().splitlines()) == 1 + 6 * 3
+
+
+# the seven corpus experiments, shrunk, each with at least two functions
+CORPUS_RUNS = {name: {**SHRUNK[name], **extra} for name, extra in {
+    "averaged_moment": {}, "p4_moment": {}, "first_reduction": {},
+    "second_reduction": {},
+    "strong_means": {"corpus": {"families": ["spike", "trig"], "n_random": 1, "vp": 32}},
+    "decay_kernel": {"corpus": {"families": ["spike", "kspikes"], "n_random": 1}},
+    "rect_moment": {"corpus": {"families": ["tspike", "tkspikes"], "n_random": 1}},
+}.items()}
+
+
+def corpus_run(name: str, **overrides) -> dict:
+    raw = json.loads((ROOT / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+    return {**raw, **CORPUS_RUNS[name], **overrides}
+
+
+@pytest.mark.parametrize("name", ["first_reduction", "second_reduction",
+                                  "decay_kernel", "rect_moment"])
+def test_all_heights_at_once_equal_one_at_a_time(monkeypatch, name):
+    """A function runs at both heights from one selection (one per order
+    for second_reduction, which smooths f at each order, and one per
+    geometry for rect_moment), and its rows and values equal those of a
+    run per height, but for config_hash."""
+    calls = []
+
+    def counted(f, lams, _inner=cli.estimates.decompositions):
+        calls.append(list(lams))
+        return _inner(f, lams)
+
+    cfg = ExperimentConfig.from_dict(corpus_run(name, lams=[4.0, 16.0]))
+    fns = [fid for fid, _ in build_functions(cfg)]
+    assert len(fns) >= 2
+    with monkeypatch.context() as m:
+        m.setattr(cli.estimates, "decompositions", counted)
+        rows, values, inv = cli.execute(cfg)
+    per_function = (len(cfg.schedule) if name == "second_reduction"
+                    else 2 if name == "rect_moment" else 1)
+    assert calls == [[4.0, 16.0]] * (len(fns) * per_function)
+    parts = [cli.execute(replace(cfg, lams=[lam])) for lam in cfg.lams]
+    for part in (rows, *(part_rows for part_rows, _, _ in parts)):
+        for row in part:
+            del row["config_hash"]
+    # function by function, each function's heights in order
+    assert rows == [row for fid in fns for part_rows, _, _ in parts
+                    for row in part_rows if row["fn_id"] == fid]
+    assert (values, inv) == cli._merge(parts)[1:]
+
+
+def test_every_corpus_experiment_byte_identical_across_jobs(tmp_path):
+    """Criterion 12 for each corpus experiment: the CSV and summary at
+    --jobs 2, where strong_means fans out too, equal those at --jobs 1."""
+    for name in CORPUS_RUNS:
+        assert len(build_functions(ExperimentConfig.from_dict(corpus_run(name)))) >= 2
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(corpus_run(name)), encoding="utf-8")
+        for jobs in ("1", "2"):
+            assert cli.main(["run", str(cfg), "--out", str(tmp_path / jobs),
+                             "--baselines", str(tmp_path / "bl"), "--jobs", jobs,
+                             "--record-baseline"]) == 0, name
+        for out in (f"{name}.csv", f"{name}.summary.json"):
+            assert (tmp_path / "1" / out).read_bytes() == \
+                (tmp_path / "2" / out).read_bytes(), out
 
 
 def test_baseline_compare_flags_drift(tmp_path):

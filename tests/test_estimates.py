@@ -555,13 +555,13 @@ def test_averaged_moment_rejects_aliased_schedule():
 
 
 def test_first_reduction_constant_passes():
-    rep = verify_first_reduction(constant(1.0, 6), 2.0)
+    rep = verify_first_reduction(constant(1.0, 6), [2.0])[0]
     assert rep.avg_moment == 1.0 and rep.ratio == 0.5
     assert rep.ratio <= 1 + 1e-12
 
 
 def test_first_reduction_spike_moment_zero():
-    rep = verify_first_reduction(corpus.spike(8), 4.0)
+    rep = verify_first_reduction(corpus.spike(8), [4.0])[0]
     assert rep.avg_moment == 0.0
     assert rep.ratio <= 1 + 1e-12
 
@@ -571,32 +571,32 @@ def test_first_reduction_spike_moment_zero():
 def test_first_reduction_ratio_never_exceeds_one(seed, lam):
     rng = np.random.default_rng(seed)
     f = NOISE.sample(7, rng)[1] if seed % 2 else k_spikes(7, 5, rng)
-    rep = verify_first_reduction(f, lam)
+    rep = verify_first_reduction(f, [lam])[0]
     assert rep.ratio <= 1 + 1e-12
 
 
 def test_first_reduction_exact_against_oracle():
     f = k_spikes(5, 3, np.random.default_rng(33))
     cz = decompose(f, 4.0)
-    rep = verify_first_reduction(f, 4.0)
+    rep = verify_first_reduction(f, [4.0])[0]
     want = float(weighted_moment_oracle(f, cz, 1, 2))
     assert abs(rep.avg_moment - want) < 1e-9
 
 
 def test_second_reduction_constant():
-    rep = verify_second_reduction(constant(1.0, 6), 2.0, 8)
+    rep = verify_second_reduction(constant(1.0, 6), [2.0], 8)[0]
     assert abs(rep.avg_moment - 1.0 / 64) < 1e-15
 
 
 def test_second_reduction_rejects_wideband():
     f = NOISE.sample(8, np.random.default_rng(3))[1]
     with pytest.raises(NotBandLimitedError):
-        verify_second_reduction(f, 4.0, 4)
+        verify_second_reduction(f, [4.0], 4)
 
 
 def test_second_reduction_smoothed_spike_runs():
     f = spectral.valle_poussin(corpus.spike(8), 16)
-    rep = verify_second_reduction(f, 8.0, 16)
+    rep = verify_second_reduction(f, [8.0], 16)[0]
     assert rep.avg_moment >= 0 and np.isfinite(rep.ratio)
     assert rep.measure_E == build_exceptional_set(decompose(f, 8.0), 3).measure
 
@@ -611,13 +611,13 @@ def test_decay_slopes_match_scale_dichotomy():
     # flat at s=2, decay at s=3, with the bad interval held fixed
     f = corpus.spike(10)
     Ns = (32, 64, 128, 256)
-    (slope15, reports), (slope2, _), (slope3, _) = decay_slope(f, 8.0, (1.5, 2.0, 3.0), Ns)
+    (slope15, reports), (slope2, _), (slope3, _) = decay_slope(f, [8.0], (1.5, 2.0, 3.0), Ns)[0]
     assert 0.25 < slope15 < 0.75
     assert all(r.exceptional is reports[0].exceptional for r in reports)
     assert -0.2 < slope2 < 0.2
     assert -1.3 < slope3 < -0.7
     # one s at a time gives the same slopes
-    assert [decay_slope(f, 8.0, [s], Ns)[0][0] for s in (1.5, 2.0, 3.0)] == \
+    assert [decay_slope(f, [8.0], [s], Ns)[0][0][0] for s in (1.5, 2.0, 3.0)] == \
         [slope15, slope2, slope3]
 
 
@@ -628,15 +628,15 @@ def test_every_report_carries_its_ratio_and_set_measure():
     f = k_spikes(7, 4, rng)
     smooth = spectral.valle_poussin(corpus.spike(8), 16)
     g = k_spikes(5, 3, rng, dim=2)
-    [(_, decay)] = decay_slope(corpus.spike(8), 8.0, [1.5], (8, 16, 32))
-    cases = [(f, 4.0, 2, verify_first_reduction(f, 4.0)),
-             (smooth, 8.0, 2, verify_second_reduction(smooth, 8.0, 16))]
+    [(_, decay)] = decay_slope(corpus.spike(8), [8.0], [1.5], (8, 16, 32))[0]
+    cases = [(f, 4.0, 2, verify_first_reduction(f, [4.0])[0]),
+             (smooth, 8.0, 2, verify_second_reduction(smooth, [8.0], 16)[0])]
     cases += [(spectral.valle_poussin(corpus.spike(8), rep.N), 8.0, 2, rep)
               for rep in decay]
     cases += [(f, 4.0, p, rep) for p in (2, 4)
               for rep in averaged_moment(f, [4.0], (4, 32), p=p)[0]]
     cases += [(g, 16.0, 2, rep)
-              for rep in averaged_moment_rect(g, 16.0, (4, 8))]
+              for rep in averaged_moment_rect(g, [16.0], (4, 8))[0]]
     assert len(cases) == 11
     for fn, lam, p, rep in cases:
         assert rep.lam == lam
@@ -650,7 +650,7 @@ def test_every_report_carries_its_ratio_and_set_measure():
 
 def test_rect_tensor_path_matches_general_path():
     f = k_spikes(4, 2, np.random.default_rng(8), dim=2)
-    fast = averaged_moment_rect(f, 4.0, (2, 4, 8))
+    fast = averaged_moment_rect(f, [4.0], (2, 4, 8))[0]
     bare = GridFunction(2, 4, f.samples.copy())
     exc = build_exceptional_set(decompose(bare, 4.0), 5)
     slow = rect_moment_per_pair(bare, exc, 8)
@@ -658,12 +658,12 @@ def test_rect_tensor_path_matches_general_path():
         assert abs(rep.avg_moment - slow[rep.N - 1]) < 1e-10
         assert rep.measure_E == exc.measure
     with pytest.raises(ValueError, match="separable"):
-        averaged_moment_rect(bare, 4.0, (8,))
+        averaged_moment_rect(bare, [4.0], (8,))
 
 
 def test_rect_tensor_spike_closed_form():
     f = corpus.spike(5, dim=2)
-    reports = averaged_moment_rect(f, 16.0, (4, 8, 16))
+    reports = averaged_moment_rect(f, [16.0], (4, 8, 16))[0]
     for rep in reports:
         assert abs(rep.full_torus_avg - (rep.N + 2) ** 2) < 1e-9
         assert rep.full_torus_avg >= rep.avg_moment - 1e-12
@@ -671,7 +671,7 @@ def test_rect_tensor_spike_closed_form():
 
 def test_rect_constant_curve():
     f = tensor(constant(1.0, 4), constant(1.0, 4))
-    for rep in averaged_moment_rect(f, 2.0, (8,)):
+    for rep in averaged_moment_rect(f, [2.0], (8,))[0]:
         assert rep.measure_E == 0
         assert abs(rep.avg_moment - 1.0) < 1e-12
 
@@ -724,7 +724,7 @@ def test_rect_slab_average_factorizes():
     # average must equal the product of two 1-d off-band averages
     f = corpus.spike(6, dim=2)
     cz = decompose(f, 16.0)
-    reports = averaged_moment_rect(f, 16.0, (4, 8, 16), geometry="slab")
+    reports = averaged_moment_rect(f, [16.0], (4, 8, 16), geometry="slab")[0]
     per_axis = [np.cumsum(off_arc_moments(f.factors[axis],
                                           axis_arcs(cz, 5, axis), 16, 1))
                 for axis in range(2)]
@@ -738,8 +738,8 @@ def test_rect_cube_grows_where_slab_plateaus():
     # cross-bands of the cube complement carry partial-sum mass that
     # scales with the order; the slab complement removes them
     f = corpus.spike(6, dim=2)
-    cube = averaged_moment_rect(f, 32.0, (16, 32))
-    slab = averaged_moment_rect(f, 32.0, (16, 32), geometry="slab")
+    cube = averaged_moment_rect(f, [32.0], (16, 32))[0]
+    slab = averaged_moment_rect(f, [32.0], (16, 32), geometry="slab")[0]
     cube_change = cube[1].avg_moment / cube[0].avg_moment - 1
     slab_change = abs(slab[1].avg_moment / slab[0].avg_moment - 1)
     assert cube_change > 0.5
