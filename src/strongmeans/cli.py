@@ -43,6 +43,10 @@ BASELINE_TOLERANCE = 0.10
 DENSITY_LATTICE_BUDGET = 1 << 22
 # log2 of the samples one czd_suite trial may take (2**(d J))
 CZD_TRIAL_BITS = 16
+# entries of `lams` or `s_values`: at J = 14 a height takes about 0.64 s
+# of p4_moment per function, and an s value about 3 ms of decay_kernel
+# per function, height and order
+SWEEP_LIMIT = 16
 
 
 class ConfigError(ValueError):
@@ -57,8 +61,10 @@ def _reals(v, above=-math.inf) -> bool:
 
 
 def _repeated(values):
-    """The first entry of `values` equal to an earlier one, else None."""
-    return next((x for i, x in enumerate(values) if x in values[:i]), None)
+    """The first entry of `values` equal to an earlier one, else None, in one
+    pass: 8 and 8.0 are equal and hash alike, so they share a first index."""
+    first = {}
+    return next((x for i, x in enumerate(values) if first.setdefault(x, i) != i), None)
 
 
 @dataclass(frozen=True)
@@ -105,10 +111,13 @@ def _distinct_numbers(default: tuple) -> Option:
 
 
 def _sweep(key: str, default: list, floor: float, rule: str, what: str) -> Option:
-    """The numbers above `floor` that a run sweeps: an empty list would write a
-    header-only CSV and pass, and a repeat's rows share a summary key."""
+    """The numbers above `floor` that a run sweeps, at most SWEEP_LIMIT of them:
+    an empty list would write a header-only CSV and pass, and a repeat's rows
+    share a summary key."""
     return Option(default, lambda v: _reals(v, floor), rule, fits=(
         lambda v, c, e: None if v else f"{key} must hold at least one {what}",
+        lambda v, c, e: None if len(v) <= SWEEP_LIMIT else
+        f"{key} must hold at most {SWEEP_LIMIT} {what}s, and it holds {len(v)}",
         lambda v, c, e: None if (x := _repeated(v)) is None else
         f"{key} must not repeat a {what}: {fmt(x)} is given more than once"))
 
@@ -349,6 +358,14 @@ def _full_ge_restricted(reports) -> bool:
     return all(r.full_torus_avg >= r.avg_moment - 1e-12 for r in reports)
 
 
+def _vp_within_schedule(cfg: ExperimentConfig):
+    # with vp, f is used as-is at every order N
+    vp, first = cfg.corpus.get("vp"), cfg.run_schedule()[0]
+    if vp is not None and vp > first:
+        raise ConfigError(f"second_reduction: corpus vp {vp} exceeds the first order"
+                          f" {first} (its band 2 vp - 1 must fit 2 N - 1 at every N)")
+
+
 def _first_reduction(cfg, fn_id, f):
     return _merge(
         (_moment_rows(fn_id, [rep]), {_key(fn_id, rep.lam): rep.ratio},
@@ -502,7 +519,9 @@ def _czd_suite(cfg: ExperimentConfig):
 EXPERIMENTS = {
     "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction,
                                   reads=("J", "d", "lams", "corpus")),
-    "second_reduction": Experiment(MOMENT_COLUMNS, _second_reduction),
+    # each order smooths f at order N, which doubles the band
+    "second_reduction": Experiment(MOMENT_COLUMNS, _second_reduction, band=2,
+                                   check=_vp_within_schedule),
     "averaged_moment": Experiment(MOMENT_COLUMNS, partial(_moment_curves, p=2)),
     # the decay sweep smooths at order N, which doubles the band
     "decay_kernel": Experiment(

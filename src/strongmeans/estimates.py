@@ -33,30 +33,31 @@ too.  |S_n f|^2 = sum_m g_m e(m x) with the Hermitian autocorrelation
 
     g_m = sum_{a-b=m, |a|,|b|<=n} c_a conj(c_b),    |m| <= 2n,
 
-which needs no symmetry of c, so complex input is covered.  On the
-M-grid, e(m t/M) depends on m mod M only, so |S_n f|^2 has the grid
-coefficients G_r = sum_{m = r mod M} g_m, and discrete Parseval gives
+which needs no symmetry of c.  On the M-grid, e(m t/M) depends on
+m mod M only, so |S_n f|^2 has the grid coefficients
+G_r = sum_{m = r mod M} g_m, and discrete Parseval gives
 
     (1/M) sum_t |S_n f(t)|^4 = sum_{r mod M} |G_r|^2.
 
-Nothing folds while 4n < M (always when refine >= 2), and the sum is
-sum_m |g_m|^2.  Raising n by one adds only the pairs with a or b at
-+-n, O(n) entries of g, so the column costs O(N_max^2).  The weighted
-column has no such form (weighting |S_n f|^4 through its coefficients
-is a Toeplitz product per order, O(N_max^3)), so it streams, but only
-the stream's windows that hold a grid column with w_t > 0, weighting
-their columns by w: none when E is the whole torus, and when E is empty
-w = 1 and it is the full column.
+The moments take the 4 times finer grid, M = 2**(J+2), and n <= H =
+2**(J-1) gives 4n < M, so nothing folds and the sum is sum_m |g_m|^2.
+Raising n by one adds only the pairs with a or b at +-n, O(n) entries
+of g, so the column costs O(N_max^2).  The weighted column has no such
+form (weighting |S_n f|^4 through its coefficients is a Toeplitz
+product per order, O(N_max^3)), so it streams, but only the stream's
+windows that hold a grid column with w_t > 0, weighting their columns
+by w: none when E is the whole torus, and when E is empty w = 1 and it
+is the full column.
 
 Fourth moments, strong means and the rectangular factors need pointwise
 values and use a partial-sum stream: S_n differs from S_{n-1} by the
 real pair A_n cos n theta + B_n sin n theta = Re(C_n e(n theta)), with
-C_n = A_n - i B_n (complex pairs only for complex input), so a running
-sum over the refined grid computes the whole curve in O(N_max * M)
-work, in the input's own dtype.  The grid is cut into windows of
-`_WINDOW` = 256 consecutive columns.  In the window that starts at t0,
-e(n t) = e(n t0) e(n s) with s = t - t0 < 256, so one table
-P[n, s] = e(n s) serves every window of a chunk of 16 orders, each
+C_n = A_n - i B_n, so a running sum over the refined grid computes the
+whole curve in O(N_max * M) work.  It takes real samples only: the
+strong means of real u and v bound those of f = u + i v.  The grid is
+cut into windows of `_WINDOW` = 256 consecutive columns.  In the window
+that starts at t0, e(n t) = e(n t0) e(n s) with s = t - t0 < 256, so one
+table P[n, s] = e(n s) serves every window of a chunk of 16 orders, each
 window needs one scalar D_n = C_n e(n t0) per order, and each entry
 costs one complex product.  Order chunks form the outer loop and tiles
 of 8 windows, at most `_TILE` = (orders, columns) = (16, 2048) entries,
@@ -64,7 +65,7 @@ the inner one, with a carry per streamed column, in scratch of a few
 MB.  A value of S_n f depends only on its column and `_WINDOW`, which
 fixes where each phase splits, so neither the tile shape nor the set
 of columns streamed moves its bits.  A reader may overwrite its tile,
-and the p = 4 and strong-means readers square real tiles in place.
+and every reader squares its tiles in place.
 Each function is streamed at most once per experiment: strong means
 count the grid points over all their eps and lam thresholds inside the
 same sweep.
@@ -74,9 +75,8 @@ closed forms and the energy curves take their coefficients from
 `spectral.modes`, which raises AliasingError beyond H (as
 `spectral.valle_poussin` does for a band beyond H); it is the one
 bandwidth check here.  At n = H it reads the stored Nyquist bin as both
-+H and -H, as `spectral.partial_sum` does; indexing w^ or folding g
-mod M keeps each identity exact for every refinement, including
-refine = 0, where +H and -H fall on the same grid frequency.
++H and -H, as `spectral.partial_sum` does; on the finer grids the
+moments take, +H and -H are distinct grid frequencies.
 """
 
 from __future__ import annotations
@@ -324,58 +324,46 @@ def _partial_sum_stream(f: GridFunction, c: np.ndarray, refine: int,
     loop and tiles of whole windows the inner one; a tile is at most
     `_TILE` (orders x columns), or one window when that is wider.
 
-    Rows carry the input's dtype.  Real f takes C_n = A_n - i B_n, where
-    A_n = c_n + c_{-n} and B_n = i (c_n - c_{-n}) are real (at n = H both
-    read the Nyquist bin), and adds Re(C_n e(n t)) per order.  In the
-    window at t0, e(n t) = e(n t0) P[n, s] with P[n, s] = e(n s) for
-    s = t - t0 < W, gathered once per chunk, so with D_n = C_n e(n t0) an
-    entry is one product.  Complex f adds c_n e(n t0) P + c_{-n} e(-n t0)
-    conj(P).  rows is scratch that the next tile overwrites; the carry is
-    copied out of it before the yield, so a reader may overwrite it too.
+    f must be real, else ValueError.  Rows are real: C_n = A_n - i B_n,
+    where A_n = c_n + c_{-n} and B_n = i (c_n - c_{-n}) are real (at
+    n = H both read the Nyquist bin), and each order adds Re(C_n e(n t)).
+    In the window at t0, e(n t) = e(n t0) P[n, s] with P[n, s] = e(n s)
+    for s = t - t0 < W, gathered once per chunk, so with D_n = C_n e(n t0)
+    an entry is one product.  rows is scratch that the next tile
+    overwrites; the carry is copied out of it before the yield, so a
+    reader may overwrite it too.
     """
+    if not f.is_real():
+        raise ValueError("the partial-sum stream takes real samples")
     n_hi = c.size // 2
     ks = np.arange(1, n_hi + 1)
-    cp, cm, c0 = c[n_hi + ks], c[n_hi - ks], c[n_hi]  # modes +k and -k
-    real = f.is_real()
-    if real:  # cp holds C_k = Re(c_k + c_-k) + i Im(c_k - c_-k)
-        cp, c0 = (cp + cm).real + 1j * (cp - cm).imag, c0.real
+    cp, cm = c[n_hi + ks], c[n_hi - ks]  # modes +k and -k
+    C = (cp + cm).real + 1j * (cp - cm).imag  # C_k = Re(c_k + c_-k) + i Im(c_k - c_-k)
     M = 1 << (f.J + refine)
     W, starts = _windows(M, cols)
     per, h = max(1, _TILE[1] // W), min(_TILE[0], n_hi)  # windows, orders a tile
     table = np.exp(2j * np.pi * np.arange(M) / M)
     # flat scratch, viewed as a contiguous (orders, windows, W) tile
-    ph, buf = np.empty(h * per * W, complex), np.empty(h * per * W, c0.dtype)
-    carry = np.full(starts.size * W, c0)  # S_0 is the mean
+    ph, buf = np.empty(h * per * W, complex), np.empty(h * per * W)
+    carry = np.full(starts.size * W, c[n_hi].real)  # S_0 is the mean
     for n0 in range(1, n_hi + 1, h):
         ns = np.arange(n0, min(n0 + h, n_hi + 1))
         P = table[(ns[:, None] * np.arange(W)) & (M - 1)][:, None]  # e(n s)
         e0 = table[(ns[:, None] * starts) & (M - 1)][..., None]  # e(n t0)
-        D = cp[ns - 1, None, None] * e0
-        Dm = None if real else cm[ns - 1, None, None] * np.conj(e0)
+        D = C[ns - 1, None, None] * e0
         for g0 in range(0, starts.size, per):
             g1 = min(g0 + per, starts.size)
             span = slice(g0 * W, g1 * W)
             e = ph[: len(ns) * (g1 - g0) * W].reshape(len(ns), g1 - g0, W)
             rows = buf[: e.size].reshape(e.shape)
-            if real:  # Re(C_n e(n t)) = A_n cos + B_n sin
-                np.multiply(P, D[:, g0:g1], out=e)
-                np.copyto(rows, e.real)
-            else:
-                np.multiply(P, D[:, g0:g1], out=rows)
-                rows += np.multiply(np.conj(P), Dm[:, g0:g1], out=e)
+            np.multiply(P, D[:, g0:g1], out=e)
+            np.copyto(rows, e.real)  # Re(C_n e(n t)) = A_n cos + B_n sin
             rows = rows.reshape(len(ns), -1)
             rows[0] += carry[span]
             for j in range(1, len(ns)):  # running sum; np.cumsum on axis 0 is slow
                 rows[j] += rows[j - 1]
             carry[span] = rows[-1]
             yield ns, span, rows
-
-
-def _abs2(rows: np.ndarray) -> np.ndarray:
-    """|rows|^2; real rows are squared directly."""
-    if np.isrealobj(rows):
-        return rows * rows
-    return rows.real**2 + rows.imag**2
 
 
 def _energy_curve(c: np.ndarray) -> np.ndarray:
@@ -425,14 +413,14 @@ def _weighted_energy_curves(c: np.ndarray, excs, M: int) -> np.ndarray:
     return abs(c[N]) ** 2 * WH[K].real + np.cumsum(border, axis=0)
 
 
-def _quartic_full_curve(c: np.ndarray, M: int) -> np.ndarray:
-    """(1/M) sum_t |S_n f(t)|^4 on the M-grid for n = 1..N, in closed form;
-    c is `modes(f, N)`.
+def _quartic_full_curve(c: np.ndarray) -> np.ndarray:
+    """(1/M) sum_t |S_n f(t)|^4 on the 4 times finer M-grid for n = 1..N,
+    in closed form; c is `modes(f, N)`.
 
     g[2N + m] holds g_m = sum_{a-b=m, |a|,|b|<=n} c_a conj(c_b), the
     coefficients of |S_n f|^2; raising n adds the pairs with a or b at
     +-n.  The quadrature is sum_r |G_r|^2 with G_r = sum_{m = r mod M} g_m,
-    and nothing folds while 4n < M.
+    and nothing folds, since 4n < M: it is sum_m |g_m|^2.
     """
     N = c.size // 2
     cc = np.conj(c)
@@ -448,9 +436,6 @@ def _quartic_full_curve(c: np.ndarray, M: int) -> np.ndarray:
         g[2 * N - 2 * n + 1:2 * N] += u * np.conj(cp)    # b = +n: m = a - n
         g[2 * N + 1:2 * N + 2 * n] += u * np.conj(cm)    # b = -n: m = a + n
         gn = g[2 * N - 2 * n:2 * N + 2 * n + 1]
-        if 4 * n >= M:
-            r = np.arange(-2 * n, 2 * n + 1) % M
-            gn = (np.bincount(r, gn.real, M) + 1j * np.bincount(r, gn.imag, M))
         out[n - 1] = np.vdot(gn, gn).real
     return out
 
@@ -461,22 +446,21 @@ def _norm_factor(N: int, p: int) -> float:
 
 
 def averaged_moment(f: GridFunction, lams, schedule: tuple, p: int = 2,
-                    refine: int = 2, fn_id: str = "",
-                    exc: ExceptionalSet | None = None) -> list[list[MomentReport]]:
+                    fn_id: str = "") -> list[list[MomentReport]]:
     """Curves of (1/norm(N)) sum_{n<=N} integral of |S_n f|^p off E, one
     per height of `lams`, in order; each holds one report per order N
-    of the schedule, and the sums run to its last order.
+    of the schedule, and the sums run to its last order, on the 4 times
+    finer grid.
 
     E is the 5-dilated bad set of the decomposition at the curve's
-    height unless `exc` is given, which then serves every height, and
-    every report in a curve shares it.  One selection serves all the
-    heights (`czd.decompositions`), and the full-torus column is
+    height, and every report in a curve shares it.  One selection serves
+    all the heights (`czd.decompositions`), and the full-torus column is
     computed once for all of them.  p = 2 takes the closed form of the
     module docstring for every height at once; p = 4 takes the closed
     form for the full-torus column and streams the partial sums once
     per height, on the windows that hold a column off its E, for the
-    weighted one.  `fn_id` only labels the call: the benchmark's tracer
-    counts sweeps per function by it.
+    weighted one, which needs real f.  `fn_id` only labels the call: the
+    benchmark's tracer counts sweeps per function by it.
     """
     if f.dim != 1:
         raise ValueError("averaged_moment is the 1-d sweep")
@@ -484,16 +468,13 @@ def averaged_moment(f: GridFunction, lams, schedule: tuple, p: int = 2,
         raise ValueError("p must be 2 or 4")
     N_max = max(schedule)
     c = modes(f, N_max)
-    if exc is None:
-        excs = [build_exceptional_set(cz) for cz in decompositions(f, lams)]
-    else:
-        excs = [exc] * len(lams)
-    M = 1 << (f.J + refine)
+    excs = [build_exceptional_set(cz) for cz in decompositions(f, lams)]
+    M = 1 << (f.J + 2)
     if p == 2:
         weighted = _weighted_energy_curves(c, excs, M)
         full = _energy_curve(c)
     else:
-        full = _quartic_full_curve(c, M)
+        full = _quartic_full_curve(c)
         weighted = np.zeros((N_max, len(excs)))  # w == 0 when E is the torus
         for i, e in enumerate(excs):
             if e.measure == 0:  # w == 1
@@ -504,11 +485,10 @@ def averaged_moment(f: GridFunction, lams, schedule: tuple, p: int = 2,
                 W, starts = _windows(M, cols)
                 wt = w.reshape(-1, W)[starts // W].ravel()  # 0 on E
                 wt /= M
-                for ns, span, rows in _partial_sum_stream(f, c, refine, cols):
-                    # real tiles are squared in place; the stream has copied its carry
-                    a = np.square(rows, out=rows) if np.isrealobj(rows) else _abs2(rows)
-                    np.square(a, out=a)
-                    weighted[ns - 1, i] += a @ wt[span]
+                for ns, span, rows in _partial_sum_stream(f, c, 2, cols):
+                    # squared in place twice; the stream has copied its carry
+                    np.square(np.square(rows, out=rows), out=rows)
+                    weighted[ns - 1, i] += rows @ wt[span]
     cw, cf = np.cumsum(weighted, axis=0), np.cumsum(full)
     at = np.array(schedule) - 1
     norm = np.array([_norm_factor(N, p) for N in schedule])
@@ -600,7 +580,7 @@ def _abs2_rows(g: GridFunction, c: np.ndarray, refine: int) -> np.ndarray:
     M = 1 << (g.J + refine)
     rows = np.empty((c.size // 2, M))
     for ns, span, block in _partial_sum_stream(g, c, refine):
-        rows[ns - 1, span] = _abs2(block)
+        rows[ns - 1, span] = np.square(block, out=block)
     return rows
 
 
@@ -611,8 +591,8 @@ def averaged_moment_rect(f: GridFunction, lams, schedule: tuple,
     curve per height of `lams`, each with one report per order N of the
     schedule; the sums run to its last order.
 
-    f must be separable (f.factors set, as for every 2-d corpus family
-    and its delayed means).  Then S_{n1,n2} f = S_{n1} a (x) S_{n2} b, so
+    f must be real and separable (f.factors set, as for every 2-d corpus
+    family and its delayed means).  Then S_{n1,n2} f = S_{n1} a (x) S_{n2} b, so
     with W the complement weights on the twice finer M x M grid, the
     integral off E of |S_{n1,n2} f|^2 is |S_{n1} a|^2 W |S_{n2} b|^2 / M^2,
     and one stream per factor gives every (n1, n2) pair at every height.
@@ -654,7 +634,7 @@ def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
                          fn_id: str = "") -> StrongMeansReport:
     """Super-level measures of the averaged r-th deviation, one curve per
     eps in eps_values, plus the weak-type ratio of the quadratic means
-    functional, all from a single partial-sum stream.
+    functional, all from a single partial-sum stream of the real f.
 
     The reference value at each point is the saturated partial sum, so
     deviations vanish identically once n reaches the stored bandwidth.
@@ -672,9 +652,7 @@ def strong_means_measure(f: GridFunction, eps_values: tuple, schedule: tuple,
     schedule = tuple(sorted(schedule))
     c = modes(f, schedule[-1])
     M = 1 << (f.J + 2)
-    ref = saturated_sum(f, 2).samples
-    if f.is_real():
-        ref = ref.real
+    ref = saturated_sum(f, 2).samples.real
     R = np.zeros(M)
     P = np.zeros(M)
     # grid points over each eps and each lam, at each N of the schedule
@@ -705,14 +683,11 @@ def _accumulate(R: np.ndarray, P: np.ndarray, seg: np.ndarray,
                 ref: np.ndarray, half: int):
     """Add the deviations |S_n - ref|^r and energies |S_n|^2 of seg's rows.
 
-    Real rows are squared in place, so seg is overwritten.
+    The rows are squared in place, so seg is overwritten.
     """
     dev = seg - ref
-    if np.isrealobj(seg):
-        np.square(dev, out=dev)
-        np.square(seg, out=seg)
-    else:
-        dev, seg = _abs2(dev), _abs2(seg)
+    np.square(dev, out=dev)
+    np.square(seg, out=seg)
     if half == 2:
         np.square(dev, out=dev)
     R += dev.sum(axis=0)

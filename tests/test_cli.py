@@ -704,6 +704,57 @@ def test_vp_above_the_band_exit_2(tmp_path, capsys, monkeypatch):
                                 "corpus": {**SPIKE, "vp": 1}})
 
 
+def test_second_reduction_schedule_past_its_band_exit_2(tmp_path, capsys, monkeypatch):
+    """second_reduction smooths f at every order N, and the band 2 N - 1
+    must fit the stored 2**(J-1): at J = 8 the order 128 used to pass
+    validation and fail after the corpus was built ("band 255 exceeds
+    stored bandwidth 128").  The orders stay within 2**(J-2)."""
+    raw = {"experiment": "second_reduction", "seed": 1, "J": 8, "lams": [4.0],
+           "schedule": [8, 128], "corpus": SPIKE}
+    with monkeypatch.context() as m:
+        refuse_all_work(m)
+        assert run_exit_code(tmp_path, raw) == 2
+    assert capsys.readouterr().err == ("invalid config: second_reduction: schedule"
+                                       " exceeds the usable bandwidth 2**6\n")
+    assert run_exit_code(tmp_path, {**raw, "schedule": [8, 64]}) == 0
+
+
+def test_second_reduction_vp_past_the_first_order_exit_2(tmp_path, capsys,
+                                                         monkeypatch):
+    """With corpus.vp, second_reduction uses f as-is at every order N, so
+    the delayed mean's band 2 vp - 1 must fit 2 N - 1 at the first order:
+    at J = 8, vp = 32 with orders 8 and 16 used to fail after the corpus
+    was built ("energy 5.434e+01 beyond frequency 15")."""
+    raw = {"experiment": "second_reduction", "seed": 1, "J": 8, "lams": [4.0],
+           "schedule": [8, 16], "corpus": {**SPIKE, "vp": 32}}
+    with monkeypatch.context() as m:
+        refuse_all_work(m)
+        assert run_exit_code(tmp_path, raw) == 2
+    assert capsys.readouterr().err == (
+        "invalid config: second_reduction: corpus vp 32 exceeds the first order 8"
+        " (its band 2 vp - 1 must fit 2 N - 1 at every N)\n")
+    assert run_exit_code(tmp_path, {**raw, "corpus": {**SPIKE, "vp": 8}}) == 0
+
+
+@pytest.mark.parametrize("key,raw,message", [
+    ("lams", {"experiment": "first_reduction", "J": 8,
+              "lams": [float(k) for k in range(1, 18)], "corpus": SPIKE},
+     "lams must hold at most 16 heights, and it holds 17"),
+    ("s_values", {"experiment": "decay_kernel", "J": 8, "lams": [8.0],
+                  "schedule": [16, 32], "s_values": [1 + k / 8 for k in range(1, 18)],
+                  "corpus": SPIKE},
+     "s_values must hold at most 16 values, and it holds 17"),
+], ids=["lams", "s_values"])
+def test_sweep_over_its_cap_exit_2(tmp_path, capsys, monkeypatch, key, raw, message):
+    """A list of heights or s values had no length cap, and its repeat
+    check was quadratic: 20 000 distinct heights took 3.4 s to validate,
+    and each height then ran.  Each list holds at most 16 entries."""
+    refuse_all_work(monkeypatch)
+    assert run_exit_code(tmp_path, {"seed": 1, **raw}) == 2
+    assert capsys.readouterr().err == f"invalid config: {message}\n"
+    ExperimentConfig.from_dict({"seed": 1, **raw, key: raw[key][:16]})
+
+
 @pytest.mark.parametrize("raw,message", [
     ({"experiment": "first_reduction", "J": 8, "corpus": {"n_random": 2**70}},
      "corpus: n_random must be an integer in [0, 16]"),

@@ -21,7 +21,6 @@ from strongmeans.cli import fmt
 from strongmeans.czd import decompose
 from strongmeans.estimates import (
     DEFAULT_LAM_GRID,
-    ExceptionalSet,
     NotBandLimitedError,
     ScheduleInfeasibleError,
     averaged_moment,
@@ -77,16 +76,16 @@ def weighted_moment_oracle(g: GridFunction, cz, c: int, p: int) -> Fraction:
     return total
 
 
-def brute_curve(f, lam, N_max, c, p, refine, exc=None):
-    """Per-order partial sums, no streaming: the engine's ground truth."""
-    if exc is None:
-        exc = build_exceptional_set(decompose(f, lam), c)
-    M = 1 << (f.J + refine)
+def brute_curve(f, lam, N_max, c, p):
+    """Per-order partial sums on the 4 times finer grid, no streaming: the
+    engine's ground truth."""
+    exc = build_exceptional_set(decompose(f, lam), c)
+    M = 1 << (f.J + 2)
     w = exc.complement_weights(M)
     per = []
     full = []
     for n in range(1, N_max + 1):
-        Sn = spectral.partial_sum(f, n, refine).samples
+        Sn = spectral.partial_sum(f, n, 2).samples
         a = np.abs(Sn) ** p
         per.append(float(a @ w / M))
         full.append(float(a.mean()))
@@ -191,39 +190,30 @@ def test_complement_weights_exact_on_both_grid_directions():
 # averaged moments, 1-d
 
 
-def whole_or_empty_set(J: int, whole: bool) -> ExceptionalSet:
-    """E equal to the whole torus, or empty, on the bitmap of a 2**J grid."""
-    return ExceptionalSet(1, 5, np.full(1 << J, whole), Fraction(int(whole)))
-
-
 def test_engine_matches_brute_curve():
     rng = np.random.default_rng(21)
     trig = corpus.FAMILIES[1]["trig"].sample(6, rng)[1]
     spikes = k_spikes(5, 3, rng)
     assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
-    cplx = GridFunction(1, 5, spikes.samples + 1j * NOISE.sample(5, rng)[1].samples)
-    # (f, lam, N_max, refine, exc); N_max = 16 is the Nyquist order at J = 5
-    cases = [(trig, 4.0, 16, 2, None)]
-    cases += [(spikes, 8.0, 16, refine, None) for refine in (0, 1, 2)]
-    cases += [(cplx, 4.0, 16, 1, None),
-              (NOISE.sample(6, rng)[1], 4.0, 32, 2, whole_or_empty_set(6, True)),
-              (spikes, 8.0, 16, 1, whole_or_empty_set(5, False))]
-    for f, lam, N_max, refine, exc in cases:
+    # (f, lam, N_max, measure_E); N_max = 16 is the Nyquist order at J = 5.
+    # Height 1.25 selects a cell of the noise function large enough that
+    # its 5-dilate is the whole torus; 16 is above every spike sample
+    cases = [(trig, 4.0, 16, None), (spikes, 8.0, 16, None),
+             (NOISE.sample(6, rng)[1], 1.25, 32, 1), (spikes, 16.0, 16, 0)]
+    for f, lam, N_max, measure in cases:
         sched = tuple(1 << k for k in range(1, N_max.bit_length()))
-        [reports] = averaged_moment(f, [lam], sched, refine=refine,
-                                    exc=exc)
-        cw, cf = brute_curve(f, lam, N_max, 5, 2, refine, exc=exc)
+        [reports] = averaged_moment(f, [lam], sched)
+        if measure is not None:
+            assert all(r.measure_E == measure for r in reports)
+        cw, cf = brute_curve(f, lam, N_max, 5, 2)
         for rep in reports:
             want = cw[rep.N - 1] / rep.N
             assert abs(rep.avg_moment - want) <= 1e-12 * max(want, 1.0)
-            # at refine = 0 the grid mean aliases the modes +-H onto one
-            # frequency; full_avg is the exact energy average there
-            if refine or rep.N < f.n // 2:
-                assert abs(rep.full_torus_avg - cf[rep.N - 1] / rep.N) < 1e-10
-        if exc is not None and exc.measure == 1:
+            assert abs(rep.full_torus_avg - cf[rep.N - 1] / rep.N) < 1e-10
+        if measure == 1:
             assert all(r.avg_moment == 0.0 and fmt(r.avg_moment) == "0"
                        and fmt(r.ratio) == "0" for r in reports)
-        if exc is not None and exc.measure == 0:
+        if measure == 0:
             for rep in reports:
                 plan = plancherel_average(f, rep.N)
                 assert abs(rep.avg_moment - plan) <= 1e-12 * plan
@@ -241,32 +231,29 @@ def test_p2_curve_needs_no_partial_sums(monkeypatch):
 
 
 def test_stacked_heights_match_one_height_calls():
-    """Six heights in one call against one call per height, for real and
-    complex input; the stack holds a height whose E is the whole torus
-    and one whose E is empty.  p = 2 stacks the heights' w^ and one
-    product per order serves them all, which may move a curve's last
-    bits: each curve matches to 1e-12 of its largest value, and the
-    shared full-torus column bit for bit.  p = 4 streams each height on
-    its own, so its reports are equal bit for bit."""
-    rng = np.random.default_rng(29)
-    f = k_spikes(7, 3, rng)
-    cplx = GridFunction(1, 7, f.samples + 1j * NOISE.sample(7, rng)[1].samples)
+    """Six heights in one call against one call per height; the stack
+    holds a height whose E is the whole torus and one whose E is empty.
+    p = 2 stacks the heights' w^ and one product per order serves them
+    all, which may move a curve's last bits: each curve matches to 1e-12
+    of its largest value, and the shared full-torus column bit for bit.
+    p = 4 streams each height on its own, so its reports are equal bit
+    for bit."""
+    g = k_spikes(7, 3, np.random.default_rng(29))
     lams = [64.0, 2.0, 4.0, 8.0, 16.0, 32.0]
-    for g in (f, cplx):
-        curves = averaged_moment(g, lams, tuple(range(1, 65)), refine=1)
-        assert [c[0].lam for c in curves] == lams
-        assert {c[0].measure_E for c in curves} >= {0, 1}
-        for lam, curve in zip(lams, curves):
-            [one] = averaged_moment(g, [lam], tuple(range(1, 65)), refine=1)
-            scale = max(r.avg_moment for r in one)
-            for a, b in zip(curve, one, strict=True):
-                assert (a.lam, a.N, a.measure_E, a.full_torus_avg) == \
-                    (b.lam, b.N, b.measure_E, b.full_torus_avg)
-                assert abs(a.avg_moment - b.avg_moment) <= 1e-12 * scale
-                assert abs(a.ratio - b.ratio) <= 1e-12 * scale / (lam * g.l1() ** 2)
-        sched = (2, 8, 16, 64)
-        curves = averaged_moment(g, lams, sched, p=4)
-        assert curves == [averaged_moment(g, [lam], sched, p=4)[0] for lam in lams]
+    curves = averaged_moment(g, lams, tuple(range(1, 65)))
+    assert [c[0].lam for c in curves] == lams
+    assert {c[0].measure_E for c in curves} >= {0, 1}
+    for lam, curve in zip(lams, curves):
+        [one] = averaged_moment(g, [lam], tuple(range(1, 65)))
+        scale = max(r.avg_moment for r in one)
+        for a, b in zip(curve, one, strict=True):
+            assert (a.lam, a.N, a.measure_E, a.full_torus_avg) == \
+                (b.lam, b.N, b.measure_E, b.full_torus_avg)
+            assert abs(a.avg_moment - b.avg_moment) <= 1e-12 * scale
+            assert abs(a.ratio - b.ratio) <= 1e-12 * scale / (lam * g.l1() ** 2)
+    sched = (2, 8, 16, 64)
+    curves = averaged_moment(g, lams, sched, p=4)
+    assert curves == [averaged_moment(g, [lam], sched, p=4)[0] for lam in lams]
 
 
 def test_engine_matches_brute_curve_p4():
@@ -274,11 +261,10 @@ def test_engine_matches_brute_curve_p4():
     f = k_spikes(6, 3, rng)
     spikes = k_spikes(5, 3, rng)
     assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
-    cplx = GridFunction(1, 5, spikes.samples + 1j * NOISE.sample(5, rng)[1].samples)
-    # (f, refine); N_max = 16 is the Nyquist order at J = 5
-    for g, refine in [(f, 2), (cplx, 1), (spikes, 0)]:
-        [reports] = averaged_moment(g, [8.0], (4, 16), p=4, refine=refine)
-        cw, cf = brute_curve(g, 8.0, 16, 5, 4, refine=refine)
+    # N_max = 16 is the Nyquist order at J = 5
+    for g in (f, spikes):
+        [reports] = averaged_moment(g, [8.0], (4, 16), p=4)
+        cw, cf = brute_curve(g, 8.0, 16, 5, 4)
         for rep in reports:
             norm = rep.N * np.log(rep.N) ** 2
             want = cw[rep.N - 1] / norm
@@ -292,12 +278,15 @@ def refuse_stream(*args, **kwargs):
 
 
 def test_p4_curve_on_empty_set_needs_no_partial_sums(monkeypatch):
-    # w == 1, so the weighted column is the closed-form full column
+    # w == 1, so the weighted column is the closed-form full column; the
+    # height is above every sample, so E is empty
     f = k_spikes(6, 3, np.random.default_rng(26))
-    cw, cf = brute_curve(f, 8.0, 32, 5, 4, 2, exc=whole_or_empty_set(6, False))
+    assert build_exceptional_set(decompose(f, 64.0)).measure == 0
+    cw, cf = brute_curve(f, 64.0, 32, 5, 4)
     monkeypatch.setattr(estimates, "_partial_sum_stream", refuse_stream)
-    [reports] = averaged_moment(f, [8.0], (4, 32), p=4, exc=whole_or_empty_set(6, False))
+    [reports] = averaged_moment(f, [64.0], (4, 32), p=4)
     for rep in reports:
+        assert rep.measure_E == 0
         norm = rep.N * np.log(rep.N) ** 2
         assert rep.avg_moment == rep.full_torus_avg
         assert abs(rep.avg_moment - cw[rep.N - 1] / norm) <= 1e-12 * rep.avg_moment
@@ -305,10 +294,13 @@ def test_p4_curve_on_empty_set_needs_no_partial_sums(monkeypatch):
 
 
 def test_p4_curve_on_whole_set_is_zero(monkeypatch):
+    # at height 1.25 a bad cell's 5-dilate covers the torus
     f = NOISE.sample(6, np.random.default_rng(27))[1]
+    assert build_exceptional_set(decompose(f, 1.25)).measure == 1
     monkeypatch.setattr(estimates, "_partial_sum_stream", refuse_stream)
-    [reports] = averaged_moment(f, [4.0], (4, 32), p=4, exc=whole_or_empty_set(6, True))
+    [reports] = averaged_moment(f, [1.25], (4, 32), p=4)
     for rep in reports:
+        assert rep.measure_E == 1
         assert rep.avg_moment == 0.0 and rep.ratio == 0.0
         assert rep.full_torus_avg > 0
 
@@ -330,7 +322,7 @@ def assembled_stream(f, n_hi, refine, cols=None):
     exactly once."""
     M = 1 << (f.J + refine)
     t = window_columns(M, cols)
-    out = np.empty((n_hi, t.size), dtype=float if f.is_real() else complex)
+    out = np.empty((n_hi, t.size))
     seen = np.zeros(out.shape, dtype=int)
     h, width = estimates._TILE
     for ns, span, rows in estimates._partial_sum_stream(f, modes(f, n_hi), refine,
@@ -347,15 +339,12 @@ def assembled_stream(f, n_hi, refine, cols=None):
 def test_p4_weighted_column_streams_only_visible_columns(monkeypatch):
     # at 16 columns a window the streamed columns are a strict subset of
     # the grid; at 256 every grid here is one window
-    rng = np.random.default_rng(28)
-    spikes = k_spikes(6, 3, rng)
-    cplx = GridFunction(1, 6, spikes.samples + 1j * NOISE.sample(6, rng)[1].samples)
-    for window, f, refine in [(w, *case) for w in (16, 256)
-                              for case in [(spikes, 2), (cplx, 1)]]:
+    f = k_spikes(6, 3, np.random.default_rng(28))
+    for window in (16, 256):
         monkeypatch.setattr(estimates, "_WINDOW", window)
         exc = build_exceptional_set(decompose(f, 8.0), 5)
         assert 0 < exc.measure < 1
-        M = 1 << (f.J + refine)
+        M = 1 << (f.J + 2)
         w = exc.complement_weights(M)
         cols = np.flatnonzero(w)
         assert 0 < cols.size < M
@@ -363,12 +352,12 @@ def test_p4_weighted_column_streams_only_visible_columns(monkeypatch):
         assert np.isin(cols, t).all() and (t.size < M) == (window < M)
         # the restricted stream is the full stream read at its columns,
         # bit for bit: both walk the same windows
-        full = assembled_stream(f, 32, refine)
-        part = assembled_stream(f, 32, refine, cols=cols)
+        full = assembled_stream(f, 32, 2)
+        part = assembled_stream(f, 32, 2, cols=cols)
         assert np.array_equal(part, full[:, t])
         per = np.abs(full) ** 4 @ w / M
         # ... and the curve's weighted column matches the full-grid sum
-        [reports] = averaged_moment(f, [8.0], (4, 8, 32), p=4, refine=refine, exc=exc)
+        [reports] = averaged_moment(f, [8.0], (4, 8, 32), p=4)
         cw = np.cumsum(per)
         for rep in reports:
             want = cw[rep.N - 1] / (rep.N * np.log(rep.N) ** 2)
@@ -384,19 +373,16 @@ def test_stream_tiles_match_partial_sums_at_ragged_edges(monkeypatch):
     rng = np.random.default_rng(29)
     spikes = k_spikes(5, 3, rng)
     assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
-    cplx = GridFunction(1, 5, spikes.samples + 1j * NOISE.sample(5, rng)[1].samples)
     # n_hi = 16 is the Nyquist order at J = 5
-    for window, f, refine in [(w, *case) for w in (256, 8, 4)
-                              for case in [(spikes, 2), (cplx, 1), (spikes, 0)]]:
+    for window, f, refine in [(w, spikes, refine) for w in (256, 8, 4)
+                              for refine in (2, 1, 0)]:
         monkeypatch.setattr(estimates, "_WINDOW", window)
         M = 1 << (f.J + refine)
         for cols in (None, np.arange(0, M, 12)):
             got = assembled_stream(f, 16, refine, cols=cols)
             t = window_columns(M, cols)
             for n in range(1, 17):
-                want = spectral.partial_sum(f, n, refine).samples[t]
-                if f.is_real():
-                    want = want.real
+                want = spectral.partial_sum(f, n, refine).samples[t].real
                 assert np.allclose(got[n - 1], want, rtol=0, atol=1e-12)
 
 
@@ -416,35 +402,30 @@ def test_stream_values_do_not_depend_on_the_column_width(monkeypatch):
     # a value of S_n f depends only on its column and `_WINDOW`: not on
     # the tile's orders or width, nor on which columns are streamed
     rng = np.random.default_rng(32)
-    real = NOISE.sample(10, rng)[1]
-    cplx = GridFunction(1, 10, real.samples + 1j * NOISE.sample(10, rng)[1].samples)
+    f = NOISE.sample(10, rng)[1]
     dense = np.flatnonzero(rng.random(1 << 13) < 0.6)
     sparse = np.flatnonzero(rng.random(1 << 13) < 0.001)
     assert window_columns(1 << 13, sparse).size < 1 << 13
-    for f in (real, cplx):
-        full = assembled_stream(f, 40, 3)
-        for tile in ((3, 10), (16, 2048), (16, 8192)):
-            monkeypatch.setattr(estimates, "_TILE", tile)
-            for subset in (None, dense, sparse):
-                got = assembled_stream(f, 40, 3, cols=subset)
-                assert np.array_equal(got, full[:, window_columns(1 << 13, subset)])
+    full = assembled_stream(f, 40, 3)
+    for tile in ((3, 10), (16, 2048), (16, 8192)):
+        monkeypatch.setattr(estimates, "_TILE", tile)
+        for subset in (None, dense, sparse):
+            got = assembled_stream(f, 40, 3, cols=subset)
+            assert np.array_equal(got, full[:, window_columns(1 << 13, subset)])
 
 
 def test_reader_may_overwrite_its_tile():
     # the stream copies its carry before it yields, so a reader that
     # spoils every tile it is given still receives the same next tiles
-    rng = np.random.default_rng(33)
-    spikes = k_spikes(9, 4, rng)
-    cplx = GridFunction(1, 9, spikes.samples + 1j * NOISE.sample(9, rng)[1].samples)
-    for f in (spikes, cplx):
-        c = modes(f, 100)
-        want = [rows.copy() for _, _, rows in estimates._partial_sum_stream(f, c, 2)]
-        got = []
-        for _, _, rows in estimates._partial_sum_stream(f, c, 2):
-            got.append(rows.copy())
-            rows.fill(np.nan)
-        assert len(got) == len(want) > 1
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    f = k_spikes(9, 4, np.random.default_rng(33))
+    c = modes(f, 100)
+    want = [rows.copy() for _, _, rows in estimates._partial_sum_stream(f, c, 2)]
+    got = []
+    for _, _, rows in estimates._partial_sum_stream(f, c, 2):
+        got.append(rows.copy())
+        rows.fill(np.nan)
+    assert len(got) == len(want) > 1
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_stream_scratch_is_tile_sized():
@@ -474,6 +455,23 @@ def test_p4_moment_peak_stays_within_the_stream_scratch():
     finally:
         tracemalloc.stop()
     assert peak <= 4.5e6
+
+
+def test_stream_refuses_complex_samples():
+    """Each entry point that streams partial sums refuses complex f with
+    ValueError: p = 4 with 0 < |E| < 1, the rectangular factors and the
+    strong means.  p = 2 takes its closed form and still reads c."""
+    rng = np.random.default_rng(34)
+    spikes = k_spikes(6, 3, rng)
+    cplx = GridFunction(1, 6, spikes.samples + 1j * NOISE.sample(6, rng)[1].samples)
+    assert 0 < build_exceptional_set(decompose(cplx, 8.0)).measure < 1
+    with pytest.raises(ValueError, match="real samples"):
+        averaged_moment(cplx, [8.0], (4, 32), p=4)
+    with pytest.raises(ValueError, match="real samples"):
+        averaged_moment_rect(tensor(cplx, spikes), [8.0], (4, 8))
+    with pytest.raises(ValueError, match="real samples"):
+        strong_means_measure(cplx, [0.5], (4, 32))
+    averaged_moment(cplx, [8.0], (4, 32))
 
 
 def test_stream_runs_once_per_function(monkeypatch):
@@ -513,7 +511,7 @@ def test_p4_curve_transforms_once(monkeypatch):
     exc = build_exceptional_set(decompose(f, 8.0), 5)
     assert 0 < exc.measure < 1  # so both columns are computed
     monkeypatch.setattr(spectral, "forward", counted)
-    averaged_moment(f, [8.0], (4, 8, 16, 32), p=4, exc=exc)
+    averaged_moment(f, [8.0], (4, 8, 16, 32), p=4)
     assert calls == [f]
 
 

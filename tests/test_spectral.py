@@ -177,6 +177,10 @@ def test_every_reader_takes_the_nyquist_bin_twice(real):
         assert rep.full_torus_avg == pytest.approx(plancherel_average(f, rep.N),
                                                    rel=1e-12)
     fg = tensor(f, random_function(32, J=J, real=real))
+    if not real:  # the rectangular factors stream, which takes real samples
+        with pytest.raises(ValueError, match="real samples"):
+            estimates.averaged_moment_rect(fg, [8.0], orders)
+        return
     for rep in estimates.averaged_moment_rect(fg, [8.0], orders)[0]:
         N = rep.N
         want = np.mean([partial_sum_rect(fg, n1, n2).l2sq()
