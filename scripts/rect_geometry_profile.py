@@ -32,8 +32,8 @@ SCHEDULE = (4, 8, 16, 32, 64)
 def main():
     f = corpus.spike(J, dim=2)
     curves = {}
-    for geometry in ("cube", "slab"):
-        [reports] = averaged_moment_rect(f, [LAM], SCHEDULE, geometry=geometry)
+    [pair] = averaged_moment_rect(f, [LAM], SCHEDULE)
+    for geometry, reports in zip(("cube", "slab"), pair):
         curves[geometry] = [r.avg_moment for r in reports]
         measure = reports[0].measure_E
         print(f"{geometry:>5}: measure(E) = {measure} = {float(measure):.4f}")

@@ -41,11 +41,14 @@ BASELINE_TOLERANCE = 0.10
 # lattice entries (N_max**d) one density run may walk; the walk holds
 # only a few blocks at once, so this bounds work, not memory
 DENSITY_LATTICE_BUDGET = 1 << 22
+# samples a 2-d corpus run may hold at once: its 1 + 2 n_random functions,
+# n**2 = 4**J each, or rect_moment's M x M complement weights, M = 2n
+CORPUS_2D_BUDGET = 1 << 19
 # log2 of the samples one czd_suite trial may take (2**(d J))
 CZD_TRIAL_BITS = 16
-# entries of `lams` or `s_values`: at J = 14 a height takes about 0.64 s
-# of p4_moment per function, and an s value about 3 ms of decay_kernel
-# per function, height and order
+# entries of a swept list: at J = 14 a height takes about 0.64 s of p4_moment
+# per function, an s value 3 ms of decay_kernel per function, height and
+# order, and an order 6 ms of second_reduction per function and height
 SWEEP_LIMIT = 16
 
 
@@ -93,27 +96,21 @@ def _problem(table: dict, given: dict, cfg, exp, prefix="", noun="fields"):
         for fit in table[key].fits:
             problem = fit(value, cfg, exp)
             if problem:
-                return problem
+                return prefix + problem
     return None
 
 
-def _integer(default: int, least: int, greatest: int | None = None) -> Option:
+def _integer(default: int, least: int, greatest: int | None = None, fits=()) -> Option:
     rule = (f"must be an integer >= {least}" if greatest is None
             else f"must be an integer in [{least}, {greatest}]")
     return Option(default, lambda v: type(v) is int and v >= least
-                  and (greatest is None or v <= greatest), rule)
+                  and (greatest is None or v <= greatest), rule, fits)
 
 
-def _distinct_numbers(default: tuple) -> Option:
-    # a repeated entry would repeat rows, or share their summary key
-    return Option(default, lambda v: _reals(v, 0) and 0 < len(v) == len(set(v)),
-                  "must be a non-empty list of distinct positive numbers")
-
-
-def _sweep(key: str, default: list, floor: float, rule: str, what: str) -> Option:
+def _sweep(key: str, default, floor: float, rule: str, what: str) -> Option:
     """The numbers above `floor` that a run sweeps, at most SWEEP_LIMIT of them:
     an empty list would write a header-only CSV and pass, and a repeat's rows
-    share a summary key."""
+    share a summary key (or, for an eps factor, repeat rows)."""
     return Option(default, lambda v: _reals(v, floor), rule, fits=(
         lambda v, c, e: None if v else f"{key} must hold at least one {what}",
         lambda v, c, e: None if len(v) <= SWEEP_LIMIT else
@@ -136,7 +133,7 @@ def _corpus_fields(d: int) -> dict:
         "vp": Option(None, lambda v: v is None or type(v) is int and v >= 1,
                      "must be a positive integer", fits=(
             lambda v, c, e: None if v is None or 2 * v - 1 <= 1 << (c.J - 1) else
-            f"corpus: vp must be a positive integer <= {(2 ** (c.J - 1) + 1) // 2} at J ="
+            f"vp must be a positive integer <= {(2 ** (c.J - 1) + 1) // 2} at J ="
             f" {c.J} (its band 2 vp - 1 must fit the stored bandwidth 2**{c.J - 1})",)),
     }
 
@@ -149,11 +146,14 @@ CORPUS = {d: _corpus_fields(d) for d in corpus.FAMILIES}
 FIELDS = {
     "seed": Option(None, lambda v: type(v) is int, "must be an integer"),
     "J": _integer(12, 1, DEFAULT_J_MAX),
-    "d": _integer(1, 1, 2),
+    "d": _integer(1, 1, 2, fits=(lambda v, c, e: None if v in e.dims else
+                                 f"{c.experiment}: runs in d = {e.dims[0]} only",)),
     "lams": _sweep("lams", [8.0], 0, "must be a list of positive real numbers", "height"),
     # the orders fit the experiment's band; the default ones need J >= 7
     "schedule": Option(None, lambda v: v is None or isinstance(v, list) and all(
         type(N) is int for N in v), "entries must be integers", fits=(
+        lambda v, c, e: None if not v or len(v) <= SWEEP_LIMIT else
+        f"schedule must hold at most {SWEEP_LIMIT} orders, and it holds {len(v)}",
         lambda v, c, e: None if not v or v == sorted(set(v))
         else "schedule must be strictly increasing",
         lambda v, c, e: None if not v or v[0] >= 1
@@ -177,7 +177,11 @@ FIELDS = {
         or v.get("n_random", CORPUS[c.d]["n_random"].default)
         or (unit := next(iter(corpus.FAMILIES[c.d]))) in v["families"] else
         f"corpus: the selection is empty: families {v['families']} leave out"
-        f" {unit}, the one family with a function when n_random is 0")),
+        f" {unit}, the one family with a function when n_random is 0",
+        lambda v, c, e: None if c.d == 1 or (size := 1 + 2 * v.get(
+            "n_random", CORPUS[2]["n_random"].default) << 2 * c.J) <= CORPUS_2D_BUDGET
+        else f"corpus: a 2-d run at J = {c.J} holds {size} samples in its functions,"
+        f" over the budget of {CORPUS_2D_BUDGET}")),
     # a plain file name in --out
     "output": Option(None, lambda v: v is None or isinstance(v, str) and re.fullmatch(
         r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", v) is not None,
@@ -203,8 +207,8 @@ class Experiment:
     once; its rows come in height order, its values keyed `fn_id|lambda`
     (plus a suffix where a height has several).  Any other has `run(cfg)`,
     which runs it whole.  Both return rows, headline values and invariant
-    flags.  A schedule it reads stays within 2**(J - band).  `check` sees
-    the whole config."""
+    flags.  A schedule it reads stays within 2**(J - band), and `d` within
+    `dims`.  `check` sees the whole config."""
 
     columns: tuple
     run: Callable
@@ -212,6 +216,7 @@ class Experiment:
     options: dict = field(default_factory=dict)
     check: Callable | None = None
     reads: tuple = ("J", "d", "lams", "schedule", "corpus")
+    dims: tuple = (1,)
 
 
 def _default(key: str):
@@ -366,6 +371,13 @@ def _vp_within_schedule(cfg: ExperimentConfig):
                           f" {first} (its band 2 vp - 1 must fit 2 N - 1 at every N)")
 
 
+def _rect_weights(cfg: ExperimentConfig):
+    # E's complement weights are one M x M matrix, M = 2**(J+1)
+    if 4 << 2 * cfg.J > CORPUS_2D_BUDGET:
+        raise ConfigError(f"rect_moment: at J = {cfg.J} the M x M complement weights hold"
+                          f" {4 << 2 * cfg.J} samples, over the budget of {CORPUS_2D_BUDGET}")
+
+
 def _first_reduction(cfg, fn_id, f):
     return _merge(
         (_moment_rows(fn_id, [rep]), {_key(fn_id, rep.lam): rep.ratio},
@@ -414,16 +426,14 @@ def _decay_kernel(cfg, fn_id, f):
 
 
 def _rect_moment(cfg, fn_id, f):
-    cube, slab = (estimates.averaged_moment_rect(f, cfg.lams, cfg.run_schedule(),
-                                                 fn_id=fn_id, geometry=geometry)
-                  for geometry in ("cube", "slab"))
     return _merge(
         (_moment_rows(fn_id, c, geometry="cube")
          + _moment_rows(fn_id, s, geometry="slab"),
          {f"{_key(fn_id, lam)}|cube": c[-1].ratio,
           f"{_key(fn_id, lam)}|slab": s[-1].ratio},
          {"measure_bound_exact": _check_measure_bound(c[0], f)})
-        for lam, c, s in zip(cfg.lams, cube, slab))
+        for lam, (c, s) in zip(cfg.lams, estimates.averaged_moment_rect(
+            f, cfg.lams, cfg.run_schedule(), fn_id=fn_id)))
 
 
 def _strong_means(cfg, fn_id, f):
@@ -518,7 +528,7 @@ def _czd_suite(cfg: ExperimentConfig):
 
 EXPERIMENTS = {
     "first_reduction": Experiment(MOMENT_COLUMNS, _first_reduction,
-                                  reads=("J", "d", "lams", "corpus")),
+                                  reads=("J", "d", "lams", "corpus"), dims=(1, 2)),
     # each order smooths f at order N, which doubles the band
     "second_reduction": Experiment(MOMENT_COLUMNS, _second_reduction, band=2,
                                    check=_vp_within_schedule),
@@ -529,19 +539,22 @@ EXPERIMENTS = {
         _decay_kernel, band=2,
         reads=("J", "d", "lams", "schedule", "s_values", "corpus")),
     "rect_moment": Experiment(
-        ("fn_id", "geometry") + MOMENT_COLUMNS[1:], _rect_moment),
+        ("fn_id", "geometry") + MOMENT_COLUMNS[1:], _rect_moment,
+        check=_rect_weights, dims=(2,)),
     "p4_moment": Experiment(MOMENT_COLUMNS, partial(_moment_curves, p=4)),
     "strong_means": Experiment(
         ("fn_id", "eps", "N", "measure", "config_hash"), _strong_means,
         reads=("J", "d", "schedule", "corpus"), options={
-            "eps_factors": _distinct_numbers((0.5, 0.25)),
+            "eps_factors": _sweep("eps_factors", (0.5, 0.25), 0,
+                                  "must be a list of positive real numbers", "factor"),
             "r": Option(2, lambda v: type(v) is int and v in (2, 4),
                         "must be the integer 2 or 4"),
-            "lam_grid": _distinct_numbers(estimates.DEFAULT_LAM_GRID),
+            "lam_grid": _sweep("lam_grid", estimates.DEFAULT_LAM_GRID, 0,
+                               "must be a list of positive real numbers", "height"),
         }),
     "density": Experiment(
         ("kind", "N", "density", "config_hash"), _density,
-        check=_density_lattice, reads=("d",), options={
+        check=_density_lattice, reads=("d",), dims=(1, 2), options={
             "kind": Option("quarter_power", lambda v: v == "quarter_power",
                            'must be "quarter_power"'),
             "s": Option(1.0, lambda v: _reals([v]), "must be a real number"),
@@ -564,7 +577,7 @@ EXPERIMENTS = {
         ("kind", "trials", "failures", "mean_bad_cells", "config_hash"),
         _czd_suite, check=_czd_lattice,
         # about 1 500 trials a second at 1-d J = 14, 450 at 2-d J = 8
-        reads=("J", "d"), options={"trials": _integer(10000, 1, 10**5)}),
+        reads=("J", "d"), dims=(1, 2), options={"trials": _integer(10000, 1, 10**5)}),
 }
 
 
@@ -606,19 +619,35 @@ def write_csv(path: Path, experiment: str, rows: list):
             w.writerow([fmt(row[c]) for c in cols])
 
 
-def compare_baseline(fresh: dict, recorded: dict, tol=BASELINE_TOLERANCE):
-    """Relative drift of headline values against the recorded ones."""
-    deltas = {k: (fresh[k] - base) / max(abs(base), 1e-30)
-              for k, base in recorded.items() if k in fresh}
-    violations = {**{k: "missing" for k in recorded if k not in fresh},
-                  **{k: delta for k, delta in deltas.items() if abs(delta) > tol},
-                  **{k: "unrecorded" for k in fresh if k not in recorded}}
-    return deltas, violations
-
-
 def _write_json(path: Path, payload: dict):
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
                     encoding="utf-8")
+
+
+def check_baseline(path: Path, experiment: str, config_hash: str, fresh: dict,
+                   record: bool = False) -> dict:
+    """The baseline status of a run's headline values: recorded at `path`
+    when `record` is set, else compared with the values recorded there for
+    the same config_hash (a key on one side only, or off by more than the
+    relative tolerance, is a violation).  A file of another config, or no
+    file (hash None), is named by its hash and compares nothing."""
+    if record:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        _write_json(path, {"experiment": experiment, "config_hash": config_hash,
+                           "tolerance": BASELINE_TOLERANCE,
+                           "values": {k: float(v) for k, v in sorted(fresh.items())}})
+        return {"status": "recorded", "path": path.name}
+    recorded = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    if recorded.get("config_hash") != config_hash:
+        return {"status": "unverified", "config_hash": recorded.get("config_hash")}
+    base = recorded["values"]
+    deltas = {k: (fresh[k] - b) / max(abs(b), 1e-30) for k, b in base.items() if k in fresh}
+    return {"status": "compared",
+            "max_rel_delta": max((abs(v) for v in deltas.values()), default=0.0),
+            "violations": {**{k: "missing" for k in base if k not in fresh},
+                           **{k: float(v) for k, v in deltas.items()
+                              if abs(v) > BASELINE_TOLERANCE},
+                           **{k: "unrecorded" for k in fresh if k not in base}}}
 
 
 def cmd_run(args) -> int:
@@ -643,25 +672,10 @@ def _run(cfg: ExperimentConfig, args) -> int:
     write_csv(out_dir / f"{name}.csv", cfg.experiment, rows)
 
     baseline = {"status": "none"}
-    base_path = Path(args.baselines) / f"{cfg.experiment}.json"
-    if values and (args.record_baseline or not base_path.exists()):
-        base_path.parent.mkdir(parents=True, exist_ok=True)
-        _write_json(base_path, {
-            "experiment": cfg.experiment,
-            "config_hash": cfg.config_hash,
-            "tolerance": BASELINE_TOLERANCE,
-            "values": {k: float(v) for k, v in sorted(values.items())},
-        })
-        baseline = {"status": "recorded", "path": base_path.name}
-    elif values:
-        recorded = json.loads(base_path.read_text(encoding="utf-8"))
-        deltas, violations = compare_baseline(values, recorded["values"])
-        baseline = {
-            "status": "compared",
-            "max_rel_delta": max((abs(v) for v in deltas.values()), default=0.0),
-            "violations": {k: (v if isinstance(v, str) else float(v))
-                           for k, v in sorted(violations.items())},
-        }
+    if values:  # keyed by the output name, as the CSV and summary are
+        base_path = Path(args.baselines) / f"{name}.json"
+        baseline = check_baseline(base_path, cfg.experiment, cfg.config_hash, values,
+                                  args.record_baseline or not base_path.exists())
 
     ok = all(inv.values()) and not baseline.get("violations")
     _write_json(out_dir / f"{name}.summary.json", {
@@ -689,25 +703,24 @@ def cmd_verify_baselines(args) -> int:
     failures = seen = 0
     for summary_path in sorted(Path(args.dir).glob("*.summary.json")):
         summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        name, values = summary["experiment"], summary.get("values") or {}
+        name, values = summary_path.name[:-len(".summary.json")], summary.get("values")
         if not values:
             continue
-        base_path = Path(args.baselines) / f"{name}.json"
-        if not base_path.exists():
-            print(f"{name}: no committed baseline")
-            failures += 1
-            continue
-        recorded = json.loads(base_path.read_text(encoding="utf-8"))
-        _, violations = compare_baseline(values, recorded["values"])
         seen += 1
-        if violations:
-            failures += 1
+        status = check_baseline(Path(args.baselines) / f"{name}.json",
+                                summary["experiment"], summary["config_hash"], values)
+        violations = status.get("violations")
+        if status["status"] == "unverified":
+            print(f"{name}: unverified: run config {summary['config_hash']},"
+                  f" baseline config {status['config_hash'] or 'none'}")
+        elif violations:
             print(f"{name}: {len(violations)} drift(s)")
             for k, v in sorted(violations.items()):
                 print(f"  {k}: {v if isinstance(v, str) else format(v, '.3g')}")
         else:
             print(f"{name}: ok ({len(values)} values within {BASELINE_TOLERANCE:.0%})")
-    if seen == 0 and failures == 0:
+        failures += status["status"] == "unverified" or bool(violations)
+    if seen == 0:
         print("nothing to verify")
     return 0 if failures == 0 else 1
 

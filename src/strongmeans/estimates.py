@@ -66,9 +66,9 @@ MB.  A value of S_n f depends only on its column and `_WINDOW`, which
 fixes where each phase splits, so neither the tile shape nor the set
 of columns streamed moves its bits.  A reader may overwrite its tile,
 and every reader squares its tiles in place.
-Each function is streamed at most once per experiment: strong means
-count the grid points over all their eps and lam thresholds inside the
-same sweep.
+Each function is streamed at most once per experiment, but p = 4 streams
+once per height whose E is neither empty nor the torus: strong means count
+the grid points over all their eps and lam thresholds inside one sweep.
 
 Orders are capped at the stored bandwidth H = n/2.  The stream, both
 closed forms and the energy curves take their coefficients from
@@ -584,21 +584,20 @@ def _abs2_rows(g: GridFunction, c: np.ndarray, refine: int) -> np.ndarray:
     return rows
 
 
-def averaged_moment_rect(f: GridFunction, lams, schedule: tuple,
-                         fn_id: str = "", geometry: str = "cube"
-                         ) -> list[list[MomentReport]]:
+def averaged_moment_rect(f: GridFunction, lams, schedule: tuple, fn_id: str = ""
+                         ) -> list[tuple[list[MomentReport], list[MomentReport]]]:
     """Square-lattice version: (1/N^2) sum over 1 <= n1, n2 <= N, one
-    curve per height of `lams`, each with one report per order N of the
-    schedule; the sums run to its last order.
+    (cube, slab) pair of curves per height of `lams`, each curve with one
+    report per order N of the schedule; the sums run to its last order.
 
     f must be real and separable (f.factors set, as for every 2-d corpus
     family and its delayed means).  Then S_{n1,n2} f = S_{n1} a (x) S_{n2} b, so
     with W the complement weights on the twice finer M x M grid, the
     integral off E of |S_{n1,n2} f|^2 is |S_{n1} a|^2 W |S_{n2} b|^2 / M^2,
-    and one stream per factor gives every (n1, n2) pair at every height.
-    The full-torus column needs no stream: it is the product of the
-    factors' energy sums.  E is the 5-dilated bad set in the given
-    geometry; `fn_id` only labels the call, as for `averaged_moment`.
+    and one stream per factor gives every (n1, n2) pair at every height
+    in both geometries.  The full-torus column needs no stream: it is the
+    product of the factors' energy sums.  E is the 5-dilated bad set;
+    `fn_id` only labels the call, as for `averaged_moment`.
     """
     if f.dim != 2:
         raise ValueError("averaged_moment_rect needs a 2-d function")
@@ -614,15 +613,16 @@ def averaged_moment_rect(f: GridFunction, lams, schedule: tuple,
     # sum over the square is the product of the factors' energy sums
     full_a, full_b = np.cumsum(_energy_curve(ca)), np.cumsum(_energy_curve(cb))
     full = [full_a[N - 1] * full_b[N - 1] / N**2 for N in schedule]
-    curves = []
-    for lam, cz in zip(lams, decompositions(f, lams)):
-        exc = build_exceptional_set(cz, geometry=geometry)
+
+    def curve(lam, exc):
         T = rows_a @ exc.complement_weights(M) @ rows_b.T
         T /= M * M
         cum = T.cumsum(axis=0).cumsum(axis=1)
-        curves.append(_reports(f, lam, exc, 2, schedule,
-                               [cum[N - 1, N - 1] / N**2 for N in schedule], full))
-    return curves
+        return _reports(f, lam, exc, 2, schedule,
+                        [cum[N - 1, N - 1] / N**2 for N in schedule], full)
+
+    return [tuple(curve(lam, build_exceptional_set(cz, geometry=g)) for g in ("cube", "slab"))
+            for lam, cz in zip(lams, decompositions(f, lams))]
 
 
 # ---------------------------------------------------------------------------

@@ -177,8 +177,7 @@ def test_criterion_07_fourth_moment_log_normalized():
 def test_criterion_08_rect_moment_geometries():
     f = corpus.spike(7, dim=2)
     sched = (4, 8, 16, 32, 64)
-    cube = estimates.averaged_moment_rect(f, [32.0], sched)[0]
-    slab = estimates.averaged_moment_rect(f, [32.0], sched, geometry="slab")[0]
+    [(cube, slab)] = estimates.averaged_moment_rect(f, [32.0], sched)
     full_err = max(abs(r.full_torus_avg - (r.N + 2) ** 2) for r in cube)
     # One bad cube Q; its dilated shadow on axis i is an arc B_i, so the
     # dilated cube is B_0 x B_1.  Every Fourier coefficient of the spike

@@ -197,7 +197,7 @@ def test_run_writes_schema_and_passes(tmp_path):
     assert summary["schema_version"] == cli.SCHEMA_VERSION
     # the recording run names its baseline file, not where it lives
     assert summary["baseline"] == {"status": "recorded",
-                                   "path": "averaged_moment.json"}
+                                   "path": "small.json"}
     assert str(tmp_path) not in text
 
 
@@ -318,12 +318,12 @@ def test_strong_means_bad_lam_grid_exit_2(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("overrides,message", [
     pytest.param({"experiment": "strong_means", "lams": [8.0],
                   "options": {"lam_grid": [2, 2]}},
-                 "strong_means: lam_grid must be a non-empty list of distinct"
-                 " positive numbers", id="lam_grid"),
+                 "strong_means: lam_grid must not repeat a height: 2 is given"
+                 " more than once", id="lam_grid"),
     pytest.param({"experiment": "strong_means", "lams": [8.0],
                   "options": {"eps_factors": [0.5, 0.25, 0.5]}},
-                 "strong_means: eps_factors must be a non-empty list of"
-                 " distinct positive numbers", id="eps_factors"),
+                 "strong_means: eps_factors must not repeat a factor: 0.5 is"
+                 " given more than once", id="eps_factors"),
     pytest.param({"experiment": "decay_kernel", "lams": [8.0],
                   "schedule": [16, 32], "s_values": [2.0, 3.0, 2]},
                  "s_values must not repeat a value: 2 is given more than once",
@@ -774,6 +774,94 @@ def test_size_field_over_its_cap_exit_2(tmp_path, capsys, monkeypatch, raw, mess
     assert f"invalid config: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw,path,message", [
+    ({"experiment": "decay_kernel", "J": 14, "lams": [8.0], "s_values": [2.0],
+      "schedule": list(range(1, 4097)), "corpus": SPIKE}, ("schedule",),
+     "schedule must hold at most 16 orders, and it holds 4096"),
+    ({"experiment": "strong_means", "J": 7, "schedule": [16, 32], "corpus": SPIKE,
+      "options": {"eps_factors": [k / 2000 for k in range(1, 2001)]}},
+     ("options", "eps_factors"),
+     "strong_means: eps_factors must hold at most 16 factors, and it holds 2000"),
+    ({"experiment": "strong_means", "J": 7, "schedule": [16, 32], "corpus": SPIKE,
+      "options": {"lam_grid": [float(k) for k in range(1, 2001)]}},
+     ("options", "lam_grid"),
+     "strong_means: lam_grid must hold at most 16 heights, and it holds 2000"),
+], ids=["schedule", "eps_factors", "lam_grid"])
+def test_list_over_its_cap_exit_2(tmp_path, capsys, monkeypatch, raw, path, message):
+    """A schedule, and strong_means' eps factors and lam_grid heights, had
+    no length cap: decay_kernel at J = 14 with every order to 4096
+    validated, and 2000 factors and heights at J = 7 wrote 56 000 rows and
+    14 000 baseline values.  Each holds at most 16 entries, as `lams`
+    does, and a longer list exits 2 before any work."""
+    refuse_all_work(monkeypatch)
+    assert run_exit_code(tmp_path, {"seed": 1, **raw}) == 2
+    assert capsys.readouterr().err == f"invalid config: {message}\n"
+    *parents, key = path
+    fits = json.loads(json.dumps(raw))
+    inner = fits if not parents else fits[parents[0]]
+    inner[key] = inner[key][:16]
+    ExperimentConfig.from_dict({"seed": 1, **fits})
+
+
+@pytest.mark.parametrize("experiment,d", [
+    ("averaged_moment", 2), ("p4_moment", 2), ("strong_means", 2),
+    ("second_reduction", 2), ("decay_kernel", 2), ("rect_moment", 1)],
+    ids=lambda v: str(v))
+def test_unsupported_dimension_exit_2(tmp_path, capsys, monkeypatch, experiment, d):
+    """Six experiments run in one dimension only (`Experiment.dims`), yet
+    took the other: their committed configs, moved to it with the whole
+    corpus, drew the corpus and only then failed with "run failed".  They
+    are refused before any work."""
+    raw = json.loads((ROOT / "configs" / f"{experiment}.json").read_text(encoding="utf-8"))
+    refuse_all_work(monkeypatch)
+    assert run_exit_code(tmp_path, {**raw, "d": d, "corpus": {}}) == 2
+    assert capsys.readouterr().err == \
+        f"invalid config: {experiment}: runs in d = {3 - d} only\n"
+    ExperimentConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_experiments_of_both_dimensions_accept_each(d):
+    for raw in ({"experiment": "first_reduction", "J": 8, "corpus": {}},
+                {"experiment": "density", "options": {"N_max": 64}},
+                {"experiment": "czd_suite", "J": 6}):
+        assert d in cli.EXPERIMENTS[raw["experiment"]].dims
+        ExperimentConfig.from_dict({"seed": 1, "d": d, **raw})
+
+
+def test_corpus_2d_over_budget_exit_2(tmp_path, capsys, monkeypatch):
+    """A 2-d corpus run holds all its 1 + 2 n_random functions, 4**J
+    samples each, and rect_moment also E's complement weights on the M x M
+    grid, M = 2**(J+1): rect_moment at J = 14 validated and would have
+    needed 2 GiB per function and an 8 GiB matrix.  Either count over
+    CORPUS_2D_BUDGET exits 2 before any work.  These configs are only
+    validated, never run."""
+    refuse_all_work(monkeypatch)
+    tspike = {"families": ["tspike"], "n_random": 0}
+    functions = "corpus: a 2-d run at J = {J} holds {size} samples in its functions"
+    weights = "rect_moment: at J = {J} the M x M complement weights hold {size} samples"
+    for raw, message, size in (
+            ({"experiment": "rect_moment", "J": 14, "corpus": tspike}, functions, 1 << 28),
+            ({"experiment": "rect_moment", "J": 9, "corpus": tspike}, weights, 4 << 18),
+            ({"experiment": "rect_moment", "J": 8, "corpus": {"n_random": 4}},
+             functions, 9 << 16),
+            ({"experiment": "first_reduction", "J": 10, "corpus": tspike},
+             functions, 1 << 20),
+            ({"experiment": "first_reduction", "J": 8, "corpus": {"n_random": 4}},
+             functions, 9 << 16)):
+        assert size > cli.CORPUS_2D_BUDGET
+        assert run_exit_code(tmp_path, {"seed": 1, "d": 2, **raw}) == 2
+        assert capsys.readouterr().err == (
+            "invalid config: " + message.format(J=raw["J"], size=size)
+            + f", over the budget of {cli.CORPUS_2D_BUDGET}\n")
+    # the largest within it: rect_moment's weights at J = 8, one function
+    # at J = 9, and 31 at J = 7
+    for raw in ({"experiment": "rect_moment", "J": 8, "corpus": {"n_random": 3}},
+                {"experiment": "first_reduction", "J": 9, "corpus": tspike},
+                {"experiment": "first_reduction", "J": 7, "corpus": {"n_random": 15}}):
+        ExperimentConfig.from_dict({"seed": 1, "d": 2, **raw})
+
+
 def test_p4_moment_height_past_the_cube_range_runs(tmp_path):
     # lam**3 overflows a float at 1e308: the ratio to lam**3 ||f||_1**4
     # rounds to 0 instead of raising OverflowError (exit 3)
@@ -945,9 +1033,8 @@ def corpus_run(name: str, **overrides) -> dict:
                                   "decay_kernel", "rect_moment"])
 def test_all_heights_at_once_equal_one_at_a_time(monkeypatch, name):
     """A function runs at both heights from one selection (one per order
-    for second_reduction, which smooths f at each order, and one per
-    geometry for rect_moment), and its rows and values equal those of a
-    run per height, but for config_hash."""
+    for second_reduction, which smooths f at each order), and its rows
+    and values equal those of a run per height, but for config_hash."""
     calls = []
 
     def counted(f, lams, _inner=cli.estimates.decompositions):
@@ -960,8 +1047,7 @@ def test_all_heights_at_once_equal_one_at_a_time(monkeypatch, name):
     with monkeypatch.context() as m:
         m.setattr(cli.estimates, "decompositions", counted)
         rows, values, inv = cli.execute(cfg)
-    per_function = (len(cfg.schedule) if name == "second_reduction"
-                    else 2 if name == "rect_moment" else 1)
+    per_function = len(cfg.schedule) if name == "second_reduction" else 1
     assert calls == [[4.0, 16.0]] * (len(fns) * per_function)
     parts = [cli.execute(replace(cfg, lams=[lam])) for lam in cfg.lams]
     for part in (rows, *(part_rows for part_rows, _, _ in parts)):
@@ -989,12 +1075,32 @@ def test_every_corpus_experiment_byte_identical_across_jobs(tmp_path):
                 (tmp_path / "2" / out).read_bytes(), out
 
 
+def test_rect_moment_selects_and_streams_once_per_function(monkeypatch):
+    """Both geometries of a function come from one `averaged_moment_rect`
+    call, so from one selection and one stream per factor; the run used
+    to call it, and select and stream, once per geometry."""
+    calls = dict.fromkeys(("averaged_moment_rect", "decompositions",
+                           "_partial_sum_stream"), 0)
+    for name in calls:
+        def counted(*args, _inner=getattr(cli.estimates, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(cli.estimates, name, counted)
+    cfg = ExperimentConfig.from_dict(corpus_run("rect_moment", lams=[4.0, 16.0]))
+    n = len(build_functions(cfg))
+    assert n >= 2
+    rows, values, _ = cli.execute(cfg)
+    assert calls == {"averaged_moment_rect": n, "decompositions": n,
+                     "_partial_sum_stream": 2 * n}
+    assert len(values) == n * 2 * 2  # functions x heights x geometries
+
+
 def test_baseline_compare_flags_drift(tmp_path):
     cfg = write_config(tmp_path)
     bl = tmp_path / "bl"
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "r1"),
                      "--baselines", str(bl)]) == 0
-    base_path = bl / "averaged_moment.json"
+    base_path = bl / "small.json"
     recorded = json.loads(base_path.read_text(encoding="utf-8"))
     key = next(iter(recorded["values"]))
     recorded["values"][key] *= 1.5  # well outside the 10% band
@@ -1016,6 +1122,75 @@ def test_verify_baselines_clean_roundtrip(tmp_path):
               "--baselines", str(bl)])
     assert cli.main(["verify-baselines", str(tmp_path / "r1"),
                      "--baselines", str(bl)]) == 0
+
+
+def run_into(tmp_path, raw: dict, out: str, *flags) -> int:
+    p = tmp_path / f"{out}.json"
+    p.write_text(json.dumps(raw), encoding="utf-8")
+    return cli.main(["run", str(p), "--out", str(tmp_path / out),
+                     "--baselines", str(tmp_path / "bl"), *flags])
+
+
+def test_baseline_of_another_config_is_named_not_compared(tmp_path, capsys):
+    """A run was compared with whatever config last recorded its
+    baseline: first_reduction with one height, against the committed
+    baselines, exited 1 with 49 "missing" and "unrecorded" violations
+    though every invariant held.  A baseline of another config_hash is
+    now named by its hash, compares nothing and is kept; the exit code
+    follows the invariants, and verify-baselines calls the summary
+    unverified (exit 1).  --record-baseline replaces it."""
+    shutil.copytree(ROOT / "baselines", tmp_path / "bl")
+    base_path = tmp_path / "bl" / "first_reduction.json"
+    committed = base_path.read_bytes()
+    raw = json.loads((ROOT / "configs" / "first_reduction.json").read_text(encoding="utf-8"))
+    raw["lams"] = [3.0]
+    assert run_into(tmp_path, raw, "a") == 0
+    summary = json.loads((tmp_path / "a" / "first_reduction.summary.json").read_text(
+        encoding="utf-8"))
+    assert summary["baseline"] == {"status": "unverified",
+                                   "config_hash": json.loads(committed)["config_hash"]}
+    assert summary["pass"] is True and base_path.read_bytes() == committed
+    capsys.readouterr()
+    verify = ["verify-baselines", str(tmp_path / "a"), "--baselines", str(tmp_path / "bl")]
+    assert cli.main(verify) == 1
+    assert capsys.readouterr().out == (
+        f"first_reduction: unverified: run config {summary['config_hash']},"
+        f" baseline config {json.loads(committed)['config_hash']}\n")
+    assert run_into(tmp_path, raw, "b", "--record-baseline") == 0
+    assert json.loads(base_path.read_text(encoding="utf-8"))["config_hash"] == \
+        summary["config_hash"]
+    assert run_into(tmp_path, raw, "a") == 0
+    assert cli.main(verify) == 0
+
+
+def test_verify_baselines_without_a_baseline_is_unverified(tmp_path, capsys):
+    assert run_into(tmp_path, {"experiment": "first_reduction", "seed": 1, "J": 8,
+                               "corpus": SPIKE, "output": "one"}, "a") == 0
+    (tmp_path / "bl" / "one.json").unlink()
+    capsys.readouterr()
+    assert cli.main(["verify-baselines", str(tmp_path / "a"),
+                     "--baselines", str(tmp_path / "bl")]) == 1
+    assert capsys.readouterr().out.startswith("one: unverified: run config ")
+
+
+def test_baselines_are_keyed_by_output_name(tmp_path):
+    """Two rect_moment configs, at J = 7 and J = 8 with their own output
+    names, keep their own baselines in one directory and each compares
+    with its own: the second used to compare with the first's file,
+    baselines/rect_moment.json, and fail on its keys."""
+    for J in (7, 8):
+        raw = {"experiment": "rect_moment", "seed": 7, "J": J, "d": 2,
+               "lams": [32.0], "schedule": [4, 8, 16],
+               "corpus": {"families": ["tspike"]}, "output": f"rect{J}"}
+        assert run_into(tmp_path, raw, "first") == 0
+        assert run_into(tmp_path, raw, "again") == 0
+        summary = json.loads((tmp_path / "again" / f"rect{J}.summary.json").read_text(
+            encoding="utf-8"))
+        assert summary["baseline"]["status"] == "compared"
+    assert sorted(p.name for p in (tmp_path / "bl").iterdir()) == ["rect7.json",
+                                                                   "rect8.json"]
+    assert cli.main(["verify-baselines", str(tmp_path / "again"),
+                     "--baselines", str(tmp_path / "bl")]) == 0
 
 
 def test_list_experiments(capsys):

@@ -634,7 +634,7 @@ def test_every_report_carries_its_ratio_and_set_measure():
     cases += [(f, 4.0, p, rep) for p in (2, 4)
               for rep in averaged_moment(f, [4.0], (4, 32), p=p)[0]]
     cases += [(g, 16.0, 2, rep)
-              for rep in averaged_moment_rect(g, [16.0], (4, 8))[0]]
+              for rep in averaged_moment_rect(g, [16.0], (4, 8))[0][0]]
     assert len(cases) == 11
     for fn, lam, p, rep in cases:
         assert rep.lam == lam
@@ -648,7 +648,7 @@ def test_every_report_carries_its_ratio_and_set_measure():
 
 def test_rect_tensor_path_matches_general_path():
     f = k_spikes(4, 2, np.random.default_rng(8), dim=2)
-    fast = averaged_moment_rect(f, [4.0], (2, 4, 8))[0]
+    [(fast, _)] = averaged_moment_rect(f, [4.0], (2, 4, 8))
     bare = GridFunction(2, 4, f.samples.copy())
     exc = build_exceptional_set(decompose(bare, 4.0), 5)
     slow = rect_moment_per_pair(bare, exc, 8)
@@ -661,7 +661,7 @@ def test_rect_tensor_path_matches_general_path():
 
 def test_rect_tensor_spike_closed_form():
     f = corpus.spike(5, dim=2)
-    reports = averaged_moment_rect(f, [16.0], (4, 8, 16))[0]
+    [(reports, _)] = averaged_moment_rect(f, [16.0], (4, 8, 16))
     for rep in reports:
         assert abs(rep.full_torus_avg - (rep.N + 2) ** 2) < 1e-9
         assert rep.full_torus_avg >= rep.avg_moment - 1e-12
@@ -669,7 +669,7 @@ def test_rect_tensor_spike_closed_form():
 
 def test_rect_constant_curve():
     f = tensor(constant(1.0, 4), constant(1.0, 4))
-    for rep in averaged_moment_rect(f, [2.0], (8,))[0]:
+    for rep in averaged_moment_rect(f, [2.0], (8,))[0][0]:
         assert rep.measure_E == 0
         assert abs(rep.avg_moment - 1.0) < 1e-12
 
@@ -722,7 +722,7 @@ def test_rect_slab_average_factorizes():
     # average must equal the product of two 1-d off-band averages
     f = corpus.spike(6, dim=2)
     cz = decompose(f, 16.0)
-    reports = averaged_moment_rect(f, [16.0], (4, 8, 16), geometry="slab")[0]
+    [(_, reports)] = averaged_moment_rect(f, [16.0], (4, 8, 16))
     per_axis = [np.cumsum(off_arc_moments(f.factors[axis],
                                           axis_arcs(cz, 5, axis), 16, 1))
                 for axis in range(2)]
@@ -736,8 +736,7 @@ def test_rect_cube_grows_where_slab_plateaus():
     # cross-bands of the cube complement carry partial-sum mass that
     # scales with the order; the slab complement removes them
     f = corpus.spike(6, dim=2)
-    cube = averaged_moment_rect(f, [32.0], (16, 32))[0]
-    slab = averaged_moment_rect(f, [32.0], (16, 32), geometry="slab")[0]
+    [(cube, slab)] = averaged_moment_rect(f, [32.0], (16, 32))
     cube_change = cube[1].avg_moment / cube[0].avg_moment - 1
     slab_change = abs(slab[1].avg_moment / slab[0].avg_moment - 1)
     assert cube_change > 0.5

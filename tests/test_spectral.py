@@ -181,7 +181,7 @@ def test_every_reader_takes_the_nyquist_bin_twice(real):
         with pytest.raises(ValueError, match="real samples"):
             estimates.averaged_moment_rect(fg, [8.0], orders)
         return
-    for rep in estimates.averaged_moment_rect(fg, [8.0], orders)[0]:
+    for rep in estimates.averaged_moment_rect(fg, [8.0], orders)[0][0]:
         N = rep.N
         want = np.mean([partial_sum_rect(fg, n1, n2).l2sq()
                         for n1 in range(1, N + 1) for n2 in range(1, N + 1)])
@@ -322,7 +322,7 @@ def test_plancherel_average_rect_tensor():
     g = random_function(21, J=4, real=True)
     h = random_function(22, J=4, real=True)
     f = tensor(g, h)
-    reports = estimates.averaged_moment_rect(f, [8.0], (5, 8))[0]
+    [(reports, _)] = estimates.averaged_moment_rect(f, [8.0], (5, 8))
     for rep in reports:  # 8 is the Nyquist order at J = 4
         want = plancherel_average(g, rep.N) * plancherel_average(h, rep.N)
         assert rep.full_torus_avg == pytest.approx(want, rel=1e-10)
