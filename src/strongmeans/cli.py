@@ -31,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, estimates
+from .covering import exhaustive_chain_scan
 from .dyadic import DEFAULT_J_MAX
 from .spectral import valle_poussin
-from .suites import chain_suite, covering_suite, czd_suite
+from .suites import covering_suite, czd_suite
 
 SCHEMA_VERSION = 1
 BASELINE_TOLERANCE = 0.10
@@ -178,6 +179,12 @@ FIELDS = {
         or (unit := next(iter(corpus.FAMILIES[c.d]))) in v["families"] else
         f"corpus: the selection is empty: families {v['families']} leave out"
         f" {unit}, the one family with a function when n_random is 0",
+        # every corpus function has mean |f| 1, which no lower height stops;
+        # the delayed means that vp and second_reduction stop may average less
+        lambda v, c, e: None if "lams" not in e.reads or v.get("vp") is not None
+        or c.experiment == "second_reduction" or min(c.lams) >= 1 else
+        f"corpus: every function has mean |f| 1, above the height {fmt(min(c.lams))}"
+        " in lams (heights below 1 need vp)",
         lambda v, c, e: None if c.d == 1 or (size := 1 + 2 * v.get(
             "n_random", CORPUS[2]["n_random"].default) << 2 * c.J) <= CORPUS_2D_BUDGET
         else f"corpus: a 2-d run at J = {c.J} holds {size} samples in its functions,"
@@ -495,12 +502,13 @@ def _covering_suite(cfg: ExperimentConfig):
                          seed=cfg.seed,
                          max_level_1d=cfg.option("max_level_1d"),
                          max_level_2d=cfg.option("max_level_2d"))
-    chain = chain_suite(cfg.option("chain_level"))
-    rows = [{"kind": kind, "trials": r.trials,
-             "violations": sum(r.failures.values()), "components": r.stats[n]}
-            for kind, r, n in (("families", res, "components"),
-                               ("chains", chain, "outer_pairs"))]
-    return rows, {}, {"containment": res.ok, "bridge_length": chain.ok}
+    scan = exhaustive_chain_scan(cfg.option("chain_level"))
+    rows = [{"kind": "families", "trials": res.trials,
+             "violations": sum(res.failures.values()),
+             "components": res.stats["components"]},
+            {"kind": "chains", "trials": scan.chains,
+             "violations": len(scan.violations), "components": scan.outer_pairs}]
+    return rows, {}, {"containment": res.ok, "bridge_length": not scan.violations}
 
 
 def _czd_lattice(cfg: ExperimentConfig):

@@ -15,10 +15,11 @@ interval or (level, i, j) per cube, the format of the bad cells of a
 `czd.decompose`.  Dilates come from `dyadic.dilate_units`, the one
 9/8-dilate, so every endpoint is an integer at scale
 S = 2**(j_max + 4), and the chain scan reports its violations as
-(level, index) pairs.  1-d components come from one sort by left end
-and a running maximum of right ends; 2-d components from the touching
-pairs of each family's dilated boxes.  The random families come from one
-stopping-time tiling walk in either dimension.
+(level, index) pairs.  One check serves every dimension: a circle
+sweep of the first axis groups the members into runs, the touching
+pairs within a run give the components, and a sweep per component and
+axis gives the hulls.  The random families come from one stopping-time
+tiling walk in either dimension.
 """
 
 from __future__ import annotations
@@ -101,15 +102,6 @@ class CoveringCheck:
     hulls: np.ndarray  # per component and axis: hull start and length
 
 
-def _dilates(families: list, axes: int, j_max: int):
-    """Family index, and the 9/8-dilate's (lo, length) per axis, of every
-    member of every family, from one `dilate_units` call."""
-    rows = np.concatenate([np.empty((0, 1 + axes), dtype=np.int64), *families])
-    fam = np.repeat(np.arange(len(families)), [len(f) for f in families])
-    lo, length = dilate_units(rows[:, :1], rows[:, 1:1 + axes], j_max)
-    return fam, lo, np.broadcast_to(length, lo.shape)  # a cube's sides are equal
-
-
 def _check(F, fam, label, lo, length, hull_lo, hull_len, S) -> CoveringCheck:
     """A component holds when its hull lies, on every axis, inside the
     4-dilate of one of its members of largest dilate.  Components are
@@ -133,43 +125,39 @@ def _check(F, fam, label, lo, length, hull_lo, hull_len, S) -> CoveringCheck:
 
 
 def verify_covering(families: list, j_max: int = DEFAULT_J_MAX) -> CoveringCheck:
-    """Covering check of 1-d families, each an array of (level, index)
-    rows.
+    """Covering check of families of d-dimensional cells, each an array
+    of (level, index) rows in 1-d or (level, i, j) rows in 2-d; d is the
+    width of the rows less one.
 
-    The components of a family are the runs of its circle sweep.  The
-    members must be pairwise disjoint and nonadjacent, as
-    `random_nonadjacent_family` guarantees by construction.
+    Two dilated cells connect when their projections touch on every axis
+    (corner contact counts), so connected members touch on the first
+    axis and share a run of its circle sweep.  The components come from
+    the touching pairs among all pairs of members of one run, by
+    min-label propagation.  A component's projections on one axis form
+    one run of a circle sweep, whose hull is the component's hull on
+    that axis.  The members must be pairwise disjoint and nonadjacent,
+    as the random family generators guarantee by construction.
     """
     S = scale_for(j_max)
-    fam, lo, length = _dilates(families, 1, j_max)
-    label, hull_lo, hull_len = _circle_runs(fam, lo[:, 0], lo[:, 0] + length[:, 0], S)
-    return _check(len(families), fam, label, lo, length,
-                  hull_lo[:, None], hull_len[:, None], S)
-
-
-def verify_covering_cubes(families: list, j_max: int = DEFAULT_J_MAX) -> CoveringCheck:
-    """Covering check of 2-d families, each an array of (level, i, j)
-    rows.
-
-    Two dilated cubes connect when their projections touch on both axes
-    (corner contact counts).  The components come from the touching
-    pairs among all pairs of members of one family, by min-label
-    propagation.  A component's projections on one axis form one run of
-    a circle sweep, whose hull is the component's hull on that axis.
-    The members must be pairwise disjoint and nonadjacent, as
-    `random_nonadjacent_cube_family` guarantees by construction.
-    """
-    S = scale_for(j_max)
-    fam, lo, length = _dilates(families, 2, j_max)
-    # every pair (a, b), a < b, of members of one family
-    n = len(fam)
-    later = np.searchsorted(fam, fam, side="right") - np.arange(n) - 1
+    axes = families[0].shape[1] - 1 if families else 1
+    # the family and the 9/8-dilate's (lo, length) per axis of every
+    # member of every family, from one `dilate_units` call
+    rows = np.concatenate([np.empty((0, 1 + axes), dtype=np.int64), *families])
+    fam = np.repeat(np.arange(len(families)), [len(f) for f in families])
+    lo, length = dilate_units(rows[:, :1], rows[:, 1:], j_max)
+    length = np.broadcast_to(length, lo.shape)  # a cell's sides are equal
+    run, _, _ = _circle_runs(fam, lo[:, 0], lo[:, 0] + length[:, 0], S)
+    # every pair (a, b), a < b, of members of one run
+    by_run = np.argsort(run, kind="stable")
+    run = run[by_run]
+    n = len(run)
+    later = np.searchsorted(run, run, side="right") - np.arange(n) - 1
     a = np.repeat(np.arange(n), later)
     b = a + np.arange(len(a)) - np.repeat(np.cumsum(later) - later - 1, later)
-    # dilated cubes meet when their projections meet on both axes
-    centre = 2 * lo + length
-    gap = _circle_gap(centre[a], centre[b], 2 * S)
-    touch = np.maximum(gap[:, 0], gap[:, 1]) <= length[a, 0] + length[b, 0]
+    a, b = by_run[a], by_run[b]
+    # dilated cells meet when their projections meet on every axis
+    gap = [_circle_gap(c[a], c[b], 2 * S) for c in (2 * lo + length).T]
+    touch = np.max(gap, axis=0) <= length[a, 0] + length[b, 0]
     a, b = np.r_[a[touch], b[touch]], np.r_[b[touch], a[touch]]
     # each member takes the least root among its own and its touching
     # members', then its root's root, until nothing changes: every root
@@ -182,19 +170,18 @@ def verify_covering_cubes(families: list, j_max: int = DEFAULT_J_MAX) -> Coverin
     roots, label = np.unique(root, return_inverse=True)
     m = len(roots)
     # one circle per component and axis
-    _, hull_lo, hull_len = _circle_runs(np.concatenate((2 * label, 2 * label + 1)),
-                                        lo.T.ravel(), (lo + length).T.ravel(), S)
-    if len(hull_lo) != 2 * m:
+    _, hull_lo, hull_len = _circle_runs((label[:, None] * axes + np.arange(axes)).ravel(),
+                                        lo.ravel(), (lo + length).ravel(), S)
+    if len(hull_lo) != axes * m:
         raise RuntimeError("a connected component has a disconnected projection")
     return _check(len(families), fam, label, lo, length,
-                  hull_lo.reshape(m, 2), hull_len.reshape(m, 2), S)
+                  hull_lo.reshape(m, axes), hull_len.reshape(m, axes), S)
 
 
 @dataclass
 class ChainScan:
     """Exhaustive scan of all chain triples among dyadic intervals."""
 
-    intervals: int
     outer_pairs: int
     chains: int
     violations: list  # (I1, I2, I3) triples of (level, index) pairs
@@ -241,7 +228,6 @@ def exhaustive_chain_scan(max_level: int) -> ChainScan:
                 violations.append(tuple((int(level[i]), int(index[i]))
                                         for i in (a, m, b)))
     return ChainScan(
-        intervals=n,
         outer_pairs=outer_pairs,
         chains=chains,
         violations=violations,

@@ -30,11 +30,9 @@ import numpy as np
 
 from . import corpus
 from .covering import (
-    exhaustive_chain_scan,
     random_nonadjacent_cube_family,
     random_nonadjacent_family,
     verify_covering,
-    verify_covering_cubes,
 )
 from .czd import (
     FRACT_BITS,
@@ -300,32 +298,15 @@ def covering_suite(trials_1d: int, trials_2d: int, seed: int = 0,
     failures = {"containment_1d": 0, "containment_2d": 0}
     components = 0
     t0 = time.perf_counter()
-    for dim, trials, max_level, draw, verify in (
-            (1, trials_1d, max_level_1d, random_nonadjacent_family, verify_covering),
-            (2, trials_2d, max_level_2d, random_nonadjacent_cube_family,
-             verify_covering_cubes)):
+    for dim, trials, max_level, draw in (
+            (1, trials_1d, max_level_1d, random_nonadjacent_family),
+            (2, trials_2d, max_level_2d, random_nonadjacent_cube_family)):
         for start in range(0, trials, COVERING_BLOCK[dim]):
             size = min(COVERING_BLOCK[dim], trials - start)
-            check = verify([draw(rng, max_level) for _ in range(size)], j_max=max_level)
+            check = verify_covering([draw(rng, max_level) for _ in range(size)],
+                                    j_max=max_level)
             failures[f"containment_{dim}d"] += int(np.count_nonzero(~check.holds))
             components += int(check.components.sum())
     return SuiteResult(suite="covering", trials=trials_1d + trials_2d, failures=failures,
                        elapsed=time.perf_counter() - t0, stats={"components": components})
 
-
-def chain_suite(max_level: int = 6) -> SuiteResult:
-    """Exhaustive bridge-length scan over all chains up to a level."""
-    t0 = time.perf_counter()
-    scan = exhaustive_chain_scan(max_level)
-    elapsed = time.perf_counter() - t0
-    return SuiteResult(
-        suite="chains",
-        trials=scan.chains,
-        failures={"bridge_not_longest": len(scan.violations)},
-        elapsed=elapsed,
-        stats={
-            "intervals": scan.intervals,
-            "outer_pairs": scan.outer_pairs,
-            "chains": scan.chains,
-        },
-    )

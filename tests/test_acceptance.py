@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from strongmeans import cli, corpus, estimates, spectral
+from strongmeans.covering import exhaustive_chain_scan
 from strongmeans.czd import decompose
-from strongmeans.suites import chain_suite, covering_suite, czd_suite
+from strongmeans.suites import covering_suite, czd_suite
 
 from oracles import (axis_arcs, exponential, off_arc_moments,
                      plancherel_average, sliced, trig_poly)
@@ -70,13 +71,15 @@ def test_criterion_01_covering_battery(once_per_session):
 
 
 def test_criterion_02_chain_bridge_exhaustive():
-    res = chain_suite(6)
-    ok = res.ok and res.elapsed < 30
-    verdict(2, ok, f"{res.stats['chains']} chains at levels <= 6, "
-                   f"violations={res.failures['bridge_not_longest']}",
-            f"{res.elapsed:.2f}s (limit 30s)")
-    assert res.failures["bridge_not_longest"] == 0
-    assert res.elapsed < 30
+    t0 = time.perf_counter()
+    scan = exhaustive_chain_scan(6)
+    elapsed = time.perf_counter() - t0
+    ok = not scan.violations and elapsed < 30
+    verdict(2, ok, f"{scan.chains} chains at levels <= 6, "
+                   f"violations={len(scan.violations)}",
+            f"{elapsed:.2f}s (limit 30s)")
+    assert scan.violations == []
+    assert elapsed < 30
 
 
 def test_criterion_03_czd_invariant_battery(once_per_session):

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from strongmeans import cli, corpus
+from strongmeans import cli, corpus, suites
 from strongmeans.cli import ConfigError, ExperimentConfig, build_functions, fmt
 
 from oracles import csv_differences
@@ -174,6 +174,36 @@ def test_build_functions_empty_selection_fails(tmp_path, capsys, monkeypatch):
                                     "J": 8, "corpus": kept})
 
 
+@pytest.mark.parametrize("raw,height", [
+    ({"experiment": "first_reduction", "J": 8, "lams": [0.5]}, "0.5"),
+    ({"experiment": "first_reduction", "J": 6, "d": 2, "lams": [0.99]}, "0.99"),
+    ({"experiment": "averaged_moment", "J": 8, "lams": [4.0, 0.25],
+      "schedule": [16, 32]}, "0.25"),
+], ids=["first_reduction-1d", "first_reduction-2d", "averaged_moment"])
+def test_height_below_the_corpus_mean_exit_2(tmp_path, capsys, monkeypatch, raw, height):
+    """Every corpus function has mean |f| 1, so a height below 1 always
+    failed with "run failed: mean 1 exceeds stopping height", but only
+    once the corpus was built.  It is refused before any work."""
+    refuse_all_work(monkeypatch)
+    assert run_exit_code(tmp_path, {"seed": 1, **raw}) == 2
+    assert capsys.readouterr().err == (
+        f"invalid config: corpus: every function has mean |f| 1, above the height"
+        f" {height} in lams (heights below 1 need vp)\n")
+
+
+def test_height_below_1_is_left_to_the_run_where_means_are_delayed(tmp_path, capsys):
+    """A delayed mean's |f| may average either side of 1: with vp the
+    run decides, and second_reduction, which stops V_N f, runs a trig
+    function whose delayed means average below its height."""
+    raw = {"seed": 1, "experiment": "first_reduction", "J": 8, "lams": [0.5],
+           "corpus": {"families": ["spike"], "n_random": 0, "vp": 2}}
+    assert run_exit_code(tmp_path, raw) == 2
+    assert capsys.readouterr().err.startswith("run failed: mean ")
+    raw = {"seed": 1, "experiment": "second_reduction", "J": 10, "lams": [0.95],
+           "schedule": [16, 32], "corpus": {"families": ["trig"], "n_random": 1}}
+    assert run_exit_code(tmp_path, raw) == 0
+
+
 # ---------------------------------------------------------------------------
 # runs and artifacts
 
@@ -269,13 +299,27 @@ def test_csv_differences_rules():
     assert csv_differences("id,N,x\na,2,0.125\n", ref) != []
 
 
-def test_invalid_config_file_exits_2(tmp_path):
+def test_invalid_config_file_exits_2(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")
     assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
     p.write_text(json.dumps({"experiment": "averaged_moment"}),
                  encoding="utf-8")
     assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    p.write_text(json.dumps([{"experiment": "density", "seed": 1}]), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "invalid config: config must be a JSON object\n"
+
+
+def test_verify_baselines_with_no_values_has_nothing_to_verify(tmp_path, capsys):
+    # a suite's summary records no headline values, so nothing compares
+    (tmp_path / "czd_suite.summary.json").write_text(
+        json.dumps({"experiment": "czd_suite", "config_hash": "0", "values": {}}),
+        encoding="utf-8")
+    assert cli.main(["verify-baselines", str(tmp_path),
+                     "--baselines", str(tmp_path / "bl")]) == 0
+    assert capsys.readouterr().out == "nothing to verify\n"
 
 
 def refuse(*args, **kwargs):
@@ -433,6 +477,27 @@ def test_czd_lattice_exit_2(tmp_path, capsys, monkeypatch, d, J, message):
     for J in (4, {1: 14, 2: 8}[d]):
         ExperimentConfig.from_dict({"experiment": "czd_suite", "seed": 1,
                                     "d": d, "J": J})
+
+
+def test_czd_suite_counts_a_failed_check(tmp_path, monkeypatch):
+    """One check forced false on one trial is tallied under its name,
+    shown in the CLI row's failures column and fails the run (exit 1)."""
+    checks = suites.czd_block_checks
+
+    def one_fails(*args):
+        out, n_bad = checks(*args)
+        out["lam_monotone"][1] = False
+        return out, n_bad
+
+    monkeypatch.setattr(suites, "czd_block_checks", one_fails)
+    res = suites.czd_suite(3, J=6, seed=1)
+    assert res.failures == {"lam_monotone": 1} and not res.ok
+    raw = {"experiment": "czd_suite", "seed": 1, "J": 6, "options": {"trials": 3}}
+    assert run_exit_code(tmp_path, raw) == 1
+    lines = (tmp_path / "o" / "czd_suite.csv").read_text().splitlines()
+    assert lines[1].split(",")[lines[0].split(",").index("failures")] == "1"
+    summary = json.loads((tmp_path / "o" / "czd_suite.summary.json").read_text())
+    assert summary["invariants"] == {"invariants": False}
 
 
 @pytest.mark.parametrize("d,J", [(1, 4), (2, 4)], ids=["czd-J4-1d", "czd-J4-2d"])

@@ -752,11 +752,12 @@ def test_strong_means_constant_is_zero():
     assert rep.measures == ((0.0, 0.0, 0.0, 0.0),)
 
 
-def test_strong_means_matches_direct_recomputation():
+@pytest.mark.parametrize("r", [2, 4])
+def test_strong_means_matches_direct_recomputation(r):
     f = k_spikes(5, 3, np.random.default_rng(12))
     schedule = (4, 8, 16)
-    eps_values = (0.5 * f.linf() ** 2, 0.25 * f.linf() ** 2)
-    rep = strong_means_measure(f, eps_values, schedule)
+    eps_values = (0.5 * f.linf() ** r, 0.25 * f.linf() ** r)
+    rep = strong_means_measure(f, eps_values, schedule, r=r)
     M = 1 << (f.J + 2)
     ref = spectral.saturated_sum(f, 2).samples
     R = np.zeros(M)
@@ -765,7 +766,7 @@ def test_strong_means_matches_direct_recomputation():
     want_measures = ([], [])
     for n in range(1, schedule[-1] + 1):
         Sn = spectral.partial_sum(f, n, 2).samples
-        R += np.abs(Sn - ref) ** 2
+        R += np.abs(Sn - ref) ** r
         P += np.abs(Sn) ** 2
         if n in schedule:
             for want, eps in zip(want_measures, eps_values):

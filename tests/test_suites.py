@@ -16,14 +16,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from strongmeans.covering import verify_covering, verify_covering_cubes
+from strongmeans.covering import verify_covering
 from strongmeans.czd import decompose, exact_units, stopping_cells
 from strongmeans.grid import GridFunction
 from strongmeans.suites import (
     BLOCK,
     COVERING_BLOCK,
     Workspace,
-    chain_suite,
     covering_suite,
     czd_block_checks,
     czd_block_invariants,
@@ -319,10 +318,9 @@ def test_covering_blocks_match_family_by_family_checks():
     rng = np.random.default_rng(5)
     failures = {"containment_1d": 0, "containment_2d": 0}
     components = 0
-    for dim, draw, verify, level in ((1, nonadjacent_family, verify_covering, 12),
-                                     (2, nonadjacent_cube_family, verify_covering_cubes, 7)):
+    for dim, draw, level in ((1, nonadjacent_family, 12), (2, nonadjacent_cube_family, 7)):
         for _ in range(trials[dim]):
-            check = verify([draw(rng, level)], j_max=level)
+            check = verify_covering([draw(rng, level)], j_max=level)
             failures[f"containment_{dim}d"] += int(not check.holds[0])
             components += int(check.components[0])
     assert res.failures == failures
@@ -344,10 +342,3 @@ def test_covering_suite_memory_is_block_sized():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
-
-
-def test_chain_suite_level_five():
-    res = chain_suite(5)
-    assert res.ok
-    assert res.stats["chains"] > 0
-    assert res.stats["outer_pairs"] > res.stats["chains"]
