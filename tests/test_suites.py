@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from strongmeans.covering import verify_covering
+from strongmeans.covering import exhaustive_chain_scan, verify_covering
 from strongmeans.czd import decompose, exact_units, stopping_cells
 from strongmeans.grid import GridFunction
 from strongmeans.suites import (
@@ -342,3 +342,12 @@ def test_covering_suite_memory_is_block_sized():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_chain_suite_level_five():
+    """The chain scan at level five: every chain has its bridge
+    longest, and chains are fewer than the outer pairs scanned."""
+    scan = exhaustive_chain_scan(5)
+    assert scan.violations == []
+    assert scan.chains > 0
+    assert scan.outer_pairs > scan.chains
