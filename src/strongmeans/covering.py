@@ -18,8 +18,9 @@ S = 2**(j_max + 4), and the chain scan reports its violations as
 (level, index) pairs.  One check serves every dimension: a circle
 sweep of the first axis groups the members into runs, the touching
 pairs within a run give the components, and a sweep per component and
-axis gives the hulls.  The random families come from one stopping-time
-tiling walk in either dimension.
+axis gives the hulls.  In 1-d the runs are the components, and the
+first sweep gives their hulls too.  The random families come from one
+stopping-time tiling walk in either dimension.
 """
 
 from __future__ import annotations
@@ -131,7 +132,8 @@ def verify_covering(families: list, j_max: int = DEFAULT_J_MAX) -> CoveringCheck
 
     Two dilated cells connect when their projections touch on every axis
     (corner contact counts), so connected members touch on the first
-    axis and share a run of its circle sweep.  The components come from
+    axis and share a run of its circle sweep; in 1-d the runs are the
+    components, with their hulls.  Beyond, the components come from
     the touching pairs among all pairs of members of one run, by
     min-label propagation.  A component's projections on one axis form
     one run of a circle sweep, whose hull is the component's hull on
@@ -146,7 +148,10 @@ def verify_covering(families: list, j_max: int = DEFAULT_J_MAX) -> CoveringCheck
     fam = np.repeat(np.arange(len(families)), [len(f) for f in families])
     lo, length = dilate_units(rows[:, :1], rows[:, 1:], j_max)
     length = np.broadcast_to(length, lo.shape)  # a cell's sides are equal
-    run, _, _ = _circle_runs(fam, lo[:, 0], lo[:, 0] + length[:, 0], S)
+    run, hull_lo, hull_len = _circle_runs(fam, lo[:, 0], lo[:, 0] + length[:, 0], S)
+    if axes == 1:  # the runs are the components, and their hulls are known
+        return _check(len(families), fam, run, lo, length,
+                      hull_lo[:, None], hull_len[:, None], S)
     # every pair (a, b), a < b, of members of one run
     by_run = np.argsort(run, kind="stable")
     run = run[by_run]

@@ -44,10 +44,13 @@ The moments take the 4 times finer grid, M = 2**(J+2), and n <= H =
 Raising n by one adds only the pairs with a or b at +-n, O(n) entries
 of g, so the column costs O(N_max^2).  The weighted column has no such
 form (weighting |S_n f|^4 through its coefficients is a Toeplitz
-product per order, O(N_max^3)), so it streams, but only the stream's
-windows that hold a grid column with w_t > 0, weighting their columns
-by w: none when E is the whole torus, and when E is empty w = 1 and it
-is the full column.
+product per order, O(N_max^3)), so it streams, once for all of a
+function's heights: none when E is the whole torus, and when E is empty
+w = 1 and it is the full column.  The others share one stream over the
+windows that hold a grid column with w_t > 0 at one of them, and each
+tile is squared once and reduced with one matrix-vector product per
+height, with weights read per window from E's sample-cell mask; heights
+whose weights agree on a tile share its product.
 
 Fourth moments, strong means and the rectangular factors need pointwise
 values and use a partial-sum stream: S_n differs from S_{n-1} by the
@@ -66,9 +69,9 @@ MB.  A value of S_n f depends only on its column and `_WINDOW`, which
 fixes where each phase splits, so neither the tile shape nor the set
 of columns streamed moves its bits.  A reader may overwrite its tile,
 and every reader squares its tiles in place.
-Each function is streamed at most once per experiment, but p = 4 streams
-once per height whose E is neither empty nor the torus: strong means count
-the grid points over all their eps and lam thresholds inside one sweep.
+Each function is streamed at most once per experiment: p = 4 weights
+one stream for every height, and strong means count the grid points
+over all their eps and lam thresholds inside one sweep.
 
 Orders are capped at the stored bandwidth H = n/2.  The stream, both
 closed forms and the energy curves take their coefficients from
@@ -305,24 +308,23 @@ def _shell_blocks(lattice, d: int, lo: int, hi: int):
 # running partial-sum engine
 
 
-def _windows(M: int, cols: np.ndarray | None = None) -> tuple[int, np.ndarray]:
+def _windows(M: int) -> tuple[int, np.ndarray]:
     """The width W of the stream's windows on the M-grid and the first
-    column of each window it walks: all, or those holding one of cols."""
+    column of every window."""
     W = min(_WINDOW, M)
-    if cols is None:
-        return W, np.arange(0, M, W)
-    return W, np.flatnonzero(np.bincount(np.asarray(cols) // W, minlength=M // W)) * W
+    return W, np.arange(0, M, W)
 
 
 def _partial_sum_stream(f: GridFunction, c: np.ndarray, refine: int,
-                        cols: np.ndarray | None = None):
+                        starts: np.ndarray | None = None):
     """Yield tiles (ns, span, rows): rows[i, j] is S_{ns[i]} f at the grid
     column t[span][j] of the 2**refine finer grid, for n = 1..n_hi with
-    c = `modes(f, n_hi)`.  t is every column of the windows of
-    `_windows(M, cols)` in turn, so every column in order when cols is
-    None; span is a slice of positions in t.  Order chunks form the outer
-    loop and tiles of whole windows the inner one; a tile is at most
-    `_TILE` (orders x columns), or one window when that is wider.
+    c = `modes(f, n_hi)`.  t is every column of the windows that start at
+    the ascending `starts` in turn, so every column in order when starts
+    is None (`_windows(M)`); span is a slice of positions in t.  Order
+    chunks form the outer loop and tiles of whole windows the inner one;
+    a tile is at most `_TILE` (orders x columns), or one window when
+    that is wider.
 
     f must be real, else ValueError.  Rows are real: C_n = A_n - i B_n,
     where A_n = c_n + c_{-n} and B_n = i (c_n - c_{-n}) are real (at
@@ -340,7 +342,8 @@ def _partial_sum_stream(f: GridFunction, c: np.ndarray, refine: int,
     cp, cm = c[n_hi + ks], c[n_hi - ks]  # modes +k and -k
     C = (cp + cm).real + 1j * (cp - cm).imag  # C_k = Re(c_k + c_-k) + i Im(c_k - c_-k)
     M = 1 << (f.J + refine)
-    W, starts = _windows(M, cols)
+    W, every = _windows(M)
+    starts = every if starts is None else starts
     per, h = max(1, _TILE[1] // W), min(_TILE[0], n_hi)  # windows, orders a tile
     table = np.exp(2j * np.pi * np.arange(M) / M)
     # flat scratch, viewed as a contiguous (orders, windows, W) tile
@@ -440,6 +443,59 @@ def _quartic_full_curve(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _weighted_quartic_curves(f: GridFunction, c: np.ndarray, excs, M: int,
+                            full: np.ndarray) -> np.ndarray:
+    """(1/M) sum_t w_t |S_n f(t)|^4 on the 4 times finer M-grid for
+    n = 1..N, as an (N, L) array with one column per exceptional set of
+    `excs`, w its complement weights; c is `modes(f, N)`, M = 2**(J+2)
+    and full the closed-form column for w = 1.
+
+    The sets that are neither empty nor the torus share one stream, over
+    the windows that hold a sample cell off one of them.  Each tile is
+    squared once, and each set's weights on it, read per window from its
+    sample-cell mask, give one matrix-vector product; sets whose weights
+    agree on the tile share it.  A set's product runs over the windows
+    the others see too, where its weights are 0, so its column can move
+    in the last bits with the sets streamed beside it.
+    """
+    weighted = np.zeros((c.size // 2, len(excs)))  # w == 0 when E is the torus
+    for i, e in enumerate(excs):
+        if e.measure == 0:  # w == 1
+            weighted[:, i] = full
+    streamed = [i for i, e in enumerate(excs) if 0 < e.measure < 1]
+    if not streamed:
+        return weighted
+    W, every = _windows(M)
+    k = M // f.n  # M-cells per sample cell
+    free = ~np.stack([excs[i].mask for i in streamed]).reshape(
+        len(streamed), -1, W // k)  # (sets, windows, cells)
+    starts = every[free.any(axis=(0, 2))]
+    plan, ones = {}, np.empty(0)
+    for ns, span, rows in _partial_sum_stream(f, c, 2, starts):
+        # squared in place twice; the stream has copied its carry
+        np.square(np.square(rows, out=rows), out=rows)
+        tile = plan.get(span.start)
+        if tile is None:  # every order chunk walks the same tiles
+            cells = free[:, starts[span.start // W:span.stop // W] // W]
+            tile = plan[span.start] = {}
+            for i, row in zip(streamed, cells.reshape(len(streamed), -1)):
+                if row.any():  # else the set would add 0
+                    # most tiles lie wholly off E, and they share one weight
+                    key = None if row.all() else row.tobytes()
+                    tile.setdefault(key, (row, []))[1].append(i)
+        width = rows.shape[1]
+        if ones.size < width:  # the first tile is the widest
+            ones = np.full(width, 1.0 / M)
+        at = slice(ns[0] - 1, ns[-1])
+        for key, (row, sets) in tile.items():
+            # 1/M is a power of two, so the weights carry it exactly
+            wt = ones[:width] if key is None else np.repeat(row, k) * (1.0 / M)
+            moment = rows @ wt
+            for i in sets:
+                weighted[at, i] += moment
+    return weighted
+
+
 def _norm_factor(N: int, p: int) -> float:
     # N for the quadratic moment; N log^(p-2) N beyond
     return float(N) * math.log(N) ** (p - 2)
@@ -457,9 +513,11 @@ def averaged_moment(f: GridFunction, lams, schedule: tuple, p: int = 2,
     all the heights (`czd.decompositions`), and the full-torus column is
     computed once for all of them.  p = 2 takes the closed form of the
     module docstring for every height at once; p = 4 takes the closed
-    form for the full-torus column and streams the partial sums once
-    per height, on the windows that hold a column off its E, for the
-    weighted one, which needs real f.  `fn_id` only labels the call: the
+    form for the full-torus column, and for the weighted one streams the
+    partial sums once for all the heights, which needs real f (see
+    `_weighted_quartic_curves`): a height's values can move in the last
+    bits with the heights streamed beside it, and one height alone
+    streams only its own windows.  `fn_id` only labels the call: the
     benchmark's tracer counts sweeps per function by it.
     """
     if f.dim != 1:
@@ -475,20 +533,7 @@ def averaged_moment(f: GridFunction, lams, schedule: tuple, p: int = 2,
         full = _energy_curve(c)
     else:
         full = _quartic_full_curve(c)
-        weighted = np.zeros((N_max, len(excs)))  # w == 0 when E is the torus
-        for i, e in enumerate(excs):
-            if e.measure == 0:  # w == 1
-                weighted[:, i] = full
-            elif e.measure < 1:  # stream only the windows the weights can see
-                w = e.complement_weights(M)
-                cols = np.flatnonzero(w)
-                W, starts = _windows(M, cols)
-                wt = w.reshape(-1, W)[starts // W].ravel()  # 0 on E
-                wt /= M
-                for ns, span, rows in _partial_sum_stream(f, c, 2, cols):
-                    # squared in place twice; the stream has copied its carry
-                    np.square(np.square(rows, out=rows), out=rows)
-                    weighted[ns - 1, i] += rows @ wt[span]
+        weighted = _weighted_quartic_curves(f, c, excs, M, full)
     cw, cf = np.cumsum(weighted, axis=0), np.cumsum(full)
     at = np.array(schedule) - 1
     norm = np.array([_norm_factor(N, p) for N in schedule])

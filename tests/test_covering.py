@@ -317,6 +317,28 @@ def test_integer_cube_components_match_reference():
             assert holds == cube_covering_holds(as_cubes(fam), j_max)
 
 
+def test_one_axis_runs_match_the_general_path():
+    """In 1-d the first sweep's runs are taken as the components, with
+    their hulls.  The general path must agree: it gets each interval as
+    a square whose second side is the level's cell at index 0.  Every
+    such side's dilate holds 0, so two squares touch exactly when their
+    intervals do, the first axis keeps the 1-d hulls, and the second
+    axis's hull is a largest member's own dilate."""
+    rng = np.random.default_rng(53)
+    for max_level, j_max in ((12, 12), (9, 14)):
+        fams = [np.array([[0, 0]]), np.array([[1, 0], [3, 6]]),
+                np.array([[2, 0], [6, 17]])]
+        fams += [random_nonadjacent_family(rng, max_level=max_level) for _ in range(300)]
+        squares = [np.c_[fam, np.zeros(len(fam), dtype=fam.dtype)] for fam in fams]
+        one = verify_covering(fams, j_max=j_max)
+        general = verify_covering(squares, j_max=j_max)
+        assert np.array_equal(one.holds, general.holds)
+        assert np.array_equal(one.components, general.components)
+        assert (one.components < [len(fam) for fam in fams]).any()  # some merge
+        for got, want in zip(components_of(one, fams), components_of(general, fams)):
+            assert got == {m: hulls[:1] for m, hulls in want.items()}
+
+
 def test_empty_families_hold_with_no_components():
     """An empty family, anywhere in the batch, holds, has no components
     and leaves the other families' labels and hulls as they are; an
