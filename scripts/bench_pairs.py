@@ -14,9 +14,10 @@ drift on the machine falls on both sides alike.  For every end-to-end
 metric of BENCHMARK.json it reports both sides' medians and quartiles,
 the pairs the checkout wins, and whether the gap between the medians
 exceeds the parent's quartile spread (q3 - q1).  The exports are
-removed at the end.  The last line of stdout is the report as one JSON
-object; it names the parent, and the checkout's HEAD with a `dirty`
-flag for tracked files that differ from it when the run starts.
+removed at the end, also when the script gets SIGTERM, which stops the
+running perfbench first.  The last line of stdout is the report as one
+JSON object; it names the parent, and the checkout's HEAD with a
+`dirty` flag for tracked files that differ from it when the run starts.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_record import ROOT, perfbench, spread  # noqa: E402
+from bench_record import ROOT, exit_on_sigterm, perfbench, spread  # noqa: E402
 
 
 def compare(parent: list, change: list, better: str) -> dict:
@@ -88,6 +89,7 @@ def main() -> int:
     ap.add_argument("--workload", default="exact_and_small")
     ap.add_argument("--pairs", type=int, default=10)
     args = ap.parse_args()
+    exit_on_sigterm()  # so the exports are removed
     rev = git("rev-parse", "--verify", args.parent + "^{commit}")
     checkout = {"revision": git("rev-parse", "HEAD"),
                 "dirty": bool(git("status", "--porcelain", "--untracked-files=no"))}

@@ -25,6 +25,7 @@ import json
 import os
 import platform
 import re
+import signal
 import statistics
 import subprocess
 import sys
@@ -34,6 +35,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 5  # --trace 0 runs per workload
+STOP_WAIT_S = 10  # for a terminated perfbench run to stop its program
 
 
 def result_lines(stdout: str) -> tuple[dict, dict]:
@@ -87,12 +89,33 @@ def git_revision() -> str:
 
 def perfbench(workload: str, seed: int, seconds: float, trace: int,
               tree: Path = ROOT):
-    """The last two JSON lines of one run of `tree`'s perfbench."""
+    """The last two JSON lines of one run of `tree`'s perfbench.
+
+    If this process is interrupted during the run, the run gets SIGTERM
+    and up to STOP_WAIT_S seconds to stop the program it launched, in its
+    own process group, before it is killed.
+    """
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    return result_lines(proc.stdout)
+    with subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True) as proc:
+        try:
+            out, _ = proc.communicate()
+        except BaseException:
+            proc.terminate()
+            try:
+                proc.wait(STOP_WAIT_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+            raise
+    return result_lines(out)
+
+
+def exit_on_sigterm():
+    """Turn SIGTERM into SystemExit, so `finally` blocks and context
+    managers, and `perfbench`'s stop of its run, still run."""
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
 
 
 def record(label: str) -> dict:
@@ -122,6 +145,7 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
     args = ap.parse_args()
+    exit_on_sigterm()
     if not re.fullmatch(r"[A-Za-z0-9_.-]+", args.label):
         ap.error("label may hold letters, digits, '_', '.' and '-' only")
     data = record(args.label)

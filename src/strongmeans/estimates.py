@@ -19,19 +19,22 @@ indexed mod M, the quadrature is an exact Parseval identity
     (1/M) sum_t w_t |S_n f(t)|^2 = sum_{|a|,|b|<=n} c_a conj(c_b) w^(b-a),
 
 and raising n by one adds only the border max(|a|,|b|) = n, so a curve
-n = 1..N_max costs O(N_max^2) work and O(N_max) memory.  The full-torus
-column is the cumulative per-order energy sum_{|m|<=n} |c_m|^2 of the
-same coefficients.  All of a function's heights take one pass: their
-w^ are the columns of one array, filled one M-point transform at a
-time, and one matrix-vector product per order gives every height's
-border.  That product sums in another order than a one-column dot
-product, so a height's values can move in the last bits with the
-number of heights stacked beside it (see `_weighted_energy_curves`).
+n = 1..N_max costs O(N_max^2) work and O(N_max) memory.  w is real, so
+w^(-k) = conj(w^(k)): w^ comes from one real transform, and the border
+row a = -n is the conjugate of a product over the block that a = +n
+reads, against c_{-b} in place of conj(c_b), which is the same row
+for real f.  The full-torus column is the cumulative per-order energy
+sum_{|m|<=n} |c_m|^2 of the same coefficients.  All of a function's
+heights take one pass: their w^ are the columns of one array, and one
+matrix-vector product per order gives every height's border.  That
+product sums in another order than a one-column dot product, so a
+height's values can move in the last bits with the number of heights
+stacked beside it (see `_weighted_energy_curves`).
 
 The full-torus column of the quartic (p = 4) moment has a closed form
 too.  |S_n f|^2 = sum_m g_m e(m x) with the Hermitian autocorrelation
 
-    g_m = sum_{a-b=m, |a|,|b|<=n} c_a conj(c_b),    |m| <= 2n,
+    g_m = sum_{a-b=m, |a|,|b|<=n} c_a conj(c_b) = conj(g_{-m}),
 
 which needs no symmetry of c.  On the M-grid, e(m t/M) depends on
 m mod M only, so |S_n f|^2 has the grid coefficients
@@ -40,17 +43,18 @@ G_r = sum_{m = r mod M} g_m, and discrete Parseval gives
     (1/M) sum_t |S_n f(t)|^4 = sum_{r mod M} |G_r|^2.
 
 The moments take the 4 times finer grid, M = 2**(J+2), and n <= H =
-2**(J-1) gives 4n < M, so nothing folds and the sum is sum_m |g_m|^2.
-Raising n by one adds only the pairs with a or b at +-n, O(n) entries
-of g, so the column costs O(N_max^2).  The weighted column has no such
-form (weighting |S_n f|^4 through its coefficients is a Toeplitz
-product per order, O(N_max^3)), so it streams, once for all of a
-function's heights: none when E is the whole torus, and when E is empty
-w = 1 and it is the full column.  The others share one stream over the
-windows that hold a grid column with w_t > 0 at one of them, and each
-tile is squared once and reduced with one matrix-vector product per
-height, with weights read per window from E's sample-cell mask; heights
-whose weights agree on a tile share its product.
+2**(J-1) gives 4n < M, so nothing folds and the sum is
+|g_0|^2 + 2 sum_{m>0} |g_m|^2.  Raising n by one changes only O(n)
+entries of g with m >= 0, so the column costs O(N_max^2).  The
+weighted column has no such form (weighting |S_n f|^4 through its
+coefficients is a Toeplitz product per order, O(N_max^3)), so it
+streams, once for all of a function's heights: none when E is the
+whole torus, and when E is empty w = 1 and it is the full column.  The
+others share one stream over the windows that hold a grid column with
+w_t > 0 at one of them, and each tile is squared once and reduced with
+one matrix-vector product per height, with weights read per window
+from E's sample-cell mask; heights whose weights agree on a tile share
+its product.
 
 Fourth moments, strong means and the rectangular factors need pointwise
 values and use a partial-sum stream: S_n differs from S_{n-1} by the
@@ -376,41 +380,38 @@ def _energy_curve(c: np.ndarray) -> np.ndarray:
     return abs(c[N]) ** 2 + np.cumsum(np.abs(c[N + n]) ** 2 + np.abs(c[N - n]) ** 2)
 
 
-def _weighted_energy_curves(c: np.ndarray, excs, M: int) -> np.ndarray:
+def _weighted_energy_curves(c: np.ndarray, excs, M: int, real: bool) -> np.ndarray:
     """(1/M) sum_t w_t |S_n f(t)|^2 for n = 1..N, by the Parseval identity,
     as an (N, L) array with one column per exceptional set of `excs`, w
-    its complement weights on the M-grid; c is `modes(f, N)`.
+    its complement weights on the M-grid; c is `modes(f, N)`, and real
+    says whether f is.
 
-    Column i of WH holds the 4N + 1 entries of set i's w^ that the border
-    rows read, filled one M-point transform at a time; one product per
-    order then serves every column.  Rounding in w^ acts like a
-    perturbation of w that does not vanish on E, so the relative error
-    grows like eps * (energy of S_n f on E) / (energy off E): largest
-    for spikes whose mass sits inside E.  That matrix-vector product
-    sums in another order than a dot product of one column does, so a
-    column can move in its last bits with the number of columns beside
-    it: against one-column dot products, by up to about 2e-14 relative
-    for the corpus's trig, noise and k-spike functions and 9e-13 for
-    its single spike.
+    Column i of WH holds w^(-k), k = 0..2N, of set i, from one real
+    transform.  The border a = +j reads sum_{|b|<j} conj(c_b) w^(b - j),
+    and a = -j the conjugate of sum c_{-b} w^(b - j): one product of the
+    distinct rows with one block of WH per order.  Rounding in w^ acts
+    like a perturbation of w that does not vanish on E, so the relative
+    error grows like eps * (energy of S_n f on E) / (energy off E):
+    largest for spikes whose mass sits inside E.  The product sums in
+    another order than a dot product of one column does, so a column
+    can move in its last bits with the columns beside it: on the
+    committed `averaged_moment` config, by up to 3e-15 relative for the
+    k-spike, trig and noise functions and 5e-14 for the single spike.
     """
     N = c.size // 2
     K = 2 * N
-    at = np.arange(-K, K + 1) % M
-    WH = np.empty((2 * K + 1, len(excs)), complex)  # WH[K + k] is w^(k)
+    WH = np.empty((K + 1, len(excs)), complex)  # WH[K - k] is w^(-k)
     for i, exc in enumerate(excs):
-        WH[:, i] = np.fft.fft(exc.complement_weights(M))[at] / M
+        WH[:, i] = np.conj(np.fft.rfft(exc.complement_weights(M))[K::-1]) / M
     cc = np.conj(c)
+    rows = cc[None] if real else np.stack([cc, c[::-1]])  # conj(c_b), c_{-b}
+    R = np.empty((N, len(rows), len(excs)), complex)
+    for j in range(1, N + 1):  # the border a = +-j against every |b| < j
+        np.matmul(rows[:, N - j + 1:N + j], WH[K - 2 * j + 1:K], out=R[j - 1])
     n = np.arange(1, N + 1)
-    # border rows a = +n and a = -n against every |b| < n
-    r_plus = np.empty((N, len(excs)), complex)
-    r_minus = np.empty_like(r_plus)
-    for j in range(1, N + 1):
-        row = cc[N - j + 1:N + j]
-        np.matmul(row, WH[K - 2 * j + 1:K], out=r_plus[j - 1])
-        np.matmul(row, WH[K + 1:K + 2 * j], out=r_minus[j - 1])
     cp, cm = c[N + n, None], c[N - n, None]
     diag = np.abs(cp) ** 2 + np.abs(cm) ** 2
-    border = (2.0 * (cp * r_plus + cm * r_minus).real
+    border = (2.0 * (cp * R[:, 0] + cm * np.conj(R[:, -1])).real
               + diag * WH[K].real
               + 2.0 * (cp * cc[N - n, None] * WH[K - 2 * n]).real)
     return abs(c[N]) ** 2 * WH[K].real + np.cumsum(border, axis=0)
@@ -420,26 +421,25 @@ def _quartic_full_curve(c: np.ndarray) -> np.ndarray:
     """(1/M) sum_t |S_n f(t)|^4 on the 4 times finer M-grid for n = 1..N,
     in closed form; c is `modes(f, N)`.
 
-    g[2N + m] holds g_m = sum_{a-b=m, |a|,|b|<=n} c_a conj(c_b), the
-    coefficients of |S_n f|^2; raising n adds the pairs with a or b at
-    +-n.  The quadrature is sum_r |G_r|^2 with G_r = sum_{m = r mod M} g_m,
-    and nothing folds, since 4n < M: it is sum_m |g_m|^2.
+    g[m] holds g_m = sum_{a-b=m, |a|,|b|<=n} c_a conj(c_b) for m >= 0,
+    the coefficients of |S_n f|^2, which are Hermitian, g_{-m} =
+    conj(g_m), for any c.  Raising n adds, at m >= 0, the pairs a = +n,
+    b = -n with |a| < n, and a = b = -n.  The quadrature is
+    sum_r |G_r|^2 with G_r = sum_{m = r mod M} g_m, and nothing folds,
+    since 4n < M: it is |g_0|^2 + 2 sum_{m>0} |g_m|^2.
     """
     N = c.size // 2
     cc = np.conj(c)
-    g = np.zeros(4 * N + 1, dtype=complex)
-    g[2 * N] = c[N] * cc[N]
+    g = np.zeros(2 * N + 1, dtype=complex)
+    g[0] = c[N] * cc[N]
     out = np.empty(N)
     for n in range(1, N + 1):
-        cp, cm = c[N + n], c[N - n]
-        v = cc[N - n:N + n + 1]        # conj(c_b), b = -n..n
-        u = c[N - n + 1:N + n]         # c_a, |a| < n
-        g[2 * N:2 * N + 2 * n + 1] += cp * v[::-1]       # a = +n: m = n - b
-        g[2 * N - 2 * n:2 * N + 1] += cm * v[::-1]       # a = -n: m = -n - b
-        g[2 * N - 2 * n + 1:2 * N] += u * np.conj(cp)    # b = +n: m = a - n
-        g[2 * N + 1:2 * N + 2 * n] += u * np.conj(cm)    # b = -n: m = a + n
-        gn = g[2 * N - 2 * n:2 * N + 2 * n + 1]
-        out[n - 1] = np.vdot(gn, gn).real
+        cm = c[N - n]
+        g[:2 * n + 1] += c[N + n] * cc[N - n:N + n + 1][::-1]  # a = +n: m = n - b
+        g[1:2 * n] += c[N - n + 1:N + n] * np.conj(cm)        # b = -n: m = a + n
+        g[0] += cm * np.conj(cm)                                # a = b = -n
+        gn = g[1:2 * n + 1]
+        out[n - 1] = abs(g[0]) ** 2 + 2.0 * np.vdot(gn, gn).real
     return out
 
 
@@ -529,7 +529,7 @@ def averaged_moment(f: GridFunction, lams, schedule: tuple, p: int = 2,
     excs = [build_exceptional_set(cz) for cz in decompositions(f, lams)]
     M = 1 << (f.J + 2)
     if p == 2:
-        weighted = _weighted_energy_curves(c, excs, M)
+        weighted = _weighted_energy_curves(c, excs, M, f.is_real())
         full = _energy_curve(c)
     else:
         full = _quartic_full_curve(c)

@@ -420,6 +420,51 @@ def plancherel_average_rect(f: GridFunction, N: int) -> float:
     return float(w @ (c.real**2 + c.imag**2) @ w / N**2)
 
 
+def dirichlet_energy(w: np.ndarray, N: int, chunk: int = 64) -> np.ndarray:
+    """(1/M) sum_t w_t D_n(t)^2 for n = 1..N in long double, as an (N, L)
+    array, one column per column of the (M, L) weights w on the M-grid.
+
+    D_n(t) = sin((2n+1) pi t/M) / sin(pi t/M), with D_n(0) = 2n + 1, is
+    S_n of the unit spike.  Each angle is reduced mod 2 pi as an integer
+    multiple of pi/M before its sine is taken.
+    """
+    M = w.shape[0]
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    t = np.arange(1, M)
+    den = np.sin(pi * t.astype(np.longdouble) / M) ** 2
+    wl = w.astype(np.longdouble)
+    out = np.empty((N, w.shape[1]), np.longdouble)
+    for n0 in range(1, N + 1, chunk):
+        n = np.arange(n0, min(n0 + chunk, N + 1))[:, None]
+        r = ((2 * n + 1) * t) % (2 * M)  # (2n+1) t pi/M = r pi/M mod 2 pi
+        D2 = np.sin(pi * r.astype(np.longdouble) / M) ** 2 / den
+        out[n[:, 0] - 1] = (D2 @ wl[1:] + (2 * n + 1) ** 2 * wl[0]) / M
+    return out
+
+
+def quartic_full_curve(c: np.ndarray) -> np.ndarray:
+    """(1/M) sum_t |S_n f(t)|^4 for n = 1..N on a grid with 4n < M, from
+    the whole autocorrelation g_m, |m| <= 2n, of c = `modes(f, N)`:
+    raising n adds the four borders a = +-n and b = +-n, and the column
+    is sum_m |g_m|^2."""
+    N = c.size // 2
+    cc = np.conj(c)
+    g = np.zeros(4 * N + 1, dtype=complex)
+    g[2 * N] = c[N] * cc[N]
+    out = np.empty(N)
+    for n in range(1, N + 1):
+        cp, cm = c[N + n], c[N - n]
+        v = cc[N - n:N + n + 1]        # conj(c_b), b = -n..n
+        u = c[N - n + 1:N + n]         # c_a, |a| < n
+        g[2 * N:2 * N + 2 * n + 1] += cp * v[::-1]       # a = +n: m = n - b
+        g[2 * N - 2 * n:2 * N + 1] += cm * v[::-1]       # a = -n: m = -n - b
+        g[2 * N - 2 * n + 1:2 * N] += u * np.conj(cp)    # b = +n: m = a - n
+        g[2 * N + 1:2 * N + 2 * n] += u * np.conj(cm)    # b = -n: m = a + n
+        gn = g[2 * N - 2 * n:2 * N + 2 * n + 1]
+        out[n - 1] = np.vdot(gn, gn).real
+    return out
+
+
 def inverse(coeffs: np.ndarray, J: int) -> GridFunction:
     """1-d inverse of `spectral.forward`: centered coefficients to samples."""
     n = 1 << J

@@ -41,9 +41,11 @@ from oracles import (
     axis_arcs,
     constant,
     covered_length,
+    dirichlet_energy,
     k_spikes,
     off_arc_moments,
     plancherel_average,
+    quartic_full_curve,
     rect_moment_per_pair,
     reference_exceptional_set,
     shell_counts,
@@ -195,10 +197,12 @@ def test_engine_matches_brute_curve():
     trig = corpus.FAMILIES[1]["trig"].sample(6, rng)[1]
     spikes = k_spikes(5, 3, rng)
     assert abs(spectral.forward(spikes)[0]) > 0.1  # a Nyquist coefficient
+    # p = 2 reads complex f too: its border for a = -n takes the row c_{-b}
+    cplx = GridFunction(1, 5, spikes.samples + 1j * NOISE.sample(5, rng)[1].samples)
     # (f, lam, N_max, measure_E); N_max = 16 is the Nyquist order at J = 5.
     # Height 1.25 selects a cell of the noise function large enough that
     # its 5-dilate is the whole torus; 16 is above every spike sample
-    cases = [(trig, 4.0, 16, None), (spikes, 8.0, 16, None),
+    cases = [(trig, 4.0, 16, None), (spikes, 8.0, 16, None), (cplx, 8.0, 16, None),
              (NOISE.sample(6, rng)[1], 1.25, 32, 1), (spikes, 16.0, 16, 0)]
     for f, lam, N_max, measure in cases:
         sched = tuple(1 << k for k in range(1, N_max.bit_length()))
@@ -228,6 +232,26 @@ def test_p2_curve_needs_no_partial_sums(monkeypatch):
 
     monkeypatch.setattr(estimates, "_partial_sum_stream", refuse)
     assert averaged_moment(f, [8.0], (4, 32)) == want
+
+
+def test_p2_spike_curves_match_long_double_quadrature():
+    """The spike's p = 2 curves at J = 10, six heights stacked in one
+    call, against (1/M) sum_t w_t D_n(t)^2 summed in long double at every
+    order to H = 512: within 5e-13 relative at each height with
+    0 < |E| < 1.  Rounding in w^ sets the error, largest where E holds
+    most of the spike's energy (measured 2.3e-13, and 4.4e-13 when w^
+    came from a full complex transform)."""
+    f = corpus.spike(10)
+    H, M = f.n // 2, 4 * f.n
+    curves = averaged_moment(f, [2.0, 4.0, 8.0, 16.0, 32.0, 64.0], tuple(range(1, H + 1)))
+    excs = [curve[0].exceptional for curve in curves]
+    inside = [i for i, e in enumerate(excs) if 0 < e.measure < 1]
+    assert len(inside) == 5
+    w = np.stack([excs[i].complement_weights(M) for i in inside], axis=1)
+    want = np.cumsum(dirichlet_energy(w, H), axis=0) / np.arange(1, H + 1)[:, None]
+    for i, col in zip(inside, want.T):
+        got = np.array([r.avg_moment for r in curves[i]])
+        assert np.max(np.abs(got - col) / col) <= 5e-13
 
 
 def own_windows_column(f, lam, N_max):
@@ -311,6 +335,29 @@ def test_engine_matches_brute_curve_p4():
 
 def refuse_stream(*args, **kwargs):
     raise AssertionError("p = 4 streamed the partial sums")
+
+
+def test_quartic_full_curve_takes_half_the_autocorrelation():
+    """The full-torus p = 4 column from g_m, m >= 0, against the whole
+    autocorrelation (`oracles.quartic_full_curve`) at every order to the
+    Nyquist order H = 32, where the stored bin is read as both +H and
+    -H: within 1e-14 relative for real and complex c.  For the unit
+    spike every c_m is 1 and g_m = 2n + 1 - |m|, so the column is an
+    exact sum of squared integers."""
+    rng = np.random.default_rng(37)
+    real = k_spikes(6, 3, rng)
+    cplx = GridFunction(1, 6, real.samples + 1j * NOISE.sample(6, rng)[1].samples)
+    H = real.n // 2
+    for f in (real, cplx):
+        c = modes(f, H)
+        assert abs(c[0]) > 0.1  # a Nyquist coefficient
+        got, want = estimates._quartic_full_curve(c), quartic_full_curve(c)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+    ones = modes(corpus.spike(6), H)
+    assert np.all(ones == 1)
+    exact = [(2 * n + 1) ** 2 + 2 * sum((2 * n + 1 - k) ** 2 for k in range(1, 2 * n + 1))
+             for n in range(1, H + 1)]
+    assert estimates._quartic_full_curve(ones).tolist() == exact
 
 
 def test_p4_curve_on_empty_set_needs_no_partial_sums(monkeypatch):

@@ -1,6 +1,7 @@
 """Every script under scripts/ still imports against the package, the
 benchmark recorder reads and summarizes perfbench's result lines, and
-the removal-geometry profile prints curves that meet its identities.
+the removal-geometry profile prints curves that meet its identities,
+and a terminated pairs run leaves no process or export behind.
 
 Each script is loaded by path, which runs its imports but not its
 `main`, so a script that reaches for a removed or renamed name fails
@@ -9,7 +10,13 @@ here instead of at its next manual run.
 
 import importlib.util
 import json
+import os
+import shutil
+import signal
 import statistics
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -121,3 +128,66 @@ def test_bench_pairs_compares_sides():
     same = pairs.compare(parent, [x + 0.1 for x in parent], "higher")
     assert same["wins"] == 5 and not same["beyond_spread"] and same["better"]
     assert not pairs.compare(parent, change, "higher")["better"]
+
+
+# stands in for perfbench/run.py: like it, it starts a program in its own
+# process group and stops that group when SIGTERM ends it
+STUB_RUN = """\
+import os, signal, subprocess, sys, time
+signal.signal(signal.SIGTERM, lambda *_: sys.exit(128 + signal.SIGTERM))
+child = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"],
+                         start_new_session=True)
+try:
+    with open(os.environ["STUB_PIDS"], "a") as fh:
+        fh.write(f"{os.getpid()} {child.pid}\\n")
+    time.sleep(60)
+finally:
+    os.killpg(child.pid, signal.SIGKILL)
+    child.wait()
+"""
+
+
+def alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_bench_pairs_stops_its_run_on_sigterm(tmp_path):
+    """SIGTERM during a pair stops the running perfbench, which stops the
+    program it started, and removes the exported trees."""
+    repo, tmp, pids = tmp_path / "repo", tmp_path / "tmp", tmp_path / "pids"
+    (repo / "scripts").mkdir(parents=True)
+    (repo / "perfbench").mkdir()
+    tmp.mkdir()
+    for name in ("bench_pairs.py", "bench_record.py"):
+        shutil.copy(ROOT / "scripts" / name, repo / "scripts" / name)
+    (repo / "perfbench" / "run.py").write_text(STUB_RUN, encoding="utf-8")
+    (repo / "BENCHMARK.json").write_text('{"run_seconds": 1, "end_to_end": []}')
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+    env = {**os.environ, "TMPDIR": str(tmp), "STUB_PIDS": str(pids)}
+    proc = subprocess.Popen([sys.executable, "scripts/bench_pairs.py", "HEAD", "--pairs", "1"],
+                            cwd=repo, env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.DEVNULL)
+    started = []
+    try:
+        deadline = time.monotonic() + 60
+        while not pids.exists() or not pids.read_text().endswith("\n"):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        started = [int(pid) for pid in pids.read_text().split()]
+        assert list(tmp.glob("bench_pairs_*"))
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        assert not [pid for pid in started if alive(pid)]
+        assert not list(tmp.glob("bench_pairs_*"))
+    finally:
+        proc.kill()
+        proc.wait()
+        for pid in started:
+            if alive(pid):
+                os.kill(pid, signal.SIGKILL)
