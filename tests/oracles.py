@@ -420,7 +420,7 @@ def plancherel_average_rect(f: GridFunction, N: int) -> float:
     return float(w @ (c.real**2 + c.imag**2) @ w / N**2)
 
 
-def dirichlet_energy(w: np.ndarray, N: int, chunk: int = 64) -> np.ndarray:
+def dirichlet_energy(w: np.ndarray, N: int) -> np.ndarray:
     """(1/M) sum_t w_t D_n(t)^2 for n = 1..N in long double, as an (N, L)
     array, one column per column of the (M, L) weights w on the M-grid.
 
@@ -434,8 +434,8 @@ def dirichlet_energy(w: np.ndarray, N: int, chunk: int = 64) -> np.ndarray:
     den = np.sin(pi * t.astype(np.longdouble) / M) ** 2
     wl = w.astype(np.longdouble)
     out = np.empty((N, w.shape[1]), np.longdouble)
-    for n0 in range(1, N + 1, chunk):
-        n = np.arange(n0, min(n0 + chunk, N + 1))[:, None]
+    for n0 in range(1, N + 1, 64):  # 64 orders at a time
+        n = np.arange(n0, min(n0 + 64, N + 1))[:, None]
         r = ((2 * n + 1) * t) % (2 * M)  # (2n+1) t pi/M = r pi/M mod 2 pi
         D2 = np.sin(pi * r.astype(np.longdouble) / M) ** 2 / den
         out[n[:, 0] - 1] = (D2 @ wl[1:] + (2 * n + 1) ** 2 * wl[0]) / M

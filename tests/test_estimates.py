@@ -239,8 +239,7 @@ def test_p2_spike_curves_match_long_double_quadrature():
     call, against (1/M) sum_t w_t D_n(t)^2 summed in long double at every
     order to H = 512: within 5e-13 relative at each height with
     0 < |E| < 1.  Rounding in w^ sets the error, largest where E holds
-    most of the spike's energy (measured 2.3e-13, and 4.4e-13 when w^
-    came from a full complex transform)."""
+    most of the spike's energy (measured 2.3e-13)."""
     f = corpus.spike(10)
     H, M = f.n // 2, 4 * f.n
     curves = averaged_moment(f, [2.0, 4.0, 8.0, 16.0, 32.0, 64.0], tuple(range(1, H + 1)))
