@@ -571,11 +571,11 @@ EXPERIMENTS = {
             "base": _integer(4, 2),
         }),
     # the chain scan builds n x n matrices with n = 2**(L+1) - 2, so its
-    # level stays small
+    # level stays small: at L = 8 it takes about 0.02 s and traces 8 MB
     "covering_suite": Experiment(
         ("kind", "trials", "violations", "components", "config_hash"),
         _covering_suite, reads=(), options={
-            # about 25 000 1-d and 2 500 2-d families a second at level 14
+            # about 25 000 1-d and 3 500 2-d families a second at level 14
             "trials_1d": _integer(10000, 1, 10**6),
             "trials_2d": _integer(1000, 1, 10**5),
             "max_level_1d": _integer(12, 1, DEFAULT_J_MAX),

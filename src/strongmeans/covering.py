@@ -15,12 +15,15 @@ interval or (level, i, j) per cube, the format of the bad cells of a
 `czd.decompose`.  Dilates come from `dyadic.dilate_units`, the one
 9/8-dilate, so every endpoint is an integer at scale
 S = 2**(j_max + 4), and the chain scan reports its violations as
-(level, index) pairs.  One check serves every dimension: a circle
-sweep of the first axis groups the members into runs, the touching
-pairs within a run give the components, and a sweep per component and
-axis gives the hulls.  In 1-d the runs are the components, and the
-first sweep gives their hulls too.  The random families come from one
-stopping-time tiling walk in either dimension.
+(level, index) pairs.  One contact rule (`_touching`) serves the
+covering check, the chain scan and the 2-d generator.  One check
+serves every dimension: a circle sweep of the first axis groups the
+members into runs, the touching pairs within a run give the
+components, and a sweep per component and axis gives the hulls.  In
+1-d the runs are the components, and the first sweep gives their hulls
+too.  The chain scan is boolean matrix algebra over pairs of
+intervals.  The random families come from one stopping-time tiling
+walk in either dimension.
 """
 
 from __future__ import annotations
@@ -32,13 +35,18 @@ import numpy as np
 from .dyadic import DEFAULT_J_MAX, dilate_units, scale_for
 
 
-def _circle_gap(a, b, period: int) -> np.ndarray:
-    """Distance from a to b around a circle of the given period,
-    broadcast.  Closed arcs at most S long on a circle of length S meet
-    exactly when the gap of their doubled centres, period 2 S, is at
-    most the sum of their lengths."""
-    d = np.abs(a - b)
-    return np.minimum(d, period - d, out=d)
+def _touching(a, b, len_a, len_b, S: int) -> np.ndarray:
+    """Whether closed boxes, of sides len_a and len_b and doubled
+    centres a and b (one array per axis), meet on the torus of S units
+    per axis; the arrays broadcast.  Closed arcs at most S long meet exactly
+    when the gap of their doubled centres, around a circle of 2 S, is at
+    most the sum of their lengths.  The largest gap is kept axis by
+    axis: reducing a stacked last axis of length two is 4x slower."""
+    gap = 0
+    for x, y in zip(a, b):
+        d = np.abs(x - y)
+        gap = np.maximum(gap, np.minimum(d, 2 * S - d, out=d), out=d)
+    return gap <= len_a + len_b
 
 
 def _circle_runs(group: np.ndarray, lo: np.ndarray, hi: np.ndarray, S: int):
@@ -161,8 +169,8 @@ def verify_covering(families: list, j_max: int = DEFAULT_J_MAX) -> CoveringCheck
     b = a + np.arange(len(a)) - np.repeat(np.cumsum(later) - later - 1, later)
     a, b = by_run[a], by_run[b]
     # dilated cells meet when their projections meet on every axis
-    gap = [_circle_gap(c[a], c[b], 2 * S) for c in (2 * lo + length).T]
-    touch = np.max(gap, axis=0) <= length[a, 0] + length[b, 0]
+    centre = (2 * lo + length).T
+    touch = _touching(centre[:, a], centre[:, b], length[a, 0], length[b, 0], S)
     a, b = np.r_[a[touch], b[touch]], np.r_[b[touch], a[touch]]
     # each member takes the least root among its own and its touching
     # members', then its root's root, until nothing changes: every root
@@ -195,47 +203,37 @@ class ChainScan:
 def exhaustive_chain_scan(max_level: int) -> ChainScan:
     """Check the bridge-length property for every chain up to max_level.
 
-    Enumerates all dyadic intervals of levels 1..max_level, finds every
-    triple satisfying the chain preconditions, and records violations of
-    |I2*| > min(|I1*|, |I3*|), with * the 9/8-dilate.  Vectorized over
-    the middle interval.
+    The chain preconditions are pairwise, so they are boolean matrices
+    over the dyadic intervals of levels 1..max_level: V holds the pairs
+    that are disjoint and nonadjacent, T those whose 9/8-dilates touch.
+    The outer pairs are V & ~T with a < b; the chains of (a, b) are the
+    middles m with X[m, a] and X[m, b], X = V & T, counted by X X.  A
+    chain violates |I2*| > min(|I1*|, |I3*|), * the dilate, when its
+    middle is no longer than either outer dilate; violations are listed
+    by a, then b, then m.
     """
     level = np.concatenate([np.full(1 << j, j) for j in range(1, max_level + 1)])
     index = np.concatenate([np.arange(1 << j) for j in range(1, max_level + 1)])
-    n = len(level)
     j_max = max(max_level, 4)
     S = scale_for(j_max)
-    lo_o = index << (j_max + 4 - level)
-    hi_o = lo_o + (S >> level)
-    lo_d, len_d = dilate_units(level, index, j_max)
-
-    contains = (lo_o[:, None] <= lo_o[None, :]) & (hi_o[None, :] <= hi_o[:, None])
-    disjoint = ~(contains | contains.T)
-    adj = (hi_o[:, None] % S == lo_o[None, :]) | (hi_o[None, :] % S == lo_o[:, None])
-    valid_pair = disjoint & ~adj
-
-    centre = 2 * lo_d + len_d
-    touch_d = _circle_gap(centre[:, None], centre, 2 * S) <= len_d[:, None] + len_d
-
-    outer_pairs = chains = 0
-    violations = []
-    for a in range(n):
-        row = valid_pair[a] & ~touch_d[a]
-        for b in range(a + 1, n):
-            if not row[b]:
-                continue
-            outer_pairs += 1
-            mids = valid_pair[:, a] & valid_pair[:, b] & touch_d[:, a] & touch_d[:, b]
-            idx = np.nonzero(mids)[0]
-            chains += len(idx)
-            thresh = min(len_d[a], len_d[b])
-            for m in idx[len_d[idx] <= thresh]:
-                violations.append(tuple((int(level[i]), int(index[i]))
-                                        for i in (a, m, b)))
+    w = S >> level
+    lo, length = dilate_units(level, index, j_max)
+    centre = (2 * index + 1) * w
+    V = ~_touching([centre[:, None]], [centre], w[:, None], w, S)  # closures apart
+    centre = 2 * lo + length
+    T = _touching([centre[:, None]], [centre], length[:, None], length, S)
+    outer = np.triu(V & ~T, 1)
+    # float products count exactly: each is a count of intervals
+    X = (V & T).astype(np.float64)
+    short = X * (length[:, None] <= length)  # X[m, a] and |I_m*| <= |I_a*|
+    a, b = np.nonzero(outer & (short.T @ short > 0))
+    pair, m = np.nonzero(short.T[a] * short.T[b])
+    cells = np.stack((level, index), axis=1).tolist()
     return ChainScan(
-        outer_pairs=outer_pairs,
-        chains=chains,
-        violations=violations,
+        outer_pairs=int(np.count_nonzero(outer)),
+        chains=int((X @ X)[outer].sum()),
+        violations=[(tuple(cells[a[p]]), tuple(cells[i]), tuple(cells[b[p]]))
+                    for p, i in zip(pair.tolist(), m.tolist())],
     )
 
 
@@ -333,8 +331,7 @@ def random_nonadjacent_cube_family(rng, max_level: int = 7,
     # halves the pairwise work
     w = (1 << max_level >> tiles[:, :1]).astype(np.int32)
     centre = (2 * tiles[:, 1:] + 1).astype(np.int32) * w
-    gap = [_circle_gap(c[:, None], c, 2 << max_level) for c in centre.T]
-    touch = np.maximum(*gap) <= w + w.T
+    touch = _touching(centre.T[:, :, None], centre.T[:, None], w, w.T, 1 << max_level)
     blocked = np.zeros(len(tiles), dtype=bool)
     kept = []
     for idx in order.tolist():

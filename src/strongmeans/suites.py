@@ -3,9 +3,9 @@
 Each suite draws a reproducible stream of inputs, checks every invariant
 on every draw, and accumulates failure counts instead of raising, so one
 run summarizes thousands of trials.  Comparisons the theory states
-exactly (stopping heights, measures, reassembly, set containments) run
-in integer arithmetic on the 24-bit sample grid; nothing here trusts a
-float tolerance.
+exactly (stopping heights, measures, set containments) run in integer
+arithmetic on the 24-bit sample grid; nothing here trusts a float
+tolerance.
 
 The decomposition battery works on blocks of trials in either
 dimension, BLOCK samples to a block, every block in one `Workspace`
@@ -232,11 +232,6 @@ def czd_block_checks(samples: np.ndarray, lams, sel: StoppingCells, units,
     # flags, above > covered is above and not covered
     above = np.greater(absu, ((num << FRACT_BITS) // den)[:, None], out=work.flags)
     checks["bounded_off_bad"] = ~np.greater(above, work.mask, out=above).any(axis=1)
-
-    # good part (zero on the bad set) plus bad part (zero off it) is f:
-    # the sum is f + 0 off the bad set and 0 + f on it, which equals f
-    # for every sample but NaN, whatever the cells
-    checks["reassembly"] = ~np.isnan(samples.reshape(B, -1), out=work.flags).any(axis=1)
 
     # every sample covered at 2 lam is covered at lam
     twice = inside(*boxes(1))

@@ -679,8 +679,6 @@ def czd_invariants(f, lam: float) -> tuple[dict, int]:
     off = np.abs(units[~mask])
     checks["bounded_off_bad"] = off.size == 0 or Fraction(int(off.max())) <= lam_units
 
-    checks["reassembly"] = reassembles(f.samples, mask)
-
     mask2 = bad_mask(cz2)
     checks["lam_monotone"] = bool(np.all(mask | ~mask2))
     return checks, len(cz.bad)
@@ -749,18 +747,9 @@ def cube_invariants(f, lam: float) -> tuple[dict, int]:
     off = absu[~mask]
     checks["bounded_off_bad"] = off.size == 0 or Fraction(int(off.max())) <= lam_units
 
-    checks["reassembly"] = reassembles(f.samples, mask)
-
     mask2 = bad_mask(cz2)
     checks["lam_monotone"] = bool(np.all(mask | ~mask2))
     return checks, len(cz.bad)
-
-
-def reassembles(samples: np.ndarray, mask: np.ndarray) -> bool:
-    """Good part (zero on the bad set) plus bad part (zero off it) is f."""
-    good = np.where(mask, 0, samples)
-    bad = np.where(mask, samples, 0)
-    return bool(np.array_equal(good + bad, samples))
 
 
 # ---------------------------------------------------------------------------

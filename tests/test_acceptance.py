@@ -10,8 +10,7 @@ and 08 measure quantities that obey exact laws: the power-decay moment
 of a spike scales as N^(2-s), and the two 2-d removal geometries follow
 inclusion-exclusion identities in the 1-d off-arc averages.  Their tests derive those laws in comments
 and check them against closed-form oracles that do not use the code
-under test; scripts/rect_geometry_profile.py prints the 2-d curves next
-to the identities.
+under test.
 """
 
 import json

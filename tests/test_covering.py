@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strongmeans import covering
 from strongmeans.covering import (
     exhaustive_chain_scan,
     random_nonadjacent_cube_family,
@@ -399,7 +400,11 @@ def test_chain_rejects_non_bridging_middle():
         chain_check(DyadicInterval(3, 0), DyadicInterval(4, 9), DyadicInterval(3, 2))
 
 
-def _brute_chain_counts(max_level):
+def _brute_chain_counts(max_level, factor=NINE_EIGHTHS):
+    """Chains and violating triples among the intervals of levels
+    1..max_level, from `chain_check` on every triple, for the
+    factor-dilate; triples are (level, index) pairs in (I1, I2, I3)
+    order, listed by I1, then I3, then I2."""
     ivs = [
         DyadicInterval(j, k)
         for j in range(1, max_level + 1)
@@ -409,9 +414,9 @@ def _brute_chain_counts(max_level):
     # once: a triple failing one of them is never a chain
     apart = [[x is not y and intervals_disjoint(x, y) and not adjacent(x, y)
               for y in ivs] for x in ivs]
-    dil = [fraction_dilate(iv, NINE_EIGHTHS) for iv in ivs]
+    dil = [fraction_dilate(iv, factor) for iv in ivs]
     touch = [[torus_distance(x, y) == 0 for y in dil] for x in dil]
-    chains = violations = 0
+    chains, violations = 0, []
     for a in range(len(ivs)):
         for b in range(a + 1, len(ivs)):
             if not apart[a][b] or touch[a][b]:  # outer dilates must be apart
@@ -421,11 +426,13 @@ def _brute_chain_counts(max_level):
                         and touch[m][a] and touch[m][b]):  # middle bridges
                     continue
                 try:
-                    ok = chain_check(ivs[a], ivs[m], ivs[b])
+                    ok = chain_check(ivs[a], ivs[m], ivs[b], factor)
                 except NotAChainError:
                     continue
                 chains += 1
-                violations += not ok
+                if not ok:
+                    violations.append(tuple((ivs[i].level, ivs[i].index)
+                                            for i in (a, m, b)))
     return chains, violations
 
 
@@ -434,7 +441,25 @@ def test_exhaustive_scan_matches_brute_force(level):
     scan = exhaustive_chain_scan(level)
     chains, violations = _brute_chain_counts(level)
     assert scan.chains == chains
-    assert len(scan.violations) == violations == 0
+    assert scan.violations == violations == []
+
+
+def test_exhaustive_scan_lists_violations_like_brute_force(monkeypatch):
+    """Under 2-dilates the bridge property fails, so the scan's
+    violation path runs: its counts and its triples, in order, are the
+    oracle's."""
+    def dilate(level, index, j_max):
+        S = scale_for(j_max)
+        w = S >> level
+        length = np.minimum(2 * w, S)
+        return ((2 * index + 1) * w - length) // 2 % S, length
+
+    monkeypatch.setattr(covering, "dilate_units", dilate)
+    scan = exhaustive_chain_scan(4)
+    chains, violations = _brute_chain_counts(4, 2)
+    assert 0 < len(violations) < chains
+    assert scan.chains == chains
+    assert scan.violations == violations
 
 
 def test_chains_exist_once_scales_are_mixed():

@@ -1,7 +1,6 @@
 """Every script under scripts/ still imports against the package, the
 benchmark recorder reads and summarizes perfbench's result lines, and
-the removal-geometry profile prints curves that meet its identities,
-and a terminated pairs run leaves no process or export behind.
+a terminated pairs run leaves no process or export behind.
 
 Each script is loaded by path, which runs its imports but not its
 `main`, so a script that reaches for a removed or renamed name fails
@@ -35,21 +34,6 @@ def load(path: Path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda p: p.name)
 def test_script_imports(path):
     assert callable(load(path).main)
-
-
-def test_rect_geometry_profile_meets_identities(capsys):
-    """Both removal curves match the inclusion-exclusion identities
-    built from the script's own off-band average w_N, so a wrong arc
-    for the band shows as a mismatch, and both verdict lines print."""
-    load(ROOT / "scripts" / "rect_geometry_profile.py").main()
-    out = capsys.readouterr().out
-    table = [line.split() for line in out.splitlines()
-             if line.split()[:1] and line.split()[0].isdigit()]
-    assert [row[0] for row in table] == ["4", "8", "16", "32", "64"]
-    for _, _, cube, cube_identity, slab, slab_identity in table:
-        assert (cube, slab) == (cube_identity, slab_identity)
-    for geometry in ("cube", "slab"):
-        assert f"{geometry}: relative change 32 -> 64 = " in out
 
 
 def test_bench_record_reads_result_lines():
