@@ -38,10 +38,11 @@ from .dyadic import DEFAULT_J_MAX, dilate_units, scale_for
 def _touching(a, b, len_a, len_b, S: int) -> np.ndarray:
     """Whether closed boxes, of sides len_a and len_b and doubled
     centres a and b (one array per axis), meet on the torus of S units
-    per axis; the arrays broadcast.  Closed arcs at most S long meet exactly
-    when the gap of their doubled centres, around a circle of 2 S, is at
-    most the sum of their lengths.  The largest gap is kept axis by
-    axis: reducing a stacked last axis of length two is 4x slower."""
+    per axis; the arrays broadcast.  Closed arcs at most S long meet
+    exactly when the gap of their doubled centres, around a circle of
+    2 S, is at most the sum of their lengths.  The largest gap is kept
+    axis by axis: reducing a stacked last axis of length two is 4x
+    slower."""
     gap = 0
     for x, y in zip(a, b):
         d = np.abs(x - y)

@@ -342,5 +342,3 @@ def test_covering_suite_memory_is_block_sized():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 1.5 * peaks[0], peaks
-
-
